@@ -292,7 +292,6 @@ def cmd_fig3(args) -> int:
             args.samples,
             seed=stream,
             n_bins=args.bins,
-            threads=args.threads,
         )
         manifest = _new_manifest(
             "fig3",
@@ -428,7 +427,6 @@ def cmd_violation_dist(args) -> int:
         args.samples,
         seed=seed,
         n_bins=args.bins,
-        threads=args.threads,
     )
     manifest = _new_manifest(
         "violation-dist",
@@ -587,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig3.add_argument("--bins", type=int, default=60)
     fig3.add_argument("--restarts", type=int, default=6)
     fig3.add_argument("--seed", type=int, required=True)
-    fig3.add_argument("--threads", type=int, default=1)
     fig3.add_argument("--out", required=True, help="output stem; _m{m} is appended")
     fig3.set_defaults(func=cmd_fig3)
 
@@ -627,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--bins", type=int, default=60)
     dist.add_argument("--restarts", type=int, default=6)
     dist.add_argument("--seed", type=int, required=True)
-    dist.add_argument("--threads", type=int, default=1)
     dist.add_argument("--out", default=None, help="optional histogram JSON path")
     dist.set_defaults(func=cmd_violation_dist)
 

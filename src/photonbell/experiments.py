@@ -15,14 +15,18 @@ computing the Bell value.
 To fight frame noise, party 1 may hold m pairs of settings that repeat the
 same two amplitudes with pair phases stepped by 2*pi/m.  Each pair alone is
 a complete two-setting-per-party Bell test, so the best pair may be chosen
-after the data is taken (:func:`best_pair_bell_value`).  The resulting
-distribution of Bell values over uniformly random frame centers is
-estimated by :func:`violation_distribution`.
+after the data is taken (:func:`best_pair_bell_value`, one frame at a time).
+Frame scans over many centers go through one batched route,
+:func:`best_pair_values_over_centers`: all pair tables share one frequency
+basis, evaluated once per chunk of centers, so a single matrix product
+gives the Walsh-Hadamard transform of every pair's averaged table.  The distribution of Bell values over
+uniformly random frame centers (:func:`violation_distribution`) is one such
+scan; the per-center route stays as its test oracle.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,6 +34,7 @@ import numpy as np
 
 from .fock_core import (
     TWO_PI,
+    ConsistencyError,
     DisplacementSetting,
     SettingVector,
     SubspaceState,
@@ -37,10 +42,10 @@ from .fock_core import (
     lossy_w_state,
 )
 from .phase_noise import (
+    EVAL_IMAG_TOL,
     PhaseModel,
     PhasePolynomial,
     average_polynomial,
-    damped_polynomial,
 )
 from .wwzb import BellResult, CorrelatorTable, _walsh_hadamard, wwzb_value
 
@@ -62,6 +67,10 @@ __all__ = [
 
 # Slack used when checking the stepped phases of paired settings.
 PAIR_PHASE_TOL = 1e-9
+
+# Transform entries (centers x pairs x 2^N) evaluated per chunk of a frame
+# scan; a chunk holds max(1, budget // max(frequencies, pairs * 2^N)) centers.
+FRAME_SCAN_CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,26 +409,90 @@ def best_pair_bell_value(
     return best, best_pair
 
 
+def _frame_scan_coefficients(tables, width: float):
+    """Shared frequency basis and transformed coefficients of all pair tables.
+
+    Returns (freqs, coeffs): ``freqs`` holds the union of the frequency
+    vectors of every polynomial in every table, shape (F, N-1).  Column
+    p * 2^N + r of ``coeffs`` holds, per frequency, the damped coefficient
+    of the Walsh-Hadamard coefficient T(r) of table p.  The transform is
+    linear, so it is applied here once instead of to every evaluated
+    table, and basis @ coeffs with basis exp(i C F^T) yields every pair's
+    T(r) at every center of C.
+    """
+    n = tables[0].n_parties
+    if any(table.n_parties != n for table in tables):
+        raise ValueError("pair tables must share one party count")
+    size = 2**n
+    rows: dict = {}
+    entries = []
+    for p, table in enumerate(tables):
+        for s, poly in enumerate(table.values):
+            for freq, coeff in poly.terms:
+                entries.append((rows.setdefault(freq, len(rows)), p * size + s, coeff))
+    coeffs = np.zeros((len(rows), len(tables) * size), dtype=complex)
+    for row, column, coeff in entries:
+        coeffs[row, column] = coeff
+    freqs = np.array(list(rows), dtype=float).reshape(len(rows), n - 1)
+    coeffs *= np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None]
+    blocks = coeffs.reshape(len(rows), len(tables), size)
+    transform = _walsh_hadamard(blocks.real) + 1j * _walsh_hadamard(blocks.imag)
+    return freqs, transform.reshape(coeffs.shape)
+
+
 def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     """Best-pair Bell values for a whole batch of frame centers at once.
 
     Vectorized equivalent of calling :func:`best_pair_bell_value` with a
     :class:`PhaseModel` built from each row of ``centers`` (shape
-    (count, N-1)) at the common ``width``: zero-centered noise damps each
-    polynomial coefficient, after which the damped polynomials are
-    evaluated on the center batch and pushed through the Bell transform.
+    (count, N-1), or one 1-D row) at the common ``width``.  Zero-centered
+    noise damps each coefficient by exp(-width^2 |n|^2 / 2), so the
+    averaged tables, and by linearity their Walsh-Hadamard transforms T(r),
+    are trigonometric polynomials in the centers.  All pair tables share
+    one frequency basis: for each chunk of centers the basis exp(i C F^T)
+    is computed once, and a single matrix product gives T(r) of every pair
+    (:func:`_frame_scan_coefficients`).  Physical tables are real, so an
+    imaginary residue of T beyond ``EVAL_IMAG_TOL`` raises
+    :class:`ConsistencyError`; it bounds the residue of every table entry,
+    since each entry is an average of the T(r).  Each pair's Bell value is
+    2^-N sum_r |T(r)|, and the best pair's value is returned.  Chunks hold
+    at most ``FRAME_SCAN_CHUNK_ELEMENTS`` products, which bounds memory for
+    any number of centers.
 
-    ``tables`` is the output of :func:`pair_symbolic_tables`.
+    ``tables`` is the output of :func:`pair_symbolic_tables`.  Centers must
+    be finite and ``width`` finite and >= 0 (ValueError otherwise).
     """
+    if not tables:
+        raise ValueError("need at least one pair table")
+    if not np.isfinite(width) or width < 0.0:
+        raise ValueError("width must be finite and >= 0")
+    n = tables[0].n_parties
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    best = None
-    for table in tables:
-        size = 2**table.n_parties
-        damped = [damped_polynomial(poly, width) for poly in table.values]
-        vals = np.stack([poly.evaluate_real(centers) for poly in damped], axis=-1)
-        s = np.abs(_walsh_hadamard(vals)).sum(axis=-1) / size
-        best = s if best is None else np.maximum(best, s)
-    return best
+    if centers.shape[-1] != n - 1:
+        # An empty center vector is fine for a single party.
+        if not (n == 1 and centers.size == 0):
+            raise ValueError(f"centers must have trailing dimension {n - 1}")
+        centers = centers.reshape(centers.shape[:-1] + (0,))
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("frame centers must be finite")
+    batch_shape = centers.shape[:-1]
+    centers = centers.reshape(math.prod(batch_shape), n - 1)
+
+    freqs, coeffs = _frame_scan_coefficients(tables, width)
+    size = 2**n
+    chunk = max(1, FRAME_SCAN_CHUNK_ELEMENTS // max(coeffs.shape))
+    best = np.empty(len(centers))
+    for start in range(0, len(centers), chunk):
+        basis = np.exp(1j * (centers[start : start + chunk] @ freqs.T))
+        transform = basis @ coeffs
+        residue = np.max(np.abs(transform.imag))
+        if not residue <= EVAL_IMAG_TOL:
+            raise ConsistencyError(
+                f"frame-averaged tables have imaginary residue {residue:.3e}"
+            )
+        magnitudes = np.abs(transform.real).reshape(len(transform), len(tables), size)
+        best[start : start + chunk] = magnitudes.sum(axis=-1).max(axis=-1) / size
+    return best.reshape(batch_shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,7 +542,6 @@ def violation_distribution(
     n_samples: int,
     seed: int,
     n_bins: int = 60,
-    threads: int = 1,
 ) -> ViolationHistogram:
     """Distribution of best-pair Bell values over uniform frame centers.
 
@@ -481,16 +553,16 @@ def violation_distribution(
     frames; pass the values actually used so they are recorded in the
     histogram metadata.
 
-    The sample order is fixed by ``seed`` alone, and the histogram is
-    accumulated from the ordered results, so the outcome is identical for
-    any ``threads`` value.
+    The centers are drawn from ``seed`` alone, as one (n_samples, N-1)
+    array, and all samples are evaluated in one batched frame scan
+    (:func:`best_pair_values_over_centers`); the per-sample route through
+    :meth:`SymbolicCorrelatorTable.averaged` gives the same values and is
+    kept as the test oracle.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     r0, r1 = (float(a) for a in amplitudes)
     state = lossy_w_state(n_parties, efficiency)
     strategy = paired_strategy(n_parties, r0, r1, pair_count)
@@ -498,16 +570,7 @@ def violation_distribution(
 
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, TWO_PI, size=(n_samples, n_parties - 1))
-
-    def sample_value(center_row) -> float:
-        model = PhaseModel(tuple(center_row), width)
-        return max(wwzb_value(t.averaged(model)).s_value for t in tables)
-
-    if threads == 1:
-        s_values = np.array([sample_value(row) for row in centers])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            s_values = np.array(list(pool.map(sample_value, centers, chunksize=64)))
+    s_values = best_pair_values_over_centers(tables, centers, width)
 
     min_s = float(s_values.min())
     max_s = float(s_values.max())

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import random_state
 from photonbell import (
+    ConsistencyError,
     DisplacementSetting,
     MeasurementStrategy,
     PhaseModel,
@@ -16,6 +17,7 @@ from photonbell import (
     bell_value_averaged,
     bell_value_static,
     correlator,
+    damped_polynomial,
     displacement_observable,
     averaged_correlator_table,
     lossy_w_state,
@@ -28,6 +30,7 @@ from photonbell import (
     w_state,
     wwzb_value,
 )
+from photonbell.experiments import FRAME_SCAN_CHUNK_ELEMENTS
 
 TWO_PI = 2.0 * np.pi
 
@@ -247,6 +250,71 @@ def test_batched_centers_match_looped_calls():
         assert abs(value - looped.s_value) < 1e-12
 
 
+def test_batched_centers_span_several_chunks():
+    # 64 table entries per center, so a chunk holds budget // 64 centers;
+    # 2.5 chunks leaves a partial last one
+    state = lossy_w_state(3, 0.9)
+    strat = paired_strategy(3, 0.12, -0.5, 8)
+    tables = pair_symbolic_tables(state, strat)
+    chunk = FRAME_SCAN_CHUNK_ELEMENTS // 64
+    count = 2 * chunk + chunk // 2
+    centers = np.random.default_rng(23).uniform(0.0, TWO_PI, (count, 2))
+    width = 0.35
+    batch = best_pair_values_over_centers(tables, centers, width)
+    assert batch.shape == (count,)
+    # per-polynomial oracle over every center, with an explicit Sylvester
+    # Hadamard matrix (entry (r, s) is (-1)^{popcount(r & s)})
+    hadamard = np.kron(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]), [[1, 1], [1, -1]])
+    looped = np.zeros(count)
+    for table in tables:
+        damped = [damped_polynomial(poly, width) for poly in table.values]
+        vals = np.stack([poly.evaluate_real(centers) for poly in damped], axis=-1)
+        looped = np.maximum(looped, np.abs(vals @ hadamard.T).sum(axis=-1) / 8)
+    assert np.max(np.abs(batch - looped)) < 1e-12
+    # per-center oracle at the chunk boundaries and the tail
+    for i in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, count - 1):
+        slow, _ = best_pair_bell_value(
+            state, strat, model=PhaseModel(tuple(centers[i]), width)
+        )
+        assert abs(batch[i] - slow.s_value) < 1e-12
+
+
+def test_batched_centers_edge_shapes():
+    state = w_state(2)
+    strat = paired_strategy(2, 0.1, -0.5, 3)
+    tables = pair_symbolic_tables(state, strat)
+    assert best_pair_values_over_centers(tables, np.empty((0, 1)), 0.2).shape == (0,)
+    # a single 1-D row is one center
+    one = best_pair_values_over_centers(tables, [0.7], 0.2)
+    slow, _ = best_pair_bell_value(state, strat, model=PhaseModel((0.7,), 0.2))
+    assert one.shape == (1,)
+    assert abs(one[0] - slow.s_value) < 1e-12
+    # a single party has no offset slots: every center gives the constant value
+    single = paired_strategy(1, 0.2, -0.4, 2)
+    tables1 = pair_symbolic_tables(w_state(1), single)
+    values = best_pair_values_over_centers(tables1, np.empty((3, 0)), 0.5)
+    const, _ = best_pair_bell_value(w_state(1), single, model=PhaseModel((), 0.5))
+    assert values.shape == (3,)
+    assert np.all(np.abs(values - const.s_value) < 1e-12)
+
+
+def test_batched_centers_validation():
+    tables = pair_symbolic_tables(w_state(2), paired_strategy(2, 0.1, -0.5, 2))
+    for bad in ([[np.nan], [0.3]], [[0.3], [np.inf]], [[-np.inf]]):
+        with pytest.raises(ValueError):
+            best_pair_values_over_centers(tables, bad, 0.2)
+    for width in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            best_pair_values_over_centers(tables, [[0.3]], width)
+    with pytest.raises(ValueError):
+        best_pair_values_over_centers(tables, [[0.3, 0.4]], 0.2)
+    # a table that is not conjugate symmetric has no real value
+    skew = PhasePolynomial(1, (((1,), 0.5),))
+    table = SymbolicCorrelatorTable(2, (skew,) * 4)
+    with pytest.raises(ConsistencyError):
+        best_pair_values_over_centers([table], [[0.7]], 0.0)
+
+
 def test_more_pairs_never_lower_the_best_value():
     # the m-pair phases are a subset of the 2m-pair phases
     state = w_state(2)
@@ -301,8 +369,7 @@ def test_symbolic_table_validation():
         )
 
 
-def test_violation_distribution_reproducible_and_thread_safe():
-    # ~2 s: 3 small runs of 40 samples
+def test_violation_distribution_reproducible_and_matches_per_center_oracle():
     kwargs = dict(
         n_parties=2,
         amplitudes=(0.17, -0.56),
@@ -315,11 +382,9 @@ def test_violation_distribution_reproducible_and_thread_safe():
     )
     a = violation_distribution(**kwargs)
     b = violation_distribution(**kwargs)
-    threaded = violation_distribution(threads=4, **kwargs)
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.bin_edges, b.bin_edges)
-    assert a.fraction_violating == b.fraction_violating == threaded.fraction_violating
-    assert np.array_equal(a.counts, threaded.counts)
+    assert a.fraction_violating == b.fraction_violating
     assert a.counts.sum() == 40
     assert 0.0 <= a.fraction_violating <= 1.0
     assert a.min_s <= a.max_s
@@ -328,11 +393,26 @@ def test_violation_distribution_reproducible_and_thread_safe():
     assert payload["metadata"]["pair_count"] == 2
     assert len(payload["counts"]) == len(payload["bin_edges"]) - 1
 
+    # the per-center oracle on the same seeded centers
+    state = lossy_w_state(2, 0.9)
+    strat = paired_strategy(2, 0.17, -0.56, 2)
+    centers = np.random.default_rng(99).uniform(0.0, TWO_PI, size=(40, 1))
+    slow = np.array(
+        [
+            best_pair_bell_value(state, strat, model=PhaseModel(tuple(row), 0.4))[0].s_value
+            for row in centers
+        ]
+    )
+    fast = best_pair_values_over_centers(pair_symbolic_tables(state, strat), centers, 0.4)
+    assert np.max(np.abs(fast - slow)) < 1e-12
+    assert np.array_equal(np.histogram(fast, bins=a.bin_edges)[0], a.counts)
+    assert abs(a.min_s - slow.min()) < 1e-12
+    assert abs(a.max_s - slow.max()) < 1e-12
+    assert abs(a.fraction_violating - np.count_nonzero(slow > 1.0) / 40) < 1e-12
+
 
 def test_violation_distribution_validation():
     with pytest.raises(ValueError):
         violation_distribution(2, (0.1, 0.5), 0.4, 0.9, 2, 0, seed=1)
     with pytest.raises(ValueError):
         violation_distribution(2, (0.1, 0.5), 0.4, 0.9, 2, 10, seed=1, n_bins=0)
-    with pytest.raises(ValueError):
-        violation_distribution(2, (0.1, 0.5), 0.4, 0.9, 2, 10, seed=1, threads=0)
