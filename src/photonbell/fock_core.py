@@ -16,11 +16,23 @@ click.  Restricted to the 0/1-photon sector of one mode, the observable
 2|alpha><alpha| - 1 with alpha = r exp(i phi) becomes the 2x2 matrix
 returned by :func:`displacement_observable`.
 
-N-party correlation functions <M_1 x ... x M_N> are evaluated with a closed
-form that only walks the nonzero structure of the subspace, O(N^2) per
-correlator (:func:`correlator`).  A dense evaluation in the full 2^N
-mode-occupation space is kept as a slow oracle for tests
-(:func:`correlator_bruteforce`).
+N-party correlation functions <M_1 x ... x M_N> are evaluated by one numpy
+kernel, :func:`correlator_batch`, over an array of observable matrices of
+shape (..., N, 2, 2) against one state.  It walks only the nonzero structure
+of the subspace: the one-hole products (m_00 over every mode but one) come
+from prefix and suffix cumulative products along the party axis, and the
+two-hole sum over mode pairs j < k is an O(N)-step recurrence over k,
+vectorized over the batch, that is valid for any density matrix.  The batch
+is processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices, so
+memory stays bounded for any batch size.  :func:`correlator` is the
+batch-of-one form.  A dense evaluation in the full 2^N mode-occupation space
+is kept as a slow oracle for tests (:func:`correlator_bruteforce`).
+
+Validation happens where values enter: :class:`SubspaceState` checks the
+state and :class:`ModeObservable` (or :func:`check_observable_matrices`, its
+array form) checks observables, with closed-form 2x2 Hermiticity and
+eigenvalue bounds.  The kernel itself only checks that its results are real
+(``ConsistencyError`` otherwise), over the whole batch.
 """
 
 from __future__ import annotations
@@ -36,7 +48,9 @@ __all__ = [
     "ModeObservable",
     "SettingVector",
     "SubspaceState",
+    "check_observable_matrices",
     "correlator",
+    "correlator_batch",
     "correlator_bruteforce",
     "displacement_observable",
     "lossy_w_state",
@@ -58,6 +72,10 @@ IMAG_RESIDUE_TOL = 1e-8
 
 # Largest N for which the dense 2^N oracle is allowed to run.
 BRUTEFORCE_MODE_LIMIT = 12
+
+# The correlator kernel handles at most this many mode matrices (batch rows
+# times N) per chunk; its working arrays are a small multiple of that.
+CORRELATOR_CHUNK_ELEMENTS = 2**16
 
 
 class ConsistencyError(RuntimeError):
@@ -156,12 +174,35 @@ class ModeObservable:
 
     def __post_init__(self):
         mat = _frozen_matrix(self.matrix, (2, 2), "observable matrix")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("observable matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -1.0 - EIGENVALUE_TOL or eigs.max() > 1.0 + EIGENVALUE_TOL:
-            raise ValueError(f"observable eigenvalues {eigs} outside [-1, 1]")
+        check_observable_matrices(mat)
         object.__setattr__(self, "matrix", mat)
+
+
+def check_observable_matrices(matrices) -> None:
+    """Raise ValueError unless every 2x2 matrix in ``matrices`` is an observable.
+
+    ``matrices`` has shape (..., 2, 2).  Each matrix must be finite and
+    Hermitian within ``HERMITICITY_TOL`` and have both eigenvalues in
+    [-1, 1] within ``EIGENVALUE_TOL``.  The eigenvalues of a Hermitian 2x2
+    matrix are m +- g with m = (a + d)/2 and g = sqrt(((a - d)/2)^2 + |c|^2)
+    (diagonal a, d, lower off-diagonal c, read as ``eigvalsh`` reads them),
+    so both lie in [-1, 1] exactly when |m| + g <= 1.
+    """
+    mats = np.asarray(matrices)
+    if not np.isfinite(mats).all():
+        raise ValueError("observable matrix must be finite")
+    asymmetry = np.abs(mats - np.conj(np.swapaxes(mats, -1, -2)))
+    if not asymmetry.max(initial=0.0) <= HERMITICITY_TOL:
+        raise ValueError("observable matrix is not Hermitian")
+    a = mats[..., 0, 0].real
+    d = mats[..., 1, 1].real
+    mean = 0.5 * (a + d)
+    gap = np.hypot(0.5 * (a - d), np.abs(mats[..., 1, 0]))
+    radius = np.abs(mean) + gap
+    if not radius.max(initial=0.0) <= 1.0 + EIGENVALUE_TOL:
+        worst = np.unravel_index(np.argmax(radius), radius.shape)
+        eigs = [float(mean[worst] - gap[worst]), float(mean[worst] + gap[worst])]
+        raise ValueError(f"observable eigenvalues {eigs} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -281,55 +322,106 @@ def _check_observables(state: SubspaceState, observables) -> list:
     return observables
 
 
+def _correlator_rows(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Complex traces Tr[rho (M_1 x ... x M_N)] for mats of shape (B, N, 2, 2).
+
+    With m_k(a, b) = <a|M_k|b> the trace splits into the vacuum term, the
+    one-photon populations, the vacuum-excitation coherences and the
+    excitation-excitation coherences, each multiplied by the product of
+    m_l(0, 0) over the remaining modes.  Products with one mode left out
+    are prefix times suffix products.  For the pair terms (modes j < k
+    left out) step k of a recurrence over the modes adds mode k as the
+    opening mode j of every later pair and extends the open products by
+    m_k(0, 0); after step k-1 the entry for k holds every pair that k
+    closes.  Nothing is divided by the possibly tiny m_l(0, 0).
+    """
+    rows, n = mats.shape[:2]
+    m00 = mats[:, :, 0, 0]
+    m01 = mats[:, :, 0, 1]
+    m10 = mats[:, :, 1, 0]
+    m11 = mats[:, :, 1, 1]
+    pre = np.ones((rows, n + 1), dtype=complex)
+    np.cumprod(m00, axis=1, out=pre[:, 1:])
+    suf = np.ones((rows, n + 1), dtype=complex)
+    suf[:, :n] = np.cumprod(m00[:, ::-1], axis=1)[:, ::-1]
+    hole = pre[:, :n] * suf[:, 1:]
+
+    total = rho[0, 0] * pre[:, n]
+    one_photon = np.diagonal(rho)[1:] * m11 + rho[0, 1:] * m10 + rho[1:, 0] * m01
+    total += (one_photon * hole).sum(axis=1)
+
+    # Channel 0 pairs <e_j|rho|e_k> with m01_j m10_k, channel 1 pairs
+    # <e_k|rho|e_j> with m10_j m01_k.  pending[:, c, k] accumulates
+    # sum_{j<k} weight_c(j, k) opened_c(j) prod_{j<l<k} m00_l.
+    excited = rho[1:, 1:]
+    weights = np.stack((excited, excited.T))
+    opened = np.stack((m01, m10), axis=1) * pre[:, None, :n]
+    closing = np.stack((m10, m01), axis=1) * suf[:, None, 1:]
+    pending = np.zeros((rows, 2, n), dtype=complex)
+    for k in range(n - 1):
+        later = pending[:, :, k + 1 :]
+        later *= m00[:, None, k, None]
+        later += opened[:, :, k, None] * weights[:, k, k + 1 :]
+    total += (pending * closing).sum(axis=(1, 2))
+    return total
+
+
+def _chunk_rows(n_modes: int) -> int:
+    """Batch rows per kernel chunk for N-mode observable rows."""
+    return max(1, CORRELATOR_CHUNK_ELEMENTS // n_modes)
+
+
+def correlator_batch(rho, matrices) -> np.ndarray:
+    """Correlators of a batch of observable rows against one state.
+
+    Parameters
+    ----------
+    rho : array_like
+        (N+1) x (N+1) density matrix in the basis (vac, e_1, ..., e_N),
+        normally ``SubspaceState.matrix``; it is not validated here.
+    matrices : array_like
+        Observable matrices of shape (..., N, 2, 2): each row of N 2x2
+        matrices is one product M_1 x ... x M_N.  They are not validated
+        here either (see :func:`check_observable_matrices`).
+
+    Returns the real array of shape (...) of Tr[rho (M_1 x ... x M_N)].
+    Rows are processed in chunks of ``CORRELATOR_CHUNK_ELEMENTS`` matrices;
+    each result depends only on its own row.  Raises ConsistencyError if
+    the largest imaginary residue over the batch exceeds IMAG_RESIDUE_TOL
+    (a non-Hermitian rho, for instance), ValueError on mismatched shapes.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    mats = np.asarray(matrices, dtype=complex)
+    n = rho.shape[0] - 1
+    if rho.shape != (n + 1, n + 1) or n < 1:
+        raise ValueError(f"state matrix must be square with N >= 1, got {rho.shape}")
+    if mats.ndim < 3 or mats.shape[-3:] != (n, 2, 2):
+        raise ValueError(
+            f"state has {n} modes, observables have shape {mats.shape}; "
+            f"expected (..., {n}, 2, 2)"
+        )
+    batch_shape = mats.shape[:-3]
+    flat = mats.reshape(-1, n, 2, 2)
+    values = np.empty(len(flat), dtype=complex)
+    step = _chunk_rows(n)
+    for start in range(0, len(flat), step):
+        values[start : start + step] = _correlator_rows(rho, flat[start : start + step])
+    residue = np.max(np.abs(values.imag), initial=0.0)
+    if not residue <= IMAG_RESIDUE_TOL:
+        raise ConsistencyError(f"correlator has imaginary residue {residue:.3e}")
+    return values.real.reshape(batch_shape)
+
+
 def correlator(state: SubspaceState, observables: Sequence[ModeObservable]) -> float:
     """Expectation value of the tensor product of one observable per mode.
 
-    Works directly on the (N+1)-dimensional subspace.  With
-    m_k(a, b) = <a|M_k|b> the trace decomposes into the vacuum term, the
-    one-photon populations, the vacuum-excitation coherences and the
-    excitation-excitation coherences, each multiplied by the product of
-    m_l(0, 0) over the remaining modes.  Products with one or two modes
-    excluded are accumulated from prefix/suffix partial products, so no
-    division by possibly tiny m_l(0, 0) values occurs.
-
-    Returns a float; raises ConsistencyError if the imaginary residue of
-    the trace exceeds IMAG_RESIDUE_TOL.
+    The batch-of-one form of :func:`correlator_batch`.  Returns a float;
+    raises ConsistencyError if the imaginary residue of the trace exceeds
+    IMAG_RESIDUE_TOL.
     """
     observables = _check_observables(state, observables)
-    n = state.n_modes
-    rho = state.matrix
     mats = np.array([obs.matrix for obs in observables])
-    m00 = mats[:, 0, 0]
-    m01 = mats[:, 0, 1]
-    m10 = mats[:, 1, 0]
-    m11 = mats[:, 1, 1]
-
-    pre = np.ones(n + 1, dtype=complex)
-    for k in range(n):
-        pre[k + 1] = pre[k] * m00[k]
-    suf = np.ones(n + 1, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        suf[k] = suf[k + 1] * m00[k]
-    hole = pre[:n] * suf[1:]  # product of m00 over all modes but one
-
-    diag = np.diagonal(rho)
-    total = rho[0, 0] * pre[n]
-    total += np.sum(diag[1:] * m11 * hole)
-    total += np.sum(rho[0, 1:] * m10 * hole)  # <vac|rho|e_k><e_k|M|vac>
-    total += np.sum(rho[1:, 0] * m01 * hole)  # <e_k|rho|vac><vac|M|e_k>
-    for j in range(n):
-        mid = 1.0 + 0.0j  # product of m00 strictly between modes j and k
-        for k in range(j + 1, n):
-            two_hole = pre[j] * mid * suf[k + 1]
-            total += rho[j + 1, k + 1] * m10[k] * m01[j] * two_hole
-            total += rho[k + 1, j + 1] * m10[j] * m01[k] * two_hole
-            mid *= m00[k]
-
-    if abs(total.imag) > IMAG_RESIDUE_TOL:
-        raise ConsistencyError(
-            f"correlator has imaginary residue {total.imag:.3e}"
-        )
-    return float(total.real)
+    return float(correlator_batch(state.matrix, mats))
 
 
 def correlator_bruteforce(

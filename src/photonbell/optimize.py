@@ -17,11 +17,23 @@ off-diagonal matrix elements (E[exp(+-i Delta_l)] = exp(+-i c_l - w^2/2)),
 so the averaged table equals a numeric correlator table with damped
 observables, with no symbolic work inside the hot loop.  The equivalence
 with the symbolic-average route is exact and is enforced by tests.
+
+The damped 2x2 observables are built directly as arrays (every point,
+party and setting at once) and validated once per table build with the
+closed-form Hermiticity and eigenvalue checks of
+:func:`~photonbell.fock_core.check_observable_matrices`; the lossy state is
+built and validated once per (N, eta).  Each table is then one call of the
+batched kernel :func:`~photonbell.fock_core.correlator_batch`: 2N rows when
+parties 2..N are exchangeable, 2^N rows (in bounded chunks) otherwise.
+Inputs from outside (amplitudes, centers, width, efficiency) are checked at
+:func:`averaged_correlator_table` and :class:`OptimizationSpec`; the start
+cloud of :func:`maximize_bell` is scored in one batched table build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -36,10 +48,9 @@ from .experiments import (
 from .fock_core import (
     TWO_PI,
     ConsistencyError,
-    DisplacementSetting,
-    ModeObservable,
-    correlator,
-    displacement_observable,
+    _chunk_rows,
+    check_observable_matrices,
+    correlator_batch,
     lossy_w_state,
 )
 from .wwzb import CorrelatorTable, wwzb_value
@@ -150,23 +161,113 @@ class ThresholdResult:
     violable: bool
 
 
-def _dressed_pair(r0: float, r1: float, center: float, width: float):
-    """Two averaged observables for a non-reference party.
+@lru_cache(maxsize=32)
+def _lossy_rho(n_parties: int, efficiency: float) -> np.ndarray:
+    """Read-only matrix of the lossy W state, validated once per (N, eta)."""
+    return lossy_w_state(n_parties, efficiency).matrix
 
-    Zero-mean Gaussian frame noise of the given width multiplies both
-    off-diagonal entries by exp(-width^2/2); the center shifts their phase.
-    Amplitudes are signed (a negative one is a pi-flipped setting).  The
-    dressed matrix stays Hermitian with spectrum inside [-1, 1].
+
+def _dressed_observables(amplitudes: np.ndarray, centers: np.ndarray, width: float):
+    """Frame-averaged observables of every party, setting and point.
+
+    ``amplitudes`` holds signed amplitudes, shape (P, N, 2) as (point,
+    party, setting); ``centers`` has shape (P, N-1).  Returns matrices of
+    shape (P, N, 2, 2, 2).  A signed amplitude r gives the displaced
+    click observable with off-diagonal 2 e^{-r^2} r (a negative r is the
+    pi-flipped setting).  Zero-mean Gaussian frame noise of the given width
+    multiplies the off-diagonal entries of parties 2..N by exp(-width^2/2)
+    and the center c rotates them by exp(+-i c); party 1 is the undamped
+    reference.  Raises ValueError unless every matrix is Hermitian with
+    spectrum inside [-1, 1].
     """
-    damp = np.exp(-0.5 * width * width)
-    dressed = []
-    for r in (r0, r1):
-        setting = DisplacementSetting.from_signed(r)
-        mat = np.array(displacement_observable(setting).matrix)
-        mat[0, 1] *= damp * np.exp(-1j * center)
-        mat[1, 0] *= damp * np.exp(1j * center)
-        dressed.append(ModeObservable(mat))
-    return dressed
+    n = amplitudes.shape[1]
+    g = 2.0 * np.exp(-amplitudes * amplitudes)
+    rotation = np.ones(centers.shape[:-1] + (n,), dtype=complex)
+    rotation[..., 1:] = np.exp(-0.5 * width * width) * np.exp(1j * centers)
+    lower = g * amplitudes * rotation[..., None]
+    mats = np.empty(amplitudes.shape + (2, 2), dtype=complex)
+    mats[..., 0, 0] = g - 1.0
+    mats[..., 0, 1] = lower.conj()
+    mats[..., 1, 0] = lower
+    mats[..., 1, 1] = g * amplitudes * amplitudes - 1.0
+    check_observable_matrices(mats)
+    return mats
+
+
+def _setting_weights(rest: int) -> np.ndarray:
+    """Number of ones in each of the 2^rest setting choices of parties 2..N."""
+    weights = np.zeros(1, dtype=np.uint8)
+    for _ in range(rest):
+        weights = np.concatenate((weights, weights + 1))
+    return weights
+
+
+def _symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
+    """Tables of points whose parties 2..N share one dressed pair.
+
+    Those parties are exchangeable, so xi(s) depends only on s_1 and on how
+    many of s_2..s_N are 1: 2N correlators per point fill the 2^N entries.
+    """
+    points, n = options.shape[:2]
+    rest = n - 1
+    ones = np.arange(rest + 1)
+    # Row (s_1, ones): parties 2..ones+1 use setting 1, the others setting 0.
+    pick = (np.arange(1, n) <= ones[:, None])[..., None, None]
+    dressed = options[:, -1, :, None, None]  # the pair parties 2..N share
+    mats = np.empty((points, 2, rest + 1, n, 2, 2), dtype=complex)
+    mats[:, :, :, 0] = options[:, 0, :, None]
+    mats[:, :, :, 1:] = np.where(pick, dressed[:, 1], dressed[:, 0])[:, None]
+    distinct = correlator_batch(rho, mats)
+    weights = _setting_weights(rest)
+    tables = np.empty((points, 2**rest, 2))
+    for s1 in range(2):
+        tables[:, :, s1] = distinct[:, s1, weights]
+    return tables.reshape(points, 2**n)
+
+
+def _general_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
+    """Tables with every one of the 2^N entries evaluated.
+
+    Observable rows are built for a chunk of table indices at a time, so
+    memory stays bounded for any N.
+    """
+    points, n = options.shape[:2]
+    size = 2**n
+    parties = np.arange(n)
+    tables = np.empty((points, size))
+    step = max(1, _chunk_rows(n) // points)
+    for start in range(0, size, step):
+        index = np.arange(start, min(start + step, size))
+        bits = (index[:, None] >> parties) & 1
+        tables[:, start : start + step] = correlator_batch(rho, options[:, parties, bits])
+    return tables
+
+
+def _averaged_tables(
+    n_parties: int,
+    amplitudes: np.ndarray,
+    centers: np.ndarray,
+    width: float,
+    efficiency: float,
+) -> np.ndarray:
+    """Averaged tables (P, 2^N) for P points of already validated parameters.
+
+    ``amplitudes`` (P, N, 2) and ``centers`` (P, N-1) as for
+    :func:`_dressed_observables`.  A point takes the exchangeable-party
+    route when every party has the same amplitude pair and all centers
+    coincide.  Each table depends only on its own point: a batch gives the
+    same values, bit for bit, as scoring every point alone.
+    """
+    rho = _lossy_rho(int(n_parties), float(efficiency))
+    options = _dressed_observables(amplitudes, centers, width)
+    symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
+        centers == centers[:, :1], axis=1
+    )
+    tables = np.empty((len(options), 2**n_parties))
+    for mask, build in ((symmetric, _symmetric_tables), (~symmetric, _general_tables)):
+        if mask.any():
+            tables[mask] = build(rho, options[mask])
+    return tables
 
 
 def _per_party_amplitudes(n_parties: int, r0, r1):
@@ -199,56 +300,74 @@ def averaged_correlator_table(
     value per party.  When the amplitudes are shared and every center
     coincides, parties 2..N are exchangeable and only 2 N distinct
     correlators are evaluated for the 2^N entries.
+
+    Raises ValueError unless there is one finite center per party 2..N,
+    the amplitudes are finite, the width is finite and >= 0 and the
+    efficiency lies in [0, 1].
     """
-    centers = tuple(float(c) for c in centers)
-    if len(centers) != n_parties - 1:
+    centers = np.asarray(centers, dtype=float)
+    if centers.shape != (n_parties - 1,):
         raise ValueError("need one center per non-reference party")
-    r0s, r1s = _per_party_amplitudes(n_parties, r0, r1)
-    state = lossy_w_state(n_parties, efficiency)
-    reference = [
-        displacement_observable(DisplacementSetting.from_signed(r))
-        for r in (r0s[0], r1s[0])
-    ]
-    size = 2**n_parties
-    table = np.empty(size)
-    if n_parties == 1:
-        for s in range(2):
-            table[s] = correlator(state, [reference[s]])
-        return table
-
-    shared = np.ptp(r0s) == 0.0 and np.ptp(r1s) == 0.0
-    if shared and len(set(centers)) == 1:
-        dressed = _dressed_pair(r0s[0], r1s[0], centers[0], width)
-        rest = n_parties - 1
-        popcount = np.array([bin(i).count("1") for i in range(2**rest)])
-        distinct = np.empty((2, rest + 1))
-        for s1 in range(2):
-            for ones in range(rest + 1):
-                obs = [reference[s1]] + [dressed[1]] * ones + [dressed[0]] * (rest - ones)
-                distinct[s1, ones] = correlator(state, obs)
-        index = np.arange(size)
-        table[:] = distinct[index & 1, popcount[index >> 1]]
-        return table
-
-    per_party = [reference] + [
-        _dressed_pair(r0s[k], r1s[k], centers[k - 1], width)
-        for k in range(1, n_parties)
-    ]
-    for index in range(size):
-        obs = [per_party[p][(index >> p) & 1] for p in range(n_parties)]
-        table[index] = correlator(state, obs)
-    return table
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("frame centers must be finite")
+    if not np.isfinite(width) or width < 0.0:
+        raise ValueError("width must be finite and >= 0")
+    amplitudes = np.stack(_per_party_amplitudes(n_parties, r0, r1), axis=-1)
+    if not np.all(np.isfinite(amplitudes)):
+        raise ValueError("amplitudes must be finite")
+    return _averaged_tables(
+        n_parties, amplitudes[None], centers[None], width, efficiency
+    )[0]
 
 
-def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
-    """Maximize the frame-averaged Bell value over the strategy parameters.
+def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
+    """Signed amplitudes (P, N, 2) and centers (P, N-1) of search points (P, dims)."""
+    n = spec.n_parties
+    points = np.asarray(points, dtype=float)
+    if spec.shared_amplitudes:
+        n_amp = 2
+        amplitudes = np.broadcast_to(points[:, None, :2], (len(points), n, 2))
+    else:
+        n_amp = 2 * n
+        amplitudes = np.stack((points[:, :n], points[:, n:n_amp]), axis=-1)
+    if spec.optimize_phases:
+        centers = points[:, n_amp:]
+    else:
+        centers = np.zeros((len(points), n - 1))
+    return amplitudes, centers
 
-    A low-discrepancy cloud over the moderate-amplitude start region is
-    scored first, and a bounded Nelder-Mead simplex search is run from the
-    ``spec.restarts`` best cloud points, keeping the best endpoint (lowest
-    restart index on ties).  ``converged`` reports whether the winning
-    search terminated by its tolerance rather than by the iteration cap;
-    ``evaluations`` counts objective calls including the scan.
+
+def _objective(spec: OptimizationSpec, x) -> float:
+    """Negated frame-averaged Bell value at one search point."""
+    amplitudes, centers = _point_parameters(spec, np.asarray(x, dtype=float)[None])
+    table = averaged_correlator_table(
+        spec.n_parties,
+        amplitudes[0, :, 0],
+        amplitudes[0, :, 1],
+        centers[0],
+        spec.width,
+        spec.efficiency,
+    )
+    return -wwzb_value(CorrelatorTable(spec.n_parties, table)).s_value
+
+
+def _scan_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
+    """:func:`_objective` at every row of ``points``, from one batched table build."""
+    amplitudes, centers = _point_parameters(spec, points)
+    tables = _averaged_tables(
+        spec.n_parties, amplitudes, centers, spec.width, spec.efficiency
+    )
+    return np.array(
+        [-wwzb_value(CorrelatorTable(spec.n_parties, table)).s_value for table in tables]
+    )
+
+
+def _search_box(spec: OptimizationSpec):
+    """Bounds of the search coordinates and the low-discrepancy start cloud.
+
+    Coordinates are the signed amplitudes (2, or 2N per party) followed by
+    the N-1 centers when phases are searched.  The cloud fills the
+    moderate-amplitude part of the box.
     """
     n = spec.n_parties
     n_amp = 2 if spec.shared_amplitudes else 2 * n
@@ -256,22 +375,6 @@ def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
     dims = n_amp + n_phase
     lo, hi = spec.amplitude_bounds
     bounds = [(lo, hi)] * n_amp + [(0.0, TWO_PI)] * n_phase
-    pinned = (0.0,) * (n - 1)
-
-    def unpack(x):
-        if spec.shared_amplitudes:
-            r0, r1 = x[0], x[1]
-        else:
-            r0, r1 = np.array(x[:n]), np.array(x[n : 2 * n])
-        centers = tuple(x[n_amp:]) if n_phase else pinned
-        return r0, r1, centers
-
-    def objective(x):
-        r0, r1, centers = unpack(x)
-        table = averaged_correlator_table(
-            n, r0, r1, centers, spec.width, spec.efficiency
-        )
-        return -wwzb_value(CorrelatorTable(n, table)).s_value
 
     lower = np.array([b[0] for b in bounds])
     upper = np.array([b[1] for b in bounds])
@@ -284,15 +387,30 @@ def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
     start_hi[empty] = upper[empty]
     n_scan = max(64, 24 * dims, spec.restarts)
     cloud = qmc.Halton(d=dims, scramble=False).random(n_scan)
-    cloud = start_lo + cloud * (start_hi - start_lo)
-    scores = np.array([objective(x) for x in cloud])
+    return bounds, start_lo + cloud * (start_hi - start_lo)
+
+
+def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
+    """Maximize the frame-averaged Bell value over the strategy parameters.
+
+    A low-discrepancy cloud over the moderate-amplitude start region is
+    scored first, in one batched call, and a bounded Nelder-Mead simplex
+    search is run from the ``spec.restarts`` best cloud points, keeping
+    the best endpoint (lowest restart index on ties).  ``converged``
+    reports whether the winning search terminated by its tolerance rather
+    than by the iteration cap; ``evaluations`` counts objective calls
+    including the scan.
+    """
+    bounds, cloud = _search_box(spec)
+    dims = len(bounds)
+    scores = _scan_scores(spec, cloud)
     starts = cloud[np.argsort(scores, kind="stable")[: spec.restarts]]
 
     best = None
-    evaluations = n_scan
+    evaluations = len(cloud)
     for x0 in starts:
         result = minimize(
-            objective,
+            lambda x: _objective(spec, x),
             x0,
             method="Nelder-Mead",
             bounds=bounds,
@@ -306,18 +424,18 @@ def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
         evaluations += result.nfev
         if best is None or result.fun < best.fun:
             best = result
-    r0, r1, centers = unpack(best.x)
+    amplitudes, centers = _point_parameters(spec, best.x[None])
     if spec.shared_amplitudes:
         party_amplitudes = None
-        r, r_prime = float(r0), float(r1)
+        r, r_prime = (float(a) for a in amplitudes[0, 0])
     else:
-        party_amplitudes = tuple((float(a), float(b)) for a, b in zip(r0, r1))
+        party_amplitudes = tuple((float(a), float(b)) for a, b in amplitudes[0])
         r, r_prime = party_amplitudes[0]
     return OptimumReport(
         best_s=float(-best.fun),
         r=r,
         r_prime=r_prime,
-        phase_centers=tuple(float(c) for c in centers),
+        phase_centers=tuple(float(c) for c in centers[0]),
         converged=bool(best.success),
         evaluations=evaluations,
         party_amplitudes=party_amplitudes,

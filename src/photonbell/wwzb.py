@@ -88,16 +88,19 @@ class BellResult:
 
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Fast Walsh-Hadamard transform (unnormalized) along the last axis."""
+    """Fast Walsh-Hadamard transform (unnormalized) along the last axis.
+
+    The butterflies run in place on one copy of the input, so the working
+    set is that copy plus half of it.
+    """
     a = np.array(values, dtype=float)
     size = a.shape[-1]
     h = 1
     while h < size:
         b = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
-        a = np.stack(
-            (b[..., 0, :] + b[..., 1, :], b[..., 0, :] - b[..., 1, :]), axis=-2
-        )
-        a = a.reshape(a.shape[:-3] + (size,))
+        first = b[..., 0, :].copy()
+        b[..., 0, :] += b[..., 1, :]
+        np.subtract(first, b[..., 1, :], out=b[..., 1, :])
         h *= 2
     return a
 

@@ -22,6 +22,15 @@ def random_settings(rng: np.random.Generator, n_modes: int, r_max: float = 1.5):
     ]
 
 
+def random_observable_matrices(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Random Hermitian 2x2 matrices with eigenvalues in [-1, 1], shape (*shape, 2, 2)."""
+    eigs = rng.uniform(-1.0, 1.0, shape + (2,))
+    raw = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    unitary, _ = np.linalg.qr(raw)
+    mats = unitary @ (eigs[..., :, None] * unitary.conj().swapaxes(-1, -2))
+    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+
+
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     """Truncated Fock-basis coefficients of a coherent state."""
     amps = np.empty(dim, dtype=complex)

@@ -178,6 +178,23 @@ def test_averaged_table_shared_centers_fast_path():
     assert np.max(np.abs(fast - general)) < 1e-9
 
 
+def test_averaged_table_validation():
+    good = averaged_correlator_table(3, 0.2, -0.5, (0.4, 0.1), 0.3, 0.9)
+    assert good.shape == (8,) and np.all(np.isfinite(good))
+    for centers in ((np.nan, 0.1), (np.inf, 0.1), (0.4, -np.inf), (0.4,), (0.4, 0.1, 0.2)):
+        with pytest.raises(ValueError):
+            averaged_correlator_table(3, 0.2, -0.5, centers, 0.3, 0.9)
+    for width in (-0.3, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            averaged_correlator_table(3, 0.2, -0.5, (0.4, 0.1), width, 0.9)
+    for r0 in (np.nan, (0.2, np.inf, 0.1), (0.2, 0.1)):
+        with pytest.raises(ValueError):
+            averaged_correlator_table(3, r0, -0.5, (0.4, 0.1), 0.3, 0.9)
+    for eta in (-0.1, 1.2, np.nan):
+        with pytest.raises(ValueError):
+            averaged_correlator_table(3, 0.2, -0.5, (0.4, 0.1), 0.3, eta)
+
+
 def test_correlators_affine_in_efficiency():
     centers = (0.8, 2.2)
     lossless = averaged_correlator_table(3, 0.1, -0.5, centers, 0.3, 1.0)

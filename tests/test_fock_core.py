@@ -16,8 +16,18 @@ from photonbell import (
     projective_observable,
     w_state,
 )
+from photonbell.fock_core import (
+    CORRELATOR_CHUNK_ELEMENTS,
+    check_observable_matrices,
+    correlator_batch,
+)
 
-from helpers import coherent_vector, random_settings, random_state
+from helpers import (
+    coherent_vector,
+    random_observable_matrices,
+    random_settings,
+    random_state,
+)
 
 
 def test_w_state_entries():
@@ -125,8 +135,18 @@ def test_observable_validation():
         ModeObservable(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         ModeObservable(3.0 * np.eye(2))
+    with pytest.raises(ValueError):
+        ModeObservable(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     ok = ModeObservable(np.array([[0.5, 0.1], [0.1, -0.5]], dtype=complex))
     assert ok.matrix.dtype == complex
+    # the array form rejects a batch holding one bad matrix anywhere
+    batch = np.broadcast_to(ok.matrix, (3, 4, 2, 2)).copy()
+    check_observable_matrices(batch)
+    for bad in (3.0 * np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.inf)):
+        broken = batch.copy()
+        broken[2, 1] = bad
+        with pytest.raises(ValueError):
+            check_observable_matrices(broken)
 
 
 def test_projective_observable_form():
@@ -179,6 +199,76 @@ def test_correlator_matches_bruteforce(n_modes):
         fast = correlator(state, obs)
         slow = correlator_bruteforce(state, obs)
         assert abs(fast - slow) < 1e-10
+
+
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_correlator_batch_matches_bruteforce(n_modes):
+    # random mixed states carry vacuum-excitation coherences; random
+    # Hermitian observables with spectra in [-1, 1] exercise every entry
+    rng = np.random.default_rng(2000 + n_modes)
+    for _ in range(4):
+        state = random_state(rng, n_modes)
+        mats = random_observable_matrices(rng, (5, n_modes))
+        values = correlator_batch(state.matrix, mats)
+        assert values.shape == (5,)
+        for row, value in zip(mats, values):
+            slow = correlator_bruteforce(state, [ModeObservable(m) for m in row])
+            assert abs(value - slow) < 1e-10
+
+
+def test_correlator_batch_leading_shape():
+    rng = np.random.default_rng(41)
+    state = random_state(rng, 3)
+    mats = random_observable_matrices(rng, (3, 4, 3))
+    values = correlator_batch(state.matrix, mats)
+    assert values.shape == (3, 4)
+    for index in np.ndindex(3, 4):
+        slow = correlator_bruteforce(state, [ModeObservable(m) for m in mats[index]])
+        assert abs(values[index] - slow) < 1e-10
+    # a single row without a batch axis gives a 0-d result
+    assert correlator_batch(state.matrix, mats[1, 2]).shape == ()
+    assert correlator_batch(state.matrix, mats[:0]).shape == (0, 4)
+    with pytest.raises(ValueError):
+        correlator_batch(state.matrix, mats[..., :2, :, :])
+
+
+def test_correlator_batch_spans_several_chunks():
+    # 2.5 chunks of two-mode rows: every row must come out as if alone
+    n = 2
+    rows_per_chunk = CORRELATOR_CHUNK_ELEMENTS // n
+    count = 5 * rows_per_chunk // 2
+    rng = np.random.default_rng(43)
+    state = random_state(rng, n)
+    mats = random_observable_matrices(rng, (count, n))
+    values = correlator_batch(state.matrix, mats)
+    assert values.shape == (count,)
+    edges = [0, count - 1]
+    for boundary in (rows_per_chunk, 2 * rows_per_chunk):
+        edges += [boundary - 1, boundary]
+    for i in edges:
+        slow = correlator_bruteforce(state, [ModeObservable(m) for m in mats[i]])
+        assert abs(values[i] - slow) < 1e-10
+    # slices that straddle the chunk boundaries reproduce the values exactly
+    for start in range(0, count, 7001):
+        part = correlator_batch(state.matrix, mats[start : start + 7001])
+        assert np.array_equal(part, values[start : start + 7001])
+
+
+def test_correlator_batch_rejects_non_hermitian_state():
+    rho = np.array(w_state(2).matrix)
+    rho[0, 0] += 0.1j
+    photon_counting = np.array([np.diag([1.0, -1.0])] * 2, dtype=complex)
+    with pytest.raises(ConsistencyError):
+        correlator_batch(rho, photon_counting)
+    # a residue confined to the last row of the last chunk is still caught
+    rho = np.array(w_state(2).matrix)
+    rho[1, 2] = 0.5j
+    rows = CORRELATOR_CHUNK_ELEMENTS // 2 + 1
+    mats = np.broadcast_to(photon_counting, (rows, 2, 2, 2)).copy()
+    assert np.all(np.abs(correlator_batch(rho, mats)) <= 1.0)
+    mats[-1] = displacement_observable(DisplacementSetting(0.4)).matrix
+    with pytest.raises(ConsistencyError):
+        correlator_batch(rho, mats)
 
 
 def test_correlator_single_mode_is_a_trace():

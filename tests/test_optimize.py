@@ -10,7 +10,12 @@ from photonbell import (
     maximize_bell,
     threshold_efficiency,
 )
-from photonbell.optimize import AMPLITUDE_BOUNDS
+from photonbell.optimize import (
+    AMPLITUDE_BOUNDS,
+    _objective,
+    _scan_scores,
+    _search_box,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,6 +63,37 @@ def test_two_party_noiseless_maximum():
     assert per_party.party_amplitudes is not None
     assert per_party.r == per_party.party_amplitudes[0][0]
     assert per_party.r_prime == per_party.party_amplitudes[0][1]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        OptimizationSpec(2, 0.2, efficiency=0.95, optimize_phases=False),
+        OptimizationSpec(9, 0.15, efficiency=0.9, optimize_phases=False),
+        OptimizationSpec(3, 0.25, efficiency=0.93, optimize_phases=True),
+        OptimizationSpec(3, 0.1, optimize_phases=True, shared_amplitudes=False),
+        OptimizationSpec(1, 0.3, optimize_phases=False),
+    ],
+)
+def test_batched_scan_equals_one_point_objective(spec):
+    # the start order is a stable argsort of these scores, so the batched
+    # scan must reproduce the one-point objective bit for bit; the joint
+    # cloud's first point has equal centers and takes the exchangeable route
+    _, cloud = _search_box(spec)
+    scores = _scan_scores(spec, cloud)
+    assert scores.shape == (len(cloud),)
+    for x, score in zip(cloud, scores):
+        assert score == _objective(spec, x)
+
+
+def test_evaluation_counts_unchanged():
+    # objective-call counts of these searches before the batched scan
+    pinned = maximize_bell(OptimizationSpec(2, 0.2, optimize_phases=False, restarts=2))
+    assert pinned.evaluations == 220
+    joint = maximize_bell(
+        OptimizationSpec(3, 0.25, efficiency=0.93, optimize_phases=True, restarts=1)
+    )
+    assert joint.evaluations == 338
 
 
 def test_report_json_dict():
