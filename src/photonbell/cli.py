@@ -199,9 +199,11 @@ def cmd_fig2(args) -> int:
     """Optimized Bell value and loss threshold against the noise width.
 
     For each party count and width, maximizes the frame-averaged Bell
-    value over the signed amplitude pair and bisects the transmission
-    threshold.  CSV columns: N, delta, s_max, eta_threshold (NaN when no
-    loss level violates).
+    value over the signed amplitude pair and finds the transmission
+    threshold as the smallest crossing efficiency over the same search
+    (``--eta-tolerance`` is that search's stopping tolerance).  CSV
+    columns: N, delta, s_max, eta_threshold (NaN when no loss level
+    violates).
     """
     parties = _parse_ints(args.n_list, "parties")
     if any(n < 1 for n in parties):

@@ -26,8 +26,25 @@ built and validated once per (N, eta).  Each table is then one call of the
 batched kernel :func:`~photonbell.fock_core.correlator_batch`: 2N rows when
 parties 2..N are exchangeable, 2^N rows (in bounded chunks) otherwise.
 Inputs from outside (amplitudes, centers, width, efficiency) are checked at
-:func:`averaged_correlator_table` and :class:`OptimizationSpec`; the start
-cloud of :func:`maximize_bell` is scored in one batched table build.
+:func:`averaged_correlator_table` and :class:`OptimizationSpec`.
+
+:func:`maximize_bell` and :func:`threshold_efficiency` share one search
+driver over a batched score: the start cloud is scored in one call and the
+simplex scores one point at a time, with values equal to the cloud's.
+
+The loss threshold needs no search over efficiencies.  Correlators are
+affine in the efficiency eta, so at fixed search coordinates x the
+Walsh-Hadamard coefficients are T(eta) = a + eta b, with a the transform
+of the table at eta = 0 and a + b the one at eta = 1.  The Bell value
+S(eta; x) = 2^-N sum_r |a_r + eta b_r| is therefore convex and piecewise
+linear in eta, with breakpoints -a_r / b_r.  At eta = 0 the state is the
+vacuum, a product state, so S(0; x) <= 1.  Together these make the
+violating efficiencies an interval (eta*(x), 1], and eta*(x) follows
+exactly by walking the sorted breakpoints.  The threshold is the minimum
+of eta*(x) over x, found by the same simplex search that maximizes S.
+Where even eta = 1 gives no violation, the score is the plateau penalty
+1 + (1 - S(1; x)) >= 1, which is finite and gives the simplex a slope
+towards violating points.
 """
 
 from __future__ import annotations
@@ -53,7 +70,7 @@ from .fock_core import (
     correlator_batch,
     lossy_w_state,
 )
-from .wwzb import CorrelatorTable, wwzb_value
+from .wwzb import CorrelatorTable, _walsh_hadamard, wwzb_value
 
 __all__ = [
     "OptimizationSpec",
@@ -73,9 +90,11 @@ AMPLITUDE_BOUNDS = (-3.0, 3.0)
 # the start region, up to the amplitude bounds.
 START_AMPLITUDE = 1.2
 
-# Slack allowed before the coarse-grid monotonicity check calls a search
-# failure: restarts leave residual jitter well below this.
-MONOTONICITY_SLACK = 1e-5
+# A Bell value counts as a violation only above 1 + VIOLATION_ROUNDOFF.
+# Sums of 2^N rounded terms can overshoot a classical value of exactly 1
+# (one party at zero amplitudes, for instance) by far less than this,
+# and a threshold moves by about this much over the slope of S in eta.
+VIOLATION_ROUNDOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,8 +135,8 @@ class OptimizationSpec:
         object.__setattr__(self, "amplitude_bounds", (float(lo), float(hi)))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be > 0")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -248,25 +267,29 @@ def _averaged_tables(
     amplitudes: np.ndarray,
     centers: np.ndarray,
     width: float,
-    efficiency: float,
+    efficiencies: tuple,
 ) -> np.ndarray:
-    """Averaged tables (P, 2^N) for P points of already validated parameters.
+    """Averaged tables (E, P, 2^N) of P points at each of E efficiencies.
 
-    ``amplitudes`` (P, N, 2) and ``centers`` (P, N-1) as for
-    :func:`_dressed_observables`.  A point takes the exchangeable-party
-    route when every party has the same amplitude pair and all centers
-    coincide.  Each table depends only on its own point: a batch gives the
-    same values, bit for bit, as scoring every point alone.
+    ``amplitudes`` (P, N, 2) and ``centers`` (P, N-1) hold already
+    validated parameters, as for :func:`_dressed_observables`; the dressed
+    observables are built once and contracted against every lossy state.
+    A point takes the exchangeable-party route when every party has the
+    same amplitude pair and all centers coincide.  Each table depends only
+    on its own point: a batch gives the same values, bit for bit, as
+    scoring every point alone.
     """
-    rho = _lossy_rho(int(n_parties), float(efficiency))
     options = _dressed_observables(amplitudes, centers, width)
     symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
         centers == centers[:, :1], axis=1
     )
-    tables = np.empty((len(options), 2**n_parties))
-    for mask, build in ((symmetric, _symmetric_tables), (~symmetric, _general_tables)):
-        if mask.any():
-            tables[mask] = build(rho, options[mask])
+    routes = ((symmetric, _symmetric_tables), (~symmetric, _general_tables))
+    tables = np.empty((len(efficiencies), len(options), 2**n_parties))
+    for k, efficiency in enumerate(efficiencies):
+        rho = _lossy_rho(int(n_parties), float(efficiency))
+        for mask, build in routes:
+            if mask.any():
+                tables[k, mask] = build(rho, options[mask])
     return tables
 
 
@@ -316,8 +339,8 @@ def averaged_correlator_table(
     if not np.all(np.isfinite(amplitudes)):
         raise ValueError("amplitudes must be finite")
     return _averaged_tables(
-        n_parties, amplitudes[None], centers[None], width, efficiency
-    )[0]
+        n_parties, amplitudes[None], centers[None], width, (efficiency,)
+    )[0, 0]
 
 
 def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
@@ -337,29 +360,84 @@ def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
     return amplitudes, centers
 
 
-def _objective(spec: OptimizationSpec, x) -> float:
-    """Negated frame-averaged Bell value at one search point."""
-    amplitudes, centers = _point_parameters(spec, np.asarray(x, dtype=float)[None])
-    table = averaged_correlator_table(
-        spec.n_parties,
-        amplitudes[0, :, 0],
-        amplitudes[0, :, 1],
-        centers[0],
-        spec.width,
-        spec.efficiency,
-    )
-    return -wwzb_value(CorrelatorTable(spec.n_parties, table)).s_value
-
-
-def _scan_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
-    """:func:`_objective` at every row of ``points``, from one batched table build."""
+def _bell_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
+    """Negated frame-averaged Bell value at every row of ``points``."""
     amplitudes, centers = _point_parameters(spec, points)
-    tables = _averaged_tables(
-        spec.n_parties, amplitudes, centers, spec.width, spec.efficiency
+    (tables,) = _averaged_tables(
+        spec.n_parties, amplitudes, centers, spec.width, (spec.efficiency,)
     )
     return np.array(
         [-wwzb_value(CorrelatorTable(spec.n_parties, table)).s_value for table in tables]
     )
+
+
+def _crossing_efficiency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest efficiency at which S(eta) = sum_r |a_r + eta b_r| violates, per row.
+
+    ``a`` and ``b`` have shape (P, M) and are already scaled by 2^-N, so
+    S(eta) is the Bell value of a table whose transform is a + eta b.  S
+    is convex and piecewise linear, and the caller guarantees S(0) <= 1 +
+    VIOLATION_ROUNDOFF.  Every sign change of a_r + eta b_r inside (0, 1)
+    is a breakpoint; S at the sorted breakpoints follows from cumulative
+    sums of the intercept and slope changes, and the crossing of
+    1 + VIOLATION_ROUNDOFF is interpolated on its linear segment, which is
+    exact.  Rows with S(1) at or below that level get the plateau penalty
+    1 + (1 + VIOLATION_ROUNDOFF - S(1)) >= 1 instead.
+    """
+    level = 1.0 + VIOLATION_ROUNDOFF
+    sign = np.where(a != 0.0, np.sign(a), np.sign(b))
+    knots = np.divide(-a, b, out=np.ones_like(a), where=b != 0.0)
+    flips = (knots > 0.0) & (knots < 1.0)
+    knots[~flips] = 1.0
+    order = np.argsort(knots, axis=-1, kind="stable")
+    knots = np.take_along_axis(knots, order, axis=-1)
+    # Passing a breakpoint flips that term's sign, which changes the
+    # intercept and the slope of S by -2 sign_r a_r and -2 sign_r b_r.
+    steps = np.take_along_axis(np.where(flips, -2.0 * sign, 0.0), order, axis=-1)
+
+    def segments(c):
+        start = (sign * c).sum(axis=-1, keepdims=True)
+        changes = steps * np.take_along_axis(c, order, axis=-1)
+        return np.cumsum(np.concatenate((start, changes), axis=-1), axis=-1)
+
+    intercept, slope = segments(a), segments(b)
+    # S at eta = 0, at every breakpoint (from the segment ending there) and at 1.
+    ends = np.ones((len(a), 1))
+    etas = np.concatenate((0.0 * ends, knots, ends), axis=-1)
+    values = np.concatenate((intercept[:, :1], intercept + etas[:, 1:] * slope), -1)
+    scores = 1.0 + level - values[:, -1]
+    rows = np.flatnonzero(values[:, -1] > level)
+    above = np.argmax(values[rows] > level, axis=-1)
+    below = above - 1
+    lo, hi = etas[rows, below], etas[rows, above]
+    s_lo, s_hi = values[rows, below], values[rows, above]
+    scores[rows] = lo + (level - s_lo) * (hi - lo) / (s_hi - s_lo)
+    return scores
+
+
+def _crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
+    """Crossing efficiency eta*(x) at every row of ``points``.
+
+    Points that do not violate even at eta = 1 score the plateau penalty
+    (see :func:`_crossing_efficiency`).  Tables at eta = 0 and eta = 1
+    come from one dressed-observable build and go through one batched
+    Walsh-Hadamard transform.  Raises ConsistencyError, naming the point,
+    if the vacuum table violates: the vacuum is a product state and cannot.
+    """
+    n = spec.n_parties
+    amplitudes, centers = _point_parameters(spec, points)
+    tables = _averaged_tables(n, amplitudes, centers, spec.width, (0.0, 1.0))
+    vacuum, lossless = _walsh_hadamard(tables) / 2**n
+    s_vacuum = np.abs(vacuum).sum(axis=-1)
+    bad = np.flatnonzero(~(s_vacuum <= 1.0 + VIOLATION_ROUNDOFF))
+    if bad.size:
+        i = bad[0]
+        raise ConsistencyError(
+            f"vacuum Bell value {s_vacuum[i]!r} exceeds 1 for n_parties={n}, "
+            f"width={spec.width!r}, search point {np.asarray(points)[i].tolist()}; "
+            "a product state cannot violate"
+        )
+    return _crossing_efficiency(vacuum, lossless - vacuum)
 
 
 def _search_box(spec: OptimizationSpec):
@@ -390,27 +468,25 @@ def _search_box(spec: OptimizationSpec):
     return bounds, start_lo + cloud * (start_hi - start_lo)
 
 
-def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
-    """Maximize the frame-averaged Bell value over the strategy parameters.
+def _search(spec: OptimizationSpec, score):
+    """Multistart simplex minimization of a batched score over the search box.
 
-    A low-discrepancy cloud over the moderate-amplitude start region is
-    scored first, in one batched call, and a bounded Nelder-Mead simplex
-    search is run from the ``spec.restarts`` best cloud points, keeping
-    the best endpoint (lowest restart index on ties).  ``converged``
-    reports whether the winning search terminated by its tolerance rather
-    than by the iteration cap; ``evaluations`` counts objective calls
-    including the scan.
+    ``score(spec, points)`` maps points of shape (P, dims) to P values,
+    each depending only on its own row.  The start cloud is scored in one
+    call and a bounded Nelder-Mead simplex search is run from the
+    ``spec.restarts`` best cloud points (stable order), scoring one point
+    per call.  Returns the best scipy result (lowest restart index on ties)
+    and the number of points scored, scan included.
     """
     bounds, cloud = _search_box(spec)
     dims = len(bounds)
-    scores = _scan_scores(spec, cloud)
-    starts = cloud[np.argsort(scores, kind="stable")[: spec.restarts]]
+    starts = cloud[np.argsort(score(spec, cloud), kind="stable")[: spec.restarts]]
 
     best = None
     evaluations = len(cloud)
     for x0 in starts:
         result = minimize(
-            lambda x: _objective(spec, x),
+            lambda x: score(spec, x[None])[0],
             x0,
             method="Nelder-Mead",
             bounds=bounds,
@@ -424,6 +500,21 @@ def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
         evaluations += result.nfev
         if best is None or result.fun < best.fun:
             best = result
+    return best, evaluations
+
+
+def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
+    """Maximize the frame-averaged Bell value over the strategy parameters.
+
+    A low-discrepancy cloud over the moderate-amplitude start region is
+    scored first, in one batched call, and a bounded Nelder-Mead simplex
+    search is run from the ``spec.restarts`` best cloud points, keeping
+    the best endpoint (lowest restart index on ties).  ``converged``
+    reports whether the winning search terminated by its tolerance rather
+    than by the iteration cap; ``evaluations`` counts objective calls
+    including the scan.
+    """
+    best, evaluations = _search(spec, _bell_scores)
     amplitudes, centers = _point_parameters(spec, best.x[None])
     if spec.shared_amplitudes:
         party_amplitudes = None
@@ -451,58 +542,34 @@ def threshold_efficiency(
 ) -> ThresholdResult:
     """Smallest transmission at which the optimized Bell value exceeds 1.
 
-    Bisects the efficiency, re-running the amplitude optimization at every
-    probe.  Correlators are affine in the efficiency, so the optimized Bell
-    value is convex in it and, once above 1, stays above: the bisection
-    predicate is monotone.  A coarse grid guards against inner-search
-    failures: a clear violation that shrinks at higher efficiency means the
-    bracket cannot be trusted and raises ConsistencyError.  (Below the
-    threshold the optimum hugs 1 from below and restart jitter carries no
-    signal, so decreases there are ignored.)  When even a lossless state
-    gives no violation the result carries violable=False and threshold 1.
+    Minimizes the crossing efficiency eta*(x) over the same search
+    coordinates and start cloud as :func:`maximize_bell`.  At fixed x the
+    Bell value is convex and piecewise linear in the efficiency (the
+    correlators are affine in it) and at most 1 on the vacuum, so the
+    violating efficiencies form an interval (eta*(x), 1] and eta*(x) is
+    computed exactly from the breakpoints; the threshold is min_x eta*(x),
+    the point at which the optimized Bell value first exceeds 1.  Points
+    where even a lossless state gives no violation score the plateau
+    penalty 1 + (1 - S(1; x)) >= 1, which leads the simplex towards
+    violating points.  ``tolerance`` is the simplex's stopping tolerance,
+    on the search coordinates and on eta.  When no point violates at
+    eta = 1 the result carries violable=False and threshold 1.
+
+    Raises ValueError unless the tolerance is finite and > 0 (and on the
+    checks of :class:`OptimizationSpec`), and ConsistencyError if a vacuum
+    table violates.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be > 0")
-
-    def best_s(efficiency: float) -> float:
-        report = maximize_bell(
-            OptimizationSpec(
-                n_parties=n_parties,
-                width=width,
-                efficiency=efficiency,
-                optimize_phases=optimize_phases,
-                restarts=restarts,
-            )
-        )
-        return report.best_s
-
-    top = best_s(1.0)
-    if top <= 1.0:
-        return ThresholdResult(efficiency=1.0, violable=False)
-
-    probes = (0.25, 0.5, 0.75)
-    values = [best_s(p) for p in probes]
-    sequence = values + [top]
-    for earlier, later in zip(sequence, sequence[1:]):
-        if earlier > 1.0 + MONOTONICITY_SLACK and later < earlier - MONOTONICITY_SLACK:
-            raise ConsistencyError(
-                "optimized Bell value decreased from a clear violation at "
-                "higher efficiency; inner search is unreliable"
-            )
-
-    lo, hi = 0.0, 1.0
-    for eta, s in zip(probes, values):
-        if s > 1.0:
-            hi = min(hi, eta)
-        else:
-            lo = max(lo, eta)
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if best_s(mid) > 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdResult(efficiency=0.5 * (lo + hi), violable=True)
+    spec = OptimizationSpec(
+        n_parties=n_parties,
+        width=width,
+        optimize_phases=optimize_phases,
+        restarts=restarts,
+        tolerance=tolerance,
+    )
+    best, _ = _search(spec, _crossing_scores)
+    if best.fun < 1.0:
+        return ThresholdResult(efficiency=float(best.fun), violable=True)
+    return ThresholdResult(efficiency=1.0, violable=False)
 
 
 def certainty_frontier(
@@ -523,14 +590,17 @@ def certainty_frontier(
     knows its noise level but not the frame.  Returns a list of
     (m, width) pairs; width is NaN when not even zero width is certain, and
     capped at ``width_max``.  Restricted to n_parties <= 3 to keep the
-    center grid tractable.
+    center grid tractable.  ``width_tolerance`` and ``width_max`` must be
+    finite and > 0 (ValueError otherwise).
     """
     if grid_density < 360:
         raise ValueError("grid_density must be >= 360")
     if n_parties > 3:
         raise ValueError("center grid only tractable for n_parties <= 3")
-    if width_tolerance <= 0.0:
-        raise ValueError("width_tolerance must be > 0")
+    if not (np.isfinite(width_tolerance) and width_tolerance > 0.0):
+        raise ValueError("width_tolerance must be finite and > 0")
+    if not (np.isfinite(width_max) and width_max > 0.0):
+        raise ValueError("width_max must be finite and > 0")
 
     axis = np.arange(grid_density) * TWO_PI / grid_density
     centers = np.array(list(product(axis, repeat=n_parties - 1)))

@@ -28,6 +28,18 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nonfinite_tolerances_exit_2(tmp_path, capsys):
+    out = tmp_path / "fig2.csv"
+    for value in ("nan", "inf", "0"):
+        assert main(["eta", "--parties", "2", "--tolerance", value]) == 2
+        fig2 = ["fig2", "--n-list", "2", "--delta-max", "0", "--restarts", "1"]
+        assert main(fig2 + ["--eta-tolerance", value, "--out", str(out)]) == 2
+        assert main(["smax", "--parties", "2", "--tolerance", value]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "tolerance must be finite and > 0" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

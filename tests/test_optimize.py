@@ -3,19 +3,30 @@
 import numpy as np
 import pytest
 
+from helpers import bisect_threshold
+
 from photonbell import (
+    ConsistencyError,
+    CorrelatorTable,
     OptimizationSpec,
     OptimumReport,
+    averaged_correlator_table,
     certainty_frontier,
+    lossy_w_state,
     maximize_bell,
     threshold_efficiency,
+    wwzb_value,
 )
 from photonbell.optimize import (
     AMPLITUDE_BOUNDS,
-    _objective,
-    _scan_scores,
+    VIOLATION_ROUNDOFF,
+    _bell_scores,
+    _crossing_efficiency,
+    _crossing_scores,
+    _point_parameters,
     _search_box,
 )
+from photonbell.wwzb import _walsh_hadamard
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,8 +46,9 @@ def test_spec_validation():
         OptimizationSpec(2, 0.0, amplitude_bounds=(0.0, np.inf))
     with pytest.raises(ValueError):
         OptimizationSpec(2, 0.0, restarts=0)
-    with pytest.raises(ValueError):
-        OptimizationSpec(2, 0.0, tolerance=0.0)
+    for tolerance in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            OptimizationSpec(2, 0.0, tolerance=tolerance)
 
 
 def test_two_party_noiseless_maximum():
@@ -76,14 +88,27 @@ def test_two_party_noiseless_maximum():
     ],
 )
 def test_batched_scan_equals_one_point_objective(spec):
-    # the start order is a stable argsort of these scores, so the batched
-    # scan must reproduce the one-point objective bit for bit; the joint
-    # cloud's first point has equal centers and takes the exchangeable route
+    # the start order is a stable argsort of these scores and the simplex
+    # scores one point per call, so the batched scores must equal the
+    # one-point scores bit for bit; the joint cloud's first point has
+    # equal centers and takes the exchangeable route
     _, cloud = _search_box(spec)
-    scores = _scan_scores(spec, cloud)
-    assert scores.shape == (len(cloud),)
-    for x, score in zip(cloud, scores):
-        assert score == _objective(spec, x)
+    scores = _bell_scores(spec, cloud)
+    crossings = _crossing_scores(spec, cloud)
+    assert scores.shape == crossings.shape == (len(cloud),)
+    amplitudes, centers = _point_parameters(spec, cloud)
+    for i, x in enumerate(cloud):
+        assert scores[i] == _bell_scores(spec, x[None])[0]
+        assert crossings[i] == _crossing_scores(spec, x[None])[0]
+        table = averaged_correlator_table(
+            spec.n_parties,
+            amplitudes[i, :, 0],
+            amplitudes[i, :, 1],
+            centers[i],
+            spec.width,
+            spec.efficiency,
+        )
+        assert scores[i] == -wwzb_value(CorrelatorTable(spec.n_parties, table)).s_value
 
 
 def test_evaluation_counts_unchanged():
@@ -149,8 +174,106 @@ def test_threshold_efficiency_two_parties():
     single = threshold_efficiency(1, 0.0, tolerance=0.02, restarts=2)
     assert not single.violable
     assert single.efficiency == 1.0
-    with pytest.raises(ValueError):
-        threshold_efficiency(2, 0.0, tolerance=0.0)
+    for tolerance in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            threshold_efficiency(2, 0.0, tolerance=tolerance)
+
+
+def _bell_value_on_grid(a, b, etas):
+    return np.abs(a[:, None, :] + etas[None, :, None] * b[:, None, :]).sum(axis=-1)
+
+
+def test_crossing_walk_matches_dense_grid():
+    rng = np.random.default_rng(41)
+    rows, size = 40, 16
+    a = rng.normal(size=(rows, size))
+    b = rng.normal(size=(rows, size))
+    # degenerate rows: exact zeros in a and b, S(0) = 1 exactly, tied breakpoints
+    a[0, :4] = 0.0
+    b[1, :4] = 0.0
+    a[2, 1:] = 0.0
+    a[3, 1], b[3, 1] = a[3, 0], b[3, 0]
+    a *= rng.uniform(0.2, 1.0, (rows, 1)) / np.abs(a).sum(axis=1, keepdims=True)
+    a[2] /= np.abs(a[2]).sum()
+    b *= rng.uniform(0.005, 0.1, (rows, 1))
+    eta = _crossing_efficiency(a.copy(), b.copy())
+    level = 1.0 + VIOLATION_ROUNDOFF
+    grid = np.linspace(0.0, 1.0, 20_001)
+    values = _bell_value_on_grid(a, b, grid)
+    violates = values[:, -1] > level
+    assert 5 < violates.sum() < rows - 5
+    step = grid[1]
+    for i in range(rows):
+        if violates[i]:
+            root = grid[np.argmax(values[i] > level)]
+            assert root - step <= eta[i] <= root + 1e-12
+            assert 0.0 <= eta[i] < 1.0
+            at_root = np.abs(a[i] + eta[i] * b[i]).sum()
+            assert abs(at_root - level) < 1e-12
+        else:
+            assert abs(eta[i] - (1.0 + level - values[i, -1])) < 1e-12
+            assert eta[i] >= 1.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        OptimizationSpec(2, 0.2, optimize_phases=False),
+        OptimizationSpec(3, 0.3, optimize_phases=True),
+        OptimizationSpec(3, 0.1, optimize_phases=True, shared_amplitudes=False),
+        OptimizationSpec(5, 0.15, optimize_phases=True),
+    ],
+)
+def test_affine_transform_matches_bell_value(spec):
+    rng = np.random.default_rng(7)
+    n = spec.n_parties
+    _, cloud = _search_box(spec)
+    # the three lowest-scoring cloud points (violating ones where any
+    # exist) and three random ones
+    pick = np.argsort(_crossing_scores(spec, cloud))
+    points = cloud[np.concatenate((pick[:3], rng.choice(pick[3:], 3, replace=False)))]
+    amplitudes, centers = _point_parameters(spec, points)
+    eta_star = _crossing_scores(spec, points)
+    assert eta_star.min() < 1.0 < eta_star.max()
+
+    def table(i, eta):
+        return averaged_correlator_table(
+            n, amplitudes[i, :, 0], amplitudes[i, :, 1], centers[i], spec.width, eta
+        )
+
+    for i in range(len(points)):
+        a = _walsh_hadamard(table(i, 0.0)) / 2**n
+        b = _walsh_hadamard(table(i, 1.0)) / 2**n - a
+        for eta in rng.uniform(0.0, 1.0, 4):
+            exact = wwzb_value(CorrelatorTable(n, table(i, eta))).s_value
+            assert abs(np.abs(a + eta * b).sum() - exact) < 1e-12
+        if eta_star[i] < 1.0:
+            at_star = wwzb_value(CorrelatorTable(n, table(i, eta_star[i]))).s_value
+            assert abs(at_star - (1.0 + VIOLATION_ROUNDOFF)) < 1e-12
+        else:
+            lossless = wwzb_value(CorrelatorTable(n, table(i, 1.0))).s_value
+            assert abs(eta_star[i] - (2.0 + VIOLATION_ROUNDOFF - lossless)) < 1e-12
+
+
+def test_violating_vacuum_raises(monkeypatch):
+    # a vacuum table that violates means the tables are broken: feed the
+    # lossless state in place of the vacuum
+    lossless = lossy_w_state(2, 1.0).matrix
+    monkeypatch.setattr("photonbell.optimize._lossy_rho", lambda n, eta: lossless)
+    spec = OptimizationSpec(2, 0.0, optimize_phases=False)
+    with pytest.raises(ConsistencyError, match=r"n_parties=2, width=0\.0, search"):
+        _crossing_scores(spec, np.array([[0.15, -0.55]]))
+    with pytest.raises(ConsistencyError):
+        threshold_efficiency(2, 0.0, tolerance=0.02, restarts=1)
+
+
+@pytest.mark.parametrize("n_parties, width", [(1, 0.0), (2, 0.0), (2, 0.2), (4, 0.2)])
+def test_threshold_matches_bisection_oracle(n_parties, width):
+    oracle_tolerance = 0.01
+    oracle = bisect_threshold(n_parties, width, oracle_tolerance, restarts=4)
+    exact = threshold_efficiency(n_parties, width, tolerance=1e-4, restarts=4)
+    assert exact.violable == oracle.violable == (n_parties > 1)
+    assert abs(exact.efficiency - oracle.efficiency) <= oracle_tolerance
 
 
 def test_certainty_frontier_small_cases():
@@ -169,5 +292,9 @@ def test_certainty_frontier_validation():
         certainty_frontier(2, 1.0, (2,), grid_density=100)
     with pytest.raises(ValueError):
         certainty_frontier(4, 1.0, (2,))
-    with pytest.raises(ValueError):
-        certainty_frontier(2, 1.0, (2,), width_tolerance=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            certainty_frontier(2, 1.0, (2,), width_tolerance=bad)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            certainty_frontier(2, 1.0, (3,), grid_density=360, width_max=bad)
