@@ -161,6 +161,13 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_histogram_size(samples: int, bins: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+
+
 def _phase_grid(count: int) -> np.ndarray:
     if count < 2:
         raise ValueError("grid must have at least 2 points")
@@ -210,6 +217,8 @@ def cmd_fig2(args) -> int:
         raise ValueError("party counts must be >= 1")
     if args.delta_step <= 0 or args.delta_max < 0:
         raise ValueError("need delta_step > 0 and delta_max >= 0")
+    if not (np.isfinite(args.eta_tolerance) and args.eta_tolerance > 0.0):
+        raise ValueError("eta tolerance must be finite and > 0")
     widths = np.arange(0.0, args.delta_max + 0.5 * args.delta_step, args.delta_step)
     rows = []
     for n in parties:
@@ -266,8 +275,7 @@ def cmd_fig3(args) -> int:
     pair_counts = _parse_ints(args.m_list, "pair counts")
     if any(m < 1 for m in pair_counts):
         raise ValueError("pair counts must be >= 1")
-    if args.samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_histogram_size(args.samples, args.bins)
     seed = _check_seed(args.seed)
     report = maximize_bell(
         OptimizationSpec(
@@ -402,6 +410,9 @@ def cmd_violation_dist(args) -> int:
     neither to use the optimizer's centered-frame pair.
     """
     seed = _check_seed(args.seed)
+    if args.pairs < 1:
+        raise ValueError("pairs must be >= 1")
+    _check_histogram_size(args.samples, args.bins)
     given = (args.r0 is not None) + (args.r1 is not None)
     if given == 1:
         raise ValueError("give both --r0 and --r1, or neither")

@@ -8,7 +8,10 @@ and has no offset).  Correlators therefore become phase polynomials in the
 offsets, built once per strategy (:func:`symbolic_correlators`) and then
 either evaluated at fixed offsets (:func:`bell_value_static`) or averaged
 over a wrapped-Gaussian offset model (:func:`bell_value_averaged`).  The
-absolute values inside the Bell functional are applied after averaging,
+coefficient of each offset frequency is the correlation table of one
+component of the state, computed by the package's one correlator kernel
+(:func:`~photonbell.fock_core.correlator_tables`) in one batch per
+strategy.  The absolute values inside the Bell functional are applied after averaging,
 matching an experiment that accumulates correlators across runs before
 computing the Bell value.
 
@@ -19,9 +22,10 @@ after the data is taken (:func:`best_pair_bell_value`, one frame at a time).
 Frame scans over many centers go through one batched route,
 :func:`best_pair_values_over_centers`: all pair tables share one frequency
 basis, evaluated once per chunk of centers, so a single matrix product
-gives the Walsh-Hadamard transform of every pair's averaged table.  The distribution of Bell values over
-uniformly random frame centers (:func:`violation_distribution`) is one such
-scan; the per-center route stays as its test oracle.
+gives the Walsh-Hadamard transform of every pair's averaged table.  The
+distribution of Bell values over uniformly random frame centers
+(:func:`violation_distribution`) is one such scan; the per-center route
+stays as its test oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .fock_core import (
     DisplacementSetting,
     SettingVector,
     SubspaceState,
+    correlator_tables,
     displacement_observable,
     lossy_w_state,
 )
@@ -230,65 +235,65 @@ class SymbolicCorrelatorTable:
         return CorrelatorTable(self.n_parties, vals)
 
 
-def _symbolic_correlator(rho: np.ndarray, matrices, n: int) -> PhasePolynomial:
-    """Closed-form correlator with frame factors kept symbolic.
+def _setting_pairs(strategy: MeasurementStrategy, setting_indices) -> np.ndarray:
+    """Observable matrices (N, 2, 2, 2) of each party's two table settings."""
+    if len(setting_indices) != strategy.n_parties or any(
+        len(pair) != 2 for pair in setting_indices
+    ):
+        raise ValueError("setting_indices needs one index pair per party")
+    counts = [len(party) for party in strategy.settings]
+    for bit in range(2):
+        SettingVector(tuple(pair[bit] for pair in setting_indices)).validate_for(counts)
+    return np.array(
+        [
+            [displacement_observable(party[int(i)]).matrix for i in pair]
+            for party, pair in zip(strategy.settings, setting_indices)
+        ]
+    )
 
-    Identical walk to fock_core.correlator, but each off-diagonal use of
-    party p's observable contributes the frequency +-1 in offset slot p-1
-    (party 1, p = 0, contributes no frequency).  Frequencies therefore have
-    at most two nonzero entries, each +-1.
+
+def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
+    """Offset-symbolic tables of one strategy, one per set of setting indices.
+
+    Rotating party p's off-diagonal elements by exp(+-i Delta_{p-1}) gives
+    the state entry rho[a, b] the phase exp(i n . Delta), n = u_b - u_a,
+    where u is zero for the vacuum and party 1 and the unit vector of slot
+    p-1 for party p >= 2.  So the coefficient c_n of a table entry is the
+    correlator of rho_n, the entries of rho with frequency n.  The kernel
+    takes Hermitian states: rho_n + rho_n^H gives 2 Re c_n, i (rho_n -
+    rho_n^H) gives -2 Im c_n, and c_{-n} = conj(c_n).  Each component is
+    one :func:`~photonbell.fock_core.correlator_tables` call with every
+    index set as a point, 1 + N(N-1) calls in all.
     """
-    m00 = np.array([m[0, 0] for m in matrices])
-    m01 = np.array([m[0, 1] for m in matrices])
-    m10 = np.array([m[1, 0] for m in matrices])
-    m11 = np.array([m[1, 1] for m in matrices])
-
-    pre = np.ones(n + 1, dtype=complex)
-    for k in range(n):
-        pre[k + 1] = pre[k] * m00[k]
-    suf = np.ones(n + 1, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        suf[k] = suf[k + 1] * m00[k]
-    hole = pre[:n] * suf[1:]
-
-    zero = (0,) * (n - 1)
-    terms: dict = {}
-
-    def add(freq, value):
-        if value != 0.0:
-            terms[freq] = terms.get(freq, 0.0j) + value
-
-    def unit(party, sign):
-        if party == 0:
-            return zero
-        freq = [0] * (n - 1)
-        freq[party - 1] = sign
-        return tuple(freq)
-
-    constant = rho[0, 0] * pre[n]
-    constant += sum(rho[k + 1, k + 1] * m11[k] * hole[k] for k in range(n))
-    terms[zero] = constant
-
-    for k in range(n):
-        add(unit(k, +1), rho[0, k + 1] * m10[k] * hole[k])
-        add(unit(k, -1), rho[k + 1, 0] * m01[k] * hole[k])
-
-    for j in range(n):
-        mid = 1.0 + 0.0j
-        for k in range(j + 1, n):
-            two_hole = pre[j] * mid * suf[k + 1]
-            freq = [0] * (n - 1)
-            if k > 0:
-                freq[k - 1] += 1
-            if j > 0:
-                freq[j - 1] -= 1
-            up = tuple(freq)
-            down = tuple(-f for f in freq)
-            add(up, rho[j + 1, k + 1] * m10[k] * m01[j] * two_hole)
-            add(down, rho[k + 1, j + 1] * m10[j] * m01[k] * two_hole)
-            mid *= m00[k]
-
-    return PhasePolynomial(n - 1, tuple(terms.items()))
+    n = strategy.n_parties
+    if state.n_modes != n:
+        raise ValueError(
+            f"state has {state.n_modes} modes but strategy has {n} parties"
+        )
+    pairs = np.array([_setting_pairs(strategy, indices) for indices in index_sets])
+    rho = state.matrix
+    unit = np.zeros((n + 1, n - 1), dtype=int)
+    unit[2:] = np.eye(n - 1, dtype=int)
+    freqs = unit[None, :, :] - unit[:, None, :]
+    rotating = freqs.any(axis=-1)
+    # Entries above the diagonal carry one frequency of each pair +-n.
+    components: dict = {}
+    for a, b in zip(*np.nonzero(np.triu(rotating))):
+        components.setdefault(tuple(freqs[a, b]), np.zeros_like(rho))[a, b] = rho[a, b]
+    keys = [(0,) * (n - 1)]
+    coeffs = [correlator_tables(np.where(rotating, 0.0, rho), pairs)]
+    for freq, part in components.items():
+        real = correlator_tables(part + part.conj().T, pairs)
+        imag = correlator_tables(1j * (part - part.conj().T), pairs)
+        keys += [freq, tuple(-f for f in freq)]
+        coeffs += [0.5 * (real - 1j * imag), 0.5 * (real + 1j * imag)]
+    entries = np.moveaxis(np.array(coeffs), 0, -1).tolist()
+    return [
+        SymbolicCorrelatorTable(
+            n, tuple(PhasePolynomial(n - 1, tuple(zip(keys, row))) for row in table)
+        )
+        for table in entries
+    ]
 
 
 def symbolic_correlators(
@@ -309,31 +314,9 @@ def symbolic_correlators(
         (default the party's first two settings).  Table index bit k-1
         selects party k's entry of that pair.
     """
-    n = strategy.n_parties
-    if state.n_modes != n:
-        raise ValueError(
-            f"state has {state.n_modes} modes but strategy has {n} parties"
-        )
     if setting_indices is None:
-        setting_indices = [(0, 1)] * n
-    if len(setting_indices) != n or any(len(pair) != 2 for pair in setting_indices):
-        raise ValueError("setting_indices needs one index pair per party")
-    counts = [len(party) for party in strategy.settings]
-    chosen = []
-    for bit in range(2):
-        vector = SettingVector(tuple(pair[bit] for pair in setting_indices))
-        vector.validate_for(counts)
-        chosen.append(
-            [
-                displacement_observable(party[i]).matrix
-                for party, i in zip(strategy.settings, vector.entries)
-            ]
-        )
-    values = []
-    for index in range(2**n):
-        mats = [chosen[(index >> p) & 1][p] for p in range(n)]
-        values.append(_symbolic_correlator(state.matrix, mats, n))
-    return SymbolicCorrelatorTable(n, tuple(values))
+        setting_indices = [(0, 1)] * strategy.n_parties
+    return _symbolic_tables(state, strategy, [setting_indices])[0]
 
 
 def bell_value_static(
@@ -373,13 +356,11 @@ def pair_setting_indices(strategy: MeasurementStrategy, pair: int):
 
 
 def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy):
-    """One symbolic table per pair of party 1's settings."""
+    """One symbolic table per pair of party 1's settings, built in one batch."""
     if strategy.pair_count is None:
         raise ValueError("strategy has no pair structure")
-    return [
-        symbolic_correlators(state, strategy, pair_setting_indices(strategy, j))
-        for j in range(strategy.pair_count)
-    ]
+    index_sets = [pair_setting_indices(strategy, j) for j in range(strategy.pair_count)]
+    return _symbolic_tables(state, strategy, index_sets)
 
 
 def best_pair_bell_value(

@@ -25,8 +25,11 @@ two-hole sum over mode pairs j < k is an O(N)-step recurrence over k,
 vectorized over the batch, that is valid for any density matrix.  The batch
 is processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices, so
 memory stays bounded for any batch size.  :func:`correlator` is the
-batch-of-one form.  A dense evaluation in the full 2^N mode-occupation space
-is kept as a slow oracle for tests (:func:`correlator_bruteforce`).
+batch-of-one form and :func:`correlator_tables` the 2^N-entry table builder
+behind both the optimizer and the offset-symbolic tables, so the package
+has one correlator walk.  A dense evaluation in the full 2^N
+mode-occupation space is kept as a slow oracle for tests
+(:func:`correlator_bruteforce`).
 
 Validation happens where values enter: :class:`SubspaceState` checks the
 state and :class:`ModeObservable` (or :func:`check_observable_matrices`, its
@@ -52,6 +55,7 @@ __all__ = [
     "correlator",
     "correlator_batch",
     "correlator_bruteforce",
+    "correlator_tables",
     "displacement_observable",
     "lossy_w_state",
     "projective_observable",
@@ -410,6 +414,25 @@ def correlator_batch(rho, matrices) -> np.ndarray:
     if not residue <= IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"correlator has imaginary residue {residue:.3e}")
     return values.real.reshape(batch_shape)
+
+
+def correlator_tables(rho, pairs) -> np.ndarray:
+    """Correlation tables (P, 2^N) of per-party setting pairs (P, N, 2, 2, 2).
+
+    Entry s of table p uses party k's setting bit k-1 of s.  Observable
+    rows are built for a chunk of table indices at a time, so memory stays
+    bounded for any N.  Errors are those of :func:`correlator_batch`.
+    """
+    points, n = pairs.shape[:2]
+    size = 2**n
+    parties = np.arange(n)
+    tables = np.empty((points, size))
+    step = max(1, _chunk_rows(n) // points)
+    for start in range(0, size, step):
+        index = np.arange(start, min(start + step, size))
+        bits = (index[:, None] >> parties) & 1
+        tables[:, start : start + step] = correlator_batch(rho, pairs[:, parties, bits])
+    return tables
 
 
 def correlator(state: SubspaceState, observables: Sequence[ModeObservable]) -> float:

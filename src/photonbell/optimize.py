@@ -24,13 +24,15 @@ closed-form Hermiticity and eigenvalue checks of
 :func:`~photonbell.fock_core.check_observable_matrices`; the lossy state is
 built and validated once per (N, eta).  Each table is then one call of the
 batched kernel :func:`~photonbell.fock_core.correlator_batch`: 2N rows when
-parties 2..N are exchangeable, 2^N rows (in bounded chunks) otherwise.
-Inputs from outside (amplitudes, centers, width, efficiency) are checked at
+parties 2..N are exchangeable, otherwise all 2^N rows through the package's
+one table builder :func:`~photonbell.fock_core.correlator_tables`.  Inputs
+from outside (amplitudes, centers, width, efficiency) are checked at
 :func:`averaged_correlator_table` and :class:`OptimizationSpec`.
 
 :func:`maximize_bell` and :func:`threshold_efficiency` share one search
 driver over a batched score: the start cloud is scored in one call and the
-simplex scores one point at a time, with values equal to the cloud's.
+simplex scores one point at a time, with values equal to the cloud's.  The
+Bell scores of a batch come from one batched Walsh-Hadamard transform.
 
 The loss threshold needs no search over efficiencies.  Correlators are
 affine in the efficiency eta, so at fixed search coordinates x the
@@ -65,12 +67,12 @@ from .experiments import (
 from .fock_core import (
     TWO_PI,
     ConsistencyError,
-    _chunk_rows,
     check_observable_matrices,
     correlator_batch,
+    correlator_tables,
     lossy_w_state,
 )
-from .wwzb import CorrelatorTable, _walsh_hadamard, wwzb_value
+from .wwzb import TABLE_RANGE_TOL, _walsh_hadamard
 
 __all__ = [
     "OptimizationSpec",
@@ -244,24 +246,6 @@ def _symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
     return tables.reshape(points, 2**n)
 
 
-def _general_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
-    """Tables with every one of the 2^N entries evaluated.
-
-    Observable rows are built for a chunk of table indices at a time, so
-    memory stays bounded for any N.
-    """
-    points, n = options.shape[:2]
-    size = 2**n
-    parties = np.arange(n)
-    tables = np.empty((points, size))
-    step = max(1, _chunk_rows(n) // points)
-    for start in range(0, size, step):
-        index = np.arange(start, min(start + step, size))
-        bits = (index[:, None] >> parties) & 1
-        tables[:, start : start + step] = correlator_batch(rho, options[:, parties, bits])
-    return tables
-
-
 def _averaged_tables(
     n_parties: int,
     amplitudes: np.ndarray,
@@ -283,7 +267,7 @@ def _averaged_tables(
     symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
         centers == centers[:, :1], axis=1
     )
-    routes = ((symmetric, _symmetric_tables), (~symmetric, _general_tables))
+    routes = ((symmetric, _symmetric_tables), (~symmetric, correlator_tables))
     tables = np.empty((len(efficiencies), len(options), 2**n_parties))
     for k, efficiency in enumerate(efficiencies):
         rho = _lossy_rho(int(n_parties), float(efficiency))
@@ -324,10 +308,12 @@ def averaged_correlator_table(
     coincides, parties 2..N are exchangeable and only 2 N distinct
     correlators are evaluated for the 2^N entries.
 
-    Raises ValueError unless there is one finite center per party 2..N,
-    the amplitudes are finite, the width is finite and >= 0 and the
-    efficiency lies in [0, 1].
+    Raises ValueError unless there is at least one party, one finite
+    center per party 2..N, the amplitudes are finite, the width is finite
+    and >= 0 and the efficiency lies in [0, 1].
     """
+    if n_parties < 1:
+        raise ValueError("n_parties must be >= 1")
     centers = np.asarray(centers, dtype=float)
     if centers.shape != (n_parties - 1,):
         raise ValueError("need one center per non-reference party")
@@ -361,14 +347,18 @@ def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
 
 
 def _bell_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
-    """Negated frame-averaged Bell value at every row of ``points``."""
+    """Negated frame-averaged Bell value at every row of ``points``.
+
+    One batched transform; each row's sum is formed as in ``wwzb_value``,
+    so the scores equal -wwzb_value bit for bit.
+    """
     amplitudes, centers = _point_parameters(spec, points)
     (tables,) = _averaged_tables(
         spec.n_parties, amplitudes, centers, spec.width, (spec.efficiency,)
     )
-    return np.array(
-        [-wwzb_value(CorrelatorTable(spec.n_parties, table)).s_value for table in tables]
-    )
+    if not np.all(np.abs(tables) <= 1.0 + TABLE_RANGE_TOL):
+        raise ValueError("correlators must lie in [-1, 1] up to roundoff")
+    return -np.abs(_walsh_hadamard(tables)).sum(axis=-1) / 2**spec.n_parties
 
 
 def _crossing_efficiency(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ offsets (:func:`sample_offsets`) is kept as the independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -116,12 +116,6 @@ class PhasePolynomial:
     @classmethod
     def constant(cls, value: complex, n_offsets: int) -> "PhasePolynomial":
         return cls(n_offsets, (((0,) * n_offsets, complex(value)),))
-
-    @classmethod
-    def from_dict(
-        cls, mapping: Mapping[tuple, complex], n_offsets: int
-    ) -> "PhasePolynomial":
-        return cls(n_offsets, tuple(mapping.items()))
 
     @property
     def is_constant(self) -> bool:

@@ -40,6 +40,23 @@ def test_nonfinite_tolerances_exit_2(tmp_path, capsys):
     assert "tolerance must be finite and > 0" in err
 
 
+def test_cheap_argument_errors_exit_before_any_search(tmp_path, monkeypatch, capsys):
+    def no_search(_spec):
+        raise AssertionError("maximize_bell ran before the arguments were checked")
+
+    monkeypatch.setattr("photonbell.cli.maximize_bell", no_search)
+    out = str(tmp_path / "f.json")
+    fig2 = ["fig2", "--n-list", "9", "--delta-max", "0", "--out", out]
+    assert main(fig2 + ["--eta-tolerance", "nan"]) == 2
+    assert main(["fig3", "--bins", "0", "--seed", "1", "--out", out]) == 2
+    assert main(["violation-dist", "--bins", "0", "--seed", "1"]) == 2
+    assert main(["violation-dist", "--samples", "0", "--seed", "1"]) == 2
+    assert main(["violation-dist", "--pairs", "0", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "tolerance must be finite and > 0" in err
+    assert "bins must be >= 1" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

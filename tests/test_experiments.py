@@ -17,6 +17,7 @@ from photonbell import (
     bell_value_averaged,
     bell_value_static,
     correlator,
+    correlator_bruteforce,
     damped_polynomial,
     displacement_observable,
     averaged_correlator_table,
@@ -30,7 +31,9 @@ from photonbell import (
     w_state,
     wwzb_value,
 )
+import photonbell.experiments as experiments
 from photonbell.experiments import FRAME_SCAN_CHUNK_ELEMENTS
+from photonbell.fock_core import correlator_tables
 
 TWO_PI = 2.0 * np.pi
 
@@ -100,8 +103,9 @@ def test_strategy_observables_roundtrip():
 
 def test_symbolic_table_matches_shifted_settings():
     # evaluating the symbolic table at offsets Delta must equal the plain
-    # correlator with party k >= 2's phases shifted by Delta_{k-1}
-    # (~1 s for the 12 cases)
+    # correlator with party k >= 2's phases shifted by Delta_{k-1}, and the
+    # tensor-product oracle, which shares no code with the kernel behind
+    # both (~1 s for the 12 cases)
     rng = np.random.default_rng(42)
     for n in (2, 3, 4):
         for _ in range(4):
@@ -125,6 +129,37 @@ def test_symbolic_table_matches_shifted_settings():
                 ]
                 direct = correlator(state, chosen)
                 assert abs(table.values[index] - direct) < 1e-12
+                dense = correlator_bruteforce(state, chosen)
+                assert abs(table.values[index] - dense) < 1e-12
+
+
+def test_pair_tables_equal_per_pair_tables(monkeypatch):
+    # the one batched build of all pair tables must give exactly the terms
+    # of building each pair's table alone, in at most 2 (N(N-1)/2 + 1)
+    # kernel-table calls; random states carry vacuum-excitation coherences
+    calls = []
+
+    def counted(rho, pairs):
+        calls.append(len(pairs))
+        return correlator_tables(rho, pairs)
+
+    monkeypatch.setattr(experiments, "correlator_tables", counted)
+    rng = np.random.default_rng(31)
+    for n, pair_count in ((1, 2), (2, 3), (3, 4), (4, 2)):
+        state = random_state(rng, n)
+        assert np.abs(state.matrix[0, 1:]).min() > 0.0
+        r0, r1 = rng.uniform(-1.0, 1.0, 2)
+        strat = paired_strategy(n, r0, r1, pair_count, rng.uniform(0.0, TWO_PI, n))
+        calls.clear()
+        tables = pair_symbolic_tables(state, strat)
+        assert len(calls) <= 2 * (n * (n - 1) // 2 + 1)
+        assert calls == [pair_count] * len(calls)
+        assert len(tables) == pair_count
+        for j, table in enumerate(tables):
+            alone = symbolic_correlators(state, strat, pair_setting_indices(strat, j))
+            assert table.n_parties == alone.n_parties == n
+            for batched, single in zip(table.values, alone.values):
+                assert batched.terms == single.terms
 
 
 def test_two_party_correlators_closed_form():
@@ -193,6 +228,8 @@ def test_averaged_table_validation():
     for eta in (-0.1, 1.2, np.nan):
         with pytest.raises(ValueError):
             averaged_correlator_table(3, 0.2, -0.5, (0.4, 0.1), 0.3, eta)
+    with pytest.raises(ValueError, match="n_parties must be >= 1"):
+        averaged_correlator_table(0, 0.1, 0.2, (), 0.0, 1.0)
 
 
 def test_correlators_affine_in_efficiency():

@@ -267,6 +267,22 @@ def test_violating_vacuum_raises(monkeypatch):
         threshold_efficiency(2, 0.0, tolerance=0.02, restarts=1)
 
 
+def test_bell_scores_reject_out_of_range_tables(monkeypatch):
+    # the batched scores keep the [-1, 1] range check of CorrelatorTable,
+    # for every row of the batch
+    spec = OptimizationSpec(2, 0.0, optimize_phases=False)
+    points = np.array([[0.15, -0.55], [0.1, 0.2], [0.3, -0.4]])
+    good = np.full((1, 3, 4), 0.5)
+    monkeypatch.setattr("photonbell.optimize._averaged_tables", lambda *a: good)
+    assert np.all(_bell_scores(spec, points) == -0.5)
+    for bad in (1.0 + 1e-8, -1.0 - 1e-8, np.nan):
+        tables = good.copy()
+        tables[0, 2, 3] = bad
+        monkeypatch.setattr("photonbell.optimize._averaged_tables", lambda *a: tables)
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            _bell_scores(spec, points)
+
+
 @pytest.mark.parametrize("n_parties, width", [(1, 0.0), (2, 0.0), (2, 0.2), (4, 0.2)])
 def test_threshold_matches_bisection_oracle(n_parties, width):
     oracle_tolerance = 0.01
