@@ -50,7 +50,6 @@ from .phase_noise import (
     PhasePolynomial,
     average_polynomial,
     child_seed,
-    damped_polynomial,
     sample_offsets,
     wrapped_gaussian_pdf,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "chsh_horodecki",
     "correlator",
     "correlator_bruteforce",
-    "damped_polynomial",
     "displacement_observable",
     "lossy_w_state",
     "maximize_bell",

@@ -54,6 +54,9 @@ FIG1_DEFAULT_WIDTHS = "0,0.2,0.4,0.7,1.0"
 FIG2_DEFAULT_PARTIES = "2,4,9"
 FIG3_DEFAULT_PAIRS = "1,3,5"
 
+# Most noise widths one fig2 run may tabulate; every width is a full search.
+FIG2_MAX_WIDTHS = 10_000
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -215,8 +218,12 @@ def cmd_fig2(args) -> int:
     parties = _parse_ints(args.n_list, "parties")
     if any(n < 1 for n in parties):
         raise ValueError("party counts must be >= 1")
-    if args.delta_step <= 0 or args.delta_max < 0:
-        raise ValueError("need delta_step > 0 and delta_max >= 0")
+    if not (np.isfinite(args.delta_step) and args.delta_step > 0.0):
+        raise ValueError("--delta-step must be finite and > 0")
+    if not (np.isfinite(args.delta_max) and args.delta_max >= 0.0):
+        raise ValueError("--delta-max must be finite and >= 0")
+    if args.delta_max / args.delta_step + 0.5 > FIG2_MAX_WIDTHS:
+        raise ValueError(f"--delta-max / --delta-step exceeds {FIG2_MAX_WIDTHS} widths")
     if not (np.isfinite(args.eta_tolerance) and args.eta_tolerance > 0.0):
         raise ValueError("eta tolerance must be finite and > 0")
     widths = np.arange(0.0, args.delta_max + 0.5 * args.delta_step, args.delta_step)

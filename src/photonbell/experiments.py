@@ -11,18 +11,21 @@ over a wrapped-Gaussian offset model (:func:`bell_value_averaged`).  The
 coefficient of each offset frequency is the correlation table of one
 component of the state, computed by the package's one correlator kernel
 (:func:`~photonbell.fock_core.correlator_tables`) in one batch per
-strategy.  The absolute values inside the Bell functional are applied after averaging,
-matching an experiment that accumulates correlators across runs before
-computing the Bell value.
+strategy.  A :class:`SymbolicCorrelatorTable` holds these as two arrays:
+the frequencies (F, N-1), the same 1 + N(N-1) vectors for every table of
+N parties, and the coefficients (F, 2^N).  The absolute values inside the
+Bell functional are applied after averaging, matching an experiment that
+accumulates correlators across runs before computing the Bell value.
 
 To fight frame noise, party 1 may hold m pairs of settings that repeat the
 same two amplitudes with pair phases stepped by 2*pi/m.  Each pair alone is
 a complete two-setting-per-party Bell test, so the best pair may be chosen
 after the data is taken (:func:`best_pair_bell_value`, one frame at a time).
 Frame scans over many centers go through one batched route,
-:func:`best_pair_values_over_centers`: all pair tables share one frequency
-basis, evaluated once per chunk of centers, so a single matrix product
-gives the Walsh-Hadamard transform of every pair's averaged table.  The
+:func:`best_pair_values_over_centers`: the pair tables' coefficient arrays
+stack on their shared frequency basis, which is evaluated once per chunk
+of centers, so a single matrix product gives the Walsh-Hadamard
+transform of every pair's averaged table.  The
 distribution of Bell values over uniformly random frame centers
 (:func:`violation_distribution`) is one such scan; the per-center route
 stays as its test oracle.
@@ -205,18 +208,40 @@ def paired_strategy(
 
 @dataclass(frozen=True, eq=False)
 class SymbolicCorrelatorTable:
-    """Correlation table whose entries are polynomials in the frame offsets."""
+    """Correlation table whose entries are polynomials in the frame offsets.
+
+    Entry s is sum_f coeffs[f, s] exp(i freqs[f] . Delta): ``freqs`` (F,
+    N-1) holds integer offset frequencies and ``coeffs`` (F, 2^N) their
+    complex coefficients, both stored read-only.  Tables built here use
+    the frequency basis of N parties, 0, +-e_k and +-(e_j - e_k) in
+    lexicographic order, so F = 1 + N(N-1) and all tables of N parties
+    share one basis.
+    """
 
     n_parties: int
-    values: tuple
+    freqs: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != 2**self.n_parties:
-            raise ValueError(
-                f"table for {self.n_parties} parties needs "
-                f"{2 ** self.n_parties} entries"
-            )
-        object.__setattr__(self, "values", tuple(self.values))
+        n = self.n_parties
+        freqs = np.array(self.freqs)
+        if freqs.ndim != 2 or freqs.shape[1:] != (n - 1,) or np.any(freqs % 1):
+            raise ValueError(f"freqs must be integer rows of length {n - 1}")
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if coeffs.shape != (len(freqs), 2**n):
+            raise ValueError(f"coeffs must have shape ({len(freqs)}, {2**n})")
+        for name, array in (("freqs", freqs.astype(int)), ("coeffs", coeffs)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @property
+    def values(self) -> tuple:
+        """One :class:`PhasePolynomial` per table entry, built from the arrays."""
+        keys = [tuple(freq) for freq in self.freqs.tolist()]
+        return tuple(
+            PhasePolynomial(self.n_parties - 1, tuple(zip(keys, column)))
+            for column in self.coeffs.T.tolist()
+        )
 
     def evaluate(self, offsets) -> CorrelatorTable:
         """Numeric table at fixed offsets Delta (length N-1)."""
@@ -226,30 +251,26 @@ class SymbolicCorrelatorTable:
     def averaged(self, model: PhaseModel) -> CorrelatorTable:
         """Numeric table with every entry averaged over the offset model."""
         zero = np.zeros(self.n_parties - 1)
-        vals = np.array(
-            [
-                average_polynomial(poly, model).evaluate_real(zero)
-                for poly in self.values
-            ]
-        )
-        return CorrelatorTable(self.n_parties, vals)
+        vals = [average_polynomial(p, model).evaluate_real(zero) for p in self.values]
+        return CorrelatorTable(self.n_parties, np.array(vals))
 
 
-def _setting_pairs(strategy: MeasurementStrategy, setting_indices) -> np.ndarray:
-    """Observable matrices (N, 2, 2, 2) of each party's two table settings."""
-    if len(setting_indices) != strategy.n_parties or any(
-        len(pair) != 2 for pair in setting_indices
-    ):
-        raise ValueError("setting_indices needs one index pair per party")
+def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
+    """Setting matrices (P, N, 2, 2, 2) of the index sets, each built once."""
+    n = strategy.n_parties
     counts = [len(party) for party in strategy.settings]
-    for bit in range(2):
-        SettingVector(tuple(pair[bit] for pair in setting_indices)).validate_for(counts)
-    return np.array(
-        [
-            [displacement_observable(party[int(i)]).matrix for i in pair]
-            for party, pair in zip(strategy.settings, setting_indices)
-        ]
-    )
+    for indices in index_sets:
+        if len(indices) != n or any(len(pair) != 2 for pair in indices):
+            raise ValueError("setting_indices needs one index pair per party")
+        for bit in range(2):
+            SettingVector(tuple(pair[bit] for pair in indices)).validate_for(counts)
+    index = np.array(index_sets, dtype=int).reshape(len(index_sets), n, 2)
+    pairs = np.empty(index.shape + (2, 2), dtype=complex)
+    for k, party in enumerate(strategy.settings):
+        used, inverse = np.unique(index[:, k], return_inverse=True)
+        matrices = np.array([displacement_observable(party[i]).matrix for i in used])
+        pairs[:, k] = matrices[inverse.reshape(-1, 2)]
+    return pairs
 
 
 def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
@@ -263,14 +284,15 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     takes Hermitian states: rho_n + rho_n^H gives 2 Re c_n, i (rho_n -
     rho_n^H) gives -2 Im c_n, and c_{-n} = conj(c_n).  Each component is
     one :func:`~photonbell.fock_core.correlator_tables` call with every
-    index set as a point, 1 + N(N-1) calls in all.
+    index set as a point, 1 + N(N-1) calls in all.  The tables share one
+    lexicographically sorted frequency array.
     """
     n = strategy.n_parties
     if state.n_modes != n:
         raise ValueError(
             f"state has {state.n_modes} modes but strategy has {n} parties"
         )
-    pairs = np.array([_setting_pairs(strategy, indices) for indices in index_sets])
+    pairs = _setting_pairs(strategy, index_sets)
     rho = state.matrix
     unit = np.zeros((n + 1, n - 1), dtype=int)
     unit[2:] = np.eye(n - 1, dtype=int)
@@ -280,20 +302,16 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     components: dict = {}
     for a, b in zip(*np.nonzero(np.triu(rotating))):
         components.setdefault(tuple(freqs[a, b]), np.zeros_like(rho))[a, b] = rho[a, b]
-    keys = [(0,) * (n - 1)]
-    coeffs = [correlator_tables(np.where(rotating, 0.0, rho), pairs)]
+    coeffs = {(0,) * (n - 1): correlator_tables(np.where(rotating, 0.0, rho), pairs)}
     for freq, part in components.items():
         real = correlator_tables(part + part.conj().T, pairs)
         imag = correlator_tables(1j * (part - part.conj().T), pairs)
-        keys += [freq, tuple(-f for f in freq)]
-        coeffs += [0.5 * (real - 1j * imag), 0.5 * (real + 1j * imag)]
-    entries = np.moveaxis(np.array(coeffs), 0, -1).tolist()
-    return [
-        SymbolicCorrelatorTable(
-            n, tuple(PhasePolynomial(n - 1, tuple(zip(keys, row))) for row in table)
-        )
-        for table in entries
-    ]
+        coeffs[freq] = 0.5 * (real - 1j * imag)
+        coeffs[tuple(-f for f in freq)] = 0.5 * (real + 1j * imag)
+    keys = sorted(coeffs)
+    basis = np.array(keys, dtype=int).reshape(len(keys), n - 1)
+    stacked = np.array([coeffs[key] for key in keys])
+    return [SymbolicCorrelatorTable(n, basis, stacked[:, p]) for p in range(len(pairs))]
 
 
 def symbolic_correlators(
@@ -393,32 +411,22 @@ def best_pair_bell_value(
 def _frame_scan_coefficients(tables, width: float):
     """Shared frequency basis and transformed coefficients of all pair tables.
 
-    Returns (freqs, coeffs): ``freqs`` holds the union of the frequency
-    vectors of every polynomial in every table, shape (F, N-1).  Column
-    p * 2^N + r of ``coeffs`` holds, per frequency, the damped coefficient
-    of the Walsh-Hadamard coefficient T(r) of table p.  The transform is
-    linear, so it is applied here once instead of to every evaluated
-    table, and basis @ coeffs with basis exp(i C F^T) yields every pair's
-    T(r) at every center of C.
+    Returns (freqs, coeffs): ``freqs`` (F, N-1) is the tables' common
+    frequency basis as floats, and column p * 2^N + r of ``coeffs`` holds,
+    per frequency, the damped coefficient of the Walsh-Hadamard coefficient
+    T(r) of table p.  The transform is linear, so it is applied here once
+    instead of to every evaluated table, and basis @ coeffs with basis
+    exp(i C F^T) yields every pair's T(r) at every center of C.  Tables
+    with different party counts or frequency bases raise ValueError.
     """
-    n = tables[0].n_parties
-    if any(table.n_parties != n for table in tables):
-        raise ValueError("pair tables must share one party count")
-    size = 2**n
-    rows: dict = {}
-    entries = []
-    for p, table in enumerate(tables):
-        for s, poly in enumerate(table.values):
-            for freq, coeff in poly.terms:
-                entries.append((rows.setdefault(freq, len(rows)), p * size + s, coeff))
-    coeffs = np.zeros((len(rows), len(tables) * size), dtype=complex)
-    for row, column, coeff in entries:
-        coeffs[row, column] = coeff
-    freqs = np.array(list(rows), dtype=float).reshape(len(rows), n - 1)
-    coeffs *= np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None]
-    blocks = coeffs.reshape(len(rows), len(tables), size)
-    transform = _walsh_hadamard(blocks.real) + 1j * _walsh_hadamard(blocks.imag)
-    return freqs, transform.reshape(coeffs.shape)
+    # The basis shape (F, N-1) fixes the party count too.
+    if any(not np.array_equal(table.freqs, tables[0].freqs) for table in tables):
+        raise ValueError("pair tables must share one party count and frequency basis")
+    freqs = tables[0].freqs.astype(float)
+    coeffs = np.stack([table.coeffs for table in tables], axis=1)
+    coeffs *= np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None, None]
+    transform = _walsh_hadamard(coeffs.real) + 1j * _walsh_hadamard(coeffs.imag)
+    return freqs, transform.reshape(len(freqs), -1)
 
 
 def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:

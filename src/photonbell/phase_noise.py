@@ -8,7 +8,7 @@ Gaussians of common width delta centred at phibar_l, wrapped onto
 
 Correlators of displacement measurements depend on the offsets only through
 finite sums of complex exponentials c * exp(i n . Delta) with small integer
-frequency vectors n; :class:`PhasePolynomial` represents exactly that.
+frequency vectors n; :class:`PhasePolynomial` represents one such sum.
 Averaging over the frame noise then reduces to the Gaussian characteristic
 function
 
@@ -17,6 +17,10 @@ function
 which coincides with the wrapped distribution's Fourier coefficients for
 integer n_l, so the analytic average is exact.  Monte Carlo sampling of the
 offsets (:func:`sample_offsets`) is kept as the independent cross-check.
+Whole correlation tables keep these sums as one frequency array and one
+coefficient array (:class:`~photonbell.experiments.SymbolicCorrelatorTable`),
+and frame scans damp and evaluate those arrays directly;
+:func:`average_polynomial` is the per-entry route that checks them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "PhasePolynomial",
     "average_polynomial",
     "child_seed",
-    "damped_polynomial",
     "sample_offsets",
     "wrapped_gaussian_pdf",
 ]
@@ -234,30 +237,6 @@ def average_polynomial(poly: PhasePolynomial, model: PhaseModel) -> PhasePolynom
         f = np.asarray(freq, dtype=float)
         total += coeff * np.exp(1j * (f @ centers) - damping * (f @ f))
     return PhasePolynomial.constant(total, poly.n_offsets)
-
-
-def damped_polynomial(poly: PhasePolynomial, width: float) -> PhasePolynomial:
-    """Average over zero-centered offset noise, keeping the centers symbolic.
-
-    Each coefficient is damped by exp(-|n|^2 width^2 / 2) while frequencies
-    are kept, so evaluating the result at the centers reproduces the full
-    average:
-
-        damped_polynomial(p, w).evaluate(c)
-            == average_polynomial(p, PhaseModel(c, w)).constant_value()
-
-    This lets one polynomial be averaged over many center vectors at once.
-    """
-    if not np.isfinite(width) or width < 0.0:
-        raise ValueError("width must be finite and >= 0")
-    damping = 0.5 * width * width
-    return PhasePolynomial(
-        poly.n_offsets,
-        tuple(
-            (freq, coeff * np.exp(-damping * sum(f * f for f in freq)))
-            for freq, coeff in poly.terms
-        ),
-    )
 
 
 def sample_offsets(model: PhaseModel, rng_seed: int, count: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from photonbell import (
     ConsistencyError,
     DisplacementSetting,
     OptimizationSpec,
+    PhasePolynomial,
     SubspaceState,
     ThresholdResult,
     maximize_bell,
@@ -36,6 +37,31 @@ def random_observable_matrices(rng: np.random.Generator, shape: tuple) -> np.nda
     unitary, _ = np.linalg.qr(raw)
     mats = unitary @ (eigs[..., :, None] * unitary.conj().swapaxes(-1, -2))
     return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+
+
+def damped_polynomial(poly: PhasePolynomial, width: float) -> PhasePolynomial:
+    """Average over zero-centered offset noise, keeping the centers symbolic.
+
+    Each coefficient is damped by exp(-|n|^2 width^2 / 2) while frequencies
+    are kept, so evaluating the result at the centers reproduces the full
+    average:
+
+        damped_polynomial(p, w).evaluate(c)
+            == average_polynomial(p, PhaseModel(c, w)).constant_value()
+
+    Per-polynomial oracle for the batched frame scan, which damps whole
+    coefficient arrays at once.
+    """
+    if not np.isfinite(width) or width < 0.0:
+        raise ValueError("width must be finite and >= 0")
+    damping = 0.5 * width * width
+    return PhasePolynomial(
+        poly.n_offsets,
+        tuple(
+            (freq, coeff * np.exp(-damping * sum(f * f for f in freq)))
+            for freq, coeff in poly.terms
+        ),
+    )
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:

@@ -57,6 +57,31 @@ def test_cheap_argument_errors_exit_before_any_search(tmp_path, monkeypatch, cap
     assert "bins must be >= 1" in err
 
 
+def test_fig2_rejects_bad_width_grids_before_any_search(tmp_path, monkeypatch, capsys):
+    # non-finite flags are named, and an oversized grid is refused before
+    # it is built (a 1e-300 step would ask for ~1e300 widths)
+    def no_search(_spec):
+        raise AssertionError("maximize_bell ran before the arguments were checked")
+
+    monkeypatch.setattr("photonbell.cli.maximize_bell", no_search)
+    out = tmp_path / "fig2.csv"
+    fig2 = ["fig2", "--n-list", "2", "--out", str(out)]
+    cases = (
+        (["--delta-step", "nan"], "--delta-step must be finite and > 0"),
+        (["--delta-step", "inf"], "--delta-step must be finite and > 0"),
+        (["--delta-step", "0"], "--delta-step must be finite and > 0"),
+        (["--delta-max", "nan"], "--delta-max must be finite and >= 0"),
+        (["--delta-max", "inf"], "--delta-max must be finite and >= 0"),
+        (["--delta-max", "-0.1"], "--delta-max must be finite and >= 0"),
+        (["--delta-step", "1e-300"], "exceeds 10000 widths"),
+        (["--delta-max", "1e6", "--delta-step", "1"], "exceeds 10000 widths"),
+    )
+    for flags, message in cases:
+        assert main(fig2 + flags) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -198,6 +223,19 @@ def test_eta_reports_nonviolable_case(capsys):
     )
     assert code == 0
     assert out_text.strip() == "no violation at unit efficiency"
+
+
+def test_single_party_never_violates(capsys):
+    # one party has no Bell inequality to violate: S = 1 exactly
+    code, out_text, err = run(["smax", "--parties", "1", "--restarts", "2"], capsys)
+    assert code == 0
+    assert out_text.startswith("s_max=1 ")
+    assert json.loads(err.strip().splitlines()[-1])["derived"]["best_s"] == 1.0
+    code, out_text, err = run(["eta", "--parties", "1", "--restarts", "2"], capsys)
+    assert code == 0
+    assert out_text.strip() == "no violation at unit efficiency"
+    derived = json.loads(err.strip().splitlines()[-1])["derived"]
+    assert derived == {"eta_threshold": 1.0, "violable": False}
 
 
 def test_violation_dist_with_pinned_amplitudes(tmp_path, capsys):

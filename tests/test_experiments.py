@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import damped_polynomial, random_state
 from photonbell import (
     ConsistencyError,
     DisplacementSetting,
     MeasurementStrategy,
     PhaseModel,
     SymbolicCorrelatorTable,
-    PhasePolynomial,
     SettingVector,
     best_pair_bell_value,
     best_pair_values_over_centers,
@@ -18,7 +17,6 @@ from photonbell import (
     bell_value_static,
     correlator,
     correlator_bruteforce,
-    damped_polynomial,
     displacement_observable,
     averaged_correlator_table,
     lossy_w_state,
@@ -133,10 +131,20 @@ def test_symbolic_table_matches_shifted_settings():
                 assert abs(table.values[index] - dense) < 1e-12
 
 
+def offset_basis(n: int) -> list:
+    """0, +-e_k and +-(e_j - e_k) over the N-1 offsets, sorted."""
+    eye = np.eye(n - 1, dtype=int)
+    vectors = {(0,) * (n - 1)}
+    vectors |= {tuple(s * row) for row in eye for s in (1, -1)}
+    vectors |= {tuple(a - b) for a in eye for b in eye if tuple(a) != tuple(b)}
+    return sorted(vectors)
+
+
 def test_pair_tables_equal_per_pair_tables(monkeypatch):
-    # the one batched build of all pair tables must give exactly the terms
+    # the one batched build of all pair tables must give exactly the arrays
     # of building each pair's table alone, in at most 2 (N(N-1)/2 + 1)
-    # kernel-table calls; random states carry vacuum-excitation coherences
+    # kernel-table calls, on the sorted basis of 1 + N(N-1) frequencies;
+    # random states carry vacuum-excitation coherences
     calls = []
 
     def counted(rho, pairs):
@@ -155,11 +163,59 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         assert len(calls) <= 2 * (n * (n - 1) // 2 + 1)
         assert calls == [pair_count] * len(calls)
         assert len(tables) == pair_count
+        basis = offset_basis(n)
+        assert len(basis) == 1 + n * (n - 1)
         for j, table in enumerate(tables):
             alone = symbolic_correlators(state, strat, pair_setting_indices(strat, j))
             assert table.n_parties == alone.n_parties == n
-            for batched, single in zip(table.values, alone.values):
-                assert batched.terms == single.terms
+            assert table.freqs.shape == (len(basis), n - 1)
+            assert [tuple(f) for f in table.freqs.tolist()] == basis
+            assert table.coeffs.shape == (len(basis), 2**n)
+            assert np.array_equal(table.freqs, alone.freqs)
+            assert np.array_equal(table.coeffs, alone.coeffs)
+            assert not table.freqs.flags.writeable
+            assert not table.coeffs.flags.writeable
+
+
+def test_pair_tables_build_each_setting_once(monkeypatch):
+    # party 1's 2m settings and the two settings of each other party are
+    # each built and validated once per call, not once per pair; each pair
+    # table equals the table of a strategy that holds only that pair
+    built = []
+
+    def counted(setting):
+        built.append(setting)
+        return displacement_observable(setting)
+
+    monkeypatch.setattr(experiments, "displacement_observable", counted)
+    for n, m in ((1, 3), (2, 8), (3, 5), (4, 2)):
+        state = lossy_w_state(n, 0.9)
+        strat = paired_strategy(n, 0.12, -0.5, m)
+        built.clear()
+        tables = pair_symbolic_tables(state, strat)
+        assert len(built) == 2 * m + 2 * (n - 1)
+        built.clear()
+        symbolic_correlators(state, strat, pair_setting_indices(strat, m - 1))
+        assert len(built) == 2 * n
+        first, *rest = strat.settings
+        for j, table in enumerate(tables):
+            alone = symbolic_correlators(
+                state, MeasurementStrategy((first[2 * j : 2 * j + 2], *rest))
+            )
+            assert np.array_equal(table.coeffs, alone.coeffs)
+
+
+def test_symbolic_values_match_arrays():
+    # the per-entry polynomials carry exactly the nonzero array coefficients
+    rng = np.random.default_rng(5)
+    state = random_state(rng, 3)
+    table = symbolic_correlators(state, two_setting_strategy(3, 0.3, -0.6))
+    assert len(table.values) == 8
+    for s, poly in enumerate(table.values):
+        terms = dict(poly.terms)
+        assert len(terms) == np.count_nonzero(table.coeffs[:, s])
+        for freq, coeff in zip(table.freqs.tolist(), table.coeffs[:, s]):
+            assert terms.get(tuple(freq), 0.0) == coeff
 
 
 def test_two_party_correlators_closed_form():
@@ -363,10 +419,29 @@ def test_batched_centers_validation():
     with pytest.raises(ValueError):
         best_pair_values_over_centers(tables, [[0.3, 0.4]], 0.2)
     # a table that is not conjugate symmetric has no real value
-    skew = PhasePolynomial(1, (((1,), 0.5),))
-    table = SymbolicCorrelatorTable(2, (skew,) * 4)
+    table = SymbolicCorrelatorTable(2, [[1]], np.full((1, 4), 0.5))
     with pytest.raises(ConsistencyError):
         best_pair_values_over_centers([table], [[0.7]], 0.0)
+
+
+def test_batched_centers_reject_mixed_tables():
+    # every table of one scan must share the party count and the basis
+    two = pair_symbolic_tables(w_state(2), paired_strategy(2, 0.1, -0.5, 2))
+    three = pair_symbolic_tables(w_state(3), paired_strategy(3, 0.1, -0.5, 2))
+    with pytest.raises(ValueError, match="party count"):
+        best_pair_values_over_centers([two[0], three[0]], [[0.3]], 0.2)
+    shifted = SymbolicCorrelatorTable(2, two[0].freqs + 1, two[0].coeffs)
+    with pytest.raises(ValueError, match="frequency basis"):
+        best_pair_values_over_centers([two[0], shifted], [[0.3]], 0.2)
+    reordered = SymbolicCorrelatorTable(2, two[1].freqs[::-1], two[1].coeffs[::-1])
+    with pytest.raises(ValueError, match="frequency basis"):
+        best_pair_values_over_centers([two[0], reordered], [[0.3]], 0.2)
+    # the same basis in the same order is accepted
+    rebuilt = SymbolicCorrelatorTable(2, two[1].freqs.copy(), two[1].coeffs)
+    assert np.array_equal(
+        best_pair_values_over_centers([two[0], rebuilt], [[0.3]], 0.2),
+        best_pair_values_over_centers(two, [[0.3]], 0.2),
+    )
 
 
 def test_more_pairs_never_lower_the_best_value():
@@ -412,9 +487,29 @@ def test_zero_amplitude_pair_value_closed_form():
 
 
 def test_symbolic_table_validation():
-    poly = PhasePolynomial.constant(1.0, 1)
+    # two entries where two parties need four
     with pytest.raises(ValueError):
-        SymbolicCorrelatorTable(2, (poly, poly))
+        SymbolicCorrelatorTable(2, [[0]], np.ones((1, 2)))
+    # wrong frequency shapes: a missing offset slot, an extra one, 1-D
+    for freqs in ([[]], [[0, 0]], [0]):
+        with pytest.raises(ValueError):
+            SymbolicCorrelatorTable(2, freqs, np.ones((1, 4)))
+    # coefficient rows that do not match the frequencies, or a 1-D row
+    for coeffs in (np.ones((2, 4)), np.ones(4), np.ones((1, 4, 1))):
+        with pytest.raises(ValueError):
+            SymbolicCorrelatorTable(2, [[0]], coeffs)
+    with pytest.raises(ValueError):
+        SymbolicCorrelatorTable(2, [[0.5]], np.ones((1, 4)))
+    with pytest.raises(ValueError):
+        SymbolicCorrelatorTable(0, np.empty((1, 0)), np.ones((1, 1)))
+    # arrays are copied and frozen
+    freqs, coeffs = np.array([[0], [1]]), np.ones((2, 4), dtype=complex)
+    table = SymbolicCorrelatorTable(2, freqs, coeffs)
+    freqs[1, 0] = 5
+    coeffs[0, 0] = 7.0
+    assert table.freqs.tolist() == [[0], [1]] and table.coeffs[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        table.coeffs[0, 0] = 2.0
     with pytest.raises(ValueError):
         symbolic_correlators(w_state(3), two_setting_strategy(2, 0.0, 0.4))
     with pytest.raises(ValueError):

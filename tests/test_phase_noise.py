@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import damped_polynomial
 from photonbell import (
     ConsistencyError,
     PhaseModel,
     PhasePolynomial,
     average_polynomial,
     child_seed,
-    damped_polynomial,
     sample_offsets,
     wrapped_gaussian_pdf,
 )
