@@ -57,6 +57,20 @@ FIG3_DEFAULT_PAIRS = "1,3,5"
 # Most noise widths one fig2 run may tabulate; every width is a full search.
 FIG2_MAX_WIDTHS = 10_000
 
+# Most parties a command accepts.  A search's first batched allocation
+# holds one 8 B float per table entry, start point and efficiency: at
+# N = 16, 32 MiB for 64 pinned-phase starts (64 MiB for a threshold's two
+# efficiencies) and 204 MiB for 408 joint-phase starts.
+MAX_PARTIES = 16
+
+# Most setting pairs a histogram may step through; the certainty frontier
+# uses eight.
+MAX_PAIRS = 1024
+
+# Most coefficients a histogram's offset-symbolic tables may hold:
+# (1 + N(N-1)) frequencies x m pairs x 2^N entries, 16 B each, 64 MiB.
+FRAME_SCAN_MAX_ENTRIES = 2**22
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -153,9 +167,27 @@ def _parse_floats(text: str, name: str):
 
 def _parse_ints(text: str, name: str):
     values = _parse_floats(text, name)
-    if any(v != int(v) for v in values):
-        raise ValueError(f"{name} must hold integers")
+    if not all(v.is_integer() for v in values):
+        raise ValueError(f"{name} must hold finite integers")
     return [int(v) for v in values]
+
+
+def _check_counts(values, flag: str, limit: int) -> None:
+    """Reject counts outside [1, limit], naming the flag."""
+    if not all(1 <= v <= limit for v in values):
+        raise ValueError(f"{flag} must lie in [1, {limit}]")
+
+
+def _check_histogram_tables(parties: int, pair_counts, pair_flag: str) -> None:
+    """Reject party and pair counts whose frame-scan tables are too large."""
+    _check_counts([parties], "--parties", MAX_PARTIES)
+    _check_counts(pair_counts, pair_flag, MAX_PAIRS)
+    per_pair = (1 + parties * (parties - 1)) * 2**parties
+    if per_pair * max(pair_counts) > FRAME_SCAN_MAX_ENTRIES:
+        raise ValueError(
+            f"--parties {parties} with {pair_flag} {max(pair_counts)} exceeds "
+            f"{FRAME_SCAN_MAX_ENTRIES} frame-scan coefficients"
+        )
 
 
 def _check_seed(seed: int) -> int:
@@ -215,9 +247,8 @@ def cmd_fig2(args) -> int:
     columns: N, delta, s_max, eta_threshold (NaN when no loss level
     violates).
     """
-    parties = _parse_ints(args.n_list, "parties")
-    if any(n < 1 for n in parties):
-        raise ValueError("party counts must be >= 1")
+    parties = _parse_ints(args.n_list, "--n-list")
+    _check_counts(parties, "--n-list", MAX_PARTIES)
     if not (np.isfinite(args.delta_step) and args.delta_step > 0.0):
         raise ValueError("--delta-step must be finite and > 0")
     if not (np.isfinite(args.delta_max) and args.delta_max >= 0.0):
@@ -279,9 +310,8 @@ def cmd_fig3(args) -> int:
     ``_m{m}``, each sampled from an independent child stream of the seed;
     the violating fraction per pair count is printed to stdout.
     """
-    pair_counts = _parse_ints(args.m_list, "pair counts")
-    if any(m < 1 for m in pair_counts):
-        raise ValueError("pair counts must be >= 1")
+    pair_counts = _parse_ints(args.m_list, "--m-list")
+    _check_histogram_tables(args.parties, pair_counts, "--m-list")
     _check_histogram_size(args.samples, args.bins)
     seed = _check_seed(args.seed)
     report = maximize_bell(
@@ -337,6 +367,7 @@ def cmd_fig3(args) -> int:
 
 def cmd_smax(args) -> int:
     """One optimizer run; prints the maximum and the signed amplitudes."""
+    _check_counts([args.parties], "--parties", MAX_PARTIES)
     report = maximize_bell(
         OptimizationSpec(
             n_parties=args.parties,
@@ -376,6 +407,7 @@ def cmd_smax(args) -> int:
 
 def cmd_eta(args) -> int:
     """Threshold transmission above which the Bell inequality is violated."""
+    _check_counts([args.parties], "--parties", MAX_PARTIES)
     result = threshold_efficiency(
         args.parties,
         args.delta,
@@ -417,8 +449,7 @@ def cmd_violation_dist(args) -> int:
     neither to use the optimizer's centered-frame pair.
     """
     seed = _check_seed(args.seed)
-    if args.pairs < 1:
-        raise ValueError("pairs must be >= 1")
+    _check_histogram_tables(args.parties, [args.pairs], "--pairs")
     _check_histogram_size(args.samples, args.bins)
     given = (args.r0 is not None) + (args.r1 is not None)
     if given == 1:
@@ -503,6 +534,7 @@ def cmd_correlators(args) -> int:
     significant bit); the ``settings`` column spells the bits party 1
     first.  The final comment row carries the Bell value of the table.
     """
+    _check_counts([args.parties], "--parties", MAX_PARTIES)
     centers = (
         _parse_floats(args.centers, "centers")
         if args.centers

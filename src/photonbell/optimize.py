@@ -9,7 +9,8 @@ negative amplitude flips that setting's displacement (a pi phase advance
 on one setting only), which enlarges the reachable Bell values well beyond
 the nonnegative quadrant at no extra parameter cost.  The search is a
 derivative-free simplex descent restarted from a low-discrepancy set of
-starting points inside the bounds.
+starting points inside the bounds.  SciPy's simplex loads on the first
+search, so importing this module does not import SciPy.
 
 The objective is evaluated through a closed-form shortcut: averaging over
 independent Gaussian offsets factorizes onto each non-reference party's
@@ -56,8 +57,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .experiments import (
     best_pair_values_over_centers,
@@ -430,6 +429,37 @@ def _crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
     return _crossing_efficiency(vacuum, lossless - vacuum)
 
 
+def _first_primes(count: int) -> np.ndarray:
+    """The ``count`` smallest primes, by trial division."""
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return np.array(primes, dtype=np.int64)
+
+
+def _halton(n_points: int, dims: int) -> np.ndarray:
+    """First ``n_points`` points (n_points, dims) of the unscrambled Halton sequence.
+
+    Coordinate k of point i is the radical inverse of i in the k-th prime
+    base: its base-b digits mirrored about the radix point.  The digits are
+    accumulated least significant first, with the arithmetic of SciPy's
+    ``qmc.Halton(d=dims, scramble=False).random(n_points)``, so the cloud
+    equals SciPy's bit for bit.
+    """
+    bases = _first_primes(dims)
+    index = np.repeat(np.arange(n_points, dtype=np.int64)[:, None], dims, axis=1)
+    cloud = np.zeros((n_points, dims))
+    scale = np.ones(dims)
+    while index.any():
+        scale /= bases
+        cloud += scale * (index % bases)
+        index //= bases
+    return cloud
+
+
 def _search_box(spec: OptimizationSpec):
     """Bounds of the search coordinates and the low-discrepancy start cloud.
 
@@ -454,7 +484,7 @@ def _search_box(spec: OptimizationSpec):
     start_lo[empty] = lower[empty]
     start_hi[empty] = upper[empty]
     n_scan = max(64, 24 * dims, spec.restarts)
-    cloud = qmc.Halton(d=dims, scramble=False).random(n_scan)
+    cloud = _halton(n_scan, dims)
     return bounds, start_lo + cloud * (start_hi - start_lo)
 
 
@@ -468,6 +498,10 @@ def _search(spec: OptimizationSpec, score):
     per call.  Returns the best scipy result (lowest restart index on ties)
     and the number of points scored, scan included.
     """
+    # Imported here: scipy.optimize costs about 0.3 s to import, and most
+    # commands never search.
+    from scipy.optimize import minimize
+
     bounds, cloud = _search_box(spec)
     dims = len(bounds)
     starts = cloud[np.argsort(score(spec, cloud), kind="stable")[: spec.restarts]]

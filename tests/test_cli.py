@@ -1,11 +1,16 @@
 """End-to-end checks of the photonbell command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from photonbell import ConsistencyError
+import photonbell
+from photonbell import ConsistencyError, OptimizationSpec, maximize_bell
 from photonbell.cli import main
 
 
@@ -80,6 +85,85 @@ def test_fig2_rejects_bad_width_grids_before_any_search(tmp_path, monkeypatch, c
         assert main(fig2 + flags) == 2
         assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_count_flags_rejected_before_any_search(tmp_path, monkeypatch, capsys):
+    # non-finite or fractional integer lists and party or pair counts too
+    # large to tabulate exit 2 naming the flag, before any search or table
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("a search ran before the arguments were checked")
+
+    monkeypatch.setattr("photonbell.cli.maximize_bell", no_search)
+    monkeypatch.setattr("photonbell.cli.threshold_efficiency", no_search)
+    monkeypatch.setattr("photonbell.cli.violation_distribution", no_search)
+    monkeypatch.setattr("photonbell.cli.averaged_correlator_table", no_search)
+    out = str(tmp_path / "out")
+    finite = "must hold finite integers"
+    parties = "--parties must lie in [1, 16]"
+    cases = (
+        (["fig2", "--n-list", "inf"], "--n-list " + finite),
+        (["fig2", "--n-list", "nan"], "--n-list " + finite),
+        (["fig2", "--n-list", "2,2.5"], "--n-list " + finite),
+        (["fig2", "--n-list", "40", "--delta-max", "0"], "--n-list must lie in [1, 16]"),
+        (["fig3", "--m-list", "inf", "--seed", "7"], "--m-list " + finite),
+        (["fig3", "--m-list", "1e30", "--seed", "7"], "--m-list must lie in [1, 1024]"),
+        (["fig3", "--parties", "40", "--seed", "7"], parties),
+        (["smax", "--parties", "40"], parties),
+        (["eta", "--parties", "40"], parties),
+        (["violation-dist", "--parties", "40", "--seed", "7"], parties),
+        (["correlators", "--parties", "40", "--r0", "0", "--r1", "0.2"], parties),
+    )
+    for argv, message in cases:
+        if argv[0] in ("fig2", "fig3"):
+            argv = argv + ["--out", out]
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    # the frame-scan table bound counts frequencies x pairs x 2^N entries:
+    # 3 x 2 x 4 = 24 for two parties and two pairs
+    monkeypatch.setattr("photonbell.cli.FRAME_SCAN_MAX_ENTRIES", 23)
+    assert main(["violation-dist", "--pairs", "2", "--seed", "7"]) == 2
+    assert "--parties 2 with --pairs 2 exceeds 23" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+IMPORT_GUARD = """
+import json, sys
+import photonbell, photonbell.cli
+heavy = ("scipy.optimize", "scipy.stats")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+code = [
+    photonbell.cli.main(["fig1", "--grid", "8", "--out", sys.argv[1]]),
+    photonbell.cli.main(
+        ["violation-dist", "--r0", "0.1", "--r1", "-0.5", "--pairs", "2",
+         "--samples", "20", "--seed", "3"]
+    ),
+]
+loaded["runs"] = [m for m in heavy if m in sys.modules]
+report = photonbell.maximize_bell(
+    photonbell.OptimizationSpec(2, 0.2, optimize_phases=False, restarts=2)
+)
+print(json.dumps({"loaded": loaded, "code": code, "report": report.to_json_dict()}))
+"""
+
+
+def test_import_and_searchless_commands_skip_scipy(tmp_path):
+    # a fresh interpreter: importing the package, fig1 and a pinned
+    # violation-dist never load scipy.optimize or scipy.stats; the first
+    # search loads the simplex on demand and matches an in-process search
+    src = str(Path(photonbell.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "fig1.csv")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["loaded"] == {"import": [], "runs": []}
+    assert result["code"] == [0, 0]
+    spec = OptimizationSpec(2, 0.2, optimize_phases=False, restarts=2)
+    assert result["report"] == maximize_bell(spec).to_json_dict()
 
 
 def test_version_flag(capsys):

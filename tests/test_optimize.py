@@ -23,6 +23,7 @@ from photonbell.optimize import (
     _bell_scores,
     _crossing_efficiency,
     _crossing_scores,
+    _halton,
     _point_parameters,
     _search_box,
 )
@@ -119,6 +120,17 @@ def test_evaluation_counts_unchanged():
         OptimizationSpec(3, 0.25, efficiency=0.93, optimize_phases=True, restarts=1)
     )
     assert joint.evaluations == 338
+
+
+def test_halton_cloud_equals_scipy():
+    # the start cloud must not move: scipy's unscrambled Halton points,
+    # bit for bit, at every search dimension up to 40
+    from scipy.stats import qmc
+
+    for d in range(1, 41):
+        for n in (1, max(64, 24 * d)):
+            expected = qmc.Halton(d=d, scramble=False).random(n)
+            assert np.array_equal(_halton(n, d), expected), (d, n)
 
 
 def test_report_json_dict():
