@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    _frame_scan_row_count,
     best_pair_values_over_centers,
     pair_symbolic_tables,
     paired_strategy,
@@ -41,6 +42,7 @@ from .experiments import (
 from .fock_core import TWO_PI, ConsistencyError, w_state
 from .optimize import (
     OptimizationSpec,
+    _scan_table_count,
     averaged_correlator_table,
     maximize_bell,
     threshold_efficiency,
@@ -57,19 +59,14 @@ FIG3_DEFAULT_PAIRS = "1,3,5"
 # Most noise widths one fig2 run may tabulate; every width is a full search.
 FIG2_MAX_WIDTHS = 10_000
 
-# Most parties a command accepts.  A search's first batched allocation
-# holds one 8 B float per table entry, start point and efficiency: at
-# N = 16, 32 MiB for 64 pinned-phase starts (64 MiB for a threshold's two
-# efficiencies) and 204 MiB for 408 joint-phase starts.
-MAX_PARTIES = 16
+# Most 8 B entries one batched table build may hold, 256 MiB: a search's
+# start-cloud scan, a histogram's offset-symbolic coefficients (complex,
+# two entries each) or a correlators table.
+MAX_TABLE_ENTRIES = 2**25
 
 # Most setting pairs a histogram may step through; the certainty frontier
 # uses eight.
 MAX_PAIRS = 1024
-
-# Most coefficients a histogram's offset-symbolic tables may hold:
-# (1 + N(N-1)) frequencies x m pairs x 2^N entries, 16 B each, 64 MiB.
-FRAME_SCAN_MAX_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -172,22 +169,42 @@ def _parse_ints(text: str, name: str):
     return [int(v) for v in values]
 
 
-def _check_counts(values, flag: str, limit: int) -> None:
-    """Reject counts outside [1, limit], naming the flag."""
-    if not all(1 <= v <= limit for v in values):
-        raise ValueError(f"{flag} must lie in [1, {limit}]")
+def _check_entries(tables: int, parties: int, sized_by: str) -> None:
+    """Reject tables x 2^parties entries beyond MAX_TABLE_ENTRIES.
+
+    ``sized_by`` names the flags.  A party count past the budget's
+    exponent is refused before 2^parties is formed.
+    """
+    if (
+        parties >= MAX_TABLE_ENTRIES.bit_length()
+        or tables * 2**parties > MAX_TABLE_ENTRIES
+    ):
+        raise ValueError(
+            f"{sized_by} needs {tables} x 2^{parties} table entries, "
+            f"more than {MAX_TABLE_ENTRIES}"
+        )
+
+
+def _check_search(spec: OptimizationSpec, flag: str, threshold=False) -> None:
+    """Reject a search whose start-cloud scan would exceed the table budget."""
+    _check_entries(
+        _scan_table_count(spec, threshold),
+        spec.n_parties,
+        f"{flag} {spec.n_parties} with --restarts {spec.restarts}",
+    )
 
 
 def _check_histogram_tables(parties: int, pair_counts, pair_flag: str) -> None:
-    """Reject party and pair counts whose frame-scan tables are too large."""
-    _check_counts([parties], "--parties", MAX_PARTIES)
-    _check_counts(pair_counts, pair_flag, MAX_PAIRS)
-    per_pair = (1 + parties * (parties - 1)) * 2**parties
-    if per_pair * max(pair_counts) > FRAME_SCAN_MAX_ENTRIES:
-        raise ValueError(
-            f"--parties {parties} with {pair_flag} {max(pair_counts)} exceeds "
-            f"{FRAME_SCAN_MAX_ENTRIES} frame-scan coefficients"
-        )
+    """Reject pair counts beyond MAX_PAIRS and oversized frame-scan tables."""
+    if not all(1 <= m <= MAX_PAIRS for m in pair_counts):
+        raise ValueError(f"{pair_flag} must lie in [1, {MAX_PAIRS}]")
+    m = max(pair_counts)
+    # complex coefficients count as two float entries
+    _check_entries(
+        2 * _frame_scan_row_count(parties, m),
+        parties,
+        f"--parties {parties} with {pair_flag} {m}",
+    )
 
 
 def _check_seed(seed: int) -> int:
@@ -248,7 +265,8 @@ def cmd_fig2(args) -> int:
     violates).
     """
     parties = _parse_ints(args.n_list, "--n-list")
-    _check_counts(parties, "--n-list", MAX_PARTIES)
+    if any(n < 1 for n in parties):
+        raise ValueError("--n-list must hold party counts >= 1")
     if not (np.isfinite(args.delta_step) and args.delta_step > 0.0):
         raise ValueError("--delta-step must be finite and > 0")
     if not (np.isfinite(args.delta_max) and args.delta_max >= 0.0):
@@ -257,6 +275,12 @@ def cmd_fig2(args) -> int:
         raise ValueError(f"--delta-max / --delta-step exceeds {FIG2_MAX_WIDTHS} widths")
     if not (np.isfinite(args.eta_tolerance) and args.eta_tolerance > 0.0):
         raise ValueError("eta tolerance must be finite and > 0")
+    for n in parties:
+        spec = OptimizationSpec(
+            n, 0.0, optimize_phases=args.joint_phases, restarts=args.restarts
+        )
+        _check_search(spec, "--n-list")
+        _check_search(replace(spec, optimize_phases=False), "--n-list", threshold=True)
     widths = np.arange(0.0, args.delta_max + 0.5 * args.delta_step, args.delta_step)
     rows = []
     for n in parties:
@@ -314,15 +338,15 @@ def cmd_fig3(args) -> int:
     _check_histogram_tables(args.parties, pair_counts, "--m-list")
     _check_histogram_size(args.samples, args.bins)
     seed = _check_seed(args.seed)
-    report = maximize_bell(
-        OptimizationSpec(
-            n_parties=args.parties,
-            width=args.delta,
-            efficiency=args.eta,
-            optimize_phases=False,
-            restarts=args.restarts,
-        )
+    spec = OptimizationSpec(
+        n_parties=args.parties,
+        width=args.delta,
+        efficiency=args.eta,
+        optimize_phases=False,
+        restarts=args.restarts,
     )
+    _check_search(spec, "--parties")
+    report = maximize_bell(spec)
     derived = {
         "r": _round12(report.r),
         "r_prime": _round12(report.r_prime),
@@ -367,18 +391,17 @@ def cmd_fig3(args) -> int:
 
 def cmd_smax(args) -> int:
     """One optimizer run; prints the maximum and the signed amplitudes."""
-    _check_counts([args.parties], "--parties", MAX_PARTIES)
-    report = maximize_bell(
-        OptimizationSpec(
-            n_parties=args.parties,
-            width=args.delta,
-            efficiency=args.eta,
-            optimize_phases=not args.pin_phases,
-            shared_amplitudes=not args.unreduced,
-            restarts=args.restarts,
-            tolerance=args.tolerance,
-        )
+    spec = OptimizationSpec(
+        n_parties=args.parties,
+        width=args.delta,
+        efficiency=args.eta,
+        optimize_phases=not args.pin_phases,
+        shared_amplitudes=not args.unreduced,
+        restarts=args.restarts,
+        tolerance=args.tolerance,
     )
+    _check_search(spec, "--parties")
+    report = maximize_bell(spec)
     manifest = _new_manifest(
         "smax",
         {
@@ -407,7 +430,11 @@ def cmd_smax(args) -> int:
 
 def cmd_eta(args) -> int:
     """Threshold transmission above which the Bell inequality is violated."""
-    _check_counts([args.parties], "--parties", MAX_PARTIES)
+    # threshold_efficiency searches the pinned-phase coordinates
+    spec = OptimizationSpec(
+        args.parties, args.delta, optimize_phases=False, restarts=args.restarts
+    )
+    _check_search(spec, "--parties", threshold=True)
     result = threshold_efficiency(
         args.parties,
         args.delta,
@@ -458,15 +485,15 @@ def cmd_violation_dist(args) -> int:
         r0, r1 = args.r0, args.r1
         derived = {}
     else:
-        report = maximize_bell(
-            OptimizationSpec(
-                n_parties=args.parties,
-                width=args.delta,
-                efficiency=args.eta,
-                optimize_phases=False,
-                restarts=args.restarts,
-            )
+        spec = OptimizationSpec(
+            n_parties=args.parties,
+            width=args.delta,
+            efficiency=args.eta,
+            optimize_phases=False,
+            restarts=args.restarts,
         )
+        _check_search(spec, "--parties")
+        report = maximize_bell(spec)
         r0, r1 = report.r, report.r_prime
         derived = {"r": _round12(r0), "r_prime": _round12(r1)}
     histogram = violation_distribution(
@@ -534,7 +561,7 @@ def cmd_correlators(args) -> int:
     significant bit); the ``settings`` column spells the bits party 1
     first.  The final comment row carries the Bell value of the table.
     """
-    _check_counts([args.parties], "--parties", MAX_PARTIES)
+    _check_entries(1, args.parties, f"--parties {args.parties}")
     centers = (
         _parse_floats(args.centers, "centers")
         if args.centers

@@ -408,6 +408,16 @@ def best_pair_bell_value(
     return best, best_pair
 
 
+def _frame_scan_row_count(n_parties: int, pair_count: int) -> int:
+    """Complex rows of 2^N coefficients a frame scan of that many pairs holds.
+
+    One row per frequency of the shared basis, 1 + N(N-1) of them, and
+    pair; counting allocates nothing, so a caller can refuse an oversized
+    scan before its tables are built.
+    """
+    return (1 + n_parties * (n_parties - 1)) * pair_count
+
+
 def _frame_scan_coefficients(tables, width: float):
     """Shared frequency basis and transformed coefficients of all pair tables.
 

@@ -91,6 +91,10 @@ AMPLITUDE_BOUNDS = (-3.0, 3.0)
 # the start region, up to the amplitude bounds.
 START_AMPLITUDE = 1.2
 
+# Transmissions at which a threshold search tabulates every point: the
+# correlators are affine in between.
+_THRESHOLD_EFFICIENCIES = (0.0, 1.0)
+
 # A Bell value counts as a violation only above 1 + VIOLATION_ROUNDOFF.
 # Sums of 2^N rounded terms can overshoot a classical value of exactly 1
 # (one party at zero amplitudes, for instance) by far less than this,
@@ -415,7 +419,9 @@ def _crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
     """
     n = spec.n_parties
     amplitudes, centers = _point_parameters(spec, points)
-    tables = _averaged_tables(n, amplitudes, centers, spec.width, (0.0, 1.0))
+    tables = _averaged_tables(
+        n, amplitudes, centers, spec.width, _THRESHOLD_EFFICIENCIES
+    )
     vacuum, lossless = _walsh_hadamard(tables) / 2**n
     s_vacuum = np.abs(vacuum).sum(axis=-1)
     bad = np.flatnonzero(~(s_vacuum <= 1.0 + VIOLATION_ROUNDOFF))
@@ -460,16 +466,42 @@ def _halton(n_points: int, dims: int) -> np.ndarray:
     return cloud
 
 
-def _search_box(spec: OptimizationSpec):
-    """Bounds of the search coordinates and the low-discrepancy start cloud.
+def _search_dims(spec: OptimizationSpec) -> tuple:
+    """Numbers of amplitude and phase coordinates of a search.
 
     Coordinates are the signed amplitudes (2, or 2N per party) followed by
-    the N-1 centers when phases are searched.  The cloud fills the
-    moderate-amplitude part of the box.
+    the N-1 centers when phases are searched.
     """
     n = spec.n_parties
     n_amp = 2 if spec.shared_amplitudes else 2 * n
     n_phase = (n - 1) if spec.optimize_phases else 0
+    return n_amp, n_phase
+
+
+def _scan_points(spec: OptimizationSpec) -> int:
+    """Points of the start cloud, which a search scores in one call."""
+    return max(64, 24 * sum(_search_dims(spec)), spec.restarts)
+
+
+def _scan_table_count(spec: OptimizationSpec, threshold: bool = False) -> int:
+    """Number of 2^N-entry float tables a search's one-call cloud scan builds.
+
+    The scan tabulates every start point at the spec's efficiency for
+    :func:`maximize_bell` or, with ``threshold``, at both transmissions of
+    the :func:`threshold_efficiency` search over the same coordinates.
+    Counting allocates nothing, so a caller can refuse an oversized search
+    before it starts.
+    """
+    efficiencies = len(_THRESHOLD_EFFICIENCIES) if threshold else 1
+    return efficiencies * _scan_points(spec)
+
+
+def _search_box(spec: OptimizationSpec):
+    """Bounds of the search coordinates and the low-discrepancy start cloud.
+
+    The cloud fills the moderate-amplitude part of the box.
+    """
+    n_amp, n_phase = _search_dims(spec)
     dims = n_amp + n_phase
     lo, hi = spec.amplitude_bounds
     bounds = [(lo, hi)] * n_amp + [(0.0, TWO_PI)] * n_phase
@@ -483,8 +515,7 @@ def _search_box(spec: OptimizationSpec):
     empty = start_hi <= start_lo
     start_lo[empty] = lower[empty]
     start_hi[empty] = upper[empty]
-    n_scan = max(64, 24 * dims, spec.restarts)
-    cloud = _halton(n_scan, dims)
+    cloud = _halton(_scan_points(spec), dims)
     return bounds, start_lo + cloud * (start_hi - start_lo)
 
 

@@ -88,42 +88,83 @@ def test_fig2_rejects_bad_width_grids_before_any_search(tmp_path, monkeypatch, c
 
 
 def test_count_flags_rejected_before_any_search(tmp_path, monkeypatch, capsys):
-    # non-finite or fractional integer lists and party or pair counts too
-    # large to tabulate exit 2 naming the flag, before any search or table
-    def no_search(*_args, **_kwargs):
-        raise AssertionError("a search ran before the arguments were checked")
+    # non-finite or fractional integer lists, and party or pair counts whose
+    # tables would exceed the entry budget, exit 2 naming the flag before
+    # any search or table build
+    class Reached(Exception):
+        pass
 
-    monkeypatch.setattr("photonbell.cli.maximize_bell", no_search)
-    monkeypatch.setattr("photonbell.cli.threshold_efficiency", no_search)
-    monkeypatch.setattr("photonbell.cli.violation_distribution", no_search)
-    monkeypatch.setattr("photonbell.cli.averaged_correlator_table", no_search)
+    def reached(*_args, **_kwargs):
+        raise Reached
+
+    for name in (
+        "maximize_bell",
+        "threshold_efficiency",
+        "violation_distribution",
+        "averaged_correlator_table",
+    ):
+        monkeypatch.setattr(f"photonbell.cli.{name}", reached)
     out = str(tmp_path / "out")
     finite = "must hold finite integers"
-    parties = "--parties must lie in [1, 16]"
-    cases = (
+    budget = "table entries, more than 33554432"
+    bad_lists = (
         (["fig2", "--n-list", "inf"], "--n-list " + finite),
         (["fig2", "--n-list", "nan"], "--n-list " + finite),
         (["fig2", "--n-list", "2,2.5"], "--n-list " + finite),
-        (["fig2", "--n-list", "40", "--delta-max", "0"], "--n-list must lie in [1, 16]"),
         (["fig3", "--m-list", "inf", "--seed", "7"], "--m-list " + finite),
         (["fig3", "--m-list", "1e30", "--seed", "7"], "--m-list must lie in [1, 1024]"),
-        (["fig3", "--parties", "40", "--seed", "7"], parties),
-        (["smax", "--parties", "40"], parties),
-        (["eta", "--parties", "40"], parties),
-        (["violation-dist", "--parties", "40", "--seed", "7"], parties),
-        (["correlators", "--parties", "40", "--r0", "0", "--r1", "0.2"], parties),
     )
-    for argv, message in cases:
+    oversized = (
+        (["fig2", "--n-list", "2,40", "--delta-max", "0"], "--n-list 40 with"),
+        (["fig2", "--n-list", "1e30", "--delta-max", "0"], "--n-list 10000000"),
+        (["fig3", "--parties", "40", "--seed", "7"], "--parties 40 with --m-list"),
+        (["smax", "--parties", "40"], "--parties 40 with --restarts 8"),
+        (["eta", "--parties", "40"], "--parties 40 with --restarts 6"),
+        (["violation-dist", "--parties", "40", "--seed", "7"], "--parties 40 with"),
+        (["correlators", "--parties", "40", "--r0", "0", "--r1", "0.2"], "--parties 40"),
+    )
+
+    def refused(argv):
         if argv[0] in ("fig2", "fig3"):
             argv = argv + ["--out", out]
         assert main(argv) == 2, argv
-        assert message in capsys.readouterr().err, argv
-    # the frame-scan table bound counts frequencies x pairs x 2^N entries:
-    # 3 x 2 x 4 = 24 for two parties and two pairs
-    monkeypatch.setattr("photonbell.cli.FRAME_SCAN_MAX_ENTRIES", 23)
-    assert main(["violation-dist", "--pairs", "2", "--seed", "7"]) == 2
-    assert "--parties 2 with --pairs 2 exceeds 23" in capsys.readouterr().err
+        return capsys.readouterr().err
+
+    for argv, message in bad_lists:
+        assert message in refused(argv), argv
+    for argv, flags in oversized:
+        err = refused(argv)
+        assert flags in err and budget in err, argv
     assert not list(tmp_path.iterdir())
+    # each command sizes its own largest table: one 2^22 table for
+    # correlators, the 64-point scan at N=18 for a pinned search, at two
+    # transmissions for a threshold
+    for argv in (
+        ["correlators", "--parties", "22", "--r0", "0", "--r1", "0.2"],
+        ["smax", "--parties", "18", "--pin-phases"],
+        ["eta", "--parties", "18"],
+    ):
+        with pytest.raises(Reached):
+            main(argv)
+    # exact counts of 2^2-entry tables at N=2: one for correlators, a
+    # pinned search's 64 start points, at two transmissions for a threshold
+    # search, and a pinned histogram's 3 frequencies x 2 pairs, complex
+    boundaries = (
+        (["correlators", "--parties", "2", "--r0", "0", "--r1", "0.2"], 1),
+        (["smax", "--parties", "2", "--pin-phases"], 64),
+        (["eta", "--parties", "2"], 128),
+        (["fig2", "--n-list", "2", "--delta-max", "0", "--out", out], 128),
+        (["violation-dist", "--pairs", "2", "--r0", "0.1", "--r1", "-0.5"], 12),
+    )
+    for argv, tables in boundaries:
+        if argv[0] == "violation-dist":
+            argv = argv + ["--seed", "7"]
+        monkeypatch.setattr("photonbell.cli.MAX_TABLE_ENTRIES", 4 * tables - 1)
+        assert main(argv) == 2, argv
+        assert f"needs {tables} x 2^2 table entries" in capsys.readouterr().err, argv
+        monkeypatch.setattr("photonbell.cli.MAX_TABLE_ENTRIES", 4 * tables)
+        with pytest.raises(Reached):
+            main(argv)
 
 
 IMPORT_GUARD = """

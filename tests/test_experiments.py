@@ -143,7 +143,8 @@ def offset_basis(n: int) -> list:
 def test_pair_tables_equal_per_pair_tables(monkeypatch):
     # the one batched build of all pair tables must give exactly the arrays
     # of building each pair's table alone, in at most 2 (N(N-1)/2 + 1)
-    # kernel-table calls, on the sorted basis of 1 + N(N-1) frequencies;
+    # kernel-table calls, on the sorted basis of 1 + N(N-1) frequencies,
+    # and its frame scan is as large as a caller counts beforehand;
     # random states carry vacuum-excitation coherences
     calls = []
 
@@ -165,6 +166,8 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         assert len(tables) == pair_count
         basis = offset_basis(n)
         assert len(basis) == 1 + n * (n - 1)
+        _, scan = experiments._frame_scan_coefficients(tables, 0.3)
+        assert scan.size == experiments._frame_scan_row_count(n, pair_count) * 2**n
         for j, table in enumerate(tables):
             alone = symbolic_correlators(state, strat, pair_setting_indices(strat, j))
             assert table.n_parties == alone.n_parties == n

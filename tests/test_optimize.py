@@ -26,6 +26,7 @@ from photonbell.optimize import (
     _halton,
     _point_parameters,
     _search_box,
+    _scan_table_count,
 )
 from photonbell.wwzb import _walsh_hadamard
 
@@ -131,6 +132,44 @@ def test_halton_cloud_equals_scipy():
         for n in (1, max(64, 24 * d)):
             expected = qmc.Halton(d=d, scramble=False).random(n)
             assert np.array_equal(_halton(n, d), expected), (d, n)
+
+
+def test_scan_table_count_sizes_the_cloud_scan(monkeypatch):
+    # the count a caller checks before a search sizes the tables the
+    # search's first scoring call builds
+    import photonbell.optimize as optimize
+
+    class Scanned(Exception):
+        pass
+
+    built = optimize._averaged_tables
+    sizes = []
+
+    def first_call(*args):
+        sizes.append(built(*args).size)
+        raise Scanned
+
+    monkeypatch.setattr(optimize, "_averaged_tables", first_call)
+    specs = (
+        OptimizationSpec(2, 0.2, optimize_phases=False),
+        OptimizationSpec(3, 0.2),
+        OptimizationSpec(5, 0.2, restarts=200),
+        OptimizationSpec(2, 0.2, shared_amplitudes=False),
+    )
+    for spec in specs:
+        with pytest.raises(Scanned):
+            maximize_bell(spec)
+        assert sizes.pop() == _scan_table_count(spec) * 2**spec.n_parties, spec
+        if spec.shared_amplitudes:
+            with pytest.raises(Scanned):
+                threshold_efficiency(
+                    spec.n_parties,
+                    spec.width,
+                    restarts=spec.restarts,
+                    optimize_phases=spec.optimize_phases,
+                )
+            count = _scan_table_count(spec, threshold=True)
+            assert sizes.pop() == count * 2**spec.n_parties, spec
 
 
 def test_report_json_dict():
