@@ -136,20 +136,43 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _csv_lines(rows):
+    for row in rows:
+        yield ",".join(_fmt(v) for v in row) + "\n"
+
+
+# Compact encoder whose item separator is the newline and indent that
+# json.dumps(..., indent=2) puts between the scalars of a row under "rows".
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_row(row) -> str:
+    """One row of scalars as ``json.dumps(..., indent=2)`` lays it out under "rows"."""
+    return "    [\n      " + _ROW_ENCODER.encode([_round12(v) for v in row])[1:-1] + "\n    ]"
+
+
 def _write_rows(path, fmt, header, rows, manifest) -> None:
-    if fmt == "csv":
-        lines = ["# manifest: " + json.dumps(manifest.embed_dict(), sort_keys=True)]
-        lines.append(",".join(header))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "manifest": manifest.embed_dict(),
-            "columns": list(header),
-            "rows": [[_round12(v) for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_text(path, text)
+    """Write ``rows``, any iterable of rows, one row at a time.
+
+    The bytes equal those of one ``json.dumps(payload, indent=2,
+    sort_keys=True)`` of the whole table (csv: manifest comment, header,
+    lines), but no row outlives its own write.
+    """
+    with open(path, "w", encoding="utf-8") as out:
+        if fmt == "csv":
+            manifest_line = "# manifest: " + json.dumps(manifest.embed_dict(), sort_keys=True)
+            out.write(manifest_line + "\n" + ",".join(header) + "\n")
+            out.writelines(_csv_lines(rows))
+            return
+        payload = {"manifest": manifest.embed_dict(), "columns": list(header), "rows": []}
+        # "rows" sorts last, so the dump ends in '"rows": []' and the newline
+        # and brace closing the object.
+        out.write(json.dumps(payload, indent=2, sort_keys=True)[: -len("[]\n}")])
+        separator = "[\n"
+        for row in rows:
+            out.write(separator + _json_row(row))
+            separator = ",\n"
+        out.write("[]\n}\n" if separator == "[\n" else "\n  ]\n}\n")
 
 
 def _parse_floats(text: str, name: str):
@@ -571,10 +594,10 @@ def cmd_correlators(args) -> int:
         args.parties, args.r0, args.r1, centers, args.delta, args.eta
     )
     result = wwzb_value(CorrelatorTable(args.parties, table))
-    rows = [
+    rows = (
         (index, format(index, f"0{args.parties}b")[::-1], value)
         for index, value in enumerate(table)
-    ]
+    )
     manifest = _new_manifest(
         "correlators",
         {
@@ -592,8 +615,7 @@ def cmd_correlators(args) -> int:
         _write_rows(args.out, args.format, ("index", "settings", "xi"), rows, manifest)
     else:
         print("index,settings,xi")
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        sys.stdout.writelines(_csv_lines(rows))
     print(f"# S = {_fmt(result.s_value)}")
     _log_manifest(manifest)
     return 0

@@ -435,7 +435,8 @@ def _frame_scan_coefficients(tables, width: float):
     freqs = tables[0].freqs.astype(float)
     coeffs = np.stack([table.coeffs for table in tables], axis=1)
     coeffs *= np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None, None]
-    transform = _walsh_hadamard(coeffs.real) + 1j * _walsh_hadamard(coeffs.imag)
+    real, imag = _walsh_hadamard(np.stack((coeffs.real, coeffs.imag)))
+    transform = real + 1j * imag
     return freqs, transform.reshape(len(freqs), -1)
 
 

@@ -11,6 +11,13 @@ quantum maximum sqrt(2).  The inner sum is a Walsh-Hadamard transform of the
 correlation table, so S costs O(N 2^N) (:func:`wwzb_value`); the O(4^N)
 double sum is kept as a test oracle (:func:`wwzb_value_naive`).
 
+The transform is cache-blocked: the butterflies over the low half of the
+index bits run on transposed blocks of ``WHT_BLOCK_ENTRIES`` entries, the
+rest in place in chunks of that many pairs, so its working set is two
+blocks beside the output.  It performs the same sums and differences in
+the same order as the plain level-by-level loop and so returns the same
+bits.
+
 Table index convention: bit k-1 of a table index holds party k's setting,
 i.e. party 1 is the least significant bit.
 
@@ -41,6 +48,14 @@ TABLE_RANGE_TOL = 1e-9
 # Largest N for which the quadratic-cost oracle is allowed to run.
 NAIVE_PARTY_LIMIT = 10
 
+# Entries of one transposed block of the Walsh-Hadamard transform and
+# pairs of one in-place chunk: 512 KiB each, well inside a core's L2.
+WHT_BLOCK_ENTRIES = 2**16
+
+# Arrays this small are all per-call overhead; they skip the transposed
+# phase.
+WHT_SMALL_ENTRIES = 2**9
+
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -69,7 +84,8 @@ class CorrelatorTable:
                 f"{2 ** self.n_parties} entries, got shape {vals.shape}"
             )
         limit = 1.0 + TABLE_RANGE_TOL
-        if not np.all((vals >= -limit) & (vals <= limit)):
+        # Two reductions and no temporaries; NaN propagates to both and fails.
+        if not (-limit <= vals.min() and vals.max() <= limit):
             raise ValueError("correlators must lie in [-1, 1] up to roundoff")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -87,22 +103,78 @@ class BellResult:
         return self.s_value > 1.0
 
 
+def _butterflies(flat: np.ndarray, h: int, stop: int, temp: np.ndarray) -> None:
+    """Butterfly levels of span h, 2h, ... below ``stop``, in place.
+
+    ``flat`` is C-contiguous and 1-D; a level pairs entry i with i + h
+    inside every aligned run of 2h entries and replaces (x, y) by
+    (x + y, x - y).  Each level runs in chunks of at most ``len(temp)``
+    pairs, so ``temp`` is the only extra memory.
+    """
+    chunk = len(temp)
+    while h < stop:
+        pairs = flat.reshape(-1, 2, h)
+        if flat.size <= 2 * chunk:  # one call: small transforms are all overhead
+            _butterfly(pairs[:, 0], pairs[:, 1], temp)
+        else:
+            rows, cols = max(1, chunk // h), min(h, chunk)
+            for p in range(0, len(pairs), rows):
+                for j in range(0, h, cols):
+                    _butterfly(
+                        pairs[p : p + rows, 0, j : j + cols],
+                        pairs[p : p + rows, 1, j : j + cols],
+                        temp,
+                    )
+        h *= 2
+
+
+def _butterfly(first: np.ndarray, second: np.ndarray, temp: np.ndarray) -> None:
+    """(first, second) <- (first + second, first - second), in place."""
+    diff = np.subtract(first, second, out=temp[: first.size].reshape(first.shape))
+    first += second
+    second[...] = diff
+
+
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform (unnormalized) along the last axis.
 
-    The butterflies run in place on one copy of the input, so the working
-    set is that copy plus half of it.
+    Returns a new float array; ``values`` is left unmodified.  The 2^n
+    entries of a row are split into n index bits: a low half of
+    k = ceil(n/2) bits and a high half.  Butterflies over a low bit pair
+    entries only h < 2^k apart, so in place their contiguous runs are h
+    entries long and numpy pays per run.  They run instead one block of
+    about ``WHT_BLOCK_ENTRIES`` entries at a time: the block's rows of 2^k
+    entries (every row of the batch axes too) are copied transposed into
+    a contiguous scratch array, where a butterfly of span h moves runs
+    of h times the block's row count, and written back transposed.  The
+    high-bit levels then run in place, in chunks of
+    ``WHT_BLOCK_ENTRIES`` pairs; their runs are at least 2^k long.
+    Arrays of at most ``WHT_SMALL_ENTRIES`` entries skip the transposed
+    phase (k = 0).  Extra memory is the output and two blocks.
+
+    Every entry gets the same pairwise sums and differences in the same
+    level order as the textbook in-place loop (``tests/helpers``), so the
+    result equals it bit for bit on every input.
     """
-    a = np.array(values, dtype=float)
-    size = a.shape[-1]
-    h = 1
-    while h < size:
-        b = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
-        first = b[..., 0, :].copy()
-        b[..., 0, :] += b[..., 1, :]
-        np.subtract(first, b[..., 1, :], out=b[..., 1, :])
-        h *= 2
-    return a
+    x = np.asarray(values, dtype=float)
+    size = x.shape[-1]
+    if x.size <= WHT_SMALL_ENTRIES:
+        out = x.copy()
+        _butterflies(out.reshape(-1), 1, size, np.empty(x.size // 2))
+        return out
+    low = 1 << (size.bit_length() // 2)
+    out = np.empty(x.shape)
+    block, temp = np.empty((2, min(x.size, max(low, WHT_BLOCK_ENTRIES))))
+    src, dst = x.reshape(-1, low), out.reshape(-1, low)
+    step = max(1, WHT_BLOCK_ENTRIES // low)
+    for start in range(0, len(src), step):
+        part = src[start : start + step]
+        transposed = block[: part.size].reshape(low, len(part))
+        np.copyto(transposed, part.T)
+        _butterflies(transposed.reshape(-1), len(part), part.size, temp)
+        np.copyto(dst[start : start + step], transposed.T)
+    _butterflies(out.reshape(-1), low, size, temp)
+    return out
 
 
 def wwzb_value(table: CorrelatorTable) -> BellResult:
@@ -112,8 +184,8 @@ def wwzb_value(table: CorrelatorTable) -> BellResult:
     the largest |T(r)| (lowest index on ties), which identifies the sign
     pattern contributing most of the violation.
     """
-    transform = _walsh_hadamard(table.values)
-    magnitudes = np.abs(transform)
+    magnitudes = _walsh_hadamard(table.values)
+    np.abs(magnitudes, out=magnitudes)
     s_value = float(magnitudes.sum() / 2**table.n_parties)
     return BellResult(s_value=s_value, dominant_r=int(np.argmax(magnitudes)))
 

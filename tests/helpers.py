@@ -64,6 +64,25 @@ def damped_polynomial(poly: PhasePolynomial, width: float) -> PhasePolynomial:
     )
 
 
+def walsh_hadamard_levels(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis, level by level.
+
+    The plain in-place loop over one copy: span h = 1, 2, 4, ... replaces
+    each pair (x, y) by (x + y, x - y).  Oracle for the cache-blocked
+    ``wwzb._walsh_hadamard``, which must return the same bits.
+    """
+    a = np.array(values, dtype=float)
+    size = a.shape[-1]
+    h = 1
+    while h < size:
+        b = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
+        first = b[..., 0, :].copy()
+        b[..., 0, :] += b[..., 1, :]
+        np.subtract(first, b[..., 1, :], out=b[..., 1, :])
+        h *= 2
+    return a
+
+
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     """Truncated Fock-basis coefficients of a coherent state."""
     amps = np.empty(dim, dtype=complex)

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import photonbell
-from photonbell import ConsistencyError, OptimizationSpec, maximize_bell
+from photonbell import (
+    ConsistencyError,
+    OptimizationSpec,
+    averaged_correlator_table,
+    maximize_bell,
+)
 from photonbell.cli import main
 
 
@@ -413,6 +418,68 @@ def test_correlators_stdout_table(capsys):
     expected = -np.exp(-0.36) * (1 - 0.36)
     assert abs(float(xi) - expected) < 1e-11
     assert lines[5].startswith("# S = ")
+
+
+@pytest.mark.parametrize("parties", [1, 12])
+def test_correlators_files_match_one_shot_dumps(tmp_path, capsys, parties):
+    # rows are streamed to the file; the bytes are those of one json.dumps
+    # of the whole payload and of the csv lines joined in one string
+    argv = ["correlators", "--parties", str(parties), "--r0", "0.1", "--r1", "-0.4"]
+    argv += ["--delta", "0.2", "--eta", "0.9"]
+    table = averaged_correlator_table(parties, 0.1, -0.4, [0.0] * (parties - 1), 0.2, 0.9)
+    rows = [
+        [index, format(index, f"0{parties}b")[::-1], value]
+        for index, value in enumerate(table.tolist())
+    ]
+    json_path, csv_path = tmp_path / "c.json", tmp_path / "c.csv"
+    assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+    assert main(argv + ["--format", "csv", "--out", str(csv_path)]) == 0
+    capsys.readouterr()
+    text = json_path.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert payload["rows"] == [[i, bits, float(format(v, ".12g"))] for i, bits, v in rows]
+    lines = csv_path.read_text().split("\n")
+    assert lines[0].startswith("# manifest: {")
+    expected = [f"{i},{bits},{format(v, '.12g')}" for i, bits, v in rows]
+    assert lines[1:] == ["index,settings,xi", *expected, ""]
+
+
+RSS_PROBE = """
+import json, resource, sys
+from photonbell.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(sys.argv[1:])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"code": code, "growth": after - before}))
+"""
+
+
+def test_correlators_stream_in_table_sized_memory(tmp_path):
+    # A fresh interpreter reports how far its peak RSS grows over one
+    # N=18 json run.  The table is 2 MiB; materialised rows cost about
+    # 300 B each, so the whole table as rows would add some 100 MiB.
+    n = 18
+    out = tmp_path / "c.json"
+    src = str(Path(photonbell.__file__).resolve().parents[1])
+    argv = ["correlators", "--parties", str(n), "--r0", "0.1", "--r1", "-0.4"]
+    done = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, *argv, "--format", "json", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in bytes or KiB
+    table_bytes = 8 * 2**n
+    assert result["growth"] * unit <= 8 * table_bytes
+    with out.open() as handle:
+        rows = json.load(handle)["rows"]
+    assert len(rows) == 2**n
+    assert rows[-1][:2] == [2**n - 1, "1" * n]
 
 
 def test_consistency_failure_exits_3(monkeypatch, capsys):

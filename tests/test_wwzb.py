@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from helpers import walsh_hadamard_levels
 from photonbell import (
     BellResult,
     CorrelatorTable,
@@ -12,6 +13,7 @@ from photonbell import (
     wwzb_value,
     wwzb_value_naive,
 )
+from photonbell.wwzb import WHT_BLOCK_ENTRIES, WHT_SMALL_ENTRIES, _walsh_hadamard
 
 _PAULIS = [
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -23,10 +25,68 @@ _PAULIS = [
 def test_table_validation():
     with pytest.raises(ValueError):
         CorrelatorTable(2, np.zeros(3))
-    with pytest.raises(ValueError):
-        CorrelatorTable(2, np.array([0.0, 0.0, 0.0, 1.5]))
+    for bad in (1.5, -1.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="correlators must lie"):
+            CorrelatorTable(2, np.array([0.0, 0.0, 0.0, bad]))
+    # overshoot within roundoff is accepted
+    CorrelatorTable(2, np.array([0.0, -1.0 - 5e-10, 1.0 + 5e-10, 0.0]))
     table = CorrelatorTable(1, np.array([1.0, -1.0]))
     assert table.values.flags.writeable is False
+
+
+def _assert_transform_is_oracle(values):
+    before = np.array(values, copy=True)
+    out = _walsh_hadamard(values)
+    assert np.array_equal(out, walsh_hadamard_levels(values))
+    assert np.array_equal(values, before, equal_nan=True)
+    return out
+
+
+def test_blocked_transform_equals_level_loop():
+    rng = np.random.default_rng(8)
+    # One row for every n = 1..20, values spanning many binades so any
+    # change in the order of the sums would show in the low bits.
+    for n in range(1, 21):
+        row = rng.normal(size=2**n) * np.exp2(rng.integers(-30, 30, 2**n))
+        _assert_transform_is_oracle(row)
+    # Odd n past one block, batch axes, tiny and just-blocked sizes.
+    shapes = [
+        (2**19,),
+        (3, 2**17),
+        (64, 2**9),
+        (5, 3, 2**9),
+        (2, 1, 2**4),
+        (1, 2),
+        (WHT_SMALL_ENTRIES // 4, 4),
+        (WHT_SMALL_ENTRIES // 4 + 1, 4),
+        (2 * WHT_BLOCK_ENTRIES + 1, 2),
+        (7, 1),
+        (0, 8),
+    ]
+    for shape in shapes:
+        _assert_transform_is_oracle(rng.uniform(-1.0, 1.0, shape))
+
+
+def test_blocked_transform_handles_views_and_special_values():
+    rng = np.random.default_rng(9)
+    base = rng.uniform(-1.0, 1.0, (2**11, 6))
+    # Non-contiguous inputs: transposed columns, a strided column, a
+    # reversed column and the real part of a complex array.
+    _assert_transform_is_oracle(base[:, :4].T)
+    _assert_transform_is_oracle(base[:, 2])
+    _assert_transform_is_oracle(base[::-1, 0])
+    _assert_transform_is_oracle((base[:1024, :4] + 1j * base[1024:, :4]).T.real)
+    # Integer and list input.
+    _assert_transform_is_oracle(np.arange(2**12).reshape(2, -1))
+    _assert_transform_is_oracle([0.5, -0.25, 1.0, 2.0])
+    # NaN, infinities and signed zeros propagate as in the level loop.
+    special = rng.uniform(-1.0, 1.0, 2**12)
+    special[[3, 700, 2000, 4000]] = [np.nan, np.inf, -np.inf, -0.0]
+    with np.errstate(invalid="ignore"):
+        out = _walsh_hadamard(special)
+        expected = walsh_hadamard_levels(special)
+    assert np.array_equal(out, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
 def test_fast_transform_matches_naive():
