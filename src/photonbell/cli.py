@@ -61,7 +61,8 @@ FIG2_MAX_WIDTHS = 10_000
 
 # Most 8 B entries one batched table build may hold, 256 MiB: a search's
 # start-cloud scan, a histogram's offset-symbolic coefficients (complex,
-# two entries each) or a correlators table.
+# two entries each), its frame centers and values or its bin edges, a
+# fig1 sweep or a correlators table.
 MAX_TABLE_ENTRIES = 2**25
 
 # Most setting pairs a histogram may step through; the certainty frontier
@@ -115,6 +116,9 @@ def _log_manifest(manifest: RunManifest) -> None:
 
 
 def _fmt(value) -> str:
+    # Floats, np.float64 among them, are nearly every value written.
+    if isinstance(value, float):
+        return format(value, ".12g")
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -138,7 +142,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _csv_lines(rows):
     for row in rows:
-        yield ",".join(_fmt(v) for v in row) + "\n"
+        yield ",".join(map(_fmt, row)) + "\n"
 
 
 # Compact encoder whose item separator is the newline and indent that
@@ -236,11 +240,24 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _check_histogram_size(samples: int, bins: int) -> None:
+def _check_count(count: int, sized_by: str) -> None:
+    """Reject an array of ``count`` float entries beyond MAX_TABLE_ENTRIES."""
+    if count > MAX_TABLE_ENTRIES:
+        raise ValueError(f"{sized_by} needs {count} entries, more than {MAX_TABLE_ENTRIES}")
+
+
+def _check_histogram_size(samples: int, bins: int, parties: int) -> None:
+    """Reject empty or oversized histograms before any center is drawn.
+
+    A histogram holds samples x (N - 1) frame centers and samples Bell
+    values, and bins + 1 edges.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    _check_count(samples * parties, f"--samples {samples} with --parties {parties}")
+    _check_count(bins + 1, f"--bins {bins}")
 
 
 def _phase_grid(count: int) -> np.ndarray:
@@ -261,6 +278,7 @@ def cmd_fig1(args) -> int:
     widths = _parse_floats(args.deltas, "deltas")
     if any(w < 0 for w in widths):
         raise ValueError("deltas must be >= 0")
+    _check_count(args.grid * len(widths), f"--grid {args.grid} with {len(widths)} --deltas")
     grid = _phase_grid(args.grid)
     strategy = paired_strategy(2, 0.0, args.r, 1)
     tables = pair_symbolic_tables(w_state(2), strategy)
@@ -359,7 +377,7 @@ def cmd_fig3(args) -> int:
     """
     pair_counts = _parse_ints(args.m_list, "--m-list")
     _check_histogram_tables(args.parties, pair_counts, "--m-list")
-    _check_histogram_size(args.samples, args.bins)
+    _check_histogram_size(args.samples, args.bins, args.parties)
     seed = _check_seed(args.seed)
     spec = OptimizationSpec(
         n_parties=args.parties,
@@ -500,7 +518,7 @@ def cmd_violation_dist(args) -> int:
     """
     seed = _check_seed(args.seed)
     _check_histogram_tables(args.parties, [args.pairs], "--pairs")
-    _check_histogram_size(args.samples, args.bins)
+    _check_histogram_size(args.samples, args.bins, args.parties)
     given = (args.r0 is not None) + (args.r1 is not None)
     if given == 1:
         raise ValueError("give both --r0 and --r1, or neither")

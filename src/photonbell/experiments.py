@@ -23,12 +23,16 @@ a complete two-setting-per-party Bell test, so the best pair may be chosen
 after the data is taken (:func:`best_pair_bell_value`, one frame at a time).
 Frame scans over many centers go through one batched route,
 :func:`best_pair_values_over_centers`: the pair tables' coefficient arrays
-stack on their shared frequency basis, which is evaluated once per chunk
-of centers, so a single matrix product gives the Walsh-Hadamard
-transform of every pair's averaged table.  The
-distribution of Bell values over uniformly random frame centers
-(:func:`violation_distribution`) is one such scan; the per-center route
-stays as its test oracle.
+stack on their shared frequency basis, and pairing every frequency n with
+-n turns the Walsh-Hadamard transform of each pair's averaged table into
+a real cosine/sine polynomial in the centers.  Per chunk of centers, the
+cosines and sines of half the basis and one real matrix product give
+every pair's transform.  That the tables are real is certified once per
+scan, by a bound on the imaginary part that holds at every center, not
+only at the scanned ones.  The complex route through exp(i C F^T) stays
+in the tests as the oracle of the real one.  The distribution of Bell
+values over uniformly random frame centers (:func:`violation_distribution`)
+is one such scan; the per-center route stays as its test oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ from .fock_core import (
     DisplacementSetting,
     SettingVector,
     SubspaceState,
+    check_observable_matrices,
     correlator_tables,
+    displacement_matrices,
     displacement_observable,
     lossy_w_state,
 )
@@ -256,7 +262,11 @@ class SymbolicCorrelatorTable:
 
 
 def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
-    """Setting matrices (P, N, 2, 2, 2) of the index sets, each built once."""
+    """Setting matrices (P, N, 2, 2, 2) of the index sets.
+
+    The matrices of the distinct settings used are built and validated as
+    one array, so each setting is built and checked once.
+    """
     n = strategy.n_parties
     counts = [len(party) for party in strategy.settings]
     for indices in index_sets:
@@ -264,13 +274,15 @@ def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
             raise ValueError("setting_indices needs one index pair per party")
         for bit in range(2):
             SettingVector(tuple(pair[bit] for pair in indices)).validate_for(counts)
-    index = np.array(index_sets, dtype=int).reshape(len(index_sets), n, 2)
-    pairs = np.empty(index.shape + (2, 2), dtype=complex)
-    for k, party in enumerate(strategy.settings):
-        used, inverse = np.unique(index[:, k], return_inverse=True)
-        matrices = np.array([displacement_observable(party[i]).matrix for i in used])
-        pairs[:, k] = matrices[inverse.reshape(-1, 2)]
-    return pairs
+    # Index the settings of all parties in one flat list, party by party.
+    flat = [setting for party in strategy.settings for setting in party]
+    first = np.cumsum([0] + counts[:-1])
+    index = np.array(index_sets, dtype=int).reshape(len(index_sets), n, 2) + first[:, None]
+    used, inverse = np.unique(index, return_inverse=True)
+    chosen = [flat[i] for i in used]
+    matrices = displacement_matrices([s.amplitude for s in chosen], [s.phase for s in chosen])
+    check_observable_matrices(matrices)
+    return matrices[inverse.reshape(index.shape)]
 
 
 def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
@@ -419,25 +431,58 @@ def _frame_scan_row_count(n_parties: int, pair_count: int) -> int:
 
 
 def _frame_scan_coefficients(tables, width: float):
-    """Shared frequency basis and transformed coefficients of all pair tables.
+    """Half frequency basis and real cosine/sine coefficients of all pair tables.
 
-    Returns (freqs, coeffs): ``freqs`` (F, N-1) is the tables' common
-    frequency basis as floats, and column p * 2^N + r of ``coeffs`` holds,
-    per frequency, the damped coefficient of the Walsh-Hadamard coefficient
-    T(r) of table p.  The transform is linear, so it is applied here once
-    instead of to every evaluated table, and basis @ coeffs with basis
-    exp(i C F^T) yields every pair's T(r) at every center of C.  Tables
-    with different party counts or frequency bases raise ValueError.
+    Returns (half, coeffs).  The damped Walsh-Hadamard coefficients c_n of
+    every pair's T(r) (column p * 2^N + r) are summed over duplicate rows
+    of the shared basis, and each nonzero frequency is paired with its
+    negative; a frequency whose negative is absent pairs with a zero
+    coefficient.  ``half`` (H, N-1) holds one representative n of each
+    pair +-n, as floats, and the real ``coeffs`` (1 + 2H, P * 2^N) stacks
+    the rows Re c_0, Re(c_n + c_-n) and Im(c_-n - c_n), so that
+
+        Re T(r; c) = [1, cos(c . half), sin(c . half)] @ coeffs.
+
+    Before returning, the imaginary part is bounded at every center at
+    once: |Im T| <= |Im c_0| + sum_n |c_-n - conj(c_n)|, which reduces to
+    |c_n| for an unpaired n.  A bound beyond ``EVAL_IMAG_TOL`` in any
+    column raises :class:`ConsistencyError`; tables built here have exact
+    conjugate coefficients, so their bound is 0.  Tables with different
+    party counts or frequency bases raise ValueError.
     """
     # The basis shape (F, N-1) fixes the party count too.
     if any(not np.array_equal(table.freqs, tables[0].freqs) for table in tables):
         raise ValueError("pair tables must share one party count and frequency basis")
-    freqs = tables[0].freqs.astype(float)
+    freqs = tables[0].freqs
     coeffs = np.stack([table.coeffs for table in tables], axis=1)
     coeffs *= np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None, None]
     real, imag = _walsh_hadamard(np.stack((coeffs.real, coeffs.imag)))
-    transform = real + 1j * imag
-    return freqs, transform.reshape(len(freqs), -1)
+    coeffs = (real + 1j * imag).reshape(len(freqs), -1)
+
+    # Each n != 0 pairs with -n under the representative max(n, -n), whose
+    # first nonzero entry is positive; row i of the basis is sign[i] times
+    # half[slot[i]], with sign 0 for n = 0.
+    keys = [tuple(row) for row in freqs.tolist()]
+    reps = [max(key, tuple(-f for f in key)) for key in keys]
+    sign = np.array(
+        [(key == rep) - (key != rep) if any(key) else 0 for key, rep in zip(keys, reps)],
+        dtype=int,
+    )
+    half = sorted({rep for rep, s in zip(reps, sign) if s})
+    index = {rep: h for h, rep in enumerate(half)}
+    slot = np.array([index.get(rep, 0) for rep in reps], dtype=int)
+    plus = np.zeros((len(half), coeffs.shape[1]), dtype=complex)
+    minus = np.zeros_like(plus)
+    np.add.at(plus, slot[sign > 0], coeffs[sign > 0])
+    np.add.at(minus, slot[sign < 0], coeffs[sign < 0])
+    constant = coeffs[sign == 0].sum(axis=0)
+
+    residue = np.abs(constant.imag) + np.abs(minus - plus.conj()).sum(axis=0)
+    worst = residue.max(initial=0.0)
+    if not worst <= EVAL_IMAG_TOL:
+        raise ConsistencyError(f"frame-averaged tables have imaginary residue up to {worst:.3e}")
+    coeffs = np.concatenate((constant.real[None], (plus + minus).real, (minus - plus).imag))
+    return np.array(half, dtype=float).reshape(len(half), freqs.shape[1]), coeffs
 
 
 def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
@@ -449,18 +494,24 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     noise damps each coefficient by exp(-width^2 |n|^2 / 2), so the
     averaged tables, and by linearity their Walsh-Hadamard transforms T(r),
     are trigonometric polynomials in the centers.  All pair tables share
-    one frequency basis: for each chunk of centers the basis exp(i C F^T)
-    is computed once, and a single matrix product gives T(r) of every pair
-    (:func:`_frame_scan_coefficients`).  Physical tables are real, so an
-    imaginary residue of T beyond ``EVAL_IMAG_TOL`` raises
-    :class:`ConsistencyError`; it bounds the residue of every table entry,
-    since each entry is an average of the T(r).  Each pair's Bell value is
-    2^-N sum_r |T(r)|, and the best pair's value is returned.  Chunks hold
-    at most ``FRAME_SCAN_CHUNK_ELEMENTS`` products, which bounds memory for
-    any number of centers.
+    one frequency basis; pairing each frequency n with -n makes T real
+    trigonometric: T(r; c) = Re c_0 + sum_{n>0} [Re(c_n + c_-n) cos(n.c) -
+    Im(c_n - c_-n) sin(n.c)] (:func:`_frame_scan_coefficients`).  For each
+    chunk of centers the cosines and sines of the half basis are computed
+    once, and one real matrix product gives T(r) of every pair.  Physical
+    tables are real: the imaginary part of every T(r) is bounded once per
+    scan, at every center rather than only at the scanned ones, and a
+    bound beyond ``EVAL_IMAG_TOL`` raises :class:`ConsistencyError`; it
+    bounds the residue of every table entry, since each entry is an
+    average of the T(r).  Each pair's Bell value is 2^-N sum_r |T(r)|,
+    and the best pair's value is returned.  Chunks hold at most
+    ``FRAME_SCAN_CHUNK_ELEMENTS`` products, which bounds memory for any
+    number of centers.  The complex route through exp(i C F^T) stays as
+    the test oracle.
 
-    ``tables`` is the output of :func:`pair_symbolic_tables`.  Centers must
-    be finite and ``width`` finite and >= 0 (ValueError otherwise).
+    ``tables`` is the output of :func:`pair_symbolic_tables`, or any
+    tables sharing one integer frequency basis.  Centers must be finite
+    and ``width`` finite and >= 0 (ValueError otherwise).
     """
     if not tables:
         raise ValueError("need at least one pair table")
@@ -478,20 +529,26 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     batch_shape = centers.shape[:-1]
     centers = centers.reshape(math.prod(batch_shape), n - 1)
 
-    freqs, coeffs = _frame_scan_coefficients(tables, width)
+    half, coeffs = _frame_scan_coefficients(tables, width)
     size = 2**n
+    terms = len(half)
     chunk = max(1, FRAME_SCAN_CHUNK_ELEMENTS // max(coeffs.shape))
+    # Centers run along the rows' last axis, so the cosines, sines and the
+    # per-pair sums below all work on contiguous rows.
+    basis = np.empty((1 + 2 * terms, min(chunk, len(centers))))
+    basis[0] = 1.0
     best = np.empty(len(centers))
     for start in range(0, len(centers), chunk):
-        basis = np.exp(1j * (centers[start : start + chunk] @ freqs.T))
-        transform = basis @ coeffs
-        residue = np.max(np.abs(transform.imag))
-        if not residue <= EVAL_IMAG_TOL:
-            raise ConsistencyError(
-                f"frame-averaged tables have imaginary residue {residue:.3e}"
-            )
-        magnitudes = np.abs(transform.real).reshape(len(transform), len(tables), size)
-        best[start : start + chunk] = magnitudes.sum(axis=-1).max(axis=-1) / size
+        phases = half @ centers[start : start + chunk].T
+        count = phases.shape[1]
+        rows = basis[:, :count]
+        np.cos(phases, out=rows[1 : 1 + terms])
+        np.sin(phases, out=rows[1 + terms :])
+        transform = coeffs.T @ rows
+        np.abs(transform, out=transform)
+        # Rows p * 2^N .. (p + 1) * 2^N - 1 belong to pair p.
+        sums = transform.reshape(len(tables), size, count).sum(axis=1)
+        best[start : start + count] = sums.max(axis=0) / size
     return best.reshape(batch_shape)
 
 

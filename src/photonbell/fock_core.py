@@ -14,7 +14,8 @@ Local measurements are small optical displacements followed by a
 non-number-resolving detector, with outcome +1 for no click and -1 for a
 click.  Restricted to the 0/1-photon sector of one mode, the observable
 2|alpha><alpha| - 1 with alpha = r exp(i phi) becomes the 2x2 matrix
-returned by :func:`displacement_observable`.
+returned by :func:`displacement_observable` (for a batch of settings,
+:func:`displacement_matrices`).
 
 N-party correlation functions <M_1 x ... x M_N> are evaluated by one numpy
 kernel, :func:`correlator_batch`, over an array of observable matrices of
@@ -56,6 +57,7 @@ __all__ = [
     "correlator_batch",
     "correlator_bruteforce",
     "correlator_tables",
+    "displacement_matrices",
     "displacement_observable",
     "lossy_w_state",
     "projective_observable",
@@ -274,8 +276,8 @@ def lossy_w_state(n_modes: int, efficiency: float) -> SubspaceState:
     return SubspaceState(n_modes, mat)
 
 
-def displacement_observable(setting: DisplacementSetting) -> ModeObservable:
-    """Displaced click/no-click observable on the 0/1-photon sector.
+def displacement_matrices(amplitudes, phases) -> np.ndarray:
+    """Displaced click/no-click observable matrices, shape (..., 2, 2).
 
     Displacing by alpha = r exp(i phi) and asking "no click?" measures
     2|alpha><alpha| - 1.  Projected onto the span of |0> and |1> this is
@@ -283,18 +285,28 @@ def displacement_observable(setting: DisplacementSetting) -> ModeObservable:
         [[2 e^{-r^2} - 1,        2 e^{-r^2} r e^{-i phi}],
          [2 e^{-r^2} r e^{i phi},  2 e^{-r^2} r^2 - 1   ]]
 
-    whose eigenvalues lie in [-1, 1].
+    whose eigenvalues lie in [-1, 1].  ``amplitudes`` and ``phases``
+    broadcast against each other.  The matrices are not validated: pass
+    them to :func:`check_observable_matrices` (one call for the batch) or
+    use :func:`displacement_observable`.
     """
-    r = setting.amplitude
-    phi = setting.phase
+    r = np.asarray(amplitudes, dtype=float)
+    phi = np.asarray(phases, dtype=float)
     g = 2.0 * np.exp(-r * r)
-    mat = np.array(
-        [
-            [g - 1.0, g * r * np.exp(-1j * phi)],
-            [g * r * np.exp(1j * phi), g * r * r - 1.0],
-        ]
-    )
-    return ModeObservable(mat)
+    mats = np.empty(np.broadcast(r, phi).shape + (2, 2), dtype=complex)
+    mats[..., 0, 0] = g - 1.0
+    mats[..., 0, 1] = g * r * np.exp(-1j * phi)
+    mats[..., 1, 0] = g * r * np.exp(1j * phi)
+    mats[..., 1, 1] = g * r * r - 1.0
+    return mats
+
+
+def displacement_observable(setting: DisplacementSetting) -> ModeObservable:
+    """Displaced click/no-click observable of one setting, validated.
+
+    The matrix is that of :func:`displacement_matrices`.
+    """
+    return ModeObservable(displacement_matrices(setting.amplitude, setting.phase))
 
 
 def projective_observable(theta: float, phi: float) -> ModeObservable:

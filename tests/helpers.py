@@ -11,6 +11,7 @@ from photonbell import (
     ThresholdResult,
     maximize_bell,
 )
+from photonbell.phase_noise import EVAL_IMAG_TOL
 
 
 def random_state(rng: np.random.Generator, n_modes: int) -> SubspaceState:
@@ -81,6 +82,31 @@ def walsh_hadamard_levels(values: np.ndarray) -> np.ndarray:
         np.subtract(first, b[..., 1, :], out=b[..., 1, :])
         h *= 2
     return a
+
+
+def complex_frame_scan(tables, centers, width: float) -> np.ndarray:
+    """Best-pair Bell values through the complex basis exp(i C F^T).
+
+    The scan as it ran before the real cosine/sine route: the damped
+    coefficients of every pair's Walsh-Hadamard transform T(r) on the
+    tables' own frequency rows, one complex product with the basis at all
+    ``centers`` (shape (count, N-1)), and the "tables are real" property
+    only sampled: ConsistencyError if the imaginary part of T exceeds
+    ``EVAL_IMAG_TOL`` at one of the given centers.  Oracle for
+    ``best_pair_values_over_centers``.
+    """
+    freqs = np.array(tables[0].freqs, dtype=float)
+    coeffs = np.stack([table.coeffs for table in tables], axis=1)
+    coeffs = coeffs * np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None, None]
+    transform = walsh_hadamard_levels(coeffs.real) + 1j * walsh_hadamard_levels(coeffs.imag)
+    basis = np.exp(1j * (np.asarray(centers, dtype=float) @ freqs.T))
+    values = basis @ transform.reshape(len(freqs), -1)
+    residue = np.max(np.abs(values.imag), initial=0.0)
+    if not residue <= EVAL_IMAG_TOL:
+        raise ConsistencyError(f"frame-averaged tables have imaginary residue {residue:.3e}")
+    size = 2 ** tables[0].n_parties
+    magnitudes = np.abs(values.real).reshape(len(values), len(tables), size)
+    return magnitudes.sum(axis=-1).max(axis=-1, initial=-np.inf) / size
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:

@@ -163,13 +163,89 @@ def test_count_flags_rejected_before_any_search(tmp_path, monkeypatch, capsys):
     )
     for argv, tables in boundaries:
         if argv[0] == "violation-dist":
-            argv = argv + ["--seed", "7"]
+            # one sample and one bin stay inside the smallest budget
+            argv = argv + ["--seed", "7", "--samples", "1", "--bins", "1"]
         monkeypatch.setattr("photonbell.cli.MAX_TABLE_ENTRIES", 4 * tables - 1)
         assert main(argv) == 2, argv
         assert f"needs {tables} x 2^2 table entries" in capsys.readouterr().err, argv
         monkeypatch.setattr("photonbell.cli.MAX_TABLE_ENTRIES", 4 * tables)
         with pytest.raises(Reached):
             main(argv)
+
+
+def test_histogram_and_grid_sizes_rejected_before_any_allocation(tmp_path, monkeypatch, capsys):
+    # samples x N frame-center entries, bins + 1 edges and grid x widths
+    # rows beyond the entry budget exit 2 naming the flag, before any
+    # search, table build or center draw; huge values never allocate
+    class Reached(Exception):
+        pass
+
+    def reached(*_args, **_kwargs):
+        raise Reached
+
+    for name in (
+        "maximize_bell",
+        "violation_distribution",
+        "pair_symbolic_tables",
+        "best_pair_values_over_centers",
+        "_phase_grid",
+    ):
+        monkeypatch.setattr(f"photonbell.cli.{name}", reached)
+    out = str(tmp_path / "out")
+    pinned = ["violation-dist", "--r0", "0.1", "--r1", "-0.5", "--seed", "7"]
+    huge = str(10**18)
+    for argv, flag in (
+        (pinned + ["--samples", huge], f"--samples {huge} with --parties 2"),
+        (pinned + ["--bins", huge], f"--bins {huge}"),
+        (["fig3", "--samples", huge, "--seed", "7", "--out", out], f"--samples {huge}"),
+        (["fig3", "--bins", huge, "--seed", "7", "--out", out], f"--bins {huge}"),
+        (["fig1", "--grid", huge, "--out", out], f"--grid {huge} with 5 --deltas"),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert flag in err and "more than 33554432" in err, argv
+    assert not list(tmp_path.iterdir())
+    # exact boundaries under a budget of 120 entries: 40 samples x 3
+    # parties, 119 bins, 24 grid points x 5 widths
+    monkeypatch.setattr("photonbell.cli.MAX_TABLE_ENTRIES", 120)
+    cases = (
+        (pinned + ["--parties", "3", "--samples"], 40, "--samples 41 with --parties 3"),
+        (pinned + ["--samples", "1", "--bins"], 119, "--bins 120 needs 121 entries"),
+        (["fig1", "--out", out, "--grid"], 24, "--grid 25 with 5 --deltas needs 125"),
+    )
+    for argv, largest, message in cases:
+        with pytest.raises(Reached):
+            main(argv + [str(largest)])
+        assert main(argv + [str(largest + 1)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0.1 + 0.2, "0.3"),
+        (np.float64(1.0194069502603166), "1.01940695026"),
+        (np.float32(0.1), "0.10000000149"),
+        (2.5e-17, "2.5e-17"),
+        (123456789012345.0, "1.23456789012e+14"),
+        (7, "7"),
+        (np.int64(-3), "-3"),
+        (True, "true"),
+        (np.bool_(False), "false"),
+        ("0011", "0011"),
+        (float("nan"), "nan"),
+        (np.float64("inf"), "inf"),
+        (-np.inf, "-inf"),
+        (-0.0, "-0"),
+        (np.float64(-0.0), "-0"),
+    ],
+)
+def test_csv_value_bytes(value, text):
+    # the bytes of every scalar type a data row can hold
+    from photonbell.cli import _csv_lines, _fmt
+
+    assert _fmt(value) == text
+    assert list(_csv_lines([(value, value)])) == [f"{text},{text}\n"]
 
 
 IMPORT_GUARD = """

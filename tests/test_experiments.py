@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import damped_polynomial, random_state
+from helpers import complex_frame_scan, damped_polynomial, random_state
 from photonbell import (
     ConsistencyError,
     DisplacementSetting,
@@ -31,7 +31,11 @@ from photonbell import (
 )
 import photonbell.experiments as experiments
 from photonbell.experiments import FRAME_SCAN_CHUNK_ELEMENTS
-from photonbell.fock_core import correlator_tables
+from photonbell.fock_core import (
+    check_observable_matrices,
+    correlator_tables,
+    displacement_matrices,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -182,30 +186,82 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
 
 def test_pair_tables_build_each_setting_once(monkeypatch):
     # party 1's 2m settings and the two settings of each other party are
-    # each built and validated once per call, not once per pair; each pair
-    # table equals the table of a strategy that holds only that pair
+    # each built once per call, not once per pair, and validated in one
+    # batch; each pair table equals the table of a strategy that holds only
+    # that pair
     built = []
+    checks = []
 
-    def counted(setting):
-        built.append(setting)
-        return displacement_observable(setting)
+    def counted(amplitudes, phases):
+        built.extend(zip(amplitudes, phases))
+        return displacement_matrices(amplitudes, phases)
 
-    monkeypatch.setattr(experiments, "displacement_observable", counted)
+    def checked(matrices):
+        checks.append(len(matrices))
+        return check_observable_matrices(matrices)
+
+    monkeypatch.setattr(experiments, "displacement_matrices", counted)
+    monkeypatch.setattr(experiments, "check_observable_matrices", checked)
     for n, m in ((1, 3), (2, 8), (3, 5), (4, 2)):
         state = lossy_w_state(n, 0.9)
         strat = paired_strategy(n, 0.12, -0.5, m)
         built.clear()
+        checks.clear()
         tables = pair_symbolic_tables(state, strat)
         assert len(built) == 2 * m + 2 * (n - 1)
+        assert checks == [len(built)]
         built.clear()
+        checks.clear()
         symbolic_correlators(state, strat, pair_setting_indices(strat, m - 1))
         assert len(built) == 2 * n
+        assert checks == [2 * n]
         first, *rest = strat.settings
         for j, table in enumerate(tables):
             alone = symbolic_correlators(
                 state, MeasurementStrategy((first[2 * j : 2 * j + 2], *rest))
             )
             assert np.array_equal(table.coeffs, alone.coeffs)
+
+
+def test_setting_matrices_match_displacement_observable(monkeypatch):
+    # the one-array build gives every setting exactly the matrix of
+    # displacement_observable, and the pair tables exactly the coefficients
+    # of the setting-by-setting build
+    rng = np.random.default_rng(41)
+    settings = [
+        DisplacementSetting(r, phi)
+        for r, phi in zip(rng.uniform(0.0, 3.0, 200), rng.uniform(-10.0, 10.0, 200))
+    ]
+    batch = displacement_matrices([s.amplitude for s in settings], [s.phase for s in settings])
+    assert batch.shape == (200, 2, 2)
+    for setting, matrix in zip(settings, batch):
+        assert np.array_equal(matrix, displacement_observable(setting).matrix)
+
+    def one_by_one(strategy, index_sets):
+        return np.array(
+            [
+                [
+                    [displacement_observable(party[i]).matrix for i in pair]
+                    for party, pair in zip(strategy.settings, indices)
+                ]
+                for indices in index_sets
+            ]
+        )
+
+    for n, m in ((1, 2), (2, 8), (3, 5), (4, 2)):
+        state = random_state(rng, n)
+        r0, r1 = rng.uniform(-1.5, 1.5, 2)
+        strat = paired_strategy(n, r0, r1, m, rng.uniform(0.0, TWO_PI, n))
+        index_sets = [pair_setting_indices(strat, j) for j in range(m)]
+        assert np.array_equal(
+            experiments._setting_pairs(strat, index_sets), one_by_one(strat, index_sets)
+        )
+        tables = pair_symbolic_tables(state, strat)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_setting_pairs", one_by_one)
+            reference = pair_symbolic_tables(state, strat)
+        for table, expected in zip(tables, reference):
+            assert np.array_equal(table.coeffs, expected.coeffs)
 
 
 def test_symbolic_values_match_arrays():
@@ -390,6 +446,112 @@ def test_batched_centers_span_several_chunks():
             state, strat, model=PhaseModel(tuple(centers[i]), width)
         )
         assert abs(batch[i] - slow.s_value) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_real_scan_matches_complex_oracle(monkeypatch, n):
+    # the cosine/sine scan equals the complex exp(i C F^T) route for several
+    # pair counts, over chunks of a few centers with a partial last one
+    monkeypatch.setattr(experiments, "FRAME_SCAN_CHUNK_ELEMENTS", 2**9)
+    rng = np.random.default_rng(60 + n)
+    for pair_count in (1, 2, 5):
+        state = random_state(rng, n)
+        r0, r1 = rng.uniform(-1.0, 1.0, 2)
+        strat = paired_strategy(n, r0, r1, pair_count, rng.uniform(0.0, TWO_PI, n))
+        tables = pair_symbolic_tables(state, strat)
+        chunk = 2**9 // max(1 + n * (n - 1), pair_count * 2**n)
+        centers = rng.uniform(-TWO_PI, 2 * TWO_PI, (3 * chunk + 2, n - 1))
+        for width in (0.0, 0.45):
+            fast = best_pair_values_over_centers(tables, centers, width)
+            slow = complex_frame_scan(tables, centers, width)
+            assert fast.shape == slow.shape == (len(centers),)
+            assert np.max(np.abs(fast - slow)) <= 1e-13
+
+
+def test_scan_bounds_imaginary_residue_at_every_center():
+    # c_-1 differs from conj(c_1) by a real 1e-3, so Im T(r; c) = 1e-3 sin(c):
+    # zero at the centers 0 and pi, which sampling alone passes, but not
+    # between them; the certified bound refuses the table at any center
+    coeffs = np.zeros((3, 4), dtype=complex)
+    coeffs[:, 0] = [0.25, 0.5, 0.25 + 1e-3]
+    table = SymbolicCorrelatorTable(2, [[-1], [0], [1]], coeffs)
+    on_zeros = np.array([[0.0], [np.pi]])
+    assert complex_frame_scan([table], on_zeros, 0.0).shape == (2,)
+    with pytest.raises(ConsistencyError):
+        complex_frame_scan([table], [[1.0]], 0.0)
+    with pytest.raises(ConsistencyError, match="imaginary residue"):
+        best_pair_values_over_centers([table], on_zeros, 0.0)
+    # the bound scales with the damping, as the residue does
+    with pytest.raises(ConsistencyError):
+        best_pair_values_over_centers([table], on_zeros, 2.0)
+    assert best_pair_values_over_centers([table], on_zeros, 6.0).shape == (2,)
+
+
+def test_scan_accepts_any_layout_of_the_basis():
+    # the partner of n is found by value: a permuted basis, a basis with
+    # rows split into duplicates and a basis with an extra zero-coefficient
+    # frequency whose negative is absent all give the canonical values
+    rng = np.random.default_rng(71)
+    centers = rng.uniform(0.0, TWO_PI, (50, 2))
+    tables = pair_symbolic_tables(random_state(rng, 3), paired_strategy(3, 0.3, -0.6, 3))
+    canonical = best_pair_values_over_centers(tables, centers, 0.3)
+    order = rng.permutation(len(tables[0].freqs))
+    assert not np.array_equal(order, np.arange(len(order)))
+    permuted = [
+        SymbolicCorrelatorTable(3, table.freqs[order], table.coeffs[order]) for table in tables
+    ]
+    assert np.array_equal(best_pair_values_over_centers(permuted, centers, 0.3), canonical)
+    halves = [
+        SymbolicCorrelatorTable(
+            3,
+            np.concatenate((table.freqs[order], table.freqs)),
+            np.concatenate((0.5 * table.coeffs[order], 0.5 * table.coeffs)),
+        )
+        for table in tables
+    ]
+    assert np.array_equal(best_pair_values_over_centers(halves, centers, 0.3), canonical)
+    uneven = [
+        SymbolicCorrelatorTable(
+            3,
+            np.concatenate((table.freqs, table.freqs[order])),
+            np.concatenate((0.3 * table.coeffs, 0.7 * table.coeffs[order])),
+        )
+        for table in tables
+    ]
+    assert np.max(np.abs(best_pair_values_over_centers(uneven, centers, 0.3) - canonical)) <= 1e-13
+    extra = [
+        SymbolicCorrelatorTable(
+            3,
+            np.concatenate((table.freqs, [[2, -1]])),
+            np.concatenate((table.coeffs, np.zeros((1, 8)))),
+        )
+        for table in tables
+    ]
+    assert np.max(np.abs(best_pair_values_over_centers(extra, centers, 0.3) - canonical)) <= 1e-13
+    # a single party's one frequency is the empty zero vector, at any layout
+    single = pair_symbolic_tables(random_state(rng, 1), paired_strategy(1, 0.2, -0.4, 2))
+    doubled = [
+        SymbolicCorrelatorTable(1, np.zeros((2, 0)), np.concatenate((0.5 * t.coeffs,) * 2))
+        for t in single
+    ]
+    assert np.array_equal(
+        best_pair_values_over_centers(doubled, np.empty((4, 0)), 0.5),
+        best_pair_values_over_centers(single, np.empty((4, 0)), 0.5),
+    )
+
+
+def test_scan_rejects_basis_missing_a_negative():
+    # dropping the row of -n leaves c_n without its conjugate partner: the
+    # scanned T(r) would be complex, and the bound counts |c_n| for it
+    rng = np.random.default_rng(73)
+    tables = pair_symbolic_tables(random_state(rng, 3), paired_strategy(3, 0.3, -0.6, 2))
+    keys = [tuple(f) for f in tables[0].freqs.tolist()]
+    for dropped in ((-1, 0), (1, -1)):
+        keep = [i for i, key in enumerate(keys) if key != dropped]
+        assert len(keep) == len(keys) - 1
+        cut = [SymbolicCorrelatorTable(3, t.freqs[keep], t.coeffs[keep]) for t in tables]
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            best_pair_values_over_centers(cut, [[0.4, 1.1]], 0.2)
 
 
 def test_batched_centers_edge_shapes():
