@@ -11,7 +11,6 @@ violation certain under unknown frames.
 from .experiments import (
     MeasurementStrategy,
     SymbolicCorrelatorTable,
-    ViolationHistogram,
     bell_value_averaged,
     bell_value_static,
     best_pair_bell_value,
@@ -78,7 +77,6 @@ __all__ = [
     "SubspaceState",
     "SymbolicCorrelatorTable",
     "ThresholdResult",
-    "ViolationHistogram",
     "average_polynomial",
     "averaged_correlator_table",
     "bell_value_averaged",

@@ -226,7 +226,7 @@ def _check_histogram_tables(parties: int, pair_counts, pair_flag: str) -> None:
     if not all(1 <= m <= MAX_PAIRS for m in pair_counts):
         raise ValueError(f"{pair_flag} must lie in [1, {MAX_PAIRS}]")
     m = max(pair_counts)
-    # complex coefficients count as two float entries
+    # the stacked real coefficients plus their transform
     _check_entries(
         2 * _frame_scan_row_count(parties, m),
         parties,

@@ -7,13 +7,14 @@ shifted by the unknown frame offset Delta_{k-1} (party 1 is the reference
 and has no offset).  Correlators therefore become phase polynomials in the
 offsets, built once per strategy (:func:`symbolic_correlators`) and then
 either evaluated at fixed offsets (:func:`bell_value_static`) or averaged
-over a wrapped-Gaussian offset model (:func:`bell_value_averaged`).  The
-coefficient of each offset frequency is the correlation table of one
-component of the state, computed by the package's one correlator kernel
+over a wrapped-Gaussian offset model (:func:`bell_value_averaged`).  Each
+coefficient row is the correlation table of one Hermitian component of
+the state, computed by the package's one correlator kernel
 (:func:`~photonbell.fock_core.correlator_tables`) in one batch per
-strategy.  A :class:`SymbolicCorrelatorTable` holds these as two arrays:
-the frequencies (F, N-1), the same 1 + N(N-1) vectors for every table of
-N parties, and the coefficients (F, 2^N).  The absolute values inside the
+strategy.  A :class:`SymbolicCorrelatorTable` holds these as one real
+array: the constant row, then a cosine and a sine row for each of the
+N(N-1)/2 frequencies n of the half basis (one of each pair +-n), so its
+entries are real by construction.  The absolute values inside the
 Bell functional are applied after averaging, matching an experiment that
 accumulates correlators across runs before computing the Bell value.
 
@@ -22,14 +23,11 @@ same two amplitudes with pair phases stepped by 2*pi/m.  Each pair alone is
 a complete two-setting-per-party Bell test, so the best pair may be chosen
 after the data is taken (:func:`best_pair_bell_value`, one frame at a time).
 Frame scans over many centers go through one batched route,
-:func:`best_pair_values_over_centers`: the pair tables' coefficient arrays
-stack on their shared frequency basis, and pairing every frequency n with
--n turns the Walsh-Hadamard transform of each pair's averaged table into
-a real cosine/sine polynomial in the centers.  Per chunk of centers, the
-cosines and sines of half the basis and one real matrix product give
-every pair's transform.  That the tables are real is certified once per
-scan, by a bound on the imaginary part that holds at every center, not
-only at the scanned ones.  The complex route through exp(i C F^T) stays
+:func:`best_pair_values_over_centers`: the pair tables' rows stack, and
+their damped Walsh-Hadamard transforms are each pair's transform as a
+real cosine/sine polynomial in the centers.  Per chunk of centers, the
+cosines and sines of the half basis and one real matrix product give
+every pair's transform.  The complex route through exp(i C F^T) stays
 in the tests as the oracle of the real one.  The distribution of Bell
 values over uniformly random frame centers (:func:`violation_distribution`)
 is one such scan; the per-center route stays as its test oracle.
@@ -45,22 +43,15 @@ import numpy as np
 
 from .fock_core import (
     TWO_PI,
-    ConsistencyError,
     DisplacementSetting,
     SettingVector,
     SubspaceState,
     check_observable_matrices,
     correlator_tables,
     displacement_matrices,
-    displacement_observable,
     lossy_w_state,
 )
-from .phase_noise import (
-    EVAL_IMAG_TOL,
-    PhaseModel,
-    PhasePolynomial,
-    average_polynomial,
-)
+from .phase_noise import PhaseModel, PhasePolynomial, average_polynomial
 from .wwzb import BellResult, CorrelatorTable, _walsh_hadamard, wwzb_value
 
 __all__ = [
@@ -144,14 +135,6 @@ class MeasurementStrategy:
     def n_parties(self) -> int:
         return len(self.settings)
 
-    def observables(self, vector: SettingVector):
-        """Observables selected by one setting vector, validated."""
-        vector.validate_for([len(party) for party in self.settings])
-        return [
-            displacement_observable(party[i])
-            for party, i in zip(self.settings, vector.entries)
-        ]
-
 
 def two_setting_strategy(
     n_parties: int, r0: float, r1: float, phases: Optional[Sequence[float]] = None
@@ -212,41 +195,59 @@ def paired_strategy(
     return MeasurementStrategy((first,) + rest, pair_count=pair_count)
 
 
+def _half_basis(n_parties: int) -> np.ndarray:
+    """Offset frequencies (H, N-1) of N parties, one n of each pair +-n.
+
+    The basis of N parties is 0, +-e_k and +-(e_j - e_k); each row here
+    is the member of its pair whose first nonzero entry is positive, and
+    the rows are sorted, so H = N(N-1)/2.
+    """
+    eye = np.eye(n_parties - 1, dtype=int)
+    diffs = [a - b for j, a in enumerate(eye) for b in eye[j + 1 :]]
+    rows = sorted(map(tuple, [*eye, *diffs]))
+    return np.array(rows, dtype=int).reshape(len(rows), n_parties - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolicCorrelatorTable:
-    """Correlation table whose entries are polynomials in the frame offsets.
+    """Correlation table whose entries are real trigonometric polynomials.
 
-    Entry s is sum_f coeffs[f, s] exp(i freqs[f] . Delta): ``freqs`` (F,
-    N-1) holds integer offset frequencies and ``coeffs`` (F, 2^N) their
-    complex coefficients, both stored read-only.  Tables built here use
-    the frequency basis of N parties, 0, +-e_k and +-(e_j - e_k) in
-    lexicographic order, so F = 1 + N(N-1) and all tables of N parties
-    share one basis.
+    ``coeffs`` (1 + 2H, 2^N) holds the constant row a_0, then the cosine
+    rows A_n, then the sine rows B_n, over the half basis n of
+    :func:`_half_basis` (H = N(N-1)/2), so that entry s at offsets Delta
+    is a_0[s] + sum_n A_n[s] cos(n . Delta) + B_n[s] sin(n . Delta).  The
+    entries are real by construction.  Coefficients must be finite real
+    numbers; the array is copied and stored read-only.
     """
 
     n_parties: int
-    freqs: np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
         n = self.n_parties
-        freqs = np.array(self.freqs)
-        if freqs.ndim != 2 or freqs.shape[1:] != (n - 1,) or np.any(freqs % 1):
-            raise ValueError(f"freqs must be integer rows of length {n - 1}")
-        coeffs = np.array(self.coeffs, dtype=complex)
-        if coeffs.shape != (len(freqs), 2**n):
-            raise ValueError(f"coeffs must have shape ({len(freqs)}, {2**n})")
-        for name, array in (("freqs", freqs.astype(int)), ("coeffs", coeffs)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        if n < 1:
+            raise ValueError("n_parties must be >= 1")
+        coeffs = np.array(self.coeffs)
+        if np.iscomplexobj(coeffs):
+            raise ValueError("coeffs must be real")
+        coeffs = coeffs.astype(float)
+        if coeffs.shape != (1 + n * (n - 1), 2**n):
+            raise ValueError(f"coeffs must have shape ({1 + n * (n - 1)}, {2**n})")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coeffs must be finite")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def values(self) -> tuple:
-        """One :class:`PhasePolynomial` per table entry, built from the arrays."""
-        keys = [tuple(freq) for freq in self.freqs.tolist()]
+        """One :class:`PhasePolynomial` per entry, c_+-n = (A_n -+ i B_n) / 2."""
+        half = _half_basis(self.n_parties)
+        constant, cos, sin = np.split(self.coeffs, [1, 1 + len(half)])
+        keys = [(0,) * half.shape[1], *map(tuple, half.tolist()), *map(tuple, (-half).tolist())]
+        terms = np.concatenate((constant, 0.5 * (cos - 1j * sin), 0.5 * (cos + 1j * sin)))
         return tuple(
             PhasePolynomial(self.n_parties - 1, tuple(zip(keys, column)))
-            for column in self.coeffs.T.tolist()
+            for column in terms.T.tolist()
         )
 
     def evaluate(self, offsets) -> CorrelatorTable:
@@ -289,15 +290,19 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     """Offset-symbolic tables of one strategy, one per set of setting indices.
 
     Rotating party p's off-diagonal elements by exp(+-i Delta_{p-1}) gives
-    the state entry rho[a, b] the phase exp(i n . Delta), n = u_b - u_a,
+    the state entry rho[a, b] the phase exp(i m . Delta), m = u_b - u_a,
     where u is zero for the vacuum and party 1 and the unit vector of slot
-    p-1 for party p >= 2.  So the coefficient c_n of a table entry is the
-    correlator of rho_n, the entries of rho with frequency n.  The kernel
-    takes Hermitian states: rho_n + rho_n^H gives 2 Re c_n, i (rho_n -
-    rho_n^H) gives -2 Im c_n, and c_{-n} = conj(c_n).  Each component is
+    p-1 for party p >= 2.  So a table entry is the correlator of the
+    non-rotating part of rho plus, for each half-basis frequency n, the
+    correlator of rho_n + rho_n^H times cos(n . Delta) and that of
+    i (rho_n - rho_n^H) times sin(m . Delta).  Here rho_n holds the
+    entries above the diagonal whose m is n or -n; only one of the two
+    occurs above the diagonal, so the sine row carries the sign of m
+    against n.  Taking the components from the upper triangle fixes the
+    rows of states that are Hermitian only to rounding.  Each component is
     one :func:`~photonbell.fock_core.correlator_tables` call with every
-    index set as a point, 1 + N(N-1) calls in all.  The tables share one
-    lexicographically sorted frequency array.
+    index set as a point, 1 + N(N-1) calls in all, and each call writes
+    one row of every table.
     """
     n = strategy.n_parties
     if state.n_modes != n:
@@ -310,20 +315,17 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     unit[2:] = np.eye(n - 1, dtype=int)
     freqs = unit[None, :, :] - unit[:, None, :]
     rotating = freqs.any(axis=-1)
-    # Entries above the diagonal carry one frequency of each pair +-n.
-    components: dict = {}
-    for a, b in zip(*np.nonzero(np.triu(rotating))):
-        components.setdefault(tuple(freqs[a, b]), np.zeros_like(rho))[a, b] = rho[a, b]
-    coeffs = {(0,) * (n - 1): correlator_tables(np.where(rotating, 0.0, rho), pairs)}
-    for freq, part in components.items():
-        real = correlator_tables(part + part.conj().T, pairs)
-        imag = correlator_tables(1j * (part - part.conj().T), pairs)
-        coeffs[freq] = 0.5 * (real - 1j * imag)
-        coeffs[tuple(-f for f in freq)] = 0.5 * (real + 1j * imag)
-    keys = sorted(coeffs)
-    basis = np.array(keys, dtype=int).reshape(len(keys), n - 1)
-    stacked = np.array([coeffs[key] for key in keys])
-    return [SymbolicCorrelatorTable(n, basis, stacked[:, p]) for p in range(len(pairs))]
+    upper = np.triu(rotating)
+    half = _half_basis(n)
+    rows = np.empty((1 + 2 * len(half), len(pairs), 2**n))
+    rows[0] = correlator_tables(np.where(rotating, 0.0, rho), pairs)
+    for h, freq in enumerate(half, start=1):
+        plus = upper & np.all(freqs == freq, axis=-1)
+        part = np.where(plus | (upper & np.all(freqs == -freq, axis=-1)), rho, 0.0)
+        rows[h] = correlator_tables(part + part.conj().T, pairs)
+        sine = correlator_tables(1j * (part - part.conj().T), pairs)
+        rows[h + len(half)] = sine if plus.any() else -sine
+    return [SymbolicCorrelatorTable(n, rows[:, p]) for p in range(len(pairs))]
 
 
 def symbolic_correlators(
@@ -421,68 +423,35 @@ def best_pair_bell_value(
 
 
 def _frame_scan_row_count(n_parties: int, pair_count: int) -> int:
-    """Complex rows of 2^N coefficients a frame scan of that many pairs holds.
+    """Real rows of 2^N coefficients a frame scan of that many pairs holds.
 
-    One row per frequency of the shared basis, 1 + N(N-1) of them, and
-    pair; counting allocates nothing, so a caller can refuse an oversized
-    scan before its tables are built.
+    One row per constant, cosine and sine row of a table, 1 + N(N-1) of
+    them, and pair; counting allocates nothing, so a caller can refuse an
+    oversized scan before its tables are built.
     """
     return (1 + n_parties * (n_parties - 1)) * pair_count
 
 
 def _frame_scan_coefficients(tables, width: float):
-    """Half frequency basis and real cosine/sine coefficients of all pair tables.
+    """Half frequency basis and damped transformed rows of all pair tables.
 
-    Returns (half, coeffs).  The damped Walsh-Hadamard coefficients c_n of
-    every pair's T(r) (column p * 2^N + r) are summed over duplicate rows
-    of the shared basis, and each nonzero frequency is paired with its
-    negative; a frequency whose negative is absent pairs with a zero
-    coefficient.  ``half`` (H, N-1) holds one representative n of each
-    pair +-n, as floats, and the real ``coeffs`` (1 + 2H, P * 2^N) stacks
-    the rows Re c_0, Re(c_n + c_-n) and Im(c_-n - c_n), so that
+    Returns (half, coeffs): the half basis (H, N-1) as floats, and the
+    tables' rows stacked, the cosine and sine rows of n damped by
+    exp(-width^2 |n|^2 / 2), and Walsh-Hadamard transformed, so that every
+    pair's T(r) (column p * 2^N + r) is
 
-        Re T(r; c) = [1, cos(c . half), sin(c . half)] @ coeffs.
+        T(r; c) = [1, cos(c . half), sin(c . half)] @ coeffs.
 
-    Before returning, the imaginary part is bounded at every center at
-    once: |Im T| <= |Im c_0| + sum_n |c_-n - conj(c_n)|, which reduces to
-    |c_n| for an unpaired n.  A bound beyond ``EVAL_IMAG_TOL`` in any
-    column raises :class:`ConsistencyError`; tables built here have exact
-    conjugate coefficients, so their bound is 0.  Tables with different
-    party counts or frequency bases raise ValueError.
+    Tables with different party counts raise ValueError.
     """
-    # The basis shape (F, N-1) fixes the party count too.
-    if any(not np.array_equal(table.freqs, tables[0].freqs) for table in tables):
-        raise ValueError("pair tables must share one party count and frequency basis")
-    freqs = tables[0].freqs
+    n = tables[0].n_parties
+    if any(table.n_parties != n for table in tables):
+        raise ValueError("pair tables must share one party count")
+    half = _half_basis(n)
+    damping = np.exp(-0.5 * width * width * np.sum(half * half, axis=1))
     coeffs = np.stack([table.coeffs for table in tables], axis=1)
-    coeffs *= np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None, None]
-    real, imag = _walsh_hadamard(np.stack((coeffs.real, coeffs.imag)))
-    coeffs = (real + 1j * imag).reshape(len(freqs), -1)
-
-    # Each n != 0 pairs with -n under the representative max(n, -n), whose
-    # first nonzero entry is positive; row i of the basis is sign[i] times
-    # half[slot[i]], with sign 0 for n = 0.
-    keys = [tuple(row) for row in freqs.tolist()]
-    reps = [max(key, tuple(-f for f in key)) for key in keys]
-    sign = np.array(
-        [(key == rep) - (key != rep) if any(key) else 0 for key, rep in zip(keys, reps)],
-        dtype=int,
-    )
-    half = sorted({rep for rep, s in zip(reps, sign) if s})
-    index = {rep: h for h, rep in enumerate(half)}
-    slot = np.array([index.get(rep, 0) for rep in reps], dtype=int)
-    plus = np.zeros((len(half), coeffs.shape[1]), dtype=complex)
-    minus = np.zeros_like(plus)
-    np.add.at(plus, slot[sign > 0], coeffs[sign > 0])
-    np.add.at(minus, slot[sign < 0], coeffs[sign < 0])
-    constant = coeffs[sign == 0].sum(axis=0)
-
-    residue = np.abs(constant.imag) + np.abs(minus - plus.conj()).sum(axis=0)
-    worst = residue.max(initial=0.0)
-    if not worst <= EVAL_IMAG_TOL:
-        raise ConsistencyError(f"frame-averaged tables have imaginary residue up to {worst:.3e}")
-    coeffs = np.concatenate((constant.real[None], (plus + minus).real, (minus - plus).imag))
-    return np.array(half, dtype=float).reshape(len(half), freqs.shape[1]), coeffs
+    coeffs[1:] *= np.tile(damping, 2)[:, None, None]
+    return half.astype(float), _walsh_hadamard(coeffs).reshape(len(coeffs), -1)
 
 
 def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
@@ -491,26 +460,21 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     Vectorized equivalent of calling :func:`best_pair_bell_value` with a
     :class:`PhaseModel` built from each row of ``centers`` (shape
     (count, N-1), or one 1-D row) at the common ``width``.  Zero-centered
-    noise damps each coefficient by exp(-width^2 |n|^2 / 2), so the
-    averaged tables, and by linearity their Walsh-Hadamard transforms T(r),
-    are trigonometric polynomials in the centers.  All pair tables share
-    one frequency basis; pairing each frequency n with -n makes T real
-    trigonometric: T(r; c) = Re c_0 + sum_{n>0} [Re(c_n + c_-n) cos(n.c) -
-    Im(c_n - c_-n) sin(n.c)] (:func:`_frame_scan_coefficients`).  For each
-    chunk of centers the cosines and sines of the half basis are computed
-    once, and one real matrix product gives T(r) of every pair.  Physical
-    tables are real: the imaginary part of every T(r) is bounded once per
-    scan, at every center rather than only at the scanned ones, and a
-    bound beyond ``EVAL_IMAG_TOL`` raises :class:`ConsistencyError`; it
-    bounds the residue of every table entry, since each entry is an
-    average of the T(r).  Each pair's Bell value is 2^-N sum_r |T(r)|,
-    and the best pair's value is returned.  Chunks hold at most
-    ``FRAME_SCAN_CHUNK_ELEMENTS`` products, which bounds memory for any
-    number of centers.  The complex route through exp(i C F^T) stays as
-    the test oracle.
+    noise damps each cosine and sine row of n by exp(-width^2 |n|^2 / 2),
+    so the averaged tables, and by linearity their Walsh-Hadamard
+    transforms T(r), are real trigonometric polynomials in the centers:
+    T(r; c) = a_0 + sum_n A_n cos(n . c) + B_n sin(n . c) over the half
+    basis, with the tables' rows transformed and damped
+    (:func:`_frame_scan_coefficients`).  For each chunk of centers the
+    cosines and sines of the half basis are computed once, and one real
+    matrix product gives T(r) of every pair.  Each pair's Bell value is
+    2^-N sum_r |T(r)|, and the best pair's value is returned.  Chunks hold
+    at most ``FRAME_SCAN_CHUNK_ELEMENTS`` products, which bounds memory
+    for any number of centers.  The complex route through exp(i C F^T)
+    stays as the test oracle.
 
     ``tables`` is the output of :func:`pair_symbolic_tables`, or any
-    tables sharing one integer frequency basis.  Centers must be finite
+    tables of one party count.  Centers must be finite
     and ``width`` finite and >= 0 (ValueError otherwise).
     """
     if not tables:

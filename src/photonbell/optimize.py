@@ -242,11 +242,9 @@ def _symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
     mats[:, :, :, 0] = options[:, 0, :, None]
     mats[:, :, :, 1:] = np.where(pick, dressed[:, 1], dressed[:, 0])[:, None]
     distinct = correlator_batch(rho, mats)
-    weights = _setting_weights(rest)
-    tables = np.empty((points, 2**rest, 2))
-    for s1 in range(2):
-        tables[:, :, s1] = distinct[:, s1, weights]
-    return tables.reshape(points, 2**n)
+    # Entry (s_2..s_N, s_1) of a table is distinct[s_1, weight(s_2..s_N)].
+    pairs = np.ascontiguousarray(distinct.swapaxes(1, 2))
+    return np.take(pairs, _setting_weights(rest), axis=1).reshape(points, 2**n)
 
 
 def _averaged_tables(

@@ -17,10 +17,11 @@ function
 which coincides with the wrapped distribution's Fourier coefficients for
 integer n_l, so the analytic average is exact.  Monte Carlo sampling of the
 offsets (:func:`sample_offsets`) is kept as the independent cross-check.
-Whole correlation tables keep these sums as one frequency array and one
-coefficient array (:class:`~photonbell.experiments.SymbolicCorrelatorTable`),
-and frame scans damp and evaluate those arrays directly;
-:func:`average_polynomial` is the per-entry route that checks them.
+Whole correlation tables keep these sums as real cosine and sine rows,
+one pair of rows per frequency pair +-n
+(:class:`~photonbell.experiments.SymbolicCorrelatorTable`), and frame scans
+damp and evaluate those rows directly; :func:`average_polynomial` is the
+per-entry route that checks them.
 """
 
 from __future__ import annotations

@@ -87,16 +87,22 @@ def walsh_hadamard_levels(values: np.ndarray) -> np.ndarray:
 def complex_frame_scan(tables, centers, width: float) -> np.ndarray:
     """Best-pair Bell values through the complex basis exp(i C F^T).
 
-    The scan as it ran before the real cosine/sine route: the damped
-    coefficients of every pair's Walsh-Hadamard transform T(r) on the
-    tables' own frequency rows, one complex product with the basis at all
-    ``centers`` (shape (count, N-1)), and the "tables are real" property
-    only sampled: ConsistencyError if the imaginary part of T exceeds
-    ``EVAL_IMAG_TOL`` at one of the given centers.  Oracle for
-    ``best_pair_values_over_centers``.
+    The scan on the full +-n basis: the complex coefficients come from
+    each entry's ``PhasePolynomial`` (``table.values``), so this route
+    shares no layout code with the real cosine/sine scan.  The damped
+    coefficients of every pair's Walsh-Hadamard transform T(r), one
+    complex product with the basis at all ``centers`` (shape (count,
+    N-1)), and the "tables are real" property sampled: ConsistencyError
+    if the imaginary part of T exceeds ``EVAL_IMAG_TOL`` at one of the
+    given centers.  Oracle for ``best_pair_values_over_centers``.
     """
-    freqs = np.array(tables[0].freqs, dtype=float)
-    coeffs = np.stack([table.coeffs for table in tables], axis=1)
+    n = tables[0].n_parties
+    size = 2**n
+    entries = [dict(poly.terms) for table in tables for poly in table.values]
+    keys = sorted(set().union(*entries))
+    freqs = np.array(keys, dtype=float).reshape(len(keys), n - 1)
+    coeffs = np.array([[entry.get(key, 0j) for entry in entries] for key in keys])
+    coeffs = coeffs.reshape(len(keys), len(tables), size)
     coeffs = coeffs * np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None, None]
     transform = walsh_hadamard_levels(coeffs.real) + 1j * walsh_hadamard_levels(coeffs.imag)
     basis = np.exp(1j * (np.asarray(centers, dtype=float) @ freqs.T))
@@ -104,7 +110,6 @@ def complex_frame_scan(tables, centers, width: float) -> np.ndarray:
     residue = np.max(np.abs(values.imag), initial=0.0)
     if not residue <= EVAL_IMAG_TOL:
         raise ConsistencyError(f"frame-averaged tables have imaginary residue {residue:.3e}")
-    size = 2 ** tables[0].n_parties
     magnitudes = np.abs(values.real).reshape(len(values), len(tables), size)
     return magnitudes.sum(axis=-1).max(axis=-1, initial=-np.inf) / size
 

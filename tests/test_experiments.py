@@ -5,12 +5,10 @@ import pytest
 
 from helpers import complex_frame_scan, damped_polynomial, random_state
 from photonbell import (
-    ConsistencyError,
     DisplacementSetting,
     MeasurementStrategy,
     PhaseModel,
     SymbolicCorrelatorTable,
-    SettingVector,
     best_pair_bell_value,
     best_pair_values_over_centers,
     bell_value_averaged,
@@ -94,15 +92,6 @@ def test_strategy_validation():
         MeasurementStrategy(((ok, ok),), pair_count=2)
 
 
-def test_strategy_observables_roundtrip():
-    strat = two_setting_strategy(2, 0.0, 0.4)
-    obs = strat.observables(SettingVector((0, 1)))
-    assert np.allclose(obs[0].matrix, np.diag([1.0, -1.0]))
-    assert obs[1].matrix[0, 1] != 0.0
-    with pytest.raises(ValueError):
-        strat.observables(SettingVector((0, 2)))
-
-
 def test_symbolic_table_matches_shifted_settings():
     # evaluating the symbolic table at offsets Delta must equal the plain
     # correlator with party k >= 2's phases shifted by Delta_{k-1}, and the
@@ -145,11 +134,12 @@ def offset_basis(n: int) -> list:
 
 
 def test_pair_tables_equal_per_pair_tables(monkeypatch):
-    # the one batched build of all pair tables must give exactly the arrays
-    # of building each pair's table alone, in at most 2 (N(N-1)/2 + 1)
-    # kernel-table calls, on the sorted basis of 1 + N(N-1) frequencies,
-    # and its frame scan is as large as a caller counts beforehand;
-    # random states carry vacuum-excitation coherences
+    # the one batched build of all pair tables must give exactly the rows of
+    # building each pair's table alone, in 1 + N(N-1) kernel-table calls,
+    # over the half basis: one n of each pair +-n of the 1 + N(N-1)
+    # frequencies, first nonzero entry positive, sorted; its frame scan is
+    # as large as a caller counts beforehand; random states carry
+    # vacuum-excitation coherences
     calls = []
 
     def counted(rho, pairs):
@@ -165,22 +155,20 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         strat = paired_strategy(n, r0, r1, pair_count, rng.uniform(0.0, TWO_PI, n))
         calls.clear()
         tables = pair_symbolic_tables(state, strat)
-        assert len(calls) <= 2 * (n * (n - 1) // 2 + 1)
-        assert calls == [pair_count] * len(calls)
+        assert calls == [pair_count] * (1 + n * (n - 1))
         assert len(tables) == pair_count
         basis = offset_basis(n)
-        assert len(basis) == 1 + n * (n - 1)
+        half = [key for key in basis if any(key) and key[np.flatnonzero(key)[0]] > 0]
+        assert len(half) == n * (n - 1) // 2 and len(basis) == 1 + 2 * len(half)
+        assert experiments._half_basis(n).tolist() == [list(key) for key in half]
         _, scan = experiments._frame_scan_coefficients(tables, 0.3)
         assert scan.size == experiments._frame_scan_row_count(n, pair_count) * 2**n
         for j, table in enumerate(tables):
             alone = symbolic_correlators(state, strat, pair_setting_indices(strat, j))
             assert table.n_parties == alone.n_parties == n
-            assert table.freqs.shape == (len(basis), n - 1)
-            assert [tuple(f) for f in table.freqs.tolist()] == basis
             assert table.coeffs.shape == (len(basis), 2**n)
-            assert np.array_equal(table.freqs, alone.freqs)
+            assert table.coeffs.dtype == float
             assert np.array_equal(table.coeffs, alone.coeffs)
-            assert not table.freqs.flags.writeable
             assert not table.coeffs.flags.writeable
 
 
@@ -265,16 +253,23 @@ def test_setting_matrices_match_displacement_observable(monkeypatch):
 
 
 def test_symbolic_values_match_arrays():
-    # the per-entry polynomials carry exactly the nonzero array coefficients
+    # the per-entry polynomials carry exactly the rows: c_0 = a_0 and
+    # c_+-n = (A_n -+ i B_n) / 2 over the half basis, zeros dropped
     rng = np.random.default_rng(5)
-    state = random_state(rng, 3)
-    table = symbolic_correlators(state, two_setting_strategy(3, 0.3, -0.6))
-    assert len(table.values) == 8
-    for s, poly in enumerate(table.values):
-        terms = dict(poly.terms)
-        assert len(terms) == np.count_nonzero(table.coeffs[:, s])
-        for freq, coeff in zip(table.freqs.tolist(), table.coeffs[:, s]):
-            assert terms.get(tuple(freq), 0.0) == coeff
+    for n in (1, 2, 3):
+        table = symbolic_correlators(random_state(rng, n), two_setting_strategy(n, 0.3, -0.6))
+        half = [tuple(f) for f in experiments._half_basis(n).tolist()]
+        constant, cos, sin = np.split(table.coeffs, [1, 1 + len(half)])
+        expected = {(0,) * (n - 1): constant[0].astype(complex)}
+        for h, freq in enumerate(half):
+            expected[freq] = 0.5 * (cos[h] - 1j * sin[h])
+            expected[tuple(-f for f in freq)] = 0.5 * (cos[h] + 1j * sin[h])
+        assert len(table.values) == 2**n
+        for s, poly in enumerate(table.values):
+            terms = dict(poly.terms)
+            assert set(terms) == {key for key, row in expected.items() if row[s] != 0.0}
+            got = np.array([terms.get(key, 0j) for key in expected])
+            assert np.array_equal(got, np.array([row[s] for row in expected.values()]))
 
 
 def test_two_party_correlators_closed_form():
@@ -468,92 +463,6 @@ def test_real_scan_matches_complex_oracle(monkeypatch, n):
             assert np.max(np.abs(fast - slow)) <= 1e-13
 
 
-def test_scan_bounds_imaginary_residue_at_every_center():
-    # c_-1 differs from conj(c_1) by a real 1e-3, so Im T(r; c) = 1e-3 sin(c):
-    # zero at the centers 0 and pi, which sampling alone passes, but not
-    # between them; the certified bound refuses the table at any center
-    coeffs = np.zeros((3, 4), dtype=complex)
-    coeffs[:, 0] = [0.25, 0.5, 0.25 + 1e-3]
-    table = SymbolicCorrelatorTable(2, [[-1], [0], [1]], coeffs)
-    on_zeros = np.array([[0.0], [np.pi]])
-    assert complex_frame_scan([table], on_zeros, 0.0).shape == (2,)
-    with pytest.raises(ConsistencyError):
-        complex_frame_scan([table], [[1.0]], 0.0)
-    with pytest.raises(ConsistencyError, match="imaginary residue"):
-        best_pair_values_over_centers([table], on_zeros, 0.0)
-    # the bound scales with the damping, as the residue does
-    with pytest.raises(ConsistencyError):
-        best_pair_values_over_centers([table], on_zeros, 2.0)
-    assert best_pair_values_over_centers([table], on_zeros, 6.0).shape == (2,)
-
-
-def test_scan_accepts_any_layout_of_the_basis():
-    # the partner of n is found by value: a permuted basis, a basis with
-    # rows split into duplicates and a basis with an extra zero-coefficient
-    # frequency whose negative is absent all give the canonical values
-    rng = np.random.default_rng(71)
-    centers = rng.uniform(0.0, TWO_PI, (50, 2))
-    tables = pair_symbolic_tables(random_state(rng, 3), paired_strategy(3, 0.3, -0.6, 3))
-    canonical = best_pair_values_over_centers(tables, centers, 0.3)
-    order = rng.permutation(len(tables[0].freqs))
-    assert not np.array_equal(order, np.arange(len(order)))
-    permuted = [
-        SymbolicCorrelatorTable(3, table.freqs[order], table.coeffs[order]) for table in tables
-    ]
-    assert np.array_equal(best_pair_values_over_centers(permuted, centers, 0.3), canonical)
-    halves = [
-        SymbolicCorrelatorTable(
-            3,
-            np.concatenate((table.freqs[order], table.freqs)),
-            np.concatenate((0.5 * table.coeffs[order], 0.5 * table.coeffs)),
-        )
-        for table in tables
-    ]
-    assert np.array_equal(best_pair_values_over_centers(halves, centers, 0.3), canonical)
-    uneven = [
-        SymbolicCorrelatorTable(
-            3,
-            np.concatenate((table.freqs, table.freqs[order])),
-            np.concatenate((0.3 * table.coeffs, 0.7 * table.coeffs[order])),
-        )
-        for table in tables
-    ]
-    assert np.max(np.abs(best_pair_values_over_centers(uneven, centers, 0.3) - canonical)) <= 1e-13
-    extra = [
-        SymbolicCorrelatorTable(
-            3,
-            np.concatenate((table.freqs, [[2, -1]])),
-            np.concatenate((table.coeffs, np.zeros((1, 8)))),
-        )
-        for table in tables
-    ]
-    assert np.max(np.abs(best_pair_values_over_centers(extra, centers, 0.3) - canonical)) <= 1e-13
-    # a single party's one frequency is the empty zero vector, at any layout
-    single = pair_symbolic_tables(random_state(rng, 1), paired_strategy(1, 0.2, -0.4, 2))
-    doubled = [
-        SymbolicCorrelatorTable(1, np.zeros((2, 0)), np.concatenate((0.5 * t.coeffs,) * 2))
-        for t in single
-    ]
-    assert np.array_equal(
-        best_pair_values_over_centers(doubled, np.empty((4, 0)), 0.5),
-        best_pair_values_over_centers(single, np.empty((4, 0)), 0.5),
-    )
-
-
-def test_scan_rejects_basis_missing_a_negative():
-    # dropping the row of -n leaves c_n without its conjugate partner: the
-    # scanned T(r) would be complex, and the bound counts |c_n| for it
-    rng = np.random.default_rng(73)
-    tables = pair_symbolic_tables(random_state(rng, 3), paired_strategy(3, 0.3, -0.6, 2))
-    keys = [tuple(f) for f in tables[0].freqs.tolist()]
-    for dropped in ((-1, 0), (1, -1)):
-        keep = [i for i, key in enumerate(keys) if key != dropped]
-        assert len(keep) == len(keys) - 1
-        cut = [SymbolicCorrelatorTable(3, t.freqs[keep], t.coeffs[keep]) for t in tables]
-        with pytest.raises(ConsistencyError, match="imaginary residue"):
-            best_pair_values_over_centers(cut, [[0.4, 1.1]], 0.2)
-
-
 def test_batched_centers_edge_shapes():
     state = w_state(2)
     strat = paired_strategy(2, 0.1, -0.5, 3)
@@ -583,30 +492,14 @@ def test_batched_centers_validation():
             best_pair_values_over_centers(tables, [[0.3]], width)
     with pytest.raises(ValueError):
         best_pair_values_over_centers(tables, [[0.3, 0.4]], 0.2)
-    # a table that is not conjugate symmetric has no real value
-    table = SymbolicCorrelatorTable(2, [[1]], np.full((1, 4), 0.5))
-    with pytest.raises(ConsistencyError):
-        best_pair_values_over_centers([table], [[0.7]], 0.0)
 
 
 def test_batched_centers_reject_mixed_tables():
-    # every table of one scan must share the party count and the basis
+    # every table of one scan must share the party count
     two = pair_symbolic_tables(w_state(2), paired_strategy(2, 0.1, -0.5, 2))
     three = pair_symbolic_tables(w_state(3), paired_strategy(3, 0.1, -0.5, 2))
     with pytest.raises(ValueError, match="party count"):
         best_pair_values_over_centers([two[0], three[0]], [[0.3]], 0.2)
-    shifted = SymbolicCorrelatorTable(2, two[0].freqs + 1, two[0].coeffs)
-    with pytest.raises(ValueError, match="frequency basis"):
-        best_pair_values_over_centers([two[0], shifted], [[0.3]], 0.2)
-    reordered = SymbolicCorrelatorTable(2, two[1].freqs[::-1], two[1].coeffs[::-1])
-    with pytest.raises(ValueError, match="frequency basis"):
-        best_pair_values_over_centers([two[0], reordered], [[0.3]], 0.2)
-    # the same basis in the same order is accepted
-    rebuilt = SymbolicCorrelatorTable(2, two[1].freqs.copy(), two[1].coeffs)
-    assert np.array_equal(
-        best_pair_values_over_centers([two[0], rebuilt], [[0.3]], 0.2),
-        best_pair_values_over_centers(two, [[0.3]], 0.2),
-    )
 
 
 def test_more_pairs_never_lower_the_best_value():
@@ -652,34 +545,40 @@ def test_zero_amplitude_pair_value_closed_form():
 
 
 def test_symbolic_table_validation():
-    # two entries where two parties need four
-    with pytest.raises(ValueError):
-        SymbolicCorrelatorTable(2, [[0]], np.ones((1, 2)))
-    # wrong frequency shapes: a missing offset slot, an extra one, 1-D
-    for freqs in ([[]], [[0, 0]], [0]):
-        with pytest.raises(ValueError):
-            SymbolicCorrelatorTable(2, freqs, np.ones((1, 4)))
-    # coefficient rows that do not match the frequencies, or a 1-D row
-    for coeffs in (np.ones((2, 4)), np.ones(4), np.ones((1, 4, 1))):
-        with pytest.raises(ValueError):
-            SymbolicCorrelatorTable(2, [[0]], coeffs)
-    with pytest.raises(ValueError):
-        SymbolicCorrelatorTable(2, [[0.5]], np.ones((1, 4)))
-    with pytest.raises(ValueError):
-        SymbolicCorrelatorTable(0, np.empty((1, 0)), np.ones((1, 1)))
-    # arrays are copied and frozen
-    freqs, coeffs = np.array([[0], [1]]), np.ones((2, 4), dtype=complex)
-    table = SymbolicCorrelatorTable(2, freqs, coeffs)
-    freqs[1, 0] = 5
+    # two parties hold 3 rows of 4 entries: a wrong row count, entry count
+    # or rank is refused
+    for coeffs in (np.ones((1, 4)), np.ones((3, 2)), np.ones(12), np.ones((3, 4, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            SymbolicCorrelatorTable(2, coeffs)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_parties"):
+            SymbolicCorrelatorTable(n, np.ones((1, 1)))
+    # non-finite and complex coefficients are refused at the boundary
+    for bad in (np.nan, np.inf, -np.inf):
+        coeffs = np.ones((3, 4))
+        coeffs[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymbolicCorrelatorTable(2, coeffs)
+    with pytest.raises(ValueError, match="real"):
+        SymbolicCorrelatorTable(2, np.ones((3, 4), dtype=complex))
+    # the array is copied and frozen
+    coeffs = np.ones((3, 4))
+    table = SymbolicCorrelatorTable(2, coeffs)
     coeffs[0, 0] = 7.0
-    assert table.freqs.tolist() == [[0], [1]] and table.coeffs[0, 0] == 1.0
+    assert table.coeffs[0, 0] == 1.0
     with pytest.raises(ValueError):
         table.coeffs[0, 0] = 2.0
+    assert SymbolicCorrelatorTable(1, [[1, -1]]).coeffs.dtype == float
     with pytest.raises(ValueError):
         symbolic_correlators(w_state(3), two_setting_strategy(2, 0.0, 0.4))
     with pytest.raises(ValueError):
         symbolic_correlators(
             w_state(2), two_setting_strategy(2, 0.0, 0.4), setting_indices=[(0, 1)]
+        )
+    # a setting index beyond a party's list
+    with pytest.raises(ValueError):
+        symbolic_correlators(
+            w_state(2), two_setting_strategy(2, 0.0, 0.4), setting_indices=[(0, 2), (0, 1)]
         )
 
 
