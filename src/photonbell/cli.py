@@ -60,9 +60,9 @@ FIG3_DEFAULT_PAIRS = "1,3,5"
 FIG2_MAX_WIDTHS = 10_000
 
 # Most 8 B entries one batched table build may hold, 256 MiB: a search's
-# start-cloud scan, a histogram's offset-symbolic coefficients (complex,
-# two entries each), its frame centers and values or its bin edges, a
-# fig1 sweep or a correlators table.
+# start-cloud scan, a histogram's offset-symbolic coefficients (real rows,
+# counted twice: the stacked rows plus their transform), its frame centers
+# and values or its bin edges, a fig1 sweep or a correlators table.
 MAX_TABLE_ENTRIES = 2**25
 
 # Most setting pairs a histogram may step through; the certainty frontier

@@ -9,12 +9,13 @@ offsets, built once per strategy (:func:`symbolic_correlators`) and then
 either evaluated at fixed offsets (:func:`bell_value_static`) or averaged
 over a wrapped-Gaussian offset model (:func:`bell_value_averaged`).  Each
 coefficient row is the correlation table of one Hermitian component of
-the state, computed by the package's one correlator kernel
-(:func:`~photonbell.fock_core.correlator_tables`) in one batch per
-strategy.  A :class:`SymbolicCorrelatorTable` holds these as one real
-array: the constant row, then a cosine and a sine row for each of the
-N(N-1)/2 frequencies n of the half basis (one of each pair +-n), so its
-entries are real by construction.  The absolute values inside the
+the state; the 1 + N(N-1) components are stacked as states, so the
+package's one correlator kernel
+(:func:`~photonbell.fock_core.correlator_tables`) builds every row in one
+call per strategy.  A :class:`SymbolicCorrelatorTable` holds these as one
+real array: the constant row, then a cosine and a sine row for each of
+the N(N-1)/2 frequencies n of the half basis (one of each pair +-n), so
+its entries are real by construction.  The absolute values inside the
 Bell functional are applied after averaging, matching an experiment that
 accumulates correlators across runs before computing the Bell value.
 
@@ -298,11 +299,12 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     i (rho_n - rho_n^H) times sin(m . Delta).  Here rho_n holds the
     entries above the diagonal whose m is n or -n; only one of the two
     occurs above the diagonal, so the sine row carries the sign of m
-    against n.  Taking the components from the upper triangle fixes the
-    rows of states that are Hermitian only to rounding.  Each component is
-    one :func:`~photonbell.fock_core.correlator_tables` call with every
-    index set as a point, 1 + N(N-1) calls in all, and each call writes
-    one row of every table.
+    against n, which a signed upper-triangle mask per frequency records.
+    Taking the components from the upper triangle fixes the rows of
+    states that are Hermitian only to rounding.  The 1 + N(N-1)
+    components form one stack of states, and one
+    :func:`~photonbell.fock_core.correlator_tables` call with every index
+    set as a point writes every row of every table.
     """
     n = strategy.n_parties
     if state.n_modes != n:
@@ -314,17 +316,16 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     unit = np.zeros((n + 1, n - 1), dtype=int)
     unit[2:] = np.eye(n - 1, dtype=int)
     freqs = unit[None, :, :] - unit[:, None, :]
-    rotating = freqs.any(axis=-1)
-    upper = np.triu(rotating)
-    half = _half_basis(n)
-    rows = np.empty((1 + 2 * len(half), len(pairs), 2**n))
-    rows[0] = correlator_tables(np.where(rotating, 0.0, rho), pairs)
-    for h, freq in enumerate(half, start=1):
-        plus = upper & np.all(freqs == freq, axis=-1)
-        part = np.where(plus | (upper & np.all(freqs == -freq, axis=-1)), rho, 0.0)
-        rows[h] = correlator_tables(part + part.conj().T, pairs)
-        sine = correlator_tables(1j * (part - part.conj().T), pairs)
-        rows[h + len(half)] = sine if plus.any() else -sine
+    half = _half_basis(n)[:, None, None]
+    # signs[h, a, b] is +-1 where the entry (a, b) above the diagonal has m = +-n_h.
+    match = np.all(freqs == half, axis=-1).astype(int) - np.all(freqs == -half, axis=-1)
+    signs = np.triu(match)
+    parts = np.where(signs != 0, rho, 0.0)
+    adjoint = parts.conj().swapaxes(1, 2)
+    steady = np.where(freqs.any(axis=-1), 0.0, rho)
+    components = np.concatenate((steady[None], parts + adjoint, 1j * (parts - adjoint)))
+    rows = correlator_tables(components, pairs)
+    rows[1 + len(half) :] *= np.sign(signs.sum(axis=(1, 2), keepdims=True))
     return [SymbolicCorrelatorTable(n, rows[:, p]) for p in range(len(pairs))]
 
 

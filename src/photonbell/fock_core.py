@@ -19,13 +19,17 @@ returned by :func:`displacement_observable` (for a batch of settings,
 
 N-party correlation functions <M_1 x ... x M_N> are evaluated by one numpy
 kernel, :func:`correlator_batch`, over an array of observable matrices of
-shape (..., N, 2, 2) against one state.  It walks only the nonzero structure
-of the subspace: the one-hole products (m_00 over every mode but one) come
-from prefix and suffix cumulative products along the party axis, and the
-two-hole sum over mode pairs j < k is an O(N)-step recurrence over k,
-vectorized over the batch, that is valid for any density matrix.  The batch
-is processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices, so
-memory stays bounded for any batch size.  :func:`correlator` is the
+shape (..., N, 2, 2) against one state or a stack of states (..., N+1,
+N+1).  It walks only the nonzero structure of the subspace: the one-hole
+products (m_00 over every mode but one) come from prefix and suffix
+cumulative products along the party axis, and the two-hole sum over mode
+pairs j < k is an O(N)-step recurrence over k, vectorized over the batch
+and the states, that is valid for any density matrix.  The observable
+products are formed once per chunk and shared by every state, and each
+state keeps the arithmetic of a call with it alone.  The batch is
+processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices
+divided by the number of states, so memory stays bounded for any batch
+size.  :func:`correlator` is the
 batch-of-one form and :func:`correlator_tables` the 2^N-entry table builder
 behind both the optimizer and the offset-symbolic tables, so the package
 has one correlator walk.  A dense evaluation in the full 2^N
@@ -245,14 +249,9 @@ def w_state(n_modes: int) -> SubspaceState:
     """Single photon in an equal coherent superposition over ``n_modes`` modes.
 
     The density matrix has 1/N in every entry of the one-excitation block
-    and no vacuum component.
+    and no vacuum component: the lossless :func:`lossy_w_state`.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    dim = n_modes + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[1:, 1:] = 1.0 / n_modes
-    return SubspaceState(n_modes, mat)
+    return lossy_w_state(n_modes, 1.0)
 
 
 def lossy_w_state(n_modes: int, efficiency: float) -> SubspaceState:
@@ -267,6 +266,8 @@ def lossy_w_state(n_modes: int, efficiency: float) -> SubspaceState:
         the state inside the subspace; the photon survives with probability
         eta and is otherwise replaced by vacuum.
     """
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")
     dim = n_modes + 1
@@ -339,17 +340,20 @@ def _check_observables(state: SubspaceState, observables) -> list:
 
 
 def _correlator_rows(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Complex traces Tr[rho (M_1 x ... x M_N)] for mats of shape (B, N, 2, 2).
+    """Complex traces Tr[rho_i (M_1 x ... x M_N)], shape (S, B).
 
-    With m_k(a, b) = <a|M_k|b> the trace splits into the vacuum term, the
-    one-photon populations, the vacuum-excitation coherences and the
-    excitation-excitation coherences, each multiplied by the product of
-    m_l(0, 0) over the remaining modes.  Products with one mode left out
-    are prefix times suffix products.  For the pair terms (modes j < k
-    left out) step k of a recurrence over the modes adds mode k as the
-    opening mode j of every later pair and extends the open products by
-    m_k(0, 0); after step k-1 the entry for k holds every pair that k
-    closes.  Nothing is divided by the possibly tiny m_l(0, 0).
+    ``rho`` is a stack of S states (S, N+1, N+1) and ``mats`` holds B rows
+    of observables (B, N, 2, 2).  With m_k(a, b) = <a|M_k|b> the trace
+    splits into the vacuum term, the one-photon populations, the
+    vacuum-excitation coherences and the excitation-excitation coherences,
+    each multiplied by the product of m_l(0, 0) over the remaining modes.
+    Products with one mode left out are prefix times suffix products.  For
+    the pair terms (modes j < k left out) step k of a recurrence over the
+    modes adds mode k as the opening mode j of every later pair and extends
+    the open products by m_k(0, 0); after step k-1 the entry for k holds
+    every pair that k closes.  Nothing is divided by the possibly tiny
+    m_l(0, 0).  The observable products are formed once and shared by every
+    state; each state's terms are formed and summed as if it were alone.
     """
     rows, n = mats.shape[:2]
     m00 = mats[:, :, 0, 0]
@@ -362,23 +366,24 @@ def _correlator_rows(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
     suf[:, :n] = np.cumprod(m00[:, ::-1], axis=1)[:, ::-1]
     hole = pre[:, :n] * suf[:, 1:]
 
-    total = rho[0, 0] * pre[:, n]
-    one_photon = np.diagonal(rho)[1:] * m11 + rho[0, 1:] * m10 + rho[1:, 0] * m01
-    total += (one_photon * hole).sum(axis=1)
+    total = rho[:, 0, 0, None] * pre[:, n]
+    diagonal = np.diagonal(rho, axis1=1, axis2=2)[:, None, 1:]
+    one_photon = diagonal * m11 + rho[:, None, 0, 1:] * m10 + rho[:, None, 1:, 0] * m01
+    total += (one_photon * hole).sum(axis=2)
 
     # Channel 0 pairs <e_j|rho|e_k> with m01_j m10_k, channel 1 pairs
-    # <e_k|rho|e_j> with m10_j m01_k.  pending[:, c, k] accumulates
-    # sum_{j<k} weight_c(j, k) opened_c(j) prod_{j<l<k} m00_l.
-    excited = rho[1:, 1:]
-    weights = np.stack((excited, excited.T))
+    # <e_k|rho|e_j> with m10_j m01_k.  pending[i, :, c, k] accumulates
+    # sum_{j<k} weight_c(j, k) opened_c(j) prod_{j<l<k} m00_l for state i.
+    excited = rho[:, 1:, 1:]
+    weights = np.stack((excited, excited.swapaxes(1, 2)), axis=1)
     opened = np.stack((m01, m10), axis=1) * pre[:, None, :n]
     closing = np.stack((m10, m01), axis=1) * suf[:, None, 1:]
-    pending = np.zeros((rows, 2, n), dtype=complex)
+    pending = np.zeros((len(rho), rows, 2, n), dtype=complex)
     for k in range(n - 1):
-        later = pending[:, :, k + 1 :]
+        later = pending[..., k + 1 :]
         later *= m00[:, None, k, None]
-        later += opened[:, :, k, None] * weights[:, k, k + 1 :]
-    total += (pending * closing).sum(axis=(1, 2))
+        later += opened[:, :, k, None] * weights[:, None, :, k, k + 1 :]
+    total += (pending * closing).sum(axis=(2, 3))
     return total
 
 
@@ -388,62 +393,69 @@ def _chunk_rows(n_modes: int) -> int:
 
 
 def correlator_batch(rho, matrices) -> np.ndarray:
-    """Correlators of a batch of observable rows against one state.
+    """Correlators of a batch of observable rows against a stack of states.
 
     Parameters
     ----------
     rho : array_like
         (N+1) x (N+1) density matrix in the basis (vac, e_1, ..., e_N),
-        normally ``SubspaceState.matrix``; it is not validated here.
+        normally ``SubspaceState.matrix``, or a stack of them of shape
+        (..., N+1, N+1); it is not validated here.
     matrices : array_like
         Observable matrices of shape (..., N, 2, 2): each row of N 2x2
         matrices is one product M_1 x ... x M_N.  They are not validated
         here either (see :func:`check_observable_matrices`).
 
-    Returns the real array of shape (...) of Tr[rho (M_1 x ... x M_N)].
-    Rows are processed in chunks of ``CORRELATOR_CHUNK_ELEMENTS`` matrices;
-    each result depends only on its own row.  Raises ConsistencyError if
-    the largest imaginary residue over the batch exceeds IMAG_RESIDUE_TOL
-    (a non-Hermitian rho, for instance), ValueError on mismatched shapes.
+    Returns the real array of Tr[rho (M_1 x ... x M_N)], with the state
+    axes of ``rho`` first and the batch axes of ``matrices`` after them.
+    Rows are processed in chunks of ``CORRELATOR_CHUNK_ELEMENTS`` matrices
+    divided by the number of states, and the observable products of a
+    chunk are shared by every state; each result depends only on its own
+    state and row, so a stack gives every state the bits of a call with
+    that state alone.  Raises ConsistencyError if the largest imaginary
+    residue over the batch exceeds IMAG_RESIDUE_TOL (a non-Hermitian rho,
+    for instance), ValueError on mismatched shapes.
     """
     rho = np.asarray(rho, dtype=complex)
     mats = np.asarray(matrices, dtype=complex)
-    n = rho.shape[0] - 1
-    if rho.shape != (n + 1, n + 1) or n < 1:
+    n = rho.shape[-1] - 1 if rho.ndim >= 2 else 0
+    if n < 1 or rho.shape[-2] != n + 1:
         raise ValueError(f"state matrix must be square with N >= 1, got {rho.shape}")
     if mats.ndim < 3 or mats.shape[-3:] != (n, 2, 2):
         raise ValueError(
             f"state has {n} modes, observables have shape {mats.shape}; "
             f"expected (..., {n}, 2, 2)"
         )
-    batch_shape = mats.shape[:-3]
+    states = rho.reshape(-1, n + 1, n + 1)
     flat = mats.reshape(-1, n, 2, 2)
-    values = np.empty(len(flat), dtype=complex)
-    step = _chunk_rows(n)
+    values = np.empty((len(states), len(flat)), dtype=complex)
+    step = max(1, _chunk_rows(n) // max(1, len(states)))
     for start in range(0, len(flat), step):
-        values[start : start + step] = _correlator_rows(rho, flat[start : start + step])
+        values[:, start : start + step] = _correlator_rows(states, flat[start : start + step])
     residue = np.max(np.abs(values.imag), initial=0.0)
     if not residue <= IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"correlator has imaginary residue {residue:.3e}")
-    return values.real.reshape(batch_shape)
+    return values.real.reshape(rho.shape[:-2] + mats.shape[:-3])
 
 
 def correlator_tables(rho, pairs) -> np.ndarray:
-    """Correlation tables (P, 2^N) of per-party setting pairs (P, N, 2, 2, 2).
+    """Correlation tables (..., P, 2^N) of per-party setting pairs (P, N, 2, 2, 2).
 
-    Entry s of table p uses party k's setting bit k-1 of s.  Observable
-    rows are built for a chunk of table indices at a time, so memory stays
+    ``rho`` is one state or a stack of states (..., N+1, N+1), whose axes
+    come first in the result.  Entry s of table p uses party k's setting
+    bit k-1 of s.  Observable rows are built for a chunk of table indices
+    at a time and contracted against every state at once, so memory stays
     bounded for any N.  Errors are those of :func:`correlator_batch`.
     """
     points, n = pairs.shape[:2]
     size = 2**n
     parties = np.arange(n)
-    tables = np.empty((points, size))
+    tables = np.empty(np.shape(rho)[:-2] + (points, size))
     step = max(1, _chunk_rows(n) // points)
     for start in range(0, size, step):
         index = np.arange(start, min(start + step, size))
         bits = (index[:, None] >> parties) & 1
-        tables[:, start : start + step] = correlator_batch(rho, pairs[:, parties, bits])
+        tables[..., start : start + step] = correlator_batch(rho, pairs[:, parties, bits])
     return tables
 
 

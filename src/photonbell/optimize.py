@@ -22,11 +22,13 @@ with the symbolic-average route is exact and is enforced by tests.
 The damped 2x2 observables are built directly as arrays (every point,
 party and setting at once) and validated once per table build with the
 closed-form Hermiticity and eigenvalue checks of
-:func:`~photonbell.fock_core.check_observable_matrices`; the lossy state is
-built and validated once per (N, eta).  Each table is then one call of the
-batched kernel :func:`~photonbell.fock_core.correlator_batch`: 2N rows when
-parties 2..N are exchangeable, otherwise all 2^N rows through the package's
-one table builder :func:`~photonbell.fock_core.correlator_tables`.  Inputs
+:func:`~photonbell.fock_core.check_observable_matrices`; the lossy states
+are built, validated and stacked once per (N, efficiencies).  The tables
+of every efficiency are then one call of the batched kernel
+:func:`~photonbell.fock_core.correlator_batch` against that stack: 2N
+rows when parties 2..N are exchangeable, otherwise all 2^N rows through
+the package's one table builder
+:func:`~photonbell.fock_core.correlator_tables`.  Inputs
 from outside (amplitudes, centers, width, efficiency) are checked at
 :func:`averaged_correlator_table` and :class:`OptimizationSpec`.
 
@@ -186,9 +188,11 @@ class ThresholdResult:
 
 
 @lru_cache(maxsize=32)
-def _lossy_rho(n_parties: int, efficiency: float) -> np.ndarray:
-    """Read-only matrix of the lossy W state, validated once per (N, eta)."""
-    return lossy_w_state(n_parties, efficiency).matrix
+def _lossy_rhos(n_parties: int, efficiencies: tuple) -> np.ndarray:
+    """Read-only stack (E, N+1, N+1) of lossy W states, built once per (N, etas)."""
+    rhos = np.stack([lossy_w_state(n_parties, eta).matrix for eta in efficiencies])
+    rhos.setflags(write=False)
+    return rhos
 
 
 def _dressed_observables(amplitudes: np.ndarray, centers: np.ndarray, width: float):
@@ -227,10 +231,12 @@ def _setting_weights(rest: int) -> np.ndarray:
 
 
 def _symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
-    """Tables of points whose parties 2..N share one dressed pair.
+    """Tables (..., P, 2^N) of points whose parties 2..N share one dressed pair.
 
     Those parties are exchangeable, so xi(s) depends only on s_1 and on how
-    many of s_2..s_N are 1: 2N correlators per point fill the 2^N entries.
+    many of s_2..s_N are 1: 2N correlators per point and state fill the
+    2^N entries.  ``rho`` is one state or a stack, as for
+    :func:`~photonbell.fock_core.correlator_tables`.
     """
     points, n = options.shape[:2]
     rest = n - 1
@@ -242,9 +248,9 @@ def _symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
     mats[:, :, :, 0] = options[:, 0, :, None]
     mats[:, :, :, 1:] = np.where(pick, dressed[:, 1], dressed[:, 0])[:, None]
     distinct = correlator_batch(rho, mats)
-    # Entry (s_2..s_N, s_1) of a table is distinct[s_1, weight(s_2..s_N)].
-    pairs = np.ascontiguousarray(distinct.swapaxes(1, 2))
-    return np.take(pairs, _setting_weights(rest), axis=1).reshape(points, 2**n)
+    # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
+    pairs = np.ascontiguousarray(distinct.swapaxes(-1, -2))
+    return np.take(pairs, _setting_weights(rest), axis=-2).reshape(*pairs.shape[:-2], 2**n)
 
 
 def _averaged_tables(
@@ -258,7 +264,8 @@ def _averaged_tables(
 
     ``amplitudes`` (P, N, 2) and ``centers`` (P, N-1) hold already
     validated parameters, as for :func:`_dressed_observables`; the dressed
-    observables are built once and contracted against every lossy state.
+    observables are built once, and each route contracts them against the
+    stacked lossy states of every efficiency in one kernel call.
     A point takes the exchangeable-party route when every party has the
     same amplitude pair and all centers coincide.  Each table depends only
     on its own point: a batch gives the same values, bit for bit, as
@@ -269,12 +276,11 @@ def _averaged_tables(
         centers == centers[:, :1], axis=1
     )
     routes = ((symmetric, _symmetric_tables), (~symmetric, correlator_tables))
+    rhos = _lossy_rhos(int(n_parties), tuple(float(eta) for eta in efficiencies))
     tables = np.empty((len(efficiencies), len(options), 2**n_parties))
-    for k, efficiency in enumerate(efficiencies):
-        rho = _lossy_rho(int(n_parties), float(efficiency))
-        for mask, build in routes:
-            if mask.any():
-                tables[k, mask] = build(rho, options[mask])
+    for mask, build in routes:
+        if mask.any():
+            tables[:, mask] = build(rhos, options[mask])
     return tables
 
 
@@ -411,8 +417,9 @@ def _crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
 
     Points that do not violate even at eta = 1 score the plateau penalty
     (see :func:`_crossing_efficiency`).  Tables at eta = 0 and eta = 1
-    come from one dressed-observable build and go through one batched
-    Walsh-Hadamard transform.  Raises ConsistencyError, naming the point,
+    come from one dressed-observable build and one kernel call per route
+    against both states, and go through one batched Walsh-Hadamard
+    transform.  Raises ConsistencyError, naming the point,
     if the vacuum table violates: the vacuum is a product state and cannot.
     """
     n = spec.n_parties
@@ -643,9 +650,13 @@ def certainty_frontier(
     knows its noise level but not the frame.  Returns a list of
     (m, width) pairs; width is NaN when not even zero width is certain, and
     capped at ``width_max``.  Restricted to n_parties <= 3 to keep the
-    center grid tractable.  ``width_tolerance`` and ``width_max`` must be
-    finite and > 0 (ValueError otherwise).
+    center grid tractable.  Pair counts must be integers >= 1, and
+    ``width_tolerance`` and ``width_max`` finite and > 0 (ValueError
+    otherwise, before any search).
     """
+    pair_counts = list(pair_counts)
+    if not all(isinstance(m, (int, np.integer)) and m >= 1 for m in pair_counts):
+        raise ValueError("pair counts must be integers >= 1")
     if grid_density < 360:
         raise ValueError("grid_density must be >= 360")
     if n_parties > 3:

@@ -11,6 +11,8 @@ from photonbell import (
     ThresholdResult,
     maximize_bell,
 )
+from photonbell.experiments import _half_basis, _setting_pairs
+from photonbell.fock_core import correlator_tables
 from photonbell.phase_noise import EVAL_IMAG_TOL
 
 
@@ -112,6 +114,36 @@ def complex_frame_scan(tables, centers, width: float) -> np.ndarray:
         raise ConsistencyError(f"frame-averaged tables have imaginary residue {residue:.3e}")
     magnitudes = np.abs(values.real).reshape(len(values), len(tables), size)
     return magnitudes.sum(axis=-1).max(axis=-1, initial=-np.inf) / size
+
+
+def symbolic_rows_per_component(state: SubspaceState, strategy, index_sets) -> np.ndarray:
+    """Rows (1 + N(N-1), P, 2^N) of the offset-symbolic tables, one kernel call each.
+
+    The per-component build: the non-rotating part of the state, then for
+    each half-basis frequency n the parts rho_n + rho_n^H (cosine row) and
+    i (rho_n - rho_n^H) (sine row, negated when the upper-triangle entries
+    carry -n), each through its own ``correlator_tables`` call.  Oracle
+    for ``experiments._symbolic_tables``, which stacks the components and
+    makes one call.
+    """
+    n = strategy.n_parties
+    pairs = _setting_pairs(strategy, index_sets)
+    rho = state.matrix
+    unit = np.zeros((n + 1, n - 1), dtype=int)
+    unit[2:] = np.eye(n - 1, dtype=int)
+    freqs = unit[None, :, :] - unit[:, None, :]
+    rotating = freqs.any(axis=-1)
+    upper = np.triu(rotating)
+    half = _half_basis(n)
+    rows = np.empty((1 + 2 * len(half), len(pairs), 2**n))
+    rows[0] = correlator_tables(np.where(rotating, 0.0, rho), pairs)
+    for h, freq in enumerate(half, start=1):
+        plus = upper & np.all(freqs == freq, axis=-1)
+        part = np.where(plus | (upper & np.all(freqs == -freq, axis=-1)), rho, 0.0)
+        rows[h] = correlator_tables(part + part.conj().T, pairs)
+        sine = correlator_tables(1j * (part - part.conj().T), pairs)
+        rows[h + len(half)] = sine if plus.any() else -sine
+    return rows
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:

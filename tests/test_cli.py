@@ -31,6 +31,10 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
     assert main(["violation-dist", "--r0", "0.1", "--seed", "3"]) == 2
     assert main(["smax", "--parties", "4", "--unreduced", "--restarts", "2"]) == 2
     assert main(["fig3", "--seed", "-5", "--out", out]) == 2
+    for parties in ("0", "-1"):
+        dist = ["violation-dist", "--parties", parties, "--r0", "0.1", "--r1", "0.2"]
+        assert main(dist + ["--seed", "1"]) == 2
+        assert "n_modes must be >= 1" in capsys.readouterr().err
     capsys.readouterr()
     with pytest.raises(SystemExit) as info:
         main(["fig3", "--out", out])  # --seed is required

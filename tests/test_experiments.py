@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import complex_frame_scan, damped_polynomial, random_state
+from helpers import (
+    complex_frame_scan,
+    damped_polynomial,
+    random_state,
+    symbolic_rows_per_component,
+)
 from photonbell import (
     DisplacementSetting,
     MeasurementStrategy,
@@ -135,15 +140,15 @@ def offset_basis(n: int) -> list:
 
 def test_pair_tables_equal_per_pair_tables(monkeypatch):
     # the one batched build of all pair tables must give exactly the rows of
-    # building each pair's table alone, in 1 + N(N-1) kernel-table calls,
-    # over the half basis: one n of each pair +-n of the 1 + N(N-1)
-    # frequencies, first nonzero entry positive, sorted; its frame scan is
-    # as large as a caller counts beforehand; random states carry
-    # vacuum-excitation coherences
+    # building each pair's table alone, in one kernel-table call with the
+    # 1 + N(N-1) components of the state stacked, over the half basis: one
+    # n of each pair +-n of the 1 + N(N-1) frequencies, first nonzero entry
+    # positive, sorted; its frame scan is as large as a caller counts
+    # beforehand; random states carry vacuum-excitation coherences
     calls = []
 
     def counted(rho, pairs):
-        calls.append(len(pairs))
+        calls.append((rho.shape, len(pairs)))
         return correlator_tables(rho, pairs)
 
     monkeypatch.setattr(experiments, "correlator_tables", counted)
@@ -155,7 +160,7 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         strat = paired_strategy(n, r0, r1, pair_count, rng.uniform(0.0, TWO_PI, n))
         calls.clear()
         tables = pair_symbolic_tables(state, strat)
-        assert calls == [pair_count] * (1 + n * (n - 1))
+        assert calls == [((1 + n * (n - 1), n + 1, n + 1), pair_count)]
         assert len(tables) == pair_count
         basis = offset_basis(n)
         half = [key for key in basis if any(key) and key[np.flatnonzero(key)[0]] > 0]
@@ -170,6 +175,20 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
             assert table.coeffs.dtype == float
             assert np.array_equal(table.coeffs, alone.coeffs)
             assert not table.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_symbolic_rows_match_per_component_oracle(n):
+    # the stacked build equals one kernel call per Hermitian component, bit
+    # for bit, on random states with vacuum-excitation coherences and on
+    # lossy W states
+    rng = np.random.default_rng(70 + n)
+    for state in (random_state(rng, n), random_state(rng, n), lossy_w_state(n, 0.8)):
+        strat = paired_strategy(n, *rng.uniform(-1.0, 1.0, 2), 3, rng.uniform(0.0, TWO_PI, n))
+        index_sets = [pair_setting_indices(strat, j) for j in range(3)]
+        rows = symbolic_rows_per_component(state, strat, index_sets)
+        tables = pair_symbolic_tables(state, strat)
+        assert np.array_equal(np.stack([t.coeffs for t in tables], axis=1), rows)
 
 
 def test_pair_tables_build_each_setting_once(monkeypatch):

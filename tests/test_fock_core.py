@@ -20,6 +20,7 @@ from photonbell.fock_core import (
     CORRELATOR_CHUNK_ELEMENTS,
     check_observable_matrices,
     correlator_batch,
+    correlator_tables,
 )
 
 from helpers import (
@@ -61,6 +62,9 @@ def test_lossy_w_state_mixes_vacuum(n_modes):
 def test_state_validation():
     with pytest.raises(ValueError):
         w_state(0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="n_modes must be >= 1"):
+            lossy_w_state(bad, 0.5)
     with pytest.raises(ValueError):
         lossy_w_state(2, 1.2)
     good = np.diag([0.5, 0.25, 0.25]).astype(complex)
@@ -252,6 +256,31 @@ def test_correlator_batch_spans_several_chunks():
     for start in range(0, count, 7001):
         part = correlator_batch(state.matrix, mats[start : start + 7001])
         assert np.array_equal(part, values[start : start + 7001])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_stacked_states_match_single_state_calls(n, monkeypatch):
+    # a stack of states gives every state the bits of a call with that
+    # state alone, state axes first, also when the stack spans several
+    # chunks of a small budget
+    rng = np.random.default_rng(100 + n)
+    states = np.stack([random_state(rng, n).matrix for _ in range(6)]).reshape(2, 3, n + 1, n + 1)
+    mats = random_observable_matrices(rng, (5, 7, n))
+    pairs = random_observable_matrices(rng, (3, n, 2))
+    alone = [correlator_batch(states[i], mats) for i in np.ndindex(2, 3)]
+    tables = [correlator_tables(states[i], pairs) for i in np.ndindex(2, 3)]
+    for budget in (None, 12 * n):
+        if budget is not None:
+            monkeypatch.setattr("photonbell.fock_core.CORRELATOR_CHUNK_ELEMENTS", budget)
+        stacked = correlator_batch(states, mats)
+        stacked_tables = correlator_tables(states, pairs)
+        assert stacked.shape == (2, 3, 5, 7)
+        assert stacked_tables.shape == (2, 3, 3, 2**n)
+        for k, i in enumerate(np.ndindex(2, 3)):
+            assert np.array_equal(stacked[i], alone[k])
+            assert np.array_equal(stacked_tables[i], tables[k])
+    # one state as a stack of one keeps its leading axis
+    assert correlator_batch(states[:1, 0], mats).shape == (1, 5, 7)
 
 
 def test_correlator_batch_rejects_non_hermitian_state():

@@ -17,9 +17,12 @@ from photonbell import (
     threshold_efficiency,
     wwzb_value,
 )
+import photonbell.optimize as optimize
+from photonbell.fock_core import correlator_batch, correlator_tables
 from photonbell.optimize import (
     AMPLITUDE_BOUNDS,
     VIOLATION_ROUNDOFF,
+    _averaged_tables,
     _bell_scores,
     _crossing_efficiency,
     _crossing_scores,
@@ -306,11 +309,50 @@ def test_affine_transform_matches_bell_value(spec):
             assert abs(eta_star[i] - (2.0 + VIOLATION_ROUNDOFF - lossless)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_stacked_efficiencies_match_one_efficiency_calls(n):
+    # the tables of (0, 1) in one call equal two one-efficiency calls, bit
+    # for bit, on the exchangeable route and on the all-entries route
+    rng = np.random.default_rng(n)
+    amplitudes = rng.uniform(-1.0, 1.0, (4, 1, 2)).repeat(n, axis=1)
+    amplitudes[2:, 1:] = rng.uniform(-1.0, 1.0, (2, n - 1, 2))
+    centers = np.zeros((4, n - 1))
+    centers[1::2] = rng.uniform(0.0, TWO_PI, (2, n - 1))
+    for points in (slice(0, 1), slice(1, 4)):
+        args = (n, amplitudes[points], centers[points], 0.3)
+        both = _averaged_tables(*args, (0.0, 1.0))
+        assert np.array_equal(both[0], _averaged_tables(*args, (0.0,))[0])
+        assert np.array_equal(both[1], _averaged_tables(*args, (1.0,))[0])
+
+
+def test_threshold_score_makes_one_kernel_call_per_route(monkeypatch):
+    # a crossing score contracts the eta = 0 and eta = 1 states as one
+    # stack: one exchangeable-route call and one table call for a batch
+    # that holds both kinds of points
+    calls = []
+
+    def batch(rho, mats):
+        calls.append(("batch", rho.shape))
+        return correlator_batch(rho, mats)
+
+    def tables(rho, pairs):
+        calls.append(("tables", rho.shape))
+        return correlator_tables(rho, pairs)
+
+    monkeypatch.setattr(optimize, "correlator_batch", batch)
+    monkeypatch.setattr(optimize, "correlator_tables", tables)
+    spec = OptimizationSpec(3, 0.2)
+    _crossing_scores(spec, np.array([[0.3, -0.6, 0.0, 0.0], [0.3, -0.6, 0.5, 1.0]]))
+    assert sorted(calls) == [("batch", (2, 4, 4)), ("tables", (2, 4, 4))]
+
+
 def test_violating_vacuum_raises(monkeypatch):
     # a vacuum table that violates means the tables are broken: feed the
     # lossless state in place of the vacuum
     lossless = lossy_w_state(2, 1.0).matrix
-    monkeypatch.setattr("photonbell.optimize._lossy_rho", lambda n, eta: lossless)
+    monkeypatch.setattr(
+        "photonbell.optimize._lossy_rhos", lambda n, etas: np.stack([lossless] * len(etas))
+    )
     spec = OptimizationSpec(2, 0.0, optimize_phases=False)
     with pytest.raises(ConsistencyError, match=r"n_parties=2, width=0\.0, search"):
         _crossing_scores(spec, np.array([[0.15, -0.55]]))
@@ -352,6 +394,16 @@ def test_certainty_frontier_small_cases():
     )
     assert out[0][0] == 2 and np.isnan(out[0][1])
     assert out[1] == (3, 0.5)
+
+
+def test_certainty_frontier_rejects_pair_counts_before_any_search(monkeypatch):
+    def no_search(_spec):
+        raise AssertionError("maximize_bell ran before the pair counts were checked")
+
+    monkeypatch.setattr("photonbell.optimize.maximize_bell", no_search)
+    for bad in ([0], [-1], [2, 0], [1.5], [2.0]):
+        with pytest.raises(ValueError, match="pair counts must be integers >= 1"):
+            certainty_frontier(2, 0.9, bad)
 
 
 def test_certainty_frontier_validation():
