@@ -196,6 +196,21 @@ def paired_strategy(
     return MeasurementStrategy((first,) + rest, pair_count=pair_count)
 
 
+def _offset_frequencies(n_parties: int) -> np.ndarray:
+    """Offset frequency m_ab (N+1, N+1, N-1) of every state entry (a, b).
+
+    Party 1 is the reference and party p >= 2 rotates its displacement
+    phase with Delta_{p-1}, which conjugates the state by U(Delta) =
+    diag(1, 1, exp(i Delta_1), ..., exp(i Delta_{N-1})) in the basis
+    (vac, e_1, ..., e_N).  Entry (a, b) therefore carries exp(i m_ab .
+    Delta) with m_ab = u_b - u_a, where u is zero for the vacuum and
+    party 1 and the unit vector of slot p-1 for party p >= 2.
+    """
+    unit = np.zeros((n_parties + 1, n_parties - 1), dtype=int)
+    unit[2:] = np.eye(n_parties - 1, dtype=int)
+    return unit[None, :, :] - unit[:, None, :]
+
+
 def _half_basis(n_parties: int) -> np.ndarray:
     """Offset frequencies (H, N-1) of N parties, one n of each pair +-n.
 
@@ -290,19 +305,17 @@ def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
 def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     """Offset-symbolic tables of one strategy, one per set of setting indices.
 
-    Rotating party p's off-diagonal elements by exp(+-i Delta_{p-1}) gives
-    the state entry rho[a, b] the phase exp(i m . Delta), m = u_b - u_a,
-    where u is zero for the vacuum and party 1 and the unit vector of slot
-    p-1 for party p >= 2.  So a table entry is the correlator of the
-    non-rotating part of rho plus, for each half-basis frequency n, the
-    correlator of rho_n + rho_n^H times cos(n . Delta) and that of
-    i (rho_n - rho_n^H) times sin(m . Delta).  Here rho_n holds the
-    entries above the diagonal whose m is n or -n; only one of the two
-    occurs above the diagonal, so the sine row carries the sign of m
-    against n, which a signed upper-triangle mask per frequency records.
-    Taking the components from the upper triangle fixes the rows of
-    states that are Hermitian only to rounding.  The 1 + N(N-1)
-    components form one stack of states, and one
+    The state entry rho[a, b] carries the phase exp(i m . Delta) of its
+    offset frequency m (:func:`_offset_frequencies`).  So a table entry is
+    the correlator of the non-rotating part of rho plus, for each
+    half-basis frequency n, the correlator of rho_n + rho_n^H times
+    cos(n . Delta) and that of i (rho_n - rho_n^H) times sin(m . Delta).
+    Here rho_n holds the entries above the diagonal whose m is n or -n;
+    only one of the two occurs above the diagonal, so the sine row carries
+    the sign of m against n, which a signed upper-triangle mask per
+    frequency records.  Taking the components from the upper triangle
+    fixes the rows of states that are Hermitian only to rounding.  The
+    1 + N(N-1) components form one stack of states, and one
     :func:`~photonbell.fock_core.correlator_tables` call with every index
     set as a point writes every row of every table.
     """
@@ -313,9 +326,7 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
         )
     pairs = _setting_pairs(strategy, index_sets)
     rho = state.matrix
-    unit = np.zeros((n + 1, n - 1), dtype=int)
-    unit[2:] = np.eye(n - 1, dtype=int)
-    freqs = unit[None, :, :] - unit[:, None, :]
+    freqs = _offset_frequencies(n)
     half = _half_basis(n)[:, None, None]
     # signs[h, a, b] is +-1 where the entry (a, b) above the diagonal has m = +-n_h.
     match = np.all(freqs == half, axis=-1).astype(int) - np.all(freqs == -half, axis=-1)
@@ -449,7 +460,7 @@ def _frame_scan_coefficients(tables, width: float):
     if any(table.n_parties != n for table in tables):
         raise ValueError("pair tables must share one party count")
     half = _half_basis(n)
-    damping = np.exp(-0.5 * width * width * np.sum(half * half, axis=1))
+    damping = np.exp(-0.5 * width * width * np.sum(half * half, axis=-1))
     coeffs = np.stack([table.coeffs for table in tables], axis=1)
     coeffs[1:] *= np.tile(damping, 2)[:, None, None]
     return half.astype(float), _walsh_hadamard(coeffs).reshape(len(coeffs), -1)

@@ -12,20 +12,28 @@ derivative-free simplex descent restarted from a low-discrepancy set of
 starting points inside the bounds.  SciPy's simplex loads on the first
 search, so importing this module does not import SciPy.
 
-The objective is evaluated through a closed-form shortcut: averaging over
-independent Gaussian offsets factorizes onto each non-reference party's
-off-diagonal matrix elements (E[exp(+-i Delta_l)] = exp(+-i c_l - w^2/2)),
-so the averaged table equals a numeric correlator table with damped
-observables, with no symbolic work inside the hot loop.  The equivalence
-with the symbolic-average route is exact and is enforced by tests.
+The frame noise lives in the state.  Rotating party p's displacement
+phase by Delta_{p-1} conjugates the state by U(Delta) = diag(1, 1,
+exp(i Delta_1), ..., exp(i Delta_{N-1})), so with offsets Delta = c + d,
+d independent zero-mean Gaussians of width w, the averaged correlator
+E_Delta Tr[rho M(phi + Delta)] equals Tr[rho_w M(phi + c)] exactly: the
+centers c shift the setting phases, and the frame-averaged state rho_w
+is rho with entry (a, b) damped by exp(-w^2 |m_ab|^2 / 2), m_ab the
+offset frequency of :func:`~photonbell.experiments._offset_frequencies`.
+An averaged table is therefore a plain correlator table, with no
+symbolic work inside the hot loop, and a polynomial in q = exp(-w^2/2)
+whose coefficients come from the state (each entry of rho_w carries 1,
+q or q^2).  The equivalence with the symbolic-average route is exact and
+is enforced by tests.
 
-The damped 2x2 observables are built directly as arrays (every point,
-party and setting at once) and validated once per table build with the
+The settings of every point, party and setting are built as one array
+by :func:`~photonbell.fock_core.displacement_matrices`, at phases
+(0, c_1, ..., c_{N-1}), and validated once per table build with the
 closed-form Hermiticity and eigenvalue checks of
 :func:`~photonbell.fock_core.check_observable_matrices`; the lossy states
-are built, validated and stacked once per (N, efficiencies).  The tables
-of every efficiency are then one call of the batched kernel
-:func:`~photonbell.fock_core.correlator_batch` against that stack: 2N
+are built, validated, dephased and stacked once per (N, efficiencies,
+width).  The tables of every efficiency are then one call of the batched
+kernel :func:`~photonbell.fock_core.correlator_batch` against that stack: 2N
 rows when parties 2..N are exchangeable, otherwise all 2^N rows through
 the package's one table builder
 :func:`~photonbell.fock_core.correlator_tables`.  Inputs
@@ -56,11 +64,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .experiments import (
+    _offset_frequencies,
     best_pair_values_over_centers,
     pair_symbolic_tables,
     paired_strategy,
@@ -71,6 +79,7 @@ from .fock_core import (
     check_observable_matrices,
     correlator_batch,
     correlator_tables,
+    displacement_matrices,
     lossy_w_state,
 )
 from .wwzb import TABLE_RANGE_TOL, _walsh_hadamard
@@ -90,7 +99,7 @@ AMPLITUDE_BOUNDS = (-3.0, 3.0)
 # Simplex starts are drawn from |r| <= START_AMPLITUDE: coherence terms
 # scale like r*exp(-r^2), so beyond this the surface is an S=1 plateau
 # with no slope for a simplex to follow.  The walk itself may still leave
-# the start region, up to the amplitude bounds.
+# the start region, up to AMPLITUDE_BOUNDS.
 START_AMPLITUDE = 1.2
 
 # Transmissions at which a threshold search tabulates every point: the
@@ -123,7 +132,6 @@ class OptimizationSpec:
     efficiency: float = 1.0
     optimize_phases: bool = True
     shared_amplitudes: bool = True
-    amplitude_bounds: tuple = AMPLITUDE_BOUNDS
     restarts: int = 8
     tolerance: float = 1e-6
 
@@ -136,10 +144,6 @@ class OptimizationSpec:
             raise ValueError("efficiency must lie in [0, 1]")
         if not self.shared_amplitudes and self.n_parties > 3:
             raise ValueError("per-party amplitudes supported for n_parties <= 3")
-        lo, hi = self.amplitude_bounds
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("amplitude bounds must be finite with lo < hi")
-        object.__setattr__(self, "amplitude_bounds", (float(lo), float(hi)))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
@@ -188,38 +192,19 @@ class ThresholdResult:
 
 
 @lru_cache(maxsize=32)
-def _lossy_rhos(n_parties: int, efficiencies: tuple) -> np.ndarray:
-    """Read-only stack (E, N+1, N+1) of lossy W states, built once per (N, etas)."""
+def _lossy_rhos(n_parties: int, efficiencies: tuple, width: float) -> np.ndarray:
+    """Read-only stack (E, N+1, N+1) of frame-averaged lossy W states.
+
+    Zero-mean Gaussian frame noise of the given width damps entry (a, b)
+    of each state by exp(-width^2 |m_ab|^2 / 2), m_ab its offset
+    frequency; built once per (N, efficiencies, width).
+    """
+    freqs = _offset_frequencies(n_parties)
+    damping = np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=-1))
     rhos = np.stack([lossy_w_state(n_parties, eta).matrix for eta in efficiencies])
+    rhos *= damping
     rhos.setflags(write=False)
     return rhos
-
-
-def _dressed_observables(amplitudes: np.ndarray, centers: np.ndarray, width: float):
-    """Frame-averaged observables of every party, setting and point.
-
-    ``amplitudes`` holds signed amplitudes, shape (P, N, 2) as (point,
-    party, setting); ``centers`` has shape (P, N-1).  Returns matrices of
-    shape (P, N, 2, 2, 2).  A signed amplitude r gives the displaced
-    click observable with off-diagonal 2 e^{-r^2} r (a negative r is the
-    pi-flipped setting).  Zero-mean Gaussian frame noise of the given width
-    multiplies the off-diagonal entries of parties 2..N by exp(-width^2/2)
-    and the center c rotates them by exp(+-i c); party 1 is the undamped
-    reference.  Raises ValueError unless every matrix is Hermitian with
-    spectrum inside [-1, 1].
-    """
-    n = amplitudes.shape[1]
-    g = 2.0 * np.exp(-amplitudes * amplitudes)
-    rotation = np.ones(centers.shape[:-1] + (n,), dtype=complex)
-    rotation[..., 1:] = np.exp(-0.5 * width * width) * np.exp(1j * centers)
-    lower = g * amplitudes * rotation[..., None]
-    mats = np.empty(amplitudes.shape + (2, 2), dtype=complex)
-    mats[..., 0, 0] = g - 1.0
-    mats[..., 0, 1] = lower.conj()
-    mats[..., 1, 0] = lower
-    mats[..., 1, 1] = g * amplitudes * amplitudes - 1.0
-    check_observable_matrices(mats)
-    return mats
 
 
 def _setting_weights(rest: int) -> np.ndarray:
@@ -231,7 +216,7 @@ def _setting_weights(rest: int) -> np.ndarray:
 
 
 def _symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
-    """Tables (..., P, 2^N) of points whose parties 2..N share one dressed pair.
+    """Tables (..., P, 2^N) of points whose parties 2..N share one setting pair.
 
     Those parties are exchangeable, so xi(s) depends only on s_1 and on how
     many of s_2..s_N are 1: 2N correlators per point and state fill the
@@ -243,10 +228,10 @@ def _symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
     ones = np.arange(rest + 1)
     # Row (s_1, ones): parties 2..ones+1 use setting 1, the others setting 0.
     pick = (np.arange(1, n) <= ones[:, None])[..., None, None]
-    dressed = options[:, -1, :, None, None]  # the pair parties 2..N share
+    shared = options[:, -1, :, None, None]  # the pair parties 2..N share
     mats = np.empty((points, 2, rest + 1, n, 2, 2), dtype=complex)
     mats[:, :, :, 0] = options[:, 0, :, None]
-    mats[:, :, :, 1:] = np.where(pick, dressed[:, 1], dressed[:, 0])[:, None]
+    mats[:, :, :, 1:] = np.where(pick, shared[:, 1], shared[:, 0])[:, None]
     distinct = correlator_batch(rho, mats)
     # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
     pairs = np.ascontiguousarray(distinct.swapaxes(-1, -2))
@@ -262,21 +247,27 @@ def _averaged_tables(
 ) -> np.ndarray:
     """Averaged tables (E, P, 2^N) of P points at each of E efficiencies.
 
-    ``amplitudes`` (P, N, 2) and ``centers`` (P, N-1) hold already
-    validated parameters, as for :func:`_dressed_observables`; the dressed
-    observables are built once, and each route contracts them against the
-    stacked lossy states of every efficiency in one kernel call.
+    ``amplitudes`` (P, N, 2) holds already validated signed amplitudes as
+    (point, party, setting) and ``centers`` (P, N-1) the frame centers.
+    Party p's settings are the displaced click observables of its two
+    amplitudes at phase c_{p-1} (party 1 at phase 0), built and checked
+    once, and each route contracts them against the stacked
+    frame-averaged lossy states of every efficiency in one kernel call.
     A point takes the exchangeable-party route when every party has the
     same amplitude pair and all centers coincide.  Each table depends only
     on its own point: a batch gives the same values, bit for bit, as
     scoring every point alone.
     """
-    options = _dressed_observables(amplitudes, centers, width)
+    phases = np.zeros(amplitudes.shape[:2])
+    phases[:, 1:] = centers
+    options = displacement_matrices(amplitudes, phases[..., None])
+    check_observable_matrices(options)
     symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
         centers == centers[:, :1], axis=1
     )
     routes = ((symmetric, _symmetric_tables), (~symmetric, correlator_tables))
-    rhos = _lossy_rhos(int(n_parties), tuple(float(eta) for eta in efficiencies))
+    etas = tuple(float(eta) for eta in efficiencies)
+    rhos = _lossy_rhos(int(n_parties), etas, float(width))
     tables = np.empty((len(efficiencies), len(options), 2**n_parties))
     for mask, build in routes:
         if mask.any():
@@ -417,8 +408,8 @@ def _crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
 
     Points that do not violate even at eta = 1 score the plateau penalty
     (see :func:`_crossing_efficiency`).  Tables at eta = 0 and eta = 1
-    come from one dressed-observable build and one kernel call per route
-    against both states, and go through one batched Walsh-Hadamard
+    come from one settings build and one kernel call per route against
+    both frame-averaged states, and go through one batched Walsh-Hadamard
     transform.  Raises ConsistencyError, naming the point,
     if the vacuum table violates: the vacuum is a product state and cannot.
     """
@@ -504,22 +495,14 @@ def _scan_table_count(spec: OptimizationSpec, threshold: bool = False) -> int:
 def _search_box(spec: OptimizationSpec):
     """Bounds of the search coordinates and the low-discrepancy start cloud.
 
-    The cloud fills the moderate-amplitude part of the box.
+    The cloud fills the moderate-amplitude part of the box, |r| <=
+    START_AMPLITUDE, which lies inside AMPLITUDE_BOUNDS.
     """
     n_amp, n_phase = _search_dims(spec)
     dims = n_amp + n_phase
-    lo, hi = spec.amplitude_bounds
-    bounds = [(lo, hi)] * n_amp + [(0.0, TWO_PI)] * n_phase
-
-    lower = np.array([b[0] for b in bounds])
-    upper = np.array([b[1] for b in bounds])
-    start_lo = lower.copy()
-    start_hi = upper.copy()
-    start_lo[:n_amp] = np.maximum(start_lo[:n_amp], -START_AMPLITUDE)
-    start_hi[:n_amp] = np.minimum(start_hi[:n_amp], START_AMPLITUDE)
-    empty = start_hi <= start_lo
-    start_lo[empty] = lower[empty]
-    start_hi[empty] = upper[empty]
+    bounds = [AMPLITUDE_BOUNDS] * n_amp + [(0.0, TWO_PI)] * n_phase
+    start_lo = np.array([-START_AMPLITUDE] * n_amp + [0.0] * n_phase)
+    start_hi = np.array([START_AMPLITUDE] * n_amp + [TWO_PI] * n_phase)
     cloud = _halton(_scan_points(spec), dims)
     return bounds, start_lo + cloud * (start_hi - start_lo)
 
@@ -598,12 +581,11 @@ def threshold_efficiency(
     width: float,
     tolerance: float = 1e-4,
     restarts: int = 6,
-    optimize_phases: bool = False,
 ) -> ThresholdResult:
     """Smallest transmission at which the optimized Bell value exceeds 1.
 
-    Minimizes the crossing efficiency eta*(x) over the same search
-    coordinates and start cloud as :func:`maximize_bell`.  At fixed x the
+    Minimizes the crossing efficiency eta*(x) over the search coordinates
+    and start cloud of a pinned-phase :func:`maximize_bell`.  At fixed x the
     Bell value is convex and piecewise linear in the efficiency (the
     correlators are affine in it) and at most 1 on the vacuum, so the
     violating efficiencies form an interval (eta*(x), 1] and eta*(x) is
@@ -622,7 +604,7 @@ def threshold_efficiency(
     spec = OptimizationSpec(
         n_parties=n_parties,
         width=width,
-        optimize_phases=optimize_phases,
+        optimize_phases=False,
         restarts=restarts,
         tolerance=tolerance,
     )
@@ -667,7 +649,9 @@ def certainty_frontier(
         raise ValueError("width_max must be finite and > 0")
 
     axis = np.arange(grid_density) * TWO_PI / grid_density
-    centers = np.array(list(product(axis, repeat=n_parties - 1)))
+    grids = np.meshgrid(*[axis] * (n_parties - 1), indexing="ij")
+    # A single party has no relative phase: one empty center.
+    centers = np.stack(grids, -1).reshape(-1, n_parties - 1) if grids else np.zeros((1, 0))
     state = lossy_w_state(n_parties, efficiency)
 
     def certain(width: float, pair_count: int) -> bool:

@@ -150,11 +150,14 @@ class PhasePolynomial:
             return complex(values)
         return values
 
-    def evaluate_real(self, offsets, imag_tol: float = EVAL_IMAG_TOL):
-        """Evaluate a physically real polynomial, checking the residue."""
+    def evaluate_real(self, offsets):
+        """Evaluate a physically real polynomial, checking the residue.
+
+        ConsistencyError if an imaginary part exceeds ``EVAL_IMAG_TOL``.
+        """
         values = np.asarray(self.evaluate(offsets))
         residue = np.max(np.abs(values.imag)) if values.size else 0.0
-        if residue > imag_tol:
+        if residue > EVAL_IMAG_TOL:
             raise ConsistencyError(
                 f"polynomial evaluation has imaginary residue {residue:.3e}"
             )
@@ -182,12 +185,20 @@ class PhasePolynomial:
 def wrapped_gaussian_pdf(phi, center: float, width: float):
     """Density of a Gaussian of mean ``center`` and sd ``width`` wrapped to 2*pi.
 
-    Evaluated through the rapidly converging Fourier form
+    Two exact forms exist, and the one with fewer terms at this width is
+    summed.  Wide noise uses the Fourier form
 
         pdf(phi) = (1/2pi) * [1 + 2 * sum_{n>=1} q^{n^2} cos(n (phi - center))]
 
-    with q = exp(-width^2 / 2); the series is truncated once
-    q^{n^2} < SERIES_TRUNCATION.  Zero width is rejected: the density
+    with q = exp(-width^2 / 2), truncated once q^{n^2} < SERIES_TRUNCATION,
+    which takes about 8.6 / width terms.  Narrow noise uses the sum of
+    Gaussians over the windings 2 pi k of x = phi - center reduced to
+    [-pi, pi],
+
+        pdf(phi) = sum_k exp(-(x + 2 pi k)^2 / (2 width^2)) / (width sqrt(2 pi)),
+
+    over the |k| <= K whose omitted terms fall below SERIES_TRUNCATION of
+    the peak, which takes 2K + 1 terms.  Zero width is rejected: the density
     degenerates to a delta spike, and callers handle that case by using the
     center directly.
 
@@ -207,12 +218,22 @@ def wrapped_gaussian_pdf(phi, center: float, width: float):
     if not np.isfinite(width) or width <= 0.0:
         raise ValueError("width must be > 0 (zero width has no density)")
     phi_arr = np.asarray(phi, dtype=float)
-    n_max = int(np.floor(np.sqrt(-2.0 * np.log(SERIES_TRUNCATION)) / width)) + 1
-    n = np.arange(1, n_max + 1)
-    weights = np.exp(-0.5 * (n * width) ** 2)
-    angles = np.multiply.outer(phi_arr - center, n)
-    series = 1.0 + 2.0 * (np.cos(angles) @ weights)
-    density = np.maximum(series / TWO_PI, 0.0)  # clip roundoff in far tails
+    reach = np.sqrt(-2.0 * np.log(SERIES_TRUNCATION))
+    # Term counts as floats: either may be inf at extreme widths.
+    n_max = np.floor(reach / width) + 1.0
+    # Windings beyond K are at least 2 pi (K + 1) - pi from x.
+    k_max = np.ceil((reach * width + np.pi) / TWO_PI) - 1.0
+    x = phi_arr - center
+    if 2.0 * k_max + 1.0 < n_max:
+        x = x - TWO_PI * np.round(x / TWO_PI)
+        shifts = TWO_PI * np.arange(-k_max, k_max + 1.0)
+        peaks = np.exp(-0.5 * (np.add.outer(x, shifts) / width) ** 2)
+        density = peaks.sum(axis=-1) / (width * np.sqrt(TWO_PI))
+    else:
+        n = np.arange(1.0, n_max + 1.0)
+        weights = np.exp(-0.5 * (n * width) ** 2)
+        series = 1.0 + 2.0 * (np.cos(np.multiply.outer(x, n)) @ weights)
+        density = np.maximum(series / TWO_PI, 0.0)  # clip roundoff in far tails
     return float(density) if np.isscalar(phi) or phi_arr.ndim == 0 else density
 
 

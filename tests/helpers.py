@@ -12,7 +12,8 @@ from photonbell import (
     maximize_bell,
 )
 from photonbell.experiments import _half_basis, _setting_pairs
-from photonbell.fock_core import correlator_tables
+from photonbell.fock_core import check_observable_matrices, correlator_tables, lossy_w_state
+from photonbell.optimize import _symmetric_tables
 from photonbell.phase_noise import EVAL_IMAG_TOL
 
 
@@ -146,6 +147,54 @@ def symbolic_rows_per_component(state: SubspaceState, strategy, index_sets) -> n
     return rows
 
 
+def dressed_observables(amplitudes: np.ndarray, centers: np.ndarray, width: float):
+    """Frame-averaged observables of every party, setting and point.
+
+    ``amplitudes`` holds signed amplitudes, shape (P, N, 2) as (point,
+    party, setting); ``centers`` has shape (P, N-1).  Returns matrices of
+    shape (P, N, 2, 2, 2).  A signed amplitude r gives the displaced
+    click observable with off-diagonal 2 e^{-r^2} r (a negative r is the
+    pi-flipped setting).  Zero-mean Gaussian frame noise of the given width
+    multiplies the off-diagonal entries of parties 2..N by exp(-width^2/2)
+    and the center c rotates them by exp(+-i c); party 1 is the undamped
+    reference.  Raises ValueError unless every matrix is Hermitian with
+    spectrum inside [-1, 1].
+    """
+    n = amplitudes.shape[1]
+    g = 2.0 * np.exp(-amplitudes * amplitudes)
+    rotation = np.ones(centers.shape[:-1] + (n,), dtype=complex)
+    rotation[..., 1:] = np.exp(-0.5 * width * width) * np.exp(1j * centers)
+    lower = g * amplitudes * rotation[..., None]
+    mats = np.empty(amplitudes.shape + (2, 2), dtype=complex)
+    mats[..., 0, 0] = g - 1.0
+    mats[..., 0, 1] = lower.conj()
+    mats[..., 1, 0] = lower
+    mats[..., 1, 1] = g * amplitudes * amplitudes - 1.0
+    check_observable_matrices(mats)
+    return mats
+
+
+def dressed_averaged_tables(n_parties, amplitudes, centers, width, efficiencies):
+    """Averaged tables (E, P, 2^N) through frame-averaged observables.
+
+    The noise sits in the observables instead of the state: the undamped
+    lossy states against :func:`dressed_observables`, routed as
+    ``optimize._averaged_tables`` routes its points (exchangeable parties
+    through ``_symmetric_tables``, the rest through ``correlator_tables``).
+    Oracle for ``_averaged_tables``, which dephases the state.
+    """
+    options = dressed_observables(amplitudes, centers, width)
+    rhos = np.stack([lossy_w_state(n_parties, eta).matrix for eta in efficiencies])
+    symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
+        centers == centers[:, :1], axis=1
+    )
+    tables = np.empty((len(efficiencies), len(options), 2**n_parties))
+    for mask, build in ((symmetric, _symmetric_tables), (~symmetric, correlator_tables)):
+        if mask.any():
+            tables[:, mask] = build(rhos, options[mask])
+    return tables
+
+
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     """Truncated Fock-basis coefficients of a coherent state."""
     amps = np.empty(dim, dtype=complex)
@@ -160,14 +209,13 @@ def bisect_threshold(
     width: float,
     tolerance: float,
     restarts: int = 6,
-    optimize_phases: bool = False,
 ) -> ThresholdResult:
     """Loss threshold by bisecting the efficiency over full Bell searches.
 
-    Slow oracle for ``threshold_efficiency``: every probe re-runs
-    ``maximize_bell``.  The Bell value is convex in the efficiency, so the
-    predicate "optimized S > 1" is monotone as long as the inner search
-    finds the optimum; a coarse grid checks that and raises
+    Slow oracle for ``threshold_efficiency``: every probe re-runs a
+    pinned-phase ``maximize_bell``.  The Bell value is convex in the
+    efficiency, so the predicate "optimized S > 1" is monotone as long as
+    the inner search finds the optimum; a coarse grid checks that and raises
     ConsistencyError when a clear violation shrinks at higher efficiency.
     The result is the midpoint of the final bracket, so it lies within
     tolerance / 2 of the searched threshold.
@@ -179,7 +227,7 @@ def bisect_threshold(
             n_parties=n_parties,
             width=width,
             efficiency=efficiency,
-            optimize_phases=optimize_phases,
+            optimize_phases=False,
             restarts=restarts,
         )
         return maximize_bell(spec).best_s

@@ -307,7 +307,7 @@ def test_two_party_correlators_closed_form():
 
 
 def test_averaged_table_matches_symbolic_route():
-    # the dressed-observable shortcut must agree with averaging the
+    # the frame-averaged-state shortcut must agree with averaging the
     # symbolic polynomials entry by entry, shared and per-party alike
     rng = np.random.default_rng(7)
     cases = [

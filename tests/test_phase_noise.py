@@ -34,15 +34,37 @@ def test_pdf_normalizes_and_is_nonnegative():
 
 
 def test_pdf_matches_wrapped_sum_of_gaussians():
-    # independent oracle: directly wrap the real-line normal density
+    # independent oracle: directly wrap the real-line normal density.  The
+    # widths fall on both sides of the switch from the windings form
+    # (narrow) to the Fourier form (wide), which lies near width 1.72.
     phis = np.linspace(0.0, 2.0 * np.pi, 17)
-    for center, width in ((0.0, 0.3), (2.0, 0.8), (5.5, 1.4)):
+    for center, width in (
+        (0.0, 0.3),
+        (2.0, 0.8),
+        (5.5, 1.4),
+        (1.0, 1.7),
+        (4.0, 1.75),
+        (3.0, 2.5),
+        (0.5, 4.0),
+    ):
         wraps = np.arange(-60, 61)
         for phi in phis:
             direct = np.sum(
                 np.exp(-0.5 * ((phi - center + 2.0 * np.pi * wraps) / width) ** 2)
             ) / (width * np.sqrt(2.0 * np.pi))
             assert abs(wrapped_gaussian_pdf(phi, center, width) - direct) < 1e-12
+
+
+def test_pdf_of_very_narrow_noise_is_the_plain_gaussian():
+    # the Fourier form would need about 8.6e9 terms per point at this
+    # width; the windings form needs one
+    width = 1e-9
+    for center in (0.0, 2.0, 2.0 * np.pi - 1e-9):
+        phis = center + width * np.linspace(-6.0, 6.0, 25)
+        plain = np.exp(-0.5 * ((phis - center) / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
+        density = wrapped_gaussian_pdf(phis, center, width)
+        assert np.allclose(density, plain, rtol=1e-12, atol=0.0)
+        assert wrapped_gaussian_pdf(center + 1.0, center, width) == 0.0
 
 
 def test_pdf_first_moment_of_cosine():
