@@ -46,8 +46,6 @@ from .optimize import (
 )
 from .phase_noise import (
     PhaseModel,
-    PhasePolynomial,
-    average_polynomial,
     child_seed,
     sample_offsets,
     wrapped_gaussian_pdf,
@@ -72,12 +70,10 @@ __all__ = [
     "OptimizationSpec",
     "OptimumReport",
     "PhaseModel",
-    "PhasePolynomial",
     "SettingVector",
     "SubspaceState",
     "SymbolicCorrelatorTable",
     "ThresholdResult",
-    "average_polynomial",
     "averaged_correlator_table",
     "bell_value_averaged",
     "bell_value_static",

@@ -4,20 +4,24 @@ Every party measures displaced click/no-click observables on its mode of a
 (possibly lossy) shared single photon.  Party k's setting list holds its
 displacement choices; in a run, the phase of party k's displacement is
 shifted by the unknown frame offset Delta_{k-1} (party 1 is the reference
-and has no offset).  Correlators therefore become phase polynomials in the
-offsets, built once per strategy (:func:`symbolic_correlators`) and then
-either evaluated at fixed offsets (:func:`bell_value_static`) or averaged
-over a wrapped-Gaussian offset model (:func:`bell_value_averaged`).  Each
-coefficient row is the correlation table of one Hermitian component of
-the state; the 1 + N(N-1) components are stacked as states, so the
+and has no offset).  Correlators therefore become real trigonometric
+sums in the offsets, built once per strategy (:func:`symbolic_correlators`).
+Each coefficient row is the correlation table of one Hermitian component
+of the state; the 1 + N(N-1) components are stacked as states, so the
 package's one correlator kernel
 (:func:`~photonbell.fock_core.correlator_tables`) builds every row in one
 call per strategy.  A :class:`SymbolicCorrelatorTable` holds these as one
 real array: the constant row, then a cosine and a sine row for each of
 the N(N-1)/2 frequencies n of the half basis (one of each pair +-n), so
-its entries are real by construction.  The absolute values inside the
-Bell functional are applied after averaging, matching an experiment that
-accumulates correlators across runs before computing the Bell value.
+its entries are real by construction.  It evaluates its rows with one
+row-times-matrix product, either at fixed offsets
+(:meth:`~SymbolicCorrelatorTable.evaluate`, :func:`bell_value_static`)
+or averaged over a wrapped-Gaussian offset model, which damps the rows of
+n by exp(-width^2 |n|^2 / 2) and evaluates them at the centers
+(:meth:`~SymbolicCorrelatorTable.averaged`, :func:`bell_value_averaged`).
+The absolute values inside the Bell functional are applied after
+averaging, matching an experiment that accumulates correlators across
+runs before computing the Bell value.
 
 To fight frame noise, party 1 may hold m pairs of settings that repeat the
 same two amplitudes with pair phases stepped by 2*pi/m.  Each pair alone is
@@ -52,7 +56,7 @@ from .fock_core import (
     displacement_matrices,
     lossy_w_state,
 )
-from .phase_noise import PhaseModel, PhasePolynomial, average_polynomial
+from .phase_noise import PhaseModel
 from .wwzb import BellResult, CorrelatorTable, _walsh_hadamard, wwzb_value
 
 __all__ = [
@@ -211,6 +215,15 @@ def _offset_frequencies(n_parties: int) -> np.ndarray:
     return unit[None, :, :] - unit[:, None, :]
 
 
+def _frame_damping(freqs, width: float) -> np.ndarray:
+    """Gaussian frame damping exp(-width^2 |n|^2 / 2) of each frequency n.
+
+    ``freqs`` holds frequency vectors along its last axis; the result has
+    the remaining shape.
+    """
+    return np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=-1))
+
+
 def _half_basis(n_parties: int) -> np.ndarray:
     """Offset frequencies (H, N-1) of N parties, one n of each pair +-n.
 
@@ -254,28 +267,43 @@ class SymbolicCorrelatorTable:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def values(self) -> tuple:
-        """One :class:`PhasePolynomial` per entry, c_+-n = (A_n -+ i B_n) / 2."""
+    def _damped_at(self, centers, width: float) -> CorrelatorTable:
+        """Rows damped by the width and evaluated at the centers.
+
+        The table is row @ coeffs with row = [1, q_n cos(n . c), q_n sin(n . c)]
+        over the half basis, q_n = exp(-width^2 |n|^2 / 2).
+        """
         half = _half_basis(self.n_parties)
-        constant, cos, sin = np.split(self.coeffs, [1, 1 + len(half)])
-        keys = [(0,) * half.shape[1], *map(tuple, half.tolist()), *map(tuple, (-half).tolist())]
-        terms = np.concatenate((constant, 0.5 * (cos - 1j * sin), 0.5 * (cos + 1j * sin)))
-        return tuple(
-            PhasePolynomial(self.n_parties - 1, tuple(zip(keys, column)))
-            for column in terms.T.tolist()
-        )
+        damping = _frame_damping(half, width)
+        phases = half @ centers
+        row = np.concatenate(([1.0], damping * np.cos(phases), damping * np.sin(phases)))
+        return CorrelatorTable(self.n_parties, row @ self.coeffs)
 
     def evaluate(self, offsets) -> CorrelatorTable:
-        """Numeric table at fixed offsets Delta (length N-1)."""
-        vals = np.array([poly.evaluate_real(offsets) for poly in self.values])
-        return CorrelatorTable(self.n_parties, vals)
+        """Numeric table at fixed offsets Delta (length N-1, finite)."""
+        offsets = np.asarray(offsets, dtype=float)
+        if offsets.shape != (self.n_parties - 1,):
+            raise ValueError(
+                f"offsets must have length {self.n_parties - 1}, got shape {offsets.shape}"
+            )
+        if not np.all(np.isfinite(offsets)):
+            raise ValueError("offsets must be finite")
+        return self._damped_at(offsets, 0.0)
 
     def averaged(self, model: PhaseModel) -> CorrelatorTable:
-        """Numeric table with every entry averaged over the offset model."""
-        zero = np.zeros(self.n_parties - 1)
-        vals = [average_polynomial(p, model).evaluate_real(zero) for p in self.values]
-        return CorrelatorTable(self.n_parties, np.array(vals))
+        """Numeric table with every entry averaged over the offset model.
+
+        Exact: averaged over Gaussian offsets, cos(n . Delta) and
+        sin(n . Delta) become exp(-width^2 |n|^2 / 2) times their values at
+        the centers, since the wrapped and unwrapped Gaussians share their
+        characteristic function at integer frequencies.
+        """
+        if model.n_relative != self.n_parties - 1:
+            raise ValueError(
+                f"a table of {self.n_parties} parties cannot be averaged "
+                f"with a model of {model.n_relative} relative phases"
+            )
+        return self._damped_at(np.array(model.centers), model.width)
 
 
 def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
@@ -369,7 +397,7 @@ def bell_value_static(
     offsets,
     setting_indices=None,
 ) -> BellResult:
-    """Bell value at fixed frame offsets (length N-1 vector)."""
+    """Bell value at fixed frame offsets (length N-1 vector, finite)."""
     table = symbolic_correlators(state, strategy, setting_indices)
     return wwzb_value(table.evaluate(offsets))
 
@@ -460,7 +488,7 @@ def _frame_scan_coefficients(tables, width: float):
     if any(table.n_parties != n for table in tables):
         raise ValueError("pair tables must share one party count")
     half = _half_basis(n)
-    damping = np.exp(-0.5 * width * width * np.sum(half * half, axis=-1))
+    damping = _frame_damping(half, width)
     coeffs = np.stack([table.coeffs for table in tables], axis=1)
     coeffs[1:] *= np.tile(damping, 2)[:, None, None]
     return half.astype(float), _walsh_hadamard(coeffs).reshape(len(coeffs), -1)

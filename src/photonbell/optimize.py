@@ -68,6 +68,7 @@ from functools import lru_cache
 import numpy as np
 
 from .experiments import (
+    _frame_damping,
     _offset_frequencies,
     best_pair_values_over_centers,
     pair_symbolic_tables,
@@ -200,7 +201,7 @@ def _lossy_rhos(n_parties: int, efficiencies: tuple, width: float) -> np.ndarray
     frequency; built once per (N, efficiencies, width).
     """
     freqs = _offset_frequencies(n_parties)
-    damping = np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=-1))
+    damping = _frame_damping(freqs, width)
     rhos = np.stack([lossy_w_state(n_parties, eta).matrix for eta in efficiencies])
     rhos *= damping
     rhos.setflags(write=False)

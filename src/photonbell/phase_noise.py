@@ -6,37 +6,32 @@ offsets Delta_l (party l+1 minus party 1) are modelled as independent
 Gaussians of common width delta centred at phibar_l, wrapped onto
 [0, 2*pi).
 
-Correlators of displacement measurements depend on the offsets only through
-finite sums of complex exponentials c * exp(i n . Delta) with small integer
-frequency vectors n; :class:`PhasePolynomial` represents one such sum.
-Averaging over the frame noise then reduces to the Gaussian characteristic
-function
+Correlators of displacement measurements depend on the offsets only
+through finite trigonometric sums with small integer frequency vectors n.
+A :class:`~photonbell.experiments.SymbolicCorrelatorTable` keeps them as
+real rows, a_0 + sum_n A_n cos(n . Delta) + B_n sin(n . Delta), one
+cosine and one sine row per frequency pair +-n.  Averaging over the frame
+noise then reduces to the Gaussian characteristic function
 
-    E[exp(i n_l Delta_l)] = exp(i n_l phibar_l - n_l^2 delta^2 / 2),
+    E[exp(i n . Delta)] = exp(i n . phibar - |n|^2 delta^2 / 2),
 
 which coincides with the wrapped distribution's Fourier coefficients for
-integer n_l, so the analytic average is exact.  Monte Carlo sampling of the
-offsets (:func:`sample_offsets`) is kept as the independent cross-check.
-Whole correlation tables keep these sums as real cosine and sine rows,
-one pair of rows per frequency pair +-n
-(:class:`~photonbell.experiments.SymbolicCorrelatorTable`), and frame scans
-damp and evaluate those rows directly; :func:`average_polynomial` is the
-per-entry route that checks them.
+integer n, so the analytic average is exact: it damps the rows of n by
+exp(-|n|^2 delta^2 / 2) and evaluates them at the centers.  Monte Carlo
+sampling of the offsets (:func:`sample_offsets`) is kept as the
+independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .fock_core import TWO_PI, ConsistencyError
+from .fock_core import TWO_PI
 
 __all__ = [
     "PhaseModel",
-    "PhasePolynomial",
-    "average_polynomial",
     "child_seed",
     "sample_offsets",
     "wrapped_gaussian_pdf",
@@ -44,9 +39,6 @@ __all__ = [
 
 # Drop theta-series terms once q^{n^2} falls below this.
 SERIES_TRUNCATION = 1e-16
-
-# Residue allowed when a conjugate-symmetric polynomial is evaluated.
-EVAL_IMAG_TOL = 1e-10
 
 _MASK64 = (1 << 64) - 1
 
@@ -80,106 +72,6 @@ class PhaseModel:
     @property
     def n_relative(self) -> int:
         return len(self.centers)
-
-
-def _canonical_terms(terms, n_offsets: int):
-    merged: dict = {}
-    for freq, coeff in terms:
-        freq = tuple(int(f) for f in freq)
-        if len(freq) != n_offsets:
-            raise ValueError(
-                f"frequency {freq} has length {len(freq)}, expected {n_offsets}"
-            )
-        coeff = complex(coeff)
-        merged[freq] = merged.get(freq, 0.0j) + coeff
-    return tuple(
-        (freq, merged[freq]) for freq in sorted(merged) if merged[freq] != 0.0
-    )
-
-
-@dataclass(frozen=True)
-class PhasePolynomial:
-    """Finite sum of terms c * exp(i n . Delta) over the relative offsets.
-
-    Terms are kept in a canonical merged form (unique sorted frequency
-    vectors, zero coefficients dropped), so equality is structural.
-    Supports addition and scalar multiplication; averaging over a
-    :class:`PhaseModel` is :func:`average_polynomial`.
-    """
-
-    n_offsets: int
-    terms: tuple
-
-    def __post_init__(self):
-        if self.n_offsets < 0:
-            raise ValueError("n_offsets must be >= 0")
-        object.__setattr__(
-            self, "terms", _canonical_terms(self.terms, self.n_offsets)
-        )
-
-    @classmethod
-    def constant(cls, value: complex, n_offsets: int) -> "PhasePolynomial":
-        return cls(n_offsets, (((0,) * n_offsets, complex(value)),))
-
-    @property
-    def is_constant(self) -> bool:
-        return all(all(f == 0 for f in freq) for freq, _ in self.terms)
-
-    def constant_value(self) -> complex:
-        """Coefficient of the zero frequency; requires a constant polynomial."""
-        if not self.is_constant:
-            raise ValueError("polynomial is not constant")
-        return self.terms[0][1] if self.terms else 0.0j
-
-    def evaluate(self, offsets) -> Union[complex, np.ndarray]:
-        """Value at offsets Delta; a leading batch axis is broadcast over."""
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape[-1:] != (self.n_offsets,):
-            # An empty offset vector is fine for 0 offsets.
-            if not (self.n_offsets == 0 and offsets.size == 0):
-                raise ValueError(
-                    f"offsets must have trailing dimension {self.n_offsets}"
-                )
-            offsets = offsets.reshape(offsets.shape[:-1] + (0,))
-        if not self.terms:
-            return np.zeros(offsets.shape[:-1], dtype=complex) if offsets.ndim > 1 else 0.0j
-        freqs = np.array([freq for freq, _ in self.terms], dtype=float)
-        coeffs = np.array([coeff for _, coeff in self.terms])
-        values = np.exp(1j * (offsets @ freqs.T)) @ coeffs
-        if offsets.ndim <= 1:
-            return complex(values)
-        return values
-
-    def evaluate_real(self, offsets):
-        """Evaluate a physically real polynomial, checking the residue.
-
-        ConsistencyError if an imaginary part exceeds ``EVAL_IMAG_TOL``.
-        """
-        values = np.asarray(self.evaluate(offsets))
-        residue = np.max(np.abs(values.imag)) if values.size else 0.0
-        if residue > EVAL_IMAG_TOL:
-            raise ConsistencyError(
-                f"polynomial evaluation has imaginary residue {residue:.3e}"
-            )
-        real = values.real
-        return float(real) if real.ndim == 0 else real
-
-    def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        if not isinstance(other, PhasePolynomial):
-            return NotImplemented
-        if other.n_offsets != self.n_offsets:
-            raise ValueError("cannot add polynomials over different offset spaces")
-        return PhasePolynomial(self.n_offsets, self.terms + other.terms)
-
-    def __mul__(self, scalar) -> "PhasePolynomial":
-        if not isinstance(scalar, (int, float, complex)):
-            return NotImplemented
-        return PhasePolynomial(
-            self.n_offsets,
-            tuple((freq, coeff * scalar) for freq, coeff in self.terms),
-        )
-
-    __rmul__ = __mul__
 
 
 def wrapped_gaussian_pdf(phi, center: float, width: float):
@@ -235,30 +127,6 @@ def wrapped_gaussian_pdf(phi, center: float, width: float):
         series = 1.0 + 2.0 * (np.cos(np.multiply.outer(x, n)) @ weights)
         density = np.maximum(series / TWO_PI, 0.0)  # clip roundoff in far tails
     return float(density) if np.isscalar(phi) or phi_arr.ndim == 0 else density
-
-
-def average_polynomial(poly: PhasePolynomial, model: PhaseModel) -> PhasePolynomial:
-    """Average a phase polynomial over the wrapped-Gaussian offsets.
-
-    Each term c * exp(i n . Delta) averages to
-    c * prod_l exp(i n_l phibar_l - n_l^2 width^2 / 2), exactly, because the
-    characteristic function of a wrapped Gaussian equals the unwrapped one
-    at integer frequencies.  Width 0 therefore reduces to evaluating the
-    polynomial at the centers.  The result is a constant polynomial on the
-    same offset space.
-    """
-    if poly.n_offsets != model.n_relative:
-        raise ValueError(
-            f"polynomial over {poly.n_offsets} offsets cannot be averaged "
-            f"with a model of {model.n_relative} relative phases"
-        )
-    centers = np.asarray(model.centers, dtype=float)
-    damping = 0.5 * model.width**2
-    total = 0.0j
-    for freq, coeff in poly.terms:
-        f = np.asarray(freq, dtype=float)
-        total += coeff * np.exp(1j * (f @ centers) - damping * (f @ f))
-    return PhasePolynomial.constant(total, poly.n_offsets)
 
 
 def sample_offsets(model: PhaseModel, rng_seed: int, count: int) -> np.ndarray:

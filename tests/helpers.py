@@ -6,7 +6,6 @@ from photonbell import (
     ConsistencyError,
     DisplacementSetting,
     OptimizationSpec,
-    PhasePolynomial,
     SubspaceState,
     ThresholdResult,
     maximize_bell,
@@ -14,7 +13,9 @@ from photonbell import (
 from photonbell.experiments import _half_basis, _setting_pairs
 from photonbell.fock_core import check_observable_matrices, correlator_tables, lossy_w_state
 from photonbell.optimize import _symmetric_tables
-from photonbell.phase_noise import EVAL_IMAG_TOL
+
+# Imaginary residue the complex frame scan allows in its real tables.
+IMAG_TOL = 1e-10
 
 
 def random_state(rng: np.random.Generator, n_modes: int) -> SubspaceState:
@@ -43,31 +44,6 @@ def random_observable_matrices(rng: np.random.Generator, shape: tuple) -> np.nda
     return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
 
 
-def damped_polynomial(poly: PhasePolynomial, width: float) -> PhasePolynomial:
-    """Average over zero-centered offset noise, keeping the centers symbolic.
-
-    Each coefficient is damped by exp(-|n|^2 width^2 / 2) while frequencies
-    are kept, so evaluating the result at the centers reproduces the full
-    average:
-
-        damped_polynomial(p, w).evaluate(c)
-            == average_polynomial(p, PhaseModel(c, w)).constant_value()
-
-    Per-polynomial oracle for the batched frame scan, which damps whole
-    coefficient arrays at once.
-    """
-    if not np.isfinite(width) or width < 0.0:
-        raise ValueError("width must be finite and >= 0")
-    damping = 0.5 * width * width
-    return PhasePolynomial(
-        poly.n_offsets,
-        tuple(
-            (freq, coeff * np.exp(-damping * sum(f * f for f in freq)))
-            for freq, coeff in poly.terms
-        ),
-    )
-
-
 def walsh_hadamard_levels(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis, level by level.
 
@@ -87,31 +63,53 @@ def walsh_hadamard_levels(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def complex_terms(table):
+    """Full +-n basis (K, N-1) and complex coefficients (K, 2^N) of a table.
+
+    Built straight from the real rows: c_0 = a_0 and c_+-n = (A_n -+ i B_n)
+    / 2 for each half-basis frequency n, so that entry s at offsets Delta
+    is sum_k coeffs[k, s] exp(i freqs[k] . Delta).
+    """
+    half = _half_basis(table.n_parties)
+    constant, cos, sin = np.split(table.coeffs, [1, 1 + len(half)])
+    freqs = np.concatenate((np.zeros((1, half.shape[1]), dtype=int), half, -half)).astype(float)
+    coeffs = np.concatenate((constant, 0.5 * (cos - 1j * sin), 0.5 * (cos + 1j * sin)))
+    return freqs, coeffs
+
+
+def complex_entries(table, centers, width: float = 0.0) -> np.ndarray:
+    """Entries (..., 2^N) of a table averaged around ``centers`` (..., N-1).
+
+    Each term c_k exp(i n_k . Delta) of :func:`complex_terms` averages to
+    c_k exp(i n_k . c - width^2 |n_k|^2 / 2) over Gaussian offsets; width
+    0 evaluates the table at the centers.  The complex result is returned
+    as is: oracle for ``SymbolicCorrelatorTable.evaluate`` and ``averaged``.
+    """
+    freqs, coeffs = complex_terms(table)
+    damping = np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))
+    return np.exp(1j * (np.asarray(centers, dtype=float) @ freqs.T)) @ (damping[:, None] * coeffs)
+
+
 def complex_frame_scan(tables, centers, width: float) -> np.ndarray:
     """Best-pair Bell values through the complex basis exp(i C F^T).
 
-    The scan on the full +-n basis: the complex coefficients come from
-    each entry's ``PhasePolynomial`` (``table.values``), so this route
-    shares no layout code with the real cosine/sine scan.  The damped
+    The scan on the full +-n basis of :func:`complex_terms`, so this route
+    shares no cosine/sine code with the real scan.  The damped
     coefficients of every pair's Walsh-Hadamard transform T(r), one
     complex product with the basis at all ``centers`` (shape (count,
     N-1)), and the "tables are real" property sampled: ConsistencyError
-    if the imaginary part of T exceeds ``EVAL_IMAG_TOL`` at one of the
-    given centers.  Oracle for ``best_pair_values_over_centers``.
+    if the imaginary part of T exceeds ``IMAG_TOL`` at one of the given
+    centers.  Oracle for ``best_pair_values_over_centers``.
     """
-    n = tables[0].n_parties
-    size = 2**n
-    entries = [dict(poly.terms) for table in tables for poly in table.values]
-    keys = sorted(set().union(*entries))
-    freqs = np.array(keys, dtype=float).reshape(len(keys), n - 1)
-    coeffs = np.array([[entry.get(key, 0j) for entry in entries] for key in keys])
-    coeffs = coeffs.reshape(len(keys), len(tables), size)
+    size = 2**tables[0].n_parties
+    freqs, _ = complex_terms(tables[0])
+    coeffs = np.stack([complex_terms(table)[1] for table in tables], axis=1)
     coeffs = coeffs * np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None, None]
     transform = walsh_hadamard_levels(coeffs.real) + 1j * walsh_hadamard_levels(coeffs.imag)
     basis = np.exp(1j * (np.asarray(centers, dtype=float) @ freqs.T))
     values = basis @ transform.reshape(len(freqs), -1)
     residue = np.max(np.abs(values.imag), initial=0.0)
-    if not residue <= EVAL_IMAG_TOL:
+    if not residue <= IMAG_TOL:
         raise ConsistencyError(f"frame-averaged tables have imaginary residue {residue:.3e}")
     magnitudes = np.abs(values.real).reshape(len(values), len(tables), size)
     return magnitudes.sum(axis=-1).max(axis=-1, initial=-np.inf) / size

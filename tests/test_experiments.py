@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    complex_entries,
     complex_frame_scan,
-    damped_polynomial,
     random_state,
     symbolic_rows_per_component,
 )
@@ -271,24 +271,56 @@ def test_setting_matrices_match_displacement_observable(monkeypatch):
             assert np.array_equal(table.coeffs, expected.coeffs)
 
 
-def test_symbolic_values_match_arrays():
-    # the per-entry polynomials carry exactly the rows: c_0 = a_0 and
-    # c_+-n = (A_n -+ i B_n) / 2 over the half basis, zeros dropped
+def test_symbolic_tables_match_complex_oracle():
+    # evaluate and averaged against the complex +-n terms c_0 = a_0,
+    # c_+-n = (A_n -+ i B_n) / 2, each term damped by exp(-w^2 |n|^2 / 2)
     rng = np.random.default_rng(5)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
+        for state in (random_state(rng, n), lossy_w_state(n, 0.8)):
+            r0, r1 = rng.uniform(-1.0, 1.0, 2)
+            strat = two_setting_strategy(n, r0, r1, rng.uniform(0.0, TWO_PI, n))
+            table = symbolic_correlators(state, strat)
+            offsets = rng.uniform(0.0, TWO_PI, n - 1)
+            static = complex_entries(table, offsets)
+            assert np.max(np.abs(table.evaluate(offsets).values - static.real)) <= 1e-15
+            model = PhaseModel(tuple(offsets), rng.uniform(0.0, 1.2))
+            average = complex_entries(table, model.centers, model.width)
+            assert np.max(np.abs(table.averaged(model).values - average.real)) <= 1e-15
+
+
+def test_zero_width_average_is_evaluation():
+    # one row product serves both: width 0 reproduces evaluate bit for bit
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 4):
         table = symbolic_correlators(random_state(rng, n), two_setting_strategy(n, 0.3, -0.6))
-        half = [tuple(f) for f in experiments._half_basis(n).tolist()]
-        constant, cos, sin = np.split(table.coeffs, [1, 1 + len(half)])
-        expected = {(0,) * (n - 1): constant[0].astype(complex)}
-        for h, freq in enumerate(half):
-            expected[freq] = 0.5 * (cos[h] - 1j * sin[h])
-            expected[tuple(-f for f in freq)] = 0.5 * (cos[h] + 1j * sin[h])
-        assert len(table.values) == 2**n
-        for s, poly in enumerate(table.values):
-            terms = dict(poly.terms)
-            assert set(terms) == {key for key, row in expected.items() if row[s] != 0.0}
-            got = np.array([terms.get(key, 0j) for key in expected])
-            assert np.array_equal(got, np.array([row[s] for row in expected.values()]))
+        centers = rng.uniform(0.0, TWO_PI, n - 1)
+        averaged = table.averaged(PhaseModel(tuple(centers), 0.0))
+        assert np.array_equal(averaged.values, table.evaluate(centers).values)
+
+
+def test_symbolic_evaluation_validation():
+    state = w_state(3)
+    strat = two_setting_strategy(3, 0.1, -0.4)
+    table = symbolic_correlators(state, strat)
+    with pytest.raises(ValueError, match="relative phases"):
+        table.averaged(PhaseModel((0.1,), 0.3))
+    # non-finite offsets are refused before any arithmetic, so no numpy
+    # warning escapes (warnings are errors in this suite)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="offsets must be finite"):
+            bell_value_static(state, strat, [bad, 0.0])
+    # offsets must be one vector of N-1 entries
+    for shape in ((1,), (3,), (1, 2), (2, 2), ()):
+        with pytest.raises(ValueError, match="length 2"):
+            bell_value_static(state, strat, np.zeros(shape))
+    paired = paired_strategy(3, 0.1, -0.4, 3)
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        best_pair_bell_value(state, paired, offsets=[0.2, np.nan])
+    with pytest.raises(ValueError, match="length 2"):
+        best_pair_bell_value(state, paired, offsets=np.zeros((4, 2)))
+    # a single party has no offsets: the empty vector is its one frame
+    single = symbolic_correlators(w_state(1), two_setting_strategy(1, 0.1, -0.4))
+    assert np.array_equal(single.evaluate([]).values, single.coeffs[0])
 
 
 def test_two_party_correlators_closed_form():
@@ -445,15 +477,8 @@ def test_batched_centers_span_several_chunks():
     width = 0.35
     batch = best_pair_values_over_centers(tables, centers, width)
     assert batch.shape == (count,)
-    # per-polynomial oracle over every center, with an explicit Sylvester
-    # Hadamard matrix (entry (r, s) is (-1)^{popcount(r & s)})
-    hadamard = np.kron(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]), [[1, 1], [1, -1]])
-    looped = np.zeros(count)
-    for table in tables:
-        damped = [damped_polynomial(poly, width) for poly in table.values]
-        vals = np.stack([poly.evaluate_real(centers) for poly in damped], axis=-1)
-        looped = np.maximum(looped, np.abs(vals @ hadamard.T).sum(axis=-1) / 8)
-    assert np.max(np.abs(batch - looped)) < 1e-12
+    # complex oracle over every center
+    assert np.max(np.abs(batch - complex_frame_scan(tables, centers, width))) < 1e-12
     # per-center oracle at the chunk boundaries and the tail
     for i in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, count - 1):
         slow, _ = best_pair_bell_value(

@@ -1,28 +1,17 @@
-"""Wrapped-Gaussian noise model and offset-polynomial averaging."""
+"""Wrapped-Gaussian noise model and exact frame averaging."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import damped_polynomial
+from helpers import complex_entries
 from photonbell import (
-    ConsistencyError,
     PhaseModel,
-    PhasePolynomial,
-    average_polynomial,
+    SymbolicCorrelatorTable,
     child_seed,
     sample_offsets,
     wrapped_gaussian_pdf,
 )
-
-
-def _random_polynomial(rng: np.random.Generator, n_offsets: int) -> PhasePolynomial:
-    terms = []
-    for _ in range(rng.integers(1, 6)):
-        freq = tuple(int(f) for f in rng.integers(-2, 3, n_offsets))
-        coeff = complex(rng.normal(), rng.normal())
-        terms.append((freq, coeff))
-    return PhasePolynomial(n_offsets, tuple(terms))
 
 
 def test_pdf_normalizes_and_is_nonnegative():
@@ -94,91 +83,34 @@ def test_phase_model_normalization():
         PhaseModel((0.0,), -0.1)
 
 
-def test_polynomial_canonicalization():
-    poly = PhasePolynomial(
-        2, (((1, 0), 1.0 + 0j), ((1, 0), 2.0 + 0j), ((0, 1), 0.0 + 0j))
-    )
-    assert poly.terms == (((1, 0), 3.0 + 0j),)
-    constant = PhasePolynomial.constant(0.5, 2)
-    assert constant.is_constant
-    assert constant.constant_value() == 0.5
+def test_averaged_table_known_case():
+    # one cosine and one sine row: E[cos Delta] = q cos c, E[sin Delta] = q sin c
+    a0 = np.array([0.1, -0.2, 0.05, 0.3])
+    cos = np.array([0.4, 0.0, -0.3, 0.2])
+    sin = np.array([-0.1, 0.5, 0.2, 0.0])
+    table = SymbolicCorrelatorTable(2, np.stack((a0, cos, sin)))
+    center, width = 0.9, 0.5
+    averaged = table.averaged(PhaseModel((center,), width)).values
+    q = np.exp(-0.5 * width**2)
+    expected = a0 + q * (cos * np.cos(center) + sin * np.sin(center))
+    assert np.max(np.abs(averaged - expected)) <= 1e-15
 
 
-def test_polynomial_evaluate_batches():
-    poly = _random_polynomial(np.random.default_rng(5), 3)
-    offsets = np.random.default_rng(6).uniform(0.0, 2.0 * np.pi, (10, 3))
-    batch = poly.evaluate(offsets)
-    assert batch.shape == (10,)
-    for row, value in zip(offsets, batch):
-        single = sum(
-            coeff * np.exp(1j * np.dot(freq, row)) for freq, coeff in poly.terms
-        )
-        assert abs(value - single) < 1e-12
-
-
-def test_polynomial_evaluate_real_guards_imaginary_part():
-    poly = PhasePolynomial(1, (((1,), 1.0 + 0j),))
-    with pytest.raises(ConsistencyError):
-        poly.evaluate_real(np.array([0.3]))
-    # a Hermitian-symmetric pair is real everywhere
-    sym = PhasePolynomial(1, (((1,), 0.5 + 0j), ((-1,), 0.5 + 0j)))
-    assert abs(sym.evaluate_real(np.array([0.3])) - np.cos(0.3)) < 1e-14
-
-
-def test_polynomial_algebra():
-    a = PhasePolynomial(1, (((1,), 1.0 + 0j),))
-    b = PhasePolynomial(1, (((-1,), 2.0 + 0j),))
-    total = a + b
-    assert set(total.terms) == {((1,), 1.0 + 0j), ((-1,), 2.0 + 0j)}
-    scaled = a * 3.0
-    assert scaled.terms == (((1,), 3.0 + 0j),)
-    with pytest.raises(ValueError):
-        a + PhasePolynomial(2, (((1, 0), 1.0 + 0j),))
-
-
-def test_average_polynomial_known_case():
-    # E[exp(i*Delta)] over a Gaussian with center c and width w
-    poly = PhasePolynomial(1, (((1,), 1.0 + 0j),))
-    model = PhaseModel((0.9,), 0.5)
-    averaged = average_polynomial(poly, model)
-    assert averaged.is_constant
-    expected = np.exp(1j * 0.9 - 0.125)
-    assert abs(averaged.constant_value() - expected) < 1e-14
-
-
-def test_average_polynomial_matches_monte_carlo():
+def test_averaged_table_matches_monte_carlo():
+    # the analytic average against the mean over sampled frames, each draw
+    # evaluated through the complex +-n terms, within 4 sigma per entry
     rng = np.random.default_rng(77)
     n_samples = 100_000
-    for trial in range(4):
-        n_offsets = int(rng.integers(1, 4))
-        poly = _random_polynomial(rng, n_offsets)
-        model = PhaseModel(
-            tuple(rng.uniform(0.0, 2.0 * np.pi, n_offsets)), rng.uniform(0.1, 1.2)
+    for n in (2, 3, 4):
+        table = SymbolicCorrelatorTable(
+            n, rng.uniform(-0.1, 0.1, (1 + n * (n - 1), 2**n))
         )
-        exact = average_polynomial(poly, model).constant_value()
+        model = PhaseModel(tuple(rng.uniform(0.0, 2.0 * np.pi, n - 1)), rng.uniform(0.1, 1.2))
+        exact = table.averaged(model).values
         draws = sample_offsets(model, rng_seed=int(rng.integers(2**32)), count=n_samples)
-        samples = poly.evaluate(draws)
-        mc = samples.mean()
-        sigma = max(samples.real.std(), samples.imag.std()) / np.sqrt(n_samples)
-        assert abs(mc - exact) < 4.0 * max(sigma, 1e-12)
-
-
-def test_damped_polynomial_identity():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n_offsets = int(rng.integers(1, 4))
-        poly = _random_polynomial(rng, n_offsets)
-        width = rng.uniform(0.0, 1.5)
-        centers = tuple(rng.uniform(0.0, 2.0 * np.pi, n_offsets))
-        damped = damped_polynomial(poly, width)
-        via_damping = damped.evaluate(np.array(centers))
-        via_average = average_polynomial(poly, PhaseModel(centers, width))
-        assert abs(via_damping - via_average.constant_value()) < 1e-13
-
-
-def test_damped_polynomial_zero_width_is_identity():
-    poly = _random_polynomial(np.random.default_rng(3), 2)
-    assert damped_polynomial(poly, 0.0).terms == poly.terms
+        samples = complex_entries(table, draws).real
+        sigma = samples.std(axis=0) / np.sqrt(n_samples)
+        assert np.all(np.abs(samples.mean(axis=0) - exact) < 4.0 * sigma)
 
 
 def test_sample_offsets_shape_and_determinism():
