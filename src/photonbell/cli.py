@@ -10,10 +10,13 @@ distribution runs, the two-qubit benchmark check and raw correlation
 tables.
 
 Every run logs a manifest (command, parameters, seed, library version,
-derived values, timestamp) to stderr as one JSON line.  Output files embed
-the same manifest without the timestamp, so a rerun with identical
-parameters produces byte-identical files.  Numbers in data files carry 12
-significant digits.
+derived values, timestamp) to stderr as one JSON line.  The parameters
+are every flag except ``--out`` and ``--seed``, taken from the parsed
+arguments, with list flags and defaulted values as the run used them;
+all manifests are built by ``_manifest`` and logged by ``_log``.  Output
+files embed the same manifest without the timestamp, so a rerun with
+identical parameters produces byte-identical files.  Numbers in data
+files carry 12 significant digits.
 
 Exit codes: 0 on success, 1 on I/O failure, 2 on invalid arguments, 3 on
 a numerical consistency failure.
@@ -24,10 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .optimize import (
 from .phase_noise import child_seed
 from .wwzb import CorrelatorTable, chsh_horodecki, wwzb_value
 
-__all__ = ["RunManifest", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 FIG1_DEFAULT_WIDTHS = "0,0.2,0.4,0.7,1.0"
 FIG2_DEFAULT_PARTIES = "2,4,9"
@@ -70,49 +72,33 @@ MAX_TABLE_ENTRIES = 2**25
 MAX_PAIRS = 1024
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record attached to every command run.
+def _manifest(args, seed=None, derived=None, **parsed) -> dict:
+    """The manifest one run embeds in its output files.
 
-    The embedded form (inside output files) omits the timestamp so that
-    identical reruns are byte-identical; the logged form (stderr) keeps it.
+    Its parameters are every flag in ``args`` except --out and --seed
+    (the checked seed has its own key).  ``parsed`` gives the values the
+    run used where they differ from the raw flags (parsed lists,
+    resolved amplitudes, default centers) and adds per-file values.
     """
-
-    command: str
-    parameters: dict
-    seed: Optional[int]
-    version: str
-    derived: dict
-    timestamp: str
-
-    def embed_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "derived": self.derived,
-        }
-
-    def log_dict(self) -> dict:
-        out = self.embed_dict()
-        out["timestamp"] = self.timestamp
-        return out
+    parameters = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "out", "seed")
+    }
+    parameters.update(parsed)
+    return {
+        "command": args.command,
+        "parameters": parameters,
+        "seed": seed,
+        "version": __version__,
+        "derived": derived or {},
+    }
 
 
-def _new_manifest(command, parameters, seed=None, derived=None) -> RunManifest:
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        seed=seed,
-        version=__version__,
-        derived=derived or {},
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def _log_manifest(manifest: RunManifest) -> None:
-    print(json.dumps(manifest.log_dict(), sort_keys=True), file=sys.stderr)
+def _log(manifest: dict) -> None:
+    """Print the manifest, timestamped, to stderr as one JSON line."""
+    stamped = dict(manifest, timestamp=datetime.now(timezone.utc).isoformat())
+    print(json.dumps(stamped, sort_keys=True), file=sys.stderr)
 
 
 def _fmt(value) -> str:
@@ -136,8 +122,10 @@ def _round12(value):
     return float(format(float(value), ".12g"))
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write_json(path, manifest: dict, **body) -> None:
+    """Write one JSON document: the manifest beside the ``body`` keys."""
+    document = json.dumps({"manifest": manifest, **body}, indent=2, sort_keys=True)
+    Path(path).write_text(document + "\n", encoding="utf-8")
 
 
 def _csv_lines(rows):
@@ -164,11 +152,11 @@ def _write_rows(path, fmt, header, rows, manifest) -> None:
     """
     with open(path, "w", encoding="utf-8") as out:
         if fmt == "csv":
-            manifest_line = "# manifest: " + json.dumps(manifest.embed_dict(), sort_keys=True)
+            manifest_line = "# manifest: " + json.dumps(manifest, sort_keys=True)
             out.write(manifest_line + "\n" + ",".join(header) + "\n")
             out.writelines(_csv_lines(rows))
             return
-        payload = {"manifest": manifest.embed_dict(), "columns": list(header), "rows": []}
+        payload = {"manifest": manifest, "columns": list(header), "rows": []}
         # "rows" sorts last, so the dump ends in '"rows": []' and the newline
         # and brace closing the object.
         out.write(json.dumps(payload, indent=2, sort_keys=True)[: -len("[]\n}")])
@@ -286,12 +274,9 @@ def cmd_fig1(args) -> int:
     for width in widths:
         values = best_pair_values_over_centers(tables, grid[:, None], width)
         rows.extend((width, phi, s) for phi, s in zip(grid, values))
-    manifest = _new_manifest(
-        "fig1",
-        {"r": args.r, "deltas": widths, "grid": args.grid, "format": args.format},
-    )
+    manifest = _manifest(args, deltas=widths)
     _write_rows(args.out, args.format, ("delta", "phi_bar", "S"), rows, manifest)
-    _log_manifest(manifest)
+    _log(manifest)
     return 0
 
 
@@ -305,7 +290,7 @@ def cmd_fig2(args) -> int:
     columns: N, delta, s_max, eta_threshold (NaN when no loss level
     violates).
     """
-    parties = _parse_ints(args.n_list, "--n-list")
+    parties = _parse_ints(args.parties, "--n-list")
     if any(n < 1 for n in parties):
         raise ValueError("--n-list must hold party counts >= 1")
     if not (np.isfinite(args.delta_step) and args.delta_step > 0.0):
@@ -342,28 +327,30 @@ def cmd_fig2(args) -> int:
             )
             eta = threshold.efficiency if threshold.violable else float("nan")
             rows.append((n, float(width), report.best_s, eta))
-    manifest = _new_manifest(
-        "fig2",
-        {
-            "parties": parties,
-            "delta_max": args.delta_max,
-            "delta_step": args.delta_step,
-            "restarts": args.restarts,
-            "eta_tolerance": args.eta_tolerance,
-            "joint_phases": args.joint_phases,
-            "format": args.format,
-        },
-    )
+    manifest = _manifest(args, parties=parties)
     _write_rows(
         args.out, args.format, ("N", "delta", "s_max", "eta_threshold"), rows, manifest
     )
-    _log_manifest(manifest)
+    _log(manifest)
     return 0
 
 
 def _stem_with_suffix(path: str, suffix: str) -> str:
     p = Path(path)
     return str(p.with_name(p.stem + suffix + p.suffix))
+
+
+def _pinned_optimum(args):
+    """Pinned-phase optimum for centered frames, the amplitudes of a histogram."""
+    spec = OptimizationSpec(
+        n_parties=args.parties,
+        width=args.delta,
+        efficiency=args.eta,
+        optimize_phases=False,
+        restarts=args.restarts,
+    )
+    _check_search(spec, "--parties")
+    return maximize_bell(spec)
 
 
 def cmd_fig3(args) -> int:
@@ -379,15 +366,7 @@ def cmd_fig3(args) -> int:
     _check_histogram_tables(args.parties, pair_counts, "--m-list")
     _check_histogram_size(args.samples, args.bins, args.parties)
     seed = _check_seed(args.seed)
-    spec = OptimizationSpec(
-        n_parties=args.parties,
-        width=args.delta,
-        efficiency=args.eta,
-        optimize_phases=False,
-        restarts=args.restarts,
-    )
-    _check_search(spec, "--parties")
-    report = maximize_bell(spec)
+    report = _pinned_optimum(args)
     derived = {
         "r": _round12(report.r),
         "r_prime": _round12(report.r_prime),
@@ -405,27 +384,12 @@ def cmd_fig3(args) -> int:
             seed=stream,
             n_bins=args.bins,
         )
-        manifest = _new_manifest(
-            "fig3",
-            {
-                "parties": args.parties,
-                "delta": args.delta,
-                "eta": args.eta,
-                "pair_count": m,
-                "samples": args.samples,
-                "bins": args.bins,
-                "stream_seed": stream,
-            },
-            seed=seed,
-            derived=derived,
+        manifest = _manifest(
+            args, seed, derived, m_list=pair_counts, pair_count=m, stream_seed=stream
         )
-        payload = {
-            "manifest": manifest.embed_dict(),
-            "histogram": histogram.to_json_dict(),
-        }
         out = _stem_with_suffix(args.out, f"_m{m}")
-        _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _log_manifest(manifest)
+        _write_json(out, manifest, histogram=histogram.to_json_dict())
+        _log(manifest)
         print(f"m={m} fraction_violating={_fmt(histogram.fraction_violating)}")
     return 0
 
@@ -443,19 +407,7 @@ def cmd_smax(args) -> int:
     )
     _check_search(spec, "--parties")
     report = maximize_bell(spec)
-    manifest = _new_manifest(
-        "smax",
-        {
-            "parties": args.parties,
-            "delta": args.delta,
-            "eta": args.eta,
-            "pin_phases": args.pin_phases,
-            "unreduced": args.unreduced,
-            "restarts": args.restarts,
-            "tolerance": args.tolerance,
-        },
-        derived={"best_s": _round12(report.best_s)},
-    )
+    manifest = _manifest(args, derived={"best_s": _round12(report.best_s)})
     centers = ",".join(_fmt(c) for c in report.phase_centers)
     print(
         f"s_max={_fmt(report.best_s)} r={_fmt(report.r)} "
@@ -463,9 +415,8 @@ def cmd_smax(args) -> int:
         f"converged={_fmt(report.converged)}"
     )
     if args.out:
-        payload = {"manifest": manifest.embed_dict(), "report": report.to_json_dict()}
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _log_manifest(manifest)
+        _write_json(args.out, manifest, report=report.to_json_dict())
+    _log(manifest)
     return 0
 
 
@@ -482,31 +433,15 @@ def cmd_eta(args) -> int:
         tolerance=args.tolerance,
         restarts=args.restarts,
     )
-    manifest = _new_manifest(
-        "eta",
-        {
-            "parties": args.parties,
-            "delta": args.delta,
-            "tolerance": args.tolerance,
-            "restarts": args.restarts,
-        },
-        derived={
-            "eta_threshold": _round12(result.efficiency),
-            "violable": result.violable,
-        },
-    )
+    derived = {"eta_threshold": _round12(result.efficiency), "violable": result.violable}
+    manifest = _manifest(args, derived=derived)
     if result.violable:
         print(f"eta_threshold={_fmt(result.efficiency)}")
     else:
         print("no violation at unit efficiency")
     if args.out:
-        payload = {
-            "manifest": manifest.embed_dict(),
-            "eta_threshold": _round12(result.efficiency),
-            "violable": result.violable,
-        }
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _log_manifest(manifest)
+        _write_json(args.out, manifest, **derived)
+    _log(manifest)
     return 0
 
 
@@ -526,15 +461,7 @@ def cmd_violation_dist(args) -> int:
         r0, r1 = args.r0, args.r1
         derived = {}
     else:
-        spec = OptimizationSpec(
-            n_parties=args.parties,
-            width=args.delta,
-            efficiency=args.eta,
-            optimize_phases=False,
-            restarts=args.restarts,
-        )
-        _check_search(spec, "--parties")
-        report = maximize_bell(spec)
+        report = _pinned_optimum(args)
         r0, r1 = report.r, report.r_prime
         derived = {"r": _round12(r0), "r_prime": _round12(r1)}
     histogram = violation_distribution(
@@ -547,29 +474,11 @@ def cmd_violation_dist(args) -> int:
         seed=seed,
         n_bins=args.bins,
     )
-    manifest = _new_manifest(
-        "violation-dist",
-        {
-            "parties": args.parties,
-            "r0": r0,
-            "r1": r1,
-            "delta": args.delta,
-            "eta": args.eta,
-            "pairs": args.pairs,
-            "samples": args.samples,
-            "bins": args.bins,
-        },
-        seed=seed,
-        derived=derived,
-    )
+    manifest = _manifest(args, seed, derived, r0=r0, r1=r1)
     print(f"fraction_violating={_fmt(histogram.fraction_violating)}")
     if args.out:
-        payload = {
-            "manifest": manifest.embed_dict(),
-            "histogram": histogram.to_json_dict(),
-        }
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _log_manifest(manifest)
+        _write_json(args.out, manifest, histogram=histogram.to_json_dict())
+    _log(manifest)
     return 0
 
 
@@ -588,10 +497,7 @@ def cmd_chsh_footnote(args) -> int:
     verdict = "no violation" if value <= 2.0 else "violation"
     print(f"chsh={_fmt(value)} bound=2")
     print(verdict)
-    manifest = _new_manifest(
-        "chsh-footnote", {}, derived={"chsh": _round12(value), "verdict": verdict}
-    )
-    _log_manifest(manifest)
+    _log(_manifest(args, derived={"chsh": _round12(value), "verdict": verdict}))
     return 0
 
 
@@ -616,26 +522,14 @@ def cmd_correlators(args) -> int:
         (index, format(index, f"0{args.parties}b")[::-1], value)
         for index, value in enumerate(table)
     )
-    manifest = _new_manifest(
-        "correlators",
-        {
-            "parties": args.parties,
-            "r0": args.r0,
-            "r1": args.r1,
-            "centers": centers,
-            "delta": args.delta,
-            "eta": args.eta,
-            "format": args.format,
-        },
-        derived={"s": _round12(result.s_value)},
-    )
+    manifest = _manifest(args, derived={"s": _round12(result.s_value)}, centers=centers)
     if args.out:
         _write_rows(args.out, args.format, ("index", "settings", "xi"), rows, manifest)
     else:
         print("index,settings,xi")
         sys.stdout.writelines(_csv_lines(rows))
     print(f"# S = {_fmt(result.s_value)}")
-    _log_manifest(manifest)
+    _log(manifest)
     return 0
 
 
@@ -678,6 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig2.add_argument(
         "--n-list",
+        dest="parties",
+        metavar="N_LIST",
         default=FIG2_DEFAULT_PARTIES,
         help="comma-separated party counts (default %(default)s)",
     )

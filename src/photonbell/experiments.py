@@ -57,7 +57,13 @@ from .fock_core import (
     lossy_w_state,
 )
 from .phase_noise import PhaseModel
-from .wwzb import BellResult, CorrelatorTable, _walsh_hadamard, wwzb_value
+from .wwzb import (
+    VIOLATION_ROUNDOFF,
+    BellResult,
+    CorrelatorTable,
+    _walsh_hadamard,
+    wwzb_value,
+)
 
 __all__ = [
     "MeasurementStrategy",
@@ -219,9 +225,12 @@ def _frame_damping(freqs, width: float) -> np.ndarray:
     """Gaussian frame damping exp(-width^2 |n|^2 / 2) of each frequency n.
 
     ``freqs`` holds frequency vectors along its last axis; the result has
-    the remaining shape.
+    the remaining shape.  Squaring width * n rather than the width alone
+    keeps zero frequencies at damping 1 for any finite width: a square
+    that overflows to inf only damps its own nonzero entries to 0.
     """
-    return np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=-1))
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * np.sum((width * freqs) ** 2, axis=-1))
 
 
 def _half_basis(n_parties: int) -> np.ndarray:
@@ -612,7 +621,9 @@ def violation_distribution(
     ``pair_count`` stepped setting pairs.  ``amplitudes`` is the (r0, r1)
     pair every party uses, normally the optimizer's output for centered
     frames; pass the values actually used so they are recorded in the
-    histogram metadata.
+    histogram metadata.  A sample violates when its value exceeds
+    1 + VIOLATION_ROUNDOFF, so a classical value rounded above 1 does
+    not count.
 
     The centers are drawn from ``seed`` alone, as one (n_samples, N-1)
     array, and all samples are evaluated in one batched frame scan
@@ -638,7 +649,7 @@ def violation_distribution(
     span = max_s - min_s
     edges = np.linspace(min_s, max_s if span > 0 else min_s + 1e-12, n_bins + 1)
     counts, edges = np.histogram(s_values, bins=edges)
-    fraction = float(np.count_nonzero(s_values > 1.0) / n_samples)
+    fraction = float(np.count_nonzero(s_values > 1.0 + VIOLATION_ROUNDOFF) / n_samples)
     metadata = {
         "n_parties": int(n_parties),
         "r0": r0,

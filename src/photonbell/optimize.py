@@ -83,7 +83,7 @@ from .fock_core import (
     displacement_matrices,
     lossy_w_state,
 )
-from .wwzb import TABLE_RANGE_TOL, _walsh_hadamard
+from .wwzb import TABLE_RANGE_TOL, VIOLATION_ROUNDOFF, _walsh_hadamard
 
 __all__ = [
     "OptimizationSpec",
@@ -106,12 +106,6 @@ START_AMPLITUDE = 1.2
 # Transmissions at which a threshold search tabulates every point: the
 # correlators are affine in between.
 _THRESHOLD_EFFICIENCIES = (0.0, 1.0)
-
-# A Bell value counts as a violation only above 1 + VIOLATION_ROUNDOFF.
-# Sums of 2^N rounded terms can overshoot a classical value of exactly 1
-# (one party at zero amplitudes, for instance) by far less than this,
-# and a threshold moves by about this much over the slope of S in eta.
-VIOLATION_ROUNDOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -627,12 +621,12 @@ def certainty_frontier(
     """Largest noise width with a violation certain for every frame center.
 
     For each pair count m, bisects the width at which the best-pair Bell
-    value stays above 1 on a uniform grid of frame centers (``grid_density``
-    points per relative phase, at least 360).  Amplitudes are re-optimized
-    for centered frames at every probed width, matching a laboratory that
-    knows its noise level but not the frame.  Returns a list of
-    (m, width) pairs; width is NaN when not even zero width is certain, and
-    capped at ``width_max``.  Restricted to n_parties <= 3 to keep the
+    value stays above 1 + VIOLATION_ROUNDOFF on a uniform grid of frame
+    centers (``grid_density`` points per relative phase, at least 360).
+    Amplitudes are re-optimized for centered frames at every probed
+    width, matching a laboratory that knows its noise level but not the
+    frame.  Returns a list of (m, width) pairs; width is NaN when not even
+    zero width is certain, and capped at ``width_max``.  Restricted to n_parties <= 3 to keep the
     center grid tractable.  Pair counts must be integers >= 1, and
     ``width_tolerance`` and ``width_max`` finite and > 0 (ValueError
     otherwise, before any search).
@@ -668,7 +662,7 @@ def certainty_frontier(
         strategy = paired_strategy(n_parties, report.r, report.r_prime, pair_count)
         tables = pair_symbolic_tables(state, strategy)
         values = best_pair_values_over_centers(tables, centers, width)
-        return bool(np.all(values > 1.0))
+        return bool(np.all(values > 1.0 + VIOLATION_ROUNDOFF))
 
     results = []
     for pair_count in pair_counts:

@@ -45,6 +45,13 @@ __all__ = [
 # Correlators may overshoot +-1 by accumulated roundoff, never by physics.
 TABLE_RANGE_TOL = 1e-9
 
+# A Bell value counts as a violation only above 1 + VIOLATION_ROUNDOFF.
+# Sums of 2^N rounded terms can overshoot a classical value of exactly 1
+# (one party at zero amplitudes, or the vacuum, for instance) by far less
+# than this, and a threshold moves by about this much over the slope of S
+# in eta.
+VIOLATION_ROUNDOFF = 1e-9
+
 # Largest N for which the quadratic-cost oracle is allowed to run.
 NAIVE_PARTY_LIMIT = 10
 
@@ -100,7 +107,7 @@ class BellResult:
 
     @property
     def violated(self) -> bool:
-        return self.s_value > 1.0
+        return self.s_value > 1.0 + VIOLATION_ROUNDOFF
 
 
 def _butterflies(flat: np.ndarray, h: int, stop: int, temp: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 """End-to-end checks of the photonbell command line."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from photonbell import (
     averaged_correlator_table,
     maximize_bell,
 )
-from photonbell.cli import main
+from photonbell.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -482,6 +483,116 @@ def test_violation_dist_with_pinned_amplitudes(tmp_path, capsys):
     assert payload["histogram"]["metadata"]["n_samples"] == 25
 
 
+def _embedded_manifest(path):
+    text = Path(path).read_text()
+    if text.startswith("# manifest: "):
+        return json.loads(text.splitlines()[0][len("# manifest: ") :])
+    return json.loads(text)["manifest"]
+
+
+def _subcommand_dests():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {action.dest for action in sub._actions if action.dest != "help"}
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_manifest_parameters_are_every_flag_but_out_and_seed(tmp_path, capsys):
+    # Each subcommand's embedded parameters carry one key per argparse
+    # dest except --out and --seed; fig3 adds its per-file pair count and
+    # stream seed.  The stderr line is the embedded manifest plus a
+    # timestamp.
+    cases = {
+        "fig1": (["--grid", "24", "--deltas", "0,0.5"], "fig1.csv"),
+        "fig2": (
+            ["--n-list", "2", "--delta-max", "0", "--restarts", "1", "--eta-tolerance", "0.02"],
+            "fig2.csv",
+        ),
+        "fig3": (
+            ["--m-list", "1", "--samples", "30", "--bins", "10", "--restarts", "4", "--seed", "7"],
+            "hist.json",
+        ),
+        "smax": (["--parties", "2", "--pin-phases", "--restarts", "4"], "smax.json"),
+        "eta": (["--parties", "1", "--tolerance", "0.02", "--restarts", "2"], "eta.json"),
+        "violation-dist": (
+            ["--r0", "0.1", "--r1", "-0.5", "--pairs", "2", "--samples", "25", "--seed", "11"],
+            "dist.json",
+        ),
+        "chsh-footnote": ([], None),
+        "correlators": (["--parties", "2", "--r0", "0", "--r1", "0.6"], "c.csv"),
+    }
+    dests = _subcommand_dests()
+    assert set(cases) == set(dests)
+    for command, (flags, name) in cases.items():
+        argv = [command, *flags]
+        if name is not None:
+            argv += ["--out", str(tmp_path / name)]
+        code, _, err = run(argv, capsys)
+        assert code == 0, command
+        logged = json.loads(err.strip().splitlines()[-1])
+        assert logged.pop("timestamp")
+        if name is not None:
+            embedded_path = tmp_path / name
+            if command == "fig3":
+                embedded_path = tmp_path / "hist_m1.json"
+            assert _embedded_manifest(embedded_path) == logged, command
+        expected = dests[command] - {"out", "seed"}
+        if command == "fig3":
+            expected |= {"pair_count", "stream_seed"}
+        assert set(logged["parameters"]) == expected, command
+        assert logged["command"] == command
+
+
+@pytest.mark.parametrize(
+    "argv, out, written",
+    [
+        (
+            ["fig3", "--m-list", "1", "--samples", "30", "--bins", "10", "--seed", "7"],
+            "hist.json",
+            "hist_m1.json",
+        ),
+        (
+            ["violation-dist", "--pairs", "2", "--samples", "25", "--seed", "11"],
+            "dist.json",
+            "dist.json",
+        ),
+    ],
+)
+def test_manifest_tells_restart_counts_apart(tmp_path, capsys, argv, out, written):
+    # --restarts shapes the optimizer's amplitude pair, hence the
+    # histogram, so runs that differ only in it must carry different
+    # manifests.
+    manifests = []
+    for restarts in ("1", "2"):
+        folder = tmp_path / restarts
+        folder.mkdir()
+        flags = ["--restarts", restarts, "--out", str(folder / out)]
+        assert run(argv + flags, capsys)[0] == 0
+        manifests.append(_embedded_manifest(folder / written))
+    assert manifests[0] != manifests[1]
+    assert [m["parameters"]["restarts"] for m in manifests] == [1, 2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_very_wide_noise_damps_every_coherence(capsys):
+    # A width whose square overflows leaves only the unrotated entries of
+    # the state, as a width of 1e3 already does, without a numpy warning.
+    code, out_text, _ = run(
+        ["smax", "--parties", "2", "--delta", "1e200", "--restarts", "2"], capsys
+    )
+    assert code == 0
+    assert out_text.startswith("s_max=1 ")
+    tables = []
+    for width in ("1e3", "1e200"):
+        argv = ["correlators", "--parties", "3", "--r0", "0.1", "--r1", "-0.4"]
+        code, out_text, _ = run(argv + ["--delta", width], capsys)
+        assert code == 0
+        tables.append(out_text)
+    assert tables[0] == tables[1]
+
+
 def test_correlators_stdout_table(capsys):
     code, out_text, _ = run(
         ["correlators", "--parties", "2", "--r0", "0", "--r1", "0.6"], capsys
@@ -527,7 +638,7 @@ def test_correlators_files_match_one_shot_dumps(tmp_path, capsys, parties):
 
 RSS_PROBE = """
 import json, resource, sys
-from photonbell.cli import main
+from photonbell.cli import build_parser, main
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 code = main(sys.argv[1:])
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

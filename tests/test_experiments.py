@@ -39,6 +39,7 @@ from photonbell.fock_core import (
     correlator_tables,
     displacement_matrices,
 )
+from photonbell.wwzb import VIOLATION_ROUNDOFF
 
 TWO_PI = 2.0 * np.pi
 
@@ -666,6 +667,16 @@ def test_violation_distribution_reproducible_and_matches_per_center_oracle():
     assert abs(a.min_s - slow.min()) < 1e-12
     assert abs(a.max_s - slow.max()) < 1e-12
     assert abs(a.fraction_violating - np.count_nonzero(slow > 1.0) / 40) < 1e-12
+
+
+def test_vacuum_never_violates():
+    # At transmission 0 the state is the vacuum, a product state.  With
+    # this pair the best-pair value rounds to 1 + 2.2e-16 on every frame,
+    # which must not count as a violation.
+    for n_parties in (2, 3):
+        hist = violation_distribution(n_parties, (0.0, -0.405), 0.0, 0.0, 1, 50, seed=1)
+        assert hist.max_s <= 1.0 + VIOLATION_ROUNDOFF
+        assert hist.fraction_violating == 0.0
 
 
 def test_violation_distribution_validation():

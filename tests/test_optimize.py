@@ -443,6 +443,16 @@ def test_certainty_frontier_small_cases():
     assert out[1] == (3, 0.5)
 
 
+def test_certainty_frontier_vacuum_is_never_certain():
+    # ~1.5 s.  At transmission 0 the state is the vacuum, a product state;
+    # the optimizer's pair there gives best-pair values that round to
+    # 1 + 2.2e-16 on every frame, which is no violation.
+    for n_parties in (2, 3):
+        out = certainty_frontier(n_parties, 0.0, [1, 8], grid_density=360)
+        assert [m for m, _ in out] == [1, 8]
+        assert all(np.isnan(width) for _, width in out)
+
+
 def test_certainty_frontier_rejects_pair_counts_before_any_search(monkeypatch):
     def no_search(_spec):
         raise AssertionError("maximize_bell ran before the pair counts were checked")

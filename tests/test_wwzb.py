@@ -13,7 +13,12 @@ from photonbell import (
     wwzb_value,
     wwzb_value_naive,
 )
-from photonbell.wwzb import WHT_BLOCK_ENTRIES, WHT_SMALL_ENTRIES, _walsh_hadamard
+from photonbell.wwzb import (
+    VIOLATION_ROUNDOFF,
+    WHT_BLOCK_ENTRIES,
+    WHT_SMALL_ENTRIES,
+    _walsh_hadamard,
+)
 
 _PAULIS = [
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -144,6 +149,9 @@ def test_dominant_term_is_argmax():
 def test_bell_result_violated_flag():
     assert BellResult(1.2, 0).violated
     assert not BellResult(1.0, 0).violated
+    # a classical value of 1 rounded up by an ulp or two is no violation
+    assert not BellResult(1.0 + 2.3e-16, 0).violated
+    assert not BellResult(1.0 + VIOLATION_ROUNDOFF, 0).violated
 
 
 def _chsh_bruteforce(rho: np.ndarray) -> float:
