@@ -626,10 +626,10 @@ def certainty_frontier(
     Amplitudes are re-optimized for centered frames at every probed
     width, matching a laboratory that knows its noise level but not the
     frame.  Returns a list of (m, width) pairs; width is NaN when not even
-    zero width is certain, and capped at ``width_max``.  Restricted to n_parties <= 3 to keep the
-    center grid tractable.  Pair counts must be integers >= 1, and
-    ``width_tolerance`` and ``width_max`` finite and > 0 (ValueError
-    otherwise, before any search).
+    zero width is certain, and capped at ``width_max``.  Restricted to
+    n_parties <= 3 to keep the center grid tractable.  Pair counts must
+    be integers >= 1, and ``width_tolerance`` and ``width_max`` finite
+    and > 0 (ValueError otherwise, before any search).
     """
     pair_counts = list(pair_counts)
     if not all(isinstance(m, (int, np.integer)) and m >= 1 for m in pair_counts):
