@@ -12,9 +12,9 @@ from .experiments import (
     MeasurementStrategy,
     SymbolicCorrelatorTable,
     bell_value_averaged,
-    bell_value_static,
     best_pair_bell_value,
     best_pair_values_over_centers,
+    frame_averaged_table,
     pair_setting_indices,
     pair_symbolic_tables,
     paired_strategy,
@@ -26,7 +26,6 @@ from .fock_core import (
     ConsistencyError,
     DisplacementSetting,
     ModeObservable,
-    SettingVector,
     SubspaceState,
     correlator,
     correlator_bruteforce,
@@ -70,13 +69,11 @@ __all__ = [
     "OptimizationSpec",
     "OptimumReport",
     "PhaseModel",
-    "SettingVector",
     "SubspaceState",
     "SymbolicCorrelatorTable",
     "ThresholdResult",
     "averaged_correlator_table",
     "bell_value_averaged",
-    "bell_value_static",
     "best_pair_bell_value",
     "best_pair_values_over_centers",
     "certainty_frontier",
@@ -85,6 +82,7 @@ __all__ = [
     "correlator",
     "correlator_bruteforce",
     "displacement_observable",
+    "frame_averaged_table",
     "lossy_w_state",
     "maximize_bell",
     "pair_setting_indices",

@@ -210,9 +210,11 @@ def _check_search(spec: OptimizationSpec, flag: str, threshold=False) -> None:
 
 
 def _check_histogram_tables(parties: int, pair_counts, pair_flag: str) -> None:
-    """Reject pair counts beyond MAX_PAIRS and oversized frame-scan tables."""
+    """Reject repeated pair counts, counts beyond MAX_PAIRS and oversized scans."""
     if not all(1 <= m <= MAX_PAIRS for m in pair_counts):
         raise ValueError(f"{pair_flag} must lie in [1, {MAX_PAIRS}]")
+    if len(set(pair_counts)) != len(pair_counts):
+        raise ValueError(f"{pair_flag} repeats a pair count")
     m = max(pair_counts)
     # the stacked real coefficients plus their transform
     _check_entries(

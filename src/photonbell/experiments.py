@@ -4,38 +4,46 @@ Every party measures displaced click/no-click observables on its mode of a
 (possibly lossy) shared single photon.  Party k's setting list holds its
 displacement choices; in a run, the phase of party k's displacement is
 shifted by the unknown frame offset Delta_{k-1} (party 1 is the reference
-and has no offset).  Correlators therefore become real trigonometric
-sums in the offsets, built once per strategy (:func:`symbolic_correlators`).
-Each coefficient row is the correlation table of one Hermitian component
-of the state; the 1 + N(N-1) components are stacked as states, so the
-package's one correlator kernel
-(:func:`~photonbell.fock_core.correlator_tables`) builds every row in one
-call per strategy.  A :class:`SymbolicCorrelatorTable` holds these as one
-real array: the constant row, then a cosine and a sine row for each of
-the N(N-1)/2 frequencies n of the half basis (one of each pair +-n), so
-its entries are real by construction.  It evaluates its rows with one
-row-times-matrix product, either at fixed offsets
-(:meth:`~SymbolicCorrelatorTable.evaluate`, :func:`bell_value_static`)
-or averaged over a wrapped-Gaussian offset model, which damps the rows of
-n by exp(-width^2 |n|^2 / 2) and evaluates them at the centers
-(:meth:`~SymbolicCorrelatorTable.averaged`, :func:`bell_value_averaged`).
-The absolute values inside the Bell functional are applied after
-averaging, matching an experiment that accumulates correlators across
-runs before computing the Bell value.
+and has no offset).  Shifting those phases conjugates the state, so entry
+(a, b) of rho picks up exp(i m_ab . Delta), m_ab its offset frequency
+(:func:`_offset_frequencies`).
+
+One frame is one state.  Averaged over offsets Delta = c + Gaussian noise
+of width w, entry (a, b) becomes rho[a, b] exp(-w^2 |m_ab|^2 / 2)
+exp(i m_ab . c), exactly, since the wrapped and unwrapped Gaussians share
+their characteristic function at integer frequencies; width 0 is the
+fixed frame c.  The averaged table is one call of the package's
+correlator kernel (:func:`~photonbell.fock_core.correlator_tables`) on
+that state against the strategy's own settings
+(:func:`frame_averaged_table`, :func:`bell_value_averaged`).  The absolute
+values inside the Bell functional are applied after averaging, matching
+an experiment that accumulates correlators across runs before computing
+the Bell value.
 
 To fight frame noise, party 1 may hold m pairs of settings that repeat the
 same two amplitudes with pair phases stepped by 2*pi/m.  Each pair alone is
 a complete two-setting-per-party Bell test, so the best pair may be chosen
-after the data is taken (:func:`best_pair_bell_value`, one frame at a time).
-Frame scans over many centers go through one batched route,
-:func:`best_pair_values_over_centers`: the pair tables' rows stack, and
-their damped Walsh-Hadamard transforms are each pair's transform as a
-real cosine/sine polynomial in the centers.  Per chunk of centers, the
-cosines and sines of the half basis and one real matrix product give
-every pair's transform.  The complex route through exp(i C F^T) stays
-in the tests as the oracle of the real one.  The distribution of Bell
-values over uniformly random frame centers (:func:`violation_distribution`)
-is one such scan; the per-center route stays as its test oracle.
+after the data is taken (:func:`best_pair_bell_value`, every pair of one
+frame in one kernel call).
+
+Many frames at fixed settings are what the offset-symbolic tables serve.
+Correlators are real trigonometric sums in the offsets, built once per
+strategy (:func:`symbolic_correlators`, :func:`pair_symbolic_tables`):
+each coefficient row is the correlation table of one Hermitian component
+of the state, and the 1 + N(N-1) components are stacked as states in one
+kernel call.  A :class:`SymbolicCorrelatorTable` holds them as one real
+array: the constant row, then a cosine and a sine row for each of the
+N(N-1)/2 frequencies n of the half basis (one of each pair +-n), so its
+entries are real by construction.  Frame scans over many centers go
+through one batched route, :func:`best_pair_values_over_centers`: the
+pair tables' rows stack, and their damped Walsh-Hadamard transforms are
+each pair's transform as a real cosine/sine polynomial in the centers.
+Per chunk of centers, the cosines and sines of the half basis and one
+real matrix product give every pair's transform.  The distribution of
+Bell values over uniformly random frame centers
+(:func:`violation_distribution`) is one such scan.  The tests keep the
+complex route through exp(i C F^T) as the oracle of the real one, and the
+state route as its per-center oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ import numpy as np
 from .fock_core import (
     TWO_PI,
     DisplacementSetting,
-    SettingVector,
     SubspaceState,
     check_observable_matrices,
     correlator_tables,
@@ -70,9 +77,9 @@ __all__ = [
     "SymbolicCorrelatorTable",
     "ViolationHistogram",
     "bell_value_averaged",
-    "bell_value_static",
     "best_pair_bell_value",
     "best_pair_values_over_centers",
+    "frame_averaged_table",
     "pair_setting_indices",
     "pair_symbolic_tables",
     "paired_strategy",
@@ -255,7 +262,10 @@ class SymbolicCorrelatorTable:
     :func:`_half_basis` (H = N(N-1)/2), so that entry s at offsets Delta
     is a_0[s] + sum_n A_n[s] cos(n . Delta) + B_n[s] sin(n . Delta).  The
     entries are real by construction.  Coefficients must be finite real
-    numbers; the array is copied and stored read-only.
+    numbers; the array is copied and stored read-only.  The rows serve
+    scans of many frames at fixed settings
+    (:func:`best_pair_values_over_centers`); one frame is read through the
+    state (:func:`frame_averaged_table`).
     """
 
     n_parties: int
@@ -276,67 +286,46 @@ class SymbolicCorrelatorTable:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def _damped_at(self, centers, width: float) -> CorrelatorTable:
-        """Rows damped by the width and evaluated at the centers.
-
-        The table is row @ coeffs with row = [1, q_n cos(n . c), q_n sin(n . c)]
-        over the half basis, q_n = exp(-width^2 |n|^2 / 2).
-        """
-        half = _half_basis(self.n_parties)
-        damping = _frame_damping(half, width)
-        phases = half @ centers
-        row = np.concatenate(([1.0], damping * np.cos(phases), damping * np.sin(phases)))
-        return CorrelatorTable(self.n_parties, row @ self.coeffs)
-
-    def evaluate(self, offsets) -> CorrelatorTable:
-        """Numeric table at fixed offsets Delta (length N-1, finite)."""
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape != (self.n_parties - 1,):
-            raise ValueError(
-                f"offsets must have length {self.n_parties - 1}, got shape {offsets.shape}"
-            )
-        if not np.all(np.isfinite(offsets)):
-            raise ValueError("offsets must be finite")
-        return self._damped_at(offsets, 0.0)
-
-    def averaged(self, model: PhaseModel) -> CorrelatorTable:
-        """Numeric table with every entry averaged over the offset model.
-
-        Exact: averaged over Gaussian offsets, cos(n . Delta) and
-        sin(n . Delta) become exp(-width^2 |n|^2 / 2) times their values at
-        the centers, since the wrapped and unwrapped Gaussians share their
-        characteristic function at integer frequencies.
-        """
-        if model.n_relative != self.n_parties - 1:
-            raise ValueError(
-                f"a table of {self.n_parties} parties cannot be averaged "
-                f"with a model of {model.n_relative} relative phases"
-            )
-        return self._damped_at(np.array(model.centers), model.width)
-
 
 def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
     """Setting matrices (P, N, 2, 2, 2) of the index sets.
 
-    The matrices of the distinct settings used are built and validated as
-    one array, so each setting is built and checked once.
+    Each index set holds one pair of setting indices per party; the
+    (P, N, 2) index array is checked in one pass, negative indices first,
+    since numpy would wrap them around.  The matrices of the distinct
+    settings used are built and validated as one array, so each setting
+    is built and checked once.
     """
     n = strategy.n_parties
-    counts = [len(party) for party in strategy.settings]
     for indices in index_sets:
         if len(indices) != n or any(len(pair) != 2 for pair in indices):
             raise ValueError("setting_indices needs one index pair per party")
-        for bit in range(2):
-            SettingVector(tuple(pair[bit] for pair in indices)).validate_for(counts)
+    index = np.array(index_sets, dtype=int).reshape(len(index_sets), n, 2)
+    if np.any(index < 0):
+        raise ValueError("setting indices must be >= 0")
+    counts = np.array([len(party) for party in strategy.settings])
+    beyond = np.argwhere(index >= counts[:, None])
+    if len(beyond):
+        point, party, bit = beyond[0]
+        raise ValueError(
+            f"party {party + 1} has {counts[party]} settings, "
+            f"index {index[point, party, bit]} invalid"
+        )
     # Index the settings of all parties in one flat list, party by party.
     flat = [setting for party in strategy.settings for setting in party]
-    first = np.cumsum([0] + counts[:-1])
-    index = np.array(index_sets, dtype=int).reshape(len(index_sets), n, 2) + first[:, None]
+    index += (np.cumsum(counts) - counts)[:, None]
     used, inverse = np.unique(index, return_inverse=True)
     chosen = [flat[i] for i in used]
     matrices = displacement_matrices([s.amplitude for s in chosen], [s.phase for s in chosen])
     check_observable_matrices(matrices)
     return matrices[inverse.reshape(index.shape)]
+
+
+def _check_parties(state: SubspaceState, strategy: MeasurementStrategy) -> None:
+    if state.n_modes != strategy.n_parties:
+        raise ValueError(
+            f"state has {state.n_modes} modes but strategy has {strategy.n_parties} parties"
+        )
 
 
 def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
@@ -356,11 +345,8 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     :func:`~photonbell.fock_core.correlator_tables` call with every index
     set as a point writes every row of every table.
     """
+    _check_parties(state, strategy)
     n = strategy.n_parties
-    if state.n_modes != n:
-        raise ValueError(
-            f"state has {state.n_modes} modes but strategy has {n} parties"
-        )
     pairs = _setting_pairs(strategy, index_sets)
     rho = state.matrix
     freqs = _offset_frequencies(n)
@@ -400,15 +386,55 @@ def symbolic_correlators(
     return _symbolic_tables(state, strategy, [setting_indices])[0]
 
 
-def bell_value_static(
+def _frame_averaged_tables(
+    state: SubspaceState, strategy, model: PhaseModel, index_sets
+) -> list:
+    """Frame-averaged tables of one strategy, one per set of setting indices.
+
+    The frame is one state: entry (a, b) of rho damped by exp(-w^2
+    |m_ab|^2 / 2) and rotated by exp(i m_ab . c) for the model's width w
+    and centers c, against the strategy's own settings, with every index
+    set as a point of one :func:`~photonbell.fock_core.correlator_tables`
+    call.  Each table depends only on its own index set, so a batch gives
+    the bits of building each table alone.
+    """
+    _check_parties(state, strategy)
+    n = strategy.n_parties
+    if model.n_relative != n - 1:
+        raise ValueError(
+            f"a strategy of {n} parties cannot be averaged "
+            f"with a model of {model.n_relative} relative phases"
+        )
+    freqs = _offset_frequencies(n)
+    rotation = np.exp(1j * (freqs @ np.array(model.centers)))
+    rho = state.matrix * _frame_damping(freqs, model.width) * rotation
+    rows = correlator_tables(rho, _setting_pairs(strategy, index_sets))
+    return [CorrelatorTable(n, row) for row in rows]
+
+
+def frame_averaged_table(
     state: SubspaceState,
     strategy: MeasurementStrategy,
-    offsets,
-    setting_indices=None,
-) -> BellResult:
-    """Bell value at fixed frame offsets (length N-1 vector, finite)."""
-    table = symbolic_correlators(state, strategy, setting_indices)
-    return wwzb_value(table.evaluate(offsets))
+    model: PhaseModel,
+    setting_indices: Optional[Sequence[Sequence[int]]] = None,
+) -> CorrelatorTable:
+    """Correlation table averaged over the frame model, one kernel call.
+
+    Offsets Delta = c + Gaussian noise of width w (``model``'s centers and
+    width) shift party k >= 2's setting phases by Delta_{k-1}.  That
+    conjugates the state, and averaging damps its entries, so the table is
+    the plain correlator table of rho with entry (a, b) multiplied by
+    exp(-w^2 |m_ab|^2 / 2) exp(i m_ab . c) (m_ab from
+    :func:`_offset_frequencies`).  The average is exact, and width 0 gives
+    the table at the fixed frame c.  ``setting_indices`` selects, for each
+    party, the pair of settings used as table settings 0 and 1 (default
+    the party's first two), as for :func:`symbolic_correlators`.  Raises
+    ValueError if the state, strategy and model disagree on the party
+    count, or if an index is negative or beyond its party's settings.
+    """
+    if setting_indices is None:
+        setting_indices = [(0, 1)] * strategy.n_parties
+    return _frame_averaged_tables(state, strategy, model, [setting_indices])[0]
 
 
 def bell_value_averaged(
@@ -421,10 +447,10 @@ def bell_value_averaged(
 
     Correlators are averaged first and the Bell functional's absolute
     values taken afterwards, so this is the value an experiment sees when
-    correlators are estimated across many runs with drifting frames.
+    correlators are estimated across many runs with drifting frames.  A
+    zero-width model gives the Bell value at a fixed frame.
     """
-    table = symbolic_correlators(state, strategy, setting_indices)
-    return wwzb_value(table.averaged(model))
+    return wwzb_value(frame_averaged_table(state, strategy, model, setting_indices))
 
 
 def pair_setting_indices(strategy: MeasurementStrategy, pair: int):
@@ -436,39 +462,36 @@ def pair_setting_indices(strategy: MeasurementStrategy, pair: int):
     return [(2 * pair, 2 * pair + 1)] + [(0, 1)] * (strategy.n_parties - 1)
 
 
-def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy):
-    """One symbolic table per pair of party 1's settings, built in one batch."""
+def _pair_index_sets(strategy: MeasurementStrategy) -> list:
+    """Setting-index pairs of every pair of party 1's settings."""
     if strategy.pair_count is None:
         raise ValueError("strategy has no pair structure")
-    index_sets = [pair_setting_indices(strategy, j) for j in range(strategy.pair_count)]
-    return _symbolic_tables(state, strategy, index_sets)
+    return [pair_setting_indices(strategy, j) for j in range(strategy.pair_count)]
+
+
+def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy):
+    """One symbolic table per pair of party 1's settings, built in one batch."""
+    return _symbolic_tables(state, strategy, _pair_index_sets(strategy))
 
 
 def best_pair_bell_value(
     state: SubspaceState,
     strategy: MeasurementStrategy,
-    model: Optional[PhaseModel] = None,
-    offsets=None,
+    model: PhaseModel,
 ):
-    """Largest Bell value over party 1's setting pairs.
+    """Largest Bell value over party 1's setting pairs in one frame model.
 
-    Exactly one of ``model`` (averaged correlators) and ``offsets`` (fixed
-    frame) must be given.  Each pair is a complete Bell test on its own, so
-    reporting the best pair after the fact is legitimate.  Returns
-    (BellResult, pair_index); ties go to the lowest pair index.
+    Each pair is a complete Bell test on its own, so reporting the best
+    pair after the fact is legitimate.  Every pair's frame-averaged table
+    comes from one kernel call, with the bits of
+    :func:`bell_value_averaged` for that pair; a fixed frame is a model of
+    width 0.  Returns (BellResult, pair_index); ties go to the lowest pair
+    index.
     """
-    if (model is None) == (offsets is None):
-        raise ValueError("give exactly one of model or offsets")
-    tables = pair_symbolic_tables(state, strategy)
-    best = None
-    best_pair = 0
-    for j, table in enumerate(tables):
-        numeric = table.averaged(model) if model is not None else table.evaluate(offsets)
-        result = wwzb_value(numeric)
-        if best is None or result.s_value > best.s_value:
-            best = result
-            best_pair = j
-    return best, best_pair
+    tables = _frame_averaged_tables(state, strategy, model, _pair_index_sets(strategy))
+    results = [wwzb_value(table) for table in tables]
+    best = max(range(len(results)), key=lambda j: results[j].s_value)
+    return results[best], best
 
 
 def _frame_scan_row_count(n_parties: int, pair_count: int) -> int:
@@ -628,8 +651,8 @@ def violation_distribution(
     The centers are drawn from ``seed`` alone, as one (n_samples, N-1)
     array, and all samples are evaluated in one batched frame scan
     (:func:`best_pair_values_over_centers`); the per-sample route through
-    :meth:`SymbolicCorrelatorTable.averaged` gives the same values and is
-    kept as the test oracle.
+    the frame-averaged state (:func:`best_pair_bell_value`) gives the same
+    values and is kept as the test oracle.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

@@ -54,7 +54,6 @@ __all__ = [
     "ConsistencyError",
     "DisplacementSetting",
     "ModeObservable",
-    "SettingVector",
     "SubspaceState",
     "check_observable_matrices",
     "correlator",
@@ -215,36 +214,6 @@ def check_observable_matrices(matrices) -> None:
         raise ValueError(f"observable eigenvalues {eigs} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
-class SettingVector:
-    """Which setting each party uses in one term of a Bell functional."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        if any(e < 0 for e in entries):
-            raise ValueError("setting indices must be >= 0")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.entries)
-
-    def validate_for(self, settings_per_party: Sequence[int]) -> None:
-        """Raise ValueError unless each entry indexes that party's settings."""
-        if len(self.entries) != len(settings_per_party):
-            raise ValueError(
-                f"setting vector has {len(self.entries)} entries for "
-                f"{len(settings_per_party)} parties"
-            )
-        for party, (entry, count) in enumerate(zip(self.entries, settings_per_party)):
-            if entry >= count:
-                raise ValueError(
-                    f"party {party + 1} has {count} settings, index {entry} invalid"
-                )
-
-
 def w_state(n_modes: int) -> SubspaceState:
     """Single photon in an equal coherent superposition over ``n_modes`` modes.
 
@@ -287,13 +256,17 @@ def displacement_matrices(amplitudes, phases) -> np.ndarray:
          [2 e^{-r^2} r e^{i phi},  2 e^{-r^2} r^2 - 1   ]]
 
     whose eigenvalues lie in [-1, 1].  ``amplitudes`` and ``phases``
-    broadcast against each other.  The matrices are not validated: pass
-    them to :func:`check_observable_matrices` (one call for the batch) or
-    use :func:`displacement_observable`.
+    broadcast against each other.  The exponent squares |r| capped at
+    1e150, so it never overflows: beyond the cap e^{-r^2} is 0 either
+    way, and a huge amplitude gives photon counting, diag(-1, -1).  The
+    matrices are not validated: pass them to
+    :func:`check_observable_matrices` (one call for the batch) or use
+    :func:`displacement_observable`.
     """
     r = np.asarray(amplitudes, dtype=float)
     phi = np.asarray(phases, dtype=float)
-    g = 2.0 * np.exp(-r * r)
+    capped = np.minimum(np.abs(r), 1e150)
+    g = 2.0 * np.exp(-capped * capped)
     mats = np.empty(np.broadcast(r, phi).shape + (2, 2), dtype=complex)
     mats[..., 0, 0] = g - 1.0
     mats[..., 0, 1] = g * r * np.exp(-1j * phi)

@@ -7,19 +7,20 @@ Gaussians of common width delta centred at phibar_l, wrapped onto
 [0, 2*pi).
 
 Correlators of displacement measurements depend on the offsets only
-through finite trigonometric sums with small integer frequency vectors n.
-A :class:`~photonbell.experiments.SymbolicCorrelatorTable` keeps them as
-real rows, a_0 + sum_n A_n cos(n . Delta) + B_n sin(n . Delta), one
-cosine and one sine row per frequency pair +-n.  Averaging over the frame
-noise then reduces to the Gaussian characteristic function
+through the phases exp(i m . Delta) that the frame puts on the entries of
+the state, with small integer frequency vectors m.  Averaging over the
+frame noise then reduces to the Gaussian characteristic function
 
-    E[exp(i n . Delta)] = exp(i n . phibar - |n|^2 delta^2 / 2),
+    E[exp(i m . Delta)] = exp(i m . phibar - |m|^2 delta^2 / 2),
 
 which coincides with the wrapped distribution's Fourier coefficients for
-integer n, so the analytic average is exact: it damps the rows of n by
-exp(-|n|^2 delta^2 / 2) and evaluates them at the centers.  Monte Carlo
-sampling of the offsets (:func:`sample_offsets`) is kept as the
-independent cross-check.
+integer m, so the analytic average is exact: it damps state entry (a, b)
+by exp(-|m_ab|^2 delta^2 / 2) and turns it by its phase at the centers
+(:func:`~photonbell.experiments.frame_averaged_table`).  Scans over many
+centers damp the cosine and sine rows of a
+:class:`~photonbell.experiments.SymbolicCorrelatorTable` by the same
+factor.  Monte Carlo sampling of the offsets (:func:`sample_offsets`) is
+kept as the independent cross-check.
 """
 
 from __future__ import annotations

@@ -83,7 +83,10 @@ def complex_entries(table, centers, width: float = 0.0) -> np.ndarray:
     Each term c_k exp(i n_k . Delta) of :func:`complex_terms` averages to
     c_k exp(i n_k . c - width^2 |n_k|^2 / 2) over Gaussian offsets; width
     0 evaluates the table at the centers.  The complex result is returned
-    as is: oracle for ``SymbolicCorrelatorTable.evaluate`` and ``averaged``.
+    as is.  It reads the symbolic rows one frame at a time: the oracle of
+    the frame-averaged state (``experiments.frame_averaged_table``), which
+    shares no frame code with it, and of the symbolic rows themselves at
+    sampled frames.
     """
     freqs, coeffs = complex_terms(table)
     damping = np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))

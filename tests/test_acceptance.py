@@ -17,12 +17,13 @@ from photonbell import (
     CorrelatorTable,
     OptimizationSpec,
     PhaseModel,
-    SymbolicCorrelatorTable,
+    bell_value_averaged,
     certainty_frontier,
     chsh_horodecki,
     correlator,
     correlator_bruteforce,
     displacement_observable,
+    frame_averaged_table,
     lossy_w_state,
     maximize_bell,
     pair_symbolic_tables,
@@ -69,7 +70,7 @@ def test_criterion_02_two_party_correlator_closed_forms():
     worst = 0.0
     for phi in np.linspace(0.0, TWO_PI, 100):
         strat = two_setting_strategy(2, 0.0, r, phases=(phi, 0.0))
-        vals = symbolic_correlators(state, strat).evaluate(np.zeros(1)).values
+        vals = frame_averaged_table(state, strat, PhaseModel((0.0,), 0.0)).values
         expected = (
             -1.0,
             -e * (1 - r**2),
@@ -86,11 +87,11 @@ def test_criterion_03_small_amplitude_expansion():
     # 1 + q r^2 (|cos| + cos) with error within 10 r^4
     worst_ratio = 0.0
     for r in (0.02, 0.05):
-        table = symbolic_correlators(w_state(2), two_setting_strategy(2, 0.0, r))
+        strat = two_setting_strategy(2, 0.0, r)
         for width in (0.0, 0.4, 0.9):
             q = np.exp(-0.5 * width**2)
             for x in np.linspace(0.0, TWO_PI, 73):
-                exact = wwzb_value(table.averaged(PhaseModel((x,), width))).s_value
+                exact = bell_value_averaged(w_state(2), strat, PhaseModel((x,), width)).s_value
                 approx = 1 + q * r**2 * (abs(np.cos(x)) + np.cos(x))
                 error = abs(exact - approx)
                 worst_ratio = max(worst_ratio, error / r**4)
@@ -238,12 +239,14 @@ def test_criterion_10_property_checks():
             for p in range(n):
                 table[index] *= signs[p][(index >> p) & 1]
         assert wwzb_value(CorrelatorTable(n, table)).s_value == 1.0
-    # (c) analytic frame averaging against Monte Carlo
-    table = SymbolicCorrelatorTable(3, rng.uniform(-0.1, 0.1, (7, 8)))
+    # (c) the state route's analytic frame average against the Monte Carlo
+    # mean of the symbolic rows over sampled frames
+    state = random_state(rng, 3)
+    strat = two_setting_strategy(3, *rng.uniform(-1.0, 1.0, 2), rng.uniform(0.0, TWO_PI, 3))
     model = PhaseModel((0.8, 2.3), 0.6)
-    exact = table.averaged(model).values
+    exact = frame_averaged_table(state, strat, model).values
     draws = sample_offsets(model, rng_seed=4, count=100_000)
-    samples = complex_entries(table, draws).real
+    samples = complex_entries(symbolic_correlators(state, strat), draws).real
     sigma = samples.std(axis=0) / np.sqrt(draws.shape[0])
     mc_gap = np.max(np.abs(samples.mean(axis=0) - exact) / sigma)
     assert mc_gap < 4.0

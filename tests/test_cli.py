@@ -98,9 +98,9 @@ def test_fig2_rejects_bad_width_grids_before_any_search(tmp_path, monkeypatch, c
 
 
 def test_count_flags_rejected_before_any_search(tmp_path, monkeypatch, capsys):
-    # non-finite or fractional integer lists, and party or pair counts whose
-    # tables would exceed the entry budget, exit 2 naming the flag before
-    # any search or table build
+    # non-finite, fractional or repeated integer lists, and party or pair
+    # counts whose tables would exceed the entry budget, exit 2 naming the
+    # flag before any search or table build
     class Reached(Exception):
         pass
 
@@ -123,6 +123,8 @@ def test_count_flags_rejected_before_any_search(tmp_path, monkeypatch, capsys):
         (["fig2", "--n-list", "2,2.5"], "--n-list " + finite),
         (["fig3", "--m-list", "inf", "--seed", "7"], "--m-list " + finite),
         (["fig3", "--m-list", "1e30", "--seed", "7"], "--m-list must lie in [1, 1024]"),
+        (["fig3", "--m-list", "1,1", "--seed", "7"], "--m-list repeats a pair count"),
+        (["fig3", "--m-list", "2,3,2", "--seed", "7"], "--m-list repeats a pair count"),
     )
     oversized = (
         (["fig2", "--n-list", "2,40", "--delta-max", "0"], "--n-list 40 with"),
@@ -591,6 +593,25 @@ def test_very_wide_noise_damps_every_coherence(capsys):
         assert code == 0
         tables.append(out_text)
     assert tables[0] == tables[1]
+
+
+def test_huge_amplitudes_are_photon_counting(tmp_path, capsys):
+    # An amplitude whose square overflows clicks with certainty, as an
+    # amplitude of 1e3 already does, without a numpy warning.
+    tables = []
+    for r0 in ("1e3", "1e200"):
+        argv = ["correlators", "--parties", "2", "--r0", r0, "--r1", "0.2"]
+        code, out_text, _ = run(argv, capsys)
+        assert code == 0
+        tables.append(out_text)
+    assert tables[0] == tables[1]
+    assert tables[1].splitlines()[-1] == "# S = 1"
+    out = tmp_path / "fig1.csv"
+    code, _, _ = run(["fig1", "--r", "1e200", "--out", str(out)], capsys)
+    assert code == 0
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 5 * 720
+    assert {row.split(",")[-1] for row in rows} == {"1"}
 
 
 def test_correlators_stdout_table(capsys):

@@ -17,11 +17,11 @@ from photonbell import (
     best_pair_bell_value,
     best_pair_values_over_centers,
     bell_value_averaged,
-    bell_value_static,
     correlator,
     correlator_bruteforce,
     displacement_observable,
     averaged_correlator_table,
+    frame_averaged_table,
     lossy_w_state,
     pair_setting_indices,
     pair_symbolic_tables,
@@ -98,11 +98,26 @@ def test_strategy_validation():
         MeasurementStrategy(((ok, ok),), pair_count=2)
 
 
+def shifted_observables(strategy, indices, offsets, index: int) -> list:
+    """Observables of table entry ``index``, party k >= 2's phases shifted by offsets[k-2].
+
+    Party k uses setting indices[k-1][bit k-1 of index], each built
+    alone by ``displacement_observable``.
+    """
+    chosen = []
+    for p, (party, pair) in enumerate(zip(strategy.settings, indices)):
+        setting = party[pair[(index >> p) & 1]]
+        shift = offsets[p - 1] if p else 0.0
+        shifted = DisplacementSetting(setting.amplitude, setting.phase + shift)
+        chosen.append(displacement_observable(shifted))
+    return chosen
+
+
 def test_symbolic_table_matches_shifted_settings():
-    # evaluating the symbolic table at offsets Delta must equal the plain
-    # correlator with party k >= 2's phases shifted by Delta_{k-1}, and the
-    # tensor-product oracle, which shares no code with the kernel behind
-    # both (~1 s for the 12 cases)
+    # the symbolic rows at offsets Delta (read through the complex oracle)
+    # must equal the plain correlator with party k >= 2's phases shifted by
+    # Delta_{k-1}, and the tensor-product oracle, which shares no code with
+    # the kernel behind both (~1 s for the 12 cases)
     rng = np.random.default_rng(42)
     for n in (2, 3, 4):
         for _ in range(4):
@@ -111,23 +126,39 @@ def test_symbolic_table_matches_shifted_settings():
             phases = rng.uniform(0.0, TWO_PI, n)
             offsets = rng.uniform(0.0, TWO_PI, n - 1)
             strat = two_setting_strategy(n, r0, r1, phases)
-            table = symbolic_correlators(state, strat).evaluate(offsets)
-            shifted = [
-                tuple(
-                    DisplacementSetting(s.amplitude, s.phase + (offsets[k - 1] if k else 0.0))
-                    for s in party
-                )
-                for k, party in enumerate(strat.settings)
-            ]
+            values = complex_entries(symbolic_correlators(state, strat), offsets)
+            assert np.max(np.abs(values.imag)) < 1e-12
             for index in range(2**n):
-                chosen = [
-                    displacement_observable(shifted[p][(index >> p) & 1])
-                    for p in range(n)
-                ]
-                direct = correlator(state, chosen)
-                assert abs(table.values[index] - direct) < 1e-12
-                dense = correlator_bruteforce(state, chosen)
-                assert abs(table.values[index] - dense) < 1e-12
+                chosen = shifted_observables(strat, [(0, 1)] * n, offsets, index)
+                assert abs(values[index].real - correlator(state, chosen)) < 1e-12
+                assert abs(values[index].real - correlator_bruteforce(state, chosen)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_frame_averaged_table_matches_oracles(n):
+    # the state route at width 0 equals the correlator and the
+    # tensor-product oracle with party k >= 2's phases shifted by the
+    # frame; at every width it equals the symbolic rows averaged through
+    # the complex +-n terms, which share no frame code with it; random and
+    # lossy W states, per-party phases, stepped pairs and centers in +-10
+    rng = np.random.default_rng(80 + n)
+    for state in (random_state(rng, n), random_state(rng, n), lossy_w_state(n, 0.8)):
+        pair_count = int(rng.integers(1, 4))
+        r0, r1 = rng.uniform(-1.2, 1.2, 2)
+        strat = paired_strategy(n, r0, r1, pair_count, rng.uniform(0.0, TWO_PI, n))
+        indices = pair_setting_indices(strat, int(rng.integers(pair_count)))
+        symbolic = symbolic_correlators(state, strat, indices)
+        centers = rng.uniform(-10.0, 10.0, n - 1)
+        fixed = frame_averaged_table(state, strat, PhaseModel(tuple(centers), 0.0), indices)
+        for index in range(2**n):
+            chosen = shifted_observables(strat, indices, centers, index)
+            assert abs(fixed.values[index] - correlator(state, chosen)) < 1e-12
+            assert abs(fixed.values[index] - correlator_bruteforce(state, chosen)) < 1e-12
+        for width in (0.0, 0.3, 1.1):
+            model = PhaseModel(tuple(centers), width)
+            table = frame_averaged_table(state, strat, model, indices)
+            oracle = complex_entries(symbolic, centers, width)
+            assert np.max(np.abs(table.values - oracle.real)) <= 1e-14
 
 
 def offset_basis(n: int) -> list:
@@ -272,56 +303,51 @@ def test_setting_matrices_match_displacement_observable(monkeypatch):
             assert np.array_equal(table.coeffs, expected.coeffs)
 
 
-def test_symbolic_tables_match_complex_oracle():
-    # evaluate and averaged against the complex +-n terms c_0 = a_0,
-    # c_+-n = (A_n -+ i B_n) / 2, each term damped by exp(-w^2 |n|^2 / 2)
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 3, 4, 5):
-        for state in (random_state(rng, n), lossy_w_state(n, 0.8)):
-            r0, r1 = rng.uniform(-1.0, 1.0, 2)
-            strat = two_setting_strategy(n, r0, r1, rng.uniform(0.0, TWO_PI, n))
-            table = symbolic_correlators(state, strat)
-            offsets = rng.uniform(0.0, TWO_PI, n - 1)
-            static = complex_entries(table, offsets)
-            assert np.max(np.abs(table.evaluate(offsets).values - static.real)) <= 1e-15
-            model = PhaseModel(tuple(offsets), rng.uniform(0.0, 1.2))
-            average = complex_entries(table, model.centers, model.width)
-            assert np.max(np.abs(table.averaged(model).values - average.real)) <= 1e-15
-
-
 def test_zero_width_average_is_evaluation():
-    # one row product serves both: width 0 reproduces evaluate bit for bit
+    # the centered frame of width 0 leaves the state untouched: its table is
+    # the plain correlator table of the strategy's settings, bit for bit
     rng = np.random.default_rng(9)
     for n in (1, 2, 3, 4):
-        table = symbolic_correlators(random_state(rng, n), two_setting_strategy(n, 0.3, -0.6))
-        centers = rng.uniform(0.0, TWO_PI, n - 1)
-        averaged = table.averaged(PhaseModel(tuple(centers), 0.0))
-        assert np.array_equal(averaged.values, table.evaluate(centers).values)
+        state = random_state(rng, n)
+        strat = two_setting_strategy(n, 0.3, -0.6, rng.uniform(0.0, TWO_PI, n))
+        table = frame_averaged_table(state, strat, PhaseModel((0.0,) * (n - 1), 0.0))
+        pairs = experiments._setting_pairs(strat, [[(0, 1)] * n])
+        assert np.array_equal(table.values, correlator_tables(state.matrix, pairs)[0])
 
 
-def test_symbolic_evaluation_validation():
+def test_frame_averaged_table_validation():
     state = w_state(3)
     strat = two_setting_strategy(3, 0.1, -0.4)
-    table = symbolic_correlators(state, strat)
     with pytest.raises(ValueError, match="relative phases"):
-        table.averaged(PhaseModel((0.1,), 0.3))
-    # non-finite offsets are refused before any arithmetic, so no numpy
-    # warning escapes (warnings are errors in this suite)
+        frame_averaged_table(state, strat, PhaseModel((0.1,), 0.3))
+    with pytest.raises(ValueError, match="modes but strategy has"):
+        frame_averaged_table(w_state(2), strat, PhaseModel((0.1, 0.2), 0.3))
+    # a fixed frame is a zero-width model; non-finite centers are refused
+    # before any arithmetic, so no numpy warning escapes (warnings are
+    # errors in this suite)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="offsets must be finite"):
-            bell_value_static(state, strat, [bad, 0.0])
-    # offsets must be one vector of N-1 entries
-    for shape in ((1,), (3,), (1, 2), (2, 2), ()):
-        with pytest.raises(ValueError, match="length 2"):
-            bell_value_static(state, strat, np.zeros(shape))
+        with pytest.raises(ValueError, match="finite"):
+            PhaseModel((bad, 0.0), 0.0)
+    # setting indices: one pair per party, none negative (numpy would wrap
+    # them around), none beyond the party's settings
+    model = PhaseModel((0.2, 0.5), 0.3)
+    for indices in ([(0, 1), (0, 1)], [(0, 1), (0, 1), (0,)], [(0, 1), (0, 1), (0, 1, 1)]):
+        with pytest.raises(ValueError, match="one index pair per party"):
+            frame_averaged_table(state, strat, model, indices)
+    for indices in ([(0, 1), (-1, 1), (0, 1)], [(0, 1), (0, 1), (0, -2)]):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            frame_averaged_table(state, strat, model, indices)
+    with pytest.raises(ValueError, match="party 2 has 2 settings, index 2 invalid"):
+        frame_averaged_table(state, strat, model, [(0, 1), (0, 2), (0, 1)])
     paired = paired_strategy(3, 0.1, -0.4, 3)
-    with pytest.raises(ValueError, match="offsets must be finite"):
-        best_pair_bell_value(state, paired, offsets=[0.2, np.nan])
-    with pytest.raises(ValueError, match="length 2"):
-        best_pair_bell_value(state, paired, offsets=np.zeros((4, 2)))
-    # a single party has no offsets: the empty vector is its one frame
-    single = symbolic_correlators(w_state(1), two_setting_strategy(1, 0.1, -0.4))
-    assert np.array_equal(single.evaluate([]).values, single.coeffs[0])
+    with pytest.raises(ValueError, match="party 1 has 6 settings, index 6 invalid"):
+        frame_averaged_table(state, paired, model, [(4, 6), (0, 1), (0, 1)])
+    last = frame_averaged_table(state, paired, model, [(4, 5), (1, 0), (0, 1)])
+    assert last.values.shape == (8,)
+    # a single party has no offsets: the empty model is its one frame
+    single = two_setting_strategy(1, 0.1, -0.4)
+    table = frame_averaged_table(w_state(1), single, PhaseModel((), 0.7))
+    assert np.array_equal(table.values, symbolic_correlators(w_state(1), single).coeffs[0])
 
 
 def test_two_party_correlators_closed_form():
@@ -331,7 +357,7 @@ def test_two_party_correlators_closed_form():
     e = np.exp(-(r**2))
     for phi in np.linspace(0.0, TWO_PI, 100):
         strat = two_setting_strategy(2, 0.0, r, phases=(phi, 0.0))
-        vals = symbolic_correlators(state, strat).evaluate(np.zeros(1)).values
+        vals = frame_averaged_table(state, strat, PhaseModel((0.0,), 0.0)).values
         assert abs(vals[0] - (-1.0)) < 1e-12
         assert abs(vals[1] - (-e * (1 - r**2))) < 1e-12
         assert abs(vals[2] - (-e * (1 - r**2))) < 1e-12
@@ -340,8 +366,10 @@ def test_two_party_correlators_closed_form():
 
 
 def test_averaged_table_matches_symbolic_route():
-    # the frame-averaged-state shortcut must agree with averaging the
-    # symbolic polynomials entry by entry, shared and per-party alike
+    # the optimizer's table (centers in the setting phases) must agree with
+    # averaging the symbolic rows entry by entry through the complex
+    # oracle, and with the state route (centers in the state), shared and
+    # per-party alike
     rng = np.random.default_rng(7)
     cases = [
         (2, 0.3, -0.7, 1.0),
@@ -363,9 +391,12 @@ def test_averaged_table_matches_symbolic_route():
             for k in range(n)
         )
         strat = MeasurementStrategy(parties)
-        table = symbolic_correlators(lossy_w_state(n, eta), strat)
-        slow = table.averaged(PhaseModel(centers, width))
-        assert np.max(np.abs(fast - slow.values)) < 1e-12
+        state = lossy_w_state(n, eta)
+        table = symbolic_correlators(state, strat)
+        slow = complex_entries(table, centers, width).real
+        assert np.max(np.abs(fast - slow)) < 1e-12
+        state_route = frame_averaged_table(state, strat, PhaseModel(centers, width))
+        assert np.max(np.abs(fast - state_route.values)) < 1e-12
 
 
 def test_averaged_table_shared_centers_fast_path():
@@ -404,13 +435,17 @@ def test_correlators_affine_in_efficiency():
 
 
 def test_bell_value_wrappers():
+    # bell_value_averaged is the Bell value of frame_averaged_table, and
+    # frame noise cannot raise it at this centered frame
     state = w_state(2)
     strat = two_setting_strategy(2, 0.0, 0.5)
-    static = bell_value_static(state, strat, np.zeros(1))
-    table = symbolic_correlators(state, strat).evaluate(np.zeros(1))
-    assert static.s_value == wwzb_value(table).s_value
+    for width in (0.0, 0.3):
+        model = PhaseModel((0.0,), width)
+        table = frame_averaged_table(state, strat, model)
+        assert bell_value_averaged(state, strat, model) == wwzb_value(table)
+    fixed = bell_value_averaged(state, strat, PhaseModel((0.0,), 0.0))
     averaged = bell_value_averaged(state, strat, PhaseModel((0.0,), 0.3))
-    assert averaged.s_value <= static.s_value + 1e-12
+    assert averaged.s_value <= fixed.s_value + 1e-12
 
 
 def test_pair_setting_indices():
@@ -422,31 +457,44 @@ def test_pair_setting_indices():
         pair_setting_indices(two_setting_strategy(2, 0.0, 0.4), 0)
 
 
-def test_best_pair_matches_manual_maximum():
-    state = lossy_w_state(2, 0.92)
-    strat = paired_strategy(2, 0.1, -0.55, 3)
-    tables = pair_symbolic_tables(state, strat)
-    model = PhaseModel((2.5,), 0.35)
-    result, pair = best_pair_bell_value(state, strat, model=model)
-    manual = [wwzb_value(t.averaged(model)).s_value for t in tables]
-    assert result.s_value == max(manual)
-    assert pair == int(np.argmax(manual))
-    offsets = np.array([1.2])
-    result_o, pair_o = best_pair_bell_value(state, strat, offsets=offsets)
-    manual_o = [wwzb_value(t.evaluate(offsets)).s_value for t in tables]
-    assert result_o.s_value == max(manual_o)
-    assert pair_o == int(np.argmax(manual_o))
-    with pytest.raises(ValueError):
-        best_pair_bell_value(state, strat)
-    with pytest.raises(ValueError):
-        best_pair_bell_value(state, strat, model=model, offsets=offsets)
+def test_best_pair_matches_manual_maximum(monkeypatch):
+    # every pair in one kernel call, each with the bits of its own
+    # bell_value_averaged call; fixed frames are zero-width models
+    calls = []
+
+    def counted(rho, pairs):
+        calls.append(len(pairs))
+        return correlator_tables(rho, pairs)
+
+    rng = np.random.default_rng(12)
+    for n, m in ((1, 2), (2, 3), (3, 4), (4, 2)):
+        state = random_state(rng, n)
+        strat = paired_strategy(n, *rng.uniform(-1.0, 1.0, 2), m, rng.uniform(0.0, TWO_PI, n))
+        for width in (0.0, 0.35):
+            model = PhaseModel(tuple(rng.uniform(-10.0, 10.0, n - 1)), width)
+            manual = [
+                bell_value_averaged(state, strat, model, pair_setting_indices(strat, j))
+                for j in range(m)
+            ]
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "correlator_tables", counted)
+                calls.clear()
+                result, pair = best_pair_bell_value(state, strat, model=model)
+            assert calls == [m]
+            values = [r.s_value for r in manual]
+            assert pair == int(np.argmax(values))
+            assert result == manual[pair]
+            assert result.s_value == max(values)
+    unpaired = two_setting_strategy(2, 0.1, 0.3)
+    with pytest.raises(ValueError, match="no pair structure"):
+        best_pair_bell_value(w_state(2), unpaired, PhaseModel((0.0,), 0.0))
 
 
 def test_best_pair_tie_goes_to_lowest_index():
     # zero amplitudes make every pair photon counting, an exact tie
     state = w_state(2)
     strat = paired_strategy(2, 0.0, 0.0, 4)
-    _, pair = best_pair_bell_value(state, strat, offsets=np.array([0.7]))
+    _, pair = best_pair_bell_value(state, strat, PhaseModel((0.7,), 0.0))
     assert pair == 0
 
 
@@ -579,12 +627,11 @@ def test_zero_amplitude_pair_value_closed_form():
     state = w_state(2)
     for r in (0.05, 0.3, 0.8):
         strat = two_setting_strategy(2, 0.0, r)
-        table = symbolic_correlators(state, strat)
         e = np.exp(-(r**2))
         for width in (0.0, 0.4, 0.9):
             q = np.exp(-0.5 * width**2)
             for x in np.linspace(0.0, TWO_PI, 29):
-                got = wwzb_value(table.averaged(PhaseModel((x,), width))).s_value
+                got = bell_value_averaged(state, strat, PhaseModel((x,), width)).s_value
                 want = 1 + 2 * e * r**2 * max(0.0, e * (1 + q * np.cos(x)) - 1)
                 assert abs(got - want) < 1e-13
 

@@ -7,7 +7,6 @@ from photonbell import (
     ConsistencyError,
     DisplacementSetting,
     ModeObservable,
-    SettingVector,
     SubspaceState,
     correlator,
     correlator_bruteforce,
@@ -21,6 +20,7 @@ from photonbell.fock_core import (
     check_observable_matrices,
     correlator_batch,
     correlator_tables,
+    displacement_matrices,
 )
 
 from helpers import (
@@ -134,6 +134,27 @@ def test_displacement_zero_amplitude_is_photon_counting():
         assert np.allclose(mat, np.diag([1.0, -1.0]))
 
 
+def test_displacement_matrices_never_overflow():
+    # an amplitude whose square overflows is photon counting, diag(-1, -1),
+    # with no numpy warning (warnings are errors in this suite)
+    for r in (1e200, -1e200, 1.4e154, 1e308):
+        mats = displacement_matrices([r, r], [0.0, 2.5])
+        assert np.array_equal(mats, np.broadcast_to(-np.eye(2), (2, 2, 2)))
+    # amplitudes whose square is finite keep the bits of the plain formula
+    rng = np.random.default_rng(8)
+    r = np.concatenate(
+        (rng.uniform(-30.0, 30.0, 2000), [0.0, -0.0, 1e-200, 27.3, -1e150, 1e154])
+    )
+    phi = rng.uniform(-10.0, 10.0, r.size)
+    g = 2.0 * np.exp(-r * r)
+    plain = np.empty(r.shape + (2, 2), dtype=complex)
+    plain[:, 0, 0] = g - 1.0
+    plain[:, 0, 1] = g * r * np.exp(-1j * phi)
+    plain[:, 1, 0] = g * r * np.exp(1j * phi)
+    plain[:, 1, 1] = g * r * r - 1.0
+    assert np.array_equal(displacement_matrices(r, phi), plain)
+
+
 def test_observable_validation():
     with pytest.raises(ValueError):
         ModeObservable(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -181,17 +202,6 @@ def test_projective_matches_displacement_to_second_order():
     # known leading coefficient of the residue is theta^3 / 12
     ratio = residues[-1] / (thetas[-1] ** 3 / 12.0)
     assert 0.9 < ratio < 1.1
-
-
-def test_setting_vector_validation():
-    vec = SettingVector((0, 1, 1))
-    vec.validate_for([2, 2, 3])
-    with pytest.raises(ValueError):
-        vec.validate_for([2, 2])
-    with pytest.raises(ValueError):
-        vec.validate_for([2, 1, 3])
-    with pytest.raises(ValueError):
-        SettingVector((0, -1))
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import complex_entries
+from helpers import complex_entries, random_state
 from photonbell import (
     PhaseModel,
-    SymbolicCorrelatorTable,
     child_seed,
+    frame_averaged_table,
     sample_offsets,
+    symbolic_correlators,
+    two_setting_strategy,
+    w_state,
     wrapped_gaussian_pdf,
 )
 
@@ -84,31 +87,38 @@ def test_phase_model_normalization():
 
 
 def test_averaged_table_known_case():
-    # one cosine and one sine row: E[cos Delta] = q cos c, E[sin Delta] = q sin c
-    a0 = np.array([0.1, -0.2, 0.05, 0.3])
-    cos = np.array([0.4, 0.0, -0.3, 0.2])
-    sin = np.array([-0.1, 0.5, 0.2, 0.0])
-    table = SymbolicCorrelatorTable(2, np.stack((a0, cos, sin)))
-    center, width = 0.9, 0.5
-    averaged = table.averaged(PhaseModel((center,), width)).values
-    q = np.exp(-0.5 * width**2)
-    expected = a0 + q * (cos * np.cos(center) + sin * np.sin(center))
-    assert np.max(np.abs(averaged - expected)) <= 1e-15
+    # photon counting against a displacement r on the two-mode single
+    # photon: only the entry with both parties displaced sees the frame,
+    # through cos(phi - Delta), and E[cos(phi - Delta)] = q cos(phi - c)
+    r, phi = 0.6, 1.3
+    e = np.exp(-(r**2))
+    strat = two_setting_strategy(2, 0.0, r, phases=(phi, 0.0))
+    for center, width in ((0.9, 0.5), (-7.0, 1.1), (2.0, 0.0)):
+        averaged = frame_averaged_table(w_state(2), strat, PhaseModel((center,), width)).values
+        q = np.exp(-0.5 * width**2)
+        expected = (
+            -1.0,
+            -e * (1 - r**2),
+            -e * (1 - r**2),
+            1 - 2 * e * (1 + r**2) + 4 * e**2 * r**2 * (1 + q * np.cos(phi - center)),
+        )
+        assert np.max(np.abs(averaged - expected)) <= 1e-15
 
 
 def test_averaged_table_matches_monte_carlo():
-    # the analytic average against the mean over sampled frames, each draw
-    # evaluated through the complex +-n terms, within 4 sigma per entry
+    # the state route's analytic average against the mean over sampled
+    # frames, each draw evaluated through the complex +-n terms of the
+    # symbolic rows, within 4 sigma per entry
     rng = np.random.default_rng(77)
     n_samples = 100_000
     for n in (2, 3, 4):
-        table = SymbolicCorrelatorTable(
-            n, rng.uniform(-0.1, 0.1, (1 + n * (n - 1), 2**n))
-        )
+        state = random_state(rng, n)
+        r0, r1 = rng.uniform(-1.0, 1.0, 2)
+        strat = two_setting_strategy(n, r0, r1, rng.uniform(0.0, 2.0 * np.pi, n))
         model = PhaseModel(tuple(rng.uniform(0.0, 2.0 * np.pi, n - 1)), rng.uniform(0.1, 1.2))
-        exact = table.averaged(model).values
+        exact = frame_averaged_table(state, strat, model).values
         draws = sample_offsets(model, rng_seed=int(rng.integers(2**32)), count=n_samples)
-        samples = complex_entries(table, draws).real
+        samples = complex_entries(symbolic_correlators(state, strat), draws).real
         sigma = samples.std(axis=0) / np.sqrt(n_samples)
         assert np.all(np.abs(samples.mean(axis=0) - exact) < 4.0 * sigma)
 
