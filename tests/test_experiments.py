@@ -315,7 +315,9 @@ def test_zero_width_average_is_evaluation():
         assert np.array_equal(table.values, correlator_tables(state.matrix, pairs)[0])
 
 
-def test_frame_averaged_table_validation():
+def test_symbolic_evaluation_validation():
+    # one frame of a strategy's table is read through frame_averaged_table:
+    # the model must hold N-1 relative phases for the strategy's N parties
     state = w_state(3)
     strat = two_setting_strategy(3, 0.1, -0.4)
     with pytest.raises(ValueError, match="relative phases"):
@@ -328,22 +330,6 @@ def test_frame_averaged_table_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             PhaseModel((bad, 0.0), 0.0)
-    # setting indices: one pair per party, none negative (numpy would wrap
-    # them around), none beyond the party's settings
-    model = PhaseModel((0.2, 0.5), 0.3)
-    for indices in ([(0, 1), (0, 1)], [(0, 1), (0, 1), (0,)], [(0, 1), (0, 1), (0, 1, 1)]):
-        with pytest.raises(ValueError, match="one index pair per party"):
-            frame_averaged_table(state, strat, model, indices)
-    for indices in ([(0, 1), (-1, 1), (0, 1)], [(0, 1), (0, 1), (0, -2)]):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            frame_averaged_table(state, strat, model, indices)
-    with pytest.raises(ValueError, match="party 2 has 2 settings, index 2 invalid"):
-        frame_averaged_table(state, strat, model, [(0, 1), (0, 2), (0, 1)])
-    paired = paired_strategy(3, 0.1, -0.4, 3)
-    with pytest.raises(ValueError, match="party 1 has 6 settings, index 6 invalid"):
-        frame_averaged_table(state, paired, model, [(4, 6), (0, 1), (0, 1)])
-    last = frame_averaged_table(state, paired, model, [(4, 5), (1, 0), (0, 1)])
-    assert last.values.shape == (8,)
     # a single party has no offsets: the empty model is its one frame
     single = two_setting_strategy(1, 0.1, -0.4)
     table = frame_averaged_table(w_state(1), single, PhaseModel((), 0.7))

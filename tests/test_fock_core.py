@@ -7,12 +7,16 @@ from photonbell import (
     ConsistencyError,
     DisplacementSetting,
     ModeObservable,
+    PhaseModel,
     SubspaceState,
     correlator,
     correlator_bruteforce,
     displacement_observable,
+    frame_averaged_table,
     lossy_w_state,
+    paired_strategy,
     projective_observable,
+    two_setting_strategy,
     w_state,
 )
 from photonbell.fock_core import (
@@ -202,6 +206,28 @@ def test_projective_matches_displacement_to_second_order():
     # known leading coefficient of the residue is theta^3 / 12
     ratio = residues[-1] / (thetas[-1] ** 3 / 12.0)
     assert 0.9 < ratio < 1.1
+
+
+def test_setting_vector_validation():
+    # a setting vector is one (P, N, 2) index array: one index pair per
+    # party, none negative (numpy would wrap them around), none beyond the
+    # party's settings
+    state = w_state(3)
+    strat = two_setting_strategy(3, 0.1, -0.4)
+    model = PhaseModel((0.2, 0.5), 0.3)
+    for indices in ([(0, 1), (0, 1)], [(0, 1), (0, 1), (0,)], [(0, 1), (0, 1), (0, 1, 1)]):
+        with pytest.raises(ValueError, match="one index pair per party"):
+            frame_averaged_table(state, strat, model, indices)
+    for indices in ([(0, 1), (-1, 1), (0, 1)], [(0, 1), (0, 1), (0, -2)]):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            frame_averaged_table(state, strat, model, indices)
+    with pytest.raises(ValueError, match="party 2 has 2 settings, index 2 invalid"):
+        frame_averaged_table(state, strat, model, [(0, 1), (0, 2), (0, 1)])
+    paired = paired_strategy(3, 0.1, -0.4, 3)
+    with pytest.raises(ValueError, match="party 1 has 6 settings, index 6 invalid"):
+        frame_averaged_table(state, paired, model, [(4, 6), (0, 1), (0, 1)])
+    last = frame_averaged_table(state, paired, model, [(4, 5), (1, 0), (0, 1)])
+    assert last.values.shape == (8,)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6])
