@@ -209,12 +209,17 @@ def _check_search(spec: OptimizationSpec, flag: str, threshold=False) -> None:
     )
 
 
+def _check_distinct(values, flag: str, what: str) -> None:
+    """Reject a list flag that names the same count twice."""
+    if len(set(values)) != len(values):
+        raise ValueError(f"{flag} repeats a {what}")
+
+
 def _check_histogram_tables(parties: int, pair_counts, pair_flag: str) -> None:
     """Reject repeated pair counts, counts beyond MAX_PAIRS and oversized scans."""
     if not all(1 <= m <= MAX_PAIRS for m in pair_counts):
         raise ValueError(f"{pair_flag} must lie in [1, {MAX_PAIRS}]")
-    if len(set(pair_counts)) != len(pair_counts):
-        raise ValueError(f"{pair_flag} repeats a pair count")
+    _check_distinct(pair_counts, pair_flag, "pair count")
     m = max(pair_counts)
     # the stacked real coefficients plus their transform
     _check_entries(
@@ -295,6 +300,7 @@ def cmd_fig2(args) -> int:
     parties = _parse_ints(args.parties, "--n-list")
     if any(n < 1 for n in parties):
         raise ValueError("--n-list must hold party counts >= 1")
+    _check_distinct(parties, "--n-list", "party count")
     if not (np.isfinite(args.delta_step) and args.delta_step > 0.0):
         raise ValueError("--delta-step must be finite and > 0")
     if not (np.isfinite(args.delta_max) and args.delta_max >= 0.0):

@@ -291,15 +291,19 @@ def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
     """Setting matrices (P, N, 2, 2, 2) of the index sets.
 
     Each index set holds one pair of setting indices per party; the
-    (P, N, 2) index array is checked in one pass, negative indices first,
-    since numpy would wrap them around.  The matrices of the distinct
-    settings used are built and validated as one array, so each setting
-    is built and checked once.
+    (P, N, 2) index array is checked in one pass: fractional indices
+    first, since the integer conversion would truncate them, then negative
+    ones, since numpy would wrap them around.  The matrices of the
+    distinct settings used are built and validated as one array, so each
+    setting is built and checked once.
     """
     n = strategy.n_parties
     for indices in index_sets:
         if len(indices) != n or any(len(pair) != 2 for pair in indices):
             raise ValueError("setting_indices needs one index pair per party")
+    values = np.array(index_sets, dtype=float)
+    if not np.all(np.isfinite(values) & (values == np.trunc(values))):
+        raise ValueError("setting indices must be integers")
     index = np.array(index_sets, dtype=int).reshape(len(index_sets), n, 2)
     if np.any(index < 0):
         raise ValueError("setting indices must be >= 0")
@@ -430,7 +434,8 @@ def frame_averaged_table(
     party, the pair of settings used as table settings 0 and 1 (default
     the party's first two), as for :func:`symbolic_correlators`.  Raises
     ValueError if the state, strategy and model disagree on the party
-    count, or if an index is negative or beyond its party's settings.
+    count, or if an index is fractional, negative or beyond its party's
+    settings.
     """
     if setting_indices is None:
         setting_indices = [(0, 1)] * strategy.n_parties

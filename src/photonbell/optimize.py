@@ -9,8 +9,10 @@ negative amplitude flips that setting's displacement (a pi phase advance
 on one setting only), which enlarges the reachable Bell values well beyond
 the nonnegative quadrant at no extra parameter cost.  The search is a
 derivative-free simplex descent restarted from a low-discrepancy set of
-starting points inside the bounds.  SciPy's simplex loads on the first
-search, so importing this module does not import SciPy.
+starting points inside the bounds.  The simplex is the package's own
+bounded Nelder-Mead (Nelder & Mead, Comput. J. 7, 308 (1965)), which
+reproduces SciPy's ``minimize(method="Nelder-Mead")`` step for step, so
+the package needs no SciPy at run time.
 
 The frame noise lives in the state.  Rotating party p's displacement
 phase by Delta_{p-1} conjugates the state by U(Delta) = diag(1, 1,
@@ -41,9 +43,14 @@ from outside (amplitudes, centers, width, efficiency) are checked at
 :func:`averaged_correlator_table` and :class:`OptimizationSpec`.
 
 :func:`maximize_bell` and :func:`threshold_efficiency` share one search
-driver over a batched score: the start cloud is scored in one call and the
-simplex scores one point at a time, with values equal to the cloud's.  The
-Bell scores of a batch come from one batched Walsh-Hadamard transform.
+driver over a batched score: the start cloud is scored in one call, and
+the restarts walk in lockstep.  Each walker is a generator that yields
+every point its next step might need (the four candidate moves of an
+iteration, or the vertices of a shrink), and the driver scores the
+blocks of all live walkers in one call.  A walker uses only the values
+SciPy's one-point loop would have computed, and a row's score does not
+depend on its batch, so the results and evaluation counts are SciPy's.
+The Bell scores of a batch come from one batched Walsh-Hadamard transform.
 
 The loss threshold needs no search over efficiencies.  Correlators are
 affine in the efficiency eta, so at fixed search coordinates x the
@@ -64,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -488,18 +496,138 @@ def _scan_table_count(spec: OptimizationSpec, threshold: bool = False) -> int:
 
 
 def _search_box(spec: OptimizationSpec):
-    """Bounds of the search coordinates and the low-discrepancy start cloud.
+    """Bounds (lower, upper) of the search coordinates and the start cloud.
 
-    The cloud fills the moderate-amplitude part of the box, |r| <=
-    START_AMPLITUDE, which lies inside AMPLITUDE_BOUNDS.
+    The low-discrepancy cloud fills the moderate-amplitude part of the
+    box, |r| <= START_AMPLITUDE, which lies inside AMPLITUDE_BOUNDS.
     """
     n_amp, n_phase = _search_dims(spec)
     dims = n_amp + n_phase
-    bounds = [AMPLITUDE_BOUNDS] * n_amp + [(0.0, TWO_PI)] * n_phase
+    lower = np.array([AMPLITUDE_BOUNDS[0]] * n_amp + [0.0] * n_phase)
+    upper = np.array([AMPLITUDE_BOUNDS[1]] * n_amp + [TWO_PI] * n_phase)
     start_lo = np.array([-START_AMPLITUDE] * n_amp + [0.0] * n_phase)
     start_hi = np.array([START_AMPLITUDE] * n_amp + [TWO_PI] * n_phase)
     cloud = _halton(_scan_points(spec), dims)
-    return bounds, start_lo + cloud * (start_hi - start_lo)
+    return (lower, upper), start_lo + cloud * (start_hi - start_lo)
+
+
+class _SimplexResult(NamedTuple):
+    """End of one simplex descent: best vertex, its value, stop reason, points used."""
+
+    x: np.ndarray
+    fun: float
+    success: bool
+    nfev: int
+
+
+def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray):
+    """Vertices and values ordered by value, with the unstable default argsort."""
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(x0, lower, upper, tolerance: float, max_evals: int):
+    """Bounded Nelder-Mead descent from ``x0`` as a generator of score requests.
+
+    Yields blocks of points (k, dims), is sent their k scores and returns
+    a :class:`_SimplexResult`.  The steps, their arithmetic and the
+    unstable sorts are those of SciPy's ``minimize(method="Nelder-Mead")``
+    with these bounds, ``xatol = fatol = tolerance`` and ``maxiter =
+    maxfev = max_evals``, so the result equals SciPy's bit for bit:
+    coefficients 1, 2, 1/2 and 1/2; an initial simplex stepped by 5% of
+    each nonzero coordinate (0.00025 from zero), reflected off the upper
+    bounds and clipped; every move clipped into the box.  Every iteration
+    scores at least one point, so the iteration cap never binds before the
+    evaluation cap.
+
+    Each iteration yields its four candidates (reflection, expansion,
+    outside and inside contraction) as one block, and a shrink yields its
+    moved vertices as one block; the walk then uses, and ``nfev`` counts,
+    only the values SciPy would have computed.  The call that would be
+    number ``max_evals + 1`` is not made: the rest of that iteration is
+    abandoned, and a shrink cut off there keeps its moved vertex with the
+    old value, as SciPy's call-limit exception leaves it.
+    """
+    dims = len(x0)
+    x0 = np.clip(x0, lower, upper)
+    sim = np.empty((dims + 1, dims))
+    sim[0] = x0
+    for k in range(dims):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full(dims + 1, np.inf)
+    values = yield sim
+    nfev = min(dims + 1, max_evals)
+    fsim[:nfev] = values[:nfev]
+    # SciPy sorts twice here; with ties an unstable sort may permute again.
+    sim, fsim = _sorted_simplex(*_sorted_simplex(sim, fsim))
+
+    while nfev < max_evals:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= tolerance
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= tolerance
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / dims
+        worst = sim[-1]
+        candidates = np.clip(
+            np.stack(
+                (
+                    2 * xbar - worst,  # reflection
+                    3 * xbar - 2 * worst,  # expansion
+                    1.5 * xbar - 0.5 * worst,  # outside contraction
+                    0.5 * xbar + 0.5 * worst,  # inside contraction
+                )
+            ),
+            lower,
+            upper,
+        )
+        fxr, fxe, fxc, fxcc = yield candidates
+        nfev += 1
+        if fsim[0] <= fxr < fsim[-2]:
+            sim[-1], fsim[-1] = candidates[0], fxr
+        elif nfev < max_evals:
+            nfev += 1
+            if fxr < fsim[0]:
+                pick = 1 if fxe < fxr else 0
+                sim[-1], fsim[-1] = candidates[pick], (fxr, fxe)[pick]
+            elif fxr < fsim[-1] and fxc <= fxr:
+                sim[-1], fsim[-1] = candidates[2], fxc
+            elif not fxr < fsim[-1] and fxcc < fsim[-1]:  # SciPy's else branch
+                sim[-1], fsim[-1] = candidates[3], fxcc
+            else:
+                moved = np.clip(sim[0] + 0.5 * (sim[1:] - sim[0]), lower, upper)
+                values = yield moved
+                scored = min(dims, max_evals - nfev)
+                sim[1 : scored + 2] = moved[: scored + 1]
+                fsim[1 : scored + 1] = values[:scored]
+                nfev += scored
+        sim, fsim = _sorted_simplex(sim, fsim)
+    return _SimplexResult(sim[0], np.min(fsim), nfev < max_evals, nfev)
+
+
+def _lockstep(spec: OptimizationSpec, score, walkers) -> list:
+    """Run simplex walkers side by side and return their results in order.
+
+    Each step concatenates the pending block of every live walker and
+    scores it in one ``score(spec, points)`` call.  A row's score depends
+    only on that row, so every walker sees the values it would get alone.
+    """
+    results = [None] * len(walkers)
+    pending = {i: next(walker) for i, walker in enumerate(walkers)}
+    while pending:
+        blocks = list(pending.values())
+        values = score(spec, np.concatenate(blocks))
+        splits = np.cumsum([len(block) for block in blocks[:-1]])
+        for i, block_values in zip(list(pending), np.split(values, splits)):
+            try:
+                pending[i] = walkers[i].send(block_values)
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
 
 
 def _search(spec: OptimizationSpec, score):
@@ -507,38 +635,22 @@ def _search(spec: OptimizationSpec, score):
 
     ``score(spec, points)`` maps points of shape (P, dims) to P values,
     each depending only on its own row.  The start cloud is scored in one
-    call and a bounded Nelder-Mead simplex search is run from the
-    ``spec.restarts`` best cloud points (stable order), scoring one point
-    per call.  Returns the best scipy result (lowest restart index on ties)
-    and the number of points scored, scan included.
+    call, and a bounded Nelder-Mead walker (:func:`_nelder_mead`, capped
+    at 400 evaluations per coordinate) starts from each of the
+    ``spec.restarts`` best cloud points (stable order).  The walkers run
+    in lockstep, one score call per step for all of them, and each walks
+    exactly as alone.  Returns the best walker's :class:`_SimplexResult`
+    (lowest restart index on ties) and the number of points the walks
+    used, scan included; speculative rows a walk did not use are not
+    counted.
     """
-    # Imported here: scipy.optimize costs about 0.3 s to import, and most
-    # commands never search.
-    from scipy.optimize import minimize
-
-    bounds, cloud = _search_box(spec)
-    dims = len(bounds)
+    (lower, upper), cloud = _search_box(spec)
+    max_evals = 400 * len(lower)
     starts = cloud[np.argsort(score(spec, cloud), kind="stable")[: spec.restarts]]
-
-    best = None
-    evaluations = len(cloud)
-    for x0 in starts:
-        result = minimize(
-            lambda x: score(spec, x[None])[0],
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "xatol": spec.tolerance,
-                "fatol": spec.tolerance,
-                "maxiter": 400 * dims,
-                "maxfev": 400 * dims,
-            },
-        )
-        evaluations += result.nfev
-        if best is None or result.fun < best.fun:
-            best = result
-    return best, evaluations
+    walkers = [_nelder_mead(x0, lower, upper, spec.tolerance, max_evals) for x0 in starts]
+    results = _lockstep(spec, score, walkers)
+    best = min(results, key=lambda result: result.fun)
+    return best, len(cloud) + sum(result.nfev for result in results)
 
 
 def maximize_bell(spec: OptimizationSpec) -> OptimumReport:

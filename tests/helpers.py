@@ -12,7 +12,7 @@ from photonbell import (
 )
 from photonbell.experiments import _half_basis, _setting_pairs
 from photonbell.fock_core import check_observable_matrices, correlator_tables, lossy_w_state
-from photonbell.optimize import _symmetric_tables
+from photonbell.optimize import _search_box, _symmetric_tables
 
 # Imaginary residue the complex frame scan allows in its real tables.
 IMAG_TOL = 1e-10
@@ -255,3 +255,53 @@ def bisect_threshold(
         else:
             lo = mid
     return ThresholdResult(efficiency=0.5 * (lo + hi), violable=True)
+
+
+def scipy_simplex(objective, x0, lower, upper, tolerance: float, max_evals: int):
+    """SciPy's bounded Nelder-Mead from ``x0`` on a one-point objective.
+
+    The options of the former SciPy loop of ``optimize._search``: oracle
+    of ``optimize._nelder_mead``, which must return the same ``x``,
+    ``fun``, ``success`` and ``nfev``.
+    """
+    from scipy.optimize import minimize
+
+    return minimize(
+        objective,
+        x0,
+        method="Nelder-Mead",
+        bounds=list(zip(lower, upper)),
+        options={
+            "xatol": tolerance,
+            "fatol": tolerance,
+            "maxiter": max_evals,
+            "maxfev": max_evals,
+        },
+    )
+
+
+def scipy_search(spec: OptimizationSpec, score):
+    """The former SciPy loop of ``optimize._search``, one point per call.
+
+    Scores the start cloud in one call, then runs SciPy's simplex from
+    each of the ``spec.restarts`` best cloud points in turn.  Returns the
+    best result (lowest restart index on ties) and the number of points
+    scored, scan included.
+    """
+    (lower, upper), cloud = _search_box(spec)
+    starts = cloud[np.argsort(score(spec, cloud), kind="stable")[: spec.restarts]]
+    best = None
+    evaluations = len(cloud)
+    for x0 in starts:
+        result = scipy_simplex(
+            lambda x: score(spec, x[None])[0],
+            x0,
+            lower,
+            upper,
+            spec.tolerance,
+            400 * len(lower),
+        )
+        evaluations += result.nfev
+        if best is None or result.fun < best.fun:
+            best = result
+    return best, evaluations

@@ -16,6 +16,7 @@ from photonbell import (
     OptimizationSpec,
     averaged_correlator_table,
     maximize_bell,
+    threshold_efficiency,
 )
 from photonbell.cli import build_parser, main
 
@@ -121,6 +122,8 @@ def test_count_flags_rejected_before_any_search(tmp_path, monkeypatch, capsys):
         (["fig2", "--n-list", "inf"], "--n-list " + finite),
         (["fig2", "--n-list", "nan"], "--n-list " + finite),
         (["fig2", "--n-list", "2,2.5"], "--n-list " + finite),
+        (["fig2", "--n-list", "2,2"], "--n-list repeats a party count"),
+        (["fig2", "--n-list", "2,4,2"], "--n-list repeats a party count"),
         (["fig3", "--m-list", "inf", "--seed", "7"], "--m-list " + finite),
         (["fig3", "--m-list", "1e30", "--seed", "7"], "--m-list must lie in [1, 1024]"),
         (["fig3", "--m-list", "1,1", "--seed", "7"], "--m-list repeats a pair count"),
@@ -257,31 +260,40 @@ def test_csv_value_bytes(value, text):
 
 IMPORT_GUARD = """
 import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import photonbell, photonbell.cli
-heavy = ("scipy.optimize", "scipy.stats")
-loaded = {"import": [m for m in heavy if m in sys.modules]}
+fig1, fig2 = sys.argv[1:3]
 code = [
-    photonbell.cli.main(["fig1", "--grid", "8", "--out", sys.argv[1]]),
+    photonbell.cli.main(["fig1", "--grid", "8", "--out", fig1]),
     photonbell.cli.main(
         ["violation-dist", "--r0", "0.1", "--r1", "-0.5", "--pairs", "2",
          "--samples", "20", "--seed", "3"]
     ),
+    photonbell.cli.main(
+        ["fig2", "--n-list", "2", "--delta-max", "0.1", "--delta-step", "0.1",
+         "--out", fig2]
+    ),
 ]
-loaded["runs"] = [m for m in heavy if m in sys.modules]
 report = photonbell.maximize_bell(
     photonbell.OptimizationSpec(2, 0.2, optimize_phases=False, restarts=2)
 )
-print(json.dumps({"loaded": loaded, "code": code, "report": report.to_json_dict()}))
+threshold = photonbell.threshold_efficiency(2, 0.2, restarts=2)
+print(json.dumps({
+    "code": code,
+    "report": report.to_json_dict(),
+    "threshold": [threshold.efficiency, threshold.violable],
+}))
 """
 
 
 def test_import_and_searchless_commands_skip_scipy(tmp_path):
-    # a fresh interpreter: importing the package, fig1 and a pinned
-    # violation-dist never load scipy.optimize or scipy.stats; the first
-    # search loads the simplex on demand and matches an in-process search
+    # a fresh interpreter in which SciPy cannot be imported: the package,
+    # fig1, violation-dist, a reduced fig2 and both searches run, and the
+    # searches match the in-process ones
     src = str(Path(photonbell.__file__).resolve().parents[1])
+    outputs = [str(tmp_path / "fig1.csv"), str(tmp_path / "fig2.csv")]
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "fig1.csv")],
+        [sys.executable, "-c", IMPORT_GUARD, *outputs],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
@@ -289,10 +301,12 @@ def test_import_and_searchless_commands_skip_scipy(tmp_path):
         check=True,
     )
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    assert result["loaded"] == {"import": [], "runs": []}
-    assert result["code"] == [0, 0]
+    assert result["code"] == [0, 0, 0]
     spec = OptimizationSpec(2, 0.2, optimize_phases=False, restarts=2)
     assert result["report"] == maximize_bell(spec).to_json_dict()
+    threshold = threshold_efficiency(2, 0.2, restarts=2)
+    assert result["threshold"] == [threshold.efficiency, threshold.violable]
+    assert (tmp_path / "fig2.csv").read_text().count("\n") == 4
 
 
 def test_version_flag(capsys):

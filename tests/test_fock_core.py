@@ -210,7 +210,8 @@ def test_projective_matches_displacement_to_second_order():
 
 def test_setting_vector_validation():
     # a setting vector is one (P, N, 2) index array: one index pair per
-    # party, none negative (numpy would wrap them around), none beyond the
+    # party, none fractional (the integer conversion would truncate them),
+    # none negative (numpy would wrap them around), none beyond the
     # party's settings
     state = w_state(3)
     strat = two_setting_strategy(3, 0.1, -0.4)
@@ -221,6 +222,12 @@ def test_setting_vector_validation():
     for indices in ([(0, 1), (-1, 1), (0, 1)], [(0, 1), (0, 1), (0, -2)]):
         with pytest.raises(ValueError, match="must be >= 0"):
             frame_averaged_table(state, strat, model, indices)
+    # fractional indices are refused, not truncated to their integer part
+    for bad in (1.7, 0.5, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="setting indices must be integers"):
+            frame_averaged_table(state, strat, model, [(0, bad), (0, 1), (0, 1)])
+    integral = frame_averaged_table(state, strat, model, [(0, 1.0), (0, 1), (0, 1)])
+    assert np.array_equal(integral.values, frame_averaged_table(state, strat, model).values)
     with pytest.raises(ValueError, match="party 2 has 2 settings, index 2 invalid"):
         frame_averaged_table(state, strat, model, [(0, 1), (0, 2), (0, 1)])
     paired = paired_strategy(3, 0.1, -0.4, 3)

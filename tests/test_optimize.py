@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import bisect_threshold, dressed_averaged_tables, random_state
+from helpers import (
+    bisect_threshold,
+    dressed_averaged_tables,
+    random_state,
+    scipy_search,
+    scipy_simplex,
+)
 
 from photonbell import (
     ConsistencyError,
@@ -32,8 +38,11 @@ from photonbell.optimize import (
     _crossing_efficiency,
     _crossing_scores,
     _halton,
+    _lockstep,
     _lossy_rhos,
+    _nelder_mead,
     _point_parameters,
+    _search,
     _search_box,
     _scan_table_count,
 )
@@ -96,9 +105,9 @@ def test_two_party_noiseless_maximum():
 )
 def test_batched_scan_equals_one_point_objective(spec):
     # the start order is a stable argsort of these scores and the simplex
-    # scores one point per call, so the batched scores must equal the
-    # one-point scores bit for bit; the joint cloud's first point has
-    # equal centers and takes the exchangeable route
+    # walkers score their points in shared batches, so the batched scores
+    # must equal the one-point scores bit for bit; the joint cloud's first
+    # point has equal centers and takes the exchangeable route
     _, cloud = _search_box(spec)
     scores = _bell_scores(spec, cloud)
     crossings = _crossing_scores(spec, cloud)
@@ -126,6 +135,105 @@ def test_evaluation_counts_unchanged():
         OptimizationSpec(3, 0.25, efficiency=0.93, optimize_phases=True, restarts=1)
     )
     assert joint.evaluations == 338
+
+
+def assert_same_descent(ours, oracle):
+    # the walker's end state equals SciPy's, bit for bit
+    assert np.array_equal(ours.x, oracle.x)
+    assert ours.fun == oracle.fun
+    assert ours.success == oracle.success
+    assert ours.nfev == oracle.nfev
+
+
+PINNED = dict(optimize_phases=False)
+
+
+@pytest.mark.parametrize(
+    "spec, score",
+    [
+        (OptimizationSpec(2, 0.2, restarts=3, **PINNED), _bell_scores),
+        (OptimizationSpec(3, 0.25, efficiency=0.93, restarts=2), _bell_scores),
+        (OptimizationSpec(2, 0.1, shared_amplitudes=False, restarts=2), _bell_scores),
+        (OptimizationSpec(3, 0.1, shared_amplitudes=False, restarts=2, **PINNED), _bell_scores),
+        (OptimizationSpec(2, 0.0, restarts=2, tolerance=1e-12, **PINNED), _bell_scores),
+        (OptimizationSpec(2, 0.2, restarts=3, tolerance=1e-4, **PINNED), _crossing_scores),
+        (OptimizationSpec(4, 0.2, restarts=2, tolerance=1e-4, **PINNED), _crossing_scores),
+    ],
+)
+def test_lockstep_search_equals_scipy_search(spec, score):
+    # pinned, joint, per-party and threshold searches: the lockstep
+    # walkers end where SciPy's one-point loop ends, with its counts
+    ours, evaluations = _search(spec, score)
+    oracle, oracle_evaluations = scipy_search(spec, score)
+    assert_same_descent(ours, oracle)
+    assert evaluations == oracle_evaluations
+
+
+def walk_alone(spec, score, x0, max_evals):
+    """One walker through the lockstep driver, SciPy's descent, and the block sizes."""
+    (lower, upper), _ = _search_box(spec)
+    sizes = []
+
+    def recorded(spec, points):
+        sizes.append(len(points))
+        return score(spec, points)
+
+    walker = _nelder_mead(x0, lower, upper, spec.tolerance, max_evals)
+    (ours,) = _lockstep(spec, recorded, [walker])
+    oracle = scipy_simplex(
+        lambda x: score(spec, x[None])[0], x0, lower, upper, spec.tolerance, max_evals
+    )
+    return ours, oracle, sizes
+
+
+@pytest.mark.parametrize("score", [_bell_scores, _crossing_scores])
+def test_walker_start_on_the_upper_bound(score):
+    # the 5% step off r = 3 leaves the box and is reflected into it
+    spec = OptimizationSpec(2, 0.2, optimize_phases=False)
+    (lower, upper), _ = _search_box(spec)
+    x0 = np.array([3.0, -0.5])
+    first = next(_nelder_mead(x0, lower, upper, spec.tolerance, 800))
+    assert first[1, 0] == 2 * 3.0 - 1.05 * 3.0
+    ours, oracle, _ = walk_alone(spec, score, x0, 800)
+    assert_same_descent(ours, oracle)
+    assert ours.success
+
+
+def test_walker_shrinks_and_stops_at_evaluation_caps():
+    # joint N=2 from the best cloud point: 3 coordinates, so a shrink is
+    # the one 3-point block.  Its third shrink starts after 16 points;
+    # cap 17 stops it after the first moved vertex, which beats the old
+    # best, and cap 18 after the second.  Caps 3 and 5 stop the initial
+    # simplex and the first iteration's second call.
+    spec = OptimizationSpec(2, 0.2)
+    _, cloud = _search_box(spec)
+    x0 = cloud[0]
+    full, oracle, sizes = walk_alone(spec, _bell_scores, x0, 1200)
+    assert_same_descent(full, oracle)
+    assert full.success and sizes.count(3) >= 3
+    capped = {}
+    for cap in (3, 5, 16, 17, 18):
+        capped[cap], oracle, _ = walk_alone(spec, _bell_scores, x0, cap)
+        assert_same_descent(capped[cap], oracle)
+        assert not capped[cap].success and capped[cap].nfev == cap
+    assert capped[17].fun < capped[16].fun
+    assert not np.array_equal(capped[17].x, capped[16].x)
+
+
+def test_lockstep_scores_every_walker_in_one_call(monkeypatch):
+    # each step scores the pending block of every live walker together,
+    # four candidates per iteration: at most one call per two points used
+    calls = []
+
+    def counted(spec, points):
+        calls.append(len(points))
+        return _bell_scores(spec, points)
+
+    monkeypatch.setattr(optimize, "_bell_scores", counted)
+    report = maximize_bell(OptimizationSpec(2, 0.2, optimize_phases=False, restarts=2))
+    assert report.evaluations == 220
+    assert len(calls) <= report.evaluations // 2
+    assert calls[1] == 2 * 3  # both initial simplices in one call
 
 
 def test_halton_cloud_equals_scipy():
