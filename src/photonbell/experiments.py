@@ -301,10 +301,12 @@ def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
     for indices in index_sets:
         if len(indices) != n or any(len(pair) != 2 for pair in indices):
             raise ValueError("setting_indices needs one index pair per party")
-    values = np.array(index_sets, dtype=float)
-    if not np.all(np.isfinite(values) & (values == np.trunc(values))):
-        raise ValueError("setting indices must be integers")
-    index = np.array(index_sets, dtype=int).reshape(len(index_sets), n, 2)
+    index = np.array(index_sets)
+    if index.dtype.kind not in "iu":
+        index = index.astype(float)
+        if not np.all(np.isfinite(index) & (index == np.trunc(index))):
+            raise ValueError("setting indices must be integers")
+    index = index.astype(int).reshape(len(index_sets), n, 2)
     if np.any(index < 0):
         raise ValueError("setting indices must be >= 0")
     counts = np.array([len(party) for party in strategy.settings])
