@@ -260,9 +260,9 @@ def bisect_threshold(
 def scipy_simplex(objective, x0, lower, upper, tolerance: float, max_evals: int):
     """SciPy's bounded Nelder-Mead from ``x0`` on a one-point objective.
 
-    The options of the former SciPy loop of ``optimize._search``: oracle
-    of ``optimize._nelder_mead``, which must return the same ``x``,
-    ``fun``, ``success`` and ``nfev``.
+    Oracle of ``optimize._nelder_mead`` with the same bounds, tolerance
+    and evaluation cap, which must return the same ``x``, ``fun``,
+    ``success`` and ``nfev``.
     """
     from scipy.optimize import minimize
 
@@ -281,7 +281,7 @@ def scipy_simplex(objective, x0, lower, upper, tolerance: float, max_evals: int)
 
 
 def scipy_search(spec: OptimizationSpec, score):
-    """The former SciPy loop of ``optimize._search``, one point per call.
+    """Oracle of ``optimize._search``: SciPy's simplex, one point per call.
 
     Scores the start cloud in one call, then runs SciPy's simplex from
     each of the ``spec.restarts`` best cloud points in turn.  Returns the
