@@ -291,11 +291,11 @@ def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
     """Setting matrices (P, N, 2, 2, 2) of the index sets.
 
     Each index set holds one pair of setting indices per party; the
-    (P, N, 2) index array is checked in one pass: fractional indices
-    first, since the integer conversion would truncate them, then negative
-    ones, since numpy would wrap them around.  The matrices of the
-    distinct settings used are built and validated as one array, so each
-    setting is built and checked once.
+    (P, N, 2) index array is checked in one pass: fractional indices and
+    ones beyond 2^62 first, since the integer conversion would truncate or
+    overflow them, then negative ones, since numpy would wrap them
+    around.  The matrices of the distinct settings used are built and
+    validated as one array, so each setting is built and checked once.
     """
     n = strategy.n_parties
     for indices in index_sets:
@@ -304,7 +304,7 @@ def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
     index = np.array(index_sets)
     if index.dtype.kind not in "iu":
         index = index.astype(float)
-        if not np.all(np.isfinite(index) & (index == np.trunc(index))):
+        if not np.all((np.abs(index) < 2**62) & (index == np.trunc(index))):
             raise ValueError("setting indices must be integers")
     index = index.astype(int).reshape(len(index_sets), n, 2)
     if np.any(index < 0):

@@ -612,14 +612,21 @@ def _lockstep(spec: OptimizationSpec, score, walkers) -> list:
     """Run simplex walkers side by side and return their results in order.
 
     Each step concatenates the pending block of every live walker and
-    scores it in one ``score(spec, points)`` call.  A row's score depends
-    only on that row, so every walker sees the values it would get alone.
+    scores it in ``score(spec, points)`` calls of at most
+    :func:`_scan_points` rows, the size of the start-cloud scan, so no call
+    builds more tables than :func:`_scan_table_count` counts.  A row's
+    score depends only on that row, so every walker sees the values it
+    would get alone.
     """
+    rows = _scan_points(spec)
     results = [None] * len(walkers)
     pending = {i: next(walker) for i, walker in enumerate(walkers)}
     while pending:
         blocks = list(pending.values())
-        values = score(spec, np.concatenate(blocks))
+        points = np.concatenate(blocks)
+        values = np.concatenate(
+            [score(spec, points[i : i + rows]) for i in range(0, len(points), rows)]
+        )
         splits = np.cumsum([len(block) for block in blocks[:-1]])
         for i, block_values in zip(list(pending), np.split(values, splits)):
             try:
@@ -638,11 +645,11 @@ def _search(spec: OptimizationSpec, score):
     call, and a bounded Nelder-Mead walker (:func:`_nelder_mead`, capped
     at 400 evaluations per coordinate) starts from each of the
     ``spec.restarts`` best cloud points (stable order).  The walkers run
-    in lockstep, one score call per step for all of them, and each walks
-    exactly as alone.  Returns the best walker's :class:`_SimplexResult`
-    (lowest restart index on ties) and the number of points the walks
-    used, scan included; speculative rows a walk did not use are not
-    counted.
+    in lockstep, one score call per step for all of them (split into
+    calls no larger than the scan), and each walks exactly as alone.
+    Returns the best walker's :class:`_SimplexResult` (lowest restart
+    index on ties) and the number of points the walks used, scan
+    included; speculative rows a walk did not use are not counted.
     """
     (lower, upper), cloud = _search_box(spec)
     max_evals = 400 * len(lower)

@@ -222,8 +222,9 @@ def test_setting_vector_validation():
     for indices in ([(0, 1), (-1, 1), (0, 1)], [(0, 1), (0, 1), (0, -2)]):
         with pytest.raises(ValueError, match="must be >= 0"):
             frame_averaged_table(state, strat, model, indices)
-    # fractional indices are refused, not truncated to their integer part
-    for bad in (1.7, 0.5, -0.5, np.nan, np.inf):
+    # fractional indices are refused, not truncated to their integer part,
+    # and so are integral floats no integer can hold
+    for bad in (1.7, 0.5, -0.5, np.nan, np.inf, 1e300, -1e300, 2.0**63):
         with pytest.raises(ValueError, match="setting indices must be integers"):
             frame_averaged_table(state, strat, model, [(0, bad), (0, 1), (0, 1)])
     integral = frame_averaged_table(state, strat, model, [(0, 1.0), (0, 1), (0, 1)])

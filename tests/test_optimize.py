@@ -42,9 +42,10 @@ from photonbell.optimize import (
     _lossy_rhos,
     _nelder_mead,
     _point_parameters,
+    _scan_points,
+    _scan_table_count,
     _search,
     _search_box,
-    _scan_table_count,
 )
 from photonbell.wwzb import _walsh_hadamard
 
@@ -234,6 +235,25 @@ def test_lockstep_scores_every_walker_in_one_call(monkeypatch):
     assert report.evaluations == 220
     assert len(calls) <= report.evaluations // 2
     assert calls[1] == 2 * 3  # both initial simplices in one call
+
+
+def test_lockstep_calls_stay_within_the_scan_size(monkeypatch):
+    # with many restarts the first round alone holds restarts x (dims + 1)
+    # points; the driver scores them in slices no larger than the cloud
+    # scan, the call a caller sizes with _scan_table_count, and the walk
+    # still ends where SciPy's ends
+    spec = OptimizationSpec(2, 0.2, restarts=40, **PINNED)
+    calls = []
+
+    def counted(spec, points):
+        calls.append(len(points))
+        return _bell_scores(spec, points)
+
+    ours, evaluations = _search(spec, counted)
+    assert max(calls) == _scan_points(spec) < spec.restarts * 3
+    oracle, oracle_evaluations = scipy_search(spec, _bell_scores)
+    assert_same_descent(ours, oracle)
+    assert evaluations == oracle_evaluations
 
 
 def test_halton_cloud_equals_scipy():
