@@ -18,20 +18,14 @@ from .experiments import (
     pair_setting_indices,
     pair_symbolic_tables,
     paired_strategy,
-    symbolic_correlators,
     two_setting_strategy,
     violation_distribution,
 )
 from .fock_core import (
     ConsistencyError,
     DisplacementSetting,
-    ModeObservable,
     SubspaceState,
-    correlator,
-    correlator_bruteforce,
-    displacement_observable,
     lossy_w_state,
-    projective_observable,
     w_state,
 )
 from .optimize import (
@@ -46,8 +40,6 @@ from .optimize import (
 from .phase_noise import (
     PhaseModel,
     child_seed,
-    sample_offsets,
-    wrapped_gaussian_pdf,
 )
 from .wwzb import (
     BellResult,
@@ -65,7 +57,6 @@ __all__ = [
     "CorrelatorTable",
     "DisplacementSetting",
     "MeasurementStrategy",
-    "ModeObservable",
     "OptimizationSpec",
     "OptimumReport",
     "PhaseModel",
@@ -79,23 +70,16 @@ __all__ = [
     "certainty_frontier",
     "child_seed",
     "chsh_horodecki",
-    "correlator",
-    "correlator_bruteforce",
-    "displacement_observable",
     "frame_averaged_table",
     "lossy_w_state",
     "maximize_bell",
     "pair_setting_indices",
     "pair_symbolic_tables",
     "paired_strategy",
-    "projective_observable",
-    "sample_offsets",
-    "symbolic_correlators",
     "threshold_efficiency",
     "two_setting_strategy",
     "violation_distribution",
     "w_state",
-    "wrapped_gaussian_pdf",
     "wwzb_value",
     "wwzb_value_naive",
 ]

@@ -28,10 +28,10 @@ frame in one kernel call).
 
 Many frames at fixed settings are what the offset-symbolic tables serve.
 Correlators are real trigonometric sums in the offsets, built once per
-strategy (:func:`symbolic_correlators`, :func:`pair_symbolic_tables`):
-each coefficient row is the correlation table of one Hermitian component
-of the state, and the 1 + N(N-1) components are stacked as states in one
-kernel call.  A :class:`SymbolicCorrelatorTable` holds them as one real
+strategy (:func:`pair_symbolic_tables`, one table per setting pair of
+party 1): each coefficient row is the correlation table of one Hermitian
+component of the state, and the 1 + N(N-1) components are stacked as
+states in one kernel call.  A :class:`SymbolicCorrelatorTable` holds them as one real
 array: the constant row, then a cosine and a sine row for each of the
 N(N-1)/2 frequencies n of the half basis (one of each pair +-n), so its
 entries are real by construction.  Frame scans over many centers go
@@ -83,7 +83,6 @@ __all__ = [
     "pair_setting_indices",
     "pair_symbolic_tables",
     "paired_strategy",
-    "symbolic_correlators",
     "two_setting_strategy",
     "violation_distribution",
 ]
@@ -94,6 +93,17 @@ PAIR_PHASE_TOL = 1e-9
 # Transform entries (centers x pairs x 2^N) evaluated per chunk of a frame
 # scan; a chunk holds max(1, budget // max(frequencies, pairs * 2^N)) centers.
 FRAME_SCAN_CHUNK_ELEMENTS = 2**16
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int; ValueError unless it is a whole number.
+
+    Python and numpy integers and integral floats pass; 2.7, NaN and inf
+    do not, where ``int`` would truncate them or fail.
+    """
+    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +131,7 @@ class MeasurementStrategy:
                 raise ValueError("settings must be DisplacementSetting instances")
         object.__setattr__(self, "settings", settings)
         if self.pair_count is not None:
-            m = int(self.pair_count)
+            m = _whole(self.pair_count, "pair_count")
             if m < 1:
                 raise ValueError("pair_count must be >= 1")
             object.__setattr__(self, "pair_count", m)
@@ -192,6 +202,7 @@ def paired_strategy(
     phase advanced by j * 2*pi / pair_count, covering the circle so that
     some pair nearly cancels any frame offset.
     """
+    pair_count = _whole(pair_count, "pair_count")
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
     if phases is None:
@@ -369,29 +380,6 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     return [SymbolicCorrelatorTable(n, rows[:, p]) for p in range(len(pairs))]
 
 
-def symbolic_correlators(
-    state: SubspaceState,
-    strategy: MeasurementStrategy,
-    setting_indices: Optional[Sequence[Sequence[int]]] = None,
-) -> SymbolicCorrelatorTable:
-    """Offset-symbolic correlation table for a two-setting Bell test.
-
-    Parameters
-    ----------
-    state : SubspaceState
-        Shared state, one mode per party.
-    strategy : MeasurementStrategy
-        Setting lists; each party contributes two of them to the table.
-    setting_indices : optional
-        For each party, the pair of indices used as table settings 0 and 1
-        (default the party's first two settings).  Table index bit k-1
-        selects party k's entry of that pair.
-    """
-    if setting_indices is None:
-        setting_indices = [(0, 1)] * strategy.n_parties
-    return _symbolic_tables(state, strategy, [setting_indices])[0]
-
-
 def _frame_averaged_tables(
     state: SubspaceState, strategy, model: PhaseModel, index_sets
 ) -> list:
@@ -434,10 +422,10 @@ def frame_averaged_table(
     :func:`_offset_frequencies`).  The average is exact, and width 0 gives
     the table at the fixed frame c.  ``setting_indices`` selects, for each
     party, the pair of settings used as table settings 0 and 1 (default
-    the party's first two), as for :func:`symbolic_correlators`.  Raises
-    ValueError if the state, strategy and model disagree on the party
-    count, or if an index is fractional, negative or beyond its party's
-    settings.
+    the party's first two), and table index bit k-1 selects party k's
+    entry of that pair.  Raises ValueError if the state, strategy and
+    model disagree on the party count, or if an index is fractional,
+    negative or beyond its party's settings.
     """
     if setting_indices is None:
         setting_indices = [(0, 1)] * strategy.n_parties
@@ -461,9 +449,13 @@ def bell_value_averaged(
 
 
 def pair_setting_indices(strategy: MeasurementStrategy, pair: int):
-    """Setting-index pairs selecting party 1's pair ``pair`` for the table."""
+    """Setting-index pairs selecting party 1's pair ``pair`` for the table.
+
+    ValueError unless ``pair`` is a whole number in [0, pair_count).
+    """
     if strategy.pair_count is None:
         raise ValueError("strategy has no pair structure")
+    pair = _whole(pair, "pair")
     if not 0 <= pair < strategy.pair_count:
         raise ValueError(f"pair must lie in [0, {strategy.pair_count})")
     return [(2 * pair, 2 * pair + 1)] + [(0, 1)] * (strategy.n_parties - 1)

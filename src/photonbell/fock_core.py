@@ -13,9 +13,9 @@ and every module in this package relies on that order.
 Local measurements are small optical displacements followed by a
 non-number-resolving detector, with outcome +1 for no click and -1 for a
 click.  Restricted to the 0/1-photon sector of one mode, the observable
-2|alpha><alpha| - 1 with alpha = r exp(i phi) becomes the 2x2 matrix
-returned by :func:`displacement_observable` (for a batch of settings,
-:func:`displacement_matrices`).
+2|alpha><alpha| - 1 with alpha = r exp(i phi) becomes a 2x2 matrix, and
+:func:`displacement_matrices` builds the matrices of any array of
+settings.  Observables exist only as such arrays, shape (..., 2, 2).
 
 N-party correlation functions <M_1 x ... x M_N> are evaluated by one numpy
 kernel, :func:`correlator_batch`, over an array of observable matrices of
@@ -29,41 +29,33 @@ products are formed once per chunk and shared by every state, and each
 state keeps the arithmetic of a call with it alone.  The batch is
 processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices
 divided by the number of states, so memory stays bounded for any batch
-size.  :func:`correlator` is the
-batch-of-one form and :func:`correlator_tables` the 2^N-entry table builder
-behind both the optimizer and the offset-symbolic tables, so the package
-has one correlator walk.  A dense evaluation in the full 2^N
-mode-occupation space is kept as a slow oracle for tests
-(:func:`correlator_bruteforce`).
+size.  :func:`correlator_tables` is the 2^N-entry table builder behind
+both the optimizer and the offset-symbolic tables, so the package has
+one correlator walk.  The tests keep a dense evaluation in the full 2^N
+mode-occupation space as its slow oracle.
 
 Validation happens where values enter: :class:`SubspaceState` checks the
-state and :class:`ModeObservable` (or :func:`check_observable_matrices`, its
-array form) checks observables, with closed-form 2x2 Hermiticity and
-eigenvalue bounds.  The kernel itself only checks that its results are real
+state and :func:`check_observable_matrices` checks a batch of
+observables, with closed-form 2x2 Hermiticity and eigenvalue bounds.
+The kernel itself only checks that its results are real
 (``ConsistencyError`` otherwise), over the whole batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "ConsistencyError",
     "DisplacementSetting",
-    "ModeObservable",
     "SubspaceState",
     "check_observable_matrices",
-    "correlator",
     "correlator_batch",
-    "correlator_bruteforce",
     "correlator_tables",
     "displacement_matrices",
-    "displacement_observable",
     "lossy_w_state",
-    "projective_observable",
     "w_state",
 ]
 
@@ -79,9 +71,6 @@ EIGENVALUE_TOL = 1e-10
 # unphysical input, not roundoff.
 IMAG_RESIDUE_TOL = 1e-8
 
-# Largest N for which the dense 2^N oracle is allowed to run.
-BRUTEFORCE_MODE_LIMIT = 12
-
 # The correlator kernel handles at most this many mode matrices (batch rows
 # times N) per chunk; its working arrays are a small multiple of that.
 CORRELATOR_CHUNK_ELEMENTS = 2**16
@@ -89,14 +78,6 @@ CORRELATOR_CHUNK_ELEMENTS = 2**16
 
 class ConsistencyError(RuntimeError):
     """A numerical self-check failed (a result that must be real was not)."""
-
-
-def _frozen_matrix(values, shape, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if arr.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +101,10 @@ class SubspaceState:
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         dim = self.n_modes + 1
-        mat = _frozen_matrix(self.matrix, (dim, dim), "state matrix")
+        mat = np.array(self.matrix, dtype=complex)
+        if mat.shape != (dim, dim):
+            raise ValueError(f"state matrix must have shape {(dim, dim)}, got {mat.shape}")
+        mat.setflags(write=False)
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
             raise ValueError("state matrix is not Hermitian")
         trace = np.trace(mat)
@@ -168,23 +152,6 @@ class DisplacementSetting:
             raise ValueError("amplitude must be finite")
         offset = np.pi if amplitude < 0.0 else 0.0
         return cls(abs(float(amplitude)), phase + offset)
-
-
-@dataclass(frozen=True, eq=False)
-class ModeObservable:
-    """A +-1-bounded observable on the 0/1-photon sector of a single mode.
-
-    Holds the 2x2 Hermitian matrix in the (|0>, |1>) basis.  Eigenvalues
-    must lie in [-1, 1]: the observables here are compressions of dichotomic
-    measurements, so anything outside that range is a construction error.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _frozen_matrix(self.matrix, (2, 2), "observable matrix")
-        check_observable_matrices(mat)
-        object.__setattr__(self, "matrix", mat)
 
 
 def check_observable_matrices(matrices) -> None:
@@ -260,8 +227,7 @@ def displacement_matrices(amplitudes, phases) -> np.ndarray:
     1e150, so it never overflows: beyond the cap e^{-r^2} is 0 either
     way, and a huge amplitude gives photon counting, diag(-1, -1).  The
     matrices are not validated: pass them to
-    :func:`check_observable_matrices` (one call for the batch) or use
-    :func:`displacement_observable`.
+    :func:`check_observable_matrices` (one call for the batch).
     """
     r = np.asarray(amplitudes, dtype=float)
     phi = np.asarray(phases, dtype=float)
@@ -273,43 +239,6 @@ def displacement_matrices(amplitudes, phases) -> np.ndarray:
     mats[..., 1, 0] = g * r * np.exp(1j * phi)
     mats[..., 1, 1] = g * r * r - 1.0
     return mats
-
-
-def displacement_observable(setting: DisplacementSetting) -> ModeObservable:
-    """Displaced click/no-click observable of one setting, validated.
-
-    The matrix is that of :func:`displacement_matrices`.
-    """
-    return ModeObservable(displacement_matrices(setting.amplitude, setting.phase))
-
-
-def projective_observable(theta: float, phi: float) -> ModeObservable:
-    """Half-weighted qubit observable along direction (theta, phi).
-
-    Returns (1/2) * [[cos t, e^{-i phi} sin t], [e^{i phi} sin t, -cos t]],
-    with the explicit 1/2 kept, so the outcomes are +-1/2.  Doubling it
-    reproduces :func:`displacement_observable` at amplitude theta/2 up to
-    O(theta^3): the off-diagonal entries differ by theta^3/12 at leading
-    order, the diagonal ones by O(theta^4).
-    """
-    if not (np.isfinite(theta) and np.isfinite(phi)):
-        raise ValueError("theta and phi must be finite")
-    mat = 0.5 * np.array(
-        [
-            [np.cos(theta), np.exp(-1j * phi) * np.sin(theta)],
-            [np.exp(1j * phi) * np.sin(theta), -np.cos(theta)],
-        ]
-    )
-    return ModeObservable(mat)
-
-
-def _check_observables(state: SubspaceState, observables) -> list:
-    observables = list(observables)
-    if len(observables) != state.n_modes:
-        raise ValueError(
-            f"state has {state.n_modes} modes, got {len(observables)} observables"
-        )
-    return observables
 
 
 def _correlator_rows(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -430,49 +359,3 @@ def correlator_tables(rho, pairs) -> np.ndarray:
         bits = (index[:, None] >> parties) & 1
         tables[..., start : start + step] = correlator_batch(rho, pairs[:, parties, bits])
     return tables
-
-
-def correlator(state: SubspaceState, observables: Sequence[ModeObservable]) -> float:
-    """Expectation value of the tensor product of one observable per mode.
-
-    The batch-of-one form of :func:`correlator_batch`.  Returns a float;
-    raises ConsistencyError if the imaginary residue of the trace exceeds
-    IMAG_RESIDUE_TOL.
-    """
-    observables = _check_observables(state, observables)
-    mats = np.array([obs.matrix for obs in observables])
-    return float(correlator_batch(state.matrix, mats))
-
-
-def correlator_bruteforce(
-    state: SubspaceState, observables: Sequence[ModeObservable]
-) -> float:
-    """Same expectation value via dense tensors in the 2^N occupation space.
-
-    Test oracle for :func:`correlator`: embeds the state into the full
-    mode-occupation space, forms the tensor product of the observables as a
-    dense 2^N x 2^N matrix and takes the trace inner product.  Limited to
-    N <= 12 modes.
-    """
-    observables = _check_observables(state, observables)
-    n = state.n_modes
-    if n > BRUTEFORCE_MODE_LIMIT:
-        raise ValueError(
-            f"brute-force correlator limited to N <= {BRUTEFORCE_MODE_LIMIT}"
-        )
-    dim = 2**n
-    full = np.ones((1, 1), dtype=complex)
-    for obs in observables:
-        full = np.kron(full, obs.matrix)
-    # Mode k (1-based) occupies bit n - k, so |e_1> is the highest bit.
-    index = [0] + [1 << (n - k) for k in range(1, n + 1)]
-    rho_full = np.zeros((dim, dim), dtype=complex)
-    for a, ia in enumerate(index):
-        for b, ib in enumerate(index):
-            rho_full[ia, ib] = state.matrix[a, b]
-    value = complex(np.einsum("ab,ba->", rho_full, full))
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
-        raise ConsistencyError(
-            f"brute-force correlator has imaginary residue {value.imag:.3e}"
-        )
-    return float(value.real)

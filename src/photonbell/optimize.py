@@ -78,6 +78,7 @@ import numpy as np
 from .experiments import (
     _frame_damping,
     _offset_frequencies,
+    _whole,
     best_pair_values_over_centers,
     pair_symbolic_tables,
     paired_strategy,
@@ -747,13 +748,14 @@ def certainty_frontier(
     frame.  Returns a list of (m, width) pairs; width is NaN when not even
     zero width is certain, and capped at ``width_max``.  Restricted to
     n_parties <= 3 to keep the center grid tractable.  Pair counts must
-    be integers >= 1, and ``width_tolerance`` and ``width_max`` finite
-    and > 0 (ValueError otherwise, before any search).
+    be integers >= 1, ``grid_density`` a whole number >= 360, and
+    ``width_tolerance`` and ``width_max`` finite and > 0 (ValueError
+    otherwise, before any search).
     """
     pair_counts = list(pair_counts)
     if not all(isinstance(m, (int, np.integer)) and m >= 1 for m in pair_counts):
         raise ValueError("pair counts must be integers >= 1")
-    if grid_density < 360:
+    if _whole(grid_density, "grid_density") < 360:
         raise ValueError("grid_density must be >= 360")
     if n_parties > 3:
         raise ValueError("center grid only tractable for n_parties <= 3")

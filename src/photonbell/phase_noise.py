@@ -19,8 +19,8 @@ by exp(-|m_ab|^2 delta^2 / 2) and turns it by its phase at the centers
 (:func:`~photonbell.experiments.frame_averaged_table`).  Scans over many
 centers damp the cosine and sine rows of a
 :class:`~photonbell.experiments.SymbolicCorrelatorTable` by the same
-factor.  Monte Carlo sampling of the offsets (:func:`sample_offsets`) is
-kept as the independent cross-check.
+factor.  The tests keep Monte Carlo sampling of the offsets and
+quadrature of the wrapped density as the independent cross-checks.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from .fock_core import TWO_PI
 __all__ = [
     "PhaseModel",
     "child_seed",
-    "sample_offsets",
-    "wrapped_gaussian_pdf",
 ]
-
-# Drop theta-series terms once q^{n^2} falls below this.
-SERIES_TRUNCATION = 1e-16
 
 _MASK64 = (1 << 64) - 1
 
@@ -73,80 +68,6 @@ class PhaseModel:
     @property
     def n_relative(self) -> int:
         return len(self.centers)
-
-
-def wrapped_gaussian_pdf(phi, center: float, width: float):
-    """Density of a Gaussian of mean ``center`` and sd ``width`` wrapped to 2*pi.
-
-    Two exact forms exist, and the one with fewer terms at this width is
-    summed.  Wide noise uses the Fourier form
-
-        pdf(phi) = (1/2pi) * [1 + 2 * sum_{n>=1} q^{n^2} cos(n (phi - center))]
-
-    with q = exp(-width^2 / 2), truncated once q^{n^2} < SERIES_TRUNCATION,
-    which takes about 8.6 / width terms.  Narrow noise uses the sum of
-    Gaussians over the windings 2 pi k of x = phi - center reduced to
-    [-pi, pi],
-
-        pdf(phi) = sum_k exp(-(x + 2 pi k)^2 / (2 width^2)) / (width sqrt(2 pi)),
-
-    over the |k| <= K whose omitted terms fall below SERIES_TRUNCATION of
-    the peak, which takes 2K + 1 terms.  Zero width is rejected: the density
-    degenerates to a delta spike, and callers handle that case by using the
-    center directly.
-
-    Parameters
-    ----------
-    phi : float or array_like
-        Angles at which to evaluate (any real values; the density has
-        period 2*pi).
-    center, width : float
-        Mean and standard deviation of the unwrapped Gaussian; width > 0.
-
-    Returns
-    -------
-    float or ndarray
-        Density values, nonnegative, integrating to 1 over one period.
-    """
-    if not np.isfinite(width) or width <= 0.0:
-        raise ValueError("width must be > 0 (zero width has no density)")
-    phi_arr = np.asarray(phi, dtype=float)
-    reach = np.sqrt(-2.0 * np.log(SERIES_TRUNCATION))
-    # Term counts as floats: either may be inf at extreme widths.
-    n_max = np.floor(reach / width) + 1.0
-    # Windings beyond K are at least 2 pi (K + 1) - pi from x.
-    k_max = np.ceil((reach * width + np.pi) / TWO_PI) - 1.0
-    x = phi_arr - center
-    if 2.0 * k_max + 1.0 < n_max:
-        x = x - TWO_PI * np.round(x / TWO_PI)
-        shifts = TWO_PI * np.arange(-k_max, k_max + 1.0)
-        peaks = np.exp(-0.5 * (np.add.outer(x, shifts) / width) ** 2)
-        density = peaks.sum(axis=-1) / (width * np.sqrt(TWO_PI))
-    else:
-        n = np.arange(1.0, n_max + 1.0)
-        weights = np.exp(-0.5 * (n * width) ** 2)
-        series = 1.0 + 2.0 * (np.cos(np.multiply.outer(x, n)) @ weights)
-        density = np.maximum(series / TWO_PI, 0.0)  # clip roundoff in far tails
-    return float(density) if np.isscalar(phi) or phi_arr.ndim == 0 else density
-
-
-def sample_offsets(model: PhaseModel, rng_seed: int, count: int) -> np.ndarray:
-    """Draw ``count`` offset vectors from the model, deterministically.
-
-    Returns an array of shape (count, n_relative) with each component drawn
-    from a Gaussian of the model's center and width, reduced mod 2*pi.
-    A zero-width model is rejected; callers use the centers directly in
-    that degenerate case.
-    """
-    if model.width == 0.0:
-        raise ValueError("zero-width model has no randomness to sample")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.normal(
-        loc=model.centers, scale=model.width, size=(count, model.n_relative)
-    )
-    return draws % TWO_PI
 
 
 def child_seed(seed: int, index: int) -> int:

@@ -1,4 +1,4 @@
-"""Shared randomized-construction helpers for the test suite."""
+"""Shared randomized-construction helpers and slow oracles for the test suite."""
 
 import numpy as np
 
@@ -6,16 +6,167 @@ from photonbell import (
     ConsistencyError,
     DisplacementSetting,
     OptimizationSpec,
+    PhaseModel,
     SubspaceState,
     ThresholdResult,
     maximize_bell,
 )
 from photonbell.experiments import _half_basis, _setting_pairs
-from photonbell.fock_core import check_observable_matrices, correlator_tables, lossy_w_state
+from photonbell.fock_core import (
+    IMAG_RESIDUE_TOL,
+    TWO_PI,
+    check_observable_matrices,
+    correlator_tables,
+    displacement_matrices,
+    lossy_w_state,
+)
 from photonbell.optimize import _search_box, _symmetric_tables
 
 # Imaginary residue the complex frame scan allows in its real tables.
 IMAG_TOL = 1e-10
+
+# Largest N for which the dense 2^N oracle is allowed to run.
+BRUTEFORCE_MODE_LIMIT = 12
+
+# Drop theta-series terms once q^{n^2} falls below this.
+SERIES_TRUNCATION = 1e-16
+
+
+def setting_matrices(settings) -> np.ndarray:
+    """Observable matrices (N, 2, 2) of one displacement setting per mode, validated."""
+    mats = displacement_matrices([s.amplitude for s in settings], [s.phase for s in settings])
+    check_observable_matrices(mats)
+    return mats
+
+
+def correlator_bruteforce(rho, matrices) -> float:
+    """Tr[rho (M_1 x ... x M_N)] via dense tensors in the 2^N occupation space.
+
+    Oracle for ``fock_core.correlator_batch``: embeds the (N+1) x (N+1)
+    state ``rho`` into the full mode-occupation space, forms the tensor
+    product of the (N, 2, 2) observable ``matrices`` as a dense 2^N x 2^N
+    matrix and takes the trace inner product.  The matrices are validated
+    first, and N is limited to BRUTEFORCE_MODE_LIMIT modes.
+    """
+    rho = np.asarray(rho)
+    n = len(rho) - 1
+    mats = np.asarray(matrices)
+    if mats.shape != (n, 2, 2):
+        raise ValueError(f"state has {n} modes, observables have shape {mats.shape}")
+    check_observable_matrices(mats)
+    if n > BRUTEFORCE_MODE_LIMIT:
+        raise ValueError(
+            f"brute-force correlator limited to N <= {BRUTEFORCE_MODE_LIMIT}"
+        )
+    dim = 2**n
+    full = np.ones((1, 1), dtype=complex)
+    for mat in mats:
+        full = np.kron(full, mat)
+    # Mode k (1-based) occupies bit n - k, so |e_1> is the highest bit.
+    index = [0] + [1 << (n - k) for k in range(1, n + 1)]
+    rho_full = np.zeros((dim, dim), dtype=complex)
+    for a, ia in enumerate(index):
+        for b, ib in enumerate(index):
+            rho_full[ia, ib] = rho[a, b]
+    value = complex(np.einsum("ab,ba->", rho_full, full))
+    if abs(value.imag) > IMAG_RESIDUE_TOL:
+        raise ConsistencyError(
+            f"brute-force correlator has imaginary residue {value.imag:.3e}"
+        )
+    return float(value.real)
+
+
+def projective_observable(theta: float, phi: float) -> np.ndarray:
+    """Half-weighted qubit observable along direction (theta, phi), a 2x2 matrix.
+
+    Returns (1/2) * [[cos t, e^{-i phi} sin t], [e^{i phi} sin t, -cos t]],
+    with the explicit 1/2 kept, so the outcomes are +-1/2.  Doubling it
+    reproduces ``displacement_matrices`` at amplitude theta/2 up to
+    O(theta^3): the off-diagonal entries differ by theta^3/12 at leading
+    order, the diagonal ones by O(theta^4).
+    """
+    return 0.5 * np.array(
+        [
+            [np.cos(theta), np.exp(-1j * phi) * np.sin(theta)],
+            [np.exp(1j * phi) * np.sin(theta), -np.cos(theta)],
+        ]
+    )
+
+
+def wrapped_gaussian_pdf(phi, center: float, width: float):
+    """Density of a Gaussian of mean ``center`` and sd ``width`` wrapped to 2*pi.
+
+    Two exact forms exist, and the one with fewer terms at this width is
+    summed.  Wide noise uses the Fourier form
+
+        pdf(phi) = (1/2pi) * [1 + 2 * sum_{n>=1} q^{n^2} cos(n (phi - center))]
+
+    with q = exp(-width^2 / 2), truncated once q^{n^2} < SERIES_TRUNCATION,
+    which takes about 8.6 / width terms.  Narrow noise uses the sum of
+    Gaussians over the windings 2 pi k of x = phi - center reduced to
+    [-pi, pi],
+
+        pdf(phi) = sum_k exp(-(x + 2 pi k)^2 / (2 width^2)) / (width sqrt(2 pi)),
+
+    over the |k| <= K whose omitted terms fall below SERIES_TRUNCATION of
+    the peak, which takes 2K + 1 terms.  Zero width is rejected: the density
+    degenerates to a delta spike, and callers handle that case by using the
+    center directly.  Its quadrature is the oracle of the package's exact
+    Gaussian damping exp(-width^2 |m|^2 / 2).
+
+    Parameters
+    ----------
+    phi : float or array_like
+        Angles at which to evaluate (any real values; the density has
+        period 2*pi).
+    center, width : float
+        Mean and standard deviation of the unwrapped Gaussian; width > 0.
+
+    Returns
+    -------
+    float or ndarray
+        Density values, nonnegative, integrating to 1 over one period.
+    """
+    if not np.isfinite(width) or width <= 0.0:
+        raise ValueError("width must be > 0 (zero width has no density)")
+    phi_arr = np.asarray(phi, dtype=float)
+    reach = np.sqrt(-2.0 * np.log(SERIES_TRUNCATION))
+    # Term counts as floats: either may be inf at extreme widths.
+    n_max = np.floor(reach / width) + 1.0
+    # Windings beyond K are at least 2 pi (K + 1) - pi from x.
+    k_max = np.ceil((reach * width + np.pi) / TWO_PI) - 1.0
+    x = phi_arr - center
+    if 2.0 * k_max + 1.0 < n_max:
+        x = x - TWO_PI * np.round(x / TWO_PI)
+        shifts = TWO_PI * np.arange(-k_max, k_max + 1.0)
+        peaks = np.exp(-0.5 * (np.add.outer(x, shifts) / width) ** 2)
+        density = peaks.sum(axis=-1) / (width * np.sqrt(TWO_PI))
+    else:
+        n = np.arange(1.0, n_max + 1.0)
+        weights = np.exp(-0.5 * (n * width) ** 2)
+        series = 1.0 + 2.0 * (np.cos(np.multiply.outer(x, n)) @ weights)
+        density = np.maximum(series / TWO_PI, 0.0)  # clip roundoff in far tails
+    return float(density) if np.isscalar(phi) or phi_arr.ndim == 0 else density
+
+
+def sample_offsets(model: PhaseModel, rng_seed: int, count: int) -> np.ndarray:
+    """Draw ``count`` offset vectors from the model, deterministically.
+
+    Returns an array of shape (count, n_relative) with each component drawn
+    from a Gaussian of the model's center and width, reduced mod 2*pi.
+    A zero-width model is rejected; callers use the centers directly in
+    that degenerate case.  Means over these draws are the Monte Carlo
+    oracle of the analytic frame averages.
+    """
+    if model.width == 0.0:
+        raise ValueError("zero-width model has no randomness to sample")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    rng = np.random.default_rng(rng_seed)
+    draws = rng.normal(
+        loc=model.centers, scale=model.width, size=(count, model.n_relative)
+    )
+    return draws % TWO_PI
 
 
 def random_state(rng: np.random.Generator, n_modes: int) -> SubspaceState:

@@ -12,7 +12,16 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from helpers import complex_entries, random_settings, random_state
+from helpers import (
+    complex_entries,
+    correlator_bruteforce,
+    projective_observable,
+    random_settings,
+    random_state,
+    sample_offsets,
+    setting_matrices,
+    wrapped_gaussian_pdf,
+)
 from photonbell import (
     CorrelatorTable,
     OptimizationSpec,
@@ -20,17 +29,11 @@ from photonbell import (
     bell_value_averaged,
     certainty_frontier,
     chsh_horodecki,
-    correlator,
-    correlator_bruteforce,
-    displacement_observable,
     frame_averaged_table,
     lossy_w_state,
     maximize_bell,
     pair_symbolic_tables,
     paired_strategy,
-    projective_observable,
-    sample_offsets,
-    symbolic_correlators,
     threshold_efficiency,
     two_setting_strategy,
     violation_distribution,
@@ -38,6 +41,8 @@ from photonbell import (
     wwzb_value,
     wwzb_value_naive,
 )
+from photonbell.experiments import _symbolic_tables
+from photonbell.fock_core import correlator_batch, displacement_matrices
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,9 +56,9 @@ def test_criterion_01_correlator_matches_bruteforce():
     for case in range(200):
         n = int(rng.integers(2, 7))
         state = random_state(rng, n)
-        obs = [displacement_observable(s) for s in random_settings(rng, n)]
-        fast = correlator(state, obs)
-        slow = correlator_bruteforce(state, obs)
+        mats = setting_matrices(random_settings(rng, n))
+        fast = correlator_batch(state.matrix, mats)
+        slow = correlator_bruteforce(state.matrix, mats)
         worst = max(worst, abs(fast - slow))
     elapsed = time.perf_counter() - start
     print(f"criterion 1: max |fast - bruteforce| = {worst:.3e} in {elapsed:.1f}s")
@@ -101,8 +106,6 @@ def test_criterion_03_small_amplitude_expansion():
 
 def test_criterion_04_noise_damping_factor():
     # first circular moment of the wrapped Gaussian
-    from photonbell import wrapped_gaussian_pdf
-
     worst = 0.0
     for width in (0.2, 0.9, 1.5):
         for center in (0.0, 1.1, np.pi, 4.4):
@@ -246,7 +249,7 @@ def test_criterion_10_property_checks():
     model = PhaseModel((0.8, 2.3), 0.6)
     exact = frame_averaged_table(state, strat, model).values
     draws = sample_offsets(model, rng_seed=4, count=100_000)
-    samples = complex_entries(symbolic_correlators(state, strat), draws).real
+    samples = complex_entries(_symbolic_tables(state, strat, [[(0, 1)] * 3])[0], draws).real
     sigma = samples.std(axis=0) / np.sqrt(draws.shape[0])
     mc_gap = np.max(np.abs(samples.mean(axis=0) - exact) / sigma)
     assert mc_gap < 4.0
@@ -254,8 +257,8 @@ def test_criterion_10_property_checks():
     thetas = np.logspace(-2.5, -1.0, 7)
     residues = []
     for theta in thetas:
-        proj = 2.0 * projective_observable(theta, 0.7).matrix
-        residues.append(np.linalg.norm(proj - _displacement_matrix(theta / 2.0, 0.7)))
+        proj = 2.0 * projective_observable(theta, 0.7)
+        residues.append(np.linalg.norm(proj - displacement_matrices(theta / 2.0, 0.7)))
     slope = np.polyfit(np.log(thetas), np.log(residues), 1)[0]
     print(
         f"criterion 10: transform gap {worst:.2e}, largest MC gap "
@@ -263,8 +266,3 @@ def test_criterion_10_property_checks():
     )
     assert 2.8 < slope < 3.2
 
-
-def _displacement_matrix(r: float, phi: float) -> np.ndarray:
-    from photonbell import DisplacementSetting
-
-    return displacement_observable(DisplacementSetting(r, phi)).matrix

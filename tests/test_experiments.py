@@ -6,7 +6,9 @@ import pytest
 from helpers import (
     complex_entries,
     complex_frame_scan,
+    correlator_bruteforce,
     random_state,
+    setting_matrices,
     symbolic_rows_per_component,
 )
 from photonbell import (
@@ -17,16 +19,12 @@ from photonbell import (
     best_pair_bell_value,
     best_pair_values_over_centers,
     bell_value_averaged,
-    correlator,
-    correlator_bruteforce,
-    displacement_observable,
     averaged_correlator_table,
     frame_averaged_table,
     lossy_w_state,
     pair_setting_indices,
     pair_symbolic_tables,
     paired_strategy,
-    symbolic_correlators,
     two_setting_strategy,
     violation_distribution,
     w_state,
@@ -36,6 +34,7 @@ import photonbell.experiments as experiments
 from photonbell.experiments import FRAME_SCAN_CHUNK_ELEMENTS
 from photonbell.fock_core import (
     check_observable_matrices,
+    correlator_batch,
     correlator_tables,
     displacement_matrices,
 )
@@ -98,19 +97,39 @@ def test_strategy_validation():
         MeasurementStrategy(((ok, ok),), pair_count=2)
 
 
-def shifted_observables(strategy, indices, offsets, index: int) -> list:
-    """Observables of table entry ``index``, party k >= 2's phases shifted by offsets[k-2].
+def test_fractional_pairs_and_pair_counts_are_refused():
+    # pair 1.5 selected settings (3.0, 4.0): slot 1 of pair 1 with slot 0
+    # of pair 2, a mixed "pair" that still got a Bell value; a pair count
+    # of 2.7 was stored as 2.  Python and numpy integers still pass.
+    strat = paired_strategy(2, 0.2, -0.5, 3)
+    for bad in (1.5, 0.5, np.float64(2.5), np.nan, np.inf):
+        with pytest.raises(ValueError, match="pair must be an integer"):
+            pair_setting_indices(strat, bad)
+    assert pair_setting_indices(strat, np.int64(2)) == [(4, 5), (0, 1)]
+    assert pair_setting_indices(strat, 1) == [(2, 3), (0, 1)]
+    two_pairs = paired_strategy(2, 0.2, -0.5, 2).settings
+    for bad in (2.7, np.float32(1.5), np.nan):
+        with pytest.raises(ValueError, match="pair_count must be an integer"):
+            MeasurementStrategy(two_pairs, pair_count=bad)
+    with pytest.raises(ValueError, match="pair_count must be an integer"):
+        paired_strategy(2, 0.2, -0.5, 2.5)
+    for good in (2, np.int64(2), np.uint8(2)):
+        counted = MeasurementStrategy(two_pairs, pair_count=good).pair_count
+        assert counted == 2 and type(counted) is int
 
-    Party k uses setting indices[k-1][bit k-1 of index], each built
-    alone by ``displacement_observable``.
+
+def shifted_matrices(strategy, indices, offsets, index: int) -> np.ndarray:
+    """Observables (N, 2, 2) of table entry ``index``, shifted by the offsets.
+
+    Party k uses setting indices[k-1][bit k-1 of index], its phase
+    shifted by offsets[k-2] for k >= 2.
     """
     chosen = []
     for p, (party, pair) in enumerate(zip(strategy.settings, indices)):
         setting = party[pair[(index >> p) & 1]]
         shift = offsets[p - 1] if p else 0.0
-        shifted = DisplacementSetting(setting.amplitude, setting.phase + shift)
-        chosen.append(displacement_observable(shifted))
-    return chosen
+        chosen.append(DisplacementSetting(setting.amplitude, setting.phase + shift))
+    return setting_matrices(chosen)
 
 
 def test_symbolic_table_matches_shifted_settings():
@@ -126,12 +145,13 @@ def test_symbolic_table_matches_shifted_settings():
             phases = rng.uniform(0.0, TWO_PI, n)
             offsets = rng.uniform(0.0, TWO_PI, n - 1)
             strat = two_setting_strategy(n, r0, r1, phases)
-            values = complex_entries(symbolic_correlators(state, strat), offsets)
+            table = experiments._symbolic_tables(state, strat, [[(0, 1)] * n])[0]
+            values = complex_entries(table, offsets)
             assert np.max(np.abs(values.imag)) < 1e-12
             for index in range(2**n):
-                chosen = shifted_observables(strat, [(0, 1)] * n, offsets, index)
-                assert abs(values[index].real - correlator(state, chosen)) < 1e-12
-                assert abs(values[index].real - correlator_bruteforce(state, chosen)) < 1e-12
+                chosen = shifted_matrices(strat, [(0, 1)] * n, offsets, index)
+                assert abs(values[index].real - correlator_batch(state.matrix, chosen)) < 1e-12
+                assert abs(values[index].real - correlator_bruteforce(state.matrix, chosen)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -147,13 +167,13 @@ def test_frame_averaged_table_matches_oracles(n):
         r0, r1 = rng.uniform(-1.2, 1.2, 2)
         strat = paired_strategy(n, r0, r1, pair_count, rng.uniform(0.0, TWO_PI, n))
         indices = pair_setting_indices(strat, int(rng.integers(pair_count)))
-        symbolic = symbolic_correlators(state, strat, indices)
+        symbolic = experiments._symbolic_tables(state, strat, [indices])[0]
         centers = rng.uniform(-10.0, 10.0, n - 1)
         fixed = frame_averaged_table(state, strat, PhaseModel(tuple(centers), 0.0), indices)
         for index in range(2**n):
-            chosen = shifted_observables(strat, indices, centers, index)
-            assert abs(fixed.values[index] - correlator(state, chosen)) < 1e-12
-            assert abs(fixed.values[index] - correlator_bruteforce(state, chosen)) < 1e-12
+            chosen = shifted_matrices(strat, indices, centers, index)
+            assert abs(fixed.values[index] - correlator_batch(state.matrix, chosen)) < 1e-12
+            assert abs(fixed.values[index] - correlator_bruteforce(state.matrix, chosen)) < 1e-12
         for width in (0.0, 0.3, 1.1):
             model = PhaseModel(tuple(centers), width)
             table = frame_averaged_table(state, strat, model, indices)
@@ -201,7 +221,7 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         _, scan = experiments._frame_scan_coefficients(tables, 0.3)
         assert scan.size == experiments._frame_scan_row_count(n, pair_count) * 2**n
         for j, table in enumerate(tables):
-            alone = symbolic_correlators(state, strat, pair_setting_indices(strat, j))
+            alone = experiments._symbolic_tables(state, strat, [pair_setting_indices(strat, j)])[0]
             assert table.n_parties == alone.n_parties == n
             assert table.coeffs.shape == (len(basis), 2**n)
             assert table.coeffs.dtype == float
@@ -251,21 +271,21 @@ def test_pair_tables_build_each_setting_once(monkeypatch):
         assert checks == [len(built)]
         built.clear()
         checks.clear()
-        symbolic_correlators(state, strat, pair_setting_indices(strat, m - 1))
+        experiments._symbolic_tables(state, strat, [pair_setting_indices(strat, m - 1)])
         assert len(built) == 2 * n
         assert checks == [2 * n]
         first, *rest = strat.settings
         for j, table in enumerate(tables):
-            alone = symbolic_correlators(
-                state, MeasurementStrategy((first[2 * j : 2 * j + 2], *rest))
-            )
+            alone = experiments._symbolic_tables(
+                state, MeasurementStrategy((first[2 * j : 2 * j + 2], *rest)), [[(0, 1)] * n]
+            )[0]
             assert np.array_equal(table.coeffs, alone.coeffs)
 
 
 def test_setting_matrices_match_displacement_observable(monkeypatch):
     # the one-array build gives every setting exactly the matrix of
-    # displacement_observable, and the pair tables exactly the coefficients
-    # of the setting-by-setting build
+    # building that setting alone, and the pair tables exactly the
+    # coefficients of the setting-by-setting build
     rng = np.random.default_rng(41)
     settings = [
         DisplacementSetting(r, phi)
@@ -274,13 +294,13 @@ def test_setting_matrices_match_displacement_observable(monkeypatch):
     batch = displacement_matrices([s.amplitude for s in settings], [s.phase for s in settings])
     assert batch.shape == (200, 2, 2)
     for setting, matrix in zip(settings, batch):
-        assert np.array_equal(matrix, displacement_observable(setting).matrix)
+        assert np.array_equal(matrix, displacement_matrices(setting.amplitude, setting.phase))
 
     def one_by_one(strategy, index_sets):
         return np.array(
             [
                 [
-                    [displacement_observable(party[i]).matrix for i in pair]
+                    [displacement_matrices(party[i].amplitude, party[i].phase) for i in pair]
                     for party, pair in zip(strategy.settings, indices)
                 ]
                 for indices in index_sets
@@ -333,7 +353,8 @@ def test_symbolic_evaluation_validation():
     # a single party has no offsets: the empty model is its one frame
     single = two_setting_strategy(1, 0.1, -0.4)
     table = frame_averaged_table(w_state(1), single, PhaseModel((), 0.7))
-    assert np.array_equal(table.values, symbolic_correlators(w_state(1), single).coeffs[0])
+    symbolic = experiments._symbolic_tables(w_state(1), single, [[(0, 1)]])[0]
+    assert np.array_equal(table.values, symbolic.coeffs[0])
 
 
 def test_two_party_correlators_closed_form():
@@ -378,7 +399,7 @@ def test_averaged_table_matches_symbolic_route():
         )
         strat = MeasurementStrategy(parties)
         state = lossy_w_state(n, eta)
-        table = symbolic_correlators(state, strat)
+        table = experiments._symbolic_tables(state, strat, [[(0, 1)] * n])[0]
         slow = complex_entries(table, centers, width).real
         assert np.max(np.abs(fast - slow)) < 1e-12
         state_route = frame_averaged_table(state, strat, PhaseModel(centers, width))
@@ -647,17 +668,14 @@ def test_symbolic_table_validation():
     with pytest.raises(ValueError):
         table.coeffs[0, 0] = 2.0
     assert SymbolicCorrelatorTable(1, [[1, -1]]).coeffs.dtype == float
-    with pytest.raises(ValueError):
-        symbolic_correlators(w_state(3), two_setting_strategy(2, 0.0, 0.4))
-    with pytest.raises(ValueError):
-        symbolic_correlators(
-            w_state(2), two_setting_strategy(2, 0.0, 0.4), setting_indices=[(0, 1)]
-        )
+    strat = two_setting_strategy(2, 0.0, 0.4)
+    with pytest.raises(ValueError, match="modes but strategy has"):
+        experiments._symbolic_tables(w_state(3), strat, [[(0, 1)] * 2])
+    with pytest.raises(ValueError, match="one index pair per party"):
+        experiments._symbolic_tables(w_state(2), strat, [[(0, 1)]])
     # a setting index beyond a party's list
-    with pytest.raises(ValueError):
-        symbolic_correlators(
-            w_state(2), two_setting_strategy(2, 0.0, 0.4), setting_indices=[(0, 2), (0, 1)]
-        )
+    with pytest.raises(ValueError, match="index 2 invalid"):
+        experiments._symbolic_tables(w_state(2), strat, [[(0, 2), (0, 1)]])
 
 
 def test_violation_distribution_reproducible_and_matches_per_center_oracle():

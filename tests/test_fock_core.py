@@ -6,16 +6,11 @@ import pytest
 from photonbell import (
     ConsistencyError,
     DisplacementSetting,
-    ModeObservable,
     PhaseModel,
     SubspaceState,
-    correlator,
-    correlator_bruteforce,
-    displacement_observable,
     frame_averaged_table,
     lossy_w_state,
     paired_strategy,
-    projective_observable,
     two_setting_strategy,
     w_state,
 )
@@ -29,9 +24,12 @@ from photonbell.fock_core import (
 
 from helpers import (
     coherent_vector,
+    correlator_bruteforce,
+    projective_observable,
     random_observable_matrices,
     random_settings,
     random_state,
+    setting_matrices,
 )
 
 
@@ -114,8 +112,9 @@ def test_from_signed_amplitude():
 
 
 def test_signed_observable_flips_off_diagonals():
-    direct = displacement_observable(DisplacementSetting(0.5, 0.0)).matrix
-    flipped = displacement_observable(DisplacementSetting.from_signed(-0.5, 0.0)).matrix
+    direct, flipped = setting_matrices(
+        [DisplacementSetting(0.5, 0.0), DisplacementSetting.from_signed(-0.5, 0.0)]
+    )
     assert np.allclose(np.diag(direct), np.diag(flipped), atol=1e-15)
     assert np.allclose(direct[0, 1], -flipped[0, 1], atol=1e-15)
 
@@ -128,13 +127,13 @@ def test_displacement_observable_against_fock_truncation(r, phi):
     ket = coherent_vector(alpha, 40)
     full = 2.0 * np.outer(ket, ket.conj()) - np.eye(40)
     expected = full[:2, :2]
-    got = displacement_observable(DisplacementSetting(r, phi)).matrix
+    got = displacement_matrices(r, phi)
     assert np.abs(got - expected).max() < 1e-12
 
 
 def test_displacement_zero_amplitude_is_photon_counting():
     for phi in (0.0, 1.0, 3.0):
-        mat = displacement_observable(DisplacementSetting(0.0, phi)).matrix
+        mat = displacement_matrices(0.0, phi)
         assert np.allclose(mat, np.diag([1.0, -1.0]))
 
 
@@ -160,16 +159,16 @@ def test_displacement_matrices_never_overflow():
 
 
 def test_observable_validation():
-    with pytest.raises(ValueError):
-        ModeObservable(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        ModeObservable(3.0 * np.eye(2))
-    with pytest.raises(ValueError):
-        ModeObservable(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-    ok = ModeObservable(np.array([[0.5, 0.1], [0.1, -0.5]], dtype=complex))
-    assert ok.matrix.dtype == complex
-    # the array form rejects a batch holding one bad matrix anywhere
-    batch = np.broadcast_to(ok.matrix, (3, 4, 2, 2)).copy()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_observable_matrices(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="outside"):
+        check_observable_matrices(3.0 * np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        check_observable_matrices(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    ok = np.array([[0.5, 0.1], [0.1, -0.5]], dtype=complex)
+    check_observable_matrices(ok)
+    # a batch holding one bad matrix anywhere is rejected
+    batch = np.broadcast_to(ok, (3, 4, 2, 2)).copy()
     check_observable_matrices(batch)
     for bad in (3.0 * np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.inf)):
         broken = batch.copy()
@@ -180,7 +179,7 @@ def test_observable_validation():
 
 def test_projective_observable_form():
     theta, phi = 0.8, 2.1
-    mat = projective_observable(theta, phi).matrix
+    mat = projective_observable(theta, phi)
     expected = 0.5 * np.array(
         [
             [np.cos(theta), np.exp(-1j * phi) * np.sin(theta)],
@@ -198,8 +197,8 @@ def test_projective_matches_displacement_to_second_order():
     thetas = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
     residues = []
     for theta in thetas:
-        proj = 2.0 * projective_observable(theta, 0.7).matrix
-        disp = displacement_observable(DisplacementSetting(theta / 2.0, 0.7)).matrix
+        proj = 2.0 * projective_observable(theta, 0.7)
+        disp = displacement_matrices(theta / 2.0, 0.7)
         residues.append(np.abs(proj - disp).max())
     slopes = np.diff(np.log(residues)) / np.diff(np.log(thetas))
     assert np.all(slopes > 2.8) and np.all(slopes < 3.2)
@@ -243,9 +242,9 @@ def test_correlator_matches_bruteforce(n_modes):
     rng = np.random.default_rng(1000 + n_modes)
     for _ in range(30):
         state = random_state(rng, n_modes)
-        obs = [displacement_observable(s) for s in random_settings(rng, n_modes)]
-        fast = correlator(state, obs)
-        slow = correlator_bruteforce(state, obs)
+        mats = setting_matrices(random_settings(rng, n_modes))
+        fast = correlator_batch(state.matrix, mats)
+        slow = correlator_bruteforce(state.matrix, mats)
         assert abs(fast - slow) < 1e-10
 
 
@@ -260,7 +259,7 @@ def test_correlator_batch_matches_bruteforce(n_modes):
         values = correlator_batch(state.matrix, mats)
         assert values.shape == (5,)
         for row, value in zip(mats, values):
-            slow = correlator_bruteforce(state, [ModeObservable(m) for m in row])
+            slow = correlator_bruteforce(state.matrix, row)
             assert abs(value - slow) < 1e-10
 
 
@@ -271,7 +270,7 @@ def test_correlator_batch_leading_shape():
     values = correlator_batch(state.matrix, mats)
     assert values.shape == (3, 4)
     for index in np.ndindex(3, 4):
-        slow = correlator_bruteforce(state, [ModeObservable(m) for m in mats[index]])
+        slow = correlator_bruteforce(state.matrix, mats[index])
         assert abs(values[index] - slow) < 1e-10
     # a single row without a batch axis gives a 0-d result
     assert correlator_batch(state.matrix, mats[1, 2]).shape == ()
@@ -294,7 +293,7 @@ def test_correlator_batch_spans_several_chunks():
     for boundary in (rows_per_chunk, 2 * rows_per_chunk):
         edges += [boundary - 1, boundary]
     for i in edges:
-        slow = correlator_bruteforce(state, [ModeObservable(m) for m in mats[i]])
+        slow = correlator_bruteforce(state.matrix, mats[i])
         assert abs(values[i] - slow) < 1e-10
     # slices that straddle the chunk boundaries reproduce the values exactly
     for start in range(0, count, 7001):
@@ -339,7 +338,7 @@ def test_correlator_batch_rejects_non_hermitian_state():
     rows = CORRELATOR_CHUNK_ELEMENTS // 2 + 1
     mats = np.broadcast_to(photon_counting, (rows, 2, 2, 2)).copy()
     assert np.all(np.abs(correlator_batch(rho, mats)) <= 1.0)
-    mats[-1] = displacement_observable(DisplacementSetting(0.4)).matrix
+    mats[-1] = displacement_matrices(0.4, 0.0)
     with pytest.raises(ConsistencyError):
         correlator_batch(rho, mats)
 
@@ -347,25 +346,25 @@ def test_correlator_batch_rejects_non_hermitian_state():
 def test_correlator_single_mode_is_a_trace():
     rng = np.random.default_rng(7)
     state = random_state(rng, 1)
-    obs = displacement_observable(DisplacementSetting(0.6, 0.9))
-    expected = np.trace(state.matrix @ obs.matrix).real
-    assert abs(correlator(state, [obs]) - expected) < 1e-14
+    mats = displacement_matrices([0.6], [0.9])
+    expected = np.trace(state.matrix @ mats[0]).real
+    assert abs(correlator_batch(state.matrix, mats) - expected) < 1e-14
 
 
 def test_correlator_requires_one_observable_per_mode():
     state = w_state(3)
-    obs = [displacement_observable(DisplacementSetting(0.1))] * 2
-    with pytest.raises(ValueError):
-        correlator(state, obs)
-    with pytest.raises(ValueError):
-        correlator_bruteforce(state, obs)
+    mats = setting_matrices([DisplacementSetting(0.1)] * 2)
+    with pytest.raises(ValueError, match="state has 3 modes"):
+        correlator_batch(state.matrix, mats)
+    with pytest.raises(ValueError, match="state has 3 modes"):
+        correlator_bruteforce(state.matrix, mats)
 
 
 def test_bruteforce_mode_limit():
     state = w_state(13)
-    obs = [displacement_observable(DisplacementSetting(0.1))] * 13
-    with pytest.raises(ValueError):
-        correlator_bruteforce(state, obs)
+    mats = setting_matrices([DisplacementSetting(0.1)] * 13)
+    with pytest.raises(ValueError, match="limited to N <= 12"):
+        correlator_bruteforce(state.matrix, mats)
 
 
 def test_correlator_phase_covariance():
@@ -381,24 +380,21 @@ def test_correlator_phase_covariance():
     shifted = [
         DisplacementSetting(s.amplitude, s.phase + t) for s, t in zip(settings, shifts)
     ]
-    obs = [displacement_observable(s) for s in settings]
-    obs_shifted = [displacement_observable(s) for s in shifted]
-    lhs = correlator(rotated, obs_shifted)
-    rhs = correlator(state, obs)
+    lhs = correlator_batch(rotated.matrix, setting_matrices(shifted))
+    rhs = correlator_batch(state.matrix, setting_matrices(settings))
     assert abs(lhs - rhs) < 1e-12
     common = [DisplacementSetting(s.amplitude, s.phase + 1.3) for s in settings]
-    obs_common = [displacement_observable(s) for s in common]
-    assert abs(correlator(state, obs_common) - rhs) < 1e-12
+    assert abs(correlator_batch(state.matrix, setting_matrices(common)) - rhs) < 1e-12
 
 
 def test_correlator_affine_in_loss():
     rng = np.random.default_rng(8)
     n = 3
-    obs = [displacement_observable(s) for s in random_settings(rng, n)]
-    top = correlator(w_state(n), obs)
-    bottom = correlator(lossy_w_state(n, 0.0), obs)
+    mats = setting_matrices(random_settings(rng, n))
+    top = correlator_batch(w_state(n).matrix, mats)
+    bottom = correlator_batch(lossy_w_state(n, 0.0).matrix, mats)
     for eta in (0.2, 0.5, 0.9):
-        mixed = correlator(lossy_w_state(n, eta), obs)
+        mixed = correlator_batch(lossy_w_state(n, eta).matrix, mats)
         assert abs(mixed - (eta * top + (1.0 - eta) * bottom)) < 1e-12
 
 

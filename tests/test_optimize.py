@@ -9,6 +9,7 @@ from helpers import (
     bisect_threshold,
     dressed_averaged_tables,
     random_state,
+    sample_offsets,
     scipy_search,
     scipy_simplex,
 )
@@ -24,7 +25,6 @@ from photonbell import (
     certainty_frontier,
     lossy_w_state,
     maximize_bell,
-    sample_offsets,
     threshold_efficiency,
     wwzb_value,
 )
@@ -591,9 +591,16 @@ def test_certainty_frontier_rejects_pair_counts_before_any_search(monkeypatch):
             certainty_frontier(2, 0.9, bad)
 
 
-def test_certainty_frontier_validation():
-    with pytest.raises(ValueError):
-        certainty_frontier(2, 1.0, (2,), grid_density=100)
+def test_certainty_frontier_validation(monkeypatch):
+    def no_search(_spec):
+        raise AssertionError("maximize_bell ran before the arguments were checked")
+
+    monkeypatch.setattr("photonbell.optimize.maximize_bell", no_search)
+    # a fractional density is no uniform circle grid: 360.5 would give 361
+    # centers spaced 2 pi / 360.5
+    for bad in (100, 360.5, np.nan):
+        with pytest.raises(ValueError, match="grid_density"):
+            certainty_frontier(2, 1.0, (2,), grid_density=bad)
     with pytest.raises(ValueError):
         certainty_frontier(4, 1.0, (2,))
     for bad in (0.0, np.nan, np.inf):

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import complex_entries, random_state
+from helpers import complex_entries, random_state, sample_offsets, wrapped_gaussian_pdf
 from photonbell import (
     PhaseModel,
     child_seed,
     frame_averaged_table,
-    sample_offsets,
-    symbolic_correlators,
     two_setting_strategy,
     w_state,
-    wrapped_gaussian_pdf,
 )
+from photonbell.experiments import _symbolic_tables
 
 
 def test_pdf_normalizes_and_is_nonnegative():
@@ -118,7 +116,8 @@ def test_averaged_table_matches_monte_carlo():
         model = PhaseModel(tuple(rng.uniform(0.0, 2.0 * np.pi, n - 1)), rng.uniform(0.1, 1.2))
         exact = frame_averaged_table(state, strat, model).values
         draws = sample_offsets(model, rng_seed=int(rng.integers(2**32)), count=n_samples)
-        samples = complex_entries(symbolic_correlators(state, strat), draws).real
+        table = _symbolic_tables(state, strat, [[(0, 1)] * n])[0]
+        samples = complex_entries(table, draws).real
         sigma = samples.std(axis=0) / np.sqrt(n_samples)
         assert np.all(np.abs(samples.mean(axis=0) - exact) < 4.0 * sigma)
 
