@@ -10,7 +10,6 @@ violation certain under unknown frames.
 
 from .experiments import (
     MeasurementStrategy,
-    SymbolicCorrelatorTable,
     bell_value_averaged,
     best_pair_bell_value,
     best_pair_values_over_centers,
@@ -23,7 +22,6 @@ from .experiments import (
 )
 from .fock_core import (
     ConsistencyError,
-    DisplacementSetting,
     SubspaceState,
     lossy_w_state,
     w_state,
@@ -55,13 +53,11 @@ __all__ = [
     "BellResult",
     "ConsistencyError",
     "CorrelatorTable",
-    "DisplacementSetting",
     "MeasurementStrategy",
     "OptimizationSpec",
     "OptimumReport",
     "PhaseModel",
     "SubspaceState",
-    "SymbolicCorrelatorTable",
     "ThresholdResult",
     "averaged_correlator_table",
     "bell_value_averaged",

@@ -515,7 +515,11 @@ def cmd_correlators(args) -> int:
     Row index bit k-1 selects party k's setting (party 1 in the least
     significant bit); the ``settings`` column spells the bits party 1
     first.  The final comment row carries the Bell value of the table.
+    Without ``--out`` the table prints as csv, so ``--format json`` needs
+    ``--out``.
     """
+    if args.format == "json" and not args.out:
+        raise ValueError("--format json needs --out (without --out the table prints as csv)")
     _check_entries(1, args.parties, f"--parties {args.parties}")
     centers = (
         _parse_floats(args.centers, "centers")

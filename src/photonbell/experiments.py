@@ -31,12 +31,13 @@ Correlators are real trigonometric sums in the offsets, built once per
 strategy (:func:`pair_symbolic_tables`, one table per setting pair of
 party 1): each coefficient row is the correlation table of one Hermitian
 component of the state, and the 1 + N(N-1) components are stacked as
-states in one kernel call.  A :class:`SymbolicCorrelatorTable` holds them as one real
-array: the constant row, then a cosine and a sine row for each of the
-N(N-1)/2 frequencies n of the half basis (one of each pair +-n), so its
-entries are real by construction.  Frame scans over many centers go
-through one batched route, :func:`best_pair_values_over_centers`: the
-pair tables' rows stack, and their damped Walsh-Hadamard transforms are
+states in one kernel call.  The tables are one read-only real array
+(pairs, 1 + N(N-1), 2^N): per table the constant row, then a cosine and
+a sine row for each of the N(N-1)/2 frequencies n of the half basis (one
+of each pair +-n), so its entries are real by construction.  Frame scans
+over many centers go through one batched route,
+:func:`best_pair_values_over_centers`: the pair tables' rows line up,
+and their damped Walsh-Hadamard transforms are
 each pair's transform as a real cosine/sine polynomial in the centers.
 Per chunk of centers, the cosines and sines of the half basis and one
 real matrix product give every pair's transform.  The distribution of
@@ -56,8 +57,8 @@ import numpy as np
 
 from .fock_core import (
     TWO_PI,
-    DisplacementSetting,
     SubspaceState,
+    _whole,
     check_observable_matrices,
     correlator_tables,
     displacement_matrices,
@@ -74,7 +75,6 @@ from .wwzb import (
 
 __all__ = [
     "MeasurementStrategy",
-    "SymbolicCorrelatorTable",
     "ViolationHistogram",
     "bell_value_averaged",
     "best_pair_bell_value",
@@ -95,40 +95,34 @@ PAIR_PHASE_TOL = 1e-9
 FRAME_SCAN_CHUNK_ELEMENTS = 2**16
 
 
-def _whole(value, what: str) -> int:
-    """``value`` as an int; ValueError unless it is a whole number.
-
-    Python and numpy integers and integral floats pass; 2.7, NaN and inf
-    do not, where ``int`` would truncate them or fail.
-    """
-    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementStrategy:
     """Per-party displacement settings, optionally with paired structure.
 
-    settings[k] is the tuple of party k+1's :class:`DisplacementSetting`
-    choices.  When ``pair_count`` is m (not None), party 1's list must hold
-    2m settings forming m pairs: pair j occupies slots (2j, 2j+1), every
-    pair repeats the amplitudes of pair 0, and pair j's phases are those of
-    pair 0 advanced by j * 2*pi / m.
+    settings[k] holds party k+1's choices as a read-only (count, 2) float
+    array of (amplitude, phase) rows, amplitude r >= 0 and phase reduced
+    to [0, 2*pi): the displacement alpha = r exp(i phase).  Every party
+    needs at least one setting and every entry must be finite.  When
+    ``pair_count`` is m (not None), party 1's list must hold 2m settings
+    forming m pairs: pair j occupies rows (2j, 2j+1), every pair repeats
+    the amplitudes of pair 0, and pair j's phases are those of pair 0
+    advanced by j * 2*pi / m.
     """
 
     settings: tuple
     pair_count: Optional[int] = None
 
     def __post_init__(self):
-        settings = tuple(tuple(party) for party in self.settings)
+        settings = tuple(np.array(party, dtype=float) for party in self.settings)
         if not settings:
             raise ValueError("strategy needs at least one party")
-        for party, choices in enumerate(settings):
-            if not choices:
-                raise ValueError(f"party {party + 1} has no settings")
-            if any(not isinstance(s, DisplacementSetting) for s in choices):
-                raise ValueError("settings must be DisplacementSetting instances")
+        for party, rows in enumerate(settings):
+            if rows.ndim != 2 or rows.shape[1] != 2 or not len(rows):
+                raise ValueError(f"party {party + 1} needs one or more (amplitude, phase) rows")
+            if not (np.isfinite(rows).all() and (rows[:, 0] >= 0.0).all()):
+                raise ValueError("settings must be finite with amplitude >= 0")
+            rows[:, 1] %= TWO_PI
+            rows.setflags(write=False)
         object.__setattr__(self, "settings", settings)
         if self.pair_count is not None:
             m = _whole(self.pair_count, "pair_count")
@@ -144,24 +138,33 @@ class MeasurementStrategy:
             raise ValueError(
                 f"party 1 needs {2 * m} settings for {m} pairs, has {len(first)}"
             )
-        for j in range(m):
-            step = j * TWO_PI / m
-            for slot in range(2):
-                base = first[slot]
-                current = first[2 * j + slot]
-                if abs(current.amplitude - base.amplitude) > 1e-12:
-                    raise ValueError(
-                        f"pair {j} slot {slot} amplitude differs from pair 0"
-                    )
-                diff = (current.phase - base.phase - step) % TWO_PI
-                if min(diff, TWO_PI - diff) > PAIR_PHASE_TOL:
-                    raise ValueError(
-                        f"pair {j} slot {slot} phase is not stepped by 2*pi/m"
-                    )
+        # pairs[j, slot] is the (amplitude, phase) row of pair j's slot.
+        pairs = first.reshape(m, 2, 2)
+        moved = np.abs(pairs[..., 0] - pairs[0, :, 0]) > 1e-12
+        diff = (pairs[..., 1] - pairs[0, :, 1] - np.arange(m)[:, None] * TWO_PI / m) % TWO_PI
+        bad = moved | (np.minimum(diff, TWO_PI - diff) > PAIR_PHASE_TOL)
+        if bad.any():
+            j, slot = np.argwhere(bad)[0]
+            if moved[j, slot]:
+                raise ValueError(f"pair {j} slot {slot} amplitude differs from pair 0")
+            raise ValueError(f"pair {j} slot {slot} phase is not stepped by 2*pi/m")
 
     @property
     def n_parties(self) -> int:
         return len(self.settings)
+
+
+def _signed_settings(r0: float, r1: float, phases) -> np.ndarray:
+    """Settings (K, 2, 2) of signed amplitudes (r0, r1) at each of K phases.
+
+    Entry [k, slot] is the (amplitude, phase) row of amplitude slot at
+    phases[k].  A negative amplitude is the same displacement pointed the
+    opposite way in phase space, so the row holds |r| and the phase
+    advanced by pi; :class:`MeasurementStrategy` reduces the phase.
+    """
+    r = np.array([r0, r1], dtype=float)
+    phi = np.asarray(phases, dtype=float)[:, None] + np.where(r < 0.0, np.pi, 0.0)
+    return np.stack(np.broadcast_arrays(np.abs(r), phi), axis=-1)
 
 
 def two_setting_strategy(
@@ -175,18 +178,7 @@ def two_setting_strategy(
     costs no extra phase reference and is where the optimum sits for the
     states considered here.
     """
-    if phases is None:
-        phases = [0.0] * n_parties
-    if len(phases) != n_parties:
-        raise ValueError("need one phase per party")
-    parties = tuple(
-        (
-            DisplacementSetting.from_signed(r0, phi),
-            DisplacementSetting.from_signed(r1, phi),
-        )
-        for phi in phases
-    )
-    return MeasurementStrategy(parties)
+    return MeasurementStrategy(paired_strategy(n_parties, r0, r1, 1, phases).settings)
 
 
 def paired_strategy(
@@ -202,26 +194,16 @@ def paired_strategy(
     phase advanced by j * 2*pi / pair_count, covering the circle so that
     some pair nearly cancels any frame offset.
     """
+    n_parties = _whole(n_parties, "n_parties")
     pair_count = _whole(pair_count, "pair_count")
-    if pair_count < 1:
-        raise ValueError("pair_count must be >= 1")
-    if phases is None:
-        phases = [0.0] * n_parties
+    if n_parties < 1 or pair_count < 1:
+        raise ValueError("n_parties and pair_count must be >= 1")
+    phases = [0.0] * n_parties if phases is None else phases
     if len(phases) != n_parties:
         raise ValueError("need one phase per party")
-    first = tuple(
-        DisplacementSetting.from_signed(r, phases[0] + j * TWO_PI / pair_count)
-        for j in range(pair_count)
-        for r in (r0, r1)
-    )
-    rest = tuple(
-        (
-            DisplacementSetting.from_signed(r0, phi),
-            DisplacementSetting.from_signed(r1, phi),
-        )
-        for phi in phases[1:]
-    )
-    return MeasurementStrategy((first,) + rest, pair_count=pair_count)
+    steps = phases[0] + np.arange(pair_count) * TWO_PI / pair_count
+    first = _signed_settings(r0, r1, steps).reshape(-1, 2)
+    return MeasurementStrategy((first, *_signed_settings(r0, r1, phases[1:])), pair_count)
 
 
 def _offset_frequencies(n_parties: int) -> np.ndarray:
@@ -264,40 +246,6 @@ def _half_basis(n_parties: int) -> np.ndarray:
     return np.array(rows, dtype=int).reshape(len(rows), n_parties - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolicCorrelatorTable:
-    """Correlation table whose entries are real trigonometric polynomials.
-
-    ``coeffs`` (1 + 2H, 2^N) holds the constant row a_0, then the cosine
-    rows A_n, then the sine rows B_n, over the half basis n of
-    :func:`_half_basis` (H = N(N-1)/2), so that entry s at offsets Delta
-    is a_0[s] + sum_n A_n[s] cos(n . Delta) + B_n[s] sin(n . Delta).  The
-    entries are real by construction.  Coefficients must be finite real
-    numbers; the array is copied and stored read-only.  The rows serve
-    scans of many frames at fixed settings
-    (:func:`best_pair_values_over_centers`); one frame is read through the
-    state (:func:`frame_averaged_table`).
-    """
-
-    n_parties: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        n = self.n_parties
-        if n < 1:
-            raise ValueError("n_parties must be >= 1")
-        coeffs = np.array(self.coeffs)
-        if np.iscomplexobj(coeffs):
-            raise ValueError("coeffs must be real")
-        coeffs = coeffs.astype(float)
-        if coeffs.shape != (1 + n * (n - 1), 2**n):
-            raise ValueError(f"coeffs must have shape ({1 + n * (n - 1)}, {2**n})")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coeffs must be finite")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-
 def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
     """Setting matrices (P, N, 2, 2, 2) of the index sets.
 
@@ -328,12 +276,11 @@ def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
             f"party {party + 1} has {counts[party]} settings, "
             f"index {index[point, party, bit]} invalid"
         )
-    # Index the settings of all parties in one flat list, party by party.
-    flat = [setting for party in strategy.settings for setting in party]
+    # Index the settings of all parties in one array, party by party.
     index += (np.cumsum(counts) - counts)[:, None]
     used, inverse = np.unique(index, return_inverse=True)
-    chosen = [flat[i] for i in used]
-    matrices = displacement_matrices([s.amplitude for s in chosen], [s.phase for s in chosen])
+    chosen = np.concatenate(strategy.settings)[used]
+    matrices = displacement_matrices(chosen[:, 0], chosen[:, 1])
     check_observable_matrices(matrices)
     return matrices[inverse.reshape(index.shape)]
 
@@ -345,8 +292,18 @@ def _check_parties(state: SubspaceState, strategy: MeasurementStrategy) -> None:
         )
 
 
-def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
-    """Offset-symbolic tables of one strategy, one per set of setting indices.
+def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> np.ndarray:
+    """Offset-symbolic tables (P, 1 + N(N-1), 2^N), one per set of setting indices.
+
+    Table p holds the constant row a_0, then the cosine rows A_n, then the
+    sine rows B_n, over the half basis n of :func:`_half_basis` (H =
+    N(N-1)/2), so that its entry s at offsets Delta is
+
+        a_0[s] + sum_n A_n[s] cos(n . Delta) + B_n[s] sin(n . Delta),
+
+    real by construction.  The array is read-only.  Its rows serve scans of
+    many frames at fixed settings (:func:`best_pair_values_over_centers`);
+    one frame is read through the state (:func:`frame_averaged_table`).
 
     The state entry rho[a, b] carries the phase exp(i m . Delta) of its
     offset frequency m (:func:`_offset_frequencies`).  So a table entry is
@@ -360,7 +317,8 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     fixes the rows of states that are Hermitian only to rounding.  The
     1 + N(N-1) components form one stack of states, and one
     :func:`~photonbell.fock_core.correlator_tables` call with every index
-    set as a point writes every row of every table.
+    set as a point writes every row of every table; the tables are its
+    rows with the component and table axes swapped.
     """
     _check_parties(state, strategy)
     n = strategy.n_parties
@@ -377,7 +335,9 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> list:
     components = np.concatenate((steady[None], parts + adjoint, 1j * (parts - adjoint)))
     rows = correlator_tables(components, pairs)
     rows[1 + len(half) :] *= np.sign(signs.sum(axis=(1, 2), keepdims=True))
-    return [SymbolicCorrelatorTable(n, rows[:, p]) for p in range(len(pairs))]
+    tables = rows.swapaxes(0, 1)
+    tables.setflags(write=False)
+    return tables
 
 
 def _frame_averaged_tables(
@@ -469,7 +429,10 @@ def _pair_index_sets(strategy: MeasurementStrategy) -> list:
 
 
 def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy):
-    """One symbolic table per pair of party 1's settings, built in one batch."""
+    """Symbolic tables (m, 1 + N(N-1), 2^N), one per pair of party 1's settings.
+
+    Built in one batch; the read-only array of :func:`_symbolic_tables`.
+    """
     return _symbolic_tables(state, strategy, _pair_index_sets(strategy))
 
 
@@ -506,21 +469,17 @@ def _frame_scan_row_count(n_parties: int, pair_count: int) -> int:
 def _frame_scan_coefficients(tables, width: float):
     """Half frequency basis and damped transformed rows of all pair tables.
 
-    Returns (half, coeffs): the half basis (H, N-1) as floats, and the
-    tables' rows stacked, the cosine and sine rows of n damped by
-    exp(-width^2 |n|^2 / 2), and Walsh-Hadamard transformed, so that every
-    pair's T(r) (column p * 2^N + r) is
+    ``tables`` is a (P, 1 + N(N-1), 2^N) array.  Returns (half, coeffs):
+    the half basis (H, N-1) as floats, and a copy of the tables with the
+    row axis first, the cosine and sine rows of n damped by exp(-width^2
+    |n|^2 / 2), and Walsh-Hadamard transformed, so that every pair's T(r)
+    (column p * 2^N + r) is
 
         T(r; c) = [1, cos(c . half), sin(c . half)] @ coeffs.
-
-    Tables with different party counts raise ValueError.
     """
-    n = tables[0].n_parties
-    if any(table.n_parties != n for table in tables):
-        raise ValueError("pair tables must share one party count")
-    half = _half_basis(n)
+    half = _half_basis(tables.shape[-1].bit_length() - 1)
     damping = _frame_damping(half, width)
-    coeffs = np.stack([table.coeffs for table in tables], axis=1)
+    coeffs = tables.swapaxes(0, 1).copy()
     coeffs[1:] *= np.tile(damping, 2)[:, None, None]
     return half.astype(float), _walsh_hadamard(coeffs).reshape(len(coeffs), -1)
 
@@ -545,14 +504,20 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     stays as the test oracle.
 
     ``tables`` is the output of :func:`pair_symbolic_tables`, or any
-    tables of one party count.  Centers must be finite
-    and ``width`` finite and >= 0 (ValueError otherwise).
+    real array (P, 1 + N(N-1), 2^N) of P >= 1 symbolic tables, N >= 1.
+    Tables must be finite, centers finite and ``width`` finite and >= 0
+    (ValueError otherwise).
     """
-    if not tables:
-        raise ValueError("need at least one pair table")
+    if np.iscomplexobj(tables):
+        raise ValueError("pair tables must be real")
+    tables = np.asarray(tables, dtype=float)
+    n = tables.shape[-1].bit_length() - 1 if tables.ndim == 3 else 0
+    if n < 1 or not len(tables) or tables.shape[1:] != (1 + n * (n - 1), 2**n):
+        raise ValueError(f"pair tables need shape (P >= 1, 1 + N(N-1), 2^N), not {tables.shape}")
+    if not np.isfinite(tables).all():
+        raise ValueError("pair tables must be finite")
     if not np.isfinite(width) or width < 0.0:
         raise ValueError("width must be finite and >= 0")
-    n = tables[0].n_parties
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.shape[-1] != n - 1:
         # An empty center vector is fine for a single party.
@@ -653,6 +618,7 @@ def violation_distribution(
     the frame-averaged state (:func:`best_pair_bell_value`) gives the same
     values and is kept as the test oracle.
     """
+    n_samples, n_bins = _whole(n_samples, "n_samples"), _whole(n_bins, "n_bins")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if n_bins < 1:
@@ -663,7 +629,7 @@ def violation_distribution(
     tables = pair_symbolic_tables(state, strategy)
 
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(0.0, TWO_PI, size=(n_samples, n_parties - 1))
+    centers = rng.uniform(0.0, TWO_PI, size=(n_samples, state.n_modes - 1))
     s_values = best_pair_values_over_centers(tables, centers, width)
 
     min_s = float(s_values.min())
@@ -673,13 +639,13 @@ def violation_distribution(
     counts, edges = np.histogram(s_values, bins=edges)
     fraction = float(np.count_nonzero(s_values > 1.0 + VIOLATION_ROUNDOFF) / n_samples)
     metadata = {
-        "n_parties": int(n_parties),
+        "n_parties": state.n_modes,
         "r0": r0,
         "r1": r1,
         "width": float(width),
         "efficiency": float(efficiency),
-        "pair_count": int(pair_count),
-        "n_samples": int(n_samples),
+        "pair_count": strategy.pair_count,
+        "n_samples": n_samples,
         "seed": int(seed),
     }
     return ViolationHistogram(

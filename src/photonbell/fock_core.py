@@ -49,7 +49,6 @@ import numpy as np
 
 __all__ = [
     "ConsistencyError",
-    "DisplacementSetting",
     "SubspaceState",
     "check_observable_matrices",
     "correlator_batch",
@@ -80,6 +79,20 @@ class ConsistencyError(RuntimeError):
     """A numerical self-check failed (a result that must be real was not)."""
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; ValueError unless it is a whole number.
+
+    Python and numpy integers and integral floats pass; booleans, 2.7,
+    NaN, inf and anything not a number do not, where ``int`` would accept,
+    truncate or fail on them.
+    """
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SubspaceState:
     """Density operator on the vacuum-plus-one-photon subspace of N modes.
@@ -98,6 +111,7 @@ class SubspaceState:
     matrix: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_modes", _whole(self.n_modes, "n_modes"))
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         dim = self.n_modes + 1
@@ -113,45 +127,6 @@ class SubspaceState:
         if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
             raise ValueError("state matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
-class DisplacementSetting:
-    """One local measurement choice: displacement amplitude and phase.
-
-    The phase is stored reduced to [0, 2*pi).  Amplitude r >= 0; the complex
-    displacement is alpha = r * exp(i * phase).
-    """
-
-    amplitude: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.amplitude) or self.amplitude < 0.0:
-            raise ValueError("amplitude must be finite and >= 0")
-        if not np.isfinite(self.phase):
-            raise ValueError("phase must be finite")
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
-
-    @property
-    def alpha(self) -> complex:
-        return self.amplitude * np.exp(1j * self.phase)
-
-    @classmethod
-    def from_signed(cls, amplitude: float, phase: float = 0.0) -> "DisplacementSetting":
-        """Setting for alpha = amplitude * exp(i*phase) with a signed amplitude.
-
-        A negative amplitude is the same displacement pointed the opposite
-        way in phase space, i.e. the phase advanced by pi; the canonical
-        (nonnegative-amplitude) form is stored.  Optimizers work with signed
-        amplitudes so that a party can flip one of its settings without
-        spending a second phase parameter.
-        """
-        if not np.isfinite(amplitude):
-            raise ValueError("amplitude must be finite")
-        offset = np.pi if amplitude < 0.0 else 0.0
-        return cls(abs(float(amplitude)), phase + offset)
 
 
 def check_observable_matrices(matrices) -> None:
@@ -202,6 +177,7 @@ def lossy_w_state(n_modes: int, efficiency: float) -> SubspaceState:
         the state inside the subspace; the photon survives with probability
         eta and is otherwise replaced by vacuum.
     """
+    n_modes = _whole(n_modes, "n_modes")
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if not 0.0 <= efficiency <= 1.0:

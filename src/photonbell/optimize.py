@@ -78,7 +78,6 @@ import numpy as np
 from .experiments import (
     _frame_damping,
     _offset_frequencies,
-    _whole,
     best_pair_values_over_centers,
     pair_symbolic_tables,
     paired_strategy,
@@ -86,6 +85,7 @@ from .experiments import (
 from .fock_core import (
     TWO_PI,
     ConsistencyError,
+    _whole,
     check_observable_matrices,
     correlator_batch,
     correlator_tables,
@@ -140,6 +140,8 @@ class OptimizationSpec:
     tolerance: float = 1e-6
 
     def __post_init__(self):
+        for name in ("n_parties", "restarts"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.n_parties < 1:
             raise ValueError("n_parties must be >= 1")
         if not np.isfinite(self.width) or self.width < 0.0:
@@ -314,6 +316,7 @@ def averaged_correlator_table(
     center per party 2..N, the amplitudes are finite, the width is finite
     and >= 0 and the efficiency lies in [0, 1].
     """
+    n_parties = _whole(n_parties, "n_parties")
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
     centers = np.asarray(centers, dtype=float)
@@ -752,9 +755,10 @@ def certainty_frontier(
     ``width_tolerance`` and ``width_max`` finite and > 0 (ValueError
     otherwise, before any search).
     """
-    pair_counts = list(pair_counts)
-    if not all(isinstance(m, (int, np.integer)) and m >= 1 for m in pair_counts):
-        raise ValueError("pair counts must be integers >= 1")
+    n_parties = _whole(n_parties, "n_parties")
+    pair_counts = [_whole(m, "pair count") for m in pair_counts]
+    if min(pair_counts, default=1) < 1:
+        raise ValueError("pair counts must be >= 1")
     if _whole(grid_density, "grid_density") < 360:
         raise ValueError("grid_density must be >= 360")
     if n_parties > 3:

@@ -17,10 +17,10 @@ which coincides with the wrapped distribution's Fourier coefficients for
 integer m, so the analytic average is exact: it damps state entry (a, b)
 by exp(-|m_ab|^2 delta^2 / 2) and turns it by its phase at the centers
 (:func:`~photonbell.experiments.frame_averaged_table`).  Scans over many
-centers damp the cosine and sine rows of a
-:class:`~photonbell.experiments.SymbolicCorrelatorTable` by the same
-factor.  The tests keep Monte Carlo sampling of the offsets and
-quadrature of the wrapped density as the independent cross-checks.
+centers damp the cosine and sine rows of the symbolic tables of
+:func:`~photonbell.experiments.pair_symbolic_tables` by the same factor.
+The tests keep Monte Carlo sampling of the offsets and quadrature of the
+wrapped density as the independent cross-checks.
 """
 
 from __future__ import annotations

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock_core import _whole
+
 __all__ = [
     "BellResult",
     "CorrelatorTable",
@@ -82,6 +84,7 @@ class CorrelatorTable:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_parties", _whole(self.n_parties, "n_parties"))
         if self.n_parties < 1:
             raise ValueError("n_parties must be >= 1")
         vals = np.array(self.values, dtype=float)

@@ -4,7 +4,6 @@ import numpy as np
 
 from photonbell import (
     ConsistencyError,
-    DisplacementSetting,
     OptimizationSpec,
     PhaseModel,
     SubspaceState,
@@ -33,8 +32,9 @@ SERIES_TRUNCATION = 1e-16
 
 
 def setting_matrices(settings) -> np.ndarray:
-    """Observable matrices (N, 2, 2) of one displacement setting per mode, validated."""
-    mats = displacement_matrices([s.amplitude for s in settings], [s.phase for s in settings])
+    """Observable matrices (N, 2, 2) of one (amplitude, phase) row per mode, validated."""
+    settings = np.asarray(settings, dtype=float)
+    mats = displacement_matrices(settings[:, 0], settings[:, 1])
     check_observable_matrices(mats)
     return mats
 
@@ -179,11 +179,10 @@ def random_state(rng: np.random.Generator, n_modes: int) -> SubspaceState:
 
 
 def random_settings(rng: np.random.Generator, n_modes: int, r_max: float = 1.5):
-    """One random displacement setting per mode."""
-    return [
-        DisplacementSetting(rng.uniform(0.0, r_max), rng.uniform(0.0, 2.0 * np.pi))
-        for _ in range(n_modes)
-    ]
+    """One random (amplitude, phase) row per mode, shape (n_modes, 2)."""
+    return np.array(
+        [[rng.uniform(0.0, r_max), rng.uniform(0.0, 2.0 * np.pi)] for _ in range(n_modes)]
+    )
 
 
 def random_observable_matrices(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -217,12 +216,14 @@ def walsh_hadamard_levels(values: np.ndarray) -> np.ndarray:
 def complex_terms(table):
     """Full +-n basis (K, N-1) and complex coefficients (K, 2^N) of a table.
 
+    ``table`` is one symbolic table, rows (1 + N(N-1), 2^N).
+
     Built straight from the real rows: c_0 = a_0 and c_+-n = (A_n -+ i B_n)
     / 2 for each half-basis frequency n, so that entry s at offsets Delta
     is sum_k coeffs[k, s] exp(i freqs[k] . Delta).
     """
-    half = _half_basis(table.n_parties)
-    constant, cos, sin = np.split(table.coeffs, [1, 1 + len(half)])
+    half = _half_basis(table.shape[-1].bit_length() - 1)
+    constant, cos, sin = np.split(table, [1, 1 + len(half)])
     freqs = np.concatenate((np.zeros((1, half.shape[1]), dtype=int), half, -half)).astype(float)
     coeffs = np.concatenate((constant, 0.5 * (cos - 1j * sin), 0.5 * (cos + 1j * sin)))
     return freqs, coeffs
@@ -255,7 +256,7 @@ def complex_frame_scan(tables, centers, width: float) -> np.ndarray:
     if the imaginary part of T exceeds ``IMAG_TOL`` at one of the given
     centers.  Oracle for ``best_pair_values_over_centers``.
     """
-    size = 2**tables[0].n_parties
+    size = tables[0].shape[-1]
     freqs, _ = complex_terms(tables[0])
     coeffs = np.stack([complex_terms(table)[1] for table in tables], axis=1)
     coeffs = coeffs * np.exp(-0.5 * width * width * np.sum(freqs * freqs, axis=1))[:, None, None]

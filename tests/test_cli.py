@@ -646,6 +646,19 @@ def test_correlators_stdout_table(capsys):
     assert lines[5].startswith("# S = ")
 
 
+def test_correlators_json_needs_out(monkeypatch, capsys):
+    # without --out the table prints as csv, so --format json alone is
+    # refused with exit 2, before any table is built, naming both flags
+    def no_table(*_args):
+        raise AssertionError("a table was built before the flags were checked")
+
+    monkeypatch.setattr("photonbell.cli.averaged_correlator_table", no_table)
+    argv = ["correlators", "--parties", "3", "--r0", "0.1", "--r1", "0.2", "--format", "json"]
+    code, out_text, err = run(argv, capsys)
+    assert code == 2 and out_text == ""
+    assert "--format json" in err and "--out" in err
+
+
 @pytest.mark.parametrize("parties", [1, 12])
 def test_correlators_files_match_one_shot_dumps(tmp_path, capsys, parties):
     # rows are streamed to the file; the bytes are those of one json.dumps

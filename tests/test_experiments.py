@@ -1,5 +1,8 @@
 """Measurement strategies, offset-symbolic correlators, and frame scans."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,14 @@ from helpers import (
     symbolic_rows_per_component,
 )
 from photonbell import (
-    DisplacementSetting,
+    CorrelatorTable,
     MeasurementStrategy,
+    OptimizationSpec,
+    OptimumReport,
     PhaseModel,
-    SymbolicCorrelatorTable,
+    SubspaceState,
+    certainty_frontier,
+    maximize_bell,
     best_pair_bell_value,
     best_pair_values_over_centers,
     bell_value_averaged,
@@ -53,10 +60,10 @@ def test_two_setting_strategy_signed_amplitudes():
     strat = two_setting_strategy(3, 0.2, -0.5, phases=(0.0, 1.0, 2.0))
     assert strat.n_parties == 3
     for party, phi in zip(strat.settings, (0.0, 1.0, 2.0)):
-        assert party[0].amplitude == 0.2 and abs(party[0].phase - phi) < 1e-12
+        assert party[0, 0] == 0.2 and abs(party[0, 1] - phi) < 1e-12
         # the negative amplitude is stored as |r| with the phase advanced by pi
-        assert party[1].amplitude == 0.5
-        assert phase_gap(party[1].phase, phi + np.pi) < 1e-12
+        assert party[1, 0] == 0.5
+        assert phase_gap(party[1, 1], phi + np.pi) < 1e-12
     with pytest.raises(ValueError):
         two_setting_strategy(3, 0.2, 0.5, phases=(0.0, 1.0))
 
@@ -68,8 +75,8 @@ def test_paired_strategy_stepping():
     assert len(strat.settings[1]) == 2
     for j in range(4):
         step = j * TWO_PI / 4
-        assert phase_gap(strat.settings[0][2 * j].phase, 0.3 + step) < 1e-12
-        assert phase_gap(strat.settings[0][2 * j + 1].phase, 0.3 + np.pi + step) < 1e-12
+        assert phase_gap(strat.settings[0][2 * j, 1], 0.3 + step) < 1e-12
+        assert phase_gap(strat.settings[0][2 * j + 1, 1], 0.3 + np.pi + step) < 1e-12
     with pytest.raises(ValueError):
         paired_strategy(2, 0.1, 0.6, 0)
 
@@ -81,19 +88,25 @@ def test_strategy_validation():
         MeasurementStrategy(((),))
     with pytest.raises(ValueError):
         MeasurementStrategy((("nope",),))
-    ok = DisplacementSetting(0.5, 0.0)
-    with pytest.raises(ValueError):
+    ok = (0.5, 0.0)
+    with pytest.raises(ValueError, match="pair_count must be >= 1"):
         MeasurementStrategy(((ok, ok),), pair_count=0)
     # wrong phase step across pairs
-    bad = (ok, ok, DisplacementSetting(0.5, 0.1), DisplacementSetting(0.5, np.pi))
-    with pytest.raises(ValueError):
+    bad = (ok, ok, (0.5, 0.1), (0.5, np.pi))
+    with pytest.raises(ValueError, match="pair 1 slot 0 phase is not stepped"):
         MeasurementStrategy((bad,), pair_count=2)
-    # wrong amplitude across pairs
-    bad = (ok, ok, DisplacementSetting(0.4, np.pi), DisplacementSetting(0.5, np.pi))
-    with pytest.raises(ValueError):
+    # wrong amplitude across pairs, reported before the phase of that slot
+    bad = (ok, ok, (0.4, 0.1), (0.5, np.pi))
+    with pytest.raises(ValueError, match="pair 1 slot 0 amplitude differs"):
         MeasurementStrategy((bad,), pair_count=2)
+    bad = (ok, ok, (0.5, np.pi), (0.4, np.pi))
+    with pytest.raises(ValueError, match="pair 1 slot 1 amplitude differs"):
+        MeasurementStrategy((bad,), pair_count=2)
+    # phases stepped by pi, up to the tolerance and across the wrap
+    fine = (ok, (0.3, 6.0), (0.5, np.pi + 1e-10), (0.3, 6.0 + np.pi))
+    assert MeasurementStrategy((fine,), pair_count=2).pair_count == 2
     # wrong settings count for the declared pairs
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="party 1 needs 4 settings for 2 pairs, has 2"):
         MeasurementStrategy(((ok, ok),), pair_count=2)
 
 
@@ -118,6 +131,100 @@ def test_fractional_pairs_and_pair_counts_are_refused():
         assert counted == 2 and type(counted) is int
 
 
+def signed_row(r: float, phase: float) -> list:
+    """(amplitude, phase) of a signed amplitude, in Python floats.
+
+    The arithmetic of the former per-setting object: |r|, and the phase
+    advanced by pi for r < 0, then reduced mod 2 pi.
+    """
+    offset = math.pi if r < 0.0 else 0.0
+    return [abs(float(r)), float(phase + offset) % (2.0 * math.pi)]
+
+
+def test_strategy_settings_match_signed_oracle():
+    # every stored row equals, bit for bit, the Python-float arithmetic of
+    # the signed form, for negative, zero and positive amplitudes and
+    # phases outside [0, 2 pi)
+    rng = np.random.default_rng(17)
+    amplitudes = [-1.3, -0.7, -0.0, 0.0, 1e-300, 0.25, 2.9]
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 6))
+        r0, r1 = (float(rng.choice(amplitudes)) for _ in range(2))
+        phases = [float(x) for x in rng.uniform(-20.0, 20.0, n)]
+        phases[0] = float(rng.choice([phases[0], 0.0, -0.0, 2.0 * math.pi, -math.pi]))
+        step = [phases[0] + j * (2.0 * math.pi) / m for j in range(m)]
+        paired = [[signed_row(r, phi) for phi in step for r in (r0, r1)]]
+        paired += [[signed_row(r0, phi), signed_row(r1, phi)] for phi in phases[1:]]
+        plain = [[signed_row(r0, phi), signed_row(r1, phi)] for phi in phases]
+        strat = paired_strategy(n, r0, r1, m, phases)
+        assert [party.tolist() for party in strat.settings] == paired
+        single = two_setting_strategy(n, r0, r1, phases)
+        assert [party.tolist() for party in single.settings] == plain
+        assert all(not party.flags.writeable for party in strat.settings)
+    # the default phases are zero
+    (first,) = paired_strategy(1, -0.4, 0.3, 2).settings
+    expected = [signed_row(-0.4, 0.0), [0.3, 0.0], signed_row(-0.4, math.pi), [0.3, math.pi]]
+    assert first.tolist() == expected
+
+
+def test_counts_must_be_whole_numbers(monkeypatch):
+    # counts given as integral floats are stored as int; fractional,
+    # boolean, non-finite and non-numeric counts raise ValueError where
+    # they once raised TypeError or IndexError deep inside, or passed
+    state = lossy_w_state(2.0, 0.5)
+    assert type(state.n_modes) is int
+    assert np.array_equal(state.matrix, lossy_w_state(2, 0.5).matrix)
+    assert type(SubspaceState(2.0, state.matrix).n_modes) is int
+    assert type(CorrelatorTable(2.0, np.ones(4)).n_parties) is int
+    spec = OptimizationSpec(2.0, 0.0, optimize_phases=False, restarts=2.0)
+    assert (type(spec.n_parties), type(spec.restarts)) == (int, int)
+    assert maximize_bell(spec) == maximize_bell(
+        OptimizationSpec(2, 0.0, optimize_phases=False, restarts=2)
+    )
+    assert np.array_equal(
+        averaged_correlator_table(2.0, 0.1, -0.4, (0.3,), 0.2, 0.9),
+        averaged_correlator_table(2, 0.1, -0.4, (0.3,), 0.2, 0.9),
+    )
+    for bad in (2.5, np.float32(1.5), np.nan, np.inf, True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match="n_parties must be an integer"):
+            OptimizationSpec(bad, 0.0)
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            OptimizationSpec(2, 0.0, restarts=bad)
+        with pytest.raises(ValueError, match="n_modes must be an integer"):
+            lossy_w_state(bad, 0.5)
+        with pytest.raises(ValueError, match="n_parties must be an integer"):
+            CorrelatorTable(bad, np.ones(4))
+        with pytest.raises(ValueError, match="n_parties must be an integer"):
+            paired_strategy(bad, 0.1, -0.4, 2)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            paired_strategy(bad, 0.1, -0.4, 2)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            two_setting_strategy(bad, 0.1, -0.4)
+    assert two_setting_strategy(2.0, 0.1, -0.4).n_parties == 2
+
+    kwargs = dict(amplitudes=(0.17, -0.56), width=0.4, efficiency=0.9, seed=99, n_bins=12)
+    for name in ("n_samples", "n_bins"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            violation_distribution(2, pair_count=2, **{**kwargs, "n_samples": 40, name: 2.5})
+    whole = violation_distribution(
+        2.0, pair_count=2.0, n_samples=40.0, **dict(kwargs, n_bins=12.0)
+    )
+    plain = violation_distribution(2, pair_count=2, n_samples=40, **kwargs)
+    assert json.dumps(whole.to_json_dict()) == json.dumps(plain.to_json_dict())
+
+    # one party never violates, so each pair count costs one (stubbed) search
+    report = OptimumReport(1.0, 0.1, -0.4, (), True, 1)
+    monkeypatch.setattr("photonbell.optimize.maximize_bell", lambda spec: report)
+    out = certainty_frontier(1.0, 1.0, (np.int64(2), 8.0), grid_density=360)
+    assert [(type(m), m) for m, _ in out] == [(int, 2), (int, 8)]
+    assert all(np.isnan(width) for _, width in out)
+    for bad in (True, 2.5, np.nan):
+        with pytest.raises(ValueError, match="pair count must be an integer"):
+            certainty_frontier(1, 1.0, (2, bad), grid_density=360)
+
+
 def shifted_matrices(strategy, indices, offsets, index: int) -> np.ndarray:
     """Observables (N, 2, 2) of table entry ``index``, shifted by the offsets.
 
@@ -126,9 +233,8 @@ def shifted_matrices(strategy, indices, offsets, index: int) -> np.ndarray:
     """
     chosen = []
     for p, (party, pair) in enumerate(zip(strategy.settings, indices)):
-        setting = party[pair[(index >> p) & 1]]
-        shift = offsets[p - 1] if p else 0.0
-        chosen.append(DisplacementSetting(setting.amplitude, setting.phase + shift))
+        amplitude, phase = party[pair[(index >> p) & 1]]
+        chosen.append((amplitude, phase + (offsets[p - 1] if p else 0.0)))
     return setting_matrices(chosen)
 
 
@@ -213,20 +319,19 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         calls.clear()
         tables = pair_symbolic_tables(state, strat)
         assert calls == [((1 + n * (n - 1), n + 1, n + 1), pair_count)]
-        assert len(tables) == pair_count
         basis = offset_basis(n)
+        assert tables.shape == (pair_count, len(basis), 2**n)
+        assert tables.dtype == float
+        assert not tables.flags.writeable
         half = [key for key in basis if any(key) and key[np.flatnonzero(key)[0]] > 0]
         assert len(half) == n * (n - 1) // 2 and len(basis) == 1 + 2 * len(half)
         assert experiments._half_basis(n).tolist() == [list(key) for key in half]
         _, scan = experiments._frame_scan_coefficients(tables, 0.3)
         assert scan.size == experiments._frame_scan_row_count(n, pair_count) * 2**n
         for j, table in enumerate(tables):
-            alone = experiments._symbolic_tables(state, strat, [pair_setting_indices(strat, j)])[0]
-            assert table.n_parties == alone.n_parties == n
-            assert table.coeffs.shape == (len(basis), 2**n)
-            assert table.coeffs.dtype == float
-            assert np.array_equal(table.coeffs, alone.coeffs)
-            assert not table.coeffs.flags.writeable
+            alone = experiments._symbolic_tables(state, strat, [pair_setting_indices(strat, j)])
+            assert np.array_equal(table, alone[0])
+            assert not alone.flags.writeable
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -240,7 +345,7 @@ def test_stacked_symbolic_rows_match_per_component_oracle(n):
         index_sets = [pair_setting_indices(strat, j) for j in range(3)]
         rows = symbolic_rows_per_component(state, strat, index_sets)
         tables = pair_symbolic_tables(state, strat)
-        assert np.array_equal(np.stack([t.coeffs for t in tables], axis=1), rows)
+        assert np.array_equal(tables.swapaxes(0, 1), rows)
 
 
 def test_pair_tables_build_each_setting_once(monkeypatch):
@@ -279,7 +384,7 @@ def test_pair_tables_build_each_setting_once(monkeypatch):
             alone = experiments._symbolic_tables(
                 state, MeasurementStrategy((first[2 * j : 2 * j + 2], *rest)), [[(0, 1)] * n]
             )[0]
-            assert np.array_equal(table.coeffs, alone.coeffs)
+            assert np.array_equal(table, alone)
 
 
 def test_setting_matrices_match_displacement_observable(monkeypatch):
@@ -287,20 +392,19 @@ def test_setting_matrices_match_displacement_observable(monkeypatch):
     # building that setting alone, and the pair tables exactly the
     # coefficients of the setting-by-setting build
     rng = np.random.default_rng(41)
-    settings = [
-        DisplacementSetting(r, phi)
-        for r, phi in zip(rng.uniform(0.0, 3.0, 200), rng.uniform(-10.0, 10.0, 200))
-    ]
-    batch = displacement_matrices([s.amplitude for s in settings], [s.phase for s in settings])
+    (settings,) = MeasurementStrategy(
+        (np.stack((rng.uniform(0.0, 3.0, 200), rng.uniform(-10.0, 10.0, 200)), axis=1),)
+    ).settings
+    batch = displacement_matrices(settings[:, 0], settings[:, 1])
     assert batch.shape == (200, 2, 2)
-    for setting, matrix in zip(settings, batch):
-        assert np.array_equal(matrix, displacement_matrices(setting.amplitude, setting.phase))
+    for (amplitude, phase), matrix in zip(settings, batch):
+        assert np.array_equal(matrix, displacement_matrices(amplitude, phase))
 
     def one_by_one(strategy, index_sets):
         return np.array(
             [
                 [
-                    [displacement_matrices(party[i].amplitude, party[i].phase) for i in pair]
+                    [displacement_matrices(*party[i]) for i in pair]
                     for party, pair in zip(strategy.settings, indices)
                 ]
                 for indices in index_sets
@@ -319,8 +423,7 @@ def test_setting_matrices_match_displacement_observable(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "_setting_pairs", one_by_one)
             reference = pair_symbolic_tables(state, strat)
-        for table, expected in zip(tables, reference):
-            assert np.array_equal(table.coeffs, expected.coeffs)
+        assert np.array_equal(tables, reference)
 
 
 def test_zero_width_average_is_evaluation():
@@ -354,7 +457,7 @@ def test_symbolic_evaluation_validation():
     single = two_setting_strategy(1, 0.1, -0.4)
     table = frame_averaged_table(w_state(1), single, PhaseModel((), 0.7))
     symbolic = experiments._symbolic_tables(w_state(1), single, [[(0, 1)]])[0]
-    assert np.array_equal(table.values, symbolic.coeffs[0])
+    assert np.array_equal(table.values, symbolic[0])
 
 
 def test_two_party_correlators_closed_form():
@@ -390,14 +493,10 @@ def test_averaged_table_matches_symbolic_route():
         fast = averaged_correlator_table(n, r0, r1, centers, width, eta)
         r0s = np.broadcast_to(np.asarray(r0, dtype=float), (n,))
         r1s = np.broadcast_to(np.asarray(r1, dtype=float), (n,))
-        parties = tuple(
-            (
-                DisplacementSetting.from_signed(r0s[k]),
-                DisplacementSetting.from_signed(r1s[k]),
-            )
-            for k in range(n)
+        # a negative amplitude is |r| with the phase advanced by pi
+        strat = MeasurementStrategy(
+            [[(abs(r), np.pi * (r < 0.0)) for r in (r0s[k], r1s[k])] for k in range(n)]
         )
-        strat = MeasurementStrategy(parties)
         state = lossy_w_state(n, eta)
         table = experiments._symbolic_tables(state, strat, [[(0, 1)] * n])[0]
         slow = complex_entries(table, centers, width).real
@@ -595,11 +694,15 @@ def test_batched_centers_validation():
 
 
 def test_batched_centers_reject_mixed_tables():
-    # every table of one scan must share the party count
+    # every table of one scan must share the party count: tables of two
+    # counts form no array, and rows of one count cut to another's columns
+    # do not fit it
     two = pair_symbolic_tables(w_state(2), paired_strategy(2, 0.1, -0.5, 2))
     three = pair_symbolic_tables(w_state(3), paired_strategy(3, 0.1, -0.5, 2))
-    with pytest.raises(ValueError, match="party count"):
+    with pytest.raises(ValueError):
         best_pair_values_over_centers([two[0], three[0]], [[0.3]], 0.2)
+    with pytest.raises(ValueError, match="shape"):
+        best_pair_values_over_centers(three[:, :, :4], [[0.3]], 0.2)
 
 
 def test_more_pairs_never_lower_the_best_value():
@@ -644,30 +747,42 @@ def test_zero_amplitude_pair_value_closed_form():
 
 
 def test_symbolic_table_validation():
-    # two parties hold 3 rows of 4 entries: a wrong row count, entry count
-    # or rank is refused
-    for coeffs in (np.ones((1, 4)), np.ones((3, 2)), np.ones(12), np.ones((3, 4, 1))):
+    # a frame scan takes P >= 1 tables of 1 + N(N-1) rows of 2^N entries,
+    # N >= 1, read off the entry count: two parties hold 3 rows of 4
+    # entries, so a wrong row count, entry count or rank is refused, and
+    # so are no tables and tables of no party
+    for tables in (
+        np.ones((1, 1, 4)),
+        np.ones((1, 3, 2)),
+        np.ones((2, 3, 3)),
+        np.ones(12),
+        np.ones((3, 4)),
+        np.ones((1, 3, 4, 1)),
+        np.ones((0, 3, 4)),
+        np.ones((1, 1, 1)),
+        np.ones((1, 0, 0)),
+        [],
+    ):
         with pytest.raises(ValueError, match="shape"):
-            SymbolicCorrelatorTable(2, coeffs)
-    for n in (0, -1):
-        with pytest.raises(ValueError, match="n_parties"):
-            SymbolicCorrelatorTable(n, np.ones((1, 1)))
+            best_pair_values_over_centers(tables, [[0.3]], 0.2)
     # non-finite and complex coefficients are refused at the boundary
     for bad in (np.nan, np.inf, -np.inf):
-        coeffs = np.ones((3, 4))
-        coeffs[2, 1] = bad
+        tables = np.ones((2, 3, 4))
+        tables[1, 2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            SymbolicCorrelatorTable(2, coeffs)
+            best_pair_values_over_centers(tables, [[0.3]], 0.2)
     with pytest.raises(ValueError, match="real"):
-        SymbolicCorrelatorTable(2, np.ones((3, 4), dtype=complex))
-    # the array is copied and frozen
-    coeffs = np.ones((3, 4))
-    table = SymbolicCorrelatorTable(2, coeffs)
-    coeffs[0, 0] = 7.0
-    assert table.coeffs[0, 0] == 1.0
+        best_pair_values_over_centers(np.ones((1, 3, 4), dtype=complex), [[0.3]], 0.2)
+    # the scan leaves its tables as they were; integer tables are read as
+    # floats (one party, entries 1 and -1: S = (|0| + |2|) / 2 = 1)
+    tables = pair_symbolic_tables(w_state(2), paired_strategy(2, 0.1, -0.5, 2))
+    kept = tables.copy()
+    best_pair_values_over_centers(tables, [[0.3]], 0.2)
+    assert np.array_equal(tables, kept)
+    assert best_pair_values_over_centers([[[1, -1]]], np.empty((1, 0)), 0.0).tolist() == [1.0]
+    # the tables are read-only
     with pytest.raises(ValueError):
-        table.coeffs[0, 0] = 2.0
-    assert SymbolicCorrelatorTable(1, [[1, -1]]).coeffs.dtype == float
+        tables[0, 0, 0] = 2.0
     strat = two_setting_strategy(2, 0.0, 0.4)
     with pytest.raises(ValueError, match="modes but strategy has"):
         experiments._symbolic_tables(w_state(3), strat, [[(0, 1)] * 2])

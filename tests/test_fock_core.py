@@ -5,7 +5,7 @@ import pytest
 
 from photonbell import (
     ConsistencyError,
-    DisplacementSetting,
+    MeasurementStrategy,
     PhaseModel,
     SubspaceState,
     frame_averaged_table,
@@ -90,31 +90,44 @@ def test_state_matrix_read_only():
 
 
 def test_displacement_setting_normalization():
-    s = DisplacementSetting(0.4, 5.0 * np.pi)
-    assert abs(s.phase - np.pi) < 1e-12
-    assert abs(s.alpha - 0.4 * np.exp(1j * np.pi)) < 1e-12
+    # a strategy stores each party's settings as read-only (amplitude,
+    # phase) rows with the phase reduced to [0, 2 pi)
+    (rows,) = MeasurementStrategy(([[0.4, 5.0 * np.pi], [0.2, -0.5]],)).settings
+    assert rows.shape == (2, 2) and rows.dtype == float
+    assert abs(rows[0, 1] - np.pi) < 1e-12
+    assert abs(rows[1, 1] - (2.0 * np.pi - 0.5)) < 1e-12
+    alpha = rows[0, 0] * np.exp(1j * rows[0, 1])
+    assert abs(alpha - 0.4 * np.exp(1j * np.pi)) < 1e-12
     with pytest.raises(ValueError):
-        DisplacementSetting(-0.1)
-    with pytest.raises(ValueError):
-        DisplacementSetting(np.inf)
+        rows[0, 0] = 1.0
+    # negative or non-finite amplitudes and non-finite phases are refused
+    for bad in ([-0.1, 0.0], [np.inf, 0.0], [np.nan, 0.0], [0.1, np.inf], [0.1, np.nan]):
+        with pytest.raises(ValueError, match="finite with amplitude >= 0"):
+            MeasurementStrategy(([[0.2, 0.0], bad],))
+    # each party needs at least one row of two entries
+    for party in ([], [[]], [0.1, 0.2], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]):
+        with pytest.raises(ValueError, match="party 2 needs one or more"):
+            MeasurementStrategy(([[0.1, 0.0]], party))
 
 
 def test_from_signed_amplitude():
-    plain = DisplacementSetting.from_signed(0.7, 0.3)
-    assert plain == DisplacementSetting(0.7, 0.3)
-    flipped = DisplacementSetting.from_signed(-0.7, 0.3)
-    assert abs(flipped.amplitude - 0.7) < 1e-15
-    assert abs(flipped.phase - (0.3 + np.pi)) < 1e-12
-    # the signed form is the same point of phase space
-    assert abs(flipped.alpha - (-0.7) * np.exp(0.3j)) < 1e-12
-    with pytest.raises(ValueError):
-        DisplacementSetting.from_signed(np.nan)
+    # a negative amplitude is stored as |r| with the phase advanced by pi:
+    # the same point of phase space
+    (plain,), (flipped,) = (
+        two_setting_strategy(1, r, 0.1, phases=(0.3,)).settings for r in (0.7, -0.7)
+    )
+    assert np.array_equal(plain[0], [0.7, 0.3])
+    assert flipped[0, 0] == 0.7
+    assert abs(flipped[0, 1] - (0.3 + np.pi)) < 1e-12
+    alpha = flipped[0, 0] * np.exp(1j * flipped[0, 1])
+    assert abs(alpha - (-0.7) * np.exp(0.3j)) < 1e-12
+    with pytest.raises(ValueError, match="finite"):
+        two_setting_strategy(1, np.nan, 0.1)
 
 
 def test_signed_observable_flips_off_diagonals():
-    direct, flipped = setting_matrices(
-        [DisplacementSetting(0.5, 0.0), DisplacementSetting.from_signed(-0.5, 0.0)]
-    )
+    (signed,) = two_setting_strategy(1, 0.5, -0.5).settings
+    direct, flipped = setting_matrices(signed)
     assert np.allclose(np.diag(direct), np.diag(flipped), atol=1e-15)
     assert np.allclose(direct[0, 1], -flipped[0, 1], atol=1e-15)
 
@@ -353,7 +366,7 @@ def test_correlator_single_mode_is_a_trace():
 
 def test_correlator_requires_one_observable_per_mode():
     state = w_state(3)
-    mats = setting_matrices([DisplacementSetting(0.1)] * 2)
+    mats = setting_matrices([[0.1, 0.0]] * 2)
     with pytest.raises(ValueError, match="state has 3 modes"):
         correlator_batch(state.matrix, mats)
     with pytest.raises(ValueError, match="state has 3 modes"):
@@ -362,7 +375,7 @@ def test_correlator_requires_one_observable_per_mode():
 
 def test_bruteforce_mode_limit():
     state = w_state(13)
-    mats = setting_matrices([DisplacementSetting(0.1)] * 13)
+    mats = setting_matrices([[0.1, 0.0]] * 13)
     with pytest.raises(ValueError, match="limited to N <= 12"):
         correlator_bruteforce(state.matrix, mats)
 
@@ -377,13 +390,11 @@ def test_correlator_phase_covariance():
     state = w_state(n)
     rotation = np.diag(np.exp(1j * np.concatenate(([0.0], shifts))))
     rotated = SubspaceState(n, rotation @ state.matrix @ rotation.conj().T)
-    shifted = [
-        DisplacementSetting(s.amplitude, s.phase + t) for s, t in zip(settings, shifts)
-    ]
+    shifted = settings + np.stack((np.zeros(n), shifts), axis=1)
     lhs = correlator_batch(rotated.matrix, setting_matrices(shifted))
     rhs = correlator_batch(state.matrix, setting_matrices(settings))
     assert abs(lhs - rhs) < 1e-12
-    common = [DisplacementSetting(s.amplitude, s.phase + 1.3) for s in settings]
+    common = settings + [0.0, 1.3]
     assert abs(correlator_batch(state.matrix, setting_matrices(common)) - rhs) < 1e-12
 
 

@@ -586,8 +586,10 @@ def test_certainty_frontier_rejects_pair_counts_before_any_search(monkeypatch):
         raise AssertionError("maximize_bell ran before the pair counts were checked")
 
     monkeypatch.setattr("photonbell.optimize.maximize_bell", no_search)
-    for bad in ([0], [-1], [2, 0], [1.5], [2.0]):
-        with pytest.raises(ValueError, match="pair counts must be integers >= 1"):
+    # an integral float such as 2.0 is a whole pair count (see
+    # test_counts_must_be_whole_numbers); booleans and NaN are not
+    for bad in ([0], [-1], [2, 0], [1.5], [True], [np.nan]):
+        with pytest.raises(ValueError, match="pair counts? must be"):
             certainty_frontier(2, 0.9, bad)
 
 
