@@ -113,7 +113,10 @@ class MeasurementStrategy:
     pair_count: Optional[int] = None
 
     def __post_init__(self):
-        settings = tuple(np.array(party, dtype=float) for party in self.settings)
+        parties = tuple(map(np.asarray, self.settings))
+        if any(rows.dtype.kind not in "iuf" for rows in parties):
+            raise ValueError("settings must be real numbers")
+        settings = tuple(rows.astype(float) for rows in parties)
         if not settings:
             raise ValueError("strategy needs at least one party")
         for party, rows in enumerate(settings):
@@ -125,10 +128,7 @@ class MeasurementStrategy:
             rows.setflags(write=False)
         object.__setattr__(self, "settings", settings)
         if self.pair_count is not None:
-            m = _whole(self.pair_count, "pair_count")
-            if m < 1:
-                raise ValueError("pair_count must be >= 1")
-            object.__setattr__(self, "pair_count", m)
+            object.__setattr__(self, "pair_count", _whole(self.pair_count, "pair_count", 1))
             self._check_pairs()
 
     def _check_pairs(self):
@@ -194,10 +194,8 @@ def paired_strategy(
     phase advanced by j * 2*pi / pair_count, covering the circle so that
     some pair nearly cancels any frame offset.
     """
-    n_parties = _whole(n_parties, "n_parties")
-    pair_count = _whole(pair_count, "pair_count")
-    if n_parties < 1 or pair_count < 1:
-        raise ValueError("n_parties and pair_count must be >= 1")
+    n_parties = _whole(n_parties, "n_parties", 1)
+    pair_count = _whole(pair_count, "pair_count", 1)
     phases = [0.0] * n_parties if phases is None else phases
     if len(phases) != n_parties:
         raise ValueError("need one phase per party")
@@ -415,8 +413,8 @@ def pair_setting_indices(strategy: MeasurementStrategy, pair: int):
     """
     if strategy.pair_count is None:
         raise ValueError("strategy has no pair structure")
-    pair = _whole(pair, "pair")
-    if not 0 <= pair < strategy.pair_count:
+    pair = _whole(pair, "pair", 0)
+    if pair >= strategy.pair_count:
         raise ValueError(f"pair must lie in [0, {strategy.pair_count})")
     return [(2 * pair, 2 * pair + 1)] + [(0, 1)] * (strategy.n_parties - 1)
 
@@ -466,20 +464,21 @@ def _frame_scan_row_count(n_parties: int, pair_count: int) -> int:
     return (1 + n_parties * (n_parties - 1)) * pair_count
 
 
-def _frame_scan_coefficients(tables, width: float):
+def _frame_scan_coefficients(tables, n: int, width: float):
     """Half frequency basis and damped transformed rows of all pair tables.
 
-    ``tables`` is a (P, 1 + N(N-1), 2^N) array.  Returns (half, coeffs):
-    the half basis (H, N-1) as floats, and a copy of the tables with the
-    row axis first, the cosine and sine rows of n damped by exp(-width^2
-    |n|^2 / 2), and Walsh-Hadamard transformed, so that every pair's T(r)
-    (column p * 2^N + r) is
+    ``tables`` is a checked (P, 1 + N(N-1), 2^N) array of real numbers
+    and ``n`` its N.  Returns (half, coeffs): the half basis (H, N-1) as
+    floats, and a float copy of the tables with the row axis first, the
+    cosine and sine rows of n damped by exp(-width^2 |n|^2 / 2), and
+    Walsh-Hadamard transformed, so that every pair's T(r) (column
+    p * 2^N + r) is
 
         T(r; c) = [1, cos(c . half), sin(c . half)] @ coeffs.
     """
-    half = _half_basis(tables.shape[-1].bit_length() - 1)
+    half = _half_basis(n)
     damping = _frame_damping(half, width)
-    coeffs = tables.swapaxes(0, 1).copy()
+    coeffs = tables.swapaxes(0, 1).astype(float, order="C")
     coeffs[1:] *= np.tile(damping, 2)[:, None, None]
     return half.astype(float), _walsh_hadamard(coeffs).reshape(len(coeffs), -1)
 
@@ -508,9 +507,12 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     Tables must be finite, centers finite and ``width`` finite and >= 0
     (ValueError otherwise).
     """
-    if np.iscomplexobj(tables):
-        raise ValueError("pair tables must be real")
-    tables = np.asarray(tables, dtype=float)
+    try:
+        tables = np.asarray(tables)
+    except ValueError:  # ragged, such as tables of two party counts
+        raise ValueError("pair tables must share one shape") from None
+    if tables.dtype.kind not in "iuf":
+        raise ValueError("pair tables must be real numbers")
     n = tables.shape[-1].bit_length() - 1 if tables.ndim == 3 else 0
     if n < 1 or not len(tables) or tables.shape[1:] != (1 + n * (n - 1), 2**n):
         raise ValueError(f"pair tables need shape (P >= 1, 1 + N(N-1), 2^N), not {tables.shape}")
@@ -529,7 +531,7 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     batch_shape = centers.shape[:-1]
     centers = centers.reshape(math.prod(batch_shape), n - 1)
 
-    half, coeffs = _frame_scan_coefficients(tables, width)
+    half, coeffs = _frame_scan_coefficients(tables, n, width)
     size = 2**n
     terms = len(half)
     chunk = max(1, FRAME_SCAN_CHUNK_ELEMENTS // max(coeffs.shape))
@@ -618,11 +620,7 @@ def violation_distribution(
     the frame-averaged state (:func:`best_pair_bell_value`) gives the same
     values and is kept as the test oracle.
     """
-    n_samples, n_bins = _whole(n_samples, "n_samples"), _whole(n_bins, "n_bins")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    n_samples, n_bins = _whole(n_samples, "n_samples", 1), _whole(n_bins, "n_bins", 1)
     r0, r1 = (float(a) for a in amplitudes)
     state = lossy_w_state(n_parties, efficiency)
     strategy = paired_strategy(n_parties, r0, r1, pair_count)

@@ -79,8 +79,8 @@ class ConsistencyError(RuntimeError):
     """A numerical self-check failed (a result that must be real was not)."""
 
 
-def _whole(value, what: str) -> int:
-    """``value`` as an int; ValueError unless it is a whole number.
+def _whole(value, what: str, minimum: int) -> int:
+    """``value`` as an int; ValueError unless it is a whole number >= minimum.
 
     Python and numpy integers and integral floats pass; booleans, 2.7,
     NaN, inf and anything not a number do not, where ``int`` would accept,
@@ -90,6 +90,8 @@ def _whole(value, what: str) -> int:
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}")
     return int(value)
 
 
@@ -111,9 +113,7 @@ class SubspaceState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_modes", _whole(self.n_modes, "n_modes"))
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
+        object.__setattr__(self, "n_modes", _whole(self.n_modes, "n_modes", 1))
         dim = self.n_modes + 1
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
@@ -177,9 +177,7 @@ def lossy_w_state(n_modes: int, efficiency: float) -> SubspaceState:
         the state inside the subspace; the photon survives with probability
         eta and is otherwise replaced by vacuum.
     """
-    n_modes = _whole(n_modes, "n_modes")
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
+    n_modes = _whole(n_modes, "n_modes", 1)
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")
     dim = n_modes + 1

@@ -141,17 +141,13 @@ class OptimizationSpec:
 
     def __post_init__(self):
         for name in ("n_parties", "restarts"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.n_parties < 1:
-            raise ValueError("n_parties must be >= 1")
+            object.__setattr__(self, name, _whole(getattr(self, name), name, 1))
         if not np.isfinite(self.width) or self.width < 0.0:
             raise ValueError("width must be finite and >= 0")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if not self.shared_amplitudes and self.n_parties > 3:
             raise ValueError("per-party amplitudes supported for n_parties <= 3")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError("tolerance must be finite and > 0")
 
@@ -316,9 +312,7 @@ def averaged_correlator_table(
     center per party 2..N, the amplitudes are finite, the width is finite
     and >= 0 and the efficiency lies in [0, 1].
     """
-    n_parties = _whole(n_parties, "n_parties")
-    if n_parties < 1:
-        raise ValueError("n_parties must be >= 1")
+    n_parties = _whole(n_parties, "n_parties", 1)
     centers = np.asarray(centers, dtype=float)
     if centers.shape != (n_parties - 1,):
         raise ValueError("need one center per non-reference party")
@@ -755,12 +749,9 @@ def certainty_frontier(
     ``width_tolerance`` and ``width_max`` finite and > 0 (ValueError
     otherwise, before any search).
     """
-    n_parties = _whole(n_parties, "n_parties")
-    pair_counts = [_whole(m, "pair count") for m in pair_counts]
-    if min(pair_counts, default=1) < 1:
-        raise ValueError("pair counts must be >= 1")
-    if _whole(grid_density, "grid_density") < 360:
-        raise ValueError("grid_density must be >= 360")
+    n_parties = _whole(n_parties, "n_parties", 1)
+    pair_counts = [_whole(m, "pair count", 1) for m in pair_counts]
+    _whole(grid_density, "grid_density", 360)
     if n_parties > 3:
         raise ValueError("center grid only tractable for n_parties <= 3")
     if not (np.isfinite(width_tolerance) and width_tolerance > 0.0):

@@ -84,9 +84,7 @@ class CorrelatorTable:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_parties", _whole(self.n_parties, "n_parties"))
-        if self.n_parties < 1:
-            raise ValueError("n_parties must be >= 1")
+        object.__setattr__(self, "n_parties", _whole(self.n_parties, "n_parties", 1))
         vals = np.array(self.values, dtype=float)
         if vals.shape != (2**self.n_parties,):
             raise ValueError(

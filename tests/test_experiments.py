@@ -326,7 +326,7 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         half = [key for key in basis if any(key) and key[np.flatnonzero(key)[0]] > 0]
         assert len(half) == n * (n - 1) // 2 and len(basis) == 1 + 2 * len(half)
         assert experiments._half_basis(n).tolist() == [list(key) for key in half]
-        _, scan = experiments._frame_scan_coefficients(tables, 0.3)
+        _, scan = experiments._frame_scan_coefficients(tables, n, 0.3)
         assert scan.size == experiments._frame_scan_row_count(n, pair_count) * 2**n
         for j, table in enumerate(tables):
             alone = experiments._symbolic_tables(state, strat, [pair_setting_indices(strat, j)])
@@ -699,7 +699,7 @@ def test_batched_centers_reject_mixed_tables():
     # do not fit it
     two = pair_symbolic_tables(w_state(2), paired_strategy(2, 0.1, -0.5, 2))
     three = pair_symbolic_tables(w_state(3), paired_strategy(3, 0.1, -0.5, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pair tables must share one shape"):
         best_pair_values_over_centers([two[0], three[0]], [[0.3]], 0.2)
     with pytest.raises(ValueError, match="shape"):
         best_pair_values_over_centers(three[:, :, :4], [[0.3]], 0.2)
@@ -765,14 +765,16 @@ def test_symbolic_table_validation():
     ):
         with pytest.raises(ValueError, match="shape"):
             best_pair_values_over_centers(tables, [[0.3]], 0.2)
-    # non-finite and complex coefficients are refused at the boundary
+    # non-finite coefficients, and entries that are not real numbers, are
+    # refused at the boundary
     for bad in (np.nan, np.inf, -np.inf):
         tables = np.ones((2, 3, 4))
         tables[1, 2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             best_pair_values_over_centers(tables, [[0.3]], 0.2)
-    with pytest.raises(ValueError, match="real"):
-        best_pair_values_over_centers(np.ones((1, 3, 4), dtype=complex), [[0.3]], 0.2)
+    for tables in (np.ones((1, 3, 4), dtype=complex), [[["1", "-1"]]], [[[True, False]]]):
+        with pytest.raises(ValueError, match="pair tables must be real numbers"):
+            best_pair_values_over_centers(tables, np.empty((1, 0)), 0.0)
     # the scan leaves its tables as they were; integer tables are read as
     # floats (one party, entries 1 and -1: S = (|0| + |2|) / 2 = 1)
     tables = pair_symbolic_tables(w_state(2), paired_strategy(2, 0.1, -0.5, 2))

@@ -104,6 +104,11 @@ def test_displacement_setting_normalization():
     for bad in ([-0.1, 0.0], [np.inf, 0.0], [np.nan, 0.0], [0.1, np.inf], [0.1, np.nan]):
         with pytest.raises(ValueError, match="finite with amplitude >= 0"):
             MeasurementStrategy(([[0.2, 0.0], bad],))
+    # entries must be real numbers: strings, booleans and complex values
+    # are not read as amplitudes and phases
+    for party in ([["0.5", "1.0"]], [[True, False]], [[0.5 + 0j, 1.0]], [[None, 1.0]]):
+        with pytest.raises(ValueError, match="settings must be real numbers"):
+            MeasurementStrategy(([[0.1, 0.0]], party))
     # each party needs at least one row of two entries
     for party in ([], [[]], [0.1, 0.2], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]):
         with pytest.raises(ValueError, match="party 2 needs one or more"):

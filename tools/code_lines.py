@@ -1,22 +1,20 @@
-"""Count the non-docstring code lines of a Python source tree.
+"""Count the non-docstring code lines of the package under ``src``.
 
 A line counts when it holds a token other than a comment, a newline or an
 indent, so blank and comment-only lines do not count; a token spanning
 several lines (a multi-line string or bracket) counts every line it covers.
 The lines of module, class and function docstrings are then taken out.
-Prints one count per file and their sum:
+Prints one count per ``*.py`` file below ``src`` and their sum:
 
-    python tools/code_lines.py [PATH ...]
-
-PATH defaults to ``src``; a directory counts every ``*.py`` file below it.
+    python tools/code_lines.py
 """
 
-import argparse
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SKIPPED = {
     tokenize.COMMENT,
@@ -52,21 +50,10 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", default=["src"])
-    args = parser.parse_args(argv)
-    files = []
-    for path in map(Path, args.paths):
-        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+if __name__ == "__main__":
     total = 0
-    for path in files:
+    for path in sorted((ROOT / "src").rglob("*.py")):
         count = code_lines(path.read_text())
         total += count
-        print(f"{count:6d}  {path}")
+        print(f"{count:6d}  {path.relative_to(ROOT)}")
     print(total)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
