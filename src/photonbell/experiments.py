@@ -64,7 +64,7 @@ from .fock_core import (
     displacement_matrices,
     lossy_w_state,
 )
-from .phase_noise import PhaseModel
+from .phase_noise import PhaseModel, _whole_seed
 from .wwzb import (
     VIOLATION_ROUNDOFF,
     BellResult,
@@ -621,6 +621,7 @@ def violation_distribution(
     values and is kept as the test oracle.
     """
     n_samples, n_bins = _whole(n_samples, "n_samples", 1), _whole(n_bins, "n_bins", 1)
+    seed = _whole_seed(seed)
     r0, r1 = (float(a) for a in amplitudes)
     state = lossy_w_state(n_parties, efficiency)
     strategy = paired_strategy(n_parties, r0, r1, pair_count)
@@ -644,7 +645,7 @@ def violation_distribution(
         "efficiency": float(efficiency),
         "pair_count": strategy.pair_count,
         "n_samples": n_samples,
-        "seed": int(seed),
+        "seed": seed,
     }
     return ViolationHistogram(
         bin_edges=edges,

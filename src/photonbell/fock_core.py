@@ -26,7 +26,9 @@ cumulative products along the party axis, and the two-hole sum over mode
 pairs j < k is an O(N)-step recurrence over k, vectorized over the batch
 and the states, that is valid for any density matrix.  The observable
 products are formed once per chunk and shared by every state, and each
-state keeps the arithmetic of a call with it alone.  The batch is
+state keeps the arithmetic of a call with it alone.  The state-only
+factors are formed once per stack, so a caller that contracts one stack
+at many batches (an optimizer search) forms them once.  The batch is
 processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices
 divided by the number of states, so memory stays bounded for any batch
 size.  :func:`correlator_tables` is the 2^N-entry table builder behind
@@ -44,6 +46,7 @@ The kernel itself only checks that its results are real
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,12 +218,43 @@ def displacement_matrices(amplitudes, phases) -> np.ndarray:
     return mats
 
 
-def _correlator_rows(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
+class _StateTerms(NamedTuple):
+    """State-only factors of the correlator kernel for a stack of S states.
+
+    ``states`` is the stack (S, N+1, N+1); the others are its vacuum
+    population (S, 1), its one-photon populations and vacuum-excitation
+    coherences (S, 1, N) each, and the two channels of excitation pairs
+    (S, 2, N, N).  Formed once per stack by :func:`_state_terms`, so a
+    caller that contracts the same states many times forms them once.
+    """
+
+    states: np.ndarray
+    vacuum: np.ndarray
+    populations: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    weights: np.ndarray
+
+
+def _state_terms(states: np.ndarray) -> _StateTerms:
+    """Kernel factors of a stack of states (S, N+1, N+1); nothing is validated."""
+    excited = states[:, 1:, 1:]
+    return _StateTerms(
+        states,
+        states[:, 0, 0, None],
+        np.diagonal(states, axis1=1, axis2=2)[:, None, 1:],
+        states[:, None, 0, 1:],
+        states[:, None, 1:, 0],
+        np.stack((excited, excited.swapaxes(1, 2)), axis=1),
+    )
+
+
+def _correlator_rows(terms: _StateTerms, mats: np.ndarray) -> np.ndarray:
     """Complex traces Tr[rho_i (M_1 x ... x M_N)], shape (S, B).
 
-    ``rho`` is a stack of S states (S, N+1, N+1) and ``mats`` holds B rows
-    of observables (B, N, 2, 2).  With m_k(a, b) = <a|M_k|b> the trace
-    splits into the vacuum term, the one-photon populations, the
+    ``terms`` holds a stack of S states (:func:`_state_terms`) and ``mats``
+    B rows of observables (B, N, 2, 2).  With m_k(a, b) = <a|M_k|b> the
+    trace splits into the vacuum term, the one-photon populations, the
     vacuum-excitation coherences and the excitation-excitation coherences,
     each multiplied by the product of m_l(0, 0) over the remaining modes.
     Products with one mode left out are prefix times suffix products.  For
@@ -242,23 +276,20 @@ def _correlator_rows(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
     suf[:, :n] = np.cumprod(m00[:, ::-1], axis=1)[:, ::-1]
     hole = pre[:, :n] * suf[:, 1:]
 
-    total = rho[:, 0, 0, None] * pre[:, n]
-    diagonal = np.diagonal(rho, axis1=1, axis2=2)[:, None, 1:]
-    one_photon = diagonal * m11 + rho[:, None, 0, 1:] * m10 + rho[:, None, 1:, 0] * m01
+    total = terms.vacuum * pre[:, n]
+    one_photon = terms.populations * m11 + terms.upper * m10 + terms.lower * m01
     total += (one_photon * hole).sum(axis=2)
 
     # Channel 0 pairs <e_j|rho|e_k> with m01_j m10_k, channel 1 pairs
     # <e_k|rho|e_j> with m10_j m01_k.  pending[i, :, c, k] accumulates
     # sum_{j<k} weight_c(j, k) opened_c(j) prod_{j<l<k} m00_l for state i.
-    excited = rho[:, 1:, 1:]
-    weights = np.stack((excited, excited.swapaxes(1, 2)), axis=1)
     opened = np.stack((m01, m10), axis=1) * pre[:, None, :n]
     closing = np.stack((m10, m01), axis=1) * suf[:, None, 1:]
-    pending = np.zeros((len(rho), rows, 2, n), dtype=complex)
+    pending = np.zeros((len(terms.states), rows, 2, n), dtype=complex)
     for k in range(n - 1):
         later = pending[..., k + 1 :]
         later *= m00[:, None, k, None]
-        later += opened[:, :, k, None] * weights[:, None, :, k, k + 1 :]
+        later += opened[:, :, k, None] * terms.weights[:, None, :, k, k + 1 :]
     total += (pending * closing).sum(axis=(2, 3))
     return total
 
@@ -266,6 +297,40 @@ def _correlator_rows(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def _chunk_rows(n_modes: int) -> int:
     """Batch rows per kernel chunk for N-mode observable rows."""
     return max(1, CORRELATOR_CHUNK_ELEMENTS // n_modes)
+
+
+def _correlator_values(terms: _StateTerms, rows: np.ndarray) -> np.ndarray:
+    """Real correlators (S, B) of observable rows (B, N, 2, 2) against prepared states.
+
+    The kernel behind :func:`correlator_batch` without its input checks:
+    rows are processed in chunks of ``CORRELATOR_CHUNK_ELEMENTS`` matrices
+    divided by the number of states, and ConsistencyError is raised if the
+    largest imaginary residue exceeds IMAG_RESIDUE_TOL.
+    """
+    count = len(terms.states)
+    values = np.empty((count, len(rows)), dtype=complex)
+    step = max(1, _chunk_rows(rows.shape[1]) // max(1, count))
+    for start in range(0, len(rows), step):
+        values[:, start : start + step] = _correlator_rows(terms, rows[start : start + step])
+    residue = np.max(np.abs(values.imag), initial=0.0)
+    if not residue <= IMAG_RESIDUE_TOL:
+        raise ConsistencyError(f"correlator has imaginary residue {residue:.3e}")
+    return values.real
+
+
+def _kernel_inputs(rho, matrices):
+    """``rho`` and ``matrices`` as complex arrays; ValueError on mismatched shapes."""
+    rho = np.asarray(rho, dtype=complex)
+    mats = np.asarray(matrices, dtype=complex)
+    n = rho.shape[-1] - 1 if rho.ndim >= 2 else 0
+    if n < 1 or rho.shape[-2] != n + 1:
+        raise ValueError(f"state matrix must be square with N >= 1, got {rho.shape}")
+    if mats.ndim < 3 or mats.shape[-3:] != (n, 2, 2):
+        raise ValueError(
+            f"state has {n} modes, observables have shape {mats.shape}; "
+            f"expected (..., {n}, 2, 2)"
+        )
+    return rho, mats
 
 
 def correlator_batch(rho, matrices) -> np.ndarray:
@@ -292,26 +357,34 @@ def correlator_batch(rho, matrices) -> np.ndarray:
     residue over the batch exceeds IMAG_RESIDUE_TOL (a non-Hermitian rho,
     for instance), ValueError on mismatched shapes.
     """
-    rho = np.asarray(rho, dtype=complex)
-    mats = np.asarray(matrices, dtype=complex)
-    n = rho.shape[-1] - 1 if rho.ndim >= 2 else 0
-    if n < 1 or rho.shape[-2] != n + 1:
-        raise ValueError(f"state matrix must be square with N >= 1, got {rho.shape}")
-    if mats.ndim < 3 or mats.shape[-3:] != (n, 2, 2):
-        raise ValueError(
-            f"state has {n} modes, observables have shape {mats.shape}; "
-            f"expected (..., {n}, 2, 2)"
+    rho, mats = _kernel_inputs(rho, matrices)
+    n = mats.shape[-3]
+    terms = _state_terms(rho.reshape(-1, n + 1, n + 1))
+    values = _correlator_values(terms, mats.reshape(-1, n, 2, 2))
+    return values.reshape(rho.shape[:-2] + mats.shape[:-3])
+
+
+def _table_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
+    """Tables (S, P, 2^N) of setting pairs (P, N, 2, 2, 2) against prepared states.
+
+    The table walk behind :func:`correlator_tables` without its input
+    checks.  Entry s of table p uses party k's setting bit k-1 of s; rows
+    are built for a chunk of table indices at a time, so memory stays
+    bounded for any N.
+    """
+    points, n = pairs.shape[:2]
+    size = 2**n
+    parties = np.arange(n)
+    tables = np.empty((len(terms.states), points, size))
+    step = max(1, _chunk_rows(n) // max(1, points))
+    for start in range(0, size, step):
+        index = np.arange(start, min(start + step, size))
+        bits = (index[:, None] >> parties) & 1
+        rows = pairs[:, parties, bits].reshape(-1, n, 2, 2)
+        tables[..., start : start + step] = _correlator_values(terms, rows).reshape(
+            len(terms.states), points, len(index)
         )
-    states = rho.reshape(-1, n + 1, n + 1)
-    flat = mats.reshape(-1, n, 2, 2)
-    values = np.empty((len(states), len(flat)), dtype=complex)
-    step = max(1, _chunk_rows(n) // max(1, len(states)))
-    for start in range(0, len(flat), step):
-        values[:, start : start + step] = _correlator_rows(states, flat[start : start + step])
-    residue = np.max(np.abs(values.imag), initial=0.0)
-    if not residue <= IMAG_RESIDUE_TOL:
-        raise ConsistencyError(f"correlator has imaginary residue {residue:.3e}")
-    return values.real.reshape(rho.shape[:-2] + mats.shape[:-3])
+    return tables
 
 
 def correlator_tables(rho, pairs) -> np.ndarray:
@@ -323,13 +396,8 @@ def correlator_tables(rho, pairs) -> np.ndarray:
     at a time and contracted against every state at once, so memory stays
     bounded for any N.  Errors are those of :func:`correlator_batch`.
     """
-    points, n = pairs.shape[:2]
-    size = 2**n
-    parties = np.arange(n)
-    tables = np.empty(np.shape(rho)[:-2] + (points, size))
-    step = max(1, _chunk_rows(n) // points)
-    for start in range(0, size, step):
-        index = np.arange(start, min(start + step, size))
-        bits = (index[:, None] >> parties) & 1
-        tables[..., start : start + step] = correlator_batch(rho, pairs[:, parties, bits])
-    return tables
+    pairs = np.asarray(pairs, dtype=complex)
+    rho, _ = _kernel_inputs(rho, pairs[:, :, 0])
+    n = pairs.shape[1]
+    tables = _table_values(_state_terms(rho.reshape(-1, n + 1, n + 1)), pairs)
+    return tables.reshape(rho.shape[:-2] + tables.shape[1:])

@@ -28,18 +28,24 @@ whose coefficients come from the state (each entry of rho_w carries 1,
 q or q^2).  The equivalence with the symbolic-average route is exact and
 is enforced by tests.
 
-The settings of every point, party and setting are built as one array
-by :func:`~photonbell.fock_core.displacement_matrices`, at phases
-(0, c_1, ..., c_{N-1}), and validated once per table build with the
-closed-form Hermiticity and eigenvalue checks of
-:func:`~photonbell.fock_core.check_observable_matrices`; the lossy states
-are built, validated, dephased and stacked once per (N, efficiencies,
-width).  The tables of every efficiency are then one call of the batched
-kernel :func:`~photonbell.fock_core.correlator_batch` against that stack: 2N
-rows when parties 2..N are exchangeable, otherwise all 2^N rows through
-the package's one table builder
-:func:`~photonbell.fock_core.correlator_tables`.  Inputs
-from outside (amplitudes, centers, width, efficiency) are checked at
+A search prepares its score once (:func:`_bell_scores`,
+:func:`_crossing_scores`).  The point-independent work happens then, in
+:class:`_AveragedTables`: the lossy states are built, validated,
+dephased and stacked once per (N, efficiencies, width), together with
+their kernel factors, the setting each exchangeable party takes in each
+row and the row each table entry reads.  Each step then builds only its
+points' settings with :func:`~photonbell.fock_core.displacement_matrices`
+and checks them with the closed-form Hermiticity and eigenvalue bounds of
+:func:`~photonbell.fock_core.check_observable_matrices`: one pair per
+point in a pinned shared-amplitude search, where every point is
+exchangeable, and every party's pair at phases (0, c_1, ..., c_{N-1})
+otherwise.  The tables of every efficiency are one kernel call per route
+against the prepared stack: 2N rows when parties 2..N are exchangeable,
+otherwise all 2^N rows through the package's one table walk (the one
+behind :func:`~photonbell.fock_core.correlator_tables`).
+:func:`averaged_correlator_table` builds its one table with the same
+class, so each kind of point has one table route.  Inputs from outside
+(amplitudes, centers, width, efficiency) are checked at
 :func:`averaged_correlator_table` and :class:`OptimizationSpec`.
 
 :func:`maximize_bell` and :func:`threshold_efficiency` share one search
@@ -47,10 +53,11 @@ driver over a batched score: the start cloud is scored in one call, and
 the restarts walk in lockstep.  Each walker is a generator that yields
 every point its next step might need (the four candidate moves of an
 iteration, or the vertices of a shrink), and the driver scores the
-blocks of all live walkers in one call.  A walker uses only the values
-SciPy's one-point loop would have computed, and a row's score does not
-depend on its batch, so the results and evaluation counts are SciPy's.
-The Bell scores of a batch come from one batched Walsh-Hadamard transform.
+blocks of all live walkers in one call, or a lone walker's block as it
+is.  A walker uses only the values SciPy's one-point loop would have
+computed, and a row's score does not depend on its batch, so the results
+and evaluation counts are SciPy's.  The Bell scores of a batch come from
+one batched Walsh-Hadamard transform.
 
 The loss threshold needs no search over efficiencies.  Correlators are
 affine in the efficiency eta, so at fixed search coordinates x the
@@ -85,10 +92,11 @@ from .experiments import (
 from .fock_core import (
     TWO_PI,
     ConsistencyError,
+    _correlator_values,
+    _state_terms,
+    _table_values,
     _whole,
     check_observable_matrices,
-    correlator_batch,
-    correlator_tables,
     displacement_matrices,
     lossy_w_state,
 )
@@ -217,64 +225,69 @@ def _setting_weights(rest: int) -> np.ndarray:
     return weights
 
 
-def _symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
-    """Tables (..., P, 2^N) of points whose parties 2..N share one setting pair.
+class _AveragedTables:
+    """Averaged tables of N parties at one width and E efficiencies.
 
-    Those parties are exchangeable, so xi(s) depends only on s_1 and on how
-    many of s_2..s_N are 1: 2N correlators per point and state fill the
-    2^N entries.  ``rho`` is one state or a stack, as for
-    :func:`~photonbell.fock_core.correlator_tables`.
+    Construction does the work that no point changes: the stacked
+    frame-averaged lossy states and their kernel factors, the setting
+    each of parties 2..N takes in each exchangeable row, and the row each
+    table entry reads.  A search builds one and calls it at every step.
     """
-    points, n = options.shape[:2]
-    rest = n - 1
-    ones = np.arange(rest + 1)
-    # Row (s_1, ones): parties 2..ones+1 use setting 1, the others setting 0.
-    pick = (np.arange(1, n) <= ones[:, None])[..., None, None]
-    shared = options[:, -1, :, None, None]  # the pair parties 2..N share
-    mats = np.empty((points, 2, rest + 1, n, 2, 2), dtype=complex)
-    mats[:, :, :, 0] = options[:, 0, :, None]
-    mats[:, :, :, 1:] = np.where(pick, shared[:, 1], shared[:, 0])[:, None]
-    distinct = correlator_batch(rho, mats)
-    # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
-    pairs = np.ascontiguousarray(distinct.swapaxes(-1, -2))
-    return np.take(pairs, _setting_weights(rest), axis=-2).reshape(*pairs.shape[:-2], 2**n)
 
+    def __init__(self, n_parties: int, width: float, efficiencies: tuple):
+        etas = tuple(float(eta) for eta in efficiencies)
+        self.n_parties = n_parties
+        self.terms = _state_terms(_lossy_rhos(int(n_parties), etas, float(width)))
+        # Row (s_1, ones): parties 2..ones+1 use setting 1, the others setting 0.
+        ones = np.arange(n_parties)
+        self.pick = (np.arange(1, n_parties) <= ones[:, None]).astype(np.intp)
+        self.weights = _setting_weights(n_parties - 1)
 
-def _averaged_tables(
-    n_parties: int,
-    amplitudes: np.ndarray,
-    centers: np.ndarray,
-    width: float,
-    efficiencies: tuple,
-) -> np.ndarray:
-    """Averaged tables (E, P, 2^N) of P points at each of E efficiencies.
+    def symmetric(self, ref: np.ndarray, shared: np.ndarray) -> np.ndarray:
+        """Tables (E, P, 2^N) of points whose parties 2..N share one setting pair.
 
-    ``amplitudes`` (P, N, 2) holds already validated signed amplitudes as
-    (point, party, setting) and ``centers`` (P, N-1) the frame centers.
-    Party p's settings are the displaced click observables of its two
-    amplitudes at phase c_{p-1} (party 1 at phase 0), built and checked
-    once, and each route contracts them against the stacked
-    frame-averaged lossy states of every efficiency in one kernel call.
-    A point takes the exchangeable-party route when every party has the
-    same amplitude pair and all centers coincide.  Each table depends only
-    on its own point: a batch gives the same values, bit for bit, as
-    scoring every point alone.
-    """
-    phases = np.zeros(amplitudes.shape[:2])
-    phases[:, 1:] = centers
-    options = displacement_matrices(amplitudes, phases[..., None])
-    check_observable_matrices(options)
-    symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
-        centers == centers[:, :1], axis=1
-    )
-    routes = ((symmetric, _symmetric_tables), (~symmetric, correlator_tables))
-    etas = tuple(float(eta) for eta in efficiencies)
-    rhos = _lossy_rhos(int(n_parties), etas, float(width))
-    tables = np.empty((len(efficiencies), len(options), 2**n_parties))
-    for mask, build in routes:
-        if mask.any():
-            tables[:, mask] = build(rhos, options[mask])
-    return tables
+        ``ref`` and ``shared`` (P, 2, 2, 2) are party 1's settings and the
+        pair parties 2..N share, already checked.  Those parties are
+        exchangeable, so xi(s) depends only on s_1 and on how many of
+        s_2..s_N are 1: 2N correlators per point and state, in one kernel
+        call, fill the 2^N entries.
+        """
+        n = self.n_parties
+        points = len(ref)
+        mats = np.empty((points, 2, n, n, 2, 2), dtype=complex)
+        mats[:, :, :, 0] = ref[:, :, None]
+        mats[:, :, :, 1:] = shared[:, None, self.pick]
+        distinct = _correlator_values(self.terms, mats.reshape(-1, n, 2, 2))
+        # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
+        pairs = np.ascontiguousarray(distinct.reshape(-1, points, 2, n).swapaxes(-1, -2))
+        return np.take(pairs, self.weights, axis=-2).reshape(-1, points, 2**n)
+
+    def __call__(self, amplitudes: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """Tables (E, P, 2^N) of P points, each routed by its own parameters.
+
+        ``amplitudes`` (P, N, 2) holds already validated signed amplitudes
+        as (point, party, setting) and ``centers`` (P, N-1) the frame
+        centers.  Party p's settings are the displaced click observables
+        of its two amplitudes at phase c_{p-1} (party 1 at phase 0), built
+        and checked in one call.  A point takes the exchangeable route
+        when every party has the same amplitude pair and all centers
+        coincide, the others get all 2^N entries through one table walk.
+        Each table depends only on its own point: a batch gives the same
+        values, bit for bit, as every point alone.
+        """
+        phases = np.zeros(amplitudes.shape[:2])
+        phases[:, 1:] = centers
+        options = displacement_matrices(amplitudes, phases[..., None])
+        check_observable_matrices(options)
+        symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
+            centers == centers[:, :1], axis=1
+        )
+        tables = np.empty((len(self.terms.states), len(options), 2**self.n_parties))
+        if symmetric.any():
+            tables[:, symmetric] = self.symmetric(options[symmetric, 0], options[symmetric, -1])
+        if not symmetric.all():
+            tables[:, ~symmetric] = _table_values(self.terms, options[~symmetric])
+        return tables
 
 
 def _per_party_amplitudes(n_parties: int, r0, r1):
@@ -323,9 +336,8 @@ def averaged_correlator_table(
     amplitudes = np.stack(_per_party_amplitudes(n_parties, r0, r1), axis=-1)
     if not np.all(np.isfinite(amplitudes)):
         raise ValueError("amplitudes must be finite")
-    return _averaged_tables(
-        n_parties, amplitudes[None], centers[None], width, (efficiency,)
-    )[0, 0]
+    tables = _AveragedTables(n_parties, width, (efficiency,))
+    return tables(amplitudes[None], centers[None])[0, 0]
 
 
 def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
@@ -345,19 +357,43 @@ def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
     return amplitudes, centers
 
 
-def _bell_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
-    """Negated frame-averaged Bell value at every row of ``points``.
+def _point_tables(spec: OptimizationSpec, efficiencies: tuple):
+    """Table function of a search, from points (P, dims) to tables (E, P, 2^N).
 
-    One batched transform; each row's sum is formed as in ``wwzb_value``,
-    so the scores equal -wwzb_value bit for bit.
+    The :class:`_AveragedTables` are built once, here.  A pinned
+    shared-amplitude search is exchangeable at every point, party 1
+    included, so each step builds and checks one settings pair per point
+    and needs no route masks; the other searches route every point.
     """
-    amplitudes, centers = _point_parameters(spec, points)
-    (tables,) = _averaged_tables(
-        spec.n_parties, amplitudes, centers, spec.width, (spec.efficiency,)
-    )
-    if not np.all(np.abs(tables) <= 1.0 + TABLE_RANGE_TOL):
-        raise ValueError("correlators must lie in [-1, 1] up to roundoff")
-    return -np.abs(_walsh_hadamard(tables)).sum(axis=-1) / 2**spec.n_parties
+    tables = _AveragedTables(spec.n_parties, spec.width, efficiencies)
+    if spec.shared_amplitudes and not spec.optimize_phases:
+
+        def pinned(points):
+            options = displacement_matrices(points, 0.0)
+            check_observable_matrices(options)
+            return tables.symmetric(options, options)
+
+        return pinned
+    return lambda points: tables(*_point_parameters(spec, points))
+
+
+def _bell_scores(spec: OptimizationSpec):
+    """Score of a search for :func:`maximize_bell`, prepared once.
+
+    Returns ``score(points)``, the negated frame-averaged Bell value at
+    every row of ``points``: the tables' [-1, 1] range check, then one
+    batched transform.  Each row's sum is formed as in ``wwzb_value``, so
+    the scores equal -wwzb_value bit for bit.
+    """
+    tables_at = _point_tables(spec, (spec.efficiency,))
+
+    def score(points):
+        (tables,) = tables_at(points)
+        if not np.all(np.abs(tables) <= 1.0 + TABLE_RANGE_TOL):
+            raise ValueError("correlators must lie in [-1, 1] up to roundoff")
+        return -np.abs(_walsh_hadamard(tables)).sum(axis=-1) / 2**spec.n_parties
+
+    return score
 
 
 def _crossing_efficiency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -404,32 +440,35 @@ def _crossing_efficiency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
-    """Crossing efficiency eta*(x) at every row of ``points``.
+def _crossing_scores(spec: OptimizationSpec):
+    """Score of a search for :func:`threshold_efficiency`, prepared once.
 
-    Points that do not violate even at eta = 1 score the plateau penalty
-    (see :func:`_crossing_efficiency`).  Tables at eta = 0 and eta = 1
-    come from one settings build and one kernel call per route against
-    both frame-averaged states, and go through one batched Walsh-Hadamard
-    transform.  Raises ConsistencyError, naming the point,
-    if the vacuum table violates: the vacuum is a product state and cannot.
+    Returns ``score(points)``, the crossing efficiency eta*(x) at every
+    row of ``points``.  Points that do not violate even at eta = 1 score
+    the plateau penalty (see :func:`_crossing_efficiency`).  Tables at
+    eta = 0 and eta = 1 come from one settings build and one kernel call
+    per route against both frame-averaged states, and go through one
+    batched Walsh-Hadamard transform.  Raises ConsistencyError, naming
+    the point, if the vacuum table violates: the vacuum is a product
+    state and cannot.
     """
     n = spec.n_parties
-    amplitudes, centers = _point_parameters(spec, points)
-    tables = _averaged_tables(
-        n, amplitudes, centers, spec.width, _THRESHOLD_EFFICIENCIES
-    )
-    vacuum, lossless = _walsh_hadamard(tables) / 2**n
-    s_vacuum = np.abs(vacuum).sum(axis=-1)
-    bad = np.flatnonzero(~(s_vacuum <= 1.0 + VIOLATION_ROUNDOFF))
-    if bad.size:
-        i = bad[0]
-        raise ConsistencyError(
-            f"vacuum Bell value {s_vacuum[i]!r} exceeds 1 for n_parties={n}, "
-            f"width={spec.width!r}, search point {np.asarray(points)[i].tolist()}; "
-            "a product state cannot violate"
-        )
-    return _crossing_efficiency(vacuum, lossless - vacuum)
+    tables_at = _point_tables(spec, _THRESHOLD_EFFICIENCIES)
+
+    def score(points):
+        vacuum, lossless = _walsh_hadamard(tables_at(points)) / 2**n
+        s_vacuum = np.abs(vacuum).sum(axis=-1)
+        bad = np.flatnonzero(~(s_vacuum <= 1.0 + VIOLATION_ROUNDOFF))
+        if bad.size:
+            i = bad[0]
+            raise ConsistencyError(
+                f"vacuum Bell value {s_vacuum[i]!r} exceeds 1 for n_parties={n}, "
+                f"width={spec.width!r}, search point {np.asarray(points)[i].tolist()}; "
+                "a product state cannot violate"
+            )
+        return _crossing_efficiency(vacuum, lossless - vacuum)
+
+    return score
 
 
 def _first_primes(count: int) -> np.ndarray:
@@ -610,23 +649,27 @@ def _lockstep(spec: OptimizationSpec, score, walkers) -> list:
     """Run simplex walkers side by side and return their results in order.
 
     Each step concatenates the pending block of every live walker and
-    scores it in ``score(spec, points)`` calls of at most
-    :func:`_scan_points` rows, the size of the start-cloud scan, so no call
-    builds more tables than :func:`_scan_table_count` counts.  A row's
-    score depends only on that row, so every walker sees the values it
-    would get alone.
+    scores it in ``score(points)`` calls of at most :func:`_scan_points`
+    rows, the size of the start-cloud scan, so no call builds more tables
+    than :func:`_scan_table_count` counts.  A lone walker's block (at most
+    dims + 1 rows, well under the scan) is scored as it is.  A row's score
+    depends only on that row, so every walker sees the values it would
+    get alone.
     """
     rows = _scan_points(spec)
     results = [None] * len(walkers)
     pending = {i: next(walker) for i, walker in enumerate(walkers)}
     while pending:
         blocks = list(pending.values())
-        points = np.concatenate(blocks)
-        values = np.concatenate(
-            [score(spec, points[i : i + rows]) for i in range(0, len(points), rows)]
-        )
-        splits = np.cumsum([len(block) for block in blocks[:-1]])
-        for i, block_values in zip(list(pending), np.split(values, splits)):
+        if len(blocks) == 1:
+            parts = [score(blocks[0])]
+        else:
+            points = np.concatenate(blocks)
+            values = np.concatenate(
+                [score(points[i : i + rows]) for i in range(0, len(points), rows)]
+            )
+            parts = np.split(values, np.cumsum([len(block) for block in blocks[:-1]]))
+        for i, block_values in zip(list(pending), parts):
             try:
                 pending[i] = walkers[i].send(block_values)
             except StopIteration as done:
@@ -636,22 +679,24 @@ def _lockstep(spec: OptimizationSpec, score, walkers) -> list:
 
 
 def _search(spec: OptimizationSpec, score):
-    """Multistart simplex minimization of a batched score over the search box.
+    """Multistart simplex minimization of a prepared batched score over the search box.
 
-    ``score(spec, points)`` maps points of shape (P, dims) to P values,
-    each depending only on its own row.  The start cloud is scored in one
-    call, and a bounded Nelder-Mead walker (:func:`_nelder_mead`, capped
-    at 400 evaluations per coordinate) starts from each of the
-    ``spec.restarts`` best cloud points (stable order).  The walkers run
-    in lockstep, one score call per step for all of them (split into
-    calls no larger than the scan), and each walks exactly as alone.
-    Returns the best walker's :class:`_SimplexResult` (lowest restart
-    index on ties) and the number of points the walks used, scan
-    included; speculative rows a walk did not use are not counted.
+    ``score(points)`` maps points of shape (P, dims) to P values, each
+    depending only on its own row; it is prepared once per search
+    (:func:`_bell_scores`, :func:`_crossing_scores`).  The start cloud is
+    scored in one call, and a bounded Nelder-Mead walker
+    (:func:`_nelder_mead`, capped at 400 evaluations per coordinate)
+    starts from each of the ``spec.restarts`` best cloud points (stable
+    order).  The walkers run in lockstep, one score call per step for all
+    of them (split into calls no larger than the scan), and each walks
+    exactly as alone.  Returns the best walker's :class:`_SimplexResult`
+    (lowest restart index on ties) and the number of points the walks
+    used, scan included; speculative rows a walk did not use are not
+    counted.
     """
     (lower, upper), cloud = _search_box(spec)
     max_evals = 400 * len(lower)
-    starts = cloud[np.argsort(score(spec, cloud), kind="stable")[: spec.restarts]]
+    starts = cloud[np.argsort(score(cloud), kind="stable")[: spec.restarts]]
     walkers = [_nelder_mead(x0, lower, upper, spec.tolerance, max_evals) for x0 in starts]
     results = _lockstep(spec, score, walkers)
     best = min(results, key=lambda result: result.fun)
@@ -669,7 +714,7 @@ def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
     than by the iteration cap; ``evaluations`` counts objective calls
     including the scan.
     """
-    best, evaluations = _search(spec, _bell_scores)
+    best, evaluations = _search(spec, _bell_scores(spec))
     amplitudes, centers = _point_parameters(spec, best.x[None])
     if spec.shared_amplitudes:
         party_amplitudes = None
@@ -720,7 +765,7 @@ def threshold_efficiency(
         restarts=restarts,
         tolerance=tolerance,
     )
-    best, _ = _search(spec, _crossing_scores)
+    best, _ = _search(spec, _crossing_scores(spec))
     if best.fun < 1.0:
         return ThresholdResult(efficiency=float(best.fun), violable=True)
     return ThresholdResult(efficiency=1.0, violable=False)

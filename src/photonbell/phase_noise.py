@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import TWO_PI
+from .fock_core import TWO_PI, _whole
 
 __all__ = [
     "PhaseModel",
@@ -70,16 +70,26 @@ class PhaseModel:
         return len(self.centers)
 
 
+def _whole_seed(seed) -> int:
+    """``seed`` as an int; ValueError unless it is a whole number in [0, 2^64)."""
+    seed = _whole(seed, "seed", 0)
+    if seed > _MASK64:
+        raise ValueError("seed must be < 2**64")
+    return seed
+
+
 def child_seed(seed: int, index: int) -> int:
     """Derive a decorrelated 64-bit child seed for Monte Carlo shard ``index``.
 
     Splitmix-style mixing: advance the root seed by the 64-bit golden-ratio
     increment per shard, then apply the splitmix64 finalizer.  Deterministic
-    and collision-free across shard indices for a fixed root seed.
+    and collision-free across shard indices for a fixed root seed.  The
+    seed must be a whole number in [0, 2^64) and the index a whole number
+    >= 0 (integral floats pass); ValueError otherwise.
     """
-    if index < 0:
-        raise ValueError("index must be >= 0")
-    z = (int(seed) + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
+    seed = _whole_seed(seed)
+    index = _whole(index, "index", 0)
+    z = (seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64

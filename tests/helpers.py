@@ -15,11 +15,20 @@ from photonbell.fock_core import (
     IMAG_RESIDUE_TOL,
     TWO_PI,
     check_observable_matrices,
+    correlator_batch,
     correlator_tables,
     displacement_matrices,
     lossy_w_state,
 )
-from photonbell.optimize import _search_box, _symmetric_tables
+from photonbell.optimize import (
+    _THRESHOLD_EFFICIENCIES,
+    _crossing_efficiency,
+    _lossy_rhos,
+    _point_parameters,
+    _search_box,
+    _setting_weights,
+)
+from photonbell.wwzb import TABLE_RANGE_TOL, VIOLATION_ROUNDOFF, _walsh_hadamard
 
 # Imaginary residue the complex frame scan allows in its real tables.
 IMAG_TOL = 1e-10
@@ -300,6 +309,86 @@ def symbolic_rows_per_component(state: SubspaceState, strategy, index_sets) -> n
     return rows
 
 
+def symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
+    """Tables (..., P, 2^N) of points whose parties 2..N share one setting pair.
+
+    The per-call exchangeable route: ``options`` (P, N, 2, 2, 2) holds
+    every party's settings, and the 2N distinct rows of each point are
+    rebuilt from party 1's and party N's pairs through a ``pick`` mask
+    and contracted by one ``correlator_batch`` call.  Part of the oracle
+    of ``optimize._AveragedTables``.
+    """
+    points, n = options.shape[:2]
+    rest = n - 1
+    ones = np.arange(rest + 1)
+    # Row (s_1, ones): parties 2..ones+1 use setting 1, the others setting 0.
+    pick = (np.arange(1, n) <= ones[:, None])[..., None, None]
+    shared = options[:, -1, :, None, None]  # the pair parties 2..N share
+    mats = np.empty((points, 2, rest + 1, n, 2, 2), dtype=complex)
+    mats[:, :, :, 0] = options[:, 0, :, None]
+    mats[:, :, :, 1:] = np.where(pick, shared[:, 1], shared[:, 0])[:, None]
+    distinct = correlator_batch(rho, mats)
+    # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
+    pairs = np.ascontiguousarray(distinct.swapaxes(-1, -2))
+    return np.take(pairs, _setting_weights(rest), axis=-2).reshape(*pairs.shape[:-2], 2**n)
+
+
+def per_call_averaged_tables(n_parties, amplitudes, centers, width, efficiencies):
+    """Averaged tables (E, P, 2^N) of P points, every step redone per call.
+
+    Builds and checks all 2N settings of every point, looks up the
+    stacked frame-averaged states, computes both route masks and sends
+    exchangeable points through :func:`symmetric_tables` and the rest
+    through ``correlator_tables``.  Oracle of ``optimize._AveragedTables``
+    and of the prepared scores, which must equal it bit for bit.
+    """
+    phases = np.zeros(amplitudes.shape[:2])
+    phases[:, 1:] = centers
+    options = displacement_matrices(amplitudes, phases[..., None])
+    check_observable_matrices(options)
+    symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
+        centers == centers[:, :1], axis=1
+    )
+    etas = tuple(float(eta) for eta in efficiencies)
+    rhos = _lossy_rhos(int(n_parties), etas, float(width))
+    tables = np.empty((len(efficiencies), len(options), 2**n_parties))
+    for mask, build in ((symmetric, symmetric_tables), (~symmetric, correlator_tables)):
+        if mask.any():
+            tables[:, mask] = build(rhos, options[mask])
+    return tables
+
+
+def per_call_bell_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
+    """Negated Bell values of search points through :func:`per_call_averaged_tables`.
+
+    Oracle of ``optimize._bell_scores(spec)``: same range check, same
+    batched transform and sum.
+    """
+    amplitudes, centers = _point_parameters(spec, points)
+    (tables,) = per_call_averaged_tables(
+        spec.n_parties, amplitudes, centers, spec.width, (spec.efficiency,)
+    )
+    if not np.all(np.abs(tables) <= 1.0 + TABLE_RANGE_TOL):
+        raise ValueError("correlators must lie in [-1, 1] up to roundoff")
+    return -np.abs(_walsh_hadamard(tables)).sum(axis=-1) / 2**spec.n_parties
+
+
+def per_call_crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
+    """Crossing efficiencies of search points through :func:`per_call_averaged_tables`.
+
+    Oracle of ``optimize._crossing_scores(spec)``, vacuum check included.
+    """
+    n = spec.n_parties
+    amplitudes, centers = _point_parameters(spec, points)
+    tables = per_call_averaged_tables(
+        n, amplitudes, centers, spec.width, _THRESHOLD_EFFICIENCIES
+    )
+    vacuum, lossless = _walsh_hadamard(tables) / 2**n
+    if not np.all(np.abs(vacuum).sum(axis=-1) <= 1.0 + VIOLATION_ROUNDOFF):
+        raise ConsistencyError("vacuum Bell value exceeds 1")
+    return _crossing_efficiency(vacuum, lossless - vacuum)
+
+
 def dressed_observables(amplitudes: np.ndarray, centers: np.ndarray, width: float):
     """Frame-averaged observables of every party, setting and point.
 
@@ -332,9 +421,10 @@ def dressed_averaged_tables(n_parties, amplitudes, centers, width, efficiencies)
 
     The noise sits in the observables instead of the state: the undamped
     lossy states against :func:`dressed_observables`, routed as
-    ``optimize._averaged_tables`` routes its points (exchangeable parties
-    through ``_symmetric_tables``, the rest through ``correlator_tables``).
-    Oracle for ``_averaged_tables``, which dephases the state.
+    ``optimize._AveragedTables`` routes its points (exchangeable parties
+    through :func:`symmetric_tables`, the rest through
+    ``correlator_tables``).  Oracle for ``_AveragedTables``, which
+    dephases the state.
     """
     options = dressed_observables(amplitudes, centers, width)
     rhos = np.stack([lossy_w_state(n_parties, eta).matrix for eta in efficiencies])
@@ -342,7 +432,7 @@ def dressed_averaged_tables(n_parties, amplitudes, centers, width, efficiencies)
         centers == centers[:, :1], axis=1
     )
     tables = np.empty((len(efficiencies), len(options), 2**n_parties))
-    for mask, build in ((symmetric, _symmetric_tables), (~symmetric, correlator_tables)):
+    for mask, build in ((symmetric, symmetric_tables), (~symmetric, correlator_tables)):
         if mask.any():
             tables[:, mask] = build(rhos, options[mask])
     return tables
@@ -435,18 +525,19 @@ def scipy_simplex(objective, x0, lower, upper, tolerance: float, max_evals: int)
 def scipy_search(spec: OptimizationSpec, score):
     """Oracle of ``optimize._search``: SciPy's simplex, one point per call.
 
-    Scores the start cloud in one call, then runs SciPy's simplex from
+    ``score(points)`` is a prepared score such as
+    ``optimize._bell_scores(spec)``.  Scores the start cloud in one call, then runs SciPy's simplex from
     each of the ``spec.restarts`` best cloud points in turn.  Returns the
     best result (lowest restart index on ties) and the number of points
     scored, scan included.
     """
     (lower, upper), cloud = _search_box(spec)
-    starts = cloud[np.argsort(score(spec, cloud), kind="stable")[: spec.restarts]]
+    starts = cloud[np.argsort(score(cloud), kind="stable")[: spec.restarts]]
     best = None
     evaluations = len(cloud)
     for x0 in starts:
         result = scipy_simplex(
-            lambda x: score(spec, x[None])[0],
+            lambda x: score(x[None])[0],
             x0,
             lower,
             upper,

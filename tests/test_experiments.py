@@ -225,6 +225,21 @@ def test_counts_must_be_whole_numbers(monkeypatch):
             certainty_frontier(1, 1.0, (2, bad), grid_density=360)
 
 
+def test_distribution_seeds_are_checked_like_counts():
+    # a seed is a whole number in [0, 2^64): 2.5 once reached numpy's
+    # SeedSequence and raised its TypeError
+    kwargs = dict(
+        amplitudes=(0.17, -0.56), width=0.4, efficiency=0.9, pair_count=2, n_samples=40
+    )
+    for bad in (2.5, 0.5, -1, 2**64, True):
+        with pytest.raises(ValueError, match="seed must be"):
+            violation_distribution(2, seed=bad, **kwargs)
+    whole = violation_distribution(2, seed=3.0, **kwargs)
+    plain = violation_distribution(2, seed=3, **kwargs)
+    assert json.dumps(whole.to_json_dict()) == json.dumps(plain.to_json_dict())
+    assert whole.metadata["seed"] == 3 and type(whole.metadata["seed"]) is int
+
+
 def shifted_matrices(strategy, indices, offsets, index: int) -> np.ndarray:
     """Observables (N, 2, 2) of table entry ``index``, shifted by the offsets.
 

@@ -342,6 +342,10 @@ def test_stacked_states_match_single_state_calls(n, monkeypatch):
             assert np.array_equal(stacked_tables[i], tables[k])
     # one state as a stack of one keeps its leading axis
     assert correlator_batch(states[:1, 0], mats).shape == (1, 5, 7)
+    # an empty batch is empty on both entry points (the table walk once
+    # divided its chunk budget by the zero point count)
+    assert correlator_batch(states, mats[:0]).shape == (2, 3, 0, 7)
+    assert correlator_tables(states, pairs[:0]).shape == (2, 3, 0, 2**n)
 
 
 def test_correlator_batch_rejects_non_hermitian_state():

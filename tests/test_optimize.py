@@ -8,6 +8,9 @@ import pytest
 from helpers import (
     bisect_threshold,
     dressed_averaged_tables,
+    per_call_averaged_tables,
+    per_call_bell_scores,
+    per_call_crossing_scores,
     random_state,
     sample_offsets,
     scipy_search,
@@ -30,10 +33,10 @@ from photonbell import (
 )
 import photonbell.optimize as optimize
 from photonbell.experiments import _offset_frequencies
-from photonbell.fock_core import correlator_batch, correlator_tables
+from photonbell.fock_core import _correlator_values, _table_values
 from photonbell.optimize import (
     VIOLATION_ROUNDOFF,
-    _averaged_tables,
+    _AveragedTables,
     _bell_scores,
     _crossing_efficiency,
     _crossing_scores,
@@ -110,13 +113,14 @@ def test_batched_scan_equals_one_point_objective(spec):
     # must equal the one-point scores bit for bit; the joint cloud's first
     # point has equal centers and takes the exchangeable route
     _, cloud = _search_box(spec)
-    scores = _bell_scores(spec, cloud)
-    crossings = _crossing_scores(spec, cloud)
+    bell, crossing = _bell_scores(spec), _crossing_scores(spec)
+    scores = bell(cloud)
+    crossings = crossing(cloud)
     assert scores.shape == crossings.shape == (len(cloud),)
     amplitudes, centers = _point_parameters(spec, cloud)
     for i, x in enumerate(cloud):
-        assert scores[i] == _bell_scores(spec, x[None])[0]
-        assert crossings[i] == _crossing_scores(spec, x[None])[0]
+        assert scores[i] == bell(x[None])[0]
+        assert crossings[i] == crossing(x[None])[0]
         table = averaged_correlator_table(
             spec.n_parties,
             amplitudes[i, :, 0],
@@ -136,6 +140,117 @@ def test_evaluation_counts_unchanged():
         OptimizationSpec(3, 0.25, efficiency=0.93, optimize_phases=True, restarts=1)
     )
     assert joint.evaluations == 338
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (
+            OptimizationSpec(2, 0.2, efficiency=0.95, optimize_phases=False, restarts=2),
+            (1.2280699377473796, -0.5697379004578493, 0.17011738349625302, 206),
+        ),
+        (
+            OptimizationSpec(9, 0.15, efficiency=0.9, optimize_phases=False, restarts=2),
+            (1.390878720779531, -0.26952835030475475, 0.13617381183710364, 231),
+        ),
+        (
+            OptimizationSpec(3, 0.25, efficiency=0.93, restarts=1),
+            (1.2806677881557116, 0.19064721531455686, -0.4568293608872702, 338),
+        ),
+        (
+            OptimizationSpec(2, 0.1, optimize_phases=False, shared_amplitudes=False, restarts=2),
+            (1.3414668556192062, -0.16466983545403946, 0.5622310753631863, 646),
+        ),
+    ],
+)
+def test_search_results_are_pinned(spec, expected):
+    # exact values of pinned N=2 and N=9, joint N=3 and per-party N=2
+    # searches, recorded before the scores were prepared once per search:
+    # a faster score must not move a single bit of any result
+    report = maximize_bell(spec)
+    assert (report.best_s, report.r, report.r_prime, report.evaluations) == expected
+
+
+def test_threshold_and_frontier_results_are_pinned():
+    # exact values recorded with the per-call score pipeline
+    assert threshold_efficiency(2, 0.2, tolerance=1e-4, restarts=2).efficiency == (
+        0.8401399885817341
+    )
+    assert threshold_efficiency(4, 0.2, tolerance=1e-4, restarts=2).efficiency == (
+        0.7647053623583925
+    )
+    frontier = certainty_frontier(
+        2, 0.9, [8], grid_density=360, width_tolerance=0.05, restarts=1
+    )
+    assert frontier == [(8, 0.6500000000000001)]
+
+
+def _oracle_points(spec, rng):
+    """Cloud points, random points, amplitudes at +-3 and 0, equal and distinct centers."""
+    n_amp, n_phase = optimize._search_dims(spec)
+    _, cloud = _search_box(spec)
+    edges = rng.choice([-3.0, 0.0, 3.0], size=(6, n_amp))
+    edges[0] = 0.0
+    inner = rng.uniform(-1.5, 1.5, size=(6, n_amp))
+    points = np.concatenate((edges, inner))
+    if n_phase:
+        phases = rng.uniform(0.0, TWO_PI, size=(len(points), n_phase))
+        phases[::3] = 0.0
+        phases[1::3] = phases[1::3, :1]  # equal centers: the exchangeable route
+        points = np.concatenate((points, phases), axis=1)
+    return np.concatenate((cloud[:8], points))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_prepared_scores_equal_per_call_pipeline(n):
+    # the prepared scores against the per-call pipeline they replaced, bit
+    # for bit: pinned, joint and (n <= 3) per-party searches at widths 0,
+    # 0.2 and 1.5, with amplitudes at the bounds and at 0, in one batch
+    # and point by point
+    rng = np.random.default_rng(90 + n)
+    kinds = [dict(optimize_phases=False), dict(optimize_phases=True)]
+    if n <= 3:
+        kinds += [dict(optimize_phases=opt, shared_amplitudes=False) for opt in (False, True)]
+    for kind in kinds:
+        for width in (0.0, 0.2, 1.5):
+            spec = OptimizationSpec(n, width, efficiency=0.9, **kind)
+            points = _oracle_points(spec, rng)
+            bell, crossing = _bell_scores(spec), _crossing_scores(spec)
+            assert np.array_equal(bell(points), per_call_bell_scores(spec, points))
+            assert np.array_equal(crossing(points), per_call_crossing_scores(spec, points))
+            for x in points[::5]:
+                assert bell(x[None])[0] == per_call_bell_scores(spec, x[None])[0]
+
+
+def test_pinned_step_checks_two_matrices_per_point(monkeypatch):
+    # a pinned shared-amplitude step builds and checks only each point's
+    # settings pair, and a search forms its stack of states once
+    checked = []
+    stacks = []
+    check = optimize.check_observable_matrices
+    terms = optimize._state_terms
+
+    def counted_check(mats):
+        checked.append(np.shape(mats)[:-2])
+        return check(mats)
+
+    def counted_terms(states):
+        stacks.append(states.shape)
+        return terms(states)
+
+    monkeypatch.setattr(optimize, "check_observable_matrices", counted_check)
+    monkeypatch.setattr(optimize, "_state_terms", counted_terms)
+    for n in (2, 9):
+        spec = OptimizationSpec(n, 0.2, optimize_phases=False, restarts=2)
+        checked.clear()
+        stacks.clear()
+        report = maximize_bell(spec)
+        assert stacks == [(1, n + 1, n + 1)]
+        assert checked and all(shape[1:] == (2,) for shape in checked)
+        assert sum(shape[0] for shape in checked) >= report.evaluations
+        stacks.clear()
+        threshold_efficiency(n, 0.2, tolerance=1e-3, restarts=1)
+        assert stacks == [(2, n + 1, n + 1)]
 
 
 def assert_same_descent(ours, oracle):
@@ -164,25 +279,29 @@ PINNED = dict(optimize_phases=False)
 def test_lockstep_search_equals_scipy_search(spec, score):
     # pinned, joint, per-party and threshold searches: the lockstep
     # walkers end where SciPy's one-point loop ends, with its counts
-    ours, evaluations = _search(spec, score)
-    oracle, oracle_evaluations = scipy_search(spec, score)
+    ours, evaluations = _search(spec, score(spec))
+    oracle, oracle_evaluations = scipy_search(spec, score(spec))
     assert_same_descent(ours, oracle)
     assert evaluations == oracle_evaluations
 
 
-def walk_alone(spec, score, x0, max_evals):
-    """One walker through the lockstep driver, SciPy's descent, and the block sizes."""
+def walk_alone(spec, scores, x0, max_evals):
+    """One walker through the lockstep driver, SciPy's descent, and the block sizes.
+
+    ``scores`` is a score factory such as ``_bell_scores``.
+    """
     (lower, upper), _ = _search_box(spec)
+    score = scores(spec)
     sizes = []
 
-    def recorded(spec, points):
+    def recorded(points):
         sizes.append(len(points))
-        return score(spec, points)
+        return score(points)
 
     walker = _nelder_mead(x0, lower, upper, spec.tolerance, max_evals)
     (ours,) = _lockstep(spec, recorded, [walker])
     oracle = scipy_simplex(
-        lambda x: score(spec, x[None])[0], x0, lower, upper, spec.tolerance, max_evals
+        lambda x: score(x[None])[0], x0, lower, upper, spec.tolerance, max_evals
     )
     return ours, oracle, sizes
 
@@ -226,9 +345,14 @@ def test_lockstep_scores_every_walker_in_one_call(monkeypatch):
     # four candidates per iteration: at most one call per two points used
     calls = []
 
-    def counted(spec, points):
-        calls.append(len(points))
-        return _bell_scores(spec, points)
+    def counted(spec):
+        score = _bell_scores(spec)
+
+        def recorded(points):
+            calls.append(len(points))
+            return score(points)
+
+        return recorded
 
     monkeypatch.setattr(optimize, "_bell_scores", counted)
     report = maximize_bell(OptimizationSpec(2, 0.2, optimize_phases=False, restarts=2))
@@ -244,14 +368,15 @@ def test_lockstep_calls_stay_within_the_scan_size(monkeypatch):
     # still ends where SciPy's ends
     spec = OptimizationSpec(2, 0.2, restarts=40, **PINNED)
     calls = []
+    score = _bell_scores(spec)
 
-    def counted(spec, points):
+    def counted(points):
         calls.append(len(points))
-        return _bell_scores(spec, points)
+        return score(points)
 
     ours, evaluations = _search(spec, counted)
     assert max(calls) == _scan_points(spec) < spec.restarts * 3
-    oracle, oracle_evaluations = scipy_search(spec, _bell_scores)
+    oracle, oracle_evaluations = scipy_search(spec, score)
     assert_same_descent(ours, oracle)
     assert evaluations == oracle_evaluations
 
@@ -275,14 +400,19 @@ def test_scan_table_count_sizes_the_cloud_scan(monkeypatch):
     class Scanned(Exception):
         pass
 
-    built = optimize._averaged_tables
+    prepare = optimize._point_tables
     sizes = []
 
     def first_call(*args):
-        sizes.append(built(*args).size)
-        raise Scanned
+        tables_at = prepare(*args)
 
-    monkeypatch.setattr(optimize, "_averaged_tables", first_call)
+        def scanned(points):
+            sizes.append(tables_at(points).size)
+            raise Scanned
+
+        return scanned
+
+    monkeypatch.setattr(optimize, "_point_tables", first_call)
     specs = (
         OptimizationSpec(2, 0.2, optimize_phases=False),
         OptimizationSpec(3, 0.2),
@@ -397,10 +527,11 @@ def test_affine_transform_matches_bell_value(spec):
     _, cloud = _search_box(spec)
     # the three lowest-scoring cloud points (violating ones where any
     # exist) and three random ones
-    pick = np.argsort(_crossing_scores(spec, cloud))
+    crossing = _crossing_scores(spec)
+    pick = np.argsort(crossing(cloud))
     points = cloud[np.concatenate((pick[:3], rng.choice(pick[3:], 3, replace=False)))]
     amplitudes, centers = _point_parameters(spec, points)
-    eta_star = _crossing_scores(spec, points)
+    eta_star = crossing(points)
     assert eta_star.min() < 1.0 < eta_star.max()
 
     def table(i, eta):
@@ -432,10 +563,10 @@ def test_stacked_efficiencies_match_one_efficiency_calls(n):
     centers = np.zeros((4, n - 1))
     centers[1::2] = rng.uniform(0.0, TWO_PI, (2, n - 1))
     for points in (slice(0, 1), slice(1, 4)):
-        args = (n, amplitudes[points], centers[points], 0.3)
-        both = _averaged_tables(*args, (0.0, 1.0))
-        assert np.array_equal(both[0], _averaged_tables(*args, (0.0,))[0])
-        assert np.array_equal(both[1], _averaged_tables(*args, (1.0,))[0])
+        args = (amplitudes[points], centers[points])
+        both = _AveragedTables(n, 0.3, (0.0, 1.0))(*args)
+        assert np.array_equal(both[0], _AveragedTables(n, 0.3, (0.0,))(*args)[0])
+        assert np.array_equal(both[1], _AveragedTables(n, 0.3, (1.0,))(*args)[0])
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -457,13 +588,21 @@ def test_averaged_tables_match_dressed_observable_oracle(n):
     centers[2::3] = rng.uniform(0.0, TWO_PI, (2, n - 1))
     for width in (0.0, 0.2, 0.7, 1.5):
         for efficiencies in ((0.0, 1.0), (0.9,)):
-            args = (n, amplitudes, centers, width, efficiencies)
-            tables = _averaged_tables(*args)
-            oracle = dressed_averaged_tables(*args)
+            tables = _AveragedTables(n, width, efficiencies)(amplitudes, centers)
+            oracle = dressed_averaged_tables(n, amplitudes, centers, width, efficiencies)
             if width == 0.0:
                 assert np.array_equal(tables, oracle)
             else:
                 assert np.max(np.abs(tables - oracle)) <= 1e-15, (width, efficiencies)
+            # the per-call builder the prepared one replaced, bit for bit
+            per_call = per_call_averaged_tables(n, amplitudes, centers, width, efficiencies)
+            assert np.array_equal(tables, per_call)
+        # the public one-table entry point shares the builder (tables is at 0.9)
+        for i in range(len(amplitudes)):
+            single = averaged_correlator_table(
+                n, amplitudes[i, :, 0], amplitudes[i, :, 1], centers[i], width, 0.9
+            )
+            assert np.array_equal(single, tables[0, i])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -505,18 +644,18 @@ def test_threshold_score_makes_one_kernel_call_per_route(monkeypatch):
     # that holds both kinds of points
     calls = []
 
-    def batch(rho, mats):
-        calls.append(("batch", rho.shape))
-        return correlator_batch(rho, mats)
+    def batch(terms, rows):
+        calls.append(("batch", terms.states.shape))
+        return _correlator_values(terms, rows)
 
-    def tables(rho, pairs):
-        calls.append(("tables", rho.shape))
-        return correlator_tables(rho, pairs)
+    def tables(terms, pairs):
+        calls.append(("tables", terms.states.shape))
+        return _table_values(terms, pairs)
 
-    monkeypatch.setattr(optimize, "correlator_batch", batch)
-    monkeypatch.setattr(optimize, "correlator_tables", tables)
+    monkeypatch.setattr(optimize, "_correlator_values", batch)
+    monkeypatch.setattr(optimize, "_table_values", tables)
     spec = OptimizationSpec(3, 0.2)
-    _crossing_scores(spec, np.array([[0.3, -0.6, 0.0, 0.0], [0.3, -0.6, 0.5, 1.0]]))
+    _crossing_scores(spec)(np.array([[0.3, -0.6, 0.0, 0.0], [0.3, -0.6, 0.5, 1.0]]))
     assert sorted(calls) == [("batch", (2, 4, 4)), ("tables", (2, 4, 4))]
 
 
@@ -530,7 +669,7 @@ def test_violating_vacuum_raises(monkeypatch):
     )
     spec = OptimizationSpec(2, 0.0, optimize_phases=False)
     with pytest.raises(ConsistencyError, match=r"n_parties=2, width=0\.0, search"):
-        _crossing_scores(spec, np.array([[0.15, -0.55]]))
+        _crossing_scores(spec)(np.array([[0.15, -0.55]]))
     with pytest.raises(ConsistencyError):
         threshold_efficiency(2, 0.0, tolerance=0.02, restarts=1)
 
@@ -541,14 +680,16 @@ def test_bell_scores_reject_out_of_range_tables(monkeypatch):
     spec = OptimizationSpec(2, 0.0, optimize_phases=False)
     points = np.array([[0.15, -0.55], [0.1, 0.2], [0.3, -0.4]])
     good = np.full((1, 3, 4), 0.5)
-    monkeypatch.setattr("photonbell.optimize._averaged_tables", lambda *a: good)
-    assert np.all(_bell_scores(spec, points) == -0.5)
+    monkeypatch.setattr("photonbell.optimize._point_tables", lambda *a: lambda points: good)
+    assert np.all(_bell_scores(spec)(points) == -0.5)
     for bad in (1.0 + 1e-8, -1.0 - 1e-8, np.nan):
         tables = good.copy()
         tables[0, 2, 3] = bad
-        monkeypatch.setattr("photonbell.optimize._averaged_tables", lambda *a: tables)
+        monkeypatch.setattr(
+            "photonbell.optimize._point_tables", lambda *a: lambda points: tables
+        )
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            _bell_scores(spec, points)
+            _bell_scores(spec)(points)
 
 
 @pytest.mark.parametrize("n_parties, width", [(1, 0.0), (2, 0.0), (2, 0.2), (4, 0.2)])

@@ -141,3 +141,17 @@ def test_child_seed_spreads_streams():
     assert all(0 <= s < 2**64 for s in seeds)
     assert child_seed(42, 5) == child_seed(42, 5)
     assert child_seed(42, 5) != child_seed(43, 5)
+
+
+def test_seeds_are_checked_like_counts():
+    # seeds and shard indices are whole numbers, seeds in [0, 2^64):
+    # 2.5 once passed as 2 and 0.5 raised TypeError
+    for bad in (2.5, 0.5, -1, 2**64, True, np.nan, "3"):
+        with pytest.raises(ValueError, match="seed must be"):
+            child_seed(bad, 0)
+    for bad in (0.5, -1, True):
+        with pytest.raises(ValueError, match="index must be"):
+            child_seed(1, bad)
+    assert child_seed(3.0, 0) == child_seed(3, 0)
+    assert child_seed(3, 2.0) == child_seed(3, 2)
+    assert child_seed(np.uint64(2**64 - 1), 0) == child_seed(2**64 - 1, 0)
