@@ -14,7 +14,6 @@ from .experiments import (
     best_pair_bell_value,
     best_pair_values_over_centers,
     frame_averaged_table,
-    pair_setting_indices,
     pair_symbolic_tables,
     paired_strategy,
     two_setting_strategy,
@@ -69,7 +68,6 @@ __all__ = [
     "frame_averaged_table",
     "lossy_w_state",
     "maximize_bell",
-    "pair_setting_indices",
     "pair_symbolic_tables",
     "paired_strategy",
     "threshold_efficiency",

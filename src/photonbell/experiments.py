@@ -20,11 +20,13 @@ values inside the Bell functional are applied after averaging, matching
 an experiment that accumulates correlators across runs before computing
 the Bell value.
 
-To fight frame noise, party 1 may hold m pairs of settings that repeat the
-same two amplitudes with pair phases stepped by 2*pi/m.  Each pair alone is
-a complete two-setting-per-party Bell test, so the best pair may be chosen
-after the data is taken (:func:`best_pair_bell_value`, every pair of one
-frame in one kernel call).
+Every strategy has the scheme's one shape (:class:`MeasurementStrategy`):
+to fight frame noise, party 1 holds m pairs of settings that repeat the
+same two amplitudes with pair phases stepped by 2*pi/m (m = 1 is the plain
+two-setting test), and every other party holds two settings.  Each pair
+alone is a complete two-setting-per-party Bell test, so the best pair may
+be chosen after the data is taken (:func:`best_pair_bell_value`, every
+pair of one frame in one kernel call); a single table reads pair 0.
 
 Many frames at fixed settings are what the offset-symbolic tables serve.
 Correlators are real trigonometric sums in the offsets, built once per
@@ -80,7 +82,6 @@ __all__ = [
     "best_pair_bell_value",
     "best_pair_values_over_centers",
     "frame_averaged_table",
-    "pair_setting_indices",
     "pair_symbolic_tables",
     "paired_strategy",
     "two_setting_strategy",
@@ -97,20 +98,21 @@ FRAME_SCAN_CHUNK_ELEMENTS = 2**16
 
 @dataclass(frozen=True, eq=False)
 class MeasurementStrategy:
-    """Per-party displacement settings, optionally with paired structure.
+    """Per-party displacement settings in the scheme's paired shape.
 
     settings[k] holds party k+1's choices as a read-only (count, 2) float
     array of (amplitude, phase) rows, amplitude r >= 0 and phase reduced
-    to [0, 2*pi): the displacement alpha = r exp(i phase).  Every party
-    needs at least one setting and every entry must be finite.  When
-    ``pair_count`` is m (not None), party 1's list must hold 2m settings
-    forming m pairs: pair j occupies rows (2j, 2j+1), every pair repeats
-    the amplitudes of pair 0, and pair j's phases are those of pair 0
-    advanced by j * 2*pi / m.
+    to [0, 2*pi): the displacement alpha = r exp(i phase).  Every entry
+    must be finite.  Party 1 holds 2m rows forming m = ``pair_count``
+    pairs: pair j occupies rows (2j, 2j+1), every pair repeats the
+    amplitudes of pair 0, and pair j's phases are those of pair 0
+    advanced by j * 2*pi / m.  Every other party holds exactly two rows,
+    its table settings 0 and 1.  Pair j with the other parties' rows is
+    one complete two-setting Bell test; ValueError for any other shape.
     """
 
     settings: tuple
-    pair_count: Optional[int] = None
+    pair_count: int = 1
 
     def __post_init__(self):
         parties = tuple(map(np.asarray, self.settings))
@@ -120,16 +122,15 @@ class MeasurementStrategy:
         if not settings:
             raise ValueError("strategy needs at least one party")
         for party, rows in enumerate(settings):
-            if rows.ndim != 2 or rows.shape[1] != 2 or not len(rows):
-                raise ValueError(f"party {party + 1} needs one or more (amplitude, phase) rows")
+            if rows.ndim != 2 or rows.shape[1] != 2:
+                raise ValueError(f"party {party + 1} needs (amplitude, phase) rows")
             if not (np.isfinite(rows).all() and (rows[:, 0] >= 0.0).all()):
                 raise ValueError("settings must be finite with amplitude >= 0")
             rows[:, 1] %= TWO_PI
             rows.setflags(write=False)
         object.__setattr__(self, "settings", settings)
-        if self.pair_count is not None:
-            object.__setattr__(self, "pair_count", _whole(self.pair_count, "pair_count", 1))
-            self._check_pairs()
+        object.__setattr__(self, "pair_count", _whole(self.pair_count, "pair_count", 1))
+        self._check_pairs()
 
     def _check_pairs(self):
         m = self.pair_count
@@ -138,6 +139,9 @@ class MeasurementStrategy:
             raise ValueError(
                 f"party 1 needs {2 * m} settings for {m} pairs, has {len(first)}"
             )
+        for party, rows in enumerate(self.settings[1:], start=2):
+            if len(rows) != 2:
+                raise ValueError(f"party {party} needs 2 settings, has {len(rows)}")
         # pairs[j, slot] is the (amplitude, phase) row of pair j's slot.
         pairs = first.reshape(m, 2, 2)
         moved = np.abs(pairs[..., 0] - pairs[0, :, 0]) > 1e-12
@@ -176,9 +180,9 @@ def two_setting_strategy(
     of a party share its phase.  The amplitudes may be signed: a negative
     value flips that setting's displacement (phase advanced by pi), which
     costs no extra phase reference and is where the optimum sits for the
-    states considered here.
+    states considered here.  This is the paired strategy of one pair.
     """
-    return MeasurementStrategy(paired_strategy(n_parties, r0, r1, 1, phases).settings)
+    return paired_strategy(n_parties, r0, r1, 1, phases)
 
 
 def paired_strategy(
@@ -244,43 +248,20 @@ def _half_basis(n_parties: int) -> np.ndarray:
     return np.array(rows, dtype=int).reshape(len(rows), n_parties - 1)
 
 
-def _setting_pairs(strategy: MeasurementStrategy, index_sets) -> np.ndarray:
-    """Setting matrices (P, N, 2, 2, 2) of the index sets.
+def _setting_pairs(strategy: MeasurementStrategy) -> np.ndarray:
+    """Setting matrices (m, N, 2, 2, 2) of party 1's m setting pairs.
 
-    Each index set holds one pair of setting indices per party; the
-    (P, N, 2) index array is checked in one pass: fractional indices and
-    ones beyond 2^62 first, since the integer conversion would truncate or
-    overflow them, then negative ones, since numpy would wrap them
-    around.  The matrices of the distinct settings used are built and
-    validated as one array, so each setting is built and checked once.
+    Pair j holds party 1's rows (2j, 2j+1) and every other party's two
+    rows.  The matrices of all rows are built in one call and validated
+    as one array, so each setting is built and checked once.
     """
-    n = strategy.n_parties
-    for indices in index_sets:
-        if len(indices) != n or any(len(pair) != 2 for pair in indices):
-            raise ValueError("setting_indices needs one index pair per party")
-    index = np.array(index_sets)
-    if index.dtype.kind not in "iu":
-        index = index.astype(float)
-        if not np.all((np.abs(index) < 2**62) & (index == np.trunc(index))):
-            raise ValueError("setting indices must be integers")
-    index = index.astype(int).reshape(len(index_sets), n, 2)
-    if np.any(index < 0):
-        raise ValueError("setting indices must be >= 0")
-    counts = np.array([len(party) for party in strategy.settings])
-    beyond = np.argwhere(index >= counts[:, None])
-    if len(beyond):
-        point, party, bit = beyond[0]
-        raise ValueError(
-            f"party {party + 1} has {counts[party]} settings, "
-            f"index {index[point, party, bit]} invalid"
-        )
-    # Index the settings of all parties in one array, party by party.
-    index += (np.cumsum(counts) - counts)[:, None]
-    used, inverse = np.unique(index, return_inverse=True)
-    chosen = np.concatenate(strategy.settings)[used]
-    matrices = displacement_matrices(chosen[:, 0], chosen[:, 1])
+    rows = np.concatenate(strategy.settings)
+    matrices = displacement_matrices(rows[:, 0], rows[:, 1])
     check_observable_matrices(matrices)
-    return matrices[inverse.reshape(index.shape)]
+    m, n = strategy.pair_count, strategy.n_parties
+    first = matrices[: 2 * m].reshape(m, 1, 2, 2, 2)
+    rest = np.broadcast_to(matrices[2 * m :].reshape(1, n - 1, 2, 2, 2), (m, n - 1, 2, 2, 2))
+    return np.concatenate((first, rest), axis=1)
 
 
 def _check_parties(state: SubspaceState, strategy: MeasurementStrategy) -> None:
@@ -290,10 +271,10 @@ def _check_parties(state: SubspaceState, strategy: MeasurementStrategy) -> None:
         )
 
 
-def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> np.ndarray:
-    """Offset-symbolic tables (P, 1 + N(N-1), 2^N), one per set of setting indices.
+def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy) -> np.ndarray:
+    """Offset-symbolic tables (m, 1 + N(N-1), 2^N), one per pair of party 1's settings.
 
-    Table p holds the constant row a_0, then the cosine rows A_n, then the
+    Table j holds the constant row a_0, then the cosine rows A_n, then the
     sine rows B_n, over the half basis n of :func:`_half_basis` (H =
     N(N-1)/2), so that its entry s at offsets Delta is
 
@@ -314,13 +295,13 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> np.ndarray:
     frequency records.  Taking the components from the upper triangle
     fixes the rows of states that are Hermitian only to rounding.  The
     1 + N(N-1) components form one stack of states, and one
-    :func:`~photonbell.fock_core.correlator_tables` call with every index
-    set as a point writes every row of every table; the tables are its
-    rows with the component and table axes swapped.
+    :func:`~photonbell.fock_core.correlator_tables` call with every
+    setting pair as a point writes every row of every table; the tables
+    are its rows with the component and table axes swapped.
     """
     _check_parties(state, strategy)
     n = strategy.n_parties
-    pairs = _setting_pairs(strategy, index_sets)
+    pairs = _setting_pairs(strategy)
     rho = state.matrix
     freqs = _offset_frequencies(n)
     half = _half_basis(n)[:, None, None]
@@ -338,17 +319,16 @@ def _symbolic_tables(state: SubspaceState, strategy, index_sets) -> np.ndarray:
     return tables
 
 
-def _frame_averaged_tables(
-    state: SubspaceState, strategy, model: PhaseModel, index_sets
-) -> list:
-    """Frame-averaged tables of one strategy, one per set of setting indices.
+def _frame_averaged_tables(state: SubspaceState, strategy, model: PhaseModel) -> list:
+    """Frame-averaged tables of one strategy, one per pair of party 1's settings.
 
     The frame is one state: entry (a, b) of rho damped by exp(-w^2
     |m_ab|^2 / 2) and rotated by exp(i m_ab . c) for the model's width w
-    and centers c, against the strategy's own settings, with every index
-    set as a point of one :func:`~photonbell.fock_core.correlator_tables`
-    call.  Each table depends only on its own index set, so a batch gives
-    the bits of building each table alone.
+    and centers c, against the strategy's own settings, with every
+    setting pair as a point of one
+    :func:`~photonbell.fock_core.correlator_tables` call.  Each table
+    depends only on its own pair, so a batch gives the bits of building
+    each table alone.
     """
     _check_parties(state, strategy)
     n = strategy.n_parties
@@ -360,17 +340,14 @@ def _frame_averaged_tables(
     freqs = _offset_frequencies(n)
     rotation = np.exp(1j * (freqs @ np.array(model.centers)))
     rho = state.matrix * _frame_damping(freqs, model.width) * rotation
-    rows = correlator_tables(rho, _setting_pairs(strategy, index_sets))
+    rows = correlator_tables(rho, _setting_pairs(strategy))
     return [CorrelatorTable(n, row) for row in rows]
 
 
 def frame_averaged_table(
-    state: SubspaceState,
-    strategy: MeasurementStrategy,
-    model: PhaseModel,
-    setting_indices: Optional[Sequence[Sequence[int]]] = None,
+    state: SubspaceState, strategy: MeasurementStrategy, model: PhaseModel
 ) -> CorrelatorTable:
-    """Correlation table averaged over the frame model, one kernel call.
+    """Correlation table of party 1's pair 0 averaged over the frame model.
 
     Offsets Delta = c + Gaussian noise of width w (``model``'s centers and
     width) shift party k >= 2's setting phases by Delta_{k-1}.  That
@@ -378,60 +355,26 @@ def frame_averaged_table(
     the plain correlator table of rho with entry (a, b) multiplied by
     exp(-w^2 |m_ab|^2 / 2) exp(i m_ab . c) (m_ab from
     :func:`_offset_frequencies`).  The average is exact, and width 0 gives
-    the table at the fixed frame c.  ``setting_indices`` selects, for each
-    party, the pair of settings used as table settings 0 and 1 (default
-    the party's first two), and table index bit k-1 selects party k's
-    entry of that pair.  Raises ValueError if the state, strategy and
-    model disagree on the party count, or if an index is fractional,
-    negative or beyond its party's settings.
+    the table at the fixed frame c.  Table index bit k-1 selects party
+    k's setting 0 or 1, party 1's from pair 0 (rows 0 and 1); the other
+    pairs' tables come from :func:`best_pair_bell_value`.  Raises
+    ValueError if the state, strategy and model disagree on the party
+    count.
     """
-    if setting_indices is None:
-        setting_indices = [(0, 1)] * strategy.n_parties
-    return _frame_averaged_tables(state, strategy, model, [setting_indices])[0]
+    return _frame_averaged_tables(state, strategy, model)[0]
 
 
 def bell_value_averaged(
-    state: SubspaceState,
-    strategy: MeasurementStrategy,
-    model: PhaseModel,
-    setting_indices=None,
+    state: SubspaceState, strategy: MeasurementStrategy, model: PhaseModel
 ) -> BellResult:
-    """Bell value of the frame-averaged correlation table.
+    """Bell value of the frame-averaged correlation table of pair 0.
 
     Correlators are averaged first and the Bell functional's absolute
     values taken afterwards, so this is the value an experiment sees when
     correlators are estimated across many runs with drifting frames.  A
     zero-width model gives the Bell value at a fixed frame.
     """
-    return wwzb_value(frame_averaged_table(state, strategy, model, setting_indices))
-
-
-def pair_setting_indices(strategy: MeasurementStrategy, pair: int):
-    """Setting-index pairs selecting party 1's pair ``pair`` for the table.
-
-    ValueError unless ``pair`` is a whole number in [0, pair_count).
-    """
-    if strategy.pair_count is None:
-        raise ValueError("strategy has no pair structure")
-    pair = _whole(pair, "pair", 0)
-    if pair >= strategy.pair_count:
-        raise ValueError(f"pair must lie in [0, {strategy.pair_count})")
-    return [(2 * pair, 2 * pair + 1)] + [(0, 1)] * (strategy.n_parties - 1)
-
-
-def _pair_index_sets(strategy: MeasurementStrategy) -> list:
-    """Setting-index pairs of every pair of party 1's settings."""
-    if strategy.pair_count is None:
-        raise ValueError("strategy has no pair structure")
-    return [pair_setting_indices(strategy, j) for j in range(strategy.pair_count)]
-
-
-def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy):
-    """Symbolic tables (m, 1 + N(N-1), 2^N), one per pair of party 1's settings.
-
-    Built in one batch; the read-only array of :func:`_symbolic_tables`.
-    """
-    return _symbolic_tables(state, strategy, _pair_index_sets(strategy))
+    return wwzb_value(frame_averaged_table(state, strategy, model))
 
 
 def best_pair_bell_value(
@@ -446,10 +389,9 @@ def best_pair_bell_value(
     comes from one kernel call, with the bits of
     :func:`bell_value_averaged` for that pair; a fixed frame is a model of
     width 0.  Returns (BellResult, pair_index); ties go to the lowest pair
-    index.
+    index, so a strategy of one pair gives pair 0.
     """
-    tables = _frame_averaged_tables(state, strategy, model, _pair_index_sets(strategy))
-    results = [wwzb_value(table) for table in tables]
+    results = [wwzb_value(table) for table in _frame_averaged_tables(state, strategy, model)]
     best = max(range(len(results)), key=lambda j: results[j].s_value)
     return results[best], best
 

@@ -108,8 +108,8 @@ class SubspaceState:
         Number of modes N >= 1.
     matrix : array_like
         (N+1) x (N+1) density matrix in the basis (vac, e_1, ..., e_N).
-        Must be Hermitian, unit trace and positive semidefinite within the
-        module tolerances.
+        Must be finite, Hermitian, unit trace and positive semidefinite
+        within the module tolerances.
     """
 
     n_modes: int
@@ -122,6 +122,8 @@ class SubspaceState:
         if mat.shape != (dim, dim):
             raise ValueError(f"state matrix must have shape {(dim, dim)}, got {mat.shape}")
         mat.setflags(write=False)
+        if not np.isfinite(mat).all():
+            raise ValueError("state matrix must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
             raise ValueError("state matrix is not Hermitian")
         trace = np.trace(mat)

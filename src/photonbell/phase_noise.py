@@ -15,10 +15,13 @@ frame noise then reduces to the Gaussian characteristic function
 
 which coincides with the wrapped distribution's Fourier coefficients for
 integer m, so the analytic average is exact: it damps state entry (a, b)
-by exp(-|m_ab|^2 delta^2 / 2) and turns it by its phase at the centers
-(:func:`~photonbell.experiments.frame_averaged_table`).  Scans over many
-centers damp the cosine and sine rows of the symbolic tables of
-:func:`~photonbell.experiments.pair_symbolic_tables` by the same factor.
+by exp(-|m_ab|^2 delta^2 / 2) and turns it by its phase at the centers,
+for the table of party 1's setting pair 0
+(:func:`~photonbell.experiments.frame_averaged_table`) and of every pair
+at once (:func:`~photonbell.experiments.best_pair_bell_value`).  Scans
+over many centers damp the cosine and sine rows of the symbolic tables
+of :func:`~photonbell.experiments.pair_symbolic_tables`, one per pair,
+by the same factor.
 The tests keep Monte Carlo sampling of the offsets and quadrature of the
 wrapped density as the independent cross-checks.
 """

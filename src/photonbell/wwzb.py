@@ -77,7 +77,8 @@ class CorrelatorTable:
     """Full-correlation table over the 2^N joint setting choices.
 
     values[s] is the correlator for joint setting s; bit k-1 of s selects
-    party k's setting (party 1 least significant).
+    party k's setting (party 1 least significant).  Values must be real
+    numbers (not strings, booleans or complex) in [-1, 1] up to roundoff.
     """
 
     n_parties: int
@@ -85,7 +86,10 @@ class CorrelatorTable:
 
     def __post_init__(self):
         object.__setattr__(self, "n_parties", _whole(self.n_parties, "n_parties", 1))
-        vals = np.array(self.values, dtype=float)
+        vals = np.asarray(self.values)
+        if vals.dtype.kind not in "iuf":
+            raise ValueError("correlators must be real numbers")
+        vals = np.array(vals, dtype=float)
         if vals.shape != (2**self.n_parties,):
             raise ValueError(
                 f"table for {self.n_parties} parties needs "
@@ -223,7 +227,7 @@ def chsh_horodecki(rho: np.ndarray) -> float:
     ----------
     rho : array_like
         4x4 density matrix in the product basis (|00>, |01>, |10>, |11>),
-        Hermitian, unit trace and PSD within 1e-10.
+        finite, Hermitian, unit trace and PSD within 1e-10.
 
     Returns
     -------
@@ -236,6 +240,8 @@ def chsh_horodecki(rho: np.ndarray) -> float:
     mat = np.array(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError(f"two-qubit state must be 4x4, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("state matrix must be finite")
     if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
         raise ValueError("state matrix is not Hermitian")
     if abs(np.trace(mat) - 1.0) > 1e-10:

@@ -279,18 +279,18 @@ def complex_frame_scan(tables, centers, width: float) -> np.ndarray:
     return magnitudes.sum(axis=-1).max(axis=-1, initial=-np.inf) / size
 
 
-def symbolic_rows_per_component(state: SubspaceState, strategy, index_sets) -> np.ndarray:
+def symbolic_rows_per_component(state: SubspaceState, strategy) -> np.ndarray:
     """Rows (1 + N(N-1), P, 2^N) of the offset-symbolic tables, one kernel call each.
 
     The per-component build: the non-rotating part of the state, then for
     each half-basis frequency n the parts rho_n + rho_n^H (cosine row) and
     i (rho_n - rho_n^H) (sine row, negated when the upper-triangle entries
     carry -n), each through its own ``correlator_tables`` call.  Oracle
-    for ``experiments._symbolic_tables``, which stacks the components and
+    for ``experiments.pair_symbolic_tables``, which stacks the components and
     makes one call.
     """
     n = strategy.n_parties
-    pairs = _setting_pairs(strategy, index_sets)
+    pairs = _setting_pairs(strategy)
     rho = state.matrix
     unit = np.zeros((n + 1, n - 1), dtype=int)
     unit[2:] = np.eye(n - 1, dtype=int)

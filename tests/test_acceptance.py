@@ -41,7 +41,6 @@ from photonbell import (
     wwzb_value,
     wwzb_value_naive,
 )
-from photonbell.experiments import _symbolic_tables
 from photonbell.fock_core import correlator_batch, displacement_matrices
 
 TWO_PI = 2.0 * np.pi
@@ -249,7 +248,7 @@ def test_criterion_10_property_checks():
     model = PhaseModel((0.8, 2.3), 0.6)
     exact = frame_averaged_table(state, strat, model).values
     draws = sample_offsets(model, rng_seed=4, count=100_000)
-    samples = complex_entries(_symbolic_tables(state, strat, [[(0, 1)] * 3])[0], draws).real
+    samples = complex_entries(pair_symbolic_tables(state, strat)[0], draws).real
     sigma = samples.std(axis=0) / np.sqrt(draws.shape[0])
     mc_gap = np.max(np.abs(samples.mean(axis=0) - exact) / sigma)
     assert mc_gap < 4.0

@@ -29,7 +29,6 @@ from photonbell import (
     averaged_correlator_table,
     frame_averaged_table,
     lossy_w_state,
-    pair_setting_indices,
     pair_symbolic_tables,
     paired_strategy,
     two_setting_strategy,
@@ -105,21 +104,25 @@ def test_strategy_validation():
     # phases stepped by pi, up to the tolerance and across the wrap
     fine = (ok, (0.3, 6.0), (0.5, np.pi + 1e-10), (0.3, 6.0 + np.pi))
     assert MeasurementStrategy((fine,), pair_count=2).pair_count == 2
-    # wrong settings count for the declared pairs
+    # wrong settings count for the declared pairs, 2m and 2m +- 1 rows
     with pytest.raises(ValueError, match="party 1 needs 4 settings for 2 pairs, has 2"):
         MeasurementStrategy(((ok, ok),), pair_count=2)
+    for rows in (3, 5):
+        with pytest.raises(ValueError, match=f"party 1 needs 4 settings for 2 pairs, has {rows}"):
+            MeasurementStrategy(((fine * 2)[:rows], (ok, ok)), pair_count=2)
+    with pytest.raises(ValueError, match="party 1 needs 2 settings for 1 pairs, has 1"):
+        MeasurementStrategy(((ok,), (ok, ok)))
+    # every other party holds exactly two settings
+    for rows in (1, 3):
+        with pytest.raises(ValueError, match=f"party 3 needs 2 settings, has {rows}"):
+            MeasurementStrategy(((ok, ok), (ok, ok), (ok,) * rows, (ok, ok)))
+        with pytest.raises(ValueError, match=f"party 2 needs 2 settings, has {rows}"):
+            MeasurementStrategy((fine, (ok,) * rows), pair_count=2)
 
 
 def test_fractional_pairs_and_pair_counts_are_refused():
-    # pair 1.5 selected settings (3.0, 4.0): slot 1 of pair 1 with slot 0
-    # of pair 2, a mixed "pair" that still got a Bell value; a pair count
-    # of 2.7 was stored as 2.  Python and numpy integers still pass.
-    strat = paired_strategy(2, 0.2, -0.5, 3)
-    for bad in (1.5, 0.5, np.float64(2.5), np.nan, np.inf):
-        with pytest.raises(ValueError, match="pair must be an integer"):
-            pair_setting_indices(strat, bad)
-    assert pair_setting_indices(strat, np.int64(2)) == [(4, 5), (0, 1)]
-    assert pair_setting_indices(strat, 1) == [(2, 3), (0, 1)]
+    # a pair count of 2.7 was stored as 2.  Python and numpy integers
+    # still pass.
     two_pairs = paired_strategy(2, 0.2, -0.5, 2).settings
     for bad in (2.7, np.float32(1.5), np.nan):
         with pytest.raises(ValueError, match="pair_count must be an integer"):
@@ -240,15 +243,21 @@ def test_distribution_seeds_are_checked_like_counts():
     assert whole.metadata["seed"] == 3 and type(whole.metadata["seed"]) is int
 
 
-def shifted_matrices(strategy, indices, offsets, index: int) -> np.ndarray:
-    """Observables (N, 2, 2) of table entry ``index``, shifted by the offsets.
+def single_pair(strategy, pair: int):
+    """The strategy holding only party 1's pair ``pair`` and the other parties' rows."""
+    first, *rest = strategy.settings
+    return MeasurementStrategy((first[2 * pair : 2 * pair + 2], *rest))
 
-    Party k uses setting indices[k-1][bit k-1 of index], its phase
-    shifted by offsets[k-2] for k >= 2.
+
+def shifted_matrices(strategy, pair: int, offsets, index: int) -> np.ndarray:
+    """Observables (N, 2, 2) of pair ``pair``'s table entry ``index``, shifted.
+
+    Party k uses its setting bit k-1 of index, party 1 from rows
+    (2 pair, 2 pair + 1), its phase shifted by offsets[k-2] for k >= 2.
     """
     chosen = []
-    for p, (party, pair) in enumerate(zip(strategy.settings, indices)):
-        amplitude, phase = party[pair[(index >> p) & 1]]
+    for p, party in enumerate(single_pair(strategy, pair).settings):
+        amplitude, phase = party[(index >> p) & 1]
         chosen.append((amplitude, phase + (offsets[p - 1] if p else 0.0)))
     return setting_matrices(chosen)
 
@@ -266,11 +275,11 @@ def test_symbolic_table_matches_shifted_settings():
             phases = rng.uniform(0.0, TWO_PI, n)
             offsets = rng.uniform(0.0, TWO_PI, n - 1)
             strat = two_setting_strategy(n, r0, r1, phases)
-            table = experiments._symbolic_tables(state, strat, [[(0, 1)] * n])[0]
+            table = pair_symbolic_tables(state, strat)[0]
             values = complex_entries(table, offsets)
             assert np.max(np.abs(values.imag)) < 1e-12
             for index in range(2**n):
-                chosen = shifted_matrices(strat, [(0, 1)] * n, offsets, index)
+                chosen = shifted_matrices(strat, 0, offsets, index)
                 assert abs(values[index].real - correlator_batch(state.matrix, chosen)) < 1e-12
                 assert abs(values[index].real - correlator_bruteforce(state.matrix, chosen)) < 1e-12
 
@@ -281,25 +290,30 @@ def test_frame_averaged_table_matches_oracles(n):
     # tensor-product oracle with party k >= 2's phases shifted by the
     # frame; at every width it equals the symbolic rows averaged through
     # the complex +-n terms, which share no frame code with it; random and
-    # lossy W states, per-party phases, stepped pairs and centers in +-10
+    # lossy W states, per-party phases, stepped pairs and centers in +-10;
+    # the public table is pair 0's
     rng = np.random.default_rng(80 + n)
     for state in (random_state(rng, n), random_state(rng, n), lossy_w_state(n, 0.8)):
         pair_count = int(rng.integers(1, 4))
         r0, r1 = rng.uniform(-1.2, 1.2, 2)
         strat = paired_strategy(n, r0, r1, pair_count, rng.uniform(0.0, TWO_PI, n))
-        indices = pair_setting_indices(strat, int(rng.integers(pair_count)))
-        symbolic = experiments._symbolic_tables(state, strat, [indices])[0]
+        pair = int(rng.integers(pair_count))
+        symbolic = pair_symbolic_tables(state, strat)[pair]
         centers = rng.uniform(-10.0, 10.0, n - 1)
-        fixed = frame_averaged_table(state, strat, PhaseModel(tuple(centers), 0.0), indices)
+        fixed = experiments._frame_averaged_tables(state, strat, PhaseModel(tuple(centers), 0.0))
         for index in range(2**n):
-            chosen = shifted_matrices(strat, indices, centers, index)
-            assert abs(fixed.values[index] - correlator_batch(state.matrix, chosen)) < 1e-12
-            assert abs(fixed.values[index] - correlator_bruteforce(state.matrix, chosen)) < 1e-12
+            chosen = shifted_matrices(strat, pair, centers, index)
+            assert abs(fixed[pair].values[index] - correlator_batch(state.matrix, chosen)) < 1e-12
+            assert (
+                abs(fixed[pair].values[index] - correlator_bruteforce(state.matrix, chosen)) < 1e-12
+            )
         for width in (0.0, 0.3, 1.1):
             model = PhaseModel(tuple(centers), width)
-            table = frame_averaged_table(state, strat, model, indices)
+            tables = experiments._frame_averaged_tables(state, strat, model)
             oracle = complex_entries(symbolic, centers, width)
-            assert np.max(np.abs(table.values - oracle.real)) <= 1e-14
+            assert np.max(np.abs(tables[pair].values - oracle.real)) <= 1e-14
+            table = frame_averaged_table(state, strat, model)
+            assert np.array_equal(table.values, tables[0].values)
 
 
 def offset_basis(n: int) -> list:
@@ -344,7 +358,7 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         _, scan = experiments._frame_scan_coefficients(tables, n, 0.3)
         assert scan.size == experiments._frame_scan_row_count(n, pair_count) * 2**n
         for j, table in enumerate(tables):
-            alone = experiments._symbolic_tables(state, strat, [pair_setting_indices(strat, j)])
+            alone = pair_symbolic_tables(state, single_pair(strat, j))
             assert np.array_equal(table, alone[0])
             assert not alone.flags.writeable
 
@@ -357,8 +371,7 @@ def test_stacked_symbolic_rows_match_per_component_oracle(n):
     rng = np.random.default_rng(70 + n)
     for state in (random_state(rng, n), random_state(rng, n), lossy_w_state(n, 0.8)):
         strat = paired_strategy(n, *rng.uniform(-1.0, 1.0, 2), 3, rng.uniform(0.0, TWO_PI, n))
-        index_sets = [pair_setting_indices(strat, j) for j in range(3)]
-        rows = symbolic_rows_per_component(state, strat, index_sets)
+        rows = symbolic_rows_per_component(state, strat)
         tables = pair_symbolic_tables(state, strat)
         assert np.array_equal(tables.swapaxes(0, 1), rows)
 
@@ -389,17 +402,8 @@ def test_pair_tables_build_each_setting_once(monkeypatch):
         tables = pair_symbolic_tables(state, strat)
         assert len(built) == 2 * m + 2 * (n - 1)
         assert checks == [len(built)]
-        built.clear()
-        checks.clear()
-        experiments._symbolic_tables(state, strat, [pair_setting_indices(strat, m - 1)])
-        assert len(built) == 2 * n
-        assert checks == [2 * n]
-        first, *rest = strat.settings
         for j, table in enumerate(tables):
-            alone = experiments._symbolic_tables(
-                state, MeasurementStrategy((first[2 * j : 2 * j + 2], *rest)), [[(0, 1)] * n]
-            )[0]
-            assert np.array_equal(table, alone)
+            assert np.array_equal(table, pair_symbolic_tables(state, single_pair(strat, j))[0])
 
 
 def test_setting_matrices_match_displacement_observable(monkeypatch):
@@ -407,33 +411,25 @@ def test_setting_matrices_match_displacement_observable(monkeypatch):
     # building that setting alone, and the pair tables exactly the
     # coefficients of the setting-by-setting build
     rng = np.random.default_rng(41)
-    (settings,) = MeasurementStrategy(
-        (np.stack((rng.uniform(0.0, 3.0, 200), rng.uniform(-10.0, 10.0, 200)), axis=1),)
-    ).settings
+    settings = np.stack((rng.uniform(0.0, 3.0, 200), rng.uniform(-10.0, 10.0, 200)), axis=1)
     batch = displacement_matrices(settings[:, 0], settings[:, 1])
     assert batch.shape == (200, 2, 2)
     for (amplitude, phase), matrix in zip(settings, batch):
         assert np.array_equal(matrix, displacement_matrices(amplitude, phase))
 
-    def one_by_one(strategy, index_sets):
+    def one_by_one(strategy):
+        pairs = [single_pair(strategy, j).settings for j in range(strategy.pair_count)]
         return np.array(
-            [
-                [
-                    [displacement_matrices(*party[i]) for i in pair]
-                    for party, pair in zip(strategy.settings, indices)
-                ]
-                for indices in index_sets
-            ]
+            [[[displacement_matrices(*row) for row in party] for party in pair] for pair in pairs]
         )
 
     for n, m in ((1, 2), (2, 8), (3, 5), (4, 2)):
         state = random_state(rng, n)
         r0, r1 = rng.uniform(-1.5, 1.5, 2)
         strat = paired_strategy(n, r0, r1, m, rng.uniform(0.0, TWO_PI, n))
-        index_sets = [pair_setting_indices(strat, j) for j in range(m)]
-        assert np.array_equal(
-            experiments._setting_pairs(strat, index_sets), one_by_one(strat, index_sets)
-        )
+        pairs = experiments._setting_pairs(strat)
+        assert pairs.shape == (m, n, 2, 2, 2)
+        assert np.array_equal(pairs, one_by_one(strat))
         tables = pair_symbolic_tables(state, strat)
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "_setting_pairs", one_by_one)
@@ -449,7 +445,7 @@ def test_zero_width_average_is_evaluation():
         state = random_state(rng, n)
         strat = two_setting_strategy(n, 0.3, -0.6, rng.uniform(0.0, TWO_PI, n))
         table = frame_averaged_table(state, strat, PhaseModel((0.0,) * (n - 1), 0.0))
-        pairs = experiments._setting_pairs(strat, [[(0, 1)] * n])
+        pairs = experiments._setting_pairs(strat)
         assert np.array_equal(table.values, correlator_tables(state.matrix, pairs)[0])
 
 
@@ -471,7 +467,7 @@ def test_symbolic_evaluation_validation():
     # a single party has no offsets: the empty model is its one frame
     single = two_setting_strategy(1, 0.1, -0.4)
     table = frame_averaged_table(w_state(1), single, PhaseModel((), 0.7))
-    symbolic = experiments._symbolic_tables(w_state(1), single, [[(0, 1)]])[0]
+    symbolic = pair_symbolic_tables(w_state(1), single)[0]
     assert np.array_equal(table.values, symbolic[0])
 
 
@@ -513,7 +509,7 @@ def test_averaged_table_matches_symbolic_route():
             [[(abs(r), np.pi * (r < 0.0)) for r in (r0s[k], r1s[k])] for k in range(n)]
         )
         state = lossy_w_state(n, eta)
-        table = experiments._symbolic_tables(state, strat, [[(0, 1)] * n])[0]
+        table = pair_symbolic_tables(state, strat)[0]
         slow = complex_entries(table, centers, width).real
         assert np.max(np.abs(fast - slow)) < 1e-12
         state_route = frame_averaged_table(state, strat, PhaseModel(centers, width))
@@ -569,18 +565,10 @@ def test_bell_value_wrappers():
     assert averaged.s_value <= fixed.s_value + 1e-12
 
 
-def test_pair_setting_indices():
-    strat = paired_strategy(3, 0.0, 0.4, 3)
-    assert pair_setting_indices(strat, 1) == [(2, 3), (0, 1), (0, 1)]
-    with pytest.raises(ValueError):
-        pair_setting_indices(strat, 3)
-    with pytest.raises(ValueError):
-        pair_setting_indices(two_setting_strategy(2, 0.0, 0.4), 0)
-
-
 def test_best_pair_matches_manual_maximum(monkeypatch):
-    # every pair in one kernel call, each with the bits of its own
-    # bell_value_averaged call; fixed frames are zero-width models
+    # every pair in one kernel call, each with the bits of the
+    # bell_value_averaged call of a strategy holding that pair alone;
+    # fixed frames are zero-width models
     calls = []
 
     def counted(rho, pairs):
@@ -593,10 +581,7 @@ def test_best_pair_matches_manual_maximum(monkeypatch):
         strat = paired_strategy(n, *rng.uniform(-1.0, 1.0, 2), m, rng.uniform(0.0, TWO_PI, n))
         for width in (0.0, 0.35):
             model = PhaseModel(tuple(rng.uniform(-10.0, 10.0, n - 1)), width)
-            manual = [
-                bell_value_averaged(state, strat, model, pair_setting_indices(strat, j))
-                for j in range(m)
-            ]
+            manual = [bell_value_averaged(state, single_pair(strat, j), model) for j in range(m)]
             with monkeypatch.context() as patch:
                 patch.setattr(experiments, "correlator_tables", counted)
                 calls.clear()
@@ -606,9 +591,16 @@ def test_best_pair_matches_manual_maximum(monkeypatch):
             assert pair == int(np.argmax(values))
             assert result == manual[pair]
             assert result.s_value == max(values)
-    unpaired = two_setting_strategy(2, 0.1, 0.3)
-    with pytest.raises(ValueError, match="no pair structure"):
-        best_pair_bell_value(w_state(2), unpaired, PhaseModel((0.0,), 0.0))
+    # a two-setting strategy is one pair: its best pair is pair 0
+    for n in (1, 2, 3):
+        state = random_state(rng, n)
+        single = two_setting_strategy(n, 0.1, -0.3, rng.uniform(0.0, TWO_PI, n))
+        model = PhaseModel(tuple(rng.uniform(-3.0, 3.0, n - 1)), 0.2)
+        assert single.pair_count == 1
+        assert best_pair_bell_value(state, single, model) == (
+            bell_value_averaged(state, single, model),
+            0,
+        )
 
 
 def test_best_pair_tie_goes_to_lowest_index():
@@ -802,12 +794,7 @@ def test_symbolic_table_validation():
         tables[0, 0, 0] = 2.0
     strat = two_setting_strategy(2, 0.0, 0.4)
     with pytest.raises(ValueError, match="modes but strategy has"):
-        experiments._symbolic_tables(w_state(3), strat, [[(0, 1)] * 2])
-    with pytest.raises(ValueError, match="one index pair per party"):
-        experiments._symbolic_tables(w_state(2), strat, [[(0, 1)]])
-    # a setting index beyond a party's list
-    with pytest.raises(ValueError, match="index 2 invalid"):
-        experiments._symbolic_tables(w_state(2), strat, [[(0, 2), (0, 1)]])
+        pair_symbolic_tables(w_state(3), strat)
 
 
 def test_violation_distribution_reproducible_and_matches_per_center_oracle():

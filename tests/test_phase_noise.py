@@ -9,10 +9,10 @@ from photonbell import (
     PhaseModel,
     child_seed,
     frame_averaged_table,
+    pair_symbolic_tables,
     two_setting_strategy,
     w_state,
 )
-from photonbell.experiments import _symbolic_tables
 
 
 def test_pdf_normalizes_and_is_nonnegative():
@@ -116,7 +116,7 @@ def test_averaged_table_matches_monte_carlo():
         model = PhaseModel(tuple(rng.uniform(0.0, 2.0 * np.pi, n - 1)), rng.uniform(0.1, 1.2))
         exact = frame_averaged_table(state, strat, model).values
         draws = sample_offsets(model, rng_seed=int(rng.integers(2**32)), count=n_samples)
-        table = _symbolic_tables(state, strat, [[(0, 1)] * n])[0]
+        table = pair_symbolic_tables(state, strat)[0]
         samples = complex_entries(table, draws).real
         sigma = samples.std(axis=0) / np.sqrt(n_samples)
         assert np.all(np.abs(samples.mean(axis=0) - exact) < 4.0 * sigma)

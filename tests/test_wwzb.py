@@ -37,6 +37,12 @@ def test_table_validation():
     CorrelatorTable(2, np.array([0.0, -1.0 - 5e-10, 1.0 + 5e-10, 0.0]))
     table = CorrelatorTable(1, np.array([1.0, -1.0]))
     assert table.values.flags.writeable is False
+    # values are real numbers: strings and booleans are not read as
+    # floats, and complex values are refused before numpy's TypeError
+    for bad in (["0.5", "0.2"], [True, False], [0.5 + 0j, 0.2], [None, 0.2]):
+        with pytest.raises(ValueError, match="correlators must be real numbers"):
+            CorrelatorTable(1, bad)
+    assert CorrelatorTable(1, [1, 0]).values.dtype == float
 
 
 def _assert_transform_is_oracle(values):
@@ -209,6 +215,14 @@ def test_chsh_horodecki_validation():
     bad_psd = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(ValueError):
         chsh_horodecki(bad_psd)
+    # NaN did not converge in eigvalsh and inf warned before the trace
+    # check; both are refused first
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in ((0, 0), (1, 2)):
+            mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+            mat[entry] = mat[entry[::-1]] = bad
+            with pytest.raises(ValueError, match="state matrix must be finite"):
+                chsh_horodecki(mat)
 
 
 def test_naive_party_limit():
