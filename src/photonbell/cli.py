@@ -49,7 +49,7 @@ from .optimize import (
     maximize_bell,
     threshold_efficiency,
 )
-from .phase_noise import child_seed
+from .phase_noise import _whole_seed, child_seed
 from .wwzb import CorrelatorTable, chsh_horodecki, wwzb_value
 
 __all__ = ["build_parser", "main"]
@@ -229,12 +229,6 @@ def _check_histogram_tables(parties: int, pair_counts, pair_flag: str) -> None:
     )
 
 
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return int(seed)
-
-
 def _check_count(count: int, sized_by: str) -> None:
     """Reject an array of ``count`` float entries beyond MAX_TABLE_ENTRIES."""
     if count > MAX_TABLE_ENTRIES:
@@ -373,7 +367,7 @@ def cmd_fig3(args) -> int:
     pair_counts = _parse_ints(args.m_list, "--m-list")
     _check_histogram_tables(args.parties, pair_counts, "--m-list")
     _check_histogram_size(args.samples, args.bins, args.parties)
-    seed = _check_seed(args.seed)
+    seed = _whole_seed(args.seed)
     report = _pinned_optimum(args)
     derived = {
         "r": _round12(report.r),
@@ -459,7 +453,7 @@ def cmd_violation_dist(args) -> int:
     Give both --r0 and --r1 (signed amplitudes) to pin the strategy, or
     neither to use the optimizer's centered-frame pair.
     """
-    seed = _check_seed(args.seed)
+    seed = _whole_seed(args.seed)
     _check_histogram_tables(args.parties, [args.pairs], "--pairs")
     _check_histogram_size(args.samples, args.bins, args.parties)
     given = (args.r0 is not None) + (args.r1 is not None)

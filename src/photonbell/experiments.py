@@ -15,7 +15,11 @@ their characteristic function at integer frequencies; width 0 is the
 fixed frame c.  The averaged table is one call of the package's
 correlator kernel (:func:`~photonbell.fock_core.correlator_tables`) on
 that state against the strategy's own settings
-(:func:`frame_averaged_table`, :func:`bell_value_averaged`).  The absolute
+(:func:`frame_averaged_table`, :func:`bell_value_averaged`,
+:func:`~photonbell.optimize.averaged_correlator_table`).  The lossy W
+state, damped and turned at equal centers, is unchanged by permutations
+of modes 2..N, so when parties 2..N share their settings the kernel's
+table walk fills the 2^N entries from 2N rows.  The absolute
 values inside the Bell functional are applied after averaging, matching
 an experiment that accumulates correlators across runs before computing
 the Bell value.
@@ -26,7 +30,9 @@ same two amplitudes with pair phases stepped by 2*pi/m (m = 1 is the plain
 two-setting test), and every other party holds two settings.  Each pair
 alone is a complete two-setting-per-party Bell test, so the best pair may
 be chosen after the data is taken (:func:`best_pair_bell_value`, every
-pair of one frame in one kernel call); a single table reads pair 0.
+pair of one frame in one kernel call); a single table builds pair 0's
+alone.  The strategy builders take real scalar amplitudes and one real
+phase per party, and refuse anything else with ValueError.
 
 Many frames at fixed settings are what the offset-symbolic tables serve.
 Correlators are real trigonometric sums in the offsets, built once per
@@ -158,16 +164,21 @@ class MeasurementStrategy:
         return len(self.settings)
 
 
-def _signed_settings(r0: float, r1: float, phases) -> np.ndarray:
+def _signed_settings(r0: float, r1: float, phases: np.ndarray) -> np.ndarray:
     """Settings (K, 2, 2) of signed amplitudes (r0, r1) at each of K phases.
 
     Entry [k, slot] is the (amplitude, phase) row of amplitude slot at
     phases[k].  A negative amplitude is the same displacement pointed the
     opposite way in phase space, so the row holds |r| and the phase
-    advanced by pi; :class:`MeasurementStrategy` reduces the phase.
+    advanced by pi; :class:`MeasurementStrategy` reduces the phase and
+    checks that the rows are finite.  ValueError unless both amplitudes
+    are real scalars: strings, booleans, complex numbers and sequences are
+    refused, where a float conversion would accept or misread them.
     """
+    if any(np.ndim(r) or np.asarray(r).dtype.kind not in "iuf" for r in (r0, r1)):
+        raise ValueError(f"amplitudes must be real scalars, got {r0!r} and {r1!r}")
     r = np.array([r0, r1], dtype=float)
-    phi = np.asarray(phases, dtype=float)[:, None] + np.where(r < 0.0, np.pi, 0.0)
+    phi = phases[:, None] + np.where(r < 0.0, np.pi, 0.0)
     return np.stack(np.broadcast_arrays(np.abs(r), phi), axis=-1)
 
 
@@ -196,13 +207,15 @@ def paired_strategy(
 
     Pair j repeats party 1's two (possibly signed) amplitudes with its
     phase advanced by j * 2*pi / pair_count, covering the circle so that
-    some pair nearly cancels any frame offset.
+    some pair nearly cancels any frame offset.  The amplitudes must be
+    real scalars and ``phases`` a sequence of one real number per party
+    (ValueError otherwise).
     """
     n_parties = _whole(n_parties, "n_parties", 1)
     pair_count = _whole(pair_count, "pair_count", 1)
-    phases = [0.0] * n_parties if phases is None else phases
-    if len(phases) != n_parties:
-        raise ValueError("need one phase per party")
+    phases = np.zeros(n_parties) if phases is None else np.asarray(phases)
+    if phases.dtype.kind not in "iuf" or phases.shape != (n_parties,):
+        raise ValueError("need one real phase per party")
     steps = phases[0] + np.arange(pair_count) * TWO_PI / pair_count
     first = _signed_settings(r0, r1, steps).reshape(-1, 2)
     return MeasurementStrategy((first, *_signed_settings(r0, r1, phases[1:])), pair_count)
@@ -319,16 +332,12 @@ def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy) ->
     return tables
 
 
-def _frame_averaged_tables(state: SubspaceState, strategy, model: PhaseModel) -> list:
-    """Frame-averaged tables of one strategy, one per pair of party 1's settings.
+def _frame_state(state: SubspaceState, strategy, model: PhaseModel) -> np.ndarray:
+    """The state matrix of one frame model: rho damped and turned entry by entry.
 
-    The frame is one state: entry (a, b) of rho damped by exp(-w^2
-    |m_ab|^2 / 2) and rotated by exp(i m_ab . c) for the model's width w
-    and centers c, against the strategy's own settings, with every
-    setting pair as a point of one
-    :func:`~photonbell.fock_core.correlator_tables` call.  Each table
-    depends only on its own pair, so a batch gives the bits of building
-    each table alone.
+    Entry (a, b) of rho is multiplied by exp(-w^2 |m_ab|^2 / 2) exp(i m_ab
+    . c) for the model's width w and centers c.  Raises ValueError if the
+    state, strategy and model disagree on the party count.
     """
     _check_parties(state, strategy)
     n = strategy.n_parties
@@ -339,9 +348,19 @@ def _frame_averaged_tables(state: SubspaceState, strategy, model: PhaseModel) ->
         )
     freqs = _offset_frequencies(n)
     rotation = np.exp(1j * (freqs @ np.array(model.centers)))
-    rho = state.matrix * _frame_damping(freqs, model.width) * rotation
-    rows = correlator_tables(rho, _setting_pairs(strategy))
-    return [CorrelatorTable(n, row) for row in rows]
+    return state.matrix * _frame_damping(freqs, model.width) * rotation
+
+
+def _frame_averaged_tables(state: SubspaceState, strategy, model: PhaseModel) -> np.ndarray:
+    """Frame-averaged tables (m, 2^N) of one strategy, one per pair of party 1's settings.
+
+    The frame is one state (:func:`_frame_state`) against the strategy's
+    own settings, with every setting pair as a point of one
+    :func:`~photonbell.fock_core.correlator_tables` call.  Each table
+    depends only on its own pair, so a batch gives the bits of building
+    each table alone.
+    """
+    return correlator_tables(_frame_state(state, strategy, model), _setting_pairs(strategy))
 
 
 def frame_averaged_table(
@@ -356,12 +375,14 @@ def frame_averaged_table(
     exp(-w^2 |m_ab|^2 / 2) exp(i m_ab . c) (m_ab from
     :func:`_offset_frequencies`).  The average is exact, and width 0 gives
     the table at the fixed frame c.  Table index bit k-1 selects party
-    k's setting 0 or 1, party 1's from pair 0 (rows 0 and 1); the other
-    pairs' tables come from :func:`best_pair_bell_value`.  Raises
-    ValueError if the state, strategy and model disagree on the party
-    count.
+    k's setting 0 or 1, party 1's from pair 0 (rows 0 and 1); only that
+    pair's table is built, and the other pairs' tables come from
+    :func:`best_pair_bell_value`.  Raises ValueError if the state,
+    strategy and model disagree on the party count.
     """
-    return _frame_averaged_tables(state, strategy, model)[0]
+    rho = _frame_state(state, strategy, model)
+    (table,) = correlator_tables(rho, _setting_pairs(strategy)[:1])
+    return CorrelatorTable(strategy.n_parties, table)
 
 
 def bell_value_averaged(
@@ -391,7 +412,8 @@ def best_pair_bell_value(
     width 0.  Returns (BellResult, pair_index); ties go to the lowest pair
     index, so a strategy of one pair gives pair 0.
     """
-    results = [wwzb_value(table) for table in _frame_averaged_tables(state, strategy, model)]
+    tables = _frame_averaged_tables(state, strategy, model)
+    results = [wwzb_value(CorrelatorTable(strategy.n_parties, table)) for table in tables]
     best = max(range(len(results)), key=lambda j: results[j].s_value)
     return results[best], best
 

@@ -32,9 +32,14 @@ at many batches (an optimizer search) forms them once.  The batch is
 processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices
 divided by the number of states, so memory stays bounded for any batch
 size.  :func:`correlator_tables` is the 2^N-entry table builder behind
-both the optimizer and the offset-symbolic tables, so the package has
-one correlator walk.  The tests keep a dense evaluation in the full 2^N
-mode-occupation space as its slow oracle.
+the optimizer, the one-frame state route and the offset-symbolic tables,
+so the package has one correlator walk, and it picks its route itself:
+when every state of the stack is exchangeable in modes 2..N (decided
+once per stack, with the state-only factors) and a point's parties 2..N
+hold one setting pair, an entry depends only on party 1's setting and on
+how many of the others take setting 1, so 2N kernel rows fill the 2^N
+entries; every other point walks all 2^N rows.  The tests keep a dense
+evaluation in the full 2^N mode-occupation space as its slow oracle.
 
 Validation happens where values enter: :class:`SubspaceState` checks the
 state and :func:`check_observable_matrices` checks a batch of
@@ -46,6 +51,7 @@ The kernel itself only checks that its results are real
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -225,9 +231,10 @@ class _StateTerms(NamedTuple):
 
     ``states`` is the stack (S, N+1, N+1); the others are its vacuum
     population (S, 1), its one-photon populations and vacuum-excitation
-    coherences (S, 1, N) each, and the two channels of excitation pairs
-    (S, 2, N, N).  Formed once per stack by :func:`_state_terms`, so a
-    caller that contracts the same states many times forms them once.
+    coherences (S, 1, N) each, the two channels of excitation pairs
+    (S, 2, N, N), and whether every state is exchangeable in modes 2..N
+    (:func:`_exchangeable`).  Formed once per stack by :func:`_state_terms`,
+    so a caller that contracts the same states many times forms them once.
     """
 
     states: np.ndarray
@@ -236,6 +243,31 @@ class _StateTerms(NamedTuple):
     upper: np.ndarray
     lower: np.ndarray
     weights: np.ndarray
+    exchangeable: bool
+
+
+@lru_cache(maxsize=32)
+def _mode_generators(n_modes: int) -> np.ndarray:
+    """Read-only basis orders (2, N+1) of the swap of modes 2, 3 and the cycle of modes 2..N.
+
+    The two permutations generate every permutation of modes 2..N (each
+    is the identity when N < 3).
+    """
+    rest = list(range(2, n_modes + 1))
+    orders = np.array([[0, 1, *rest[1::-1], *rest[2:]], [0, 1, *rest[1:], *rest[:1]]])
+    orders.setflags(write=False)
+    return orders
+
+
+def _exchangeable(states: np.ndarray) -> bool:
+    """Whether every state of a stack (S, N+1, N+1) is exchangeable in modes 2..N.
+
+    True when each state equals itself, entry for entry and bit for bit,
+    under every permutation of modes 2..N; the two generators of
+    :func:`_mode_generators` decide it in one comparison.
+    """
+    orders = _mode_generators(states.shape[-1] - 1)
+    return bool((states[:, orders[:, :, None], orders[:, None, :]] == states[:, None]).all())
 
 
 def _state_terms(states: np.ndarray) -> _StateTerms:
@@ -248,6 +280,7 @@ def _state_terms(states: np.ndarray) -> _StateTerms:
         states[:, None, 0, 1:],
         states[:, None, 1:, 0],
         np.stack((excited, excited.swapaxes(1, 2)), axis=1),
+        _exchangeable(states),
     )
 
 
@@ -366,13 +399,56 @@ def correlator_batch(rho, matrices) -> np.ndarray:
     return values.reshape(rho.shape[:-2] + mats.shape[:-3])
 
 
-def _table_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
-    """Tables (S, P, 2^N) of setting pairs (P, N, 2, 2, 2) against prepared states.
+def _setting_weights(rest: int) -> np.ndarray:
+    """Number of ones in each of the 2^rest setting choices of parties 2..N."""
+    weights = np.zeros(1, dtype=np.uint8)
+    for _ in range(rest):
+        weights = np.concatenate((weights, weights + 1))
+    return weights
 
-    The table walk behind :func:`correlator_tables` without its input
-    checks.  Entry s of table p uses party k's setting bit k-1 of s; rows
-    are built for a chunk of table indices at a time, so memory stays
-    bounded for any N.
+
+@lru_cache(maxsize=32)
+def _exchangeable_rows(n_parties: int):
+    """Read-only gather indices (pick, weights) of the exchangeable route of N parties.
+
+    ``pick[ones]`` holds the setting each of parties 2..N takes in row
+    (s_1, ones): setting 1 for parties 2..ones+1, setting 0 for the
+    others.  ``weights[s]`` is the row that the setting choice s of
+    parties 2..N reads (:func:`_setting_weights`).  Built once per N.
+    """
+    pick = (np.arange(1, n_parties) <= np.arange(n_parties)[:, None]).astype(np.intp)
+    weights = _setting_weights(n_parties - 1)
+    pick.setflags(write=False)
+    weights.setflags(write=False)
+    return pick, weights
+
+
+def _exchangeable_values(terms: _StateTerms, ref: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Tables (S, P, 2^N) of points whose parties 2..N share one setting pair.
+
+    ``ref`` and ``shared`` (P, 2, 2, 2) are party 1's setting pair and the
+    pair parties 2..N share.  The states must be exchangeable in modes
+    2..N (``terms.exchangeable``); then entry s depends only on s_1 and on
+    how many of s_2..s_N are 1, so 2N rows per point, in one kernel call,
+    fill the 2^N entries.
+    """
+    count, points, n = len(terms.states), len(ref), terms.states.shape[-1] - 1
+    pick, weights = _exchangeable_rows(n)
+    mats = np.empty((points, 2, n, n, 2, 2), dtype=complex)
+    mats[:, :, :, 0] = ref[:, :, None]
+    mats[:, :, :, 1:] = shared[:, None, pick]
+    distinct = _correlator_values(terms, mats.reshape(-1, n, 2, 2))
+    # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
+    pairs = np.ascontiguousarray(distinct.reshape(count, points, 2, n).swapaxes(-1, -2))
+    return np.take(pairs, weights, axis=-2).reshape(count, points, 2**n)
+
+
+def _walked_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
+    """Tables (S, P, 2^N) of any setting pairs (P, N, 2, 2, 2), one row per entry.
+
+    Entry s of table p uses party k's setting bit k-1 of s; rows are built
+    for a chunk of table indices at a time, so memory stays bounded for
+    any N.
     """
     points, n = pairs.shape[:2]
     size = 2**n
@@ -389,14 +465,42 @@ def _table_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
     return tables
 
 
+def _table_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
+    """Tables (S, P, 2^N) of setting pairs (P, N, 2, 2, 2) against prepared states.
+
+    The table walk behind :func:`correlator_tables` without its input
+    checks, and the one place that picks a route.  When the stack is
+    exchangeable in modes 2..N, a point whose parties 2..N hold one
+    setting pair takes the 2N-row route (:func:`_exchangeable_values`);
+    every other point walks all 2^N rows (:func:`_walked_values`), and so
+    does every point below three parties, where 2N rows are all 2^N.
+    """
+    if pairs.shape[1] < 3 or not terms.exchangeable:
+        return _walked_values(terms, pairs)
+    shared = np.all(pairs[:, 2:] == pairs[:, 1:2], axis=(1, 2, 3, 4))
+    if shared.all():
+        return _exchangeable_values(terms, pairs[:, 0], pairs[:, -1])
+    tables = np.empty((len(terms.states), len(pairs), 2 ** pairs.shape[1]))
+    if shared.any():
+        tables[:, shared] = _exchangeable_values(terms, pairs[shared, 0], pairs[shared, -1])
+    tables[:, ~shared] = _walked_values(terms, pairs[~shared])
+    return tables
+
+
 def correlator_tables(rho, pairs) -> np.ndarray:
     """Correlation tables (..., P, 2^N) of per-party setting pairs (P, N, 2, 2, 2).
 
     ``rho`` is one state or a stack of states (..., N+1, N+1), whose axes
     come first in the result.  Entry s of table p uses party k's setting
-    bit k-1 of s.  Observable rows are built for a chunk of table indices
-    at a time and contracted against every state at once, so memory stays
-    bounded for any N.  Errors are those of :func:`correlator_batch`.
+    bit k-1 of s.  When every state of the stack is exchangeable in modes
+    2..N (equal to itself under their permutations, bit for bit), a point
+    whose parties 2..N hold one setting pair costs 2N kernel rows; every
+    other point walks all 2^N rows, built for a chunk of table indices at
+    a time and contracted against every state at once.  The route is
+    chosen per stack, so a state gets the bits of a call with it alone
+    unless the stack mixes exchangeable and other states: then the
+    exchangeable ones walk all 2^N rows too, which equal their 2N-row
+    values to rounding.  Errors are those of :func:`correlator_batch`.
     """
     pairs = np.asarray(pairs, dtype=complex)
     rho, _ = _kernel_inputs(rho, pairs[:, :, 0])

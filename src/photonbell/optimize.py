@@ -30,23 +30,23 @@ is enforced by tests.
 
 A search prepares its score once (:func:`_bell_scores`,
 :func:`_crossing_scores`).  The point-independent work happens then, in
-:class:`_AveragedTables`: the lossy states are built, validated,
-dephased and stacked once per (N, efficiencies, width), together with
-their kernel factors, the setting each exchangeable party takes in each
-row and the row each table entry reads.  Each step then builds only its
-points' settings with :func:`~photonbell.fock_core.displacement_matrices`
-and checks them with the closed-form Hermiticity and eigenvalue bounds of
+:func:`_point_tables`: the lossy states are built, validated, dephased
+and stacked once per (N, efficiencies, width), together with their
+kernel factors.  Each step then builds only its points' settings with
+:func:`~photonbell.fock_core.displacement_matrices` and checks them with
+the closed-form Hermiticity and eigenvalue bounds of
 :func:`~photonbell.fock_core.check_observable_matrices`: one pair per
-point in a pinned shared-amplitude search, where every point is
-exchangeable, and every party's pair at phases (0, c_1, ..., c_{N-1})
-otherwise.  The tables of every efficiency are one kernel call per route
-against the prepared stack: 2N rows when parties 2..N are exchangeable,
-otherwise all 2^N rows through the package's one table walk (the one
-behind :func:`~photonbell.fock_core.correlator_tables`).
-:func:`averaged_correlator_table` builds its one table with the same
-class, so each kind of point has one table route.  Inputs from outside
-(amplitudes, centers, width, efficiency) are checked at
-:func:`averaged_correlator_table` and :class:`OptimizationSpec`.
+point in a pinned shared-amplitude search, whose points all take the
+2N-row exchangeable route, and every party's pair at phases (0, c_1,
+..., c_{N-1}) otherwise, routed by the package's one table walk (the one
+behind :func:`~photonbell.fock_core.correlator_tables`, which takes the
+2N-row route for a point whose parties 2..N hold one pair).  The tables
+of every efficiency are one kernel call per route against the prepared
+stack.  :func:`averaged_correlator_table` is the one-frame state route
+of :mod:`~photonbell.experiments` for the single-phase strategy, with
+the centers in the state.  Inputs from outside are checked at
+:class:`OptimizationSpec` and, for one table, by the strategy, state
+and frame model that :func:`averaged_correlator_table` builds.
 
 :func:`maximize_bell` and :func:`threshold_efficiency` share one search
 driver over a batched score: the start cloud is scored in one call, and
@@ -83,16 +83,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .experiments import (
+    _frame_averaged_tables,
     _frame_damping,
     _offset_frequencies,
     best_pair_values_over_centers,
     pair_symbolic_tables,
     paired_strategy,
+    two_setting_strategy,
 )
 from .fock_core import (
     TWO_PI,
     ConsistencyError,
-    _correlator_values,
+    _exchangeable_values,
     _state_terms,
     _table_values,
     _whole,
@@ -100,6 +102,7 @@ from .fock_core import (
     displacement_matrices,
     lossy_w_state,
 )
+from .phase_noise import PhaseModel
 from .wwzb import TABLE_RANGE_TOL, VIOLATION_ROUNDOFF, _walsh_hadamard
 
 __all__ = [
@@ -217,127 +220,42 @@ def _lossy_rhos(n_parties: int, efficiencies: tuple, width: float) -> np.ndarray
     return rhos
 
 
-def _setting_weights(rest: int) -> np.ndarray:
-    """Number of ones in each of the 2^rest setting choices of parties 2..N."""
-    weights = np.zeros(1, dtype=np.uint8)
-    for _ in range(rest):
-        weights = np.concatenate((weights, weights + 1))
-    return weights
-
-
-class _AveragedTables:
-    """Averaged tables of N parties at one width and E efficiencies.
-
-    Construction does the work that no point changes: the stacked
-    frame-averaged lossy states and their kernel factors, the setting
-    each of parties 2..N takes in each exchangeable row, and the row each
-    table entry reads.  A search builds one and calls it at every step.
-    """
-
-    def __init__(self, n_parties: int, width: float, efficiencies: tuple):
-        etas = tuple(float(eta) for eta in efficiencies)
-        self.n_parties = n_parties
-        self.terms = _state_terms(_lossy_rhos(int(n_parties), etas, float(width)))
-        # Row (s_1, ones): parties 2..ones+1 use setting 1, the others setting 0.
-        ones = np.arange(n_parties)
-        self.pick = (np.arange(1, n_parties) <= ones[:, None]).astype(np.intp)
-        self.weights = _setting_weights(n_parties - 1)
-
-    def symmetric(self, ref: np.ndarray, shared: np.ndarray) -> np.ndarray:
-        """Tables (E, P, 2^N) of points whose parties 2..N share one setting pair.
-
-        ``ref`` and ``shared`` (P, 2, 2, 2) are party 1's settings and the
-        pair parties 2..N share, already checked.  Those parties are
-        exchangeable, so xi(s) depends only on s_1 and on how many of
-        s_2..s_N are 1: 2N correlators per point and state, in one kernel
-        call, fill the 2^N entries.
-        """
-        n = self.n_parties
-        points = len(ref)
-        mats = np.empty((points, 2, n, n, 2, 2), dtype=complex)
-        mats[:, :, :, 0] = ref[:, :, None]
-        mats[:, :, :, 1:] = shared[:, None, self.pick]
-        distinct = _correlator_values(self.terms, mats.reshape(-1, n, 2, 2))
-        # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
-        pairs = np.ascontiguousarray(distinct.reshape(-1, points, 2, n).swapaxes(-1, -2))
-        return np.take(pairs, self.weights, axis=-2).reshape(-1, points, 2**n)
-
-    def __call__(self, amplitudes: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Tables (E, P, 2^N) of P points, each routed by its own parameters.
-
-        ``amplitudes`` (P, N, 2) holds already validated signed amplitudes
-        as (point, party, setting) and ``centers`` (P, N-1) the frame
-        centers.  Party p's settings are the displaced click observables
-        of its two amplitudes at phase c_{p-1} (party 1 at phase 0), built
-        and checked in one call.  A point takes the exchangeable route
-        when every party has the same amplitude pair and all centers
-        coincide, the others get all 2^N entries through one table walk.
-        Each table depends only on its own point: a batch gives the same
-        values, bit for bit, as every point alone.
-        """
-        phases = np.zeros(amplitudes.shape[:2])
-        phases[:, 1:] = centers
-        options = displacement_matrices(amplitudes, phases[..., None])
-        check_observable_matrices(options)
-        symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
-            centers == centers[:, :1], axis=1
-        )
-        tables = np.empty((len(self.terms.states), len(options), 2**self.n_parties))
-        if symmetric.any():
-            tables[:, symmetric] = self.symmetric(options[symmetric, 0], options[symmetric, -1])
-        if not symmetric.all():
-            tables[:, ~symmetric] = _table_values(self.terms, options[~symmetric])
-        return tables
-
-
-def _per_party_amplitudes(n_parties: int, r0, r1):
-    """Broadcast scalar-or-sequence amplitude arguments to per-party pairs."""
-    pairs = []
-    for name, value in (("r0", r0), ("r1", r1)):
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(n_parties, float(arr))
-        elif arr.shape != (n_parties,):
-            raise ValueError(f"{name} must be a scalar or one value per party")
-        pairs.append(arr)
-    return pairs[0], pairs[1]
-
-
 def averaged_correlator_table(
-    n_parties: int,
-    r0,
-    r1,
-    centers,
-    width: float,
-    efficiency: float,
+    n_parties: int, r0: float, r1: float, centers, width: float, efficiency: float
 ) -> np.ndarray:
     """Frame-averaged correlation table of the single-phase strategy.
 
-    Equals the symbolic table of ``two_setting_strategy(n_parties, r0, r1)``
-    on the lossy state, averaged entry-wise over independent Gaussian
-    offsets with the given centers and width.  ``r0`` and ``r1`` are signed
-    amplitudes, either scalars (every party uses the same pair) or one
-    value per party.  When the amplitudes are shared and every center
-    coincides, parties 2..N are exchangeable and only 2 N distinct
-    correlators are evaluated for the 2^N entries.
+    The table of ``two_setting_strategy(n_parties, r0, r1)`` on the lossy
+    W state, averaged entry-wise over independent Gaussian offsets with
+    the given centers and width: the state route of
+    :func:`~photonbell.experiments.frame_averaged_table`, returned as a
+    plain array.  ``r0`` and ``r1`` are signed scalar amplitudes shared by
+    every party.  The lossy W state is exchangeable in modes 2..N, and so
+    is its frame average when every center coincides; then only 2N
+    distinct correlators are evaluated for the 2^N entries.
 
     Raises ValueError unless there is at least one party, one finite
-    center per party 2..N, the amplitudes are finite, the width is finite
-    and >= 0 and the efficiency lies in [0, 1].
+    center per party 2..N, the amplitudes are finite real scalars, the
+    width is finite and >= 0 and the efficiency lies in [0, 1].
     """
-    n_parties = _whole(n_parties, "n_parties", 1)
-    centers = np.asarray(centers, dtype=float)
-    if centers.shape != (n_parties - 1,):
-        raise ValueError("need one center per non-reference party")
-    if not np.all(np.isfinite(centers)):
-        raise ValueError("frame centers must be finite")
-    if not np.isfinite(width) or width < 0.0:
-        raise ValueError("width must be finite and >= 0")
-    amplitudes = np.stack(_per_party_amplitudes(n_parties, r0, r1), axis=-1)
-    if not np.all(np.isfinite(amplitudes)):
-        raise ValueError("amplitudes must be finite")
-    tables = _AveragedTables(n_parties, width, (efficiency,))
-    return tables(amplitudes[None], centers[None])[0, 0]
+    strategy = two_setting_strategy(n_parties, r0, r1)
+    state = lossy_w_state(n_parties, efficiency)
+    return _frame_averaged_tables(state, strategy, PhaseModel(centers, width))[0]
+
+
+def _setting_options(amplitudes: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Checked setting pairs (P, N, 2, 2, 2) of P points.
+
+    ``amplitudes`` (P, N, 2) holds signed amplitudes as (point, party,
+    setting) and ``centers`` (P, N-1) the frame centers.  Party p's
+    settings are the displaced click observables of its two amplitudes at
+    phase c_{p-1} (party 1 at phase 0), built and checked in one call.
+    """
+    phases = np.zeros(amplitudes.shape[:2])
+    phases[:, 1:] = centers
+    options = displacement_matrices(amplitudes, phases[..., None])
+    check_observable_matrices(options)
+    return options
 
 
 def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
@@ -360,21 +278,25 @@ def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
 def _point_tables(spec: OptimizationSpec, efficiencies: tuple):
     """Table function of a search, from points (P, dims) to tables (E, P, 2^N).
 
-    The :class:`_AveragedTables` are built once, here.  A pinned
-    shared-amplitude search is exchangeable at every point, party 1
-    included, so each step builds and checks one settings pair per point
-    and needs no route masks; the other searches route every point.
+    The stacked frame-averaged lossy states and their kernel factors are
+    formed once, here.  A pinned shared-amplitude search is exchangeable
+    at every point, party 1 included, so each step builds and checks one
+    settings pair per point and calls the exchangeable route directly; the
+    other searches build every party's pair and leave the route to the
+    table walk.  Each table depends only on its own point: a batch gives
+    the same values, bit for bit, as every point alone.
     """
-    tables = _AveragedTables(spec.n_parties, spec.width, efficiencies)
+    etas = tuple(float(eta) for eta in efficiencies)
+    terms = _state_terms(_lossy_rhos(spec.n_parties, etas, float(spec.width)))
     if spec.shared_amplitudes and not spec.optimize_phases:
 
         def pinned(points):
             options = displacement_matrices(points, 0.0)
             check_observable_matrices(options)
-            return tables.symmetric(options, options)
+            return _exchangeable_values(terms, options, options)
 
         return pinned
-    return lambda points: tables(*_point_parameters(spec, points))
+    return lambda points: _table_values(terms, _setting_options(*_point_parameters(spec, points)))
 
 
 def _bell_scores(spec: OptimizationSpec):

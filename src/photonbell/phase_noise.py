@@ -17,8 +17,11 @@ which coincides with the wrapped distribution's Fourier coefficients for
 integer m, so the analytic average is exact: it damps state entry (a, b)
 by exp(-|m_ab|^2 delta^2 / 2) and turns it by its phase at the centers,
 for the table of party 1's setting pair 0
-(:func:`~photonbell.experiments.frame_averaged_table`) and of every pair
-at once (:func:`~photonbell.experiments.best_pair_bell_value`).  Scans
+(:func:`~photonbell.experiments.frame_averaged_table` and, for the
+single-phase strategy, :func:`~photonbell.optimize.averaged_correlator_table`)
+and of every pair at once
+(:func:`~photonbell.experiments.best_pair_bell_value`).  The optimizer
+damps the same way and moves the centers into the setting phases.  Scans
 over many centers damp the cosine and sine rows of the symbolic tables
 of :func:`~photonbell.experiments.pair_symbolic_tables`, one per pair,
 by the same factor.
@@ -49,8 +52,9 @@ class PhaseModel:
     Parameters
     ----------
     centers : sequence of float
-        Mean offsets phibar_l, one per relative phase (length N-1, possibly
-        empty for a single party).  Stored reduced to [0, 2*pi).
+        Mean offsets phibar_l, one real number per relative phase (length
+        N-1, possibly empty for a single party).  Stored reduced to
+        [0, 2*pi).
     width : float
         Common standard deviation delta >= 0 of the unwrapped Gaussians.
         Zero width means static, perfectly known offsets.
@@ -60,7 +64,10 @@ class PhaseModel:
     width: float
 
     def __post_init__(self):
-        centers = tuple(float(c) % TWO_PI for c in self.centers)
+        given = np.asarray(self.centers)
+        if given.ndim != 1 or given.dtype.kind not in "iuf":
+            raise ValueError("phase centers must be a sequence of real numbers")
+        centers = tuple(float(c) % TWO_PI for c in given)
         if any(not np.isfinite(c) for c in centers):
             raise ValueError("phase centers must be finite")
         if not np.isfinite(self.width) or self.width < 0.0:

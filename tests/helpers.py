@@ -14,6 +14,7 @@ from photonbell.experiments import _half_basis, _setting_pairs
 from photonbell.fock_core import (
     IMAG_RESIDUE_TOL,
     TWO_PI,
+    _setting_weights,
     check_observable_matrices,
     correlator_batch,
     correlator_tables,
@@ -26,7 +27,6 @@ from photonbell.optimize import (
     _lossy_rhos,
     _point_parameters,
     _search_box,
-    _setting_weights,
 )
 from photonbell.wwzb import TABLE_RANGE_TOL, VIOLATION_ROUNDOFF, _walsh_hadamard
 
@@ -316,7 +316,7 @@ def symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
     every party's settings, and the 2N distinct rows of each point are
     rebuilt from party 1's and party N's pairs through a ``pick`` mask
     and contracted by one ``correlator_batch`` call.  Part of the oracle
-    of ``optimize._AveragedTables``.
+    of the exchangeable route of ``fock_core._table_values``.
     """
     points, n = options.shape[:2]
     rest = n - 1
@@ -333,29 +333,34 @@ def symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
     return np.take(pairs, _setting_weights(rest), axis=-2).reshape(*pairs.shape[:-2], 2**n)
 
 
+def routed_tables(rhos: np.ndarray, options: np.ndarray) -> np.ndarray:
+    """Tables (E, P, 2^N) of lossy W states (E, N+1, N+1), each point routed per call.
+
+    Points whose parties 2..N share one setting pair go through
+    :func:`symmetric_tables`, the rest through ``correlator_tables``.
+    """
+    shared = np.all(options[:, 2:] == options[:, 1:2], axis=(1, 2, 3, 4))
+    tables = np.empty((len(rhos), len(options), 2 ** options.shape[1]))
+    for mask, build in ((shared, symmetric_tables), (~shared, correlator_tables)):
+        if mask.any():
+            tables[:, mask] = build(rhos, options[mask])
+    return tables
+
+
 def per_call_averaged_tables(n_parties, amplitudes, centers, width, efficiencies):
     """Averaged tables (E, P, 2^N) of P points, every step redone per call.
 
     Builds and checks all 2N settings of every point, looks up the
-    stacked frame-averaged states, computes both route masks and sends
-    exchangeable points through :func:`symmetric_tables` and the rest
-    through ``correlator_tables``.  Oracle of ``optimize._AveragedTables``
-    and of the prepared scores, which must equal it bit for bit.
+    stacked frame-averaged states and routes every point through
+    :func:`routed_tables`.  Oracle of the optimizer's prepared table
+    functions and scores, which must equal it bit for bit.
     """
     phases = np.zeros(amplitudes.shape[:2])
     phases[:, 1:] = centers
     options = displacement_matrices(amplitudes, phases[..., None])
     check_observable_matrices(options)
-    symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
-        centers == centers[:, :1], axis=1
-    )
     etas = tuple(float(eta) for eta in efficiencies)
-    rhos = _lossy_rhos(int(n_parties), etas, float(width))
-    tables = np.empty((len(efficiencies), len(options), 2**n_parties))
-    for mask, build in ((symmetric, symmetric_tables), (~symmetric, correlator_tables)):
-        if mask.any():
-            tables[:, mask] = build(rhos, options[mask])
-    return tables
+    return routed_tables(_lossy_rhos(int(n_parties), etas, float(width)), options)
 
 
 def per_call_bell_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
@@ -420,22 +425,13 @@ def dressed_averaged_tables(n_parties, amplitudes, centers, width, efficiencies)
     """Averaged tables (E, P, 2^N) through frame-averaged observables.
 
     The noise sits in the observables instead of the state: the undamped
-    lossy states against :func:`dressed_observables`, routed as
-    ``optimize._AveragedTables`` routes its points (exchangeable parties
-    through :func:`symmetric_tables`, the rest through
-    ``correlator_tables``).  Oracle for ``_AveragedTables``, which
-    dephases the state.
+    lossy states against :func:`dressed_observables`, each point routed by
+    :func:`routed_tables`.  Oracle for the optimizer's tables, which
+    dephase the state.
     """
     options = dressed_observables(amplitudes, centers, width)
     rhos = np.stack([lossy_w_state(n_parties, eta).matrix for eta in efficiencies])
-    symmetric = np.all(amplitudes == amplitudes[:, :1], axis=(1, 2)) & np.all(
-        centers == centers[:, :1], axis=1
-    )
-    tables = np.empty((len(efficiencies), len(options), 2**n_parties))
-    for mask, build in ((symmetric, symmetric_tables), (~symmetric, correlator_tables)):
-        if mask.any():
-            tables[:, mask] = build(rhos, options[mask])
-    return tables
+    return routed_tables(rhos, options)
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:

@@ -27,6 +27,21 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, seed):
+    # the commands check seeds with the library's own seed check, before
+    # any search or sampling
+    out = str(tmp_path / "h.json")
+    for argv in (
+        ["fig3", "--samples", "10", "--restarts", "1", "--out", out],
+        ["violation-dist", "--r0", "0.1", "--r1", "-0.5", "--samples", "10"],
+    ):
+        code, out_text, err = run(argv + ["--seed", seed], capsys)
+        assert code == 2 and out_text == ""
+        assert ("seed must be >= 0" if seed == "-1" else "seed must be < 2**64") in err
+    assert not (tmp_path / "h_m1.json").exists()
+
+
 def test_invalid_arguments_exit_2(tmp_path, capsys):
     out = str(tmp_path / "f.csv")
     assert main(["fig1", "--r", "-1", "--out", out]) == 2

@@ -10,6 +10,7 @@ from helpers import (
     complex_entries,
     complex_frame_scan,
     correlator_bruteforce,
+    per_call_averaged_tables,
     random_state,
     setting_matrices,
     symbolic_rows_per_component,
@@ -132,6 +133,54 @@ def test_fractional_pairs_and_pair_counts_are_refused():
     for good in (2, np.int64(2), np.uint8(2)):
         counted = MeasurementStrategy(two_pairs, pair_count=good).pair_count
         assert counted == 2 and type(counted) is int
+
+
+@pytest.mark.parametrize(
+    "r0",
+    ["0.5", True, np.bool_(False), 0.5 + 0.0j, (0.5, 0.2), np.array([0.5]), None],
+    ids=["str", "bool", "numpy-bool", "complex", "tuple", "array", "none"],
+)
+def test_non_real_or_non_scalar_amplitudes_are_refused(r0):
+    # a float conversion read "0.5" and True as amplitudes 0.5 and 1.0;
+    # every builder of signed settings refuses them, in either slot, and
+    # so does the one-table entry point that builds such a strategy
+    for build in (
+        lambda a, b: two_setting_strategy(2, a, b),
+        lambda a, b: paired_strategy(2, a, b, 3),
+        lambda a, b: averaged_correlator_table(3, a, b, (0.0, 0.0), 0.1, 0.9),
+    ):
+        for amplitudes in ((r0, 0.2), (0.2, r0)):
+            with pytest.raises(ValueError, match="amplitudes must be real scalars"):
+                build(*amplitudes)
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [0.3, np.float64(0.3), (0.1,), (0.1, 0.2, 0.3), ((0.1, 0.2),), ("0.1", "0.2")],
+    ids=["scalar", "numpy-scalar", "short", "long", "nested", "str"],
+)
+def test_scalar_or_missized_phases_are_refused(phases):
+    # a scalar raised TypeError from len(); every phase list but one real
+    # number per party raises ValueError
+    for build in (
+        lambda: two_setting_strategy(2, 0.1, 0.2, phases),
+        lambda: paired_strategy(2, 0.1, 0.2, 1, phases=phases),
+    ):
+        with pytest.raises(ValueError, match="need one real phase per party"):
+            build()
+
+
+def test_real_scalar_inputs_still_pass():
+    # Python and numpy integers and floats, 0-d arrays and integer phases
+    # give the strategy of the same float values
+    reference = two_setting_strategy(2, 1.0, -0.5, (0.0, 1.0)).settings
+    for r0, r1, phases in (
+        (1, -0.5, (0, 1)),
+        (np.int64(1), np.float32(-0.5), np.array([0.0, 1.0])),
+        (np.array(1.0), np.float64(-0.5), [0.0, 1]),
+    ):
+        settings = two_setting_strategy(2, r0, r1, phases).settings
+        assert all(np.array_equal(a, b) for a, b in zip(settings, reference))
 
 
 def signed_row(r: float, phase: float) -> list:
@@ -303,17 +352,15 @@ def test_frame_averaged_table_matches_oracles(n):
         fixed = experiments._frame_averaged_tables(state, strat, PhaseModel(tuple(centers), 0.0))
         for index in range(2**n):
             chosen = shifted_matrices(strat, pair, centers, index)
-            assert abs(fixed[pair].values[index] - correlator_batch(state.matrix, chosen)) < 1e-12
-            assert (
-                abs(fixed[pair].values[index] - correlator_bruteforce(state.matrix, chosen)) < 1e-12
-            )
+            assert abs(fixed[pair][index] - correlator_batch(state.matrix, chosen)) < 1e-12
+            assert abs(fixed[pair][index] - correlator_bruteforce(state.matrix, chosen)) < 1e-12
         for width in (0.0, 0.3, 1.1):
             model = PhaseModel(tuple(centers), width)
             tables = experiments._frame_averaged_tables(state, strat, model)
             oracle = complex_entries(symbolic, centers, width)
-            assert np.max(np.abs(tables[pair].values - oracle.real)) <= 1e-14
+            assert np.max(np.abs(tables[pair] - oracle.real)) <= 1e-14
             table = frame_averaged_table(state, strat, model)
-            assert np.array_equal(table.values, tables[0].values)
+            assert np.array_equal(table.values, tables[0])
 
 
 def offset_basis(n: int) -> list:
@@ -501,9 +548,10 @@ def test_averaged_table_matches_symbolic_route():
     for n, r0, r1, eta in cases:
         centers = tuple(rng.uniform(0.0, TWO_PI, n - 1))
         width = rng.uniform(0.0, 1.0)
-        fast = averaged_correlator_table(n, r0, r1, centers, width, eta)
         r0s = np.broadcast_to(np.asarray(r0, dtype=float), (n,))
         r1s = np.broadcast_to(np.asarray(r1, dtype=float), (n,))
+        amplitudes = np.stack((r0s, r1s), axis=-1)[None]
+        fast = per_call_averaged_tables(n, amplitudes, np.array([centers]), width, (eta,))[0, 0]
         # a negative amplitude is |r| with the phase advanced by pi
         strat = MeasurementStrategy(
             [[(abs(r), np.pi * (r < 0.0)) for r in (r0s[k], r1s[k])] for k in range(n)]
@@ -514,6 +562,9 @@ def test_averaged_table_matches_symbolic_route():
         assert np.max(np.abs(fast - slow)) < 1e-12
         state_route = frame_averaged_table(state, strat, PhaseModel(centers, width))
         assert np.max(np.abs(fast - state_route.values)) < 1e-12
+        if np.ndim(r0) == 0:
+            one_table = averaged_correlator_table(n, r0, r1, centers, width, eta)
+            assert np.max(np.abs(fast - one_table)) < 1e-12
 
 
 def test_averaged_table_shared_centers_fast_path():
@@ -563,6 +614,31 @@ def test_bell_value_wrappers():
     fixed = bell_value_averaged(state, strat, PhaseModel((0.0,), 0.0))
     averaged = bell_value_averaged(state, strat, PhaseModel((0.0,), 0.3))
     assert averaged.s_value <= fixed.s_value + 1e-12
+
+
+def test_one_table_builds_pair_zero_only(monkeypatch):
+    # frame_averaged_table and bell_value_averaged of a five-pair strategy
+    # build pair 0's table alone: 2^N kernel rows on a random state, 2N on
+    # the exchangeable lossy W state; best_pair_bell_value builds all five
+    import photonbell.fock_core as fock_core
+
+    rows = []
+    values = fock_core._correlator_values
+
+    def counted(terms, batch):
+        rows.append(len(batch))
+        return values(terms, batch)
+
+    monkeypatch.setattr(fock_core, "_correlator_values", counted)
+    rng = np.random.default_rng(21)
+    n, m = 3, 5
+    strat = paired_strategy(n, 0.3, -0.6, m)
+    model = PhaseModel((0.4, 0.4), 0.2)
+    for state, per_table in ((random_state(rng, n), 2**n), (lossy_w_state(n, 0.9), 2 * n)):
+        for build in (frame_averaged_table, bell_value_averaged, best_pair_bell_value):
+            rows.clear()
+            build(state, strat, model)
+            assert sum(rows) == per_table * (m if build is best_pair_bell_value else 1)
 
 
 def test_best_pair_matches_manual_maximum(monkeypatch):

@@ -6,13 +6,19 @@ import pytest
 from photonbell import (
     ConsistencyError,
     MeasurementStrategy,
+    PhaseModel,
     SubspaceState,
     lossy_w_state,
     two_setting_strategy,
     w_state,
 )
+import photonbell.fock_core as fock_core
+from photonbell.experiments import _frame_state
 from photonbell.fock_core import (
     CORRELATOR_CHUNK_ELEMENTS,
+    _exchangeable,
+    _state_terms,
+    _walked_values,
     check_observable_matrices,
     correlator_batch,
     correlator_tables,
@@ -28,6 +34,7 @@ from helpers import (
     random_state,
     setting_matrices,
 )
+from photonbell.optimize import _lossy_rhos
 
 
 def test_w_state_entries():
@@ -313,6 +320,17 @@ def test_stacked_states_match_single_state_calls(n, monkeypatch):
     pairs = random_observable_matrices(rng, (3, n, 2))
     alone = [correlator_batch(states[i], mats) for i in np.ndindex(2, 3)]
     tables = [correlator_tables(states[i], pairs) for i in np.ndindex(2, 3)]
+    # a stack of lossy W states is exchangeable in modes 2..N, alone and
+    # stacked, so with parties 2..N on one pair each state takes the
+    # 2N-row route either way, and the 2^N-row walk otherwise
+    w_states = np.stack([lossy_w_state(n, eta).matrix for eta in np.linspace(0.0, 1.0, 6)])
+    w_states = w_states.reshape(2, 3, n + 1, n + 1)
+    w_pairs = pairs.copy()
+    w_pairs[:, 2:] = w_pairs[:, 1:2]
+    w_tables = [
+        [correlator_tables(w_states[i], chosen) for i in np.ndindex(2, 3)]
+        for chosen in (pairs, w_pairs)
+    ]
     for budget in (None, 12 * n):
         if budget is not None:
             monkeypatch.setattr("photonbell.fock_core.CORRELATOR_CHUNK_ELEMENTS", budget)
@@ -323,12 +341,74 @@ def test_stacked_states_match_single_state_calls(n, monkeypatch):
         for k, i in enumerate(np.ndindex(2, 3)):
             assert np.array_equal(stacked[i], alone[k])
             assert np.array_equal(stacked_tables[i], tables[k])
+        for chosen, tables_alone in zip((pairs, w_pairs), w_tables):
+            stacked_w = correlator_tables(w_states, chosen)
+            for k, i in enumerate(np.ndindex(2, 3)):
+                assert np.array_equal(stacked_w[i], tables_alone[k])
     # one state as a stack of one keeps its leading axis
     assert correlator_batch(states[:1, 0], mats).shape == (1, 5, 7)
     # an empty batch is empty on both entry points (the table walk once
     # divided its chunk budget by the zero point count)
     assert correlator_batch(states, mats[:0]).shape == (2, 3, 0, 7)
     assert correlator_tables(states, pairs[:0]).shape == (2, 3, 0, 2**n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exchangeability_of_lossy_w_and_random_states(n):
+    # frame-averaged lossy W stacks are exchangeable in modes 2..N at any
+    # width, and so is the frame state of equal centers; a one-ulp change
+    # to one entry that a permutation of modes 2..N moves, a random state
+    # and a stack holding one are not.  With at most one such mode every
+    # state is.
+    rng = np.random.default_rng(40 + n)
+    strategy = two_setting_strategy(n, 0.3, -0.6)
+    for width in (0.0, 0.3, 1.7, 40.0):
+        assert _exchangeable(_lossy_rhos(n, (0.0, 0.8, 1.0), width))
+        model = PhaseModel((rng.uniform(-10.0, 10.0),) * (n - 1), width)
+        assert _exchangeable(_frame_state(lossy_w_state(n, 0.9), strategy, model)[None])
+    stack = np.array(_lossy_rhos(n, (0.8,), 0.3))
+    for a, b in np.ndindex(n + 1, n + 1):
+        changed = stack.copy()
+        changed[0, a, b] = np.nextafter(changed[0, a, b].real, 1.0) + 1j * changed[0, a, b].imag
+        assert _exchangeable(changed) == (n < 3 or max(a, b) < 2), (a, b)
+    rho = random_state(rng, n).matrix
+    assert _exchangeable(rho[None]) == (n < 3)
+    assert _exchangeable(np.stack((stack[0], rho))) == (n < 3)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_table_walk_picks_the_exchangeable_route(n, monkeypatch):
+    # an exchangeable stack costs 2N kernel rows per point whose parties
+    # 2..N hold one setting pair; a random state, or parties 2..N on
+    # different pairs, costs 2^N rows; one batch may hold both kinds of
+    # point, and the routes agree within 1e-15
+    rows = []
+    values = fock_core._correlator_values
+
+    def counted(terms, batch):
+        rows.append(len(batch))
+        return values(terms, batch)
+
+    monkeypatch.setattr(fock_core, "_correlator_values", counted)
+    rng = np.random.default_rng(50 + n)
+    shared = random_observable_matrices(rng, (3, 1, 2)).repeat(n, axis=1)
+    shared[:, 0] = random_observable_matrices(rng, (3, 2))
+    distinct = random_observable_matrices(rng, (2, n, 2))
+    w_stack = _lossy_rhos(n, (0.0, 0.8, 1.0), 0.4)
+    rho = random_state(rng, n).matrix
+    walk = 2**n if n > 2 else 2 * n
+    for states, pairs, count in (
+        (w_stack, shared, 3 * 2 * n),
+        (rho, shared, 3 * walk),
+        (w_stack, distinct, 2 * walk),
+        (w_stack, np.concatenate((shared, distinct)), 3 * 2 * n + 2 * walk),
+    ):
+        rows.clear()
+        tables = correlator_tables(states, pairs)
+        assert sum(rows) == count
+        stack = np.reshape(states, (-1, n + 1, n + 1))
+        walked = _walked_values(_state_terms(stack), pairs)
+        assert np.max(np.abs(tables.reshape(walked.shape) - walked)) <= 1e-15
 
 
 def test_correlator_batch_rejects_non_hermitian_state():

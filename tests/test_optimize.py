@@ -24,7 +24,6 @@ from photonbell import (
     OptimumReport,
     PhaseModel,
     SubspaceState,
-    averaged_correlator_table,
     certainty_frontier,
     lossy_w_state,
     maximize_bell,
@@ -33,10 +32,10 @@ from photonbell import (
 )
 import photonbell.optimize as optimize
 from photonbell.experiments import _offset_frequencies
-from photonbell.fock_core import _correlator_values, _table_values
+import photonbell.fock_core as fock_core
+from photonbell.fock_core import _state_terms, _table_values
 from photonbell.optimize import (
     VIOLATION_ROUNDOFF,
-    _AveragedTables,
     _bell_scores,
     _crossing_efficiency,
     _crossing_scores,
@@ -49,10 +48,21 @@ from photonbell.optimize import (
     _scan_table_count,
     _search,
     _search_box,
+    _setting_options,
 )
 from photonbell.wwzb import _walsh_hadamard
 
 TWO_PI = 2.0 * np.pi
+
+
+def prepared_tables(n, width, efficiencies, amplitudes, centers):
+    """Tables (E, P, 2^N) as a search's table function makes them, from parameters.
+
+    The prepared stack of frame-averaged lossy states against every
+    party's checked settings, routed by the one table walk.
+    """
+    terms = _state_terms(_lossy_rhos(n, tuple(efficiencies), float(width)))
+    return _table_values(terms, _setting_options(amplitudes, centers))
 
 
 def test_spec_validation():
@@ -121,14 +131,11 @@ def test_batched_scan_equals_one_point_objective(spec):
     for i, x in enumerate(cloud):
         assert scores[i] == bell(x[None])[0]
         assert crossings[i] == crossing(x[None])[0]
-        table = averaged_correlator_table(
-            spec.n_parties,
-            amplitudes[i, :, 0],
-            amplitudes[i, :, 1],
-            centers[i],
-            spec.width,
-            spec.efficiency,
-        )
+        points = slice(i, i + 1)
+        efficiencies = (spec.efficiency,)
+        (table,) = per_call_averaged_tables(
+            spec.n_parties, amplitudes[points], centers[points], spec.width, efficiencies
+        )[0]
         assert scores[i] == -wwzb_value(CorrelatorTable(spec.n_parties, table)).s_value
 
 
@@ -535,9 +542,11 @@ def test_affine_transform_matches_bell_value(spec):
     assert eta_star.min() < 1.0 < eta_star.max()
 
     def table(i, eta):
-        return averaged_correlator_table(
-            n, amplitudes[i, :, 0], amplitudes[i, :, 1], centers[i], spec.width, eta
+        points = slice(i, i + 1)
+        (tables,) = per_call_averaged_tables(
+            n, amplitudes[points], centers[points], spec.width, (eta,)
         )
+        return tables[0]
 
     for i in range(len(points)):
         a = _walsh_hadamard(table(i, 0.0)) / 2**n
@@ -564,9 +573,9 @@ def test_stacked_efficiencies_match_one_efficiency_calls(n):
     centers[1::2] = rng.uniform(0.0, TWO_PI, (2, n - 1))
     for points in (slice(0, 1), slice(1, 4)):
         args = (amplitudes[points], centers[points])
-        both = _AveragedTables(n, 0.3, (0.0, 1.0))(*args)
-        assert np.array_equal(both[0], _AveragedTables(n, 0.3, (0.0,))(*args)[0])
-        assert np.array_equal(both[1], _AveragedTables(n, 0.3, (1.0,))(*args)[0])
+        both = prepared_tables(n, 0.3, (0.0, 1.0), *args)
+        assert np.array_equal(both[0], prepared_tables(n, 0.3, (0.0,), *args)[0])
+        assert np.array_equal(both[1], prepared_tables(n, 0.3, (1.0,), *args)[0])
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -588,7 +597,7 @@ def test_averaged_tables_match_dressed_observable_oracle(n):
     centers[2::3] = rng.uniform(0.0, TWO_PI, (2, n - 1))
     for width in (0.0, 0.2, 0.7, 1.5):
         for efficiencies in ((0.0, 1.0), (0.9,)):
-            tables = _AveragedTables(n, width, efficiencies)(amplitudes, centers)
+            tables = prepared_tables(n, width, efficiencies, amplitudes, centers)
             oracle = dressed_averaged_tables(n, amplitudes, centers, width, efficiencies)
             if width == 0.0:
                 assert np.array_equal(tables, oracle)
@@ -597,12 +606,11 @@ def test_averaged_tables_match_dressed_observable_oracle(n):
             # the per-call builder the prepared one replaced, bit for bit
             per_call = per_call_averaged_tables(n, amplitudes, centers, width, efficiencies)
             assert np.array_equal(tables, per_call)
-        # the public one-table entry point shares the builder (tables is at 0.9)
+        # every point alone has its bits in the batch (tables is at 0.9)
         for i in range(len(amplitudes)):
-            single = averaged_correlator_table(
-                n, amplitudes[i, :, 0], amplitudes[i, :, 1], centers[i], width, 0.9
-            )
-            assert np.array_equal(single, tables[0, i])
+            points = slice(i, i + 1)
+            alone = per_call_averaged_tables(n, amplitudes[points], centers[points], width, (0.9,))
+            assert np.array_equal(alone[0, 0], tables[0, i])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -640,23 +648,25 @@ def test_frame_averaged_state_matches_sampled_frames(n):
 
 def test_threshold_score_makes_one_kernel_call_per_route(monkeypatch):
     # a crossing score contracts the eta = 0 and eta = 1 states as one
-    # stack: one exchangeable-route call and one table call for a batch
+    # stack: one exchangeable-route call and one 2^N-row walk for a batch
     # that holds both kinds of points
     calls = []
+    exchangeable_values = fock_core._exchangeable_values
+    walked_values = fock_core._walked_values
 
-    def batch(terms, rows):
-        calls.append(("batch", terms.states.shape))
-        return _correlator_values(terms, rows)
+    def exchangeable(terms, ref, shared):
+        calls.append(("exchangeable", terms.states.shape))
+        return exchangeable_values(terms, ref, shared)
 
-    def tables(terms, pairs):
-        calls.append(("tables", terms.states.shape))
-        return _table_values(terms, pairs)
+    def walked(terms, pairs):
+        calls.append(("walked", terms.states.shape))
+        return walked_values(terms, pairs)
 
-    monkeypatch.setattr(optimize, "_correlator_values", batch)
-    monkeypatch.setattr(optimize, "_table_values", tables)
+    monkeypatch.setattr(fock_core, "_exchangeable_values", exchangeable)
+    monkeypatch.setattr(fock_core, "_walked_values", walked)
     spec = OptimizationSpec(3, 0.2)
     _crossing_scores(spec)(np.array([[0.3, -0.6, 0.0, 0.0], [0.3, -0.6, 0.5, 1.0]]))
-    assert sorted(calls) == [("batch", (2, 4, 4)), ("tables", (2, 4, 4))]
+    assert sorted(calls) == [("exchangeable", (2, 4, 4)), ("walked", (2, 4, 4))]
 
 
 def test_violating_vacuum_raises(monkeypatch):

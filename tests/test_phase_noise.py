@@ -84,6 +84,21 @@ def test_phase_model_normalization():
         PhaseModel((0.0,), -0.1)
 
 
+def test_phase_model_refuses_scalar_or_non_real_centers():
+    # a scalar raised TypeError from iteration and "0.3" was read as 0.3;
+    # the one-table entry point, which no longer checks centers itself,
+    # refuses a scalar through the model as it did before
+    from photonbell import averaged_correlator_table
+
+    for centers in (0.3, np.float64(0.3), ("0.3",), (True,), ((0.1, 0.2),), (0.3 + 0.0j,)):
+        with pytest.raises(ValueError, match="phase centers must be a sequence of real numbers"):
+            PhaseModel(centers, 0.1)
+    with pytest.raises(ValueError, match="phase centers"):
+        averaged_correlator_table(2, 0.1, -0.4, 0.3, 0.2, 0.9)
+    assert PhaseModel(np.array([1, 2]), 0.1).centers == (1.0, 2.0)
+    assert PhaseModel((), 0.0).n_relative == 0
+
+
 def test_averaged_table_known_case():
     # photon counting against a displacement r on the two-mode single
     # photon: only the entry with both parties displaced sees the frame,
