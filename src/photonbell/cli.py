@@ -18,6 +18,13 @@ files embed the same manifest without the timestamp, so a rerun with
 identical parameters produces byte-identical files.  Numbers in data
 files carry 12 significant digits.
 
+Every data file, and the ``correlators`` table on stdout, goes through one
+row writer (``_write_rows``): commands hand it equal-length columns in
+chunks of at most ``CHUNK_ROWS`` rows, it formats each column of a chunk
+in one pass with one type dispatch (``_cells``), joins the rows and
+writes the chunk.  Only one chunk is held as text at a time, so a 2^N-row
+``correlators`` table streams in memory of the order of the table itself.
+
 Exit codes: 0 on success, 1 on I/O failure, 2 on invalid arguments, 3 on
 a numerical consistency failure.
 """
@@ -29,6 +36,7 @@ import json
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -101,24 +109,58 @@ def _log(manifest: dict) -> None:
     print(json.dumps(stamped, sort_keys=True), file=sys.stderr)
 
 
+# Rows formatted and written per pass; a chunk's cells and text take about 2 MB.
+CHUNK_ROWS = 2**12
+
+# Per format: the text before a row's first cell, between its cells, after
+# its last cell and between rows.  json's is the layout json.dumps(...,
+# indent=2) gives a row of scalars under "rows".
+_ROW_LAYOUTS = {
+    "csv": ("", ",", "\n", ""),
+    "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n"),
+}
+
+# Compact encoder that puts a bare newline between list items.  No encoded
+# scalar holds one, so splitting its output there gives each item's text.
+_ITEM_ENCODER = json.JSONEncoder(separators=("\n", ":"))
+
+
+def _cells(column, fmt: str) -> list:
+    """The text of every value in ``column`` in format ``fmt``.
+
+    The type is dispatched once, on the column's dtype.  Floats are
+    written ``format(v, ".12g")`` in csv, and in json as json.dumps writes
+    them after rounding to 12 significant digits (NaN and Infinity
+    included).  Integers are written whole, booleans true/false and
+    strings as they are (json: quoted).
+    """
+    column = np.asarray(column)
+    kind = column.dtype.kind
+    if kind == "f":
+        values = column.astype(float, copy=False).tolist()
+        if fmt == "csv":
+            return list(map(format, values, repeat(".12g")))
+        values = [float(format(v, ".12g")) for v in values]
+    elif kind in "iu":
+        return list(map(str, column.tolist()))
+    elif kind == "b":
+        return np.where(column, "true", "false").tolist()
+    elif kind == "U":
+        values = column.tolist()
+        if fmt == "csv":
+            return values
+    else:
+        raise TypeError(f"no data cells for dtype {column.dtype}")
+    return _ITEM_ENCODER.encode(values)[1:-1].split("\n") if values else []
+
+
 def _fmt(value) -> str:
-    # Floats, np.float64 among them, are nearly every value written.
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+    """One scalar as a csv cell holds it, for values printed to stdout."""
+    return _cells([value], "csv")[0]
 
 
-def _round12(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
+def _round12(value) -> float:
+    """A float rounded to 12 significant digits, for manifest values."""
     return float(format(float(value), ".12g"))
 
 
@@ -128,43 +170,50 @@ def _write_json(path, manifest: dict, **body) -> None:
     Path(path).write_text(document + "\n", encoding="utf-8")
 
 
-def _csv_lines(rows):
-    for row in rows:
-        yield ",".join(map(_fmt, row)) + "\n"
+def _chunked(*columns):
+    """Equal-length columns, sliced into chunks of CHUNK_ROWS rows."""
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        yield tuple(column[start : start + CHUNK_ROWS] for column in columns)
 
 
-# Compact encoder whose item separator is the newline and indent that
-# json.dumps(..., indent=2) puts between the scalars of a row under "rows".
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+def _write_rows(out, fmt: str, chunks) -> bool:
+    """Write the data rows of ``chunks`` to the text stream ``out``.
+
+    Each chunk is a tuple of equal-length columns.  Every column is
+    formatted once (:func:`_cells`); the rows are then joined and the
+    chunk written, so only one chunk is ever held as text.  json rows
+    follow the opening bracket of the "rows" list.  Returns whether any
+    row was written.
+    """
+    head, between, tail, separator = _ROW_LAYOUTS[fmt]
+    lead = "[\n" if fmt == "json" else ""
+    wrote = False
+    for columns in chunks:
+        rows = list(map(between.join, zip(*(_cells(column, fmt) for column in columns))))
+        if rows:
+            out.write(lead + head + (tail + separator + head).join(rows) + tail)
+            lead, wrote = separator, True
+    return wrote
 
 
-def _json_row(row) -> str:
-    """One row of scalars as ``json.dumps(..., indent=2)`` lays it out under "rows"."""
-    return "    [\n      " + _ROW_ENCODER.encode([_round12(v) for v in row])[1:-1] + "\n    ]"
-
-
-def _write_rows(path, fmt, header, rows, manifest) -> None:
-    """Write ``rows``, any iterable of rows, one row at a time.
+def _write_table(path, fmt, header, chunks, manifest) -> None:
+    """Write a data file: the manifest, the column names and the rows.
 
     The bytes equal those of one ``json.dumps(payload, indent=2,
     sort_keys=True)`` of the whole table (csv: manifest comment, header,
-    lines), but no row outlives its own write.
+    lines), but only one chunk of rows is held as text at a time.
     """
     with open(path, "w", encoding="utf-8") as out:
         if fmt == "csv":
             manifest_line = "# manifest: " + json.dumps(manifest, sort_keys=True)
             out.write(manifest_line + "\n" + ",".join(header) + "\n")
-            out.writelines(_csv_lines(rows))
+            _write_rows(out, fmt, chunks)
             return
         payload = {"manifest": manifest, "columns": list(header), "rows": []}
         # "rows" sorts last, so the dump ends in '"rows": []' and the newline
         # and brace closing the object.
         out.write(json.dumps(payload, indent=2, sort_keys=True)[: -len("[]\n}")])
-        separator = "[\n"
-        for row in rows:
-            out.write(separator + _json_row(row))
-            separator = ",\n"
-        out.write("[]\n}\n" if separator == "[\n" else "\n  ]\n}\n")
+        out.write("\n  ]\n}\n" if _write_rows(out, fmt, chunks) else "[]\n}\n")
 
 
 def _parse_floats(text: str, name: str):
@@ -267,16 +316,19 @@ def cmd_fig1(args) -> int:
     widths = _parse_floats(args.deltas, "deltas")
     if any(w < 0 for w in widths):
         raise ValueError("deltas must be >= 0")
+    _check_distinct(widths, "--deltas", "noise width")
     _check_count(args.grid * len(widths), f"--grid {args.grid} with {len(widths)} --deltas")
     grid = _phase_grid(args.grid)
     strategy = paired_strategy(2, 0.0, args.r, 1)
     tables = pair_symbolic_tables(w_state(2), strategy)
-    rows = []
-    for width in widths:
-        values = best_pair_values_over_centers(tables, grid[:, None], width)
-        rows.extend((width, phi, s) for phi, s in zip(grid, values))
+    values = np.concatenate(
+        [best_pair_values_over_centers(tables, grid[:, None], width) for width in widths]
+    )
+    columns = np.repeat(widths, grid.size), np.tile(grid, len(widths)), values
     manifest = _manifest(args, deltas=widths)
-    _write_rows(args.out, args.format, ("delta", "phi_bar", "S"), rows, manifest)
+    _write_table(
+        args.out, args.format, ("delta", "phi_bar", "S"), _chunked(*columns), manifest
+    )
     _log(manifest)
     return 0
 
@@ -330,9 +382,8 @@ def cmd_fig2(args) -> int:
             eta = threshold.efficiency if threshold.violable else float("nan")
             rows.append((n, float(width), report.best_s, eta))
     manifest = _manifest(args, parties=parties)
-    _write_rows(
-        args.out, args.format, ("N", "delta", "s_max", "eta_threshold"), rows, manifest
-    )
+    header = ("N", "delta", "s_max", "eta_threshold")
+    _write_table(args.out, args.format, header, _chunked(*zip(*rows)), manifest)
     _log(manifest)
     return 0
 
@@ -410,7 +461,7 @@ def cmd_smax(args) -> int:
     _check_search(spec, "--parties")
     report = maximize_bell(spec)
     manifest = _manifest(args, derived={"best_s": _round12(report.best_s)})
-    centers = ",".join(_fmt(c) for c in report.phase_centers)
+    centers = ",".join(_cells(report.phase_centers, "csv"))
     print(
         f"s_max={_fmt(report.best_s)} r={_fmt(report.r)} "
         f"r_prime={_fmt(report.r_prime)} centers=[{centers}] "
@@ -503,6 +554,20 @@ def cmd_chsh_footnote(args) -> int:
     return 0
 
 
+def _correlator_chunks(table, parties: int):
+    """Chunks of (index, settings, xi) columns of a correlation table.
+
+    The settings strings spell the index bits party 1 first; each chunk's
+    are read off a bit matrix as bytes, one string per row.
+    """
+    shifts = np.arange(parties)
+    for start in range(0, table.size, CHUNK_ROWS):
+        values = table[start : start + CHUNK_ROWS]
+        index = np.arange(start, start + values.size)
+        bits = ((index[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+        yield index, bits.view(f"S{parties}")[:, 0].astype(str), values
+
+
 def cmd_correlators(args) -> int:
     """Frame-averaged correlation table of the single-phase strategy.
 
@@ -524,16 +589,13 @@ def cmd_correlators(args) -> int:
         args.parties, args.r0, args.r1, centers, args.delta, args.eta
     )
     result = wwzb_value(CorrelatorTable(args.parties, table))
-    rows = (
-        (index, format(index, f"0{args.parties}b")[::-1], value)
-        for index, value in enumerate(table)
-    )
+    chunks = _correlator_chunks(table, args.parties)
     manifest = _manifest(args, derived={"s": _round12(result.s_value)}, centers=centers)
     if args.out:
-        _write_rows(args.out, args.format, ("index", "settings", "xi"), rows, manifest)
+        _write_table(args.out, args.format, ("index", "settings", "xi"), chunks, manifest)
     else:
         print("index,settings,xi")
-        sys.stdout.writelines(_csv_lines(rows))
+        _write_rows(sys.stdout, "csv", chunks)
     print(f"# S = {_fmt(result.s_value)}")
     _log(manifest)
     return 0

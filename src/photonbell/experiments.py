@@ -66,6 +66,7 @@ import numpy as np
 from .fock_core import (
     TWO_PI,
     SubspaceState,
+    _real,
     _whole,
     check_observable_matrices,
     correlator_tables,
@@ -482,6 +483,7 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
         raise ValueError(f"pair tables need shape (P >= 1, 1 + N(N-1), 2^N), not {tables.shape}")
     if not np.isfinite(tables).all():
         raise ValueError("pair tables must be finite")
+    width = _real(width, "width")
     if not np.isfinite(width) or width < 0.0:
         raise ValueError("width must be finite and >= 0")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))

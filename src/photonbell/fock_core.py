@@ -104,6 +104,18 @@ def _whole(value, what: str, minimum: int) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; ValueError unless it is one real number.
+
+    Python and numpy integers and floats pass, NaN and inf among them (the
+    caller checks the range); booleans, complex numbers, strings, None and
+    sequences do not, where numpy would raise TypeError or compare them.
+    """
+    if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SubspaceState:
     """Density operator on the vacuum-plus-one-photon subspace of N modes.
@@ -189,6 +201,7 @@ def lossy_w_state(n_modes: int, efficiency: float) -> SubspaceState:
         eta and is otherwise replaced by vacuum.
     """
     n_modes = _whole(n_modes, "n_modes", 1)
+    efficiency = _real(efficiency, "efficiency")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")
     dim = n_modes + 1

@@ -95,6 +95,7 @@ from .fock_core import (
     TWO_PI,
     ConsistencyError,
     _exchangeable_values,
+    _real,
     _state_terms,
     _table_values,
     _whole,
@@ -153,13 +154,16 @@ class OptimizationSpec:
     def __post_init__(self):
         for name in ("n_parties", "restarts"):
             object.__setattr__(self, name, _whole(getattr(self, name), name, 1))
-        if not np.isfinite(self.width) or self.width < 0.0:
+        width, efficiency, tolerance = (
+            _real(getattr(self, name), name) for name in ("width", "efficiency", "tolerance")
+        )
+        if not np.isfinite(width) or width < 0.0:
             raise ValueError("width must be finite and >= 0")
-        if not 0.0 <= self.efficiency <= 1.0:
+        if not 0.0 <= efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if not self.shared_amplitudes and self.n_parties > 3:
             raise ValueError("per-party amplitudes supported for n_parties <= 3")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
+        if not (np.isfinite(tolerance) and tolerance > 0.0):
             raise ValueError("tolerance must be finite and > 0")
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import TWO_PI, _whole
+from .fock_core import TWO_PI, _real, _whole
 
 __all__ = [
     "PhaseModel",
@@ -70,10 +70,11 @@ class PhaseModel:
         centers = tuple(float(c) % TWO_PI for c in given)
         if any(not np.isfinite(c) for c in centers):
             raise ValueError("phase centers must be finite")
-        if not np.isfinite(self.width) or self.width < 0.0:
+        width = _real(self.width, "width")
+        if not np.isfinite(width) or width < 0.0:
             raise ValueError("width must be finite and >= 0")
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "width", width)
 
     @property
     def n_relative(self) -> int:

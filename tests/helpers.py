@@ -1,5 +1,7 @@
 """Shared randomized-construction helpers and slow oracles for the test suite."""
 
+import json
+
 import numpy as np
 
 from photonbell import (
@@ -544,3 +546,51 @@ def scipy_search(spec: OptimizationSpec, score):
         if best is None or result.fun < best.fun:
             best = result
     return best, evaluations
+
+
+# The row-at-a-time data writer the command line used before its column
+# writer: the byte oracle for ``cli._write_table`` and ``cli._write_rows``.
+
+
+def row_cell(value) -> str:
+    """A csv cell: floats to 12 significant digits, bools as true/false."""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+def row_round12(value):
+    """A json cell before encoding: floats rounded to 12 significant digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(format(float(value), ".12g"))
+
+
+def write_rows_oracle(path, fmt, header, rows, manifest) -> None:
+    """Write ``rows``, an iterable of row tuples, one value at a time.
+
+    csv: manifest comment, header and lines; json: one
+    ``json.dumps(payload, indent=2, sort_keys=True)`` of the whole table.
+    """
+    with open(path, "w", encoding="utf-8") as out:
+        if fmt == "csv":
+            out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+            out.write(",".join(header) + "\n")
+            out.writelines(",".join(map(row_cell, row)) + "\n" for row in rows)
+            return
+        payload = {
+            "manifest": manifest,
+            "columns": list(header),
+            "rows": [[row_round12(v) for v in row] for row in rows],
+        }
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

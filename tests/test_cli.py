@@ -1,6 +1,8 @@
 """End-to-end checks of the photonbell command line."""
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -19,6 +21,8 @@ from photonbell import (
     threshold_efficiency,
 )
 from photonbell.cli import build_parser, main
+
+from helpers import write_rows_oracle
 
 
 def run(argv, capsys):
@@ -267,10 +271,55 @@ def test_histogram_and_grid_sizes_rejected_before_any_allocation(tmp_path, monke
 )
 def test_csv_value_bytes(value, text):
     # the bytes of every scalar type a data row can hold
-    from photonbell.cli import _csv_lines, _fmt
+    from photonbell.cli import _fmt, _write_rows
 
     assert _fmt(value) == text
-    assert list(_csv_lines([(value, value)])) == [f"{text},{text}\n"]
+    out = io.StringIO()
+    assert _write_rows(out, "csv", [([value], [value])])
+    assert out.getvalue() == f"{text},{text}\n"
+
+
+# one column per scalar type a data row can hold, two rows each
+SPECIAL_COLUMNS = [
+    [0.1 + 0.2, -2.5e-17],
+    [np.float64(1.0194069502603166), np.float64(-0.0)],
+    np.array([0.1, -1.5e30], dtype=np.float32),
+    [123456789012345.0, 1e16],
+    [float("nan"), float("nan")],
+    [np.inf, -np.inf],
+    [-0.0, 0.0],
+    [7, -3],
+    np.array([-3, 2**40], dtype=np.int64),
+    [True, False],
+    np.array([False, True]),
+    ["0011", 'a "quoted"\tstr\u00e9'],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [0, 1, 2, 5, 9])
+def test_column_writer_matches_row_oracle(tmp_path, monkeypatch, fmt, rows):
+    # every special value, through chunks of 4 rows: none, a part, one
+    # whole chunk and several with a short last one
+    from photonbell import cli
+
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 4)
+    columns = [np.resize(np.asarray(column), rows) for column in SPECIAL_COLUMNS]
+    header = [f"c{i}" for i in range(len(columns))]
+    manifest = {"command": "test", "parameters": {"rows": rows}}
+    written, expected = tmp_path / "written", tmp_path / "expected"
+    cli._write_table(written, fmt, header, cli._chunked(*columns), manifest)
+    row_values = [tuple(column[i] for column in columns) for i in range(rows)]
+    write_rows_oracle(expected, fmt, header, row_values, manifest)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+def test_column_writer_refuses_unwritable_dtypes():
+    from photonbell.cli import _cells
+
+    for column in (np.array([1 + 2j]), np.array([None]), np.array([b"01"])):
+        with pytest.raises(TypeError):
+            _cells(column, "csv")
 
 
 IMPORT_GUARD = """
@@ -363,6 +412,16 @@ def test_fig1_csv_layout_and_determinism(tmp_path, capsys):
     assert abs(float(first[2]) - 1.0194069502603166) < 1e-11
     # reruns with identical parameters are byte-identical
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_fig1_refuses_repeated_widths(tmp_path, capsys):
+    # a repeated width would write its block twice
+    out = tmp_path / "f.csv"
+    for deltas in ("0,0", "0.3,0.1,0.3"):
+        code, _, err = run(["fig1", "--grid", "8", "--deltas", deltas, "--out", str(out)], capsys)
+        assert code == 2
+        assert "--deltas repeats a noise width" in err
+    assert not out.exists()
 
 
 def test_fig1_json_format(tmp_path, capsys):
@@ -734,6 +793,116 @@ def test_correlators_stream_in_table_sized_memory(tmp_path):
         rows = json.load(handle)["rows"]
     assert len(rows) == 2**n
     assert rows[-1][:2] == [2**n - 1, "1" * n]
+
+
+FIG1 = ["fig1"]
+FIG1_SMALL = ["fig1", "--r", "0.13", "--deltas", "0,0.3,0.77", "--grid", "360"]
+REDUCED_FIG2 = ["fig2", "--n-list", "2,4", "--delta-max", "0.2", "--delta-step", "0.1"]
+CORRELATORS = ["correlators", "--parties", "12", "--r0", "0.1", "--r1", "-0.4"]
+CORRELATORS += ["--delta", "0.2", "--eta", "0.9"]
+CENTERS = ["--centers", "0.3,-1.1,0.7,2.0,0.05,-0.4,1.3,0.9,-2.2,0.6,0.15"]
+JSON = ["--format", "json"]
+STDOUT = ["--out", "-"]  # marks a correlators table printed to stdout
+
+# sha256 of each output file, or of stdout, as recorded with the
+# row-at-a-time writer that the column writer replaced.  The manifests
+# hold the package version, so a version bump changes them.
+GOLDEN_OUTPUTS = [
+    pytest.param(
+        FIG1,
+        "bbb7ce80d7080dd656e9da29586d27f46509b775e92a7aede7ebc2a94afe0d47",
+        id="fig1-csv",
+    ),
+    pytest.param(
+        FIG1 + JSON,
+        "284e3bd77ceae2dae04cc58abcf01d2db2b36428c5a4ccfbbf9a66abca7958f5",
+        id="fig1-json",
+    ),
+    pytest.param(
+        FIG1_SMALL,
+        "1d98b995074a77b2b221b7386159f8f4daef05ac0e79719d854e59ff87802a77",
+        id="fig1-small-csv",
+    ),
+    pytest.param(
+        FIG1_SMALL + JSON,
+        "4bc1d4477178c05e7ee07a7d0b807ae119a16333bbf2e18100aa70d8b18c9a9a",
+        id="fig1-small-json",
+    ),
+    pytest.param(
+        REDUCED_FIG2,
+        "d99d0fc891add7c95d1a6b7f55a1b4d29b076fd9590eb27c39257c9513338c5f",
+        id="fig2-csv",
+    ),
+    pytest.param(
+        REDUCED_FIG2 + JSON,
+        "8e5468b7a03a3d24082762c4cc3e824963863485a05ad06326b43ef6c50a572f",
+        id="fig2-json",
+    ),
+    pytest.param(
+        CORRELATORS,
+        "db959ce1d95e3d1e9f38142abce465c614af7ea6bdc81f071f4e3720495863ab",
+        id="correlators-csv",
+    ),
+    pytest.param(
+        CORRELATORS + JSON,
+        "0dc1b0fb56f29e20355e7adc7fb755c107067c7094a057a294512f82382f77f4",
+        id="correlators-json",
+    ),
+    pytest.param(
+        CORRELATORS + STDOUT,
+        "10d916c91a6f0870b08589d28f0df7af0162806f6df2d0aea635daef8a6c4ab2",
+        id="correlators-stdout",
+    ),
+    pytest.param(
+        CORRELATORS + CENTERS,
+        "39ab679a53c84a8bf5d678512f2b5097afb5ceb88aee5f256db9c392965c5ed9",
+        id="correlators-centers-csv",
+    ),
+    pytest.param(
+        CORRELATORS + CENTERS + JSON,
+        "e3d211516f95a0c287cb410af579b8afc18658b5fe0ff627b330b6182b90fb90",
+        id="correlators-centers-json",
+    ),
+    pytest.param(
+        CORRELATORS + CENTERS + STDOUT,
+        "8b0bb672e11c1863625b61904cc0deb980ae79089dd9c5790ede7d7aae9409ee",
+        id="correlators-centers-stdout",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_OUTPUTS)
+def test_outputs_keep_their_golden_bytes(tmp_path, capsys, argv, digest):
+    to_stdout = argv[-2:] == STDOUT
+    path = tmp_path / "out"
+    code, out_text, _ = run(argv[:-2] if to_stdout else argv + ["--out", str(path)], capsys)
+    assert code == 0
+    data = out_text.encode("utf-8") if to_stdout else path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_correlators_csv_streams_in_table_sized_memory(tmp_path):
+    # the csv twin of the json probe above, with the same bound
+    n = 18
+    out = tmp_path / "c.csv"
+    src = str(Path(photonbell.__file__).resolve().parents[1])
+    argv = ["correlators", "--parties", str(n), "--r0", "0.1", "--r1", "-0.4"]
+    done = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, *argv, "--format", "csv", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in bytes or KiB
+    table_bytes = 8 * 2**n
+    assert result["growth"] * unit <= 8 * table_bytes
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 + 2**n
+    assert lines[-1].split(",")[:2] == [str(2**n - 1), "1" * n]
 
 
 def test_consistency_failure_exits_3(monkeypatch, capsys):

@@ -6,8 +6,10 @@ import pytest
 from photonbell import (
     ConsistencyError,
     MeasurementStrategy,
+    OptimizationSpec,
     PhaseModel,
     SubspaceState,
+    best_pair_values_over_centers,
     lossy_w_state,
     two_setting_strategy,
     w_state,
@@ -85,6 +87,37 @@ def test_state_validation():
         SubspaceState(2, bad_psd)
     with pytest.raises(ValueError):
         SubspaceState(3, good)
+
+
+NOT_REAL = ["0.1", True, np.bool_(False), 0.1 + 0j, np.complex128(0.5), None, [0.1], (0.1,)]
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+def test_real_parameters_refuse_non_real_scalars(value):
+    # numpy would raise TypeError on these, or compare them as numbers
+    calls = {
+        "width": [
+            lambda: PhaseModel((0.3,), value),
+            lambda: OptimizationSpec(2, value),
+            lambda: best_pair_values_over_centers(np.zeros((1, 3, 4)), [0.0], value),
+        ],
+        "efficiency": [
+            lambda: OptimizationSpec(2, 0.1, efficiency=value),
+            lambda: lossy_w_state(2, value),
+        ],
+        "tolerance": [lambda: OptimizationSpec(2, 0.1, tolerance=value)],
+    }
+    for name, makers in calls.items():
+        for make in makers:
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                make()
+
+
+def test_real_parameters_take_any_real_scalar():
+    for value in (0, 1, 0.5, np.float32(0.5), np.int64(1), np.array(0.25)):
+        assert PhaseModel((0.3,), value).width == float(value)
+        assert lossy_w_state(2, value).n_modes == 2
+        OptimizationSpec(2, value, efficiency=value, tolerance=value + 1)
 
 
 def test_state_refuses_nonfinite_entries():
