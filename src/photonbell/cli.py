@@ -25,6 +25,9 @@ in one pass with one type dispatch (``_cells``), joins the rows and
 writes the chunk.  Only one chunk is held as text at a time, so a 2^N-row
 ``correlators`` table streams in memory of the order of the table itself.
 
+``main`` builds its argparse parser on its first call and reuses it for
+every later call in the process; ``build_parser`` returns a fresh one.
+
 Exit codes: 0 on success, 1 on I/O failure, 2 on invalid arguments, 3 on
 a numerical consistency failure.
 """
@@ -36,6 +39,7 @@ import json
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -311,8 +315,8 @@ def cmd_fig1(args) -> int:
     correlator row then depends only on the relative phase, swept on a
     uniform grid for each noise width.  CSV columns: delta, phi_bar, S.
     """
-    if args.r <= 0.0:
-        raise ValueError("r must be > 0")
+    if not (np.isfinite(args.r) and args.r > 0.0):
+        raise ValueError("r must be finite and > 0")
     widths = _parse_floats(args.deltas, "deltas")
     if any(w < 0 for w in widths):
         raise ValueError("deltas must be >= 0")
@@ -733,8 +737,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`: built on the first call and reused.
+
+    Parsing reads the parser and never changes it, and each call returns
+    a new namespace, so one parser serves every call of a process.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

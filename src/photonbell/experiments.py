@@ -47,8 +47,9 @@ over many centers go through one batched route,
 :func:`best_pair_values_over_centers`: the pair tables' rows line up,
 and their damped Walsh-Hadamard transforms are
 each pair's transform as a real cosine/sine polynomial in the centers.
-Per chunk of centers, the cosines and sines of the half basis and one
-real matrix product give every pair's transform.  The distribution of
+Per chunk of centers, the cosines and sines of the N-1 centers, the
+e_j - e_k rows from them by angle subtraction, and one real matrix
+product give every pair's transform.  The distribution of
 Bell values over uniformly random frame centers
 (:func:`violation_distribution`) is one such scan.  The tests keep the
 complex route through exp(i C F^T) as the oracle of the real one, and the
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -429,23 +431,52 @@ def _frame_scan_row_count(n_parties: int, pair_count: int) -> int:
     return (1 + n_parties * (n_parties - 1)) * pair_count
 
 
+@lru_cache(maxsize=32)
+def _frame_scan_layout(n_parties: int):
+    """Read-only row order, frequencies and difference pairs of an N-party scan.
+
+    The scan's frequencies are the units e_0..e_{N-2} first, then the
+    differences e_j - e_k with j = first[d] < k = second[d], d over the
+    (N-1)(N-2)/2 differences.  Returns (rows, freqs, first, second):
+    ``rows`` picks a symbolic table's constant, cosine and sine rows in
+    that order from the sorted half basis of :func:`pair_symbolic_tables`,
+    and ``freqs`` (H, N-1) holds the frequencies in that order.  Built
+    once per N.
+    """
+    half = _half_basis(n_parties)
+    first, second = np.triu_indices(n_parties - 1, 1)
+    eye = np.eye(n_parties - 1, dtype=int)
+    freqs = np.concatenate((eye, eye[first] - eye[second]))
+    where = {key: h for h, key in enumerate(map(tuple, half))}
+    order = np.array([where[key] for key in map(tuple, freqs)], dtype=np.intp)
+    rows = np.concatenate(([0], 1 + order, 1 + len(half) + order))
+    for array in (rows, freqs, first, second):
+        array.setflags(write=False)
+    return rows, freqs, first, second
+
+
 def _frame_scan_coefficients(tables, n: int, width: float):
-    """Half frequency basis and damped transformed rows of all pair tables.
+    """Difference pairs and damped transformed rows of all pair tables.
 
     ``tables`` is a checked (P, 1 + N(N-1), 2^N) array of real numbers
-    and ``n`` its N.  Returns (half, coeffs): the half basis (H, N-1) as
-    floats, and a float copy of the tables with the row axis first, the
-    cosine and sine rows of n damped by exp(-width^2 |n|^2 / 2), and
-    Walsh-Hadamard transformed, so that every pair's T(r) (column
-    p * 2^N + r) is
+    and ``n`` its N.  Returns ((first, second), coeffs): the index arrays
+    of the centers j < k of each difference frequency e_j - e_k, and a
+    float copy of the tables with the row axis first, its rows permuted
+    once into the order of :func:`_frame_scan_layout` (units e_0..e_{N-2},
+    then the differences in the order of (first, second)), the cosine and
+    sine rows of each frequency n damped by exp(-width^2 |n|^2 / 2), and
+    Walsh-Hadamard transformed, so that every pair's T(r) (column p * 2^N
+    + r) is
 
-        T(r; c) = [1, cos(c . half), sin(c . half)] @ coeffs.
+        T(r; c) = [1, cos c, cos(c_j - c_k), sin c, sin(c_j - c_k)] @ coeffs.
+
+    A chunk of centers c then needs the cosines and sines of its N-1
+    centers alone; the difference rows follow by angle subtraction.
     """
-    half = _half_basis(n)
-    damping = _frame_damping(half, width)
-    coeffs = tables.swapaxes(0, 1).astype(float, order="C")
-    coeffs[1:] *= np.tile(damping, 2)[:, None, None]
-    return half.astype(float), _walsh_hadamard(coeffs).reshape(len(coeffs), -1)
+    rows, freqs, first, second = _frame_scan_layout(n)
+    coeffs = tables[:, rows].swapaxes(0, 1).astype(float, order="C")
+    coeffs[1:] *= np.tile(_frame_damping(freqs, width), 2)[:, None, None]
+    return (first, second), _walsh_hadamard(coeffs).reshape(len(coeffs), -1)
 
 
 def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
@@ -459,13 +490,16 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     transforms T(r), are real trigonometric polynomials in the centers:
     T(r; c) = a_0 + sum_n A_n cos(n . c) + B_n sin(n . c) over the half
     basis, with the tables' rows transformed and damped
-    (:func:`_frame_scan_coefficients`).  For each chunk of centers the
-    cosines and sines of the half basis are computed once, and one real
-    matrix product gives T(r) of every pair.  Each pair's Bell value is
-    2^-N sum_r |T(r)|, and the best pair's value is returned.  Chunks hold
-    at most ``FRAME_SCAN_CHUNK_ELEMENTS`` products, which bounds memory
-    for any number of centers.  The complex route through exp(i C F^T)
-    stays as the test oracle.
+    (:func:`_frame_scan_coefficients`).  A chunk of centers costs the
+    cosines and sines of its N-1 centers, the e_j - e_k rows by angle
+    subtraction (cos(c_j - c_k) = cos c_j cos c_k + sin c_j sin c_k,
+    sin(c_j - c_k) = sin c_j cos c_k - cos c_j sin c_k, over all
+    difference rows at once), and one real matrix product that gives T(r)
+    of every pair.  Each pair's Bell value is 2^-N sum_r |T(r)|, and the
+    best pair's value is returned.  Chunks hold at most
+    ``FRAME_SCAN_CHUNK_ELEMENTS`` products, which bounds memory for any
+    number of centers.  The complex route through exp(i C F^T) stays as
+    the test oracle.
 
     ``tables`` is the output of :func:`pair_symbolic_tables`, or any
     real array (P, 1 + N(N-1), 2^N) of P >= 1 symbolic tables, N >= 1.
@@ -497,9 +531,8 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     batch_shape = centers.shape[:-1]
     centers = centers.reshape(math.prod(batch_shape), n - 1)
 
-    half, coeffs = _frame_scan_coefficients(tables, n, width)
-    size = 2**n
-    terms = len(half)
+    (first, second), coeffs = _frame_scan_coefficients(tables, n, width)
+    size, units, terms = 2**n, n - 1, n * (n - 1) // 2
     chunk = max(1, FRAME_SCAN_CHUNK_ELEMENTS // max(coeffs.shape))
     # Centers run along the rows' last axis, so the cosines, sines and the
     # per-pair sums below all work on contiguous rows.
@@ -507,11 +540,19 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     basis[0] = 1.0
     best = np.empty(len(centers))
     for start in range(0, len(centers), chunk):
-        phases = half @ centers[start : start + chunk].T
-        count = phases.shape[1]
+        count = min(chunk, len(centers) - start)
         rows = basis[:, :count]
-        np.cos(phases, out=rows[1 : 1 + terms])
-        np.sin(phases, out=rows[1 + terms :])
+        cos, sin = rows[1 : 1 + terms], rows[1 + terms :]
+        # The units' sine rows hold the centers, unreduced, until sin overwrites them.
+        sin[:units] = centers[start : start + count].T
+        np.cos(sin[:units], out=cos[:units])
+        np.sin(sin[:units], out=sin[:units])
+        if len(first):  # difference rows exist from N = 3 on
+            cos_j, cos_k, sin_j, sin_k = cos[first], cos[second], sin[first], sin[second]
+            np.multiply(cos_j, cos_k, out=cos[units:])
+            cos[units:] += sin_j * sin_k
+            np.multiply(sin_j, cos_k, out=sin[units:])
+            sin[units:] -= cos_j * sin_k
         transform = coeffs.T @ rows
         np.abs(transform, out=transform)
         # Rows p * 2^N .. (p + 1) * 2^N - 1 belong to pair p.

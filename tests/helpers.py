@@ -12,6 +12,7 @@ from photonbell import (
     ThresholdResult,
     maximize_bell,
 )
+import photonbell.experiments as experiments
 from photonbell.experiments import _half_basis, _setting_pairs
 from photonbell.fock_core import (
     IMAG_RESIDUE_TOL,
@@ -279,6 +280,44 @@ def complex_frame_scan(tables, centers, width: float) -> np.ndarray:
         raise ConsistencyError(f"frame-averaged tables have imaginary residue {residue:.3e}")
     magnitudes = np.abs(values.real).reshape(len(values), len(tables), size)
     return magnitudes.sum(axis=-1).max(axis=-1, initial=-np.inf) / size
+
+
+def half_basis_frame_scan(tables, centers, width: float) -> np.ndarray:
+    """Best-pair Bell values through cos/sin of every half-basis phase.
+
+    The real scan as it was before the angle-subtraction rows: the tables'
+    rows in the sorted half-basis order, damped and transformed, and per
+    chunk of ``FRAME_SCAN_CHUNK_ELEMENTS`` products the phases ``half @
+    centers.T``, their cosines and sines, and one real matrix product.
+    ``tables`` (P, 1 + N(N-1), 2^N) and ``centers`` (count, N-1) are taken
+    as checked.  Bit-for-bit oracle of
+    ``experiments.best_pair_values_over_centers`` at N = 1 and 2, where
+    no e_j - e_k row exists.
+    """
+    tables = np.asarray(tables)
+    n = tables.shape[-1].bit_length() - 1
+    centers = np.asarray(centers, dtype=float)
+    half = _half_basis(n)
+    coeffs = tables.swapaxes(0, 1).astype(float, order="C")
+    coeffs[1:] *= np.tile(np.exp(-0.5 * np.sum((width * half) ** 2, axis=-1)), 2)[:, None, None]
+    coeffs = _walsh_hadamard(coeffs).reshape(len(coeffs), -1)
+    half = half.astype(float)
+    size, terms = 2**n, len(half)
+    chunk = max(1, experiments.FRAME_SCAN_CHUNK_ELEMENTS // max(coeffs.shape))
+    basis = np.empty((1 + 2 * terms, min(chunk, len(centers))))
+    basis[0] = 1.0
+    best = np.empty(len(centers))
+    for start in range(0, len(centers), chunk):
+        phases = half @ centers[start : start + chunk].T
+        count = phases.shape[1]
+        rows = basis[:, :count]
+        np.cos(phases, out=rows[1 : 1 + terms])
+        np.sin(phases, out=rows[1 + terms :])
+        transform = coeffs.T @ rows
+        np.abs(transform, out=transform)
+        sums = transform.reshape(len(tables), size, count).sum(axis=1)
+        best[start : start + count] = sums.max(axis=0) / size
+    return best
 
 
 def symbolic_rows_per_component(state: SubspaceState, strategy) -> np.ndarray:

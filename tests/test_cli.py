@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import photonbell
+import photonbell.cli as cli
 from photonbell import (
     ConsistencyError,
     OptimizationSpec,
@@ -421,6 +422,17 @@ def test_fig1_refuses_repeated_widths(tmp_path, capsys):
         code, _, err = run(["fig1", "--grid", "8", "--deltas", deltas, "--out", str(out)], capsys)
         assert code == 2
         assert "--deltas repeats a noise width" in err
+    assert not out.exists()
+
+
+def test_fig1_refuses_non_finite_or_non_positive_r(tmp_path, capsys):
+    # the --r check names the flag: nan and inf passed "r <= 0" and failed
+    # later with the strategy's settings message
+    out = tmp_path / "f.csv"
+    for r in ("nan", "inf", "-inf", "0", "-1"):
+        code, _, err = run(["fig1", f"--r={r}", "--grid", "8", "--out", str(out)], capsys)
+        assert code == 2
+        assert "r must be finite and > 0" in err
     assert not out.exists()
 
 
@@ -879,6 +891,49 @@ def test_outputs_keep_their_golden_bytes(tmp_path, capsys, argv, digest):
     assert code == 0
     data = out_text.encode("utf-8") if to_stdout else path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+GOLDEN = {param.id: param.values for param in GOLDEN_OUTPUTS}
+
+
+def _golden_digest(name, path, capsys):
+    argv, digest = GOLDEN[name]
+    code, _, _ = run(argv + ["--out", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_parser_is_built_once_and_survives_a_bad_argument(tmp_path, capsys):
+    # main builds its parser on the first call and reuses it; an argparse
+    # error on that parser leaves it fit for the next call, whose output
+    # keeps its golden bytes; build_parser still returns a fresh parser
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as info:
+        main(["fig1", "--grid", "many"])
+    assert info.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert cli._parser.cache_info().currsize == 1
+    _golden_digest("fig1-csv", tmp_path / "fig1.csv", capsys)
+    assert cli._parser.cache_info().misses == 1
+    assert build_parser() is not cli._parser()
+    assert build_parser() is not build_parser()
+
+
+def test_reused_parser_keeps_each_subcommand_defaults(tmp_path, capsys):
+    # subcommands parsed back to back through one parser keep their own
+    # defaults: flags set in one call do not carry into the next
+    parser = cli._parser()
+    first = parser.parse_args(["fig1", "--r", "0.5", "--grid", "9", "--out", "a"])
+    second = parser.parse_args(["fig1", "--out", "b"])
+    assert (first.r, first.grid) == (0.5, 9)
+    assert (second.r, second.grid) == (0.1, 720)
+    dist = parser.parse_args(["violation-dist", "--pairs", "4", "--seed", "1"])
+    assert not hasattr(dist, "grid") and dist.r0 is None and dist.pairs == 4
+    assert not hasattr(parser.parse_args(["fig1", "--out", "c"]), "pairs")
+    _golden_digest("fig1-small-json", tmp_path / "small.json", capsys)
+    _golden_digest("correlators-centers-json", tmp_path / "correlators.json", capsys)
+    _golden_digest("fig1-csv", tmp_path / "fig1.csv", capsys)
+    _golden_digest("correlators-csv", tmp_path / "correlators.csv", capsys)
 
 
 def test_correlators_csv_streams_in_table_sized_memory(tmp_path):

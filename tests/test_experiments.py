@@ -10,6 +10,7 @@ from helpers import (
     complex_entries,
     complex_frame_scan,
     correlator_bruteforce,
+    half_basis_frame_scan,
     per_call_averaged_tables,
     random_state,
     setting_matrices,
@@ -743,6 +744,66 @@ def test_real_scan_matches_complex_oracle(monkeypatch, n):
             slow = complex_frame_scan(tables, centers, width)
             assert fast.shape == slow.shape == (len(centers),)
             assert np.max(np.abs(fast - slow)) <= 1e-13
+
+
+def _awkward_centers(rng, count: int, slots: int) -> np.ndarray:
+    """Centers (count, slots) cycling through four kinds of rows.
+
+    Negative, at or above 2*pi, about 1e3 rad, and rows whose slots all
+    hold one value (c_j = c_k), none reduced modulo 2*pi.
+    """
+    kinds = (
+        rng.uniform(-3.0 * TWO_PI, 0.0, (count, slots)),
+        rng.uniform(TWO_PI, 4.0 * TWO_PI, (count, slots)),
+        1e3 + rng.uniform(-TWO_PI, TWO_PI, (count, slots)),
+        np.repeat(rng.uniform(-1e3, 1e3, (count, 1)), slots, axis=1),
+    )
+    return np.choose(np.arange(count)[:, None] % 4, kinds)
+
+
+def _scan_counts(n: int, pair_count: int) -> tuple:
+    """One chunk of centers minus one, exact and plus one, and several chunks."""
+    chunk = FRAME_SCAN_CHUNK_ELEMENTS // max(1 + n * (n - 1), pair_count * 2**n)
+    return chunk - 1, chunk, chunk + 1, 3 * chunk + 2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scan_keeps_half_basis_bits_without_difference_rows(n):
+    # below three parties there is no e_j - e_k row, so the scan takes the
+    # cosines and sines of the same phases as the half-basis matmul route
+    # and gives its bits
+    rng = np.random.default_rng(90 + n)
+    for pair_count in (1, 3):
+        state = random_state(rng, n)
+        strat = paired_strategy(n, *rng.uniform(-1.0, 1.0, 2), pair_count, rng.uniform(0.0, TWO_PI, n))
+        tables = pair_symbolic_tables(state, strat)
+        for count in _scan_counts(n, pair_count):
+            centers = _awkward_centers(rng, count, n - 1)
+            for width in (0.0, 0.45):
+                fast = best_pair_values_over_centers(tables, centers, width)
+                assert np.array_equal(fast, half_basis_frame_scan(tables, centers, width))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_angle_subtraction_scan_matches_oracles(n):
+    # the e_j - e_k rows by angle subtraction agree with the complex route
+    # at every center and with the per-center state route at the chunk
+    # edges, for centers that are negative, past 2*pi, about 1e3 rad or
+    # equal to each other
+    rng = np.random.default_rng(80 + n)
+    for pair_count in (1, 3):
+        state = random_state(rng, n)
+        strat = paired_strategy(n, *rng.uniform(-1.0, 1.0, 2), pair_count, rng.uniform(0.0, TWO_PI, n))
+        tables = pair_symbolic_tables(state, strat)
+        for count in _scan_counts(n, pair_count):
+            centers = _awkward_centers(rng, count, n - 1)
+            width = 0.3 if count % 2 else 0.0
+            fast = best_pair_values_over_centers(tables, centers, width)
+            assert fast.shape == (count,)
+            assert np.max(np.abs(fast - complex_frame_scan(tables, centers, width))) <= 1e-13
+            for i in sorted({0, 1, 2, 3, count // 3 - 1, count // 3, count - 2, count - 1}):
+                slow, _ = best_pair_bell_value(state, strat, PhaseModel(tuple(centers[i]), width))
+                assert abs(fast[i] - slow.s_value) <= 1e-13
 
 
 def test_batched_centers_edge_shapes():
