@@ -302,6 +302,13 @@ def _check_histogram_size(samples: int, bins: int, parties: int) -> None:
     _check_count(bins + 1, f"--bins {bins}")
 
 
+def _check_amplitudes(args) -> None:
+    """ValueError naming the flag unless --r0 and --r1 are finite (either sign)."""
+    for flag in ("r0", "r1"):
+        if not np.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag} must be finite")
+
+
 def _phase_grid(count: int) -> np.ndarray:
     if count < 2:
         raise ValueError("grid must have at least 2 points")
@@ -515,6 +522,7 @@ def cmd_violation_dist(args) -> int:
     if given == 1:
         raise ValueError("give both --r0 and --r1, or neither")
     if given == 2:
+        _check_amplitudes(args)
         r0, r1 = args.r0, args.r1
         derived = {}
     else:
@@ -584,6 +592,7 @@ def cmd_correlators(args) -> int:
     if args.format == "json" and not args.out:
         raise ValueError("--format json needs --out (without --out the table prints as csv)")
     _check_entries(1, args.parties, f"--parties {args.parties}")
+    _check_amplitudes(args)
     centers = (
         _parse_floats(args.centers, "centers")
         if args.centers

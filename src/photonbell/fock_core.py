@@ -38,7 +38,9 @@ when every state of the stack is exchangeable in modes 2..N (decided
 once per stack, with the state-only factors) and a point's parties 2..N
 hold one setting pair, an entry depends only on party 1's setting and on
 how many of the others take setting 1, so 2N kernel rows fill the 2^N
-entries; every other point walks all 2^N rows.  The tests keep a dense
+entries, copied a leaf of 2^12 rows at a time (:func:`_weight_layout`,
+the layout :func:`~photonbell.wwzb.wwzb_value` checks such tables
+against); every other point walks all 2^N rows.  The tests keep a dense
 evaluation in the full 2^N mode-occupation space as its slow oracle.
 
 Validation happens where values enter: :class:`SubspaceState` checks the
@@ -82,6 +84,11 @@ IMAG_RESIDUE_TOL = 1e-8
 # The correlator kernel handles at most this many mode matrices (batch rows
 # times N) per chunk; its working arrays are a small multiple of that.
 CORRELATOR_CHUNK_ELEMENTS = 2**16
+
+# Rows of one leaf of the weight layout of exchangeable tables (2^12 rows
+# of two entries, 64 KiB): the unit of the exchangeable route's gather and
+# of the Bell functional's symmetry check.
+WEIGHT_LEAF_ROWS = 2**12
 
 
 class ConsistencyError(RuntimeError):
@@ -421,19 +428,51 @@ def _setting_weights(rest: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _exchangeable_rows(n_parties: int):
-    """Read-only gather indices (pick, weights) of the exchangeable route of N parties.
+def _weight_layout(n_parties: int):
+    """Read-only gather indices (rows, leaves) of the weight layout of N parties.
+
+    A table whose entry s depends only on s_1 and on the weight of
+    s_2..s_N (how many of parties 2..N take setting 1) is, in table order,
+    2^(N-1) rows of two entries (s_1 = 0, s_1 = 1), one row per setting
+    choice of parties 2..N.  The rows split into leaves of
+    ``WEIGHT_LEAF_ROWS`` rows (one leaf when N <= 13): the low bits of a
+    row's index place it in its leaf, the high bits pick the leaf.  Leaf
+    L's high bits have weight ``leaves[L]``, and row j of a leaf whose high
+    bits have weight h has weight ``rows[h, j]``.  So the distinct leaves
+    are one gather of the 2N distinct values (:func:`_weight_leaves`), and
+    the table is one gather of whole leaves.  Built once per N.
+    """
+    rest = n_parties - 1
+    low = min(rest, WEIGHT_LEAF_ROWS.bit_length() - 1)
+    rows = _setting_weights(low) + np.arange(rest - low + 1, dtype=np.intp)[:, None]
+    leaves = _setting_weights(rest - low).astype(np.intp)
+    rows.setflags(write=False)
+    leaves.setflags(write=False)
+    return rows, leaves
+
+
+def _weight_leaves(values: np.ndarray) -> np.ndarray:
+    """Distinct leaves (..., H, R, 2) of the weight layout of values (..., N, 2).
+
+    ``values[..., w, s_1]`` is the entry of party 1's setting s_1 and
+    weight w; leaf h holds the R rows of every leaf whose high bits have
+    weight h (:func:`_weight_layout`).
+    """
+    rows, _ = _weight_layout(values.shape[-2])
+    return np.take(values, rows, axis=-2)
+
+
+@lru_cache(maxsize=32)
+def _exchangeable_rows(n_parties: int) -> np.ndarray:
+    """Read-only settings ``pick`` (N, N-1) of the exchangeable route of N parties.
 
     ``pick[ones]`` holds the setting each of parties 2..N takes in row
     (s_1, ones): setting 1 for parties 2..ones+1, setting 0 for the
-    others.  ``weights[s]`` is the row that the setting choice s of
-    parties 2..N reads (:func:`_setting_weights`).  Built once per N.
+    others.  Built once per N.
     """
     pick = (np.arange(1, n_parties) <= np.arange(n_parties)[:, None]).astype(np.intp)
-    weights = _setting_weights(n_parties - 1)
     pick.setflags(write=False)
-    weights.setflags(write=False)
-    return pick, weights
+    return pick
 
 
 def _exchangeable_values(terms: _StateTerms, ref: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -443,17 +482,20 @@ def _exchangeable_values(terms: _StateTerms, ref: np.ndarray, shared: np.ndarray
     pair parties 2..N share.  The states must be exchangeable in modes
     2..N (``terms.exchangeable``); then entry s depends only on s_1 and on
     how many of s_2..s_N are 1, so 2N rows per point, in one kernel call,
-    fill the 2^N entries.
+    fill the 2^N entries.  The entries are copied into the weight layout
+    (:func:`_weight_layout`) leaf by leaf, so no index array grows with
+    the table.
     """
     count, points, n = len(terms.states), len(ref), terms.states.shape[-1] - 1
-    pick, weights = _exchangeable_rows(n)
+    pick = _exchangeable_rows(n)
     mats = np.empty((points, 2, n, n, 2, 2), dtype=complex)
     mats[:, :, :, 0] = ref[:, :, None]
     mats[:, :, :, 1:] = shared[:, None, pick]
     distinct = _correlator_values(terms, mats.reshape(-1, n, 2, 2))
     # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
-    pairs = np.ascontiguousarray(distinct.reshape(count, points, 2, n).swapaxes(-1, -2))
-    return np.take(pairs, weights, axis=-2).reshape(count, points, 2**n)
+    leaves = _weight_leaves(distinct.reshape(count, points, 2, n).swapaxes(-1, -2))
+    _, order = _weight_layout(n)
+    return np.take(leaves, order, axis=-3).reshape(count, points, 2**n)
 
 
 def _walked_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:

@@ -308,8 +308,12 @@ def _bell_scores(spec: OptimizationSpec):
 
     Returns ``score(points)``, the negated frame-averaged Bell value at
     every row of ``points``: the tables' [-1, 1] range check, then one
-    batched transform.  Each row's sum is formed as in ``wwzb_value``, so
-    the scores equal -wwzb_value bit for bit.
+    batched full transform, which keeps the pinned search results to the
+    bit.  Each row's sum is formed as in ``wwzb_value``'s full route, so a
+    score equals -wwzb_value bit for bit where that route runs (N <= 2,
+    and tables that are not weight-symmetric); the class route of a
+    weight-symmetric table of N >= 3 (every pinned point's table) sums
+    the same magnitudes grouped by class and agrees to rounding.
     """
     tables_at = _point_tables(spec, (spec.efficiency,))
 

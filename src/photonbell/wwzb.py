@@ -11,6 +11,19 @@ quantum maximum sqrt(2).  The inner sum is a Walsh-Hadamard transform of the
 correlation table, so S costs O(N 2^N) (:func:`wwzb_value`); the O(4^N)
 double sum is kept as a test oracle (:func:`wwzb_value_naive`).
 
+Most of the scheme's tables are exchangeable: party 1 is the reference,
+and parties 2..N share their settings and their frame, so an entry
+depends only on s_1 and on the weight of s_2..s_N.  Such a table's
+transform depends only on r_1 and on the weight u of r_2..r_N, and
+:func:`wwzb_value` sums its 2N classes, S = 2^{-N} sum_{r_1, u}
+C(N-1, u) |T(r_1, u)|.  It first checks the table entry by entry, bit
+for bit, in one pass of 2^12-row leaves that stops at the first leaf
+that differs (3 ms at N = 22 against 116 ms for the transform, on one
+core of a 2-core 2.0 GHz Xeon), then runs the butterflies in count
+space, O(N^2) operations that give the transform's own bits at each
+class's lowest index.  Tables of N <= 2, and tables that fail the check,
+take the transform.
+
 The transform is cache-blocked: the butterflies over the low half of the
 index bits run on transposed blocks of ``WHT_BLOCK_ENTRIES`` entries, the
 rest in place in chunks of that many pairs, so its working set is two
@@ -30,11 +43,13 @@ conventional CHSH normalization with local bound 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .fock_core import _whole
+from .fock_core import _weight_layout, _weight_leaves, _whole
 
 __all__ = [
     "BellResult",
@@ -189,16 +204,105 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _class_layout(n_parties: int):
+    """Read-only (lowest, counts) of the 2N transform classes of N parties.
+
+    Class (r_1, u) holds the C(N-1, u) indices r with party 1's bit r_1
+    and u of the bits of parties 2..N set; ``lowest[u, r_1]`` is its
+    lowest index r_1 + 2(2^u - 1), the one with parties 2..u+1 set, and
+    ``counts[u]`` its size.  On a weight-symmetric table the same indices
+    hold the 2N distinct entries.  Built once per N.
+    """
+    ones = np.arange(n_parties)
+    lowest = 2 * ((1 << ones) - 1)[:, None] + np.arange(2)
+    counts = np.array([math.comb(n_parties - 1, int(u)) for u in ones], dtype=float)
+    lowest.setflags(write=False)
+    counts.setflags(write=False)
+    return lowest, counts
+
+
+def _weight_symmetric(values: np.ndarray, distinct: np.ndarray) -> bool:
+    """Whether ``values`` (2^N,) is the weight layout of ``distinct`` (N, 2), bit for bit.
+
+    One pass over the table, a leaf of ``fock_core.WEIGHT_LEAF_ROWS`` rows
+    at a time against the distinct leaf of its weight
+    (:func:`~photonbell.fock_core._weight_layout`), comparing the entries'
+    bit patterns; it stops at the first leaf that differs.  Extra memory
+    is the distinct leaves and one leaf of flags.
+    """
+    _, order = _weight_layout(len(distinct))
+    expected = _weight_leaves(distinct).view(np.int64)
+    expected = expected.reshape(len(expected), -1)
+    leaves = values.view(np.int64).reshape(len(order), -1)
+    same = np.empty(leaves.shape[1], dtype=bool)
+    for leaf, weight in zip(leaves, order.tolist()):
+        if not np.equal(leaf, expected[weight], out=same).all():
+            return False
+    return True
+
+
+def _class_transform(distinct: np.ndarray) -> np.ndarray:
+    """Transform (N, 2) of a weight-symmetric table at the lowest index of each class.
+
+    ``distinct[w, s_1]`` (N, 2) holds the table's entry of party 1's
+    setting s_1 and weight w.  The butterflies run in count space in the
+    order of :func:`_walsh_hadamard`: party 1's bit first, then parties
+    2..N.  After party k+1, ``level[r_1, j, m]`` is the partial transform
+    at an index whose transformed bits are r_1 and j ones in the lowest
+    places (parties 2..j+1), with m ones among the untransformed setting
+    bits; every index of that kind holds the same bits, since the same
+    sums and differences of equal entries formed it.  Party k+1's
+    butterfly pairs m with m + 1: the sum keeps j, and the difference of
+    j = k - 1 gives j = k.  So entry [u, r_1] equals, bit for bit, the full
+    transform at r_1 + 2(2^u - 1), in O(N^2) operations.
+    """
+    n = len(distinct)
+    level = np.stack((distinct[:, 0] + distinct[:, 1], distinct[:, 0] - distinct[:, 1]))
+    level = level[:, None, :]
+    for k in range(1, n):
+        first, second = level[:, :, :-1], level[:, :, 1:]
+        level = np.empty((2, k + 1, n - k))
+        np.add(first, second, out=level[:, :k])
+        np.subtract(first[:, k - 1], second[:, k - 1], out=level[:, k])
+    return level[:, :, 0].T
+
+
 def wwzb_value(table: CorrelatorTable) -> BellResult:
     """Bell value of a correlation table via the fast transform.
 
-    Returns the value S = 2^{-N} sum_r |T(r)| together with the index r of
-    the largest |T(r)| (lowest index on ties), which identifies the sign
-    pattern contributing most of the violation.
+    Returns the value S = 2^{-N} sum_r |T(r)| together with an index r of
+    the largest |T(r)|, which identifies the sign pattern contributing
+    most of the violation.
+
+    A table of N >= 3 parties whose entry s depends only on s_1 and on the
+    weight of s_2..s_N, bit for bit (every exchangeable table of
+    :func:`~photonbell.fock_core.correlator_tables` is one), takes the
+    class route: T(r) then depends only on r_1 and the weight u of
+    r_2..r_N, and the 2N class values come from a count-space butterfly
+    that equals the full transform at each class's lowest index bit for
+    bit (:func:`_class_transform`), so S = 2^{-N} sum_{r_1, u}
+    C(N-1, u) |T(r_1, u)|, within a few ulps of the full sum.  The check
+    costs one pass over the table, a leaf at a time, and stops at the
+    first leaf that differs; nothing table-sized is allocated.  ``r`` is
+    then the lowest index of the class of largest |T| (the lowest such
+    index on ties between classes).  Every other table, and every table
+    of N <= 2, runs the full transform, and ``r`` is the lowest index of
+    the largest |T(r)|.
     """
-    magnitudes = _walsh_hadamard(table.values)
+    n, values = table.n_parties, table.values
+    if n >= 3:
+        lowest, counts = _class_layout(n)
+        distinct = values[lowest]
+        if _weight_symmetric(values, distinct):
+            magnitudes = np.abs(_class_transform(distinct))
+            s_value = float((magnitudes * counts[:, None]).sum() / 2**n)
+            # lowest grows along (u, r_1), so argmax picks the lowest index
+            dominant = lowest.flat[np.argmax(magnitudes)]
+            return BellResult(s_value=s_value, dominant_r=int(dominant))
+    magnitudes = _walsh_hadamard(values)
     np.abs(magnitudes, out=magnitudes)
-    s_value = float(magnitudes.sum() / 2**table.n_parties)
+    s_value = float(magnitudes.sum() / 2**n)
     return BellResult(s_value=s_value, dominant_r=int(np.argmax(magnitudes)))
 
 

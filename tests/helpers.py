@@ -5,6 +5,7 @@ import json
 import numpy as np
 
 from photonbell import (
+    BellResult,
     ConsistencyError,
     OptimizationSpec,
     PhaseModel,
@@ -17,7 +18,6 @@ from photonbell.experiments import _half_basis, _setting_pairs
 from photonbell.fock_core import (
     IMAG_RESIDUE_TOL,
     TWO_PI,
-    _setting_weights,
     check_observable_matrices,
     correlator_batch,
     correlator_tables,
@@ -225,6 +225,19 @@ def walsh_hadamard_levels(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def full_transform_bell_value(table) -> BellResult:
+    """Bell value of a ``CorrelatorTable`` by the full 2^N transform, for every table.
+
+    The route ``wwzb_value`` takes for tables that are not weight-symmetric
+    and for N <= 2: S from the sum of all 2^N magnitudes, r the lowest
+    index of the largest.  Oracle of its class route, and the value the
+    optimizer's batched scores equal bit for bit.
+    """
+    magnitudes = np.abs(_walsh_hadamard(table.values))
+    s_value = float(magnitudes.sum() / 2**table.n_parties)
+    return BellResult(s_value=s_value, dominant_r=int(np.argmax(magnitudes)))
+
+
 def complex_terms(table):
     """Full +-n basis (K, N-1) and complex coefficients (K, 2^N) of a table.
 
@@ -350,6 +363,14 @@ def symbolic_rows_per_component(state: SubspaceState, strategy) -> np.ndarray:
     return rows
 
 
+def setting_weights(rest: int) -> np.ndarray:
+    """Number of ones in each of the 2^rest setting choices of parties 2..N."""
+    weights = np.zeros(1, dtype=np.uint8)
+    for _ in range(rest):
+        weights = np.concatenate((weights, weights + 1))
+    return weights
+
+
 def symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
     """Tables (..., P, 2^N) of points whose parties 2..N share one setting pair.
 
@@ -371,7 +392,7 @@ def symmetric_tables(rho: np.ndarray, options: np.ndarray) -> np.ndarray:
     distinct = correlator_batch(rho, mats)
     # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
     pairs = np.ascontiguousarray(distinct.swapaxes(-1, -2))
-    return np.take(pairs, _setting_weights(rest), axis=-2).reshape(*pairs.shape[:-2], 2**n)
+    return np.take(pairs, setting_weights(rest), axis=-2).reshape(*pairs.shape[:-2], 2**n)
 
 
 def routed_tables(rhos: np.ndarray, options: np.ndarray) -> np.ndarray:

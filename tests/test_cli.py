@@ -436,6 +436,30 @@ def test_fig1_refuses_non_finite_or_non_positive_r(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("violation-dist", "r0", "nan"),
+        ("violation-dist", "r1", "inf"),
+        ("correlators", "r0", "nan"),
+        ("correlators", "r1", "-inf"),
+    ],
+)
+def test_amplitude_flags_refuse_non_finite_values(tmp_path, capsys, command, flag, value):
+    # each amplitude is checked at its flag, like fig1's --r: the message
+    # names the flag, and amplitudes of either sign stay allowed
+    amplitudes = {"r0": "0.1", "r1": "-0.5", flag: value}
+    out = tmp_path / "o.json"
+    argv = [command, "--parties", "3", "--r0=" + amplitudes["r0"], "--r1=" + amplitudes["r1"]]
+    if command == "violation-dist":
+        argv += ["--samples", "10", "--seed", "1"]
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert f"--{flag} must be finite" in err
+    assert ">= 0" not in err
+    assert not out.exists()
+
+
 def test_fig1_json_format(tmp_path, capsys):
     out = str(tmp_path / "f.json")
     code, _, _ = run(

@@ -1,5 +1,7 @@
 """Core state/observable construction and the closed-form correlator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ import photonbell.fock_core as fock_core
 from photonbell.experiments import _frame_state
 from photonbell.fock_core import (
     CORRELATOR_CHUNK_ELEMENTS,
+    WEIGHT_LEAF_ROWS,
     _exchangeable,
     _state_terms,
     _walked_values,
@@ -35,6 +38,7 @@ from helpers import (
     random_settings,
     random_state,
     setting_matrices,
+    symmetric_tables,
 )
 from photonbell.optimize import _lossy_rhos
 
@@ -442,6 +446,39 @@ def test_table_walk_picks_the_exchangeable_route(n, monkeypatch):
         stack = np.reshape(states, (-1, n + 1, n + 1))
         walked = _walked_values(_state_terms(stack), pairs)
         assert np.max(np.abs(tables.reshape(walked.shape) - walked)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 13, 14, 16])
+def test_exchangeable_leaf_gather_is_a_pure_copy(n):
+    # the leaf-by-leaf gather equals one gather of every entry by the
+    # weight of its parties 2..N, bit for bit, in one leaf (N <= 13) and
+    # across 2 and 8 leaves
+    rng = np.random.default_rng(60 + n)
+    options = random_observable_matrices(rng, (2, 1, 2)).repeat(n, axis=1)
+    options[:, 0] = random_observable_matrices(rng, (2, 2))
+    stack = _lossy_rhos(n, (0.7, 1.0), 0.3)
+    tables = correlator_tables(stack, options)
+    assert tables.shape == (2, 2, 2**n)
+    assert np.array_equal(tables, symmetric_tables(stack, options))
+    leaves = max(1, 2 ** (n - 1) // WEIGHT_LEAF_ROWS)
+    assert fock_core._weight_layout(n)[1].shape == (leaves,)
+
+
+def test_exchangeable_table_allocates_one_table():
+    # no index array grows with the table: the peak is the 8 MiB table,
+    # its distinct leaves and the kernel's small working arrays
+    n = 20
+    rng = np.random.default_rng(61)
+    options = random_observable_matrices(rng, (1, 1, 2)).repeat(n, axis=1)
+    stack = _lossy_rhos(n, (0.9,), 0.2)
+    correlator_tables(stack, options)  # builds the cached layouts
+    tracemalloc.start()
+    try:
+        tables = correlator_tables(stack, options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.125 * tables.nbytes
 
 
 def test_correlator_batch_rejects_non_hermitian_state():

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     bisect_threshold,
     dressed_averaged_tables,
+    full_transform_bell_value,
     per_call_averaged_tables,
     per_call_bell_scores,
     per_call_crossing_scores,
@@ -121,7 +122,10 @@ def test_batched_scan_equals_one_point_objective(spec):
     # the start order is a stable argsort of these scores and the simplex
     # walkers score their points in shared batches, so the batched scores
     # must equal the one-point scores bit for bit; the joint cloud's first
-    # point has equal centers and takes the exchangeable route
+    # point has equal centers and takes the exchangeable route.  The scores
+    # sum all 2^N magnitudes, so they equal the full-transform Bell value
+    # bit for bit, and wwzb_value's class route (weight-symmetric tables of
+    # N >= 3) to rounding
     _, cloud = _search_box(spec)
     bell, crossing = _bell_scores(spec), _crossing_scores(spec)
     scores = bell(cloud)
@@ -136,7 +140,9 @@ def test_batched_scan_equals_one_point_objective(spec):
         (table,) = per_call_averaged_tables(
             spec.n_parties, amplitudes[points], centers[points], spec.width, efficiencies
         )[0]
-        assert scores[i] == -wwzb_value(CorrelatorTable(spec.n_parties, table)).s_value
+        correlators = CorrelatorTable(spec.n_parties, table)
+        assert scores[i] == -full_transform_bell_value(correlators).s_value
+        assert abs(scores[i] + wwzb_value(correlators).s_value) <= 1e-15
 
 
 def test_evaluation_counts_unchanged():

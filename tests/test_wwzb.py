@@ -1,11 +1,13 @@
 """Bell functional via the fast transform, and the two-qubit benchmark."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from helpers import walsh_hadamard_levels
+from helpers import full_transform_bell_value, setting_weights, walsh_hadamard_levels
+import photonbell.wwzb as wwzb
 from photonbell import (
     BellResult,
     CorrelatorTable,
@@ -13,10 +15,14 @@ from photonbell import (
     wwzb_value,
     wwzb_value_naive,
 )
+from photonbell.fock_core import WEIGHT_LEAF_ROWS
 from photonbell.wwzb import (
+    NAIVE_PARTY_LIMIT,
     VIOLATION_ROUNDOFF,
     WHT_BLOCK_ENTRIES,
     WHT_SMALL_ENTRIES,
+    _class_layout,
+    _class_transform,
     _walsh_hadamard,
 )
 
@@ -228,3 +234,126 @@ def test_chsh_horodecki_validation():
 def test_naive_party_limit():
     with pytest.raises(ValueError):
         wwzb_value_naive(CorrelatorTable(11, np.zeros(2**11)))
+
+
+def _weight_table(distinct):
+    """Table (2^N,) whose entry s is distinct[weight(s_2..s_N), s_1]."""
+    return distinct[setting_weights(len(distinct) - 1)].reshape(-1)
+
+
+def _random_weight_table(rng, n):
+    return _weight_table(rng.uniform(-1.0, 1.0, (n, 2)))
+
+
+def _full_route_only(monkeypatch):
+    def refused(distinct):
+        raise AssertionError("class route taken")
+
+    monkeypatch.setattr(wwzb, "_class_transform", refused)
+
+
+def test_class_route_matches_full_transform_and_naive_sum():
+    rng = np.random.default_rng(25)
+    for n in range(3, 17):
+        for _ in range(3):
+            table = CorrelatorTable(n, _random_weight_table(rng, n))
+            fast = wwzb_value(table)
+            assert abs(fast.s_value - full_transform_bell_value(table).s_value) <= 1e-13
+            if n <= NAIVE_PARTY_LIMIT:
+                assert abs(fast.s_value - wwzb_value_naive(table).s_value) <= 1e-13
+
+
+def test_class_values_equal_the_full_transform_bit_for_bit():
+    # entries spanning many binades: a sum taken in another order than the
+    # full transform's would show in the low bits
+    rng = np.random.default_rng(26)
+    for n in range(3, 19):
+        distinct = rng.normal(size=(n, 2)) * np.exp2(rng.integers(-30, 1, (n, 2)))
+        lowest, _ = _class_layout(n)
+        full = _walsh_hadamard(_weight_table(distinct))
+        assert np.array_equal(_class_transform(distinct), full[lowest])
+
+
+@pytest.mark.parametrize("n", [3, 9, 14, 15])
+def test_one_ulp_off_weight_symmetry_takes_the_full_route(n, monkeypatch):
+    # a single entry one ulp away in the first leaf, on both sides of the
+    # first leaf boundary and at the last entry outside a class of one
+    # sends the table to the full transform, with its bits
+    rng = np.random.default_rng(27 + n)
+    values = _random_weight_table(rng, n)
+    lowest, _ = _class_layout(n)
+    boundary = 2 * WEIGHT_LEAF_ROWS
+    where = [5, 2**n - 3] + ([boundary - 1, boundary] if 2**n > boundary else [])
+    changed_tables = []
+    for index in where:
+        changed = values.copy()
+        changed[index] = np.nextafter(changed[index], 2.0)
+        changed_tables.append(CorrelatorTable(n, changed))
+    # the last entry is the lowest index of a class of one: changing it
+    # keeps the table weight-symmetric
+    last = values.copy()
+    last[-1] = np.nextafter(last[-1], -2.0)
+    assert lowest[-1, 1] == 2**n - 1
+    table = CorrelatorTable(n, last)
+    assert abs(wwzb_value(table).s_value - full_transform_bell_value(table).s_value) <= 1e-13
+    _full_route_only(monkeypatch)
+    for table in changed_tables:
+        assert wwzb_value(table) == full_transform_bell_value(table)
+
+
+def test_symmetric_deterministic_tables_give_exactly_one():
+    # party 1 answers (b0, b1), parties 2..N all answer (a0, a1): the
+    # table is weight-symmetric and its one nonzero class holds 2^N
+    signs = list(product([1.0, -1.0], repeat=2))
+    for n in range(3, 13):
+        for (b0, b1), (a0, a1) in product(signs, signs):
+            distinct = np.array(
+                [[b * a0 ** (n - 1 - w) * a1**w for b in (b0, b1)] for w in range(n)]
+            )
+            result = wwzb_value(CorrelatorTable(n, _weight_table(distinct)))
+            assert result.s_value == 1.0
+            assert not result.violated
+
+
+def test_one_and_two_parties_keep_the_full_route(monkeypatch):
+    rng = np.random.default_rng(28)
+    _full_route_only(monkeypatch)
+    for n in (1, 2):
+        for values in (rng.uniform(-1.0, 1.0, 2**n), _random_weight_table(rng, n)):
+            table = CorrelatorTable(n, values)
+            assert wwzb_value(table) == full_transform_bell_value(table)
+
+
+def test_dominant_r_is_the_lowest_index_of_the_largest_class():
+    rng = np.random.default_rng(29)
+    for n in range(3, 13):
+        values = _random_weight_table(rng, n)
+        lowest, _ = _class_layout(n)
+        magnitudes = np.abs(_walsh_hadamard(values))[lowest]
+        best = lowest[magnitudes == magnitudes.max()].min()
+        assert wwzb_value(CorrelatorTable(n, values)).dominant_r == best
+    # a tie between class (r_1, u) = (1, 0), index 1, and class (0, N-1),
+    # index 2^N - 2: party 1's answers are averaged over two strategies
+    for n in range(3, 9):
+        ones = np.ones(n)
+        flips = (-1.0) ** np.arange(n)
+        distinct = 0.5 * (np.outer(ones, [1.0, -1.0]) + np.outer(flips, [1.0, 1.0]))
+        result = wwzb_value(CorrelatorTable(n, _weight_table(distinct)))
+        assert result.dominant_r == 1
+        assert result.s_value == 1.0
+
+
+def test_class_route_allocates_nothing_table_sized():
+    # the check reads the table leaf by leaf against its 8 distinct leaves
+    # (512 KiB, and numpy's 256 KiB copy of their read-only gather index);
+    # the full transform would allocate its 8 MiB output
+    n = 20
+    table = CorrelatorTable(n, _random_weight_table(np.random.default_rng(30), n))
+    wwzb_value(table)  # builds the cached layouts
+    tracemalloc.start()
+    try:
+        wwzb_value(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.values.nbytes // 8
