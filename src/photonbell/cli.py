@@ -302,6 +302,17 @@ def _check_histogram_size(samples: int, bins: int, parties: int) -> None:
     _check_count(bins + 1, f"--bins {bins}")
 
 
+def _check_frame(args) -> None:
+    """ValueError naming the flag unless --delta is finite and >= 0 and --eta in [0, 1].
+
+    Commands without an --eta flag skip its check.
+    """
+    if not (np.isfinite(args.delta) and args.delta >= 0.0):
+        raise ValueError("--delta must be finite and >= 0")
+    if not 0.0 <= getattr(args, "eta", 0.0) <= 1.0:
+        raise ValueError("--eta must lie in [0, 1]")
+
+
 def _check_amplitudes(args) -> None:
     """ValueError naming the flag unless --r0 and --r1 are finite (either sign)."""
     for flag in ("r0", "r1"):
@@ -366,42 +377,28 @@ def cmd_fig2(args) -> int:
         raise ValueError(f"--delta-max / --delta-step exceeds {FIG2_MAX_WIDTHS} widths")
     if not (np.isfinite(args.eta_tolerance) and args.eta_tolerance > 0.0):
         raise ValueError("eta tolerance must be finite and > 0")
-    for n in parties:
-        spec = OptimizationSpec(
-            n, 0.0, optimize_phases=args.joint_phases, restarts=args.restarts
-        )
+    specs = [
+        OptimizationSpec(n, 0.0, optimize_phases=args.joint_phases, restarts=args.restarts)
+        for n in parties
+    ]
+    for spec in specs:
         _check_search(spec, "--n-list")
         _check_search(replace(spec, optimize_phases=False), "--n-list", threshold=True)
     widths = np.arange(0.0, args.delta_max + 0.5 * args.delta_step, args.delta_step)
     rows = []
-    for n in parties:
-        for width in widths:
-            report = maximize_bell(
-                OptimizationSpec(
-                    n_parties=n,
-                    width=float(width),
-                    optimize_phases=args.joint_phases,
-                    restarts=args.restarts,
-                )
-            )
+    for spec in specs:
+        for width in widths.tolist():
+            report = maximize_bell(replace(spec, width=width))
             threshold = threshold_efficiency(
-                n,
-                float(width),
-                tolerance=args.eta_tolerance,
-                restarts=args.restarts,
+                spec.n_parties, width, tolerance=args.eta_tolerance, restarts=args.restarts
             )
             eta = threshold.efficiency if threshold.violable else float("nan")
-            rows.append((n, float(width), report.best_s, eta))
+            rows.append((spec.n_parties, width, report.best_s, eta))
     manifest = _manifest(args, parties=parties)
     header = ("N", "delta", "s_max", "eta_threshold")
     _write_table(args.out, args.format, header, _chunked(*zip(*rows)), manifest)
     _log(manifest)
     return 0
-
-
-def _stem_with_suffix(path: str, suffix: str) -> str:
-    p = Path(path)
-    return str(p.with_name(p.stem + suffix + p.suffix))
 
 
 def _pinned_optimum(args):
@@ -426,6 +423,7 @@ def cmd_fig3(args) -> int:
     ``_m{m}``, each sampled from an independent child stream of the seed;
     the violating fraction per pair count is printed to stdout.
     """
+    _check_frame(args)
     pair_counts = _parse_ints(args.m_list, "--m-list")
     _check_histogram_tables(args.parties, pair_counts, "--m-list")
     _check_histogram_size(args.samples, args.bins, args.parties)
@@ -451,7 +449,8 @@ def cmd_fig3(args) -> int:
         manifest = _manifest(
             args, seed, derived, m_list=pair_counts, pair_count=m, stream_seed=stream
         )
-        out = _stem_with_suffix(args.out, f"_m{m}")
+        stem = Path(args.out)
+        out = stem.with_name(f"{stem.stem}_m{m}{stem.suffix}")
         _write_json(out, manifest, histogram=histogram.to_json_dict())
         _log(manifest)
         print(f"m={m} fraction_violating={_fmt(histogram.fraction_violating)}")
@@ -460,6 +459,7 @@ def cmd_fig3(args) -> int:
 
 def cmd_smax(args) -> int:
     """One optimizer run; prints the maximum and the signed amplitudes."""
+    _check_frame(args)
     spec = OptimizationSpec(
         n_parties=args.parties,
         width=args.delta,
@@ -486,6 +486,7 @@ def cmd_smax(args) -> int:
 
 def cmd_eta(args) -> int:
     """Threshold transmission above which the Bell inequality is violated."""
+    _check_frame(args)
     # threshold_efficiency searches the pinned-phase coordinates
     spec = OptimizationSpec(
         args.parties, args.delta, optimize_phases=False, restarts=args.restarts
@@ -515,6 +516,7 @@ def cmd_violation_dist(args) -> int:
     Give both --r0 and --r1 (signed amplitudes) to pin the strategy, or
     neither to use the optimizer's centered-frame pair.
     """
+    _check_frame(args)
     seed = _whole_seed(args.seed)
     _check_histogram_tables(args.parties, [args.pairs], "--pairs")
     _check_histogram_size(args.samples, args.bins, args.parties)
@@ -593,11 +595,11 @@ def cmd_correlators(args) -> int:
         raise ValueError("--format json needs --out (without --out the table prints as csv)")
     _check_entries(1, args.parties, f"--parties {args.parties}")
     _check_amplitudes(args)
-    centers = (
-        _parse_floats(args.centers, "centers")
-        if args.centers
-        else [0.0] * (args.parties - 1)
-    )
+    _check_frame(args)
+    count = args.parties - 1
+    centers = _parse_floats(args.centers, "centers") if args.centers else [0.0] * count
+    if len(centers) != count:
+        raise ValueError(f"--centers must hold {count} values, got {len(centers)}")
     table = averaged_correlator_table(
         args.parties, args.r0, args.r1, centers, args.delta, args.eta
     )
@@ -692,7 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     smax.add_argument(
         "--unreduced",
         action="store_true",
-        help="per-party amplitude pairs (spot check, at most 3 parties)",
+        help="search party 1's amplitude pair beside the pair parties 2..N "
+        "share, started also from the shared optimum",
     )
     smax.add_argument("--restarts", type=int, default=8)
     smax.add_argument("--tolerance", type=float, default=1e-6)

@@ -1,10 +1,14 @@
 """Bell-value optimization, loss thresholds and certainty frontiers.
 
 The optimization surface is the frame-averaged Bell value of the
-shared-amplitude strategy: every party measures the same two amplitudes
-(r, r') at a single local phase, the unknown frame offsets carry the phase
-freedom, and the free parameters are the two amplitudes plus (optionally)
-the N-1 offset centers.  Amplitudes are searched over signed values: a
+single-phase strategy: party 1, the reference, measures two amplitudes
+(r_1, r_1') and parties 2..N, whose frames are unknown, share one pair
+(r, r'), each at a single local phase.  The unknown frame offsets carry
+the phase freedom, and the free parameters are the amplitudes plus
+(optionally) the N-1 offset centers.  The frame model is symmetric under
+permutations of parties 2..N only, so this is its own reduction; the
+default search also gives party 1 the shared pair, two amplitudes in
+all.  Amplitudes are searched over signed values: a
 negative amplitude flips that setting's displacement (a pi phase advance
 on one setting only), which enlarges the reachable Bell values well beyond
 the nonnegative quadrant at no extra parameter cost.  The search is a
@@ -35,13 +39,14 @@ and stacked once per (N, efficiencies, width), together with their
 kernel factors.  Each step then builds only its points' settings with
 :func:`~photonbell.fock_core.displacement_matrices` and checks them with
 the closed-form Hermiticity and eigenvalue bounds of
-:func:`~photonbell.fock_core.check_observable_matrices`: one pair per
-point in a pinned shared-amplitude search, whose points all take the
-2N-row exchangeable route, and every party's pair at phases (0, c_1,
-..., c_{N-1}) otherwise, routed by the package's one table walk (the one
-behind :func:`~photonbell.fock_core.correlator_tables`, which takes the
-2N-row route for a point whose parties 2..N hold one pair).  The tables
-of every efficiency are one kernel call per route against the prepared
+:func:`~photonbell.fock_core.check_observable_matrices`: in a pinned
+search each point's one pair, or party 1's pair and the one parties
+2..N share, whose points all take the 2N-row exchangeable route, and
+otherwise every party's pair at phases (0, c_1, ..., c_{N-1}), routed
+by the package's one table walk (the one behind
+:func:`~photonbell.fock_core.correlator_tables`, which takes the 2N-row
+route for a point whose parties 2..N hold one pair).  The tables of
+every efficiency are one kernel call per route against the prepared
 stack.  :func:`averaged_correlator_table` is the one-frame state route
 of :mod:`~photonbell.experiments` for the single-phase strategy, with
 the centers in the state.  Inputs from outside are checked at
@@ -76,7 +81,7 @@ towards violating points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -134,13 +139,15 @@ class OptimizationSpec:
     """Free parameters and stopping rules for :func:`maximize_bell`.
 
     ``optimize_phases`` selects whether the N-1 offset centers are searched
-    jointly with the amplitudes or pinned to zero (for the permutation-
-    symmetric states used here both give the same optimum; the pinned mode
-    is much cheaper for many parties).  ``shared_amplitudes`` is the normal,
-    reduced search space (one signed amplitude pair for all parties);
-    setting it False gives every party its own signed pair, a 2N-parameter
-    spot check that the reduction loses nothing, supported for at most
-    three parties.
+    jointly with the amplitudes or pinned to zero.  The joint space holds
+    every pinned point, but its walkers can stop below the pinned optimum
+    (at N = 2 and width 1.25 every joint start lies on the S = 1 plateau);
+    the pinned mode is also much cheaper for many parties.
+    ``shared_amplitudes`` is the default search space, one signed
+    amplitude pair for all parties.  Setting it False searches party 1's
+    pair beside the pair parties 2..N share, four amplitudes (two for a
+    single party), the reduction the frame model allows.  It starts one
+    walker from the shared optimum, so it never ends below it.
     """
 
     n_parties: int
@@ -161,8 +168,6 @@ class OptimizationSpec:
             raise ValueError("width must be finite and >= 0")
         if not 0.0 <= efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if not self.shared_amplitudes and self.n_parties > 3:
-            raise ValueError("per-party amplitudes supported for n_parties <= 3")
         if not (np.isfinite(tolerance) and tolerance > 0.0):
             raise ValueError("tolerance must be finite and > 0")
 
@@ -171,9 +176,10 @@ class OptimizationSpec:
 class OptimumReport:
     """Best point found by :func:`maximize_bell`.
 
-    ``r`` and ``r_prime`` are the signed shared amplitudes (party 1's pair
-    in the per-party mode, where ``party_amplitudes`` holds every party's
-    pair; it is None in the shared mode).
+    ``r`` and ``r_prime`` are the signed shared amplitudes, or party 1's
+    pair without shared amplitudes.  ``party_amplitudes`` then holds every
+    party's pair, party 1's first and then N-1 copies of the pair parties
+    2..N share; it is None in the shared mode.
     """
 
     best_s: float
@@ -262,20 +268,26 @@ def _setting_options(amplitudes: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return options
 
 
+def _amplitude_pairs(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
+    """Signed amplitude pairs (P, K, 2) of search points (P, dims), as (point, pair, setting).
+
+    The amplitude coordinates hold the first settings, then the second:
+    (r_1, r_rest, r_1', r_rest') gives K = 2, party 1's pair and the pair
+    parties 2..N share; (r, r') gives K = 1, one pair for every party (the
+    shared mode, and either mode of a single party).
+    """
+    n_amp, _ = _search_dims(spec)
+    return points[:, :n_amp].reshape(len(points), 2, n_amp // 2).swapaxes(1, 2)
+
+
 def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
     """Signed amplitudes (P, N, 2) and centers (P, N-1) of search points (P, dims)."""
     n = spec.n_parties
     points = np.asarray(points, dtype=float)
-    if spec.shared_amplitudes:
-        n_amp = 2
-        amplitudes = np.broadcast_to(points[:, None, :2], (len(points), n, 2))
-    else:
-        n_amp = 2 * n
-        amplitudes = np.stack((points[:, :n], points[:, n:n_amp]), axis=-1)
-    if spec.optimize_phases:
-        centers = points[:, n_amp:]
-    else:
-        centers = np.zeros((len(points), n - 1))
+    n_amp, _ = _search_dims(spec)
+    pairs = _amplitude_pairs(spec, points)
+    amplitudes = pairs[:, np.minimum(np.arange(n), pairs.shape[1] - 1)]
+    centers = points[:, n_amp:] if spec.optimize_phases else np.zeros((len(points), n - 1))
     return amplitudes, centers
 
 
@@ -283,21 +295,22 @@ def _point_tables(spec: OptimizationSpec, efficiencies: tuple):
     """Table function of a search, from points (P, dims) to tables (E, P, 2^N).
 
     The stacked frame-averaged lossy states and their kernel factors are
-    formed once, here.  A pinned shared-amplitude search is exchangeable
-    at every point, party 1 included, so each step builds and checks one
-    settings pair per point and calls the exchangeable route directly; the
-    other searches build every party's pair and leave the route to the
-    table walk.  Each table depends only on its own point: a batch gives
-    the same values, bit for bit, as every point alone.
+    formed once, here.  A pinned search is exchangeable in parties 2..N
+    at every point, so each step builds and checks its points' pairs
+    (:func:`_amplitude_pairs`: one, or party 1's and the one parties 2..N
+    share) and calls the 2N-row exchangeable route directly; a joint
+    search builds every party's pair and leaves the route to the table
+    walk.  Each table depends only on its own point: a
+    batch gives the same values, bit for bit, as every point alone.
     """
     etas = tuple(float(eta) for eta in efficiencies)
     terms = _state_terms(_lossy_rhos(spec.n_parties, etas, float(spec.width)))
-    if spec.shared_amplitudes and not spec.optimize_phases:
+    if not spec.optimize_phases:
 
         def pinned(points):
-            options = displacement_matrices(points, 0.0)
+            options = displacement_matrices(_amplitude_pairs(spec, points), 0.0)
             check_observable_matrices(options)
-            return _exchangeable_values(terms, options, options)
+            return _exchangeable_values(terms, options[:, 0], options[:, -1])
 
         return pinned
     return lambda points: _table_values(terms, _setting_options(*_point_parameters(spec, points)))
@@ -435,11 +448,12 @@ def _halton(n_points: int, dims: int) -> np.ndarray:
 def _search_dims(spec: OptimizationSpec) -> tuple:
     """Numbers of amplitude and phase coordinates of a search.
 
-    Coordinates are the signed amplitudes (2, or 2N per party) followed by
-    the N-1 centers when phases are searched.
+    Coordinates are the signed amplitudes (2 shared, or 4 for party 1's
+    pair and the pair of parties 2..N; 2 for a single party in either
+    mode) followed by the N-1 centers when phases are searched.
     """
     n = spec.n_parties
-    n_amp = 2 if spec.shared_amplitudes else 2 * n
+    n_amp = 2 if spec.shared_amplitudes or n == 1 else 4
     n_phase = (n - 1) if spec.optimize_phases else 0
     return n_amp, n_phase
 
@@ -608,7 +622,7 @@ def _lockstep(spec: OptimizationSpec, score, walkers) -> list:
     return results
 
 
-def _search(spec: OptimizationSpec, score):
+def _search(spec: OptimizationSpec, score, _start=None):
     """Multistart simplex minimization of a prepared batched score over the search box.
 
     ``score(points)`` maps points of shape (P, dims) to P values, each
@@ -617,16 +631,18 @@ def _search(spec: OptimizationSpec, score):
     scored in one call, and a bounded Nelder-Mead walker
     (:func:`_nelder_mead`, capped at 400 evaluations per coordinate)
     starts from each of the ``spec.restarts`` best cloud points (stable
-    order).  The walkers run in lockstep, one score call per step for all
-    of them (split into calls no larger than the scan), and each walks
-    exactly as alone.  Returns the best walker's :class:`_SimplexResult`
-    (lowest restart index on ties) and the number of points the walks
-    used, scan included; speculative rows a walk did not use are not
-    counted.
+    order), and one more from ``_start`` when it is given.  The walkers
+    run in lockstep, one score call per step for all of them (split into
+    calls no larger than the scan), and each walks exactly as alone.
+    Returns the best walker's :class:`_SimplexResult` (lowest restart
+    index on ties) and the number of points the walks used, scan
+    included; speculative rows a walk did not use are not counted.
     """
     (lower, upper), cloud = _search_box(spec)
     max_evals = 400 * len(lower)
     starts = cloud[np.argsort(score(cloud), kind="stable")[: spec.restarts]]
+    if _start is not None:
+        starts = np.concatenate((starts, [_start]))
     walkers = [_nelder_mead(x0, lower, upper, spec.tolerance, max_evals) for x0 in starts]
     results = _lockstep(spec, score, walkers)
     best = min(results, key=lambda result: result.fun)
@@ -643,23 +659,29 @@ def maximize_bell(spec: OptimizationSpec) -> OptimumReport:
     reports whether the winning search terminated by its tolerance rather
     than by the iteration cap; ``evaluations`` counts objective calls
     including the scan.
+
+    Without shared amplitudes the shared search of the same spec runs
+    first, and its optimum, lifted to (r, r, r', r', centers), starts one
+    more walker, so the result is never below the shared one.
     """
-    best, evaluations = _search(spec, _bell_scores(spec))
+    start, evaluations = None, 0
+    if not spec.shared_amplitudes:
+        shared = replace(spec, shared_amplitudes=True)
+        lifted, evaluations = _search(shared, _bell_scores(shared))
+        n_amp, _ = _search_dims(spec)
+        start = np.concatenate((np.repeat(lifted.x[:2], n_amp // 2), lifted.x[2:]))
+    best, more = _search(spec, _bell_scores(spec), start)
+    evaluations += more
     amplitudes, centers = _point_parameters(spec, best.x[None])
-    if spec.shared_amplitudes:
-        party_amplitudes = None
-        r, r_prime = (float(a) for a in amplitudes[0, 0])
-    else:
-        party_amplitudes = tuple((float(a), float(b)) for a, b in amplitudes[0])
-        r, r_prime = party_amplitudes[0]
+    pairs = tuple((float(a), float(b)) for a, b in amplitudes[0])
     return OptimumReport(
         best_s=float(-best.fun),
-        r=r,
-        r_prime=r_prime,
+        r=pairs[0][0],
+        r_prime=pairs[0][1],
         phase_centers=tuple(float(c) for c in centers[0]),
         converged=bool(best.success),
         evaluations=evaluations,
-        party_amplitudes=party_amplitudes,
+        party_amplitudes=None if spec.shared_amplitudes else pairs,
     )
 
 

@@ -18,6 +18,8 @@ from photonbell.experiments import _half_basis, _setting_pairs
 from photonbell.fock_core import (
     IMAG_RESIDUE_TOL,
     TWO_PI,
+    _state_terms,
+    _table_values,
     check_observable_matrices,
     correlator_batch,
     correlator_tables,
@@ -26,10 +28,16 @@ from photonbell.fock_core import (
 )
 from photonbell.optimize import (
     _THRESHOLD_EFFICIENCIES,
+    AMPLITUDE_BOUNDS,
+    START_AMPLITUDE,
     _crossing_efficiency,
+    _halton,
+    _lockstep,
     _lossy_rhos,
+    _nelder_mead,
     _point_parameters,
     _search_box,
+    _setting_options,
 )
 from photonbell.wwzb import TABLE_RANGE_TOL, VIOLATION_ROUNDOFF, _walsh_hadamard
 
@@ -606,6 +614,37 @@ def scipy_search(spec: OptimizationSpec, score):
         if best is None or result.fun < best.fun:
             best = result
     return best, evaluations
+
+
+def per_party_search(spec: OptimizationSpec):
+    """The pinned per-party search: every party its own signed amplitude pair.
+
+    Oracle of the pinned ``maximize_bell`` without shared amplitudes, and
+    the search that mode ran before it took party 1's pair beside one
+    pair shared by parties 2..N.  Its 2N coordinates are (r_1..r_N,
+    r_1'..r_N'); the start cloud, the walkers and their stopping rules
+    are those of ``optimize._search`` in that box, each point's table is
+    routed by the table walk, and no walker starts from the shared
+    optimum.  Returns (best_s, amplitudes (N, 2), evaluations).
+    """
+    n, dims = spec.n_parties, 2 * spec.n_parties
+    terms = _state_terms(_lossy_rhos(n, (spec.efficiency,), float(spec.width)))
+
+    def score(points):
+        amplitudes = np.stack((points[:, :n], points[:, n:]), axis=-1)
+        options = _setting_options(amplitudes, np.zeros((len(points), n - 1)))
+        (tables,) = _table_values(terms, options)
+        return -np.abs(_walsh_hadamard(tables)).sum(axis=-1) / 2**n
+
+    cloud = _halton(max(64, 24 * dims, spec.restarts), dims)
+    cloud = -START_AMPLITUDE + cloud * (2.0 * START_AMPLITUDE)
+    lower, upper = np.full(dims, AMPLITUDE_BOUNDS[0]), np.full(dims, AMPLITUDE_BOUNDS[1])
+    starts = cloud[np.argsort(score(cloud), kind="stable")[: spec.restarts]]
+    walkers = [_nelder_mead(x0, lower, upper, spec.tolerance, 400 * dims) for x0 in starts]
+    results = _lockstep(spec, score, walkers)
+    best = min(results, key=lambda result: result.fun)
+    evaluations = len(cloud) + sum(result.nfev for result in results)
+    return -best.fun, np.stack((best.x[:n], best.x[n:]), axis=-1), evaluations
 
 
 # The row-at-a-time data writer the command line used before its column

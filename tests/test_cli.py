@@ -51,7 +51,7 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
     out = str(tmp_path / "f.csv")
     assert main(["fig1", "--r", "-1", "--out", out]) == 2
     assert main(["violation-dist", "--r0", "0.1", "--seed", "3"]) == 2
-    assert main(["smax", "--parties", "4", "--unreduced", "--restarts", "2"]) == 2
+    assert main(["smax", "--parties", "19", "--unreduced", "--pin-phases"]) == 2
     assert main(["fig3", "--seed", "-5", "--out", out]) == 2
     for parties in ("0", "-1"):
         dist = ["violation-dist", "--parties", parties, "--r0", "0.1", "--r1", "0.2"]
@@ -248,6 +248,63 @@ def test_histogram_and_grid_sizes_rejected_before_any_allocation(tmp_path, monke
             main(argv + [str(largest)])
         assert main(argv + [str(largest + 1)]) == 2, argv
         assert message in capsys.readouterr().err, argv
+
+
+def test_party_one_pair_search_fits_the_budget_to_18_parties(monkeypatch, capsys):
+    # a pinned smax --unreduced scans 96 four-coordinate points: 96 x 2^18
+    # entries fit the budget, 96 x 2^19 do not
+    class Reached(Exception):
+        pass
+
+    def reached(_spec):
+        raise Reached
+
+    monkeypatch.setattr("photonbell.cli.maximize_bell", reached)
+    with pytest.raises(Reached):
+        main(["smax", "--parties", "18", "--unreduced", "--pin-phases"])
+    assert main(["smax", "--parties", "19", "--unreduced", "--pin-phases"]) == 2
+    assert "needs 96 x 2^19 table entries" in capsys.readouterr().err
+
+
+FRAME = ["--r0", "0.1", "--r1", "-0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["smax", "--parties", "2", "--delta", "-1"], "--delta must be finite and >= 0"),
+        (["eta", "--parties", "2", "--delta", "nan"], "--delta must be finite and >= 0"),
+        (["fig3", "--delta", "-0.1", "--seed", "7"], "--delta must be finite and >= 0"),
+        (["violation-dist", "--delta", "inf", "--seed", "7"], "--delta must be finite and >= 0"),
+        (["correlators", "--parties", "2", *FRAME, "--delta", "inf"], "--delta must be finite"),
+        (["smax", "--parties", "2", "--eta", "1.5"], "--eta must lie in [0, 1]"),
+        (["fig3", "--eta", "nan", "--seed", "7"], "--eta must lie in [0, 1]"),
+        (["violation-dist", "--eta", "2", "--seed", "7"], "--eta must lie in [0, 1]"),
+        (["correlators", "--parties", "2", *FRAME, "--eta", "-1"], "--eta must lie in [0, 1]"),
+        (
+            ["correlators", "--parties", "3", *FRAME, "--centers", "1,2,3"],
+            "--centers must hold 2 values, got 3",
+        ),
+    ],
+)
+def test_frame_flags_named_before_any_search(tmp_path, monkeypatch, capsys, argv, message):
+    # the noise width, the efficiency and the number of centers are checked
+    # at their flags, before any search, table or histogram, like --r0/--r1
+    def reached(*_args, **_kwargs):
+        raise AssertionError("work started before the frame flags were checked")
+
+    for name in (
+        "maximize_bell",
+        "threshold_efficiency",
+        "violation_distribution",
+        "averaged_correlator_table",
+    ):
+        monkeypatch.setattr(f"photonbell.cli.{name}", reached)
+    out = tmp_path / "o.json"
+    code, out_text, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2 and out_text == ""
+    assert message in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from helpers import (
     per_call_averaged_tables,
     per_call_bell_scores,
     per_call_crossing_scores,
+    per_party_search,
     random_state,
     sample_offsets,
     scipy_search,
@@ -49,11 +50,14 @@ from photonbell.optimize import (
     _scan_table_count,
     _search,
     _search_box,
+    _search_dims,
     _setting_options,
 )
 from photonbell.wwzb import _walsh_hadamard
 
 TWO_PI = 2.0 * np.pi
+
+PINNED = dict(optimize_phases=False)
 
 
 def prepared_tables(n, width, efficiencies, amplitudes, centers):
@@ -73,8 +77,6 @@ def test_spec_validation():
         OptimizationSpec(2, -0.1)
     with pytest.raises(ValueError):
         OptimizationSpec(2, 0.0, efficiency=1.2)
-    with pytest.raises(ValueError):
-        OptimizationSpec(4, 0.0, shared_amplitudes=False)
     with pytest.raises(ValueError):
         OptimizationSpec(2, 0.0, restarts=0)
     for tolerance in (0.0, np.nan, np.inf):
@@ -172,14 +174,15 @@ def test_evaluation_counts_unchanged():
         ),
         (
             OptimizationSpec(2, 0.1, optimize_phases=False, shared_amplitudes=False, restarts=2),
-            (1.3414668556192062, -0.16466983545403946, 0.5622310753631863, 646),
+            (1.3414668556192062, -0.16466983545403946, 0.5622310753631863, 1023),
         ),
     ],
 )
 def test_search_results_are_pinned(spec, expected):
     # exact values of pinned N=2 and N=9, joint N=3 and per-party N=2
     # searches, recorded before the scores were prepared once per search:
-    # a faster score must not move a single bit of any result
+    # a faster score must not move a single bit of any result.  The
+    # per-party count includes the shared search that now runs first.
     report = maximize_bell(spec)
     assert (report.best_s, report.r, report.r_prime, report.evaluations) == expected
 
@@ -259,11 +262,98 @@ def test_pinned_step_checks_two_matrices_per_point(monkeypatch):
         stacks.clear()
         report = maximize_bell(spec)
         assert stacks == [(1, n + 1, n + 1)]
-        assert checked and all(shape[1:] == (2,) for shape in checked)
+        assert checked and all(shape[1:] == (1, 2) for shape in checked)
         assert sum(shape[0] for shape in checked) >= report.evaluations
         stacks.clear()
         threshold_efficiency(n, 0.2, tolerance=1e-3, restarts=1)
         assert stacks == [(2, n + 1, n + 1)]
+
+
+def test_per_party_oracle_is_the_former_search():
+    # the 2N-coordinate oracle reproduces the former per-party N=2 pin,
+    # with its 646 evaluations: the search it replaced, bit for bit
+    spec = OptimizationSpec(2, 0.1, restarts=2, **PINNED)
+    best_s, amplitudes, evaluations = per_party_search(spec)
+    assert (best_s, *amplitudes[0], evaluations) == (
+        1.3414668556192062, -0.16466983545403946, 0.5622310753631863, 646
+    )
+
+
+@pytest.mark.parametrize("width", [0.3, 0.9, 1.5])
+def test_party_one_pair_matches_per_party_oracle(width):
+    # at N=3 party 1's pair beside one pair for parties 2 and 3 reaches the
+    # optimum of the search that gives every party its own pair
+    spec = OptimizationSpec(3, width, shared_amplitudes=False, restarts=3, **PINNED)
+    report = maximize_bell(spec)
+    oracle, _, _ = per_party_search(spec)
+    assert abs(report.best_s - oracle) <= 1e-9
+    first, *rest = report.party_amplitudes
+    assert (report.r, report.r_prime) == first and rest == [rest[0]] * 2
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_party_one_pair_is_never_below_the_shared_search(n):
+    # the lifted shared optimum starts one walker, so the four-coordinate
+    # search ends at or above the shared one
+    for width in (0.0, 0.6, 1.2):
+        spec = OptimizationSpec(n, width, restarts=2, **PINNED)
+        shared = maximize_bell(spec)
+        report = maximize_bell(replace(spec, shared_amplitudes=False))
+        assert report.best_s >= shared.best_s - 1e-12, width
+        assert report.evaluations > shared.evaluations
+
+
+def test_party_one_pair_gains_over_the_shared_optimum():
+    # at N=9 and width 1.2 party 1's own pair is worth 0.0078 over the
+    # shared optimum of 1.06583 at the default restarts
+    report = maximize_bell(OptimizationSpec(9, 1.2, shared_amplitudes=False, **PINNED))
+    assert report.best_s >= 1.0736
+
+
+def test_pinned_party_one_step_makes_one_exchangeable_call_of_2n_rows(monkeypatch):
+    # a pinned search without shared amplitudes never walks the 2^N rows:
+    # each score call is one exchangeable call of 2N kernel rows per point
+    n = 9
+    spec = OptimizationSpec(n, 0.6, shared_amplitudes=False, restarts=2, **PINNED)
+    calls, rows = [], []
+    exchangeable_values = optimize._exchangeable_values
+    correlator_values = fock_core._correlator_values
+
+    def exchangeable(terms, ref, shared):
+        calls.append(len(ref))
+        rows.clear()
+        tables = exchangeable_values(terms, ref, shared)
+        assert sum(rows) == 2 * n * len(ref)
+        return tables
+
+    def counted(terms, mats):
+        rows.append(len(mats))
+        return correlator_values(terms, mats)
+
+    def walked(*_args):
+        raise AssertionError("a pinned point walked all 2^N rows")
+
+    monkeypatch.setattr(optimize, "_exchangeable_values", exchangeable)
+    monkeypatch.setattr(fock_core, "_correlator_values", counted)
+    monkeypatch.setattr(fock_core, "_walked_values", walked)
+    score = _bell_scores(spec)
+    _, cloud = _search_box(spec)
+    assert optimize._amplitude_pairs(spec, cloud).shape == (len(cloud), 2, 2)
+    score(cloud)
+    assert calls == [len(cloud)]
+    calls.clear()
+    report = maximize_bell(spec)
+    assert sum(calls) >= report.evaluations
+
+
+def test_single_party_keeps_two_coordinates():
+    # one party has no parties 2..N: both modes search the same (r, r')
+    spec = OptimizationSpec(1, 0.3, shared_amplitudes=False, restarts=2, **PINNED)
+    assert _search_dims(spec) == (2, 0)
+    report = maximize_bell(spec)
+    shared = maximize_bell(replace(spec, shared_amplitudes=True))
+    assert report.best_s == shared.best_s
+    assert report.party_amplitudes == ((report.r, report.r_prime),)
 
 
 def assert_same_descent(ours, oracle):
@@ -272,9 +362,6 @@ def assert_same_descent(ours, oracle):
     assert ours.fun == oracle.fun
     assert ours.success == oracle.success
     assert ours.nfev == oracle.nfev
-
-
-PINNED = dict(optimize_phases=False)
 
 
 @pytest.mark.parametrize(
@@ -415,9 +502,12 @@ def test_scan_table_count_sizes_the_cloud_scan(monkeypatch):
 
     prepare = optimize._point_tables
     sizes = []
+    checked = []
 
-    def first_call(*args):
-        tables_at = prepare(*args)
+    def first_call(search, *args):
+        tables_at = prepare(search, *args)
+        if search.shared_amplitudes and not checked[-1].shared_amplitudes:
+            return tables_at  # the shared search a per-party one runs first
 
         def scanned(points):
             sizes.append(tables_at(points).size)
@@ -433,6 +523,7 @@ def test_scan_table_count_sizes_the_cloud_scan(monkeypatch):
         OptimizationSpec(2, 0.2, shared_amplitudes=False),
     )
     for spec in specs:
+        checked.append(spec)
         with pytest.raises(Scanned):
             maximize_bell(spec)
         assert sizes.pop() == _scan_table_count(spec) * 2**spec.n_parties, spec
