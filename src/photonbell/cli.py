@@ -220,20 +220,21 @@ def _write_table(path, fmt, header, chunks, manifest) -> None:
         out.write("\n  ]\n}\n" if _write_rows(out, fmt, chunks) else "[]\n}\n")
 
 
-def _parse_floats(text: str, name: str):
+def _parse_floats(text: str, flag: str):
+    """The numbers of a comma-separated list flag; ValueError naming ``flag``."""
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{name} must be a comma-separated list of numbers")
+        raise ValueError(f"{flag} must be a comma-separated list of numbers")
     if not values:
-        raise ValueError(f"{name} must be nonempty")
+        raise ValueError(f"{flag} must be nonempty")
     return values
 
 
-def _parse_ints(text: str, name: str):
-    values = _parse_floats(text, name)
+def _parse_ints(text: str, flag: str):
+    values = _parse_floats(text, flag)
     if not all(v.is_integer() for v in values):
-        raise ValueError(f"{name} must hold finite integers")
+        raise ValueError(f"{flag} must hold finite integers")
     return [int(v) for v in values]
 
 
@@ -335,9 +336,9 @@ def cmd_fig1(args) -> int:
     """
     if not (np.isfinite(args.r) and args.r > 0.0):
         raise ValueError("r must be finite and > 0")
-    widths = _parse_floats(args.deltas, "deltas")
-    if any(w < 0 for w in widths):
-        raise ValueError("deltas must be >= 0")
+    widths = _parse_floats(args.deltas, "--deltas")
+    if not all(np.isfinite(w) and w >= 0.0 for w in widths):
+        raise ValueError("--deltas must be finite and >= 0")
     _check_distinct(widths, "--deltas", "noise width")
     _check_count(args.grid * len(widths), f"--grid {args.grid} with {len(widths)} --deltas")
     grid = _phase_grid(args.grid)
@@ -597,9 +598,11 @@ def cmd_correlators(args) -> int:
     _check_amplitudes(args)
     _check_frame(args)
     count = args.parties - 1
-    centers = _parse_floats(args.centers, "centers") if args.centers else [0.0] * count
+    centers = _parse_floats(args.centers, "--centers") if args.centers else [0.0] * count
     if len(centers) != count:
         raise ValueError(f"--centers must hold {count} values, got {len(centers)}")
+    if not np.isfinite(centers).all():
+        raise ValueError("--centers must be finite")
     table = averaged_correlator_table(
         args.parties, args.r0, args.r1, centers, args.delta, args.eta
     )

@@ -308,9 +308,12 @@ def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy) ->
     Here rho_n holds the entries above the diagonal whose m is n or -n;
     only one of the two occurs above the diagonal, so the sine row carries
     the sign of m against n, which a signed upper-triangle mask per
-    frequency records.  Taking the components from the upper triangle
-    fixes the rows of states that are Hermitian only to rounding.  The
-    1 + N(N-1) components form one stack of states, and one
+    frequency records.  The sign lives in the sine component itself: the
+    correlator is linear in the state and negation is exact, so its rows
+    equal, bit for bit, the unsigned component's rows negated, and no
+    table is written after it is built.  Taking the components from the
+    upper triangle fixes the rows of states that are Hermitian only to
+    rounding.  The 1 + N(N-1) components form one stack of states, and one
     :func:`~photonbell.fock_core.correlator_tables` call with every
     setting pair as a point writes every row of every table; the tables
     are its rows with the component and table axes swapped.
@@ -327,12 +330,9 @@ def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy) ->
     parts = np.where(signs != 0, rho, 0.0)
     adjoint = parts.conj().swapaxes(1, 2)
     steady = np.where(freqs.any(axis=-1), 0.0, rho)
-    components = np.concatenate((steady[None], parts + adjoint, 1j * (parts - adjoint)))
-    rows = correlator_tables(components, pairs)
-    rows[1 + len(half) :] *= np.sign(signs.sum(axis=(1, 2), keepdims=True))
-    tables = rows.swapaxes(0, 1)
-    tables.setflags(write=False)
-    return tables
+    sine = 1j * (parts - adjoint) * np.sign(signs.sum(axis=(1, 2), keepdims=True))
+    components = np.concatenate((steady[None], parts + adjoint, sine))
+    return correlator_tables(components, pairs).swapaxes(0, 1)
 
 
 def _frame_state(state: SubspaceState, strategy, model: PhaseModel) -> np.ndarray:
@@ -361,7 +361,8 @@ def _frame_averaged_tables(state: SubspaceState, strategy, model: PhaseModel) ->
     own settings, with every setting pair as a point of one
     :func:`~photonbell.fock_core.correlator_tables` call.  Each table
     depends only on its own pair, so a batch gives the bits of building
-    each table alone.
+    each table alone.  The tables are read-only rows of one array, so
+    :class:`~photonbell.wwzb.CorrelatorTable` keeps each without a copy.
     """
     return correlator_tables(_frame_state(state, strategy, model), _setting_pairs(strategy))
 
@@ -380,8 +381,10 @@ def frame_averaged_table(
     the table at the fixed frame c.  Table index bit k-1 selects party
     k's setting 0 or 1, party 1's from pair 0 (rows 0 and 1); only that
     pair's table is built, and the other pairs' tables come from
-    :func:`best_pair_bell_value`.  Raises ValueError if the state,
-    strategy and model disagree on the party count.
+    :func:`best_pair_bell_value`.  The table's values are read-only and
+    are the kernel's own array, not a copy; copy them before writing to
+    them.  Raises ValueError if the state, strategy and model disagree on
+    the party count.
     """
     rho = _frame_state(state, strategy, model)
     (table,) = correlator_tables(rho, _setting_pairs(strategy)[:1])

@@ -459,7 +459,8 @@ def _weight_leaves(values: np.ndarray) -> np.ndarray:
     weight h (:func:`_weight_layout`).
     """
     rows, _ = _weight_layout(values.shape[-2])
-    return np.take(values, rows, axis=-2)
+    # Indexing reads the cached read-only rows in place; np.take would copy them.
+    return values[..., rows, :]
 
 
 @lru_cache(maxsize=32)
@@ -484,7 +485,7 @@ def _exchangeable_values(terms: _StateTerms, ref: np.ndarray, shared: np.ndarray
     how many of s_2..s_N are 1, so 2N rows per point, in one kernel call,
     fill the 2^N entries.  The entries are copied into the weight layout
     (:func:`_weight_layout`) leaf by leaf, so no index array grows with
-    the table.
+    the table.  The tables are read-only.
     """
     count, points, n = len(terms.states), len(ref), terms.states.shape[-1] - 1
     pick = _exchangeable_rows(n)
@@ -493,9 +494,12 @@ def _exchangeable_values(terms: _StateTerms, ref: np.ndarray, shared: np.ndarray
     mats[:, :, :, 1:] = shared[:, None, pick]
     distinct = _correlator_values(terms, mats.reshape(-1, n, 2, 2))
     # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
-    leaves = _weight_leaves(distinct.reshape(count, points, 2, n).swapaxes(-1, -2))
+    leaves = _weight_leaves(distinct.reshape(count * points, 2, n).swapaxes(-1, -2))
     _, order = _weight_layout(n)
-    return np.take(leaves, order, axis=-3).reshape(count, points, 2**n)
+    # With every index leading, the gather is laid out in table order.
+    tables = leaves[np.arange(count * points)[:, None], order]
+    tables.setflags(write=False)
+    return tables.reshape(count, points, 2**n)
 
 
 def _walked_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
@@ -503,7 +507,7 @@ def _walked_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
 
     Entry s of table p uses party k's setting bit k-1 of s; rows are built
     for a chunk of table indices at a time, so memory stays bounded for
-    any N.
+    any N.  The tables are read-only.
     """
     points, n = pairs.shape[:2]
     size = 2**n
@@ -517,6 +521,7 @@ def _walked_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
         tables[..., start : start + step] = _correlator_values(terms, rows).reshape(
             len(terms.states), points, len(index)
         )
+    tables.setflags(write=False)
     return tables
 
 
@@ -529,6 +534,7 @@ def _table_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
     setting pair takes the 2N-row route (:func:`_exchangeable_values`);
     every other point walks all 2^N rows (:func:`_walked_values`), and so
     does every point below three parties, where 2N rows are all 2^N.
+    Every route returns a new read-only array.
     """
     if pairs.shape[1] < 3 or not terms.exchangeable:
         return _walked_values(terms, pairs)
@@ -539,6 +545,7 @@ def _table_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
     if shared.any():
         tables[:, shared] = _exchangeable_values(terms, pairs[shared, 0], pairs[shared, -1])
     tables[:, ~shared] = _walked_values(terms, pairs[~shared])
+    tables.setflags(write=False)
     return tables
 
 
@@ -555,7 +562,10 @@ def correlator_tables(rho, pairs) -> np.ndarray:
     chosen per stack, so a state gets the bits of a call with it alone
     unless the stack mixes exchangeable and other states: then the
     exchangeable ones walk all 2^N rows too, which equal their 2N-row
-    values to rounding.  Errors are those of :func:`correlator_batch`.
+    values to rounding.  The result is read-only, so that
+    :class:`~photonbell.wwzb.CorrelatorTable` can take a table of it
+    without a copy; copy it before writing to it.  Errors are those of
+    :func:`correlator_batch`.
     """
     pairs = np.asarray(pairs, dtype=complex)
     rho, _ = _kernel_inputs(rho, pairs[:, :, 0])

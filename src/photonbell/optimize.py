@@ -239,10 +239,12 @@ def averaged_correlator_table(
     W state, averaged entry-wise over independent Gaussian offsets with
     the given centers and width: the state route of
     :func:`~photonbell.experiments.frame_averaged_table`, returned as a
-    plain array.  ``r0`` and ``r1`` are signed scalar amplitudes shared by
-    every party.  The lossy W state is exchangeable in modes 2..N, and so
-    is its frame average when every center coincides; then only 2N
-    distinct correlators are evaluated for the 2^N entries.
+    plain read-only array, which :class:`~photonbell.wwzb.CorrelatorTable`
+    keeps without a copy; copy it before writing to it.  ``r0`` and
+    ``r1`` are signed scalar amplitudes shared by every party.  The lossy
+    W state is exchangeable in modes 2..N, and so is its frame average
+    when every center coincides; then only 2N distinct correlators are
+    evaluated for the 2^N entries.
 
     Raises ValueError unless there is at least one party, one finite
     center per party 2..N, the amplitudes are finite real scalars, the

@@ -94,6 +94,16 @@ class CorrelatorTable:
     values[s] is the correlator for joint setting s; bit k-1 of s selects
     party k's setting (party 1 least significant).  Values must be real
     numbers (not strings, booleans or complex) in [-1, 1] up to roundoff.
+
+    ``values`` is always a read-only float64 array.  An input that nothing
+    can write to is kept as given: a 1-D, C-contiguous, native float64
+    array that is not writeable, whose ``.base`` chain holds no writeable
+    array and ends at an array that owns its memory.  The tables of
+    :func:`~photonbell.fock_core.correlator_tables` are such arrays, so a
+    2^N-entry table reaches :func:`wwzb_value` without a copy.  Every
+    other input (lists, other dtypes or byte orders, strided or writeable
+    arrays, read-only views of writeable memory, arrays over a foreign
+    buffer) is copied.  The shape and range checks run on every input.
     """
 
     n_parties: int
@@ -104,7 +114,9 @@ class CorrelatorTable:
         vals = np.asarray(self.values)
         if vals.dtype.kind not in "iuf":
             raise ValueError("correlators must be real numbers")
-        vals = np.array(vals, dtype=float)
+        if not _unwritable_float_row(vals):
+            vals = np.array(vals, dtype=float)
+            vals.setflags(write=False)
         if vals.shape != (2**self.n_parties,):
             raise ValueError(
                 f"table for {self.n_parties} parties needs "
@@ -114,8 +126,26 @@ class CorrelatorTable:
         # Two reductions and no temporaries; NaN propagates to both and fails.
         if not (-limit <= vals.min() and vals.max() <= limit):
             raise ValueError("correlators must lie in [-1, 1] up to roundoff")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+
+def _unwritable_float_row(vals: np.ndarray) -> bool:
+    """Whether ``vals`` is a 1-D, C-contiguous, native float64 array nothing can write to.
+
+    Nothing can when neither ``vals`` nor any array in its ``.base``
+    chain is writeable and the chain ends at an array that owns its
+    memory; a chain that ends in another buffer (``np.frombuffer``, a
+    memory map) may be written through that buffer.
+    """
+    if vals.ndim != 1 or vals.dtype != np.float64 or not vals.flags.c_contiguous:
+        return False
+    while isinstance(vals, np.ndarray):
+        if vals.flags.writeable:
+            return False
+        if vals.base is None:
+            return True
+        vals = vals.base
+    return False
 
 
 @dataclass(frozen=True)

@@ -371,6 +371,30 @@ def symbolic_rows_per_component(state: SubspaceState, strategy) -> np.ndarray:
     return rows
 
 
+def sine_negated_after_tables(state: SubspaceState, strategy) -> np.ndarray:
+    """Offset-symbolic tables (m, 1 + N(N-1), 2^N) with the sine sign applied afterwards.
+
+    The earlier build of ``experiments.pair_symbolic_tables``: one kernel
+    call on the unsigned components, then the sine rows multiplied in
+    place by the sign of m against n.  Oracle for the build that puts the
+    sign into the sine components before the call.
+    """
+    n = strategy.n_parties
+    pairs = _setting_pairs(strategy)
+    rho = state.matrix
+    freqs = experiments._offset_frequencies(n)
+    half = _half_basis(n)[:, None, None]
+    match = np.all(freqs == half, axis=-1).astype(int) - np.all(freqs == -half, axis=-1)
+    signs = np.triu(match)
+    parts = np.where(signs != 0, rho, 0.0)
+    adjoint = parts.conj().swapaxes(1, 2)
+    steady = np.where(freqs.any(axis=-1), 0.0, rho)
+    components = np.concatenate((steady[None], parts + adjoint, 1j * (parts - adjoint)))
+    rows = np.array(correlator_tables(components, pairs))
+    rows[1 + len(half) :] *= np.sign(signs.sum(axis=(1, 2), keepdims=True))
+    return rows.swapaxes(0, 1)
+
+
 def setting_weights(rest: int) -> np.ndarray:
     """Number of ones in each of the 2^rest setting choices of parties 2..N."""
     weights = np.zeros(1, dtype=np.uint8)

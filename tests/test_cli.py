@@ -285,11 +285,25 @@ FRAME = ["--r0", "0.1", "--r1", "-0.5"]
             ["correlators", "--parties", "3", *FRAME, "--centers", "1,2,3"],
             "--centers must hold 2 values, got 3",
         ),
+        (["correlators", "--parties", "3", *FRAME, "--centers", "1,nan"], "--centers must be finite"),
+        (["correlators", "--parties", "3", *FRAME, "--centers", "1,inf"], "--centers must be finite"),
+        (
+            ["correlators", "--parties", "3", *FRAME, "--centers", "1,x"],
+            "--centers must be a comma-separated list of numbers",
+        ),
+        (["fig1", "--deltas", "0,x"], "--deltas must be a comma-separated list of numbers"),
+        (["fig1", "--deltas", "0,nan"], "--deltas must be finite and >= 0"),
+        (["fig1", "--deltas", "0,inf"], "--deltas must be finite and >= 0"),
+        (["fig1", "--deltas", "0,-0.1"], "--deltas must be finite and >= 0"),
+        (["fig1", "--deltas", ","], "--deltas must be nonempty"),
+        (["fig2", "--n-list", "2,x"], "--n-list must be a comma-separated list of numbers"),
+        (["fig3", "--m-list", "1,x", "--seed", "7"], "--m-list must be a comma-separated list"),
     ],
 )
 def test_frame_flags_named_before_any_search(tmp_path, monkeypatch, capsys, argv, message):
-    # the noise width, the efficiency and the number of centers are checked
-    # at their flags, before any search, table or histogram, like --r0/--r1
+    # the noise width, the efficiency, the centers and the list flags are
+    # checked at their flags, before any search, table or histogram, like
+    # --r0/--r1
     def reached(*_args, **_kwargs):
         raise AssertionError("work started before the frame flags were checked")
 

@@ -14,6 +14,7 @@ from helpers import (
     per_call_averaged_tables,
     random_state,
     setting_matrices,
+    sine_negated_after_tables,
     symbolic_rows_per_component,
 )
 from photonbell import (
@@ -422,6 +423,48 @@ def test_stacked_symbolic_rows_match_per_component_oracle(n):
         rows = symbolic_rows_per_component(state, strat)
         tables = pair_symbolic_tables(state, strat)
         assert np.array_equal(tables.swapaxes(0, 1), rows)
+
+
+@pytest.mark.parametrize("pair_count", [1, 3])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_signed_sine_components_equal_rows_negated_afterwards(n, pair_count):
+    # the sign of m against n folded into the sine components before the
+    # kernel call gives the rows of negating them after it, bit for bit,
+    # on a random full-rank state and on a lossy W state
+    rng = np.random.default_rng(90 + n)
+    for state in (random_state(rng, n), lossy_w_state(n, 0.8)):
+        strat = paired_strategy(
+            n, *rng.uniform(-1.0, 1.0, 2), pair_count, rng.uniform(0.0, TWO_PI, n)
+        )
+        tables = pair_symbolic_tables(state, strat)
+        assert np.array_equal(tables, sine_negated_after_tables(state, strat))
+        assert not tables.flags.writeable
+
+
+def test_library_tables_are_read_only(monkeypatch):
+    # the tables of frame_averaged_table, averaged_correlator_table and
+    # best_pair_bell_value are read-only, so CorrelatorTable keeps them
+    # without a copy, and writing to one raises
+    seen = []
+
+    def recorded(table):
+        seen.append(table.values)
+        return wwzb_value(table)
+
+    monkeypatch.setattr(experiments, "wwzb_value", recorded)
+    rng = np.random.default_rng(95)
+    strat = paired_strategy(3, 0.3, -0.6, 2)
+    model = PhaseModel((0.4, 0.4), 0.2)
+    tables = [averaged_correlator_table(3, 0.1, -0.5, [0.2, 0.2], 0.3, 0.9)]
+    for state in (lossy_w_state(3, 0.9), random_state(rng, 3)):
+        tables.append(frame_averaged_table(state, strat, model).values)
+        best_pair_bell_value(state, strat, model)
+    assert len(seen) == 4
+    for table in tables + seen:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    assert np.shares_memory(CorrelatorTable(3, tables[0]).values, tables[0])
 
 
 def test_pair_tables_build_each_setting_once(monkeypatch):

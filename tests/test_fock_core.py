@@ -443,6 +443,10 @@ def test_table_walk_picks_the_exchangeable_route(n, monkeypatch):
         rows.clear()
         tables = correlator_tables(states, pairs)
         assert sum(rows) == count
+        # every route hands out a read-only table
+        assert not tables.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tables[..., 0] = 0.0
         stack = np.reshape(states, (-1, n + 1, n + 1))
         walked = _walked_values(_state_terms(stack), pairs)
         assert np.max(np.abs(tables.reshape(walked.shape) - walked)) <= 1e-15
@@ -462,6 +466,25 @@ def test_exchangeable_leaf_gather_is_a_pure_copy(n):
     assert np.array_equal(tables, symmetric_tables(stack, options))
     leaves = max(1, 2 ** (n - 1) // WEIGHT_LEAF_ROWS)
     assert fock_core._weight_layout(n)[1].shape == (leaves,)
+
+
+def test_weight_leaves_read_the_index_in_place():
+    # the gather reads the cached read-only rows where they are: it equals
+    # np.take, which copies them, and at N = 22 peaks below the leaves
+    # plus that copy
+    n = 22
+    rows, _ = fock_core._weight_layout(n)
+    rng = np.random.default_rng(62)
+    for shape in ((n, 2), (2, 3, n, 2)):
+        distinct = rng.uniform(-1.0, 1.0, shape)
+        assert np.array_equal(fock_core._weight_leaves(distinct), np.take(distinct, rows, axis=-2))
+    tracemalloc.start()
+    try:
+        leaves = fock_core._weight_leaves(distinct[0, 0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < leaves.nbytes + rows.nbytes
 
 
 def test_exchangeable_table_allocates_one_table():

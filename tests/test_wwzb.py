@@ -11,6 +11,7 @@ import photonbell.wwzb as wwzb
 from photonbell import (
     BellResult,
     CorrelatorTable,
+    averaged_correlator_table,
     chsh_horodecki,
     wwzb_value,
     wwzb_value_naive,
@@ -39,6 +40,9 @@ def test_table_validation():
     for bad in (1.5, -1.5, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="correlators must lie"):
             CorrelatorTable(2, np.array([0.0, 0.0, 0.0, bad]))
+        # an input that would be kept without a copy is checked too
+        with pytest.raises(ValueError, match="correlators must lie"):
+            CorrelatorTable(2, _read_only(np.array([0.0, 0.0, 0.0, bad])))
     # overshoot within roundoff is accepted
     CorrelatorTable(2, np.array([0.0, -1.0 - 5e-10, 1.0 + 5e-10, 0.0]))
     table = CorrelatorTable(1, np.array([1.0, -1.0]))
@@ -49,6 +53,56 @@ def test_table_validation():
         with pytest.raises(ValueError, match="correlators must be real numbers"):
             CorrelatorTable(1, bad)
     assert CorrelatorTable(1, [1, 0]).values.dtype == float
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _ramp(size, dtype=float):
+    """A read-only array of ``size`` entries in [-1, 1] that owns its memory."""
+    return _read_only(np.linspace(-1.0, 1.0, size).astype(dtype))
+
+
+def test_unwritable_float_rows_are_kept_as_given():
+    # a read-only float64 array that owns its memory, and a read-only view
+    # of one, are kept: nothing can change them after the checks
+    owner = _ramp(8)
+    assert owner.base is None
+    for given in (owner, owner[:], owner.reshape(2, 4).reshape(-1)):
+        table = CorrelatorTable(3, given)
+        assert table.values is given
+        assert np.shares_memory(table.values, owner)
+
+
+def _copied_inputs():
+    writeable = np.array(_ramp(8))
+    return {
+        "writeable": writeable,
+        "read-only view of writeable memory": _read_only(writeable.view()),
+        "strided slice": _ramp(16)[::2],
+        "float32": _ramp(8, np.float32),
+        "big-endian": _ramp(8, ">f8"),
+        "frombuffer": np.frombuffer(_ramp(8).tobytes()),
+        "list of ints": [1, 0, -1, 0, 1, 1, -1, 0],
+    }
+
+
+@pytest.mark.parametrize("kind", list(_copied_inputs()))
+def test_every_other_input_is_copied(kind):
+    # lists, other dtypes and byte orders, strided arrays and anything
+    # writeable, now or through its base, become a read-only float64 copy
+    given = _copied_inputs()[kind]
+    expected = np.array(given, dtype=float)
+    table = CorrelatorTable(3, given)
+    assert table.values.dtype == np.float64 and table.values.dtype.isnative
+    assert not table.values.flags.writeable
+    assert not np.shares_memory(table.values, given)
+    assert np.array_equal(table.values, expected)
+    if isinstance(given, np.ndarray) and given.flags.writeable:
+        given[0] = 0.5
+        assert np.array_equal(table.values, expected)
 
 
 def _assert_transform_is_oracle(values):
@@ -345,8 +399,7 @@ def test_dominant_r_is_the_lowest_index_of_the_largest_class():
 
 def test_class_route_allocates_nothing_table_sized():
     # the check reads the table leaf by leaf against its 8 distinct leaves
-    # (512 KiB, and numpy's 256 KiB copy of their read-only gather index);
-    # the full transform would allocate its 8 MiB output
+    # (512 KiB); the full transform would allocate its 8 MiB output
     n = 20
     table = CorrelatorTable(n, _random_weight_table(np.random.default_rng(30), n))
     wwzb_value(table)  # builds the cached layouts
@@ -357,3 +410,19 @@ def test_class_route_allocates_nothing_table_sized():
     finally:
         tracemalloc.stop()
     assert peak < table.values.nbytes // 8
+
+
+def test_library_table_reaches_the_bell_value_in_about_its_own_size():
+    # the 8 MiB table of N = 20 is built once and kept by CorrelatorTable
+    # without a copy, so building it and taking its Bell value peaks near
+    # the table's own bytes; a copy would double that
+    args = (20, 0.1, -0.4, [0.3] * 19, 0.2, 0.9)
+    table = averaged_correlator_table(*args)
+    wwzb_value(CorrelatorTable(20, table))  # builds the cached layouts
+    tracemalloc.start()
+    try:
+        wwzb_value(CorrelatorTable(20, averaged_correlator_table(*args)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * table.nbytes
