@@ -135,16 +135,24 @@ def _cells(column, fmt: str) -> list:
     The type is dispatched once, on the column's dtype.  Floats are
     written ``format(v, ".12g")`` in csv, and in json as json.dumps writes
     them after rounding to 12 significant digits (NaN and Infinity
-    included).  Integers are written whole, booleans true/false and
-    strings as they are (json: quoted).
+    included).  A json float whose ``.12g`` text has a point and no
+    exponent is that text: at most 12 digits with no trailing zero are the
+    shortest repr of the float they parse to.  The other cells (integral
+    values, signed zeros, exponents, nan and inf, which hold no point)
+    take the encoder.  Integers are written whole, booleans true/false
+    and strings as they are (json: quoted).
     """
     column = np.asarray(column)
     kind = column.dtype.kind
     if kind == "f":
-        values = column.astype(float, copy=False).tolist()
+        texts = list(map(format, column.astype(float, copy=False).tolist(), repeat(".12g")))
         if fmt == "csv":
-            return list(map(format, values, repeat(".12g")))
-        values = [float(format(v, ".12g")) for v in values]
+            return texts
+        slow = [i for i, t in enumerate(texts) if "." not in t or "e" in t]
+        encoded = _ITEM_ENCODER.encode([float(texts[i]) for i in slow])[1:-1].split("\n")
+        for i, text in zip(slow, encoded):
+            texts[i] = text
+        return texts
     elif kind in "iu":
         return list(map(str, column.tolist()))
     elif kind == "b":

@@ -39,8 +39,8 @@ once per stack, with the state-only factors) and a point's parties 2..N
 hold one setting pair, an entry depends only on party 1's setting and on
 how many of the others take setting 1, so 2N kernel rows fill the 2^N
 entries, copied a leaf of 2^12 rows at a time (:func:`_weight_layout`,
-the layout :func:`~photonbell.wwzb.wwzb_value` checks such tables
-against); every other point walks all 2^N rows.  The tests keep a dense
+the layout :class:`~photonbell.wwzb.CorrelatorTable` checks such
+tables against); every other point walks all 2^N rows.  The tests keep a dense
 evaluation in the full 2^N mode-occupation space as its slow oracle.
 
 Validation happens where values enter: :class:`SubspaceState` checks the
@@ -87,7 +87,7 @@ CORRELATOR_CHUNK_ELEMENTS = 2**16
 
 # Rows of one leaf of the weight layout of exchangeable tables (2^12 rows
 # of two entries, 64 KiB): the unit of the exchangeable route's gather and
-# of the Bell functional's symmetry check.
+# of the correlation table's symmetry check.
 WEIGHT_LEAF_ROWS = 2**12
 
 

@@ -16,13 +16,15 @@ and parties 2..N share their settings and their frame, so an entry
 depends only on s_1 and on the weight of s_2..s_N.  Such a table's
 transform depends only on r_1 and on the weight u of r_2..r_N, and
 :func:`wwzb_value` sums its 2N classes, S = 2^{-N} sum_{r_1, u}
-C(N-1, u) |T(r_1, u)|.  It first checks the table entry by entry, bit
-for bit, in one pass of 2^12-row leaves that stops at the first leaf
-that differs (3 ms at N = 22 against 116 ms for the transform, on one
-core of a 2-core 2.0 GHz Xeon), then runs the butterflies in count
-space, O(N^2) operations that give the transform's own bits at each
-class's lowest index.  Tables of N <= 2, and tables that fail the check,
-take the transform.
+C(N-1, u) |T(r_1, u)|.  :class:`CorrelatorTable` checks the table entry
+by entry, bit for bit, when it is built, in one pass of 2^12-row leaves
+that stops at the first leaf that differs (3 ms at N = 22 against 116 ms
+for the transform, on one core of a 2-core 2.0 GHz Xeon); the same pass
+lets its range check read the 2N distinct values alone.
+:func:`wwzb_value` then runs the butterflies in count space, O(N^2)
+operations that give the transform's own bits at each class's lowest
+index, and does not read the table again.  Tables of N <= 2, and tables
+that fail the check, take the transform.
 
 The transform is cache-blocked: the butterflies over the low half of the
 index bits run on transposed blocks of ``WHT_BLOCK_ENTRIES`` entries, the
@@ -44,7 +46,7 @@ conventional CHSH normalization with local bound 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -104,10 +106,28 @@ class CorrelatorTable:
     other input (lists, other dtypes or byte orders, strided or writeable
     arrays, read-only views of writeable memory, arrays over a foreign
     buffer) is copied.  The shape and range checks run on every input.
+
+    A table of N >= 3 whose entry s depends only on s_1 and on the weight
+    of s_2..s_N, bit for bit, has its 2N distinct values found here, in
+    one pass over the table that stops at the first leaf that differs
+    (``_weight_symmetric``).  They are kept, read-only, as ``_classes``
+    (N, 2), entry [w, s_1] at the lowest index of its class, and the
+    range check reads them alone: every entry is one of them.  Any other
+    table, and every table of N <= 2, has ``_classes`` None and its
+    range check reads every entry.  NaN, infinities and -0.0 count as
+    their bits: a lone one breaks the symmetry, and a class of them
+    fails the range check.
+
+    The checks and the classes hold only while ``values`` stays as it
+    was.  numpy lets ``setflags(write=True)`` switch writes back on for
+    any array that owns its memory, so whoever holds ``values``, or the
+    array at the end of its ``.base`` chain, can do so; a write after
+    that voids both.
     """
 
     n_parties: int
     values: np.ndarray
+    _classes: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_parties", _whole(self.n_parties, "n_parties", 1))
@@ -122,11 +142,21 @@ class CorrelatorTable:
                 f"table for {self.n_parties} parties needs "
                 f"{2 ** self.n_parties} entries, got shape {vals.shape}"
             )
+        classes = None
+        if self.n_parties >= 3:
+            classes = vals[_class_layout(self.n_parties)[0]]
+            if _weight_symmetric(vals, classes):
+                classes.setflags(write=False)
+            else:
+                classes = None
+        # Every entry is bit for bit one of the classes, if they were found.
+        checked = vals if classes is None else classes
         limit = 1.0 + TABLE_RANGE_TOL
         # Two reductions and no temporaries; NaN propagates to both and fails.
-        if not (-limit <= vals.min() and vals.max() <= limit):
+        if not (-limit <= checked.min() and checked.max() <= limit):
             raise ValueError("correlators must lie in [-1, 1] up to roundoff")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_classes", classes)
 
 
 def _unwritable_float_row(vals: np.ndarray) -> bool:
@@ -305,32 +335,30 @@ def wwzb_value(table: CorrelatorTable) -> BellResult:
     the largest |T(r)|, which identifies the sign pattern contributing
     most of the violation.
 
-    A table of N >= 3 parties whose entry s depends only on s_1 and on the
-    weight of s_2..s_N, bit for bit (every exchangeable table of
-    :func:`~photonbell.fock_core.correlator_tables` is one), takes the
+    A table whose 2N weight classes :class:`CorrelatorTable` found when
+    it was built (N >= 3, entry s a function of s_1 and of the weight of
+    s_2..s_N, bit for bit; every exchangeable table of
+    :func:`~photonbell.fock_core.correlator_tables` is one) takes the
     class route: T(r) then depends only on r_1 and the weight u of
     r_2..r_N, and the 2N class values come from a count-space butterfly
     that equals the full transform at each class's lowest index bit for
     bit (:func:`_class_transform`), so S = 2^{-N} sum_{r_1, u}
-    C(N-1, u) |T(r_1, u)|, within a few ulps of the full sum.  The check
-    costs one pass over the table, a leaf at a time, and stops at the
-    first leaf that differs; nothing table-sized is allocated.  ``r`` is
-    then the lowest index of the class of largest |T| (the lowest such
-    index on ties between classes).  Every other table, and every table
-    of N <= 2, runs the full transform, and ``r`` is the lowest index of
-    the largest |T(r)|.
+    C(N-1, u) |T(r_1, u)|, within a few ulps of the full sum.  It reads
+    only those 2N values; nothing table-sized is read or allocated.
+    ``r`` is then the lowest index of the class of largest |T| (the
+    lowest such index on ties between classes).  Every other table, and
+    every table of N <= 2, runs the full transform, and ``r`` is the
+    lowest index of the largest |T(r)|.
     """
-    n, values = table.n_parties, table.values
-    if n >= 3:
+    n = table.n_parties
+    if table._classes is not None:
         lowest, counts = _class_layout(n)
-        distinct = values[lowest]
-        if _weight_symmetric(values, distinct):
-            magnitudes = np.abs(_class_transform(distinct))
-            s_value = float((magnitudes * counts[:, None]).sum() / 2**n)
-            # lowest grows along (u, r_1), so argmax picks the lowest index
-            dominant = lowest.flat[np.argmax(magnitudes)]
-            return BellResult(s_value=s_value, dominant_r=int(dominant))
-    magnitudes = _walsh_hadamard(values)
+        magnitudes = np.abs(_class_transform(table._classes))
+        s_value = float((magnitudes * counts[:, None]).sum() / 2**n)
+        # lowest grows along (u, r_1), so argmax picks the lowest index
+        dominant = lowest.flat[np.argmax(magnitudes)]
+        return BellResult(s_value=s_value, dominant_r=int(dominant))
+    magnitudes = _walsh_hadamard(table.values)
     np.abs(magnitudes, out=magnitudes)
     s_value = float(magnitudes.sum() / 2**n)
     return BellResult(s_value=s_value, dominant_r=int(np.argmax(magnitudes)))

@@ -39,7 +39,14 @@ from photonbell.optimize import (
     _search_box,
     _setting_options,
 )
-from photonbell.wwzb import TABLE_RANGE_TOL, VIOLATION_ROUNDOFF, _walsh_hadamard
+from photonbell.wwzb import (
+    TABLE_RANGE_TOL,
+    VIOLATION_ROUNDOFF,
+    _class_layout,
+    _class_transform,
+    _walsh_hadamard,
+    _weight_symmetric,
+)
 
 # Imaginary residue the complex frame scan allows in its real tables.
 IMAG_TOL = 1e-10
@@ -244,6 +251,26 @@ def full_transform_bell_value(table) -> BellResult:
     magnitudes = np.abs(_walsh_hadamard(table.values))
     s_value = float(magnitudes.sum() / 2**table.n_parties)
     return BellResult(s_value=s_value, dominant_r=int(np.argmax(magnitudes)))
+
+
+def self_checking_bell_value(table) -> BellResult:
+    """Bell value of a ``CorrelatorTable`` that checks its weight symmetry itself.
+
+    ``wwzb_value`` as it was before ``CorrelatorTable`` found the weight
+    classes at construction: a table of N >= 3 is checked here, bit for
+    bit, and takes the class route if it is weight-symmetric; every other
+    table takes the full transform.  Oracle of the one-pass verdict.
+    """
+    n, values = table.n_parties, table.values
+    if n >= 3:
+        lowest, counts = _class_layout(n)
+        distinct = values[lowest]
+        if _weight_symmetric(values, distinct):
+            magnitudes = np.abs(_class_transform(distinct))
+            s_value = float((magnitudes * counts[:, None]).sum() / 2**n)
+            dominant = lowest.flat[np.argmax(magnitudes)]
+            return BellResult(s_value=s_value, dominant_r=int(dominant))
+    return full_transform_bell_value(table)
 
 
 def complex_terms(table):

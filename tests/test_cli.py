@@ -23,7 +23,7 @@ from photonbell import (
 )
 from photonbell.cli import build_parser, main
 
-from helpers import write_rows_oracle
+from helpers import row_round12, write_rows_oracle
 
 
 def run(argv, capsys):
@@ -392,6 +392,54 @@ def test_column_writer_refuses_unwritable_dtypes():
     for column in (np.array([1 + 2j]), np.array([None]), np.array([b"01"])):
         with pytest.raises(TypeError):
             _cells(column, "csv")
+
+
+def _json_float_fuzz_columns():
+    """Float columns that reach every branch of a json cell, and its edges."""
+    rng = np.random.default_rng(41)
+    exponents = np.arange(-1074, 1024)
+    signs = rng.choice([-1.0, 1.0], exponents.size)
+    # every binade, subnormals included, at random mantissas
+    every_binade = signs * np.ldexp(rng.uniform(1.0, 2.0, exponents.size), exponents)
+    # decimals of 1..12 digits at exponents -6..16: fixed point, the 1e-4
+    # and 1e12 switches to an exponent, and the integral values between
+    digits = rng.integers(1, 13, 4000)
+    mantissas = np.floor(rng.uniform(0.1, 1.0, digits.size) * 10.0**digits)
+    decimals = mantissas * 10.0 ** (rng.integers(-6, 17, digits.size) - digits)
+    carries = [
+        sign * scale * nines
+        for nines in (0.9999999999995, 0.99999999999949, 9.9999999999995, 0.99999999999995)
+        for scale in 10.0 ** np.arange(-6, 17)
+        for sign in (-1.0, 1.0)
+    ]
+    specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.0**-1022]
+    integers = np.concatenate([np.arange(-50, 51), 2.0 ** np.arange(30, 64), [2**53 + 1.0]])
+    exponent_11_to_16 = rng.uniform(1.0, 10.0, 600) * 10.0 ** rng.integers(11, 17, 600)
+    mixed = np.concatenate(
+        [rng.uniform(-1.0, 1.0, 3000), every_binade, decimals, carries, specials, integers]
+    )
+    rng.shuffle(mixed)
+    return {
+        "every binade": every_binade,
+        "decimals": decimals,
+        "carries": np.array(carries),
+        "specials": np.array(specials),
+        "integers": integers,
+        "exponents 11 to 16": exponent_11_to_16,
+        "mixed": mixed,
+        "float32": rng.normal(size=500).astype(np.float32) * np.float32(1e3),
+        "empty": np.array([]),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_json_float_fuzz_columns()))
+def test_json_float_cells_equal_the_encoder_of_rounded_floats(kind):
+    # a json float cell used to be the encoder's text of the float that
+    # format(v, ".12g") parses to; the .12g text stands in for it wherever
+    # it is fixed point with a point, and must give the same string
+    column = _json_float_fuzz_columns()[kind]
+    expected = [json.dumps(row_round12(v)) for v in column.tolist()]
+    assert cli._cells(column, "json") == expected
 
 
 IMPORT_GUARD = """

@@ -1,12 +1,18 @@
 """Bell functional via the fast transform, and the two-qubit benchmark."""
 
+import dataclasses
 import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from helpers import full_transform_bell_value, setting_weights, walsh_hadamard_levels
+from helpers import (
+    full_transform_bell_value,
+    self_checking_bell_value,
+    setting_weights,
+    walsh_hadamard_levels,
+)
 import photonbell.wwzb as wwzb
 from photonbell import (
     BellResult,
@@ -426,3 +432,158 @@ def test_library_table_reaches_the_bell_value_in_about_its_own_size():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * table.nbytes
+
+
+def _off_class_index(n, weight, first):
+    """An index of class (weight, first) other than its lowest: the top parties set."""
+    return first + sum(1 << (k - 1) for k in range(n - weight + 1, n + 1))
+
+
+def _many_parties_tables():
+    """The library tables of the perfbench ``many-parties`` inputs of N <= 16.
+
+    The draw mirrors that workload's: per seed (0, 1) and variant (0..3),
+    one generator that draws (r0, r1, width, efficiency, centers) for each
+    N of the full and the tiny sizes in turn.
+    """
+    sizes = ((12, 14, 16, 18, 20, 22), 10), ((11, 12), 4)
+    for (symmetric, distinct), seed, variant in product(sizes, (0, 1), range(4)):
+        rng = np.random.default_rng([seed, variant, 2])
+        for n in symmetric + (distinct,):
+            r0, r1 = rng.uniform(0.05, 0.4), -rng.uniform(0.3, 0.8)
+            width, efficiency = rng.uniform(0.0, 0.4), rng.uniform(0.85, 1.0)
+            if n == distinct:
+                centers = rng.uniform(0.0, 2 * np.pi, n - 1)
+            else:
+                centers = [rng.uniform(0.0, 2 * np.pi)] * (n - 1)
+            if n <= 16:
+                yield n, averaged_correlator_table(n, r0, r1, centers, width, efficiency)
+
+
+def test_one_pass_verdict_equals_the_self_checking_oracle():
+    # the classes found at construction give, bit for bit, what a Bell
+    # value that checks the table itself gives: on weight-symmetric tables,
+    # on copies one ulp off at any index, on random tables and on the
+    # library tables that perfbench times
+    rng = np.random.default_rng(31)
+    for n in range(1, 17):
+        symmetric = _random_weight_table(rng, n)
+        tables = [symmetric, rng.uniform(-1.0, 1.0, 2**n)]
+        for index in rng.integers(0, 2**n, 3):
+            changed = symmetric.copy()
+            changed[index] = np.nextafter(changed[index], 2.0)
+            tables.append(changed)
+        for values in tables:
+            table = CorrelatorTable(n, values)
+            assert wwzb_value(table) == self_checking_bell_value(table)
+    routes = {True: 0, False: 0}
+    for n, values in _many_parties_tables():
+        table = CorrelatorTable(n, values)
+        routes[table._classes is not None] += 1
+        assert wwzb_value(table) == self_checking_bell_value(table)
+    assert routes == {True: 40, False: 16}
+
+
+def _counted_symmetry_checks(monkeypatch):
+    calls = []
+    check = wwzb._weight_symmetric
+
+    def counted(values, distinct):
+        verdict = check(values, distinct)
+        calls.append((len(values), verdict))
+        return verdict
+
+    monkeypatch.setattr(wwzb, "_weight_symmetric", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 14, 20])
+def test_weight_symmetry_is_checked_once_per_table(n, monkeypatch):
+    # CorrelatorTable reads the table once for the classes and wwzb_value
+    # never again; N <= 2 takes the full transform without a check
+    rng = np.random.default_rng(32 + n)
+    symmetric = _random_weight_table(rng, n)
+    off = symmetric.copy()
+    index = _off_class_index(n, 1, 1) if n >= 3 else 0
+    off[index] = np.nextafter(off[index], 2.0)
+    expected = [self_checking_bell_value(CorrelatorTable(n, v)) for v in (symmetric, off)]
+    calls = _counted_symmetry_checks(monkeypatch)
+    tables = []
+    for values, result in zip((symmetric, off), expected):
+        calls.clear()
+        table = CorrelatorTable(n, values)
+        assert wwzb_value(table) == result
+        assert [size for size, _ in calls] == ([2**n] if n >= 3 else [])
+        tables.append(table)
+    assert (tables[0]._classes is not None) == (n >= 3)
+    assert tables[1]._classes is None
+
+    def refused(values, distinct):
+        raise AssertionError("table checked again")
+
+    monkeypatch.setattr(wwzb, "_weight_symmetric", refused)
+    assert [wwzb_value(table) for table in tables] == expected
+
+
+_RANGE_MESSAGE = "correlators must lie in \\[-1, 1\\] up to roundoff"
+
+
+@pytest.mark.parametrize("n", [3, 13, 14])
+def test_range_refusals_read_the_classes_or_every_entry(n, monkeypatch):
+    # an out-of-range or non-finite value is refused with the same message
+    # whether it fills a whole class (the classes are found, and their 2N
+    # values fail the check) or sits at one entry of a larger class (lowest
+    # index or not: the table is not weight-symmetric)
+    rng = np.random.default_rng(40 + n)
+    distinct = rng.uniform(-1.0, 1.0, (n, 2))
+    calls = _counted_symmetry_checks(monkeypatch)
+    for (weight, first), bad in product(
+        [(0, 0), (n // 2, 1), (n - 1, 0)], [1.0 + 2e-9, -1.0 - 2e-9, np.nan, np.inf, -np.inf]
+    ):
+        whole = distinct.copy()
+        whole[weight, first] = bad
+        with pytest.raises(ValueError, match=_RANGE_MESSAGE):
+            CorrelatorTable(n, _weight_table(whole))
+        assert calls.pop() == (2**n, True)
+        if weight in (0, n - 1):  # a class of one entry
+            continue
+        lowest = _class_layout(n)[0][weight, first]
+        for index in (_off_class_index(n, weight, first), lowest):
+            single = _weight_table(distinct)
+            single[index] = bad
+            with pytest.raises(ValueError, match=_RANGE_MESSAGE):
+                CorrelatorTable(n, single)
+            assert calls.pop() == (2**n, False)
+    # overshoot within roundoff is accepted on both routes
+    weight, first = n // 2, 1
+    whole = distinct.copy()
+    whole[weight, first] = 1.0 + 5e-10
+    assert CorrelatorTable(n, _weight_table(whole))._classes is not None
+    single = _weight_table(distinct)
+    single[_off_class_index(n, weight, first)] = -1.0 - 5e-10
+    assert CorrelatorTable(n, single)._classes is None
+
+
+def test_classes_are_a_read_only_private_field():
+    rng = np.random.default_rng(33)
+    for n in range(1, 9):
+        values = _random_weight_table(rng, n)
+        table = CorrelatorTable(n, values)
+        if n <= 2:
+            assert table._classes is None
+            continue
+        classes = table._classes
+        assert classes.shape == (n, 2) and classes.dtype == np.float64
+        assert np.array_equal(classes, values[_class_layout(n)[0]])
+        assert not classes.flags.writeable
+        with pytest.raises(ValueError):
+            classes[0, 0] = 0.0
+        assert "_classes" not in repr(table)
+        # -0.0 and 0.0 are told apart by their bits
+        signed = values.copy()
+        signed[[2, 4]] = [0.0, -0.0]
+        assert CorrelatorTable(n, signed)._classes is None
+    (field,) = [f for f in dataclasses.fields(CorrelatorTable) if f.name == "_classes"]
+    assert not field.init and not field.repr
+    with pytest.raises(TypeError):
+        CorrelatorTable(3, np.zeros(8), _classes=np.zeros((3, 2)))
