@@ -404,7 +404,7 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         half = [key for key in basis if any(key) and key[np.flatnonzero(key)[0]] > 0]
         assert len(half) == n * (n - 1) // 2 and len(basis) == 1 + 2 * len(half)
         assert experiments._half_basis(n).tolist() == [list(key) for key in half]
-        _, scan = experiments._frame_scan_coefficients(tables, n, 0.3)
+        scan = experiments._frame_scan_coefficients(tables, n, 0.3)
         assert scan.size == experiments._frame_scan_row_count(n, pair_count) * 2**n
         for j, table in enumerate(tables):
             alone = pair_symbolic_tables(state, single_pair(strat, j))
@@ -812,9 +812,12 @@ def _scan_counts(n: int, pair_count: int) -> tuple:
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_scan_keeps_half_basis_bits_without_difference_rows(n):
-    # below three parties there is no e_j - e_k row, so the scan takes the
-    # cosines and sines of the same phases as the half-basis matmul route
-    # and gives its bits
+    # below three parties there is no e_j - e_k row.  A single party has no
+    # center, so its scan uses no trigonometry and gives the half-basis
+    # route's bits.  Two parties take cos c and sin c from t = tan(c/2) by
+    # the half-angle identities, while the half-basis route calls libm's
+    # cos and sin: the two agree to within 2.2e-16 of the exact values
+    # each, so N = 2's values may move by an ulp and are held to 1e-15
     rng = np.random.default_rng(90 + n)
     for pair_count in (1, 3):
         state = random_state(rng, n)
@@ -824,12 +827,94 @@ def test_scan_keeps_half_basis_bits_without_difference_rows(n):
             centers = _awkward_centers(rng, count, n - 1)
             for width in (0.0, 0.45):
                 fast = best_pair_values_over_centers(tables, centers, width)
-                assert np.array_equal(fast, half_basis_frame_scan(tables, centers, width))
+                oracle = half_basis_frame_scan(tables, centers, width)
+                if n == 1:
+                    assert np.array_equal(fast, oracle)
+                else:
+                    assert fast.shape == oracle.shape
+                    assert np.max(np.abs(fast - oracle)) <= 1e-15
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def _half_angle_cos_sin(angles) -> tuple:
+    """cos and sin of ``angles`` as the two-party scan writes its rows."""
+    angles = np.asarray(angles, dtype=float)
+    cos, sin = np.empty((1, angles.size)), np.empty((1, angles.size))
+    experiments._fill_scan_rows(cos, sin, angles[:, None])
+    return cos[0], sin[0]
+
+
+def test_half_angle_cosine_and_sine_match_libm_at_awkward_angles():
+    # t = tan(c/2) is 0 at c = 0, tiny for subnormals, +-1 at odd multiples
+    # of pi/2 and about 1e16 next to odd multiples of pi; the identities
+    # still give libm's values to within 4.5e-16 (2.2e-16 from the exact
+    # values each), and sin keeps the sign of a zero
+    tiny = np.array([5e-324, 1e-320, 1e-310, np.finfo(float).tiny, 1e-300])
+    quarter = np.arange(-12, 13) * (np.pi / 2)
+    odd_pi = np.array([-101, -5, -3, -1, 1, 3, 5, 7, 101, 1001]) * np.pi
+    near_pi = np.concatenate([odd_pi, np.nextafter(odd_pi, np.inf), np.nextafter(odd_pi, -np.inf)])
+    large = np.array([1e3, -1e3, 1e6, -1e6, 2.0**52, -(2.0**52)])
+    angles = np.concatenate([[0.0, -0.0], tiny, -tiny, quarter, near_pi, large])
+    cos, sin = _half_angle_cos_sin(angles)
+    want_cos = np.array([math.cos(c) for c in angles])
+    want_sin = np.array([math.sin(c) for c in angles])
+    assert np.max(np.abs(cos - want_cos)) <= 4.5e-16
+    assert np.max(np.abs(sin - want_sin)) <= 4.5e-16
+    assert np.array_equal(cos[:2], [1.0, 1.0])
+    assert np.array_equal(np.signbit(sin[:2]), [False, True])
+    # the same angles as the units of a four-party chunk, as the scan lays them out
+    units = angles[: 3 * (len(angles) // 3)].reshape(-1, 3)
+    cos4, sin4 = np.empty((6, len(units))), np.empty((6, len(units)))
+    experiments._fill_scan_rows(cos4, sin4, units)
+    one_row = _half_angle_cos_sin(units.T.ravel())
+    assert np.array_equal(cos4[:3], one_row[0].reshape(3, -1))
+    assert np.array_equal(sin4[:3], one_row[1].reshape(3, -1))
+
+
+def _recorded_scan(monkeypatch, tables, centers, width: float) -> tuple:
+    """Scan values and the cosine/sine columns the scan built, per center."""
+    fill, chunks = experiments._fill_scan_rows, []
+
+    def recording(cos, sin, block):
+        fill(cos, sin, block)
+        chunks.append(np.concatenate((cos, sin)).copy())
+
+    monkeypatch.setattr(experiments, "_fill_scan_rows", recording)
+    values = best_pair_values_over_centers(tables, centers, width)
+    monkeypatch.setattr(experiments, "_fill_scan_rows", fill)
+    return values, np.concatenate(chunks, axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_scan_rows_of_a_center_keep_their_bits_wherever_it_falls(monkeypatch, n):
+    # a center's cosine, sine and difference rows are the same bits when it
+    # is scanned alone, inside a multi-chunk batch, one place later (so the
+    # centers at each chunk edge cross it) and in reversed order.  The
+    # values may differ by a few ulp: the BLAS product picks its kernels
+    # by the chunk's width, so it is held to 1e-14 (6.7e-16 measured)
+    rng = np.random.default_rng(40 + n)
+    pair_count = 3
+    tables = pair_symbolic_tables(random_state(rng, n), paired_strategy(n, 0.3, -0.5, pair_count))
+    chunk = FRAME_SCAN_CHUNK_ELEMENTS // max(1 + n * (n - 1), pair_count * 2**n)
+    centers = _awkward_centers(rng, 3 * chunk + 2, n - 1)
+    values, rows = _recorded_scan(monkeypatch, tables, centers, 0.3)
+    assert rows.shape == (n * (n - 1), len(centers))
+    later_centers = np.concatenate((rng.uniform(0.0, TWO_PI, (1, n - 1)), centers))
+    later, later_rows = _recorded_scan(monkeypatch, tables, later_centers, 0.3)
+    assert np.array_equal(later_rows[:, 1:], rows)
+    backward, backward_rows = _recorded_scan(monkeypatch, tables, centers[::-1], 0.3)
+    assert np.array_equal(backward_rows[:, ::-1], rows)
+    for other in (later[1:], backward[::-1]):
+        assert np.max(np.abs(other - values)) <= 1e-14
+    for i in (0, chunk - 1, chunk, 2 * chunk, len(centers) - 1):
+        alone, alone_rows = _recorded_scan(monkeypatch, tables, centers[i], 0.3)
+        assert np.array_equal(alone_rows[:, 0], rows[:, i])
+        assert abs(alone[0] - values[i]) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_angle_subtraction_scan_matches_oracles(n):
-    # the e_j - e_k rows by angle subtraction agree with the complex route
+    # the half-angle unit rows and, from N = 3 on, the e_j - e_k rows by
+    # angle subtraction agree with the complex route
     # at every center and with the per-center state route at the chunk
     # edges, for centers that are negative, past 2*pi, about 1e3 rad or
     # equal to each other
@@ -878,6 +963,42 @@ def test_batched_centers_validation():
             best_pair_values_over_centers(tables, [[0.3]], width)
     with pytest.raises(ValueError):
         best_pair_values_over_centers(tables, [[0.3, 0.4]], 0.2)
+
+
+def test_batched_centers_refuse_non_real_kinds():
+    # strings, booleans and objects were once converted and scanned, and
+    # complex centers raised TypeError; integers are real and scan as floats
+    tables = pair_symbolic_tables(w_state(3), paired_strategy(3, 0.1, -0.5, 2))
+    for bad in (
+        [["0.5", "0.2"]],
+        [[True, False]],
+        np.array([[0.5, 0.2]], dtype=object),
+        [[0.5 + 0j, 0.2]],
+        np.array([0.5, 0.2], dtype=np.complex128),
+    ):
+        with pytest.raises(ValueError, match="frame centers must be real numbers"):
+            best_pair_values_over_centers(tables, bad, 0.2)
+    whole = best_pair_values_over_centers(tables, np.array([[1, 2]], dtype=np.int8), 0.2)
+    assert np.array_equal(whole, best_pair_values_over_centers(tables, [[1.0, 2.0]], 0.2))
+
+
+def test_violation_distribution_refuses_non_real_amplitudes():
+    # float() once read "0.5" as r0 = 0.5 and True as r0 = 1.0, and raised
+    # TypeError for a complex amplitude
+    kwargs = dict(width=0.4, efficiency=0.9, pair_count=2, n_samples=40, seed=3)
+    for amplitudes, name in (
+        (("0.5", 0.1), "r0"),
+        ((True, 0.1), "r0"),
+        ((0.5 + 0j, 0.1), "r0"),
+        ((0.5, "0.1"), "r1"),
+        ((0.5, np.bool_(False)), "r1"),
+        ((0.5, 1j), "r1"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            violation_distribution(2, amplitudes, **kwargs)
+    numpy_floats = violation_distribution(2, np.array([0.5, -0.1]), **kwargs)
+    plain = violation_distribution(2, (0.5, -0.1), **kwargs)
+    assert json.dumps(numpy_floats.to_json_dict()) == json.dumps(plain.to_json_dict())
 
 
 def test_batched_centers_reject_mixed_tables():
