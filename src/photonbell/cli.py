@@ -141,18 +141,29 @@ def _cells(column, fmt: str) -> list:
     values, signed zeros, exponents, nan and inf, which hold no point)
     take the encoder.  Integers are written whole, booleans true/false
     and strings as they are (json: quoted).
+
+    A float column is formatted once per distinct bit pattern (so 0.0 and
+    -0.0, and NaNs of two payloads, stay apart), and the texts are spread
+    back through the inverse index.  Columns that repeat values gain:
+    fig1's noise widths and phases, fig2's widths, and a ``correlators``
+    table at equal centers, whose 2^N entries take at most 2N values.  A
+    column of distinct values is formatted in its own order and pays only
+    the sort that finds them, about 8% of formatting 4096 values.
     """
     column = np.asarray(column)
     kind = column.dtype.kind
     if kind == "f":
-        texts = list(map(format, column.astype(float, copy=False).tolist(), repeat(".12g")))
-        if fmt == "csv":
-            return texts
-        slow = [i for i, t in enumerate(texts) if "." not in t or "e" in t]
-        encoded = _ITEM_ENCODER.encode([float(texts[i]) for i in slow])[1:-1].split("\n")
-        for i, text in zip(slow, encoded):
-            texts[i] = text
-        return texts
+        column = column.astype(float, copy=False)
+        distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        repeats = len(distinct) < len(column)
+        values = distinct.view(float) if repeats else column
+        texts = list(map(format, values.tolist(), repeat(".12g")))
+        if fmt == "json":
+            slow = [i for i, t in enumerate(texts) if "." not in t or "e" in t]
+            encoded = _ITEM_ENCODER.encode([float(texts[i]) for i in slow])[1:-1].split("\n")
+            for i, text in zip(slow, encoded):
+                texts[i] = text
+        return list(map(texts.__getitem__, inverse.tolist())) if repeats else texts
     elif kind in "iu":
         return list(map(str, column.tolist()))
     elif kind == "b":

@@ -47,10 +47,10 @@ over many centers go through one batched route,
 :func:`best_pair_values_over_centers`: the pair tables' rows line up,
 and their damped Walsh-Hadamard transforms are
 each pair's transform as a real cosine/sine polynomial in the centers.
-Per chunk of centers, one tangent t = tan(c/2) per center gives its
-cosine (1 - t^2)/(1 + t^2) and sine 2t/(1 + t^2), angle subtraction
-gives the e_j - e_k rows from them, and one real matrix product gives
-every pair's transform.  The distribution of
+Per block of centers, one tangent t = tan(c/2) per center gives its
+cosine (1 - t^2)/(1 + t^2) and sine 2t/(1 + t^2), and angle subtraction
+gives the e_j - e_k rows from them; per chunk of the block, one real
+matrix product gives every pair's transform.  The distribution of
 Bell values over uniformly random frame centers
 (:func:`violation_distribution`) is one such scan.  The tests keep the
 complex route through exp(i C F^T) as the oracle of the real one, and the
@@ -103,6 +103,8 @@ PAIR_PHASE_TOL = 1e-9
 
 # Transform entries (centers x pairs x 2^N) evaluated per chunk of a frame
 # scan; a chunk holds max(1, budget // max(frequencies, pairs * 2^N)) centers.
+# The cosine/sine rows are filled a block of whole chunks at a time, as many
+# as keep the block's rows within the same budget.
 FRAME_SCAN_CHUNK_ELEMENTS = 2**16
 
 
@@ -471,7 +473,7 @@ def _frame_scan_coefficients(tables, n: int, width: float):
 
         T(r; c) = [1, cos c, cos(c_j - c_k), sin c, sin(c_j - c_k)] @ coeffs.
 
-    A chunk of centers c then needs the cosines and sines of its N-1
+    A block of centers c then needs the cosines and sines of its N-1
     centers alone, each from one tangent (:func:`_fill_scan_rows`); the
     difference rows follow by angle subtraction.  Where numpy has a SIMD
     loop for float64 ``tan`` (numpy 2.4 on an AVX-512 x86-64 core has
@@ -489,7 +491,7 @@ def _frame_scan_coefficients(tables, n: int, width: float):
 
 
 def _fill_scan_rows(cos, sin, centers) -> None:
-    """Write the cosine and sine rows (H, count) of a chunk of frame centers.
+    """Write the cosine and sine rows (H, count) of a block of frame centers.
 
     ``centers`` is (count, N-1) and the rows follow the frequency order of
     :func:`_frame_scan_layout`.  Each unit row takes one tangent t =
@@ -498,7 +500,8 @@ def _fill_scan_rows(cos, sin, centers) -> None:
     1e16 and the identities still give -1 and 2/t.  The e_j - e_k rows
     follow by angle subtraction, the rows of each j against rows
     j+1..N-2 at once from slices.  Every row entry depends on its own
-    center alone, not on the chunk's other centers.
+    center alone, not on the block's other centers, so a block of chunks
+    filled at once holds the bits of filling each chunk alone.
     """
     units = centers.shape[1]
     # The units' sine rows hold t and their cosine rows t^2 until the
@@ -534,22 +537,35 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
     transforms T(r), are real trigonometric polynomials in the centers:
     T(r; c) = a_0 + sum_n A_n cos(n . c) + B_n sin(n . c) over the half
     basis, with the tables' rows transformed and damped
-    (:func:`_frame_scan_coefficients`).  A chunk of centers costs one
-    tangent t = tan(c/2) per center, its cosine (1 - t^2)/(1 + t^2) and
-    sine 2t/(1 + t^2) from one division, the e_j - e_k rows by angle
+    (:func:`_frame_scan_coefficients`).  A center costs one tangent t =
+    tan(c/2) per relative phase, its cosine (1 - t^2)/(1 + t^2) and sine
+    2t/(1 + t^2) from one division, and the e_j - e_k rows by angle
     subtraction (cos(c_j - c_k) = cos c_j cos c_k + sin c_j sin c_k,
     sin(c_j - c_k) = sin c_j cos c_k - cos c_j sin c_k, the rows of each
-    j at once from slices), and one real matrix product that gives T(r)
-    of every pair.  Each pair's Bell value is 2^-N sum_r |T(r)|, and the
-    best pair's value is returned.  The cosines and sines are within
-    2.2e-16 of the exact values, against libm's 1.1e-16; the tangent is
-    vectorized only where numpy has a SIMD loop for it (see
-    :func:`_frame_scan_coefficients`).  A center's cosine and sine rows
-    keep their bits wherever it falls in the batch; the matrix product's
-    may move by a few ulp with the chunk's width, as the BLAS picks its
-    kernels by shape.  Chunks hold at most ``FRAME_SCAN_CHUNK_ELEMENTS``
-    products, which bounds memory for any number of centers.  The complex
-    route through exp(i C F^T) stays as the test oracle.
+    j at once from slices).  Each pair's Bell value is 2^-N sum_r |T(r)|,
+    and the best pair's value is returned.  The cosines and sines are
+    within 2.2e-16 of the exact values, against libm's 1.1e-16; the
+    tangent is vectorized only where numpy has a SIMD loop for it (see
+    :func:`_frame_scan_coefficients`).  The complex route through exp(i
+    C F^T) stays as the test oracle.
+
+    The centers are scanned in chunks of at most
+    ``FRAME_SCAN_CHUNK_ELEMENTS`` transform entries (T(r) of every pair
+    at every center of the chunk), and the cosine/sine rows are filled a
+    block of whole chunks at a time, the block's rows holding at most as
+    many numbers.  Each full chunk's matrix product goes into one
+    transform buffer, reused with its per-pair sums, and the best pair's
+    sum is written straight into the result, which is divided by 2^N
+    once.  The last chunk of a longer batch, if partial, takes a product
+    of its own width.  So beside the result the scan holds the rows of
+    one block and the transform of one chunk, each at most a budget of
+    floats (512 KiB at 2^16) unless a single center exceeds it, and a
+    partial last chunk's product, for any number of centers.  Every
+    product has the shape of the chunk-at-a-time loop it replaced, whose
+    bits the values keep.  A center's cosine and sine rows keep their bits
+    wherever it falls in the batch; the matrix product's may move by a
+    few ulp with the chunk's width, as the BLAS picks its kernels by
+    shape.
 
     ``tables`` is the output of :func:`pair_symbolic_tables`, or any
     real array (P, 1 + N(N-1), 2^N) of P >= 1 symbolic tables, N >= 1.
@@ -586,21 +602,37 @@ def best_pair_values_over_centers(tables, centers, width: float) -> np.ndarray:
 
     coeffs = _frame_scan_coefficients(tables, n, width)
     size, terms = 2**n, n * (n - 1) // 2
+    total = len(centers)
     chunk = max(1, FRAME_SCAN_CHUNK_ELEMENTS // max(coeffs.shape))
+    # A block of whole chunks whose basis rows hold at most the chunk budget.
+    block = chunk * max(1, FRAME_SCAN_CHUNK_ELEMENTS // (len(coeffs) * chunk))
     # Centers run along the rows' last axis, so the cosines, sines and the
     # per-pair sums below all work on contiguous rows.
-    basis = np.empty((1 + 2 * terms, min(chunk, len(centers))))
+    basis = np.empty((len(coeffs), min(block, total)))
     basis[0] = 1.0
-    best = np.empty(len(centers))
-    for start in range(0, len(centers), chunk):
-        count = min(chunk, len(centers) - start)
-        rows = basis[:, :count]
-        _fill_scan_rows(rows[1 : 1 + terms], rows[1 + terms :], centers[start : start + count])
-        transform = coeffs.T @ rows
-        np.abs(transform, out=transform)
-        # Rows p * 2^N .. (p + 1) * 2^N - 1 belong to pair p.
-        sums = transform.reshape(len(tables), size, count).sum(axis=1)
-        best[start : start + count] = sums.max(axis=0) / size
+    span = min(chunk, total)
+    transform = np.empty((coeffs.shape[1], span))
+    sums = np.empty((len(tables), span))
+    best = np.empty(total)
+    for first in range(0, total, block):
+        filled = min(block, total - first)
+        cos, sin = basis[1 : 1 + terms, :filled], basis[1 + terms :, :filled]
+        _fill_scan_rows(cos, sin, centers[first : first + filled])
+        for start in range(0, filled, chunk):
+            rows = basis[:, start : min(start + chunk, filled)]
+            count = rows.shape[1]
+            if count == span:
+                product = np.matmul(coeffs.T, rows, out=transform)
+            else:
+                # The last chunk of a longer batch is a product of its own width.
+                product = coeffs.T @ rows
+            np.abs(product, out=product)
+            # Rows p * 2^N .. (p + 1) * 2^N - 1 of the product belong to pair p.
+            pair_sums = np.add.reduce(
+                product.reshape(len(tables), size, count), axis=1, out=sums[:, :count]
+            )
+            np.maximum.reduce(pair_sums, axis=0, out=best[first + start : first + start + count])
+    best /= size
     return best.reshape(batch_shape)
 
 

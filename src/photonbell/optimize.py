@@ -741,9 +741,11 @@ def certainty_frontier(
     centers (``grid_density`` points per relative phase, at least 360).
     Amplitudes are re-optimized for centered frames at every probed
     width, matching a laboratory that knows its noise level but not the
-    frame.  Returns a list of (m, width) pairs; width is NaN when not even
-    zero width is certain, and capped at ``width_max``.  Restricted to
-    n_parties <= 3 to keep the center grid tractable.  Pair counts must
+    frame; each distinct width is searched once per call, and its
+    amplitudes serve every pair count that probes it.  Returns a list of
+    (m, width) pairs; width is NaN when not even zero width is certain,
+    and capped at ``width_max``.  Restricted to n_parties <= 3 to keep
+    the center grid tractable.  Pair counts must
     be integers >= 1, ``grid_density`` a whole number >= 360, and
     ``width_tolerance`` and ``width_max`` finite and > 0 (ValueError
     otherwise, before any search).
@@ -764,17 +766,22 @@ def certainty_frontier(
     centers = np.stack(grids, -1).reshape(-1, n_parties - 1) if grids else np.zeros((1, 0))
     state = lossy_w_state(n_parties, efficiency)
 
+    # The amplitudes of each probed width, searched once for every pair count.
+    amplitudes = {}
+
     def certain(width: float, pair_count: int) -> bool:
-        report = maximize_bell(
-            OptimizationSpec(
-                n_parties=n_parties,
-                width=width,
-                efficiency=efficiency,
-                optimize_phases=False,
-                restarts=restarts,
+        if width not in amplitudes:
+            report = maximize_bell(
+                OptimizationSpec(
+                    n_parties=n_parties,
+                    width=width,
+                    efficiency=efficiency,
+                    optimize_phases=False,
+                    restarts=restarts,
+                )
             )
-        )
-        strategy = paired_strategy(n_parties, report.r, report.r_prime, pair_count)
+            amplitudes[width] = report.r, report.r_prime
+        strategy = paired_strategy(n_parties, *amplitudes[width], pair_count)
         tables = pair_symbolic_tables(state, strategy)
         values = best_pair_values_over_centers(tables, centers, width)
         return bool(np.all(values > 1.0 + VIOLATION_ROUNDOFF))

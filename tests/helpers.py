@@ -369,6 +369,40 @@ def half_basis_frame_scan(tables, centers, width: float) -> np.ndarray:
     return best
 
 
+def chunked_frame_scan(tables, centers, width: float) -> np.ndarray:
+    """Best-pair Bell values of the scan's rows, one chunk at a time.
+
+    The loop ``experiments.best_pair_values_over_centers`` ran before it
+    filled its rows a block of chunks at a time: per chunk of
+    ``FRAME_SCAN_CHUNK_ELEMENTS`` products, the chunk's cosine and sine
+    rows (``experiments._fill_scan_rows``), a fresh product with the
+    damped transformed rows, the per-pair sums and the best pair divided
+    by 2^N.  ``tables`` (P, 1 + N(N-1), 2^N) and ``centers`` (count, N-1)
+    are taken as checked.  The block-at-a-time scan must give these
+    values bit for bit: its fill and its BLAS calls have the same shapes.
+    """
+    tables = np.asarray(tables)
+    n = tables.shape[-1].bit_length() - 1
+    centers = np.asarray(centers, dtype=float)
+    coeffs = experiments._frame_scan_coefficients(tables, n, width)
+    size, terms = 2**n, n * (n - 1) // 2
+    chunk = max(1, experiments.FRAME_SCAN_CHUNK_ELEMENTS // max(coeffs.shape))
+    basis = np.empty((1 + 2 * terms, min(chunk, len(centers))))
+    basis[0] = 1.0
+    best = np.empty(len(centers))
+    for start in range(0, len(centers), chunk):
+        count = min(chunk, len(centers) - start)
+        rows = basis[:, :count]
+        experiments._fill_scan_rows(
+            rows[1 : 1 + terms], rows[1 + terms :], centers[start : start + count]
+        )
+        transform = coeffs.T @ rows
+        np.abs(transform, out=transform)
+        sums = transform.reshape(len(tables), size, count).sum(axis=1)
+        best[start : start + count] = sums.max(axis=0) / size
+    return best
+
+
 def symbolic_rows_per_component(state: SubspaceState, strategy) -> np.ndarray:
     """Rows (1 + N(N-1), P, 2^N) of the offset-symbolic tables, one kernel call each.
 

@@ -442,6 +442,40 @@ def test_json_float_cells_equal_the_encoder_of_rounded_floats(kind):
     assert cli._cells(column, "json") == expected
 
 
+def _repeating_float_columns():
+    """Float columns that repeat values, with the bit patterns that must stay apart."""
+    rng = np.random.default_rng(43)
+    nan_payload = np.array([np.nan]).view(np.int64) | 1
+    specials = np.array(
+        [0.0, -0.0, np.nan, *nan_payload.view(float), -np.nan, np.inf, -np.inf,
+         5e-324, -5e-324, 1e-310, 2.0**-1022, 1.0, -1.0, 1e16, 1e-5, 1.5e300, 123456789012.5]
+    )
+    phases = np.arange(72) * (2.0 * np.pi / 72)
+    mixed = np.concatenate([np.repeat(specials, 7), np.tile(phases, 5), rng.normal(size=200)])
+    rng.shuffle(mixed)
+    wide = np.stack([mixed, mixed[::-1]], axis=1)
+    return {
+        "mixed": mixed,
+        "widths": np.repeat([0.0, 0.2, 0.4, 0.7, 1.0], 720),
+        "float32": np.repeat(rng.normal(size=40).astype(np.float32), 9),
+        "strided": mixed[::3],
+        "reversed": mixed[::-1],
+        "matrix column": wide[:, 1],
+        "one value": np.full(50, -0.0),
+        "distinct": rng.normal(size=300),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_repeating_float_columns()))
+def test_float_cells_of_distinct_values_equal_per_value_cells(kind):
+    # a float column is formatted once per distinct bit pattern and spread
+    # back; each cell must equal the text of its own value
+    column = _repeating_float_columns()[kind]
+    values = column.tolist()
+    assert cli._cells(column, "csv") == [format(v, ".12g") for v in values]
+    assert cli._cells(column, "json") == [json.dumps(row_round12(v)) for v in values]
+
+
 IMPORT_GUARD = """
 import json, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    chunked_frame_scan,
     complex_entries,
     complex_frame_scan,
     correlator_bruteforce,
@@ -787,6 +788,47 @@ def test_real_scan_matches_complex_oracle(monkeypatch, n):
             slow = complex_frame_scan(tables, centers, width)
             assert fast.shape == slow.shape == (len(centers),)
             assert np.max(np.abs(fast - slow)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_scan_equals_the_chunk_loop_bit_for_bit(monkeypatch, n):
+    # the scan fills a block of chunks' rows at once and runs each full
+    # chunk's product into one reused buffer; the chunk-at-a-time loop it
+    # replaced gives the same bits for batches around every chunk and
+    # block edge, the last partial chunk included, and for a 2-D batch
+    budget = 2**9
+    monkeypatch.setattr(experiments, "FRAME_SCAN_CHUNK_ELEMENTS", budget)
+    rng = np.random.default_rng(70 + n)
+    rows = 1 + n * (n - 1)
+    for pair_count in (1, 3, 5, 8):
+        state = random_state(rng, n)
+        strat = paired_strategy(n, *rng.uniform(-1.0, 1.0, 2), pair_count, rng.uniform(0.0, TWO_PI, n))
+        tables = pair_symbolic_tables(state, strat)
+        chunk = max(1, budget // max(rows, pair_count * 2**n))
+        block = chunk * max(1, budget // (rows * chunk))
+        counts = {0, 1, chunk - 1, chunk, chunk + 1, block - 1, block, block + 1, 7 * block // 2}
+        for count in sorted(counts):
+            centers = _awkward_centers(rng, count, n - 1)
+            for width in (0.0, 0.45):
+                fast = best_pair_values_over_centers(tables, centers, width)
+                assert np.array_equal(fast, chunked_frame_scan(tables, centers, width))
+        batch = (3, block // 2 + 1)
+        centers = rng.uniform(0.0, TWO_PI, (*batch, n - 1))
+        fast = best_pair_values_over_centers(tables, centers, 0.2)
+        oracle = chunked_frame_scan(tables, centers.reshape(math.prod(batch), n - 1), 0.2)
+        assert np.array_equal(fast, oracle.reshape(batch))
+
+
+def test_block_scan_equals_the_chunk_loop_at_the_default_budget():
+    # violation-dist's three-party, five-pair scan: chunks of 1638 centers
+    # and blocks of five chunks, over 3.5 blocks and a partial last chunk
+    tables = pair_symbolic_tables(lossy_w_state(3, 0.93), paired_strategy(3, 0.55, -0.2, 5))
+    chunk = FRAME_SCAN_CHUNK_ELEMENTS // (5 * 2**3)
+    block = chunk * (FRAME_SCAN_CHUNK_ELEMENTS // (7 * chunk))
+    assert (chunk, block) == (1638, 5 * 1638)
+    centers = np.random.default_rng(7).uniform(0.0, TWO_PI, (7 * block // 2 + 5, 2))
+    fast = best_pair_values_over_centers(tables, centers, 0.3)
+    assert np.array_equal(fast, chunked_frame_scan(tables, centers, 0.3))
 
 
 def _awkward_centers(rng, count: int, slots: int) -> np.ndarray:

@@ -819,6 +819,29 @@ def test_certainty_frontier_small_cases():
     assert out[1] == (3, 0.5)
 
 
+def test_certainty_frontier_searches_each_width_once(monkeypatch):
+    # two pair counts that both bisect share the widths they probe: one
+    # search per distinct width, and each count's width as its own call gives
+    kwargs = dict(grid_density=360, width_tolerance=0.05, restarts=1)
+    widths, search = [], optimize.maximize_bell
+
+    def counted(spec):
+        widths.append(spec.width)
+        return search(spec)
+
+    monkeypatch.setattr(optimize, "maximize_bell", counted)
+    alone, probed = [], set()
+    for pair_count in (4, 8):
+        widths.clear()
+        alone += certainty_frontier(2, 0.95, [pair_count], **kwargs)
+        probed.update(widths)
+    widths.clear()
+    both = certainty_frontier(2, 0.95, [4, 8], **kwargs)
+    assert both == alone
+    assert not any(np.isnan(width) for _, width in both)
+    assert sorted(widths) == sorted(probed)
+
+
 def test_certainty_frontier_vacuum_is_never_certain():
     # ~1.5 s.  At transmission 0 the state is the vacuum, a product state;
     # the optimizer's pair there gives best-pair values that round to
