@@ -62,6 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -130,16 +131,24 @@ class MeasurementStrategy:
         parties = tuple(map(np.asarray, self.settings))
         if any(rows.dtype.kind not in "iuf" for rows in parties):
             raise ValueError("settings must be real numbers")
-        settings = tuple(rows.astype(float) for rows in parties)
-        if not settings:
+        if not parties:
             raise ValueError("strategy needs at least one party")
-        for party, rows in enumerate(settings):
-            if rows.ndim != 2 or rows.shape[1] != 2:
-                raise ValueError(f"party {party + 1} needs (amplitude, phase) rows")
-            if not (np.isfinite(rows).all() and (rows[:, 0] >= 0.0).all()):
-                raise ValueError("settings must be finite with amplitude >= 0")
-            rows[:, 1] %= TWO_PI
-            rows.setflags(write=False)
+        # Every party's rows are checked and reduced as one array, up to the
+        # first party whose shape is wrong: the parties before it are
+        # judged first, as one party after another would be.
+        shaped = next(
+            (k for k, rows in enumerate(parties) if rows.ndim != 2 or rows.shape[1] != 2),
+            len(parties),
+        )
+        rows = np.concatenate(parties[:shaped] or [np.empty((0, 2))], dtype=float)
+        if not (np.isfinite(rows).all() and (rows[:, 0] >= 0.0).all()):
+            raise ValueError("settings must be finite with amplitude >= 0")
+        if shaped < len(parties):
+            raise ValueError(f"party {shaped + 1} needs (amplitude, phase) rows")
+        rows[:, 1] %= TWO_PI
+        rows.setflags(write=False)
+        ends = accumulate(len(party) for party in parties)
+        settings = tuple(rows[end - len(party) : end] for party, end in zip(parties, ends))
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "pair_count", _whole(self.pair_count, "pair_count", 1))
         self._check_pairs()

@@ -24,12 +24,15 @@ N+1).  It walks only the nonzero structure of the subspace: the one-hole
 products (m_00 over every mode but one) come from prefix and suffix
 cumulative products along the party axis, and the two-hole sum over mode
 pairs j < k is an O(N)-step recurrence over k, vectorized over the batch
-and the states, that is valid for any density matrix.  The observable
-products are formed once per chunk and shared by every state, and each
-state keeps the arithmetic of a call with it alone.  The state-only
-factors are formed once per stack, so a caller that contracts one stack
-at many batches (an optimizer search) forms them once.  The batch is
-processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices
+and the states, that is valid for any density matrix.  The kernel lays
+its arrays out rows-last, so each step runs over long contiguous runs of
+rows, and writes the terms it sums over modes back in rows-first order,
+so every sum keeps the order, and every correlator the bits, of a
+rows-first kernel.  The observable products are formed once per chunk and
+shared by every state, and each state keeps the arithmetic of a call with
+it alone.  The state-only factors are formed once per stack, so a caller
+that contracts one stack at many batches (an optimizer search) forms them
+once.  The batch is processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices
 divided by the number of states, so memory stays bounded for any batch
 size.  :func:`correlator_tables` is the 2^N-entry table builder behind
 the optimizer, the one-frame state route and the offset-symbolic tables,
@@ -40,8 +43,9 @@ hold one setting pair, an entry depends only on party 1's setting and on
 how many of the others take setting 1, so 2N kernel rows fill the 2^N
 entries, copied a leaf of 2^12 rows at a time (:func:`_weight_layout`,
 the layout :class:`~photonbell.wwzb.CorrelatorTable` checks such
-tables against); every other point walks all 2^N rows.  The tests keep a dense
-evaluation in the full 2^N mode-occupation space as its slow oracle.
+tables against); every other point walks all 2^N rows.  The tests keep a
+dense evaluation in the full 2^N mode-occupation space as its slow
+oracle, and the rows-first kernel as its bit-for-bit oracle.
 
 Validation happens where values enter: :class:`SubspaceState` checks the
 state and :func:`check_observable_matrices` checks a batch of
@@ -82,8 +86,11 @@ EIGENVALUE_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-8
 
 # The correlator kernel handles at most this many mode matrices (batch rows
-# times N) per chunk; its working arrays are a small multiple of that.
-CORRELATOR_CHUNK_ELEMENTS = 2**16
+# times N) per chunk; its working arrays are a small multiple of that, a few
+# MiB, near the size of a core's L2 cache.  On a 2-core Xeon guest (2 MiB L2
+# per core) the 2^18-row walk of 18 parties took 1.4 s in chunks of 2^16
+# matrices and 0.8 s in these.
+CORRELATOR_CHUNK_ELEMENTS = 2**14
 
 # Rows of one leaf of the weight layout of exchangeable tables (2^12 rows
 # of two entries, 64 KiB): the unit of the exchangeable route's gather and
@@ -251,10 +258,12 @@ class _StateTerms(NamedTuple):
 
     ``states`` is the stack (S, N+1, N+1); the others are its vacuum
     population (S, 1), its one-photon populations and vacuum-excitation
-    coherences (S, 1, N) each, the two channels of excitation pairs
-    (S, 2, N, N), and whether every state is exchangeable in modes 2..N
-    (:func:`_exchangeable`).  Formed once per stack by :func:`_state_terms`,
-    so a caller that contracts the same states many times forms them once.
+    coherences (S, N, 1) each, the two channels of excitation pairs
+    (S, 2, N, N, 1), and whether every state is exchangeable in modes 2..N
+    (:func:`_exchangeable`).  The trailing axes broadcast against the
+    kernel's rows-last arrays.  Formed once per stack by
+    :func:`_state_terms`, so a caller that contracts the same states many
+    times forms them once.
     """
 
     states: np.ndarray
@@ -296,10 +305,10 @@ def _state_terms(states: np.ndarray) -> _StateTerms:
     return _StateTerms(
         states,
         states[:, 0, 0, None],
-        np.diagonal(states, axis1=1, axis2=2)[:, None, 1:],
-        states[:, None, 0, 1:],
-        states[:, None, 1:, 0],
-        np.stack((excited, excited.swapaxes(1, 2)), axis=1),
+        np.diagonal(states, axis1=1, axis2=2)[:, 1:, None],
+        states[:, 0, 1:, None],
+        states[:, 1:, 0, None],
+        np.stack((excited, excited.swapaxes(1, 2)), axis=1)[..., None],
         _exchangeable(states),
     )
 
@@ -319,33 +328,55 @@ def _correlator_rows(terms: _StateTerms, mats: np.ndarray) -> np.ndarray:
     every pair that k closes.  Nothing is divided by the possibly tiny
     m_l(0, 0).  The observable products are formed once and shared by every
     state; each state's terms are formed and summed as if it were alone.
+
+    The kernel runs rows-last: the entries m_k(a, b) are (N, B) arrays, so
+    the products and the N - 1 steps of the pair recurrence, on (S, 2, N,
+    B), run over contiguous runs of B rows, where a rows-first layout has
+    runs of N - k - 1.  An elementwise product, and a cumulative product along the
+    mode axis, has the same bits in any layout (numpy's complex product is
+    not commutative bit for bit, so each keeps its operand order).  A sum
+    is not: numpy sums a contiguous run of eight or more terms pairwise.
+    So the products that are summed over modes are written in rows-first
+    order, (S, B, N) and (S, B, 2, N), before they are summed, and every
+    correlator has the bits of the rows-first kernel.
     """
     rows, n = mats.shape[:2]
-    m00 = mats[:, :, 0, 0]
-    m01 = mats[:, :, 0, 1]
-    m10 = mats[:, :, 1, 0]
-    m11 = mats[:, :, 1, 1]
-    pre = np.ones((rows, n + 1), dtype=complex)
-    np.cumprod(m00, axis=1, out=pre[:, 1:])
-    suf = np.ones((rows, n + 1), dtype=complex)
-    suf[:, :n] = np.cumprod(m00[:, ::-1], axis=1)[:, ::-1]
-    hole = pre[:, :n] * suf[:, 1:]
+    count = len(terms.states)
+    # (N, B) rows of m_k(a, b); m_k(0, 0), read at every step, gets one
+    # contiguous copy, the others are read in place.
+    m00 = np.ascontiguousarray(mats[:, :, 0, 0].T)
+    m01, m10, m11 = mats[:, :, 0, 1].T, mats[:, :, 1, 0].T, mats[:, :, 1, 1].T
+    pre = np.ones((n + 1, rows), dtype=complex)
+    np.cumprod(m00, axis=0, out=pre[1:])
+    suf = np.ones((n + 1, rows), dtype=complex)
+    np.cumprod(m00[::-1], axis=0, out=suf[n - 1 :: -1])
+    hole = pre[:n] * suf[1:]
 
-    total = terms.vacuum * pre[:, n]
+    total = terms.vacuum * pre[n]
     one_photon = terms.populations * m11 + terms.upper * m10 + terms.lower * m01
-    total += (one_photon * hole).sum(axis=2)
+    by_row = np.empty((count, rows, n), dtype=complex)
+    np.multiply(one_photon.transpose(0, 2, 1), hole.T, out=by_row)
+    total += by_row.sum(axis=2)
 
     # Channel 0 pairs <e_j|rho|e_k> with m01_j m10_k, channel 1 pairs
-    # <e_k|rho|e_j> with m10_j m01_k.  pending[i, :, c, k] accumulates
-    # sum_{j<k} weight_c(j, k) opened_c(j) prod_{j<l<k} m00_l for state i.
-    opened = np.stack((m01, m10), axis=1) * pre[:, None, :n]
-    closing = np.stack((m10, m01), axis=1) * suf[:, None, 1:]
-    pending = np.zeros((len(terms.states), rows, 2, n), dtype=complex)
+    # <e_k|rho|e_j> with m10_j m01_k.  pending[i, c, k] accumulates
+    # sum_{j<k} weight_c(j, k) opened_c(j) prod_{j<l<k} m00_l for state i,
+    # one entry per row.
+    opened = np.stack((m01, m10))
+    opened *= pre[:n]
+    closing = np.stack((m10, m01))
+    closing *= suf[1:]
+    # Freed before the recurrence, so that the kernel's peak memory is no
+    # more than a rows-first kernel's.
+    del pre, suf, hole, one_photon, by_row
+    pending = np.zeros((count, 2, n, rows), dtype=complex)
     for k in range(n - 1):
-        later = pending[..., k + 1 :]
-        later *= m00[:, None, k, None]
-        later += opened[:, :, k, None] * terms.weights[:, None, :, k, k + 1 :]
-    total += (pending * closing).sum(axis=(2, 3))
+        later = pending[:, :, k + 1 :]
+        later *= m00[k]
+        later += opened[:, k, None] * terms.weights[:, :, k, k + 1 :]
+    by_row = np.empty((count, rows, 2, n), dtype=complex)
+    np.multiply(pending.transpose(0, 3, 1, 2), closing.transpose(2, 0, 1), out=by_row)
+    total += by_row.sum(axis=(2, 3))
     return total
 
 
@@ -459,8 +490,19 @@ def _weight_leaves(values: np.ndarray) -> np.ndarray:
     weight h (:func:`_weight_layout`).
     """
     rows, _ = _weight_layout(values.shape[-2])
-    # Indexing reads the cached read-only rows in place; np.take would copy them.
-    return values[..., rows, :]
+    batch = np.ascontiguousarray(values.reshape((-1,) + values.shape[-2:]))
+    leaves = np.empty((len(batch),) + rows.shape + (2,), dtype=values.dtype)
+    # One np.take per leaf row, straight into the output.  np.take copies a
+    # read-only index, so one take of every row would copy the whole cached
+    # layout (320 KiB at N = 22) where this copies a row (32 KiB); in its
+    # default "raise" mode it would also copy its output ("clip" never
+    # clips, the rows are in range).  At N = 22 (2-core Xeon guest) this
+    # takes 73 us, one take of every row 58 us, and the Ellipsis indexing
+    # ``values[..., rows, :]``, which numpy runs through its slow subspace
+    # path, 552 us.
+    for h, row in enumerate(rows):
+        np.take(batch, row, axis=1, out=leaves[:, h], mode="clip")
+    return leaves.reshape(values.shape[:-2] + leaves.shape[1:])
 
 
 @lru_cache(maxsize=32)
@@ -496,8 +538,8 @@ def _exchangeable_values(terms: _StateTerms, ref: np.ndarray, shared: np.ndarray
     # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
     leaves = _weight_leaves(distinct.reshape(count * points, 2, n).swapaxes(-1, -2))
     _, order = _weight_layout(n)
-    # With every index leading, the gather is laid out in table order.
-    tables = leaves[np.arange(count * points)[:, None], order]
+    # Gathered whole leaves along axis 1 are laid out in table order.
+    tables = np.take(leaves, order, axis=1)
     tables.setflags(write=False)
     return tables.reshape(count, points, 2**n)
 
@@ -512,12 +554,14 @@ def _walked_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
     points, n = pairs.shape[:2]
     size = 2**n
     parties = np.arange(n)
+    # Row 2k + b of a point holds party k+1's setting b.
+    settings = pairs.reshape(points, 2 * n, 2, 2)
     tables = np.empty((len(terms.states), points, size))
     step = max(1, _chunk_rows(n) // max(1, points))
     for start in range(0, size, step):
         index = np.arange(start, min(start + step, size))
-        bits = (index[:, None] >> parties) & 1
-        rows = pairs[:, parties, bits].reshape(-1, n, 2, 2)
+        picks = 2 * parties + ((index[:, None] >> parties) & 1)
+        rows = np.take(settings, picks, axis=1).reshape(-1, n, 2, 2)
         tables[..., start : start + step] = _correlator_values(terms, rows).reshape(
             len(terms.states), points, len(index)
         )

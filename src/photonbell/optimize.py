@@ -503,10 +503,10 @@ class _SimplexResult(NamedTuple):
     nfev: int
 
 
-def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray):
-    """Vertices and values ordered by value, with the unstable default argsort."""
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+def _sorted_simplex(sim: list, fsim: list):
+    """Vertex and value lists ordered by value, with numpy's unstable default argsort."""
+    order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def _nelder_mead(x0, lower, upper, tolerance: float, max_evals: int):
@@ -530,6 +530,14 @@ def _nelder_mead(x0, lower, upper, tolerance: float, max_evals: int):
     number ``max_evals + 1`` is not made: the rest of that iteration is
     abandoned, and a shrink cut off there keeps its moved vertex with the
     old value, as SciPy's call-limit exception leaves it.
+
+    After the initial simplex the vertices and values are Python floats,
+    since numpy calls on arrays of two to four coordinates cost more than
+    the arithmetic.  Every operation keeps SciPy's order: the centroid
+    adds the vertices one after another onto 0.0, as ``np.add.reduce``
+    over the vertex axis does; a coordinate is clipped by np.clip's rule,
+    including which zero it returns at a zero bound; the values are still
+    ordered by ``np.argsort``, so that ties order as SciPy's do.
     """
     dims = len(x0)
     x0 = np.clip(x0, lower, upper)
@@ -540,34 +548,34 @@ def _nelder_mead(x0, lower, upper, tolerance: float, max_evals: int):
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim[k + 1] = y
     sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = np.full(dims + 1, np.inf)
     values = yield sim
     nfev = min(dims + 1, max_evals)
-    fsim[:nfev] = values[:nfev]
+    fsim = values[:nfev].tolist() + [np.inf] * (dims + 1 - nfev)
     # SciPy sorts twice here; with ties an unstable sort may permute again.
-    sim, fsim = _sorted_simplex(*_sorted_simplex(sim, fsim))
+    sim, fsim = _sorted_simplex(*_sorted_simplex(sim.tolist(), fsim))
+    bounds = list(zip(lower.tolist(), upper.tolist()))
+
+    def clipped(point):
+        return [lo if v <= lo else hi if v >= hi else v for v, (lo, hi) in zip(point, bounds)]
 
     while nfev < max_evals:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= tolerance
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= tolerance
-        ):
+        best = sim[0]
+        if all(
+            abs(v - b) <= tolerance for vertex in sim[1:] for v, b in zip(vertex, best)
+        ) and all(abs(fsim[0] - f) <= tolerance for f in fsim[1:]):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / dims
+        xbar = [0.0] * dims
+        for vertex in sim[:-1]:
+            xbar = [c + v for c, v in zip(xbar, vertex)]
+        xbar = [c / dims for c in xbar]
         worst = sim[-1]
-        candidates = np.clip(
-            np.stack(
-                (
-                    2 * xbar - worst,  # reflection
-                    3 * xbar - 2 * worst,  # expansion
-                    1.5 * xbar - 0.5 * worst,  # outside contraction
-                    0.5 * xbar + 0.5 * worst,  # inside contraction
-                )
-            ),
-            lower,
-            upper,
-        )
-        fxr, fxe, fxc, fxcc = yield candidates
+        candidates = [
+            clipped([2 * c - w for c, w in zip(xbar, worst)]),  # reflection
+            clipped([3 * c - 2 * w for c, w in zip(xbar, worst)]),  # expansion
+            clipped([1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]),  # outside contraction
+            clipped([0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]),  # inside contraction
+        ]
+        fxr, fxe, fxc, fxcc = (yield np.array(candidates)).tolist()
         nfev += 1
         if fsim[0] <= fxr < fsim[-2]:
             sim[-1], fsim[-1] = candidates[0], fxr
@@ -581,14 +589,16 @@ def _nelder_mead(x0, lower, upper, tolerance: float, max_evals: int):
             elif not fxr < fsim[-1] and fxcc < fsim[-1]:  # SciPy's else branch
                 sim[-1], fsim[-1] = candidates[3], fxcc
             else:
-                moved = np.clip(sim[0] + 0.5 * (sim[1:] - sim[0]), lower, upper)
-                values = yield moved
+                moved = [
+                    clipped([b + 0.5 * (v - b) for v, b in zip(vertex, best)]) for vertex in sim[1:]
+                ]
+                values = yield np.array(moved)
                 scored = min(dims, max_evals - nfev)
                 sim[1 : scored + 2] = moved[: scored + 1]
-                fsim[1 : scored + 1] = values[:scored]
+                fsim[1 : scored + 1] = values[:scored].tolist()
                 nfev += scored
         sim, fsim = _sorted_simplex(sim, fsim)
-    return _SimplexResult(sim[0], np.min(fsim), nfev < max_evals, nfev)
+    return _SimplexResult(np.array(sim[0]), np.min(fsim), nfev < max_evals, nfev)
 
 
 def _lockstep(spec: OptimizationSpec, score, walkers) -> list:

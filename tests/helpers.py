@@ -20,6 +20,7 @@ from photonbell.fock_core import (
     TWO_PI,
     _state_terms,
     _table_values,
+    _weight_layout,
     check_observable_matrices,
     correlator_batch,
     correlator_tables,
@@ -457,6 +458,105 @@ def sine_negated_after_tables(state: SubspaceState, strategy) -> np.ndarray:
     return rows.swapaxes(0, 1)
 
 
+def rows_first_correlator_rows(terms, mats: np.ndarray) -> np.ndarray:
+    """Complex traces (S, B) of observable rows (B, N, 2, 2), laid out rows-first.
+
+    The kernel ``fock_core._correlator_rows`` ran before it went
+    rows-last: the same multiplies and adds on (B, N) and (S, B, 2, N)
+    arrays, whose pair recurrence updates runs of N - k - 1 entries.  Its
+    bit-for-bit oracle.  ``terms`` is a ``fock_core._StateTerms``; its
+    rows-last factors are read back in rows-first shape.
+    """
+    rows, n = mats.shape[:2]
+    m00 = mats[:, :, 0, 0]
+    m01 = mats[:, :, 0, 1]
+    m10 = mats[:, :, 1, 0]
+    m11 = mats[:, :, 1, 1]
+    pre = np.ones((rows, n + 1), dtype=complex)
+    np.cumprod(m00, axis=1, out=pre[:, 1:])
+    suf = np.ones((rows, n + 1), dtype=complex)
+    suf[:, :n] = np.cumprod(m00[:, ::-1], axis=1)[:, ::-1]
+    hole = pre[:, :n] * suf[:, 1:]
+
+    # The rows-last factors (S, N, 1) and (S, 2, N, N, 1) in rows-first shape.
+    populations, upper, lower = (f.swapaxes(1, 2) for f in terms[2:5])
+    weights = terms.weights[..., 0]
+    total = terms.vacuum * pre[:, n]
+    one_photon = populations * m11 + upper * m10 + lower * m01
+    total += (one_photon * hole).sum(axis=2)
+
+    opened = np.stack((m01, m10), axis=1) * pre[:, None, :n]
+    closing = np.stack((m10, m01), axis=1) * suf[:, None, 1:]
+    pending = np.zeros((len(terms.states), rows, 2, n), dtype=complex)
+    for k in range(n - 1):
+        later = pending[..., k + 1 :]
+        later *= m00[:, None, k, None]
+        later += opened[:, :, k, None] * weights[:, None, :, k, k + 1 :]
+    total += (pending * closing).sum(axis=(2, 3))
+    return total
+
+
+def rows_first_walk(rho, pairs) -> np.ndarray:
+    """Tables (S, P, 2^N) of setting pairs (P, N, 2, 2, 2), every row in one rows-first call.
+
+    The table walk as it ran before the kernel went rows-last and its row
+    gather went through ``np.take``: entry s of table p uses party k's
+    setting bit k-1 of s, the rows are gathered by fancy indexing and
+    contracted by :func:`rows_first_correlator_rows` without chunks, since
+    each row's value depends only on that row.  The bit-for-bit oracle of
+    ``fock_core._walked_values``.
+    """
+    pairs = np.asarray(pairs, dtype=complex)
+    points, n = pairs.shape[:2]
+    terms = _state_terms(np.reshape(rho, (-1, n + 1, n + 1)))
+    parties = np.arange(n)
+    bits = (np.arange(2**n)[:, None] >> parties) & 1
+    rows = pairs[:, parties, bits].reshape(-1, n, 2, 2)
+    values = rows_first_correlator_rows(terms, rows).real
+    return values.reshape(len(terms.states), points, 2**n)
+
+
+def rows_first_exchangeable(rho, ref: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Tables (S, P, 2^N) of points whose parties 2..N share the pair ``shared``.
+
+    ``ref`` and ``shared`` (P, 2, 2, 2) are party 1's pair and the pair of
+    parties 2..N.  The 2N distinct rows of each point are contracted in
+    one rows-first call and spread into the weight layout by the indexing
+    forms :func:`indexed_weight_leaves` and :func:`indexed_leaf_tables`:
+    the bit-for-bit oracle of ``fock_core._exchangeable_values``.
+    """
+    points, n = len(ref), np.shape(rho)[-1] - 1
+    terms = _state_terms(np.reshape(rho, (-1, n + 1, n + 1)))
+    count = len(terms.states)
+    pick = (np.arange(1, n) <= np.arange(n)[:, None]).astype(np.intp)
+    mats = np.empty((points, 2, n, n, 2, 2), dtype=complex)
+    mats[:, :, :, 0] = ref[:, :, None]
+    mats[:, :, :, 1:] = shared[:, None, pick]
+    distinct = rows_first_correlator_rows(terms, mats.reshape(-1, n, 2, 2)).real
+    leaves = indexed_weight_leaves(distinct.reshape(count * points, 2, n).swapaxes(-1, -2))
+    return indexed_leaf_tables(leaves, n).reshape(count, points, 2**n)
+
+
+def indexed_weight_leaves(values: np.ndarray) -> np.ndarray:
+    """Distinct leaves (..., H, R, 2) of values (..., N, 2) by Ellipsis fancy indexing.
+
+    The form ``fock_core._weight_leaves`` had before it gathered with
+    ``np.take``; its bit-for-bit oracle.
+    """
+    rows, _ = _weight_layout(values.shape[-2])
+    return values[..., rows, :]
+
+
+def indexed_leaf_tables(leaves: np.ndarray, n_parties: int) -> np.ndarray:
+    """Tables (B, L, R, 2) of N-party leaves (B, H, R, 2) by fancy indexing with every index leading.
+
+    The table gather ``fock_core._exchangeable_values`` made before it
+    used ``np.take``; its bit-for-bit oracle.
+    """
+    _, order = _weight_layout(n_parties)
+    return leaves[np.arange(len(leaves))[:, None], order]
+
+
 def setting_weights(rest: int) -> np.ndarray:
     """Number of ones in each of the 2^rest setting choices of parties 2..N."""
     weights = np.zeros(1, dtype=np.uint8)
@@ -501,6 +601,29 @@ def routed_tables(rhos: np.ndarray, options: np.ndarray) -> np.ndarray:
         if mask.any():
             tables[:, mask] = build(rhos, options[mask])
     return tables
+
+
+def per_party_strategy_rows(settings) -> tuple:
+    """Each party's (amplitude, phase) rows checked and reduced on their own.
+
+    The loop ``MeasurementStrategy`` ran before it checked every party's
+    rows as one array: per party a float copy, the shape check, the
+    finiteness and amplitude check, then the phases reduced mod 2*pi.
+    Raises the same ValueErrors, in the same order; returns the rows.
+    """
+    parties = tuple(map(np.asarray, settings))
+    if any(rows.dtype.kind not in "iuf" for rows in parties):
+        raise ValueError("settings must be real numbers")
+    reduced = tuple(rows.astype(float) for rows in parties)
+    if not reduced:
+        raise ValueError("strategy needs at least one party")
+    for party, rows in enumerate(reduced):
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise ValueError(f"party {party + 1} needs (amplitude, phase) rows")
+        if not (np.isfinite(rows).all() and (rows[:, 0] >= 0.0).all()):
+            raise ValueError("settings must be finite with amplitude >= 0")
+        rows[:, 1] %= TWO_PI
+    return reduced
 
 
 def per_call_averaged_tables(n_parties, amplitudes, centers, width, efficiencies):

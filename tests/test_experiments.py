@@ -13,6 +13,7 @@ from helpers import (
     correlator_bruteforce,
     half_basis_frame_scan,
     per_call_averaged_tables,
+    per_party_strategy_rows,
     random_state,
     setting_matrices,
     sine_negated_after_tables,
@@ -122,6 +123,52 @@ def test_strategy_validation():
             MeasurementStrategy(((ok, ok), (ok, ok), (ok,) * rows, (ok, ok)))
         with pytest.raises(ValueError, match=f"party 2 needs 2 settings, has {rows}"):
             MeasurementStrategy((fine, (ok,) * rows), pair_count=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 22])
+def test_strategy_checks_all_parties_as_one_array(n):
+    # every party's rows are checked and reduced as one array: the rows
+    # keep the bits of the per-party loop, integer and float32 parties
+    # included, and each party's rows are a read-only view.  A bad row at
+    # the first, a middle or the last party gives the loop's message and
+    # party number, and of a bad row and a bad shape the earlier party
+    # is reported.
+    rng = np.random.default_rng(70 + n)
+    parties = [
+        np.column_stack((rng.uniform(0.0, 2.0, 2), rng.uniform(-20.0, 20.0, 2))) for _ in range(n)
+    ]
+    parties[0] = np.array([[1, 7], [0, -3]])
+    parties[-1] = parties[-1].astype(np.float32)
+    settings = MeasurementStrategy(tuple(parties)).settings
+    for rows, expected in zip(settings, per_party_strategy_rows(parties), strict=True):
+        assert rows.dtype == float and np.array_equal(rows.view(np.int64), expected.view(np.int64))
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+    finite = "settings must be finite with amplitude >= 0"
+    for k in sorted({0, n // 2, n - 1}):
+        for bad, message in (
+            ([[0.1, 0.2, 0.3]], rf"party {k + 1} needs \(amplitude, phase\) rows"),
+            ([0.1, 0.2], rf"party {k + 1} needs \(amplitude, phase\) rows"),
+            ([[0.1, 0.2], [0.3, np.nan]], finite),
+            ([[0.1, 0.2], [-0.3, 0.4]], finite),
+            ([[0.1, 0.2], [np.inf, 0.4]], finite),
+            ([["0.1", "0.2"], ["0.3", "0.4"]], "settings must be real numbers"),
+        ):
+            changed = list(parties)
+            changed[k] = bad
+            with pytest.raises(ValueError, match=message):
+                per_party_strategy_rows(changed)
+            with pytest.raises(ValueError, match=message):
+                MeasurementStrategy(tuple(changed))
+        if k < n - 1:
+            changed = list(parties)
+            changed[k], changed[-1] = [[0.1, np.nan], [0.2, 0.3]], [[0.1]]
+            with pytest.raises(ValueError, match=finite):
+                MeasurementStrategy(tuple(changed))
+            changed[k], changed[-1] = [[0.1]], [[0.1, np.nan], [0.2, 0.3]]
+            with pytest.raises(ValueError, match=rf"party {k + 1} needs"):
+                MeasurementStrategy(tuple(changed))
 
 
 def test_fractional_pairs_and_pair_counts_are_refused():

@@ -13,15 +13,20 @@ from photonbell import (
     SubspaceState,
     best_pair_values_over_centers,
     lossy_w_state,
+    pair_symbolic_tables,
+    paired_strategy,
     two_setting_strategy,
     w_state,
 )
+import photonbell.experiments as experiments
 import photonbell.fock_core as fock_core
 from photonbell.experiments import _frame_state
 from photonbell.fock_core import (
     CORRELATOR_CHUNK_ELEMENTS,
     WEIGHT_LEAF_ROWS,
+    _correlator_rows,
     _exchangeable,
+    _exchangeable_values,
     _state_terms,
     _walked_values,
     check_observable_matrices,
@@ -33,10 +38,15 @@ from photonbell.fock_core import (
 from helpers import (
     coherent_vector,
     correlator_bruteforce,
+    indexed_leaf_tables,
+    indexed_weight_leaves,
     projective_observable,
     random_observable_matrices,
     random_settings,
     random_state,
+    rows_first_correlator_rows,
+    rows_first_exchangeable,
+    rows_first_walk,
     setting_matrices,
     symmetric_tables,
 )
@@ -502,6 +512,123 @@ def test_exchangeable_table_allocates_one_table():
     finally:
         tracemalloc.stop()
     assert peak < 1.125 * tables.nbytes
+
+
+def kernel_stacks(n, rng, monkeypatch):
+    """Three stacks of three states (3, N+1, N+1) for the kernel's bit tests.
+
+    Random Hermitian matrices, lossy W frame states (distinct centers, and
+    equal ones), and three of the Hermitian components that ``pair_symbolic_tables``
+    stacks (the steady part, a cosine and a sine component).
+    """
+    hermitian = rng.normal(size=(3, n + 1, n + 1)) + 1j * rng.normal(size=(3, n + 1, n + 1))
+    hermitian += hermitian.conj().swapaxes(1, 2)
+    strategy = two_setting_strategy(n, 0.3, -0.6)
+    frames = np.stack(
+        [
+            _frame_state(lossy_w_state(n, eta), strategy, PhaseModel(centers, width))
+            for eta, centers, width in (
+                (0.9, rng.uniform(0.0, 6.0, n - 1), 0.2),
+                (1.0, (0.4,) * (n - 1), 0.0),
+                (0.6, rng.uniform(0.0, 6.0, n - 1), 1.3),
+            )
+        ]
+    )
+    stacked = []
+
+    def recording(rho, pairs):
+        stacked.append(rho)
+        return np.zeros((len(rho), len(pairs), 2**n))
+
+    monkeypatch.setattr(experiments, "correlator_tables", recording)
+    pair_symbolic_tables(lossy_w_state(n, 0.8), paired_strategy(n, 0.4, -0.2, 2))
+    monkeypatch.undo()
+    (components,) = stacked
+    picked = components[[0, len(components) // 2, -1]]
+    return hermitian, frames, picked
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rows_last_kernel_equals_the_rows_first_kernel(n, monkeypatch):
+    # the rows-last layout keeps every multiply and add of the rows-first
+    # kernel and sums in its order: bit for bit on stacks of 1-3 states,
+    # random Hermitian, lossy W frame states and symbolic components,
+    # against random, zero and photon-counting observables
+    rng = np.random.default_rng(200 + n)
+    mats = random_observable_matrices(rng, (9, n))
+    mats[1] = 0.0
+    mats[2] = displacement_matrices(1e200, rng.uniform(0.0, 6.0, n))
+    mats[3, 0] = displacement_matrices(1e200, 0.3)
+    mats[4, -1] = 0.0
+    for stack in kernel_stacks(n, rng, monkeypatch):
+        for count in (1, 2, 3):
+            terms = _state_terms(stack[:count])
+            values = _correlator_rows(terms, mats)
+            assert same_bits(values, rows_first_correlator_rows(terms, mats))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_table_routes_equal_the_rows_first_oracles(n, monkeypatch):
+    # the walk (rows by one np.take, chunks whose edges fall inside a
+    # table) and the exchangeable route (2N rows per point, leaves and
+    # tables by np.take) give the bits of the rows-first kernel with the
+    # indexing gathers, at the default budget and at one of a few rows
+    rng = np.random.default_rng(250 + n)
+    stacks = kernel_stacks(n, rng, monkeypatch)
+    pairs = random_observable_matrices(rng, (3, n, 2))
+    ref = random_observable_matrices(rng, (3, 2))
+    shared = random_observable_matrices(rng, (3, 2))
+    w_stack = _lossy_rhos(n, (0.0, 0.8, 1.0), 0.4)
+    walked = [rows_first_walk(stack, pairs[:count]) for stack in stacks for count in (1, 3)]
+    exchangeable = [rows_first_exchangeable(w_stack[:count], ref, shared) for count in (1, 3)]
+    for budget in (None, n * max(3, 2**n // 5) + n - 1):
+        if budget is not None:
+            monkeypatch.setattr(fock_core, "CORRELATOR_CHUNK_ELEMENTS", budget)
+        routed = [_walked_values(_state_terms(s), pairs[:count]) for s in stacks for count in (1, 3)]
+        for tables, expected in zip(routed, walked, strict=True):
+            assert same_bits(tables, expected)
+        if n > 1:
+            for count, expected in zip((1, 3), exchangeable):
+                tables = _exchangeable_values(_state_terms(w_stack[:count]), ref, shared)
+                assert same_bits(tables, expected)
+
+
+@pytest.mark.parametrize("n", range(2, 23))
+def test_weight_gathers_equal_the_indexing_forms(n, monkeypatch):
+    # the leaf gather (one np.take per leaf row into the output) and the
+    # table gather (np.take of whole leaves) copy the bits the Ellipsis
+    # and leading fancy indexing copied, -0.0 and NaN payloads among
+    # them, for every batch shape; the cached layout stays read-only
+    rng = np.random.default_rng(300 + n)
+    payloads = np.array(
+        [0x8000000000000000, 0x7FF8000000000001, 0xFFF00000DEADBEEF, 0x0000000000000001],
+        dtype=np.uint64,
+    ).view(float)
+
+    def laced(shape):
+        values = rng.uniform(-1.0, 1.0, shape)
+        flat = values.reshape(-1)
+        flat[rng.choice(flat.size, min(4, flat.size), replace=False)] = payloads[: flat.size]
+        return values
+
+    for batch in ((), (1,), (3,), (2, 3)) if n <= 16 else ((), (2,)):
+        values = laced(batch + (n, 2))
+        assert same_bits(fock_core._weight_leaves(values), indexed_weight_leaves(values))
+    # the table gather in place, fed distinct values through the kernel's seam
+    count, points = (2, 2) if n <= 16 else (1, 1)
+    distinct = laced((count, points * 2 * n))
+    monkeypatch.setattr(fock_core, "_correlator_values", lambda terms, rows: distinct)
+    ref = random_observable_matrices(rng, (points, 2))
+    tables = _exchangeable_values(_state_terms(_lossy_rhos(n, (0.9,) * count, 0.2)), ref, ref)
+    leaves = indexed_weight_leaves(distinct.reshape(count * points, 2, n).swapaxes(-1, -2))
+    assert same_bits(tables, indexed_leaf_tables(leaves, n).reshape(count, points, 2**n))
+    assert not any(index.flags.writeable for index in fock_core._weight_layout(n))
 
 
 def test_correlator_batch_rejects_non_hermitian_state():
