@@ -379,11 +379,12 @@ def cmd_fig2(args) -> int:
     """Optimized Bell value and loss threshold against the noise width.
 
     For each party count and width, maximizes the frame-averaged Bell
-    value over the signed amplitude pair and finds the transmission
-    threshold as the smallest crossing efficiency over the same search
-    (``--eta-tolerance`` is that search's stopping tolerance).  CSV
-    columns: N, delta, s_max, eta_threshold (NaN when no loss level
-    violates).
+    value over the signed amplitude pair, with every frame center at 0,
+    and finds the transmission threshold as the smallest crossing
+    efficiency over the same search (``--eta-tolerance`` is that search's
+    stopping tolerance).  The threshold's scan is the larger of the two,
+    so it sizes the run.  CSV columns: N, delta, s_max, eta_threshold
+    (NaN when no loss level violates).
     """
     parties = _parse_ints(args.parties, "--n-list")
     if any(n < 1 for n in parties):
@@ -397,13 +398,9 @@ def cmd_fig2(args) -> int:
         raise ValueError(f"--delta-max / --delta-step exceeds {FIG2_MAX_WIDTHS} widths")
     if not (np.isfinite(args.eta_tolerance) and args.eta_tolerance > 0.0):
         raise ValueError("eta tolerance must be finite and > 0")
-    specs = [
-        OptimizationSpec(n, 0.0, optimize_phases=args.joint_phases, restarts=args.restarts)
-        for n in parties
-    ]
+    specs = [OptimizationSpec(n, 0.0, restarts=args.restarts) for n in parties]
     for spec in specs:
-        _check_search(spec, "--n-list")
-        _check_search(replace(spec, optimize_phases=False), "--n-list", threshold=True)
+        _check_search(spec, "--n-list", threshold=True)
     widths = np.arange(0.0, args.delta_max + 0.5 * args.delta_step, args.delta_step)
     rows = []
     for spec in specs:
@@ -424,11 +421,7 @@ def cmd_fig2(args) -> int:
 def _pinned_optimum(args):
     """Pinned-phase optimum for centered frames, the amplitudes of a histogram."""
     spec = OptimizationSpec(
-        n_parties=args.parties,
-        width=args.delta,
-        efficiency=args.eta,
-        optimize_phases=False,
-        restarts=args.restarts,
+        n_parties=args.parties, width=args.delta, efficiency=args.eta, restarts=args.restarts
     )
     _check_search(spec, "--parties")
     return maximize_bell(spec)
@@ -478,13 +471,18 @@ def cmd_fig3(args) -> int:
 
 
 def cmd_smax(args) -> int:
-    """One optimizer run; prints the maximum and the signed amplitudes."""
+    """One optimizer run; prints the maximum and the signed amplitudes.
+
+    The search runs over the amplitudes with every frame center pinned
+    to 0 (the printed centers are those zeros).  The library's opt-in
+    joint center search (``OptimizationSpec.optimize_phases``) has no
+    flag: its walkers can stall below the pinned optimum.
+    """
     _check_frame(args)
     spec = OptimizationSpec(
         n_parties=args.parties,
         width=args.delta,
         efficiency=args.eta,
-        optimize_phases=not args.pin_phases,
         shared_amplitudes=not args.unreduced,
         restarts=args.restarts,
         tolerance=args.tolerance,
@@ -507,10 +505,7 @@ def cmd_smax(args) -> int:
 def cmd_eta(args) -> int:
     """Threshold transmission above which the Bell inequality is violated."""
     _check_frame(args)
-    # threshold_efficiency searches the pinned-phase coordinates
-    spec = OptimizationSpec(
-        args.parties, args.delta, optimize_phases=False, restarts=args.restarts
-    )
+    spec = OptimizationSpec(args.parties, args.delta, restarts=args.restarts)
     _check_search(spec, "--parties", threshold=True)
     result = threshold_efficiency(
         args.parties,
@@ -686,11 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.add_argument("--delta-step", type=float, default=0.05)
     fig2.add_argument("--restarts", type=int, default=6)
     fig2.add_argument("--eta-tolerance", type=float, default=1e-4)
-    fig2.add_argument(
-        "--joint-phases",
-        action="store_true",
-        help="optimize offset centers jointly instead of pinning them to 0",
-    )
     _add_output_flags(fig2)
     fig2.set_defaults(func=cmd_fig2)
 
@@ -712,7 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     smax.add_argument("--parties", type=int, required=True)
     smax.add_argument("--delta", type=float, default=0.0)
     smax.add_argument("--eta", type=float, default=1.0)
-    smax.add_argument("--pin-phases", action="store_true")
     smax.add_argument(
         "--unreduced",
         action="store_true",

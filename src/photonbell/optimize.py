@@ -138,11 +138,14 @@ _THRESHOLD_EFFICIENCIES = (0.0, 1.0)
 class OptimizationSpec:
     """Free parameters and stopping rules for :func:`maximize_bell`.
 
-    ``optimize_phases`` selects whether the N-1 offset centers are searched
-    jointly with the amplitudes or pinned to zero.  The joint space holds
-    every pinned point, but its walkers can stop below the pinned optimum
-    (at N = 2 and width 1.25 every joint start lies on the S = 1 plateau);
-    the pinned mode is also much cheaper for many parties.
+    By default the N-1 offset centers are pinned to zero and only the
+    amplitudes are searched.  ``optimize_phases=True`` opts in to searching
+    the centers jointly with the amplitudes.  The joint space holds every
+    pinned point, but its walkers can stop below the pinned optimum (at
+    N = 2 and width 1.25 every joint start lies on the S = 1 plateau, and
+    it ends at S = 1 where the pinned search reaches 1.0901), and a joint
+    walker started from the pinned optimum ends within rounding of it.
+    The pinned search is also much cheaper for many parties.
     ``shared_amplitudes`` is the default search space, one signed
     amplitude pair for all parties.  Setting it False searches party 1's
     pair beside the pair parties 2..N share, four amplitudes (two for a
@@ -153,7 +156,7 @@ class OptimizationSpec:
     n_parties: int
     width: float
     efficiency: float = 1.0
-    optimize_phases: bool = True
+    optimize_phases: bool = False
     shared_amplitudes: bool = True
     restarts: int = 8
     tolerance: float = 1e-6
@@ -723,11 +726,7 @@ def threshold_efficiency(
     table violates.
     """
     spec = OptimizationSpec(
-        n_parties=n_parties,
-        width=width,
-        optimize_phases=False,
-        restarts=restarts,
-        tolerance=tolerance,
+        n_parties=n_parties, width=width, restarts=restarts, tolerance=tolerance
     )
     best, _ = _search(spec, _crossing_scores(spec))
     if best.fun < 1.0:
@@ -786,7 +785,6 @@ def certainty_frontier(
                     n_parties=n_parties,
                     width=width,
                     efficiency=efficiency,
-                    optimize_phases=False,
                     restarts=restarts,
                 )
             )

@@ -51,7 +51,7 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
     out = str(tmp_path / "f.csv")
     assert main(["fig1", "--r", "-1", "--out", out]) == 2
     assert main(["violation-dist", "--r0", "0.1", "--seed", "3"]) == 2
-    assert main(["smax", "--parties", "19", "--unreduced", "--pin-phases"]) == 2
+    assert main(["smax", "--parties", "19", "--unreduced"]) == 2
     assert main(["fig3", "--seed", "-5", "--out", out]) == 2
     for parties in ("0", "-1"):
         dist = ["violation-dist", "--parties", parties, "--r0", "0.1", "--r1", "0.2"]
@@ -172,21 +172,21 @@ def test_count_flags_rejected_before_any_search(tmp_path, monkeypatch, capsys):
         assert flags in err and budget in err, argv
     assert not list(tmp_path.iterdir())
     # each command sizes its own largest table: one 2^22 table for
-    # correlators, the 64-point scan at N=18 for a pinned search, at two
+    # correlators, the 64-point scan at N=18 for a search, at two
     # transmissions for a threshold
     for argv in (
         ["correlators", "--parties", "22", "--r0", "0", "--r1", "0.2"],
-        ["smax", "--parties", "18", "--pin-phases"],
+        ["smax", "--parties", "18"],
         ["eta", "--parties", "18"],
     ):
         with pytest.raises(Reached):
             main(argv)
     # exact counts of 2^2-entry tables at N=2: one for correlators, a
-    # pinned search's 64 start points, at two transmissions for a threshold
+    # search's 64 start points, at two transmissions for a threshold
     # search, and a pinned histogram's 3 frequencies x 2 pairs, complex
     boundaries = (
         (["correlators", "--parties", "2", "--r0", "0", "--r1", "0.2"], 1),
-        (["smax", "--parties", "2", "--pin-phases"], 64),
+        (["smax", "--parties", "2"], 64),
         (["eta", "--parties", "2"], 128),
         (["fig2", "--n-list", "2", "--delta-max", "0", "--out", out], 128),
         (["violation-dist", "--pairs", "2", "--r0", "0.1", "--r1", "-0.5"], 12),
@@ -251,7 +251,7 @@ def test_histogram_and_grid_sizes_rejected_before_any_allocation(tmp_path, monke
 
 
 def test_party_one_pair_search_fits_the_budget_to_18_parties(monkeypatch, capsys):
-    # a pinned smax --unreduced scans 96 four-coordinate points: 96 x 2^18
+    # smax --unreduced scans 96 four-coordinate points: 96 x 2^18
     # entries fit the budget, 96 x 2^19 do not
     class Reached(Exception):
         pass
@@ -261,8 +261,8 @@ def test_party_one_pair_search_fits_the_budget_to_18_parties(monkeypatch, capsys
 
     monkeypatch.setattr("photonbell.cli.maximize_bell", reached)
     with pytest.raises(Reached):
-        main(["smax", "--parties", "18", "--unreduced", "--pin-phases"])
-    assert main(["smax", "--parties", "19", "--unreduced", "--pin-phases"]) == 2
+        main(["smax", "--parties", "18", "--unreduced"])
+    assert main(["smax", "--parties", "19", "--unreduced"]) == 2
     assert "needs 96 x 2^19 table entries" in capsys.readouterr().err
 
 
@@ -694,7 +694,7 @@ def test_fig3_files_and_reproducibility(tmp_path, capsys):
 def test_smax_stdout_and_report(tmp_path, capsys):
     out = str(tmp_path / "smax.json")
     code, out_text, err = run(
-        ["smax", "--parties", "2", "--pin-phases", "--restarts", "4", "--out", out],
+        ["smax", "--parties", "2", "--restarts", "4", "--out", out],
         capsys,
     )
     assert code == 0
@@ -702,9 +702,33 @@ def test_smax_stdout_and_report(tmp_path, capsys):
     assert "converged=true" in out_text
     payload = json.loads((tmp_path / "smax.json").read_text())
     assert abs(payload["report"]["best_s"] - 1.3442) < 1e-3
-    assert payload["manifest"]["parameters"]["pin_phases"] is True
+    assert "pin_phases" not in payload["manifest"]["parameters"]
     manifest = json.loads(err.strip().splitlines()[-1])
     assert manifest["derived"]["best_s"] == pytest.approx(1.3442, abs=1e-3)
+
+
+def test_default_smax_pins_the_centers(capsys):
+    # the joint center search, the default before, printed s_max=1 here
+    code, out_text, err = run(["smax", "--parties", "2", "--delta", "1.25"], capsys)
+    assert code == 0
+    assert out_text == (
+        "s_max=1.09012158181 r=0.435131148004 r_prime=-0.0774275030975 "
+        "centers=[0] converged=true\n"
+    )
+    assert "pin_phases" not in json.loads(err.strip().splitlines()[-1])["parameters"]
+
+
+def test_phase_flags_are_gone(tmp_path, capsys):
+    # smax and fig2 search with every center at 0 and accept no phase flag
+    for argv in (
+        ["smax", "--parties", "2", "--pin-phases"],
+        ["fig2", "--n-list", "2", "--joint-phases", "--out", str(tmp_path / "f.csv")],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_eta_reports_nonviolable_case(capsys):
@@ -793,7 +817,7 @@ def test_manifest_parameters_are_every_flag_but_out_and_seed(tmp_path, capsys):
             ["--m-list", "1", "--samples", "30", "--bins", "10", "--restarts", "4", "--seed", "7"],
             "hist.json",
         ),
-        "smax": (["--parties", "2", "--pin-phases", "--restarts", "4"], "smax.json"),
+        "smax": (["--parties", "2", "--restarts", "4"], "smax.json"),
         "eta": (["--parties", "1", "--tolerance", "0.02", "--restarts", "2"], "eta.json"),
         "violation-dist": (
             ["--r0", "0.1", "--r1", "-0.5", "--pairs", "2", "--samples", "25", "--seed", "11"],
@@ -995,7 +1019,8 @@ STDOUT = ["--out", "-"]  # marks a correlators table printed to stdout
 
 # sha256 of each output file, or of stdout, as recorded with the
 # row-at-a-time writer that the column writer replaced.  The manifests
-# hold the package version, so a version bump changes them.
+# hold the package version, so a version bump changes them.  The fig2
+# manifests no longer hold a joint_phases key; their rows kept their bytes.
 GOLDEN_OUTPUTS = [
     pytest.param(
         FIG1,
@@ -1019,12 +1044,12 @@ GOLDEN_OUTPUTS = [
     ),
     pytest.param(
         REDUCED_FIG2,
-        "d99d0fc891add7c95d1a6b7f55a1b4d29b076fd9590eb27c39257c9513338c5f",
+        "c3ab754b690cf7822db7159cfc662d4318bcf0051a8c8eedc00bbb008b0f8664",
         id="fig2-csv",
     ),
     pytest.param(
         REDUCED_FIG2 + JSON,
-        "8e5468b7a03a3d24082762c4cc3e824963863485a05ad06326b43ef6c50a572f",
+        "dc86226c43cd3ee958af0639ceb25708b4c12279fc05a1cbd80d5860c4ec93c9",
         id="fig2-json",
     ),
     pytest.param(

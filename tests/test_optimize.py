@@ -58,6 +58,7 @@ from photonbell.wwzb import _walsh_hadamard
 TWO_PI = 2.0 * np.pi
 
 PINNED = dict(optimize_phases=False)
+JOINT = dict(optimize_phases=True)
 
 
 def prepared_tables(n, width, efficiencies, amplitudes, centers):
@@ -147,6 +148,33 @@ def test_batched_scan_equals_one_point_objective(spec):
         assert abs(scores[i] + wwzb_value(correlators).s_value) <= 1e-15
 
 
+def test_default_search_pins_the_centers():
+    # the default spec is the pinned search, bit for bit, and violates at
+    # N=2 and width 1.25, where the joint search stalls on the S = 1 plateau
+    spec = OptimizationSpec(2, 1.25)
+    assert not spec.optimize_phases
+    report = maximize_bell(spec)
+    assert report == maximize_bell(OptimizationSpec(2, 1.25, **PINNED))
+    assert report.best_s == pytest.approx(1.09012158181, abs=1e-11)
+    assert report.phase_centers == (0.0,)
+
+
+@pytest.mark.parametrize("n, width", [(2, 1.25), (4, 0.75), (5, 0.0), (5, 0.6)])
+def test_joint_search_never_ends_above_the_default_search(n, width):
+    # the opt-in joint search, plain and with one more walker started from
+    # the default (pinned) optimum with every center 0, ends at most
+    # rounding above the default search: the centers hold nothing the
+    # pinned space lacks.  About 2 s for the four points.
+    pinned = maximize_bell(OptimizationSpec(n, width, restarts=6))
+    spec = OptimizationSpec(n, width, restarts=6, **JOINT)
+    joint = maximize_bell(spec)
+    start = np.array([pinned.r, pinned.r_prime] + [0.0] * (n - 1))
+    lifted, _ = _search(spec, _bell_scores(spec), _start=start)
+    assert joint.best_s <= pinned.best_s + 1e-9
+    assert -lifted.fun <= pinned.best_s + 1e-9
+    assert -lifted.fun >= pinned.best_s - 1e-12  # the lifted walker starts there
+
+
 def test_evaluation_counts_unchanged():
     # objective-call counts of these searches before the batched scan
     pinned = maximize_bell(OptimizationSpec(2, 0.2, optimize_phases=False, restarts=2))
@@ -169,7 +197,7 @@ def test_evaluation_counts_unchanged():
             (1.390878720779531, -0.26952835030475475, 0.13617381183710364, 231),
         ),
         (
-            OptimizationSpec(3, 0.25, efficiency=0.93, restarts=1),
+            OptimizationSpec(3, 0.25, efficiency=0.93, optimize_phases=True, restarts=1),
             (1.2806677881557116, 0.19064721531455686, -0.4568293608872702, 338),
         ),
         (
@@ -368,8 +396,8 @@ def assert_same_descent(ours, oracle):
     "spec, score",
     [
         (OptimizationSpec(2, 0.2, restarts=3, **PINNED), _bell_scores),
-        (OptimizationSpec(3, 0.25, efficiency=0.93, restarts=2), _bell_scores),
-        (OptimizationSpec(2, 0.1, shared_amplitudes=False, restarts=2), _bell_scores),
+        (OptimizationSpec(3, 0.25, efficiency=0.93, restarts=2, **JOINT), _bell_scores),
+        (OptimizationSpec(2, 0.1, shared_amplitudes=False, restarts=2, **JOINT), _bell_scores),
         (OptimizationSpec(3, 0.1, shared_amplitudes=False, restarts=2, **PINNED), _bell_scores),
         (OptimizationSpec(2, 0.0, restarts=2, tolerance=1e-12, **PINNED), _bell_scores),
         (OptimizationSpec(2, 0.2, restarts=3, tolerance=1e-4, **PINNED), _crossing_scores),
@@ -425,7 +453,7 @@ def test_walker_shrinks_and_stops_at_evaluation_caps():
     # cap 17 stops it after the first moved vertex, which beats the old
     # best, and cap 18 after the second.  Caps 3 and 5 stop the initial
     # simplex and the first iteration's second call.
-    spec = OptimizationSpec(2, 0.2)
+    spec = OptimizationSpec(2, 0.2, **JOINT)
     _, cloud = _search_box(spec)
     x0 = cloud[0]
     full, oracle, sizes = walk_alone(spec, _bell_scores, x0, 1200)
@@ -518,9 +546,9 @@ def test_scan_table_count_sizes_the_cloud_scan(monkeypatch):
     monkeypatch.setattr(optimize, "_point_tables", first_call)
     specs = (
         OptimizationSpec(2, 0.2, optimize_phases=False),
-        OptimizationSpec(3, 0.2),
-        OptimizationSpec(5, 0.2, restarts=200),
-        OptimizationSpec(2, 0.2, shared_amplitudes=False),
+        OptimizationSpec(3, 0.2, **JOINT),
+        OptimizationSpec(5, 0.2, restarts=200, **JOINT),
+        OptimizationSpec(2, 0.2, shared_amplitudes=False, **JOINT),
     )
     for spec in specs:
         checked.append(spec)
@@ -761,7 +789,7 @@ def test_threshold_score_makes_one_kernel_call_per_route(monkeypatch):
 
     monkeypatch.setattr(fock_core, "_exchangeable_values", exchangeable)
     monkeypatch.setattr(fock_core, "_walked_values", walked)
-    spec = OptimizationSpec(3, 0.2)
+    spec = OptimizationSpec(3, 0.2, **JOINT)
     _crossing_scores(spec)(np.array([[0.3, -0.6, 0.0, 0.0], [0.3, -0.6, 0.5, 1.0]]))
     assert sorted(calls) == [("exchangeable", (2, 4, 4)), ("walked", (2, 4, 4))]
 
