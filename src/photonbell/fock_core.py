@@ -24,28 +24,36 @@ N+1).  It walks only the nonzero structure of the subspace: the one-hole
 products (m_00 over every mode but one) come from prefix and suffix
 cumulative products along the party axis, and the two-hole sum over mode
 pairs j < k is an O(N)-step recurrence over k, vectorized over the batch
-and the states, that is valid for any density matrix.  The kernel lays
-its arrays out rows-last, so each step runs over long contiguous runs of
-rows, and writes the terms it sums over modes back in rows-first order,
-so every sum keeps the order, and every correlator the bits, of a
-rows-first kernel.  The observable products are formed once per chunk and
-shared by every state, and each state keeps the arithmetic of a call with
-it alone.  The state-only factors are formed once per stack, so a caller
-that contracts one stack at many batches (an optimizer search) forms them
-once.  The batch is processed in chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices
-divided by the number of states, so memory stays bounded for any batch
-size.  :func:`correlator_tables` is the 2^N-entry table builder behind
-the optimizer, the one-frame state route and the offset-symbolic tables,
-so the package has one correlator walk, and it picks its route itself:
-when every state of the stack is exchangeable in modes 2..N (decided
-once per stack, with the state-only factors) and a point's parties 2..N
-hold one setting pair, an entry depends only on party 1's setting and on
-how many of the others take setting 1, so 2N kernel rows fill the 2^N
-entries, copied a leaf of 2^12 rows at a time (:func:`_weight_layout`,
-the layout :class:`~photonbell.wwzb.CorrelatorTable` checks such
-tables against); every other point walks all 2^N rows.  The tests keep a
-dense evaluation in the full 2^N mode-occupation space as its slow
-oracle, and the rows-first kernel as its bit-for-bit oracle.
+and the states, that is valid for any density matrix.  The kernel takes
+its input rows-last, the entries m00, m01, m10 and m11 of every row as
+one (4, N, B) array, and lays its arrays out the same way, so each step
+runs over long contiguous runs of rows; it writes the terms it sums over
+modes back in rows-first order, so every sum keeps the order, and every
+correlator the bits, of a rows-first kernel.  Each route gathers these
+entries straight from its setting pairs with one ``np.take`` per call
+(per chunk for the 2^N-row walk), and :func:`correlator_batch`
+transposes its matrices once.  The observable products are formed once
+per chunk and shared by every state, and each state keeps the
+arithmetic of a call with it alone.  The state-only factors are formed
+once per stack, so a caller that contracts one stack at many batches
+(an optimizer search) forms them once.  The batch is processed in
+chunks of at most ``CORRELATOR_CHUNK_ELEMENTS`` matrices divided by the
+number of states, so memory stays bounded for any batch size.
+:func:`correlator_tables` is the 2^N-entry table builder behind
+the optimizer's joint search, the one-frame state route and the
+offset-symbolic tables, so the package has one correlator walk, and it
+picks its route itself: when every state of the stack is exchangeable
+in modes 2..N (decided once per stack, with the state-only factors) and
+a point's parties 2..N hold one setting pair, an entry depends only on
+party 1's setting and on how many of the others take setting 1, so 2N
+kernel rows give the distinct values (:func:`_exchangeable_values`, which
+a pinned optimizer search calls directly and reduces without a table),
+copied into the 2^N entries a leaf of 2^12 rows at a time
+(:func:`_weight_layout`, the layout
+:class:`~photonbell.wwzb.CorrelatorTable` checks such tables against);
+every other point walks all 2^N rows.  The tests keep a dense
+evaluation in the full 2^N mode-occupation space as its slow oracle,
+and the rows-first kernel as its bit-for-bit oracle.
 
 Validation happens where values enter: :class:`SubspaceState` checks the
 state and :func:`check_observable_matrices` checks a batch of
@@ -313,25 +321,27 @@ def _state_terms(states: np.ndarray) -> _StateTerms:
     )
 
 
-def _correlator_rows(terms: _StateTerms, mats: np.ndarray) -> np.ndarray:
+def _correlator_rows(terms: _StateTerms, entries: np.ndarray) -> np.ndarray:
     """Complex traces Tr[rho_i (M_1 x ... x M_N)], shape (S, B).
 
-    ``terms`` holds a stack of S states (:func:`_state_terms`) and ``mats``
-    B rows of observables (B, N, 2, 2).  With m_k(a, b) = <a|M_k|b> the
-    trace splits into the vacuum term, the one-photon populations, the
-    vacuum-excitation coherences and the excitation-excitation coherences,
-    each multiplied by the product of m_l(0, 0) over the remaining modes.
-    Products with one mode left out are prefix times suffix products.  For
-    the pair terms (modes j < k left out) step k of a recurrence over the
-    modes adds mode k as the opening mode j of every later pair and extends
-    the open products by m_k(0, 0); after step k-1 the entry for k holds
-    every pair that k closes.  Nothing is divided by the possibly tiny
-    m_l(0, 0).  The observable products are formed once and shared by every
-    state; each state's terms are formed and summed as if it were alone.
+    ``terms`` holds a stack of S states (:func:`_state_terms`) and
+    ``entries`` (4, N, B) the entries m_k(0, 0), m_k(0, 1), m_k(1, 0) and
+    m_k(1, 1) of B rows of observables, rows last.  With m_k(a, b) =
+    <a|M_k|b> the trace splits into the vacuum term, the one-photon
+    populations, the vacuum-excitation coherences and the
+    excitation-excitation coherences, each multiplied by the product of
+    m_l(0, 0) over the remaining modes.  Products with one mode left out
+    are prefix times suffix products.  For the pair terms (modes j < k
+    left out) step k of a recurrence over the modes adds mode k as the
+    opening mode j of every later pair and extends the open products by
+    m_k(0, 0); after step k-1 the entry for k holds every pair that k
+    closes.  Nothing is divided by the possibly tiny m_l(0, 0).  The
+    observable products are formed once and shared by every state; each
+    state's terms are formed and summed as if it were alone.
 
-    The kernel runs rows-last: the entries m_k(a, b) are (N, B) arrays, so
-    the products and the N - 1 steps of the pair recurrence, on (S, 2, N,
-    B), run over contiguous runs of B rows, where a rows-first layout has
+    The kernel runs rows-last: each entry is an (N, B) array, so the
+    products and the N - 1 steps of the pair recurrence, on (S, 2, N, B),
+    run over contiguous runs of B rows, where a rows-first layout has
     runs of N - k - 1.  An elementwise product, and a cumulative product along the
     mode axis, has the same bits in any layout (numpy's complex product is
     not commutative bit for bit, so each keeps its operand order).  A sum
@@ -340,12 +350,12 @@ def _correlator_rows(terms: _StateTerms, mats: np.ndarray) -> np.ndarray:
     order, (S, B, N) and (S, B, 2, N), before they are summed, and every
     correlator has the bits of the rows-first kernel.
     """
-    rows, n = mats.shape[:2]
+    n, rows = entries.shape[1:]
     count = len(terms.states)
-    # (N, B) rows of m_k(a, b); m_k(0, 0), read at every step, gets one
-    # contiguous copy, the others are read in place.
-    m00 = np.ascontiguousarray(mats[:, :, 0, 0].T)
-    m01, m10, m11 = mats[:, :, 0, 1].T, mats[:, :, 1, 0].T, mats[:, :, 1, 1].T
+    # m_k(0, 0), read at every step, is contiguous; a chunk of a longer
+    # batch gets one contiguous copy of it, the others are read in place.
+    m00 = np.ascontiguousarray(entries[0])
+    m01, m10, m11 = entries[1:]
     pre = np.ones((n + 1, rows), dtype=complex)
     np.cumprod(m00, axis=0, out=pre[1:])
     suf = np.ones((n + 1, rows), dtype=complex)
@@ -362,10 +372,9 @@ def _correlator_rows(terms: _StateTerms, mats: np.ndarray) -> np.ndarray:
     # <e_k|rho|e_j> with m10_j m01_k.  pending[i, c, k] accumulates
     # sum_{j<k} weight_c(j, k) opened_c(j) prod_{j<l<k} m00_l for state i,
     # one entry per row.
-    opened = np.stack((m01, m10))
-    opened *= pre[:n]
-    closing = np.stack((m10, m01))
-    closing *= suf[1:]
+    # The entries hold (m01, m10) at 1:3 and (m10, m01) at 2:0:-1.
+    opened = entries[1:3] * pre[:n]
+    closing = entries[2:0:-1] * suf[1:]
     # Freed before the recurrence, so that the kernel's peak memory is no
     # more than a rows-first kernel's.
     del pre, suf, hole, one_photon, by_row
@@ -385,8 +394,8 @@ def _chunk_rows(n_modes: int) -> int:
     return max(1, CORRELATOR_CHUNK_ELEMENTS // n_modes)
 
 
-def _correlator_values(terms: _StateTerms, rows: np.ndarray) -> np.ndarray:
-    """Real correlators (S, B) of observable rows (B, N, 2, 2) against prepared states.
+def _correlator_values(terms: _StateTerms, entries: np.ndarray) -> np.ndarray:
+    """Real correlators (S, B) of rows-last observable entries (4, N, B) against prepared states.
 
     The kernel behind :func:`correlator_batch` without its input checks:
     rows are processed in chunks of ``CORRELATOR_CHUNK_ELEMENTS`` matrices
@@ -394,10 +403,13 @@ def _correlator_values(terms: _StateTerms, rows: np.ndarray) -> np.ndarray:
     largest imaginary residue exceeds IMAG_RESIDUE_TOL.
     """
     count = len(terms.states)
-    values = np.empty((count, len(rows)), dtype=complex)
-    step = max(1, _chunk_rows(rows.shape[1]) // max(1, count))
-    for start in range(0, len(rows), step):
-        values[:, start : start + step] = _correlator_rows(terms, rows[start : start + step])
+    n, size = entries.shape[1:]
+    values = np.empty((count, size), dtype=complex)
+    step = max(1, _chunk_rows(n) // max(1, count))
+    for start in range(0, size, step):
+        values[:, start : start + step] = _correlator_rows(
+            terms, entries[..., start : start + step]
+        )
     residue = np.max(np.abs(values.imag), initial=0.0)
     if not residue <= IMAG_RESIDUE_TOL:
         raise ConsistencyError(f"correlator has imaginary residue {residue:.3e}")
@@ -435,9 +447,11 @@ def correlator_batch(rho, matrices) -> np.ndarray:
 
     Returns the real array of Tr[rho (M_1 x ... x M_N)], with the state
     axes of ``rho`` first and the batch axes of ``matrices`` after them.
-    Rows are processed in chunks of ``CORRELATOR_CHUNK_ELEMENTS`` matrices
-    divided by the number of states, and the observable products of a
-    chunk are shared by every state; each result depends only on its own
+    The matrices are transposed once into the kernel's rows-last entries
+    (4, N, B).  Rows are processed in chunks of
+    ``CORRELATOR_CHUNK_ELEMENTS`` matrices divided by the number of
+    states, and the observable products of a chunk are shared by every
+    state; each result depends only on its own
     state and row, so a stack gives every state the bits of a call with
     that state alone.  Raises ConsistencyError if the largest imaginary
     residue over the batch exceeds IMAG_RESIDUE_TOL (a non-Hermitian rho,
@@ -446,7 +460,8 @@ def correlator_batch(rho, matrices) -> np.ndarray:
     rho, mats = _kernel_inputs(rho, matrices)
     n = mats.shape[-3]
     terms = _state_terms(rho.reshape(-1, n + 1, n + 1))
-    values = _correlator_values(terms, mats.reshape(-1, n, 2, 2))
+    entries = np.ascontiguousarray(mats.reshape(-1, n, 4).T)
+    values = _correlator_values(terms, entries)
     return values.reshape(rho.shape[:-2] + mats.shape[:-3])
 
 
@@ -506,37 +521,57 @@ def _weight_leaves(values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _exchangeable_rows(n_parties: int) -> np.ndarray:
-    """Read-only settings ``pick`` (N, N-1) of the exchangeable route of N parties.
+def _exchangeable_index(n_parties: int, pairs: int) -> np.ndarray:
+    """Read-only gather index (4, N, 2N) of the exchangeable route of N parties.
 
-    ``pick[ones]`` holds the setting each of parties 2..N takes in row
-    (s_1, ones): setting 1 for parties 2..ones+1, setting 0 for the
-    others.  Built once per N.
+    The source is one point's K = ``pairs`` setting pairs, flattened to
+    8K complex entries: pair j, setting b and matrix entry e (m00, m01,
+    m10, m11) at 8j + 4b + e.  Party 1 reads pair 0 and parties 2..N pair
+    K-1.  Row 2w + s_1 gives party 1 setting s_1, parties 2..w+1 setting
+    1 and the others setting 0, so ``index[e, k, 2w + s_1]`` is where
+    party k+1's entry e of that row sits.  Built once per (N, K).
     """
-    pick = (np.arange(1, n_parties) <= np.arange(n_parties)[:, None]).astype(np.intp)
-    pick.setflags(write=False)
-    return pick
+    party = np.arange(n_parties)[:, None, None]
+    ones = np.arange(n_parties)[:, None]
+    first = np.arange(2)
+    setting = np.where(party == 0, first, 2 * (pairs - 1) + (party <= ones))
+    index = 4 * setting.reshape(n_parties, -1) + np.arange(4)[:, None, None]
+    index.setflags(write=False)
+    return index
 
 
-def _exchangeable_values(terms: _StateTerms, ref: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """Tables (S, P, 2^N) of points whose parties 2..N share one setting pair.
+def _exchangeable_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
+    """Distinct values (S, P, N, 2) of points whose parties 2..N share one setting pair.
 
-    ``ref`` and ``shared`` (P, 2, 2, 2) are party 1's setting pair and the
-    pair parties 2..N share.  The states must be exchangeable in modes
-    2..N (``terms.exchangeable``); then entry s depends only on s_1 and on
-    how many of s_2..s_N are 1, so 2N rows per point, in one kernel call,
-    fill the 2^N entries.  The entries are copied into the weight layout
-    (:func:`_weight_layout`) leaf by leaf, so no index array grows with
-    the table.  The tables are read-only.
+    ``pairs`` (P, K, 2, 2, 2) holds each point's setting pairs, party 1's
+    first and the pair parties 2..N share last (K = 1 when they are the
+    same pair).  The states must be exchangeable in modes 2..N
+    (``terms.exchangeable``); then a table entry depends only on s_1 and
+    on how many of s_2..s_N are 1, and ``values[..., w, s_1]`` is the
+    entry of weight w.  The 2N rows of every point are one kernel call,
+    whose rows-last entries are one ``np.take`` of the points' setting
+    pairs (transposed, points last) against the cached
+    :func:`_exchangeable_index`.
     """
-    count, points, n = len(terms.states), len(ref), terms.states.shape[-1] - 1
-    pick = _exchangeable_rows(n)
-    mats = np.empty((points, 2, n, n, 2, 2), dtype=complex)
-    mats[:, :, :, 0] = ref[:, :, None]
-    mats[:, :, :, 1:] = shared[:, None, pick]
-    distinct = _correlator_values(terms, mats.reshape(-1, n, 2, 2))
-    # Entry (s_2..s_N, s_1) of a table is distinct[..., s_1, weight(s_2..s_N)].
-    leaves = _weight_leaves(distinct.reshape(count * points, 2, n).swapaxes(-1, -2))
+    points, k = pairs.shape[:2]
+    n = terms.states.shape[-1] - 1
+    source = np.ascontiguousarray(pairs.reshape(points, 8 * k).T)
+    entries = np.take(source, _exchangeable_index(n, k), axis=0)
+    distinct = _correlator_values(terms, entries.reshape(4, n, -1))
+    # Rows run (w, s_1, point).
+    return distinct.reshape(len(terms.states), n, 2, points).transpose(0, 3, 1, 2)
+
+
+def _weight_tables(distinct: np.ndarray) -> np.ndarray:
+    """Read-only tables (S, P, 2^N) of distinct values (S, P, N, 2) in the weight layout.
+
+    Entry (s_2..s_N, s_1) of a table is ``distinct[..., weight(s_2..s_N),
+    s_1]``.  The distinct leaves are gathered first (:func:`_weight_leaves`)
+    and the table is one gather of whole leaves (:func:`_weight_layout`),
+    so no index array grows with the table.
+    """
+    count, points, n = distinct.shape[:3]
+    leaves = _weight_leaves(distinct.reshape(count * points, n, 2))
     _, order = _weight_layout(n)
     # Gathered whole leaves along axis 1 are laid out in table order.
     tables = np.take(leaves, order, axis=1)
@@ -547,24 +582,27 @@ def _exchangeable_values(terms: _StateTerms, ref: np.ndarray, shared: np.ndarray
 def _walked_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
     """Tables (S, P, 2^N) of any setting pairs (P, N, 2, 2, 2), one row per entry.
 
-    Entry s of table p uses party k's setting bit k-1 of s; rows are built
-    for a chunk of table indices at a time, so memory stays bounded for
-    any N.  The tables are read-only.
+    Entry s of table p uses party k's setting bit k-1 of s.  Rows are
+    built for a chunk of table indices at a time, so memory stays bounded
+    for any N: the chunk's rows-last entries are one ``np.take`` of the
+    setting pairs (transposed, points last) against the chunk's index.
+    The tables are read-only.
     """
     points, n = pairs.shape[:2]
     size = 2**n
-    parties = np.arange(n)
-    # Row 2k + b of a point holds party k+1's setting b.
-    settings = pairs.reshape(points, 2 * n, 2, 2)
-    tables = np.empty((len(terms.states), points, size))
+    parties = np.arange(n)[:, None]
+    # Row 8k + 4b + e of the source holds entry e of party k+1's setting b.
+    source = np.ascontiguousarray(pairs.reshape(points, 8 * n).T)
+    setting_zero = 8 * parties + np.arange(4)[:, None, None]
+    count = len(terms.states)
+    tables = np.empty((count, points, size))
     step = max(1, _chunk_rows(n) // max(1, points))
     for start in range(0, size, step):
         index = np.arange(start, min(start + step, size))
-        picks = 2 * parties + ((index[:, None] >> parties) & 1)
-        rows = np.take(settings, picks, axis=1).reshape(-1, n, 2, 2)
-        tables[..., start : start + step] = _correlator_values(terms, rows).reshape(
-            len(terms.states), points, len(index)
-        )
+        entries = np.take(source, setting_zero + 4 * ((index >> parties) & 1), axis=0)
+        values = _correlator_values(terms, entries.reshape(4, n, -1))
+        # Rows run (table index, point).
+        tables[..., start : start + step] = values.reshape(count, len(index), points).swapaxes(1, 2)
     tables.setflags(write=False)
     return tables
 
@@ -575,7 +613,8 @@ def _table_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
     The table walk behind :func:`correlator_tables` without its input
     checks, and the one place that picks a route.  When the stack is
     exchangeable in modes 2..N, a point whose parties 2..N hold one
-    setting pair takes the 2N-row route (:func:`_exchangeable_values`);
+    setting pair takes the 2N-row route (:func:`_exchangeable_values`,
+    spread by :func:`_weight_tables`);
     every other point walks all 2^N rows (:func:`_walked_values`), and so
     does every point below three parties, where 2N rows are all 2^N.
     Every route returns a new read-only array.
@@ -584,10 +623,10 @@ def _table_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
         return _walked_values(terms, pairs)
     shared = np.all(pairs[:, 2:] == pairs[:, 1:2], axis=(1, 2, 3, 4))
     if shared.all():
-        return _exchangeable_values(terms, pairs[:, 0], pairs[:, -1])
+        return _weight_tables(_exchangeable_values(terms, pairs))
     tables = np.empty((len(terms.states), len(pairs), 2 ** pairs.shape[1]))
     if shared.any():
-        tables[:, shared] = _exchangeable_values(terms, pairs[shared, 0], pairs[shared, -1])
+        tables[:, shared] = _weight_tables(_exchangeable_values(terms, pairs[shared]))
     tables[:, ~shared] = _walked_values(terms, pairs[~shared])
     tables.setflags(write=False)
     return tables

@@ -45,7 +45,7 @@ search each point's one pair, or party 1's pair and the one parties
 otherwise every party's pair at phases (0, c_1, ..., c_{N-1}), routed
 by the package's one table walk (the one behind
 :func:`~photonbell.fock_core.correlator_tables`, which takes the 2N-row
-route for a point whose parties 2..N hold one pair).  The tables of
+route for a point whose parties 2..N hold one pair).  The values of
 every efficiency are one kernel call per route against the prepared
 stack.  :func:`averaged_correlator_table` is the one-frame state route
 of :mod:`~photonbell.experiments` for the single-phase strategy, with
@@ -61,8 +61,17 @@ iteration, or the vertices of a shrink), and the driver scores the
 blocks of all live walkers in one call, or a lone walker's block as it
 is.  A walker uses only the values SciPy's one-point loop would have
 computed, and a row's score does not depend on its batch, so the results
-and evaluation counts are SciPy's.  The Bell scores of a batch come from
-one batched Walsh-Hadamard transform.
+and evaluation counts are SciPy's.
+
+A pinned point builds no 2^N table.  Its table is exchangeable in
+parties 2..N, so its transform T(r) depends only on r_1 and on the
+weight u of r_2..r_N, and the 2N distinct correlators give the 2N class
+values in one count-space butterfly for the whole batch
+(:func:`~photonbell.wwzb._class_transform`): S = 2^-N sum_{r_1, u}
+C(N-1, u) |T(r_1, u)|.  At N <= 2 every class is one index, so these are
+the full transform's terms bit for bit; above, they agree with the full
+2^N sum to rounding.  A joint point's tables go through one batched
+Walsh-Hadamard transform.
 
 The loss threshold needs no search over efficiencies.  Correlators are
 affine in the efficiency eta, so at fixed search coordinates x the
@@ -74,9 +83,10 @@ vacuum, a product state, so S(0; x) <= 1.  Together these make the
 violating efficiencies an interval (eta*(x), 1], and eta*(x) follows
 exactly by walking the sorted breakpoints.  The threshold is the minimum
 of eta*(x) over x, found by the same simplex search that maximizes S.
-Where even eta = 1 gives no violation, the score is the plateau penalty
-1 + (1 - S(1; x)) >= 1, which is finite and gives the simplex a slope
-towards violating points.
+A pinned point walks its 2N class breakpoints, each term weighted by
+its count C(N-1, u).  Where even eta = 1 gives no violation, the score
+is the plateau penalty 1 + (1 - S(1; x)) >= 1, which is finite and
+gives the simplex a slope towards violating points.
 """
 
 from __future__ import annotations
@@ -109,7 +119,13 @@ from .fock_core import (
     lossy_w_state,
 )
 from .phase_noise import PhaseModel
-from .wwzb import TABLE_RANGE_TOL, VIOLATION_ROUNDOFF, _walsh_hadamard
+from .wwzb import (
+    TABLE_RANGE_TOL,
+    VIOLATION_ROUNDOFF,
+    _class_layout,
+    _class_transform,
+    _walsh_hadamard,
+)
 
 __all__ = [
     "OptimizationSpec",
@@ -297,16 +313,19 @@ def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
 
 
 def _point_tables(spec: OptimizationSpec, efficiencies: tuple):
-    """Table function of a search, from points (P, dims) to tables (E, P, 2^N).
+    """Value function of a search, from points (P, dims) to their correlators.
 
     The stacked frame-averaged lossy states and their kernel factors are
     formed once, here.  A pinned search is exchangeable in parties 2..N
     at every point, so each step builds and checks its points' pairs
     (:func:`_amplitude_pairs`: one, or party 1's and the one parties 2..N
-    share) and calls the 2N-row exchangeable route directly; a joint
-    search builds every party's pair and leaves the route to the table
-    walk.  Each table depends only on its own point: a
-    batch gives the same values, bit for bit, as every point alone.
+    share) and calls the 2N-row exchangeable route directly, which
+    returns each table's distinct values (E, P, N, 2), entry [w, s_1] for
+    party 1's setting s_1 and w of parties 2..N on setting 1; no table is
+    built.  A joint search builds every party's pair and leaves the route
+    to the table walk, which returns tables (E, P, 2^N).  Each value
+    depends only on its own point: a batch gives the same values, bit for
+    bit, as every point alone.
     """
     etas = tuple(float(eta) for eta in efficiencies)
     terms = _state_terms(_lossy_rhos(spec.n_parties, etas, float(spec.width)))
@@ -315,31 +334,61 @@ def _point_tables(spec: OptimizationSpec, efficiencies: tuple):
         def pinned(points):
             options = displacement_matrices(_amplitude_pairs(spec, points), 0.0)
             check_observable_matrices(options)
-            return _exchangeable_values(terms, options[:, 0], options[:, -1])
+            return _exchangeable_values(terms, options)
 
         return pinned
     return lambda points: _table_values(terms, _setting_options(*_point_parameters(spec, points)))
+
+
+def _transform_terms(spec: OptimizationSpec):
+    """Map from a search's point values (:func:`_point_tables`) to the terms (E, P, M) of S.
+
+    S(x) = sum_r |term_r| at each point, every term scaled by 2^-N.  A
+    joint search's terms are the full transform of each 2^N-entry table.
+    A pinned search's are the 2N classes of its distinct values: class
+    (r_1, u) holds C(N-1, u) equal coefficients T(r_1, u)
+    (:func:`~photonbell.wwzb._class_transform`), so term 2u + r_1 is
+    2^-N C(N-1, u) T(r_1, u), and the sum of their magnitudes, taken as
+    one flat row in (u, r_1) order, is the Bell value.  At N <= 2 every
+    class is one index and every count 1, so the class terms are the full
+    transform over 2^N in table order, bit for bit.
+    """
+    n = spec.n_parties
+    if spec.optimize_phases:
+        return lambda tables: _walsh_hadamard(tables) / 2**n
+    _, counts = _class_layout(n)
+    weights = counts[:, None] / 2**n
+
+    def class_terms(distinct):
+        terms = _class_transform(distinct) * weights
+        return terms.reshape(distinct.shape[:-2] + (2 * n,))
+
+    return class_terms
 
 
 def _bell_scores(spec: OptimizationSpec):
     """Score of a search for :func:`maximize_bell`, prepared once.
 
     Returns ``score(points)``, the negated frame-averaged Bell value at
-    every row of ``points``: the tables' [-1, 1] range check, then one
-    batched full transform, which keeps the pinned search results to the
-    bit.  Each row's sum is formed as in ``wwzb_value``'s full route, so a
-    score equals -wwzb_value bit for bit where that route runs (N <= 2,
-    and tables that are not weight-symmetric); the class route of a
-    weight-symmetric table of N >= 3 (every pinned point's table) sums
-    the same magnitudes grouped by class and agrees to rounding.
+    every row of ``points``: the [-1, 1] range check of the correlators
+    (a pinned point's 2N distinct values are every entry of its table),
+    then the sum of the magnitudes of :func:`_transform_terms`.  A joint
+    score sums one batched full transform, and a pinned one at N <= 2
+    the class terms, which are that transform bit for bit; either equals
+    -wwzb_value of the point's table bit for bit where that takes its
+    full route (N <= 2, and tables that are not weight-symmetric).  A
+    pinned score at N >= 3 sums the 2N weighted classes, the magnitudes
+    of ``wwzb_value``'s class route in another order, and agrees with it
+    and with the full 2^N sum to rounding.
     """
-    tables_at = _point_tables(spec, (spec.efficiency,))
+    values_at = _point_tables(spec, (spec.efficiency,))
+    terms_of = _transform_terms(spec)
 
     def score(points):
-        (tables,) = tables_at(points)
-        if not np.all(np.abs(tables) <= 1.0 + TABLE_RANGE_TOL):
+        (values,) = values_at(points)
+        if not np.all(np.abs(values) <= 1.0 + TABLE_RANGE_TOL):
             raise ValueError("correlators must lie in [-1, 1] up to roundoff")
-        return -np.abs(_walsh_hadamard(tables)).sum(axis=-1) / 2**spec.n_parties
+        return -np.abs(terms_of(values)).sum(axis=-1)
 
     return score
 
@@ -347,9 +396,12 @@ def _bell_scores(spec: OptimizationSpec):
 def _crossing_efficiency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Smallest efficiency at which S(eta) = sum_r |a_r + eta b_r| violates, per row.
 
-    ``a`` and ``b`` have shape (P, M) and are already scaled by 2^-N, so
-    S(eta) is the Bell value of a table whose transform is a + eta b.  S
-    is convex and piecewise linear, and the caller guarantees S(0) <= 1 +
+    ``a`` and ``b`` have shape (P, M) and are the terms of
+    :func:`_transform_terms`: scaled by 2^-N and, for the 2N classes of a
+    pinned search, weighted by each class's count C(N-1, u), so S(eta) is
+    the Bell value of a table whose transform is a + eta b, and a class's
+    breakpoint stands for every index of the class.  S is convex and
+    piecewise linear, and the caller guarantees S(0) <= 1 +
     VIOLATION_ROUNDOFF.  Every sign change of a_r + eta b_r inside (0, 1)
     is a breakpoint; S at the sorted breakpoints follows from cumulative
     sums of the intercept and slope changes, and the crossing of
@@ -393,18 +445,20 @@ def _crossing_scores(spec: OptimizationSpec):
 
     Returns ``score(points)``, the crossing efficiency eta*(x) at every
     row of ``points``.  Points that do not violate even at eta = 1 score
-    the plateau penalty (see :func:`_crossing_efficiency`).  Tables at
-    eta = 0 and eta = 1 come from one settings build and one kernel call
-    per route against both frame-averaged states, and go through one
-    batched Walsh-Hadamard transform.  Raises ConsistencyError, naming
-    the point, if the vacuum table violates: the vacuum is a product
-    state and cannot.
+    the plateau penalty (see :func:`_crossing_efficiency`).  The values
+    at eta = 0 and eta = 1 come from one settings build and one kernel
+    call per route against both frame-averaged states, and become the
+    terms of :func:`_transform_terms`: a pinned point walks its 2N
+    weighted class breakpoints.  Raises ConsistencyError, naming the
+    point, if the vacuum table violates: the vacuum is a product state
+    and cannot.
     """
     n = spec.n_parties
-    tables_at = _point_tables(spec, _THRESHOLD_EFFICIENCIES)
+    values_at = _point_tables(spec, _THRESHOLD_EFFICIENCIES)
+    terms_of = _transform_terms(spec)
 
     def score(points):
-        vacuum, lossless = _walsh_hadamard(tables_at(points)) / 2**n
+        vacuum, lossless = terms_of(values_at(points))
         s_vacuum = np.abs(vacuum).sum(axis=-1)
         bad = np.flatnonzero(~(s_vacuum <= 1.0 + VIOLATION_ROUNDOFF))
         if bad.size:
@@ -469,13 +523,16 @@ def _scan_points(spec: OptimizationSpec) -> int:
 
 
 def _scan_table_count(spec: OptimizationSpec, threshold: bool = False) -> int:
-    """Number of 2^N-entry float tables a search's one-call cloud scan builds.
+    """Number of 2^N-entry float tables a search's one-call cloud scan counts.
 
-    The scan tabulates every start point at the spec's efficiency for
+    The scan evaluates every start point at the spec's efficiency for
     :func:`maximize_bell` or, with ``threshold``, at both transmissions of
-    the :func:`threshold_efficiency` search over the same coordinates.
-    Counting allocates nothing, so a caller can refuse an oversized search
-    before it starts.
+    the :func:`threshold_efficiency` search over the same coordinates.  A
+    joint scan builds these tables.  A pinned scan builds none, only 2N
+    values per point, but the count caps it all the same, as an accuracy
+    limit: the class sums carry no roundoff bound yet, and their error
+    grows with N.  Counting allocates nothing, so a caller can refuse an
+    oversized search before it starts.
     """
     efficiencies = len(_THRESHOLD_EFFICIENCIES) if threshold else 1
     return efficiencies * _scan_points(spec)
@@ -609,11 +666,11 @@ def _lockstep(spec: OptimizationSpec, score, walkers) -> list:
 
     Each step concatenates the pending block of every live walker and
     scores it in ``score(points)`` calls of at most :func:`_scan_points`
-    rows, the size of the start-cloud scan, so no call builds more tables
-    than :func:`_scan_table_count` counts.  A lone walker's block (at most
-    dims + 1 rows, well under the scan) is scored as it is.  A row's score
-    depends only on that row, so every walker sees the values it would
-    get alone.
+    rows, the size of the start-cloud scan, so no call evaluates more
+    points than :func:`_scan_table_count` counts tables for.  A lone
+    walker's block (at most dims + 1 rows, well under the scan) is scored
+    as it is.  A row's score depends only on that row, so every walker
+    sees the values it would get alone.
     """
     rows = _scan_points(spec)
     results = [None] * len(walkers)
@@ -800,7 +857,7 @@ def certainty_frontier(
             results.append((pair_count, float("nan")))
             continue
         lo = 0.0
-        hi = 0.2
+        hi = min(0.2, width_max)
         while certain(hi, pair_count):
             lo = hi
             hi *= 2.0

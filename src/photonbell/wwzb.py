@@ -303,29 +303,33 @@ def _weight_symmetric(values: np.ndarray, distinct: np.ndarray) -> bool:
 
 
 def _class_transform(distinct: np.ndarray) -> np.ndarray:
-    """Transform (N, 2) of a weight-symmetric table at the lowest index of each class.
+    """Transform (..., N, 2) of weight-symmetric tables at the lowest index of each class.
 
-    ``distinct[w, s_1]`` (N, 2) holds the table's entry of party 1's
-    setting s_1 and weight w.  The butterflies run in count space in the
-    order of :func:`_walsh_hadamard`: party 1's bit first, then parties
-    2..N.  After party k+1, ``level[r_1, j, m]`` is the partial transform
-    at an index whose transformed bits are r_1 and j ones in the lowest
-    places (parties 2..j+1), with m ones among the untransformed setting
-    bits; every index of that kind holds the same bits, since the same
-    sums and differences of equal entries formed it.  Party k+1's
-    butterfly pairs m with m + 1: the sum keeps j, and the difference of
-    j = k - 1 gives j = k.  So entry [u, r_1] equals, bit for bit, the full
-    transform at r_1 + 2(2^u - 1), in O(N^2) operations.
+    ``distinct[..., w, s_1]`` (..., N, 2) holds a table's entry of party
+    1's setting s_1 and weight w; the leading axes are a batch of tables,
+    each transformed with the arithmetic of a call with it alone.  The
+    butterflies run in count space in the order of
+    :func:`_walsh_hadamard`: party 1's bit first, then parties 2..N.
+    After party k+1, ``level[r_1, j, m]`` is the partial transform at an
+    index whose transformed bits are r_1 and j ones in the lowest places
+    (parties 2..j+1), with m ones among the untransformed setting bits;
+    every index of that kind holds the same bits, since the same sums and
+    differences of equal entries formed it.  Party k+1's butterfly pairs
+    m with m + 1: the sum keeps j, and the difference of j = k - 1 gives
+    j = k.  So entry [u, r_1] equals, bit for bit, the full transform at
+    r_1 + 2(2^u - 1), in O(N^2) operations.
     """
-    n = len(distinct)
-    level = np.stack((distinct[:, 0] + distinct[:, 1], distinct[:, 0] - distinct[:, 1]))
-    level = level[:, None, :]
+    batch, n = distinct.shape[:-2], distinct.shape[-2]
+    even, odd = distinct[..., 0], distinct[..., 1]
+    level = np.empty(batch + (2, 1, n))
+    np.add(even, odd, out=level[..., 0, 0, :])
+    np.subtract(even, odd, out=level[..., 1, 0, :])
     for k in range(1, n):
-        first, second = level[:, :, :-1], level[:, :, 1:]
-        level = np.empty((2, k + 1, n - k))
-        np.add(first, second, out=level[:, :k])
-        np.subtract(first[:, k - 1], second[:, k - 1], out=level[:, k])
-    return level[:, :, 0].T
+        first, second = level[..., :-1], level[..., 1:]
+        level = np.empty(batch + (2, k + 1, n - k))
+        np.add(first, second, out=level[..., :k, :])
+        np.subtract(first[..., k - 1, :], second[..., k - 1, :], out=level[..., k, :])
+    return level[..., 0].swapaxes(-1, -2)
 
 
 def wwzb_value(table: CorrelatorTable) -> BellResult:

@@ -496,6 +496,15 @@ def rows_first_correlator_rows(terms, mats: np.ndarray) -> np.ndarray:
     return total
 
 
+def rows_last(mats: np.ndarray) -> np.ndarray:
+    """Rows-last kernel entries (4, N, B) of observable rows (B, N, 2, 2).
+
+    Entry e of the first axis holds m00, m01, m10 and m11 in turn, each
+    an (N, B) array: the input layout of ``fock_core._correlator_rows``.
+    """
+    return np.stack([mats[..., a, b].T for a in (0, 1) for b in (0, 1)])
+
+
 def rows_first_walk(rho, pairs) -> np.ndarray:
     """Tables (S, P, 2^N) of setting pairs (P, N, 2, 2, 2), every row in one rows-first call.
 
@@ -645,8 +654,8 @@ def per_call_averaged_tables(n_parties, amplitudes, centers, width, efficiencies
 def per_call_bell_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
     """Negated Bell values of search points through :func:`per_call_averaged_tables`.
 
-    Oracle of ``optimize._bell_scores(spec)``: same range check, same
-    batched transform and sum.
+    Oracle of :func:`table_bell_scores`, bit for bit: same range check,
+    same batched transform and sum.
     """
     amplitudes, centers = _point_parameters(spec, points)
     (tables,) = per_call_averaged_tables(
@@ -657,10 +666,62 @@ def per_call_bell_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarr
     return -np.abs(_walsh_hadamard(tables)).sum(axis=-1) / 2**spec.n_parties
 
 
+def table_values(spec: OptimizationSpec, points: np.ndarray, efficiencies: tuple) -> np.ndarray:
+    """Tables (E, P, 2^N) of search points (P, dims) by the package's table walk.
+
+    A pinned point takes its exchangeable route and weight layout, as
+    the optimizer's table function did before pinned searches reduced
+    their 2N class values.
+    """
+    etas = tuple(float(eta) for eta in efficiencies)
+    terms = _state_terms(_lossy_rhos(spec.n_parties, etas, float(spec.width)))
+    return _table_values(terms, _setting_options(*_point_parameters(spec, points)))
+
+
+def table_bell_scores(spec: OptimizationSpec):
+    """Bell score of a search through 2^N-entry tables, for every spec.
+
+    ``optimize._bell_scores`` as it ran before pinned searches reduced
+    their 2N class values: the tables' [-1, 1] range check, then the sum
+    over every magnitude of one batched full transform.  The oracle of
+    the class-value scores: bit for bit at N <= 2 and for joint
+    searches, to rounding at N >= 3.
+    """
+
+    def score(points):
+        (tables,) = table_values(spec, points, (spec.efficiency,))
+        if not np.all(np.abs(tables) <= 1.0 + TABLE_RANGE_TOL):
+            raise ValueError("correlators must lie in [-1, 1] up to roundoff")
+        return -np.abs(_walsh_hadamard(tables)).sum(axis=-1) / 2**spec.n_parties
+
+    return score
+
+
+def table_crossing_scores(spec: OptimizationSpec):
+    """Crossing score of a search through 2^N-entry tables, for every spec.
+
+    ``optimize._crossing_scores`` as it ran before pinned searches
+    reduced their 2N class values: the full transforms of the tables at
+    both transmissions, the vacuum check and the crossing walk over all
+    2^N breakpoints.  The oracle of the class-value scores: bit for bit
+    at N <= 2 and for joint searches, to rounding at N >= 3.
+    """
+
+    def score(points):
+        tables = table_values(spec, points, _THRESHOLD_EFFICIENCIES)
+        vacuum, lossless = _walsh_hadamard(tables) / 2**spec.n_parties
+        if not np.all(np.abs(vacuum).sum(axis=-1) <= 1.0 + VIOLATION_ROUNDOFF):
+            raise ConsistencyError("vacuum Bell value exceeds 1")
+        return _crossing_efficiency(vacuum, lossless - vacuum)
+
+    return score
+
+
 def per_call_crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:
     """Crossing efficiencies of search points through :func:`per_call_averaged_tables`.
 
-    Oracle of ``optimize._crossing_scores(spec)``, vacuum check included.
+    Oracle of :func:`table_crossing_scores`, bit for bit, vacuum check
+    included.
     """
     n = spec.n_parties
     amplitudes, centers = _point_parameters(spec, points)

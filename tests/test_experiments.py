@@ -717,9 +717,9 @@ def test_one_table_builds_pair_zero_only(monkeypatch):
     rows = []
     values = fock_core._correlator_values
 
-    def counted(terms, batch):
-        rows.append(len(batch))
-        return values(terms, batch)
+    def counted(terms, entries):
+        rows.append(entries.shape[-1])
+        return values(terms, entries)
 
     monkeypatch.setattr(fock_core, "_correlator_values", counted)
     rng = np.random.default_rng(21)

@@ -29,6 +29,7 @@ from photonbell.fock_core import (
     _exchangeable_values,
     _state_terms,
     _walked_values,
+    _weight_tables,
     check_observable_matrices,
     correlator_batch,
     correlator_tables,
@@ -47,6 +48,7 @@ from helpers import (
     rows_first_correlator_rows,
     rows_first_exchangeable,
     rows_first_walk,
+    rows_last,
     setting_matrices,
     symmetric_tables,
 )
@@ -432,9 +434,9 @@ def test_table_walk_picks_the_exchangeable_route(n, monkeypatch):
     rows = []
     values = fock_core._correlator_values
 
-    def counted(terms, batch):
-        rows.append(len(batch))
-        return values(terms, batch)
+    def counted(terms, entries):
+        rows.append(entries.shape[-1])
+        return values(terms, entries)
 
     monkeypatch.setattr(fock_core, "_correlator_values", counted)
     rng = np.random.default_rng(50 + n)
@@ -569,8 +571,60 @@ def test_rows_last_kernel_equals_the_rows_first_kernel(n, monkeypatch):
     for stack in kernel_stacks(n, rng, monkeypatch):
         for count in (1, 2, 3):
             terms = _state_terms(stack[:count])
-            values = _correlator_rows(terms, mats)
+            values = _correlator_rows(terms, rows_last(mats))
             assert same_bits(values, rows_first_correlator_rows(terms, mats))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 12])
+def test_rows_last_gathers_equal_the_former_matrix_rows(n, monkeypatch):
+    # every route hands the kernel, bit for bit, the entries of the (B, N,
+    # 2, 2) rows it used to stage, in its own row order: the exchangeable
+    # route's 2N rows per point (the former (P, 2, N, N, 2, 2) stack, rows
+    # (w, s_1, point) now), the walk's rows chunk by chunk with chunk edges
+    # inside a table (rows (index, point) now), and correlator_batch's rows
+    # with batch axes on both sides
+    rng = np.random.default_rng(320 + n)
+    seen = []
+    values = fock_core._correlator_values
+
+    def recorded(terms, entries):
+        seen.append(np.array(entries))
+        return values(terms, entries)
+
+    monkeypatch.setattr(fock_core, "_correlator_values", recorded)
+    monkeypatch.setattr(fock_core, "CORRELATOR_CHUNK_ELEMENTS", n * max(3, 2**n // 5) + n - 1)
+    points = 3
+    terms = _state_terms(_lossy_rhos(n, (0.2, 0.9), 0.3))
+
+    ref, shared = random_observable_matrices(rng, (2, points, 2))
+    stack = np.empty((points, 2, n, n, 2, 2), dtype=complex)
+    stack[:, :, :, 0] = ref[:, :, None]
+    pick = (np.arange(1, n) <= np.arange(n)[:, None]).astype(np.intp)
+    stack[:, :, :, 1:] = shared[:, None, pick]
+    former = stack.transpose(2, 1, 0, 3, 4, 5).reshape(-1, n, 2, 2)
+    # party 1's pair and the shared one, or every party's pair
+    for pairs in ((ref, shared), (ref,) + (shared,) * (n - 1)):
+        seen.clear()
+        _exchangeable_values(terms, np.stack(pairs, axis=1))
+        assert same_bits(np.concatenate(seen, axis=-1), rows_last(former))
+
+    pairs = random_observable_matrices(rng, (points, n, 2))
+    seen.clear()
+    _walked_values(terms, pairs)
+    assert len(seen) > 1 or n == 1
+    start, parties = 0, np.arange(n)
+    for entries in seen:
+        stop = start + entries.shape[-1] // points
+        bits = (np.arange(start, stop)[:, None] >> parties) & 1
+        rows = pairs[:, parties, bits].swapaxes(0, 1).reshape(-1, n, 2, 2)
+        assert same_bits(entries, rows_last(rows))
+        start = stop
+    assert start == 2**n
+
+    mats = random_observable_matrices(rng, (2, 3, n))
+    seen.clear()
+    correlator_batch(_lossy_rhos(n, (0.2, 0.9), 0.3), mats)
+    assert same_bits(np.concatenate(seen, axis=-1), rows_last(mats.reshape(-1, n, 2, 2)))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -595,12 +649,13 @@ def test_table_routes_equal_the_rows_first_oracles(n, monkeypatch):
             assert same_bits(tables, expected)
         if n > 1:
             for count, expected in zip((1, 3), exchangeable):
-                tables = _exchangeable_values(_state_terms(w_stack[:count]), ref, shared)
-                assert same_bits(tables, expected)
+                terms = _state_terms(w_stack[:count])
+                distinct = _exchangeable_values(terms, np.stack((ref, shared), axis=1))
+                assert same_bits(_weight_tables(distinct), expected)
 
 
 @pytest.mark.parametrize("n", range(2, 23))
-def test_weight_gathers_equal_the_indexing_forms(n, monkeypatch):
+def test_weight_gathers_equal_the_indexing_forms(n):
     # the leaf gather (one np.take per leaf row into the output) and the
     # table gather (np.take of whole leaves) copy the bits the Ellipsis
     # and leading fancy indexing copied, -0.0 and NaN payloads among
@@ -620,14 +675,14 @@ def test_weight_gathers_equal_the_indexing_forms(n, monkeypatch):
     for batch in ((), (1,), (3,), (2, 3)) if n <= 16 else ((), (2,)):
         values = laced(batch + (n, 2))
         assert same_bits(fock_core._weight_leaves(values), indexed_weight_leaves(values))
-    # the table gather in place, fed distinct values through the kernel's seam
+    # the table gather of distinct values (S, P, N, 2), as the exchangeable
+    # route returns them
     count, points = (2, 2) if n <= 16 else (1, 1)
-    distinct = laced((count, points * 2 * n))
-    monkeypatch.setattr(fock_core, "_correlator_values", lambda terms, rows: distinct)
-    ref = random_observable_matrices(rng, (points, 2))
-    tables = _exchangeable_values(_state_terms(_lossy_rhos(n, (0.9,) * count, 0.2)), ref, ref)
-    leaves = indexed_weight_leaves(distinct.reshape(count * points, 2, n).swapaxes(-1, -2))
+    distinct = laced((count, points, n, 2))
+    tables = _weight_tables(distinct)
+    leaves = indexed_weight_leaves(distinct.reshape(count * points, n, 2))
     assert same_bits(tables, indexed_leaf_tables(leaves, n).reshape(count, points, 2**n))
+    assert not tables.flags.writeable
     assert not any(index.flags.writeable for index in fock_core._weight_layout(n))
 
 

@@ -17,6 +17,9 @@ from helpers import (
     sample_offsets,
     scipy_search,
     scipy_simplex,
+    table_bell_scores,
+    table_crossing_scores,
+    table_values,
 )
 
 from photonbell import (
@@ -35,6 +38,7 @@ from photonbell import (
 import photonbell.optimize as optimize
 from photonbell.experiments import _offset_frequencies
 import photonbell.fock_core as fock_core
+import photonbell.wwzb as wwzb
 from photonbell.fock_core import _state_terms, _table_values
 from photonbell.optimize import (
     VIOLATION_ROUNDOFF,
@@ -125,10 +129,11 @@ def test_batched_scan_equals_one_point_objective(spec):
     # the start order is a stable argsort of these scores and the simplex
     # walkers score their points in shared batches, so the batched scores
     # must equal the one-point scores bit for bit; the joint cloud's first
-    # point has equal centers and takes the exchangeable route.  The scores
-    # sum all 2^N magnitudes, so they equal the full-transform Bell value
-    # bit for bit, and wwzb_value's class route (weight-symmetric tables of
-    # N >= 3) to rounding
+    # point has equal centers and takes the exchangeable route.  A joint
+    # score, and any score of N <= 2, sums all 2^N magnitudes, so it
+    # equals the full-transform Bell value bit for bit; a pinned score of
+    # N >= 3 sums the weighted classes, the magnitudes wwzb_value's class
+    # route sums in another order, and agrees with both to rounding
     _, cloud = _search_box(spec)
     bell, crossing = _bell_scores(spec), _crossing_scores(spec)
     scores = bell(cloud)
@@ -144,7 +149,11 @@ def test_batched_scan_equals_one_point_objective(spec):
             spec.n_parties, amplitudes[points], centers[points], spec.width, efficiencies
         )[0]
         correlators = CorrelatorTable(spec.n_parties, table)
-        assert scores[i] == -full_transform_bell_value(correlators).s_value
+        full = full_transform_bell_value(correlators).s_value
+        if spec.n_parties >= 3 and not spec.optimize_phases:
+            assert abs(scores[i] + full) <= 1e-13
+        else:
+            assert scores[i] == -full
         assert abs(scores[i] + wwzb_value(correlators).s_value) <= 1e-15
 
 
@@ -194,7 +203,7 @@ def test_evaluation_counts_unchanged():
         ),
         (
             OptimizationSpec(9, 0.15, efficiency=0.9, optimize_phases=False, restarts=2),
-            (1.390878720779531, -0.26952835030475475, 0.13617381183710364, 231),
+            (1.3908787207795315, -0.26952835030475475, 0.13617381183710364, 231),
         ),
         (
             OptimizationSpec(3, 0.25, efficiency=0.93, optimize_phases=True, restarts=1),
@@ -211,6 +220,8 @@ def test_search_results_are_pinned(spec, expected):
     # searches, recorded before the scores were prepared once per search:
     # a faster score must not move a single bit of any result.  The
     # per-party count includes the shared search that now runs first.
+    # The N=9 best_s moved by one ulp (1.390878720779531 before) when
+    # pinned scores went from the full 2^N sum to the weighted class sum.
     report = maximize_bell(spec)
     assert (report.best_s, report.r, report.r_prime, report.evaluations) == expected
 
@@ -247,10 +258,12 @@ def _oracle_points(spec, rng):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_prepared_scores_equal_per_call_pipeline(n):
-    # the prepared scores against the per-call pipeline they replaced, bit
-    # for bit: pinned, joint and (n <= 3) per-party searches at widths 0,
-    # 0.2 and 1.5, with amplitudes at the bounds and at 0, in one batch
-    # and point by point
+    # the table-route scores against the per-call pipeline they replaced,
+    # bit for bit, and the prepared scores against them: bit for bit for
+    # joint searches and at N <= 2, within the class-sum tolerances for
+    # pinned searches of N >= 3.  Pinned, joint and (n <= 3) per-party
+    # searches at widths 0, 0.2 and 1.5, with amplitudes at the bounds and
+    # at 0, in one batch and point by point
     rng = np.random.default_rng(90 + n)
     kinds = [dict(optimize_phases=False), dict(optimize_phases=True)]
     if n <= 3:
@@ -260,10 +273,88 @@ def test_prepared_scores_equal_per_call_pipeline(n):
             spec = OptimizationSpec(n, width, efficiency=0.9, **kind)
             points = _oracle_points(spec, rng)
             bell, crossing = _bell_scores(spec), _crossing_scores(spec)
-            assert np.array_equal(bell(points), per_call_bell_scores(spec, points))
-            assert np.array_equal(crossing(points), per_call_crossing_scores(spec, points))
-            for x in points[::5]:
-                assert bell(x[None])[0] == per_call_bell_scores(spec, x[None])[0]
+            scores, crossings = bell(points), crossing(points)
+            oracle_bell = table_bell_scores(spec)(points)
+            oracle_crossing = table_crossing_scores(spec)(points)
+            assert np.array_equal(oracle_bell, per_call_bell_scores(spec, points))
+            assert np.array_equal(oracle_crossing, per_call_crossing_scores(spec, points))
+            if n <= 2 or spec.optimize_phases:
+                assert np.array_equal(scores, oracle_bell)
+                assert np.array_equal(crossings, oracle_crossing)
+            else:
+                assert np.max(np.abs(scores - oracle_bell)) <= 1e-13
+                assert np.max(np.abs(crossings - oracle_crossing)) <= 1e-12
+            for i in range(0, len(points), 5):
+                assert bell(points[i : i + 1])[0] == scores[i]
+
+
+def _pinned_oracle_points(spec, rng):
+    """Cloud and random points (|r| <= 1.5), then amplitudes at +-3, 0 and -0.0."""
+    n_amp, _ = _search_dims(spec)
+    _, cloud = _search_box(spec)
+    inner = rng.uniform(-1.5, 1.5, size=(4, n_amp))
+    edges = rng.choice([-3.0, -0.0, 0.0, 3.0], size=(6, n_amp))
+    edges[0], edges[1] = 0.0, -0.0
+    return np.concatenate((cloud[:6], inner, edges))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_pinned_scores_equal_the_table_route_oracle(n):
+    # the class-value scores of pinned searches against the 2^N-table
+    # scores they replaced, shared amplitudes and party 1's own pair at
+    # widths 0 and 0.4: bit for bit at N <= 2, where every class is one
+    # index.  For N = 3..16 the gaps stay within 1e-13 at the cloud and
+    # interior points (the first ten) and 1e-12 at the +-3 corners: there
+    # the transform cancels terms of size 6e3, and a class value carries
+    # its lowest index's rounding times its count where the table's
+    # copies average theirs (1.3e-13 measured at N = 16; exact arithmetic
+    # sits within 1.5e-15 of the table sum).  Crossings are checked in S
+    # against the table's directly summed Bell values: S at the class
+    # eta* against 1 + VIOLATION_ROUNDOFF, a plateau penalty against
+    # 2 + VIOLATION_ROUNDOFF - S(1).  The table route's own walk sums its
+    # 2^N breakpoints cumulatively and is no tighter (eta* gaps to it
+    # reached 1.3e-12 at N = 16, where S is flat in eta)
+    rng = np.random.default_rng(400 + n)
+    level = 1.0 + VIOLATION_ROUNDOFF
+    for shared in (True, False):
+        for width in (0.0, 0.4):
+            spec = OptimizationSpec(n, width, efficiency=0.9, shared_amplitudes=shared)
+            points = _pinned_oracle_points(spec, rng)
+            bell, oracle_bell = _bell_scores(spec)(points), table_bell_scores(spec)(points)
+            crossing = _crossing_scores(spec)(points)
+            oracle_crossing = table_crossing_scores(spec)(points)
+            if n <= 2:
+                assert np.array_equal(bell, oracle_bell)
+                assert np.array_equal(crossing, oracle_crossing)
+                continue
+            gaps = np.abs(bell - oracle_bell)
+            assert gaps[:10].max() <= 1e-13 and gaps.max() <= 1e-12
+            violating = crossing < 1.0
+            assert np.array_equal(violating, oracle_crossing < 1.0)
+            vacuum, lossless = _walsh_hadamard(table_values(spec, points, (0.0, 1.0))) / 2**n
+            at_crossing = np.abs(vacuum + crossing[:, None] * (lossless - vacuum)).sum(axis=-1)
+            penalty = 1.0 + level - np.abs(lossless).sum(axis=-1)
+            gaps = np.where(violating, np.abs(at_crossing - level), np.abs(crossing - penalty))
+            assert gaps[:10].max() <= 1e-13 and gaps.max() <= 1e-12
+
+
+def test_pinned_searches_build_no_tables(monkeypatch):
+    # a pinned search reduces each point's 2N class values: no 2^N
+    # transform and no weight-layout leaf runs in maximize_bell, shared
+    # and with party 1's own pair, or in threshold_efficiency
+    def refused(*_args):
+        raise AssertionError("a pinned search built a table")
+
+    for module in (optimize, wwzb):
+        monkeypatch.setattr(module, "_walsh_hadamard", refused)
+    for module in (fock_core, wwzb):
+        monkeypatch.setattr(module, "_weight_leaves", refused)
+    for n in (1, 2, 9):
+        for shared in (True, False):
+            report = maximize_bell(OptimizationSpec(n, 0.3, restarts=2, shared_amplitudes=shared))
+            assert (report.best_s > 1.0 + VIOLATION_ROUNDOFF) == (n > 1)
+        result = threshold_efficiency(n, 0.2, tolerance=1e-3, restarts=1)
+        assert result.violable == (n > 1)
 
 
 def test_pinned_step_checks_two_matrices_per_point(monkeypatch):
@@ -347,16 +438,16 @@ def test_pinned_party_one_step_makes_one_exchangeable_call_of_2n_rows(monkeypatc
     exchangeable_values = optimize._exchangeable_values
     correlator_values = fock_core._correlator_values
 
-    def exchangeable(terms, ref, shared):
-        calls.append(len(ref))
+    def exchangeable(terms, pairs):
+        calls.append(len(pairs))
         rows.clear()
-        tables = exchangeable_values(terms, ref, shared)
-        assert sum(rows) == 2 * n * len(ref)
-        return tables
+        distinct = exchangeable_values(terms, pairs)
+        assert sum(rows) == 2 * n * len(pairs)
+        return distinct
 
-    def counted(terms, mats):
-        rows.append(len(mats))
-        return correlator_values(terms, mats)
+    def counted(terms, entries):
+        rows.append(entries.shape[-1])
+        return correlator_values(terms, entries)
 
     def walked(*_args):
         raise AssertionError("a pinned point walked all 2^N rows")
@@ -522,7 +613,9 @@ def test_halton_cloud_equals_scipy():
 
 def test_scan_table_count_sizes_the_cloud_scan(monkeypatch):
     # the count a caller checks before a search sizes the tables the
-    # search's first scoring call builds
+    # search's first scoring call builds: 2^N entries each for a joint
+    # search, and 2N distinct values each for a pinned one, which builds
+    # no table
     import photonbell.optimize as optimize
 
     class Scanned(Exception):
@@ -552,15 +645,17 @@ def test_scan_table_count_sizes_the_cloud_scan(monkeypatch):
     )
     for spec in specs:
         checked.append(spec)
+        n = spec.n_parties
         with pytest.raises(Scanned):
             maximize_bell(spec)
-        assert sizes.pop() == _scan_table_count(spec) * 2**spec.n_parties, spec
+        entries = 2**n if spec.optimize_phases else 2 * n
+        assert sizes.pop() == _scan_table_count(spec) * entries, spec
         if spec.shared_amplitudes:
             # a threshold always searches the pinned coordinates
             with pytest.raises(Scanned):
-                threshold_efficiency(spec.n_parties, spec.width, restarts=spec.restarts)
+                threshold_efficiency(n, spec.width, restarts=spec.restarts)
             count = _scan_table_count(replace(spec, optimize_phases=False), threshold=True)
-            assert sizes.pop() == count * 2**spec.n_parties, spec
+            assert sizes.pop() == count * 2 * n, spec
 
 
 def test_report_json_dict():
@@ -779,9 +874,9 @@ def test_threshold_score_makes_one_kernel_call_per_route(monkeypatch):
     exchangeable_values = fock_core._exchangeable_values
     walked_values = fock_core._walked_values
 
-    def exchangeable(terms, ref, shared):
+    def exchangeable(terms, pairs):
         calls.append(("exchangeable", terms.states.shape))
-        return exchangeable_values(terms, ref, shared)
+        return exchangeable_values(terms, pairs)
 
     def walked(terms, pairs):
         calls.append(("walked", terms.states.shape))
@@ -811,20 +906,22 @@ def test_violating_vacuum_raises(monkeypatch):
 
 def test_bell_scores_reject_out_of_range_tables(monkeypatch):
     # the batched scores keep the [-1, 1] range check of CorrelatorTable,
-    # for every row of the batch
-    spec = OptimizationSpec(2, 0.0, optimize_phases=False)
-    points = np.array([[0.15, -0.55], [0.1, 0.2], [0.3, -0.4]])
-    good = np.full((1, 3, 4), 0.5)
-    monkeypatch.setattr("photonbell.optimize._point_tables", lambda *a: lambda points: good)
-    assert np.all(_bell_scores(spec)(points) == -0.5)
-    for bad in (1.0 + 1e-8, -1.0 - 1e-8, np.nan):
-        tables = good.copy()
-        tables[0, 2, 3] = bad
-        monkeypatch.setattr(
-            "photonbell.optimize._point_tables", lambda *a: lambda points: tables
-        )
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            _bell_scores(spec)(points)
+    # for every row of the batch: on a pinned point's 2N distinct values
+    # (E, P, N, 2), which hold every entry of its table, and on a joint
+    # point's table (E, P, 2^N)
+    for spec in (OptimizationSpec(3, 0.0), OptimizationSpec(3, 0.0, **JOINT)):
+        points = np.zeros((3, sum(_search_dims(spec))))
+        good = np.full((1, 3) + ((8,) if spec.optimize_phases else (3, 2)), 0.5)
+        monkeypatch.setattr("photonbell.optimize._point_tables", lambda *a: lambda points: good)
+        assert np.all(_bell_scores(spec)(points) == -0.5)
+        for bad in (1.0 + 1e-8, -1.0 - 1e-8, np.nan):
+            values = good.copy()
+            values.reshape(-1)[-1] = bad
+            monkeypatch.setattr(
+                "photonbell.optimize._point_tables", lambda *a: lambda points: values
+            )
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                _bell_scores(spec)(points)
 
 
 @pytest.mark.parametrize("n_parties, width", [(1, 0.0), (2, 0.0), (2, 0.2), (4, 0.2)])
@@ -868,6 +965,26 @@ def test_certainty_frontier_searches_each_width_once(monkeypatch):
     assert both == alone
     assert not any(np.isnan(width) for _, width in both)
     assert sorted(widths) == sorted(probed)
+
+
+def test_certainty_frontier_stays_within_width_max(monkeypatch):
+    # the first probe is min(0.2, width_max), so no probed or reported
+    # width exceeds a width_max below 0.2 (a first probe at 0.2 reported
+    # 0.125 here)
+    widths, search = [], optimize.maximize_bell
+
+    def counted(spec):
+        widths.append(spec.width)
+        return search(spec)
+
+    monkeypatch.setattr(optimize, "maximize_bell", counted)
+    kwargs = dict(grid_density=360, width_tolerance=0.01, restarts=1)
+    ((pairs, width),) = certainty_frontier(2, 0.87, [6], width_max=0.1, **kwargs)
+    assert pairs == 6 and 0.0 <= width <= 0.1
+    assert max(widths) <= 0.1
+    widths.clear()
+    ((_, width),) = certainty_frontier(2, 0.87, [6], width_max=0.15, **kwargs)
+    assert 0.0 <= width <= 0.15 and max(widths) <= 0.15
 
 
 def test_certainty_frontier_vacuum_is_never_certain():

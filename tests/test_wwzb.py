@@ -325,13 +325,18 @@ def test_class_route_matches_full_transform_and_naive_sum():
 
 def test_class_values_equal_the_full_transform_bit_for_bit():
     # entries spanning many binades: a sum taken in another order than the
-    # full transform's would show in the low bits
+    # full transform's would show in the low bits.  A batch of tables on
+    # leading axes gives each table the bits of a call with it alone, and
+    # at N <= 2, where every index is a class, the whole transform
     rng = np.random.default_rng(26)
-    for n in range(3, 19):
-        distinct = rng.normal(size=(n, 2)) * np.exp2(rng.integers(-30, 1, (n, 2)))
+    for n in range(1, 19):
+        distinct = rng.normal(size=(3, n, 2)) * np.exp2(rng.integers(-30, 1, (3, n, 2)))
         lowest, _ = _class_layout(n)
-        full = _walsh_hadamard(_weight_table(distinct))
-        assert np.array_equal(_class_transform(distinct), full[lowest])
+        batch = _class_transform(distinct)
+        for table, classes in zip(distinct, batch):
+            full = _walsh_hadamard(_weight_table(table))
+            assert np.array_equal(_class_transform(table), full[lowest])
+            assert np.array_equal(classes, full[lowest])
 
 
 @pytest.mark.parametrize("n", [3, 9, 14, 15])
