@@ -46,8 +46,7 @@ picks its route itself: when every state of the stack is exchangeable
 in modes 2..N (decided once per stack, with the state-only factors) and
 a point's parties 2..N hold one setting pair, an entry depends only on
 party 1's setting and on how many of the others take setting 1, so 2N
-kernel rows give the distinct values (:func:`_exchangeable_values`, which
-a pinned optimizer search calls directly and reduces without a table),
+kernel rows give the distinct values (:func:`_exchangeable_values`),
 copied into the 2^N entries a leaf of 2^12 rows at a time
 (:func:`_weight_layout`, the layout
 :class:`~photonbell.wwzb.CorrelatorTable` checks such tables against);
@@ -55,11 +54,17 @@ every other point walks all 2^N rows.  The tests keep a dense
 evaluation in the full 2^N mode-occupation space as its slow oracle,
 and the rows-first kernel as its bit-for-bit oracle.
 
+The optimizer's pinned search needs no kernel: for a real state,
+exchangeable in modes 2..N and free of vacuum coherence (the
+frame-averaged lossy W state), :func:`_exchangeable_closed_form` gives
+the correlators of real symmetric settings in O(N) per row.
+
 Validation happens where values enter: :class:`SubspaceState` checks the
 state and :func:`check_observable_matrices` checks a batch of
-observables, with closed-form 2x2 Hermiticity and eigenvalue bounds.
-The kernel itself only checks that its results are real
-(``ConsistencyError`` otherwise), over the whole batch.
+observables, with closed-form 2x2 Hermiticity and eigenvalue bounds
+(:func:`_check_observable_entries` on real entries).  The kernel itself
+only checks that its results are real (``ConsistencyError`` otherwise),
+over the whole batch; the closed form's are real by construction.
 """
 
 from __future__ import annotations
@@ -174,15 +179,37 @@ class SubspaceState:
         object.__setattr__(self, "matrix", mat)
 
 
+def _check_observable_entries(m00, m01, m11) -> None:
+    """Raise ValueError unless real symmetric 2x2 matrices of these entries are observables.
+
+    ``m00`` and ``m11`` are the diagonals and ``m01`` the off-diagonal
+    entry (or its modulus).  The entries must be finite, and both
+    eigenvalues must lie in [-1, 1] within ``EIGENVALUE_TOL``.  The
+    eigenvalues are m +- g with m = (m00 + m11)/2 and g = sqrt(((m00 -
+    m11)/2)^2 + m01^2), so both lie in [-1, 1] exactly when |m| + g <= 1.
+    A non-finite entry makes |m| + g NaN or infinite, so it fails that
+    bound as well, and finiteness is looked at only then, to name it.
+    """
+    mean = 0.5 * (m00 + m11)
+    gap = np.hypot(0.5 * (m00 - m11), m01)
+    radius = np.abs(mean) + gap
+    if not radius.max(initial=0.0) <= 1.0 + EIGENVALUE_TOL:
+        if not all(np.isfinite(entry).all() for entry in (m00, m01, m11)):
+            raise ValueError("observable matrix must be finite")
+        worst = np.unravel_index(np.argmax(radius), radius.shape)
+        eigs = [float(mean[worst] - gap[worst]), float(mean[worst] + gap[worst])]
+        raise ValueError(f"observable eigenvalues {eigs} outside [-1, 1]")
+
+
 def check_observable_matrices(matrices) -> None:
     """Raise ValueError unless every 2x2 matrix in ``matrices`` is an observable.
 
     ``matrices`` has shape (..., 2, 2).  Each matrix must be finite and
     Hermitian within ``HERMITICITY_TOL`` and have both eigenvalues in
-    [-1, 1] within ``EIGENVALUE_TOL``.  The eigenvalues of a Hermitian 2x2
-    matrix are m +- g with m = (a + d)/2 and g = sqrt(((a - d)/2)^2 + |c|^2)
-    (diagonal a, d, lower off-diagonal c, read as ``eigvalsh`` reads them),
-    so both lie in [-1, 1] exactly when |m| + g <= 1.
+    [-1, 1] within ``EIGENVALUE_TOL``: the bound of
+    :func:`_check_observable_entries` on the real diagonal and the
+    modulus of the lower off-diagonal entry, read as ``eigvalsh`` reads
+    them.
     """
     mats = np.asarray(matrices)
     if not np.isfinite(mats).all():
@@ -190,15 +217,7 @@ def check_observable_matrices(matrices) -> None:
     asymmetry = np.abs(mats - np.conj(np.swapaxes(mats, -1, -2)))
     if not asymmetry.max(initial=0.0) <= HERMITICITY_TOL:
         raise ValueError("observable matrix is not Hermitian")
-    a = mats[..., 0, 0].real
-    d = mats[..., 1, 1].real
-    mean = 0.5 * (a + d)
-    gap = np.hypot(0.5 * (a - d), np.abs(mats[..., 1, 0]))
-    radius = np.abs(mean) + gap
-    if not radius.max(initial=0.0) <= 1.0 + EIGENVALUE_TOL:
-        worst = np.unravel_index(np.argmax(radius), radius.shape)
-        eigs = [float(mean[worst] - gap[worst]), float(mean[worst] + gap[worst])]
-        raise ValueError(f"observable eigenvalues {eigs} outside [-1, 1]")
+    _check_observable_entries(mats[..., 0, 0].real, np.abs(mats[..., 1, 0]), mats[..., 1, 1].real)
 
 
 def w_state(n_modes: int) -> SubspaceState:
@@ -233,6 +252,23 @@ def lossy_w_state(n_modes: int, efficiency: float) -> SubspaceState:
     return SubspaceState(n_modes, mat)
 
 
+def _displacement_entries(amplitudes) -> tuple:
+    """Real entries (m00, m01, m11) of displaced click observables at phase 0.
+
+    For each amplitude r: m00 = 2 e^{-r^2} - 1, m01 = m10 = 2 e^{-r^2} r
+    and m11 = 2 e^{-r^2} r^2 - 1, the matrix of
+    :func:`displacement_matrices` with its phase factors left off, as
+    three arrays of the amplitudes' shape.  The exponent squares |r|
+    capped at 1e150, so it never overflows.  Not validated: see
+    :func:`_check_observable_entries`.
+    """
+    r = np.asarray(amplitudes, dtype=float)
+    capped = np.minimum(np.abs(r), 1e150)
+    g = 2.0 * np.exp(-capped * capped)
+    gr = g * r
+    return g - 1.0, gr, gr * r - 1.0
+
+
 def displacement_matrices(amplitudes, phases) -> np.ndarray:
     """Displaced click/no-click observable matrices, shape (..., 2, 2).
 
@@ -242,22 +278,22 @@ def displacement_matrices(amplitudes, phases) -> np.ndarray:
         [[2 e^{-r^2} - 1,        2 e^{-r^2} r e^{-i phi}],
          [2 e^{-r^2} r e^{i phi},  2 e^{-r^2} r^2 - 1   ]]
 
-    whose eigenvalues lie in [-1, 1].  ``amplitudes`` and ``phases``
-    broadcast against each other.  The exponent squares |r| capped at
-    1e150, so it never overflows: beyond the cap e^{-r^2} is 0 either
-    way, and a huge amplitude gives photon counting, diag(-1, -1).  The
-    matrices are not validated: pass them to
-    :func:`check_observable_matrices` (one call for the batch).
+    whose eigenvalues lie in [-1, 1]: the real entries of
+    :func:`_displacement_entries` with the phase factors put back.
+    ``amplitudes`` and ``phases`` broadcast against each other.  Beyond
+    the exponent's cap e^{-r^2} is 0 either way, and a huge amplitude
+    gives photon counting, diag(-1, -1).  The matrices are not
+    validated: pass them to :func:`check_observable_matrices` (one call
+    for the batch).
     """
     r = np.asarray(amplitudes, dtype=float)
     phi = np.asarray(phases, dtype=float)
-    capped = np.minimum(np.abs(r), 1e150)
-    g = 2.0 * np.exp(-capped * capped)
+    m00, m01, m11 = _displacement_entries(r)
     mats = np.empty(np.broadcast(r, phi).shape + (2, 2), dtype=complex)
-    mats[..., 0, 0] = g - 1.0
-    mats[..., 0, 1] = g * r * np.exp(-1j * phi)
-    mats[..., 1, 0] = g * r * np.exp(1j * phi)
-    mats[..., 1, 1] = g * r * r - 1.0
+    mats[..., 0, 0] = m00
+    mats[..., 0, 1] = m01 * np.exp(-1j * phi)
+    mats[..., 1, 0] = m01 * np.exp(1j * phi)
+    mats[..., 1, 1] = m11
     return mats
 
 
@@ -560,6 +596,100 @@ def _exchangeable_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
     distinct = _correlator_values(terms, entries.reshape(4, n, -1))
     # Rows run (w, s_1, point).
     return distinct.reshape(len(terms.states), n, 2, points).transpose(0, 3, 1, 2)
+
+
+def _exchangeable_constants(states) -> np.ndarray:
+    """The five distinct entries (S, 5) of a stack of states (S, N+1, N+1).
+
+    Columns rho_00, rho_11, rho_22, rho_12 and rho_23: the vacuum, mode
+    1's population, the population of a mode 2..N, the coherence of mode
+    1 with one of them and that of two of them (0 where N has no such
+    entry).  They hold every entry of a state that is real, symmetric,
+    exchangeable in modes 2..N and free of vacuum-excitation coherence,
+    bit for bit, as every frame-averaged lossy W state is; any other
+    stack raises ConsistencyError.  Formed once per stack, for
+    :func:`_exchangeable_closed_form`.
+    """
+    states = np.asarray(states)
+    real = states.real
+    if not (
+        np.all(states.imag == 0.0)
+        and np.array_equal(real, real.swapaxes(1, 2))
+        and np.all(real[:, 0, 1:] == 0.0)
+        and _exchangeable(states)
+    ):
+        raise ConsistencyError(
+            "the closed form needs real symmetric states, exchangeable in modes 2..N, "
+            "with no vacuum-excitation coherence"
+        )
+    rows, cols = np.array([(0, 0), (1, 1), (2, 2), (1, 2), (2, 3)]).T
+    present = cols < states.shape[-1]
+    constants = np.zeros((len(states), 5))
+    constants[:, present] = real[:, rows[present], cols[present]]
+    return constants
+
+
+@lru_cache(maxsize=32)
+def _closed_form_counts(n_parties: int) -> np.ndarray:
+    """Read-only counts (5, N) u, m, u(u-1), 2um and m(m-1) for u = 0..N-1, m = N-1-u."""
+    u = np.arange(n_parties, dtype=float)
+    m = u[::-1]
+    counts = np.stack((u, m, u * (u - 1.0), 2.0 * u * m, m * (m - 1.0)))
+    counts.setflags(write=False)
+    return counts
+
+
+def _exchangeable_closed_form(constants: np.ndarray, n_parties: int, first, rest) -> np.ndarray:
+    """Correlators (S, ..., N, A) of party 1 on each of A operators and parties 2..N on two.
+
+    ``constants`` (S, 5) are the distinct entries of S states
+    (:func:`_exchangeable_constants`).  ``first`` (3, ..., A) holds the
+    real entries (m00, m01 = m10, m11) of party 1's A operators a_j for
+    each row of the batch ``...``, and ``rest`` (3, ..., 2) those of the
+    operators c = rest[..., 0] and b = rest[..., 1] of parties 2..N.
+    Entry [i, ..., u, j] is Tr[rho_i (a_j x b^(x u) x c^(x m))], m =
+    N-1-u: u of parties 2..N on b, the others on c.  Writing P(k, l) =
+    b00^(u-k) c00^(m-l), with x^k = 0 for k < 0,
+
+        E = a00 [rho_00 P(0, 0) + rho_22 (u b11 P(1, 0) + m c11 P(0, 1))
+                 + rho_23 (u(u-1) b01^2 P(2, 0) + 2um b01 c01 P(1, 1)
+                           + m(m-1) c01^2 P(0, 2))]
+            + rho_11 a11 P(0, 0) + 2 rho_12 a01 (u b01 P(1, 0) + m c01 P(0, 1))
+
+    the kernel's vacuum, population and coherence terms, with the
+    products of m00 over the other modes written as powers (running
+    products along u).  It costs O(N) per row, with no recurrence over
+    modes and no 2^N-fold cancellation.  Every operation is elementwise,
+    so a row's bits do not depend on its batch.
+    """
+    n = n_parties
+    u, m, uu, um, mm = _closed_form_counts(n)
+    batch = rest.shape[1:-1]
+    # powers[..., s, 2 + k] = x^k for k = 0..N-1, x the m00 entry of
+    # rest[..., s], after two zeros that stand for the negative powers.
+    powers = np.zeros(batch + (2, n + 2))
+    powers[..., 2] = 1.0
+    powers[..., 3:] = rest[0][..., None]
+    np.multiply.accumulate(powers[..., 2:], axis=-1, out=powers[..., 2:])
+    c_powers, b_powers = powers[..., 0, :], powers[..., 1, :]
+    b0, b1, b2 = b_powers[..., 2:], b_powers[..., 1:-1], b_powers[..., :-2]
+    # c00^(m - l) runs down as u runs up.
+    c0, c1, c2 = c_powers[..., n + 1 : 1 : -1], c_powers[..., n:0:-1], c_powers[..., n - 1 :: -1]
+    c01, b01 = rest[1, ..., 0, None], rest[1, ..., 1, None]
+    c11, b11 = rest[2, ..., 0, None], rest[2, ..., 1, None]
+    plain = b0 * c0
+    hole_b = u * b1 * c0
+    hole_c = m * b0 * c1
+    populations = b11 * hole_b + c11 * hole_c
+    coherences = b01 * hole_b + c01 * hole_c
+    pairs = (b01 * b01) * (uu * b2 * c0) + (b01 * c01) * (um * b1 * c1)
+    pairs += (c01 * c01) * (mm * b0 * c2)
+    rho00, rho11, rho22, rho12, rho23 = constants.T.reshape((5, -1) + (1,) * (len(batch) + 1))
+    outer = rho00 * plain + rho22 * populations + rho23 * pairs
+    values = first[0][..., None, :] * outer[..., None]
+    values += first[2][..., None, :] * (rho11 * plain)[..., None]
+    values += first[1][..., None, :] * ((2.0 * rho12) * coherences)[..., None]
+    return values
 
 
 def _weight_tables(distinct: np.ndarray) -> np.ndarray:

@@ -35,15 +35,11 @@ is enforced by tests.
 A search prepares its score once (:func:`_bell_scores`,
 :func:`_crossing_scores`).  The point-independent work happens then, in
 :func:`_point_tables`: the lossy states are built, validated, dephased
-and stacked once per (N, efficiencies, width), together with their
-kernel factors.  Each step then builds only its points' settings with
-:func:`~photonbell.fock_core.displacement_matrices` and checks them with
-the closed-form Hermiticity and eigenvalue bounds of
-:func:`~photonbell.fock_core.check_observable_matrices`: in a pinned
-search each point's one pair, or party 1's pair and the one parties
-2..N share, whose points all take the 2N-row exchangeable route, and
-otherwise every party's pair at phases (0, c_1, ..., c_{N-1}), routed
-by the package's one table walk (the one behind
+and stacked once per (N, efficiencies, width).  A joint search forms
+their kernel factors; each step builds every party's pair at phases (0,
+c_1, ..., c_{N-1}) with :func:`~photonbell.fock_core.displacement_matrices`,
+checks them with :func:`~photonbell.fock_core.check_observable_matrices`
+and routes them through the package's one table walk (the one behind
 :func:`~photonbell.fock_core.correlator_tables`, which takes the 2N-row
 route for a point whose parties 2..N hold one pair).  The values of
 every efficiency are one kernel call per route against the prepared
@@ -63,15 +59,15 @@ is.  A walker uses only the values SciPy's one-point loop would have
 computed, and a row's score does not depend on its batch, so the results
 and evaluation counts are SciPy's.
 
-A pinned point builds no 2^N table.  Its table is exchangeable in
-parties 2..N, so its transform T(r) depends only on r_1 and on the
-weight u of r_2..r_N, and the 2N distinct correlators give the 2N class
-values in one count-space butterfly for the whole batch
-(:func:`~photonbell.wwzb._class_transform`): S = 2^-N sum_{r_1, u}
-C(N-1, u) |T(r_1, u)|.  At N <= 2 every class is one index, so these are
-the full transform's terms bit for bit; above, they agree with the full
-2^N sum to rounding.  A joint point's tables go through one batched
-Walsh-Hadamard transform.
+A pinned point is scored in closed form, with no table, no kernel row
+and no complex matrix (:func:`_point_tables`).  The frame-averaged lossy
+W state has five distinct entries, and one call of
+:func:`~photonbell.fock_core._exchangeable_closed_form` on a point's
+settings and their sums and differences gives its 2N distinct
+correlators and its 2N transform classes T(r_1, u), O(N) per point.
+Then S = 2^-N sum_{r_1, u} C(N-1, u) |T(r_1, u)| with no 2^N-fold
+cancellation, within 4e-15 of exact rational arithmetic for N <= 24.  A
+joint point's tables go through one batched Walsh-Hadamard transform.
 
 The loss threshold needs no search over efficiencies.  Correlators are
 affine in the efficiency eta, so at fixed search coordinates x the
@@ -109,7 +105,10 @@ from .experiments import (
 from .fock_core import (
     TWO_PI,
     ConsistencyError,
-    _exchangeable_values,
+    _check_observable_entries,
+    _displacement_entries,
+    _exchangeable_closed_form,
+    _exchangeable_constants,
     _real,
     _state_terms,
     _table_values,
@@ -123,7 +122,6 @@ from .wwzb import (
     TABLE_RANGE_TOL,
     VIOLATION_ROUNDOFF,
     _class_layout,
-    _class_transform,
     _walsh_hadamard,
 )
 
@@ -313,45 +311,68 @@ def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
 
 
 def _point_tables(spec: OptimizationSpec, efficiencies: tuple):
-    """Value function of a search, from points (P, dims) to their correlators.
+    """Value function of a search: points (P, dims) to their correlators and transform input.
 
-    The stacked frame-averaged lossy states and their kernel factors are
-    formed once, here.  A pinned search is exchangeable in parties 2..N
-    at every point, so each step builds and checks its points' pairs
-    (:func:`_amplitude_pairs`: one, or party 1's and the one parties 2..N
-    share) and calls the 2N-row exchangeable route directly, which
-    returns each table's distinct values (E, P, N, 2), entry [w, s_1] for
-    party 1's setting s_1 and w of parties 2..N on setting 1; no table is
-    built.  A joint search builds every party's pair and leaves the route
-    to the table walk, which returns tables (E, P, 2^N).  Each value
-    depends only on its own point: a batch gives the same values, bit for
-    bit, as every point alone.
+    The stacked frame-averaged lossy states are formed once, here, with
+    their kernel factors for a joint search or their five distinct
+    entries for a pinned one
+    (:func:`~photonbell.fock_core._exchangeable_constants`, which raises
+    ConsistencyError unless the stack is real, exchangeable and free of
+    vacuum coherence).  The function returns a pair: the correlators
+    that the Bell score range-checks, and what :func:`_transform_terms`
+    maps to the terms of S.
+
+    A pinned step builds and checks the real entries of its points'
+    pairs (:func:`_amplitude_pairs`), then makes one closed-form call on
+    the pairs stacked with their sums and differences.  The settings,
+    party 1 on M^(s_1)_1 and w of parties 2..N on M^1, give the distinct
+    correlators (E, P, N, 2), entry [w, s_1], which hold every entry of
+    the point's table.  Since T(r) = sum_s (-1)^(r.s) E(s) is the
+    correlator of the operators M^0_k + (-1)^(r_k) M^1_k, party 1 on
+    M^0_1 +- M^1_1, u of parties 2..N on M^0 - M^1 and the others on M^0
+    + M^1 give the class values T(r_1, u) (E, P, N, 2), entry [u, r_1].
+    A joint search builds every party's pair and leaves the route to the
+    table walk, whose tables (E, P, 2^N) are both parts of the pair.
+    Each value depends only on its own point: a batch gives the same
+    values, bit for bit, as every point alone.
     """
+    n = spec.n_parties
     etas = tuple(float(eta) for eta in efficiencies)
-    terms = _state_terms(_lossy_rhos(spec.n_parties, etas, float(spec.width)))
+    rhos = _lossy_rhos(n, etas, float(spec.width))
     if not spec.optimize_phases:
+        constants = _exchangeable_constants(rhos)
 
         def pinned(points):
-            options = displacement_matrices(_amplitude_pairs(spec, points), 0.0)
-            check_observable_matrices(options)
-            return _exchangeable_values(terms, options)
+            pairs = _amplitude_pairs(spec, points)
+            # Group 0 holds each pair (M^0, M^1), group 1 (M^0 + M^1, M^0 - M^1).
+            ops = np.empty((3, 2) + pairs.shape)
+            ops[:, 0] = _displacement_entries(pairs)
+            entries = ops[:, 0]
+            _check_observable_entries(*entries)
+            np.add(entries[..., 0], entries[..., 1], out=ops[:, 1, ..., 0])
+            np.subtract(entries[..., 0], entries[..., 1], out=ops[:, 1, ..., 1])
+            values = _exchangeable_closed_form(constants, n, ops[:, :, :, 0], ops[:, :, :, -1])
+            return values[:, 0], values[:, 1]
 
         return pinned
-    return lambda points: _table_values(terms, _setting_options(*_point_parameters(spec, points)))
+    terms = _state_terms(rhos)
+
+    def joint(points):
+        tables = _table_values(terms, _setting_options(*_point_parameters(spec, points)))
+        return tables, tables
+
+    return joint
 
 
 def _transform_terms(spec: OptimizationSpec):
-    """Map from a search's point values (:func:`_point_tables`) to the terms (E, P, M) of S.
+    """Map from a search's transform input (:func:`_point_tables`) to the terms (E, P, M) of S.
 
     S(x) = sum_r |term_r| at each point, every term scaled by 2^-N.  A
     joint search's terms are the full transform of each 2^N-entry table.
-    A pinned search's are the 2N classes of its distinct values: class
-    (r_1, u) holds C(N-1, u) equal coefficients T(r_1, u)
-    (:func:`~photonbell.wwzb._class_transform`), so term 2u + r_1 is
-    2^-N C(N-1, u) T(r_1, u), and the sum of their magnitudes, taken as
-    one flat row in (u, r_1) order, is the Bell value.  At N <= 2 every
-    class is one index and every count 1, so the class terms are the full
-    transform over 2^N in table order, bit for bit.
+    A pinned search's are its 2N class values T(r_1, u), each standing
+    for the C(N-1, u) indices of its class: term 2u + r_1 is 2^-N
+    C(N-1, u) T(r_1, u), and the sum of their magnitudes, taken as one
+    flat row in (u, r_1) order, is the Bell value.
     """
     n = spec.n_parties
     if spec.optimize_phases:
@@ -359,9 +380,9 @@ def _transform_terms(spec: OptimizationSpec):
     _, counts = _class_layout(n)
     weights = counts[:, None] / 2**n
 
-    def class_terms(distinct):
-        terms = _class_transform(distinct) * weights
-        return terms.reshape(distinct.shape[:-2] + (2 * n,))
+    def class_terms(classes):
+        terms = classes * weights
+        return terms.reshape(classes.shape[:-2] + (2 * n,))
 
     return class_terms
 
@@ -373,22 +394,22 @@ def _bell_scores(spec: OptimizationSpec):
     every row of ``points``: the [-1, 1] range check of the correlators
     (a pinned point's 2N distinct values are every entry of its table),
     then the sum of the magnitudes of :func:`_transform_terms`.  A joint
-    score sums one batched full transform, and a pinned one at N <= 2
-    the class terms, which are that transform bit for bit; either equals
-    -wwzb_value of the point's table bit for bit where that takes its
-    full route (N <= 2, and tables that are not weight-symmetric).  A
-    pinned score at N >= 3 sums the 2N weighted classes, the magnitudes
-    of ``wwzb_value``'s class route in another order, and agrees with it
-    and with the full 2^N sum to rounding.
+    score sums one batched full transform and equals -wwzb_value of the
+    point's table bit for bit where that takes its full route (N <= 2,
+    and tables that are not weight-symmetric).  A pinned score sums the
+    2N weighted closed-form class values; it lies within 4e-15 of exact
+    rational arithmetic on the same setting entries for N <= 24, and
+    agrees with the full 2^N sum to rounding.
     """
     values_at = _point_tables(spec, (spec.efficiency,))
     terms_of = _transform_terms(spec)
 
     def score(points):
-        (values,) = values_at(points)
+        values, transformed = values_at(points)
         if not np.all(np.abs(values) <= 1.0 + TABLE_RANGE_TOL):
             raise ValueError("correlators must lie in [-1, 1] up to roundoff")
-        return -np.abs(terms_of(values)).sum(axis=-1)
+        (terms,) = terms_of(transformed)
+        return -np.abs(terms).sum(axis=-1)
 
     return score
 
@@ -446,19 +467,21 @@ def _crossing_scores(spec: OptimizationSpec):
     Returns ``score(points)``, the crossing efficiency eta*(x) at every
     row of ``points``.  Points that do not violate even at eta = 1 score
     the plateau penalty (see :func:`_crossing_efficiency`).  The values
-    at eta = 0 and eta = 1 come from one settings build and one kernel
-    call per route against both frame-averaged states, and become the
-    terms of :func:`_transform_terms`: a pinned point walks its 2N
-    weighted class breakpoints.  Raises ConsistencyError, naming the
-    point, if the vacuum table violates: the vacuum is a product state
-    and cannot.
+    at eta = 0 and eta = 1 come from one settings build and, against
+    both frame-averaged states at once, one closed-form call for a
+    pinned point or one kernel call per route for a joint one.  They
+    become the terms of :func:`_transform_terms`: a pinned point walks
+    its 2N weighted class breakpoints.  Raises ConsistencyError, naming
+    the point, if the vacuum table violates: the vacuum is a product
+    state and cannot.
     """
     n = spec.n_parties
     values_at = _point_tables(spec, _THRESHOLD_EFFICIENCIES)
     terms_of = _transform_terms(spec)
 
     def score(points):
-        vacuum, lossless = terms_of(values_at(points))
+        _, transformed = values_at(points)
+        vacuum, lossless = terms_of(transformed)
         s_vacuum = np.abs(vacuum).sum(axis=-1)
         bad = np.flatnonzero(~(s_vacuum <= 1.0 + VIOLATION_ROUNDOFF))
         if bad.size:
@@ -528,11 +551,13 @@ def _scan_table_count(spec: OptimizationSpec, threshold: bool = False) -> int:
     The scan evaluates every start point at the spec's efficiency for
     :func:`maximize_bell` or, with ``threshold``, at both transmissions of
     the :func:`threshold_efficiency` search over the same coordinates.  A
-    joint scan builds these tables.  A pinned scan builds none, only 2N
-    values per point, but the count caps it all the same, as an accuracy
-    limit: the class sums carry no roundoff bound yet, and their error
-    grows with N.  Counting allocates nothing, so a caller can refuse an
-    oversized search before it starts.
+    joint scan builds these tables.  A pinned scan builds none: it scores
+    4N closed-form values per point.  The count caps it all the same, so
+    that one table budget decides the party counts every search and
+    command accepts (a pinned smax stops at N = 19), inside the N <= 24
+    over which the closed form is tested against exact arithmetic.
+    Counting allocates nothing, so a caller can refuse an oversized
+    search before it starts.
     """
     efficiencies = len(_THRESHOLD_EFFICIENCIES) if threshold else 1
     return efficiencies * _scan_points(spec)

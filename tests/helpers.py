@@ -1,6 +1,8 @@
 """Shared randomized-construction helpers and slow oracles for the test suite."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from photonbell.experiments import _half_basis, _setting_pairs
 from photonbell.fock_core import (
     IMAG_RESIDUE_TOL,
     TWO_PI,
+    _displacement_entries,
     _state_terms,
     _table_values,
     _weight_layout,
@@ -31,6 +34,7 @@ from photonbell.optimize import (
     _THRESHOLD_EFFICIENCIES,
     AMPLITUDE_BOUNDS,
     START_AMPLITUDE,
+    _amplitude_pairs,
     _crossing_efficiency,
     _halton,
     _lockstep,
@@ -64,6 +68,24 @@ def setting_matrices(settings) -> np.ndarray:
     settings = np.asarray(settings, dtype=float)
     mats = displacement_matrices(settings[:, 0], settings[:, 1])
     check_observable_matrices(mats)
+    return mats
+
+
+def former_displacement_matrices(amplitudes, phases) -> np.ndarray:
+    """``fock_core.displacement_matrices`` as written before its real entries were factored out.
+
+    Oracle of the factored version, which must return the same bits for
+    every amplitude and phase, NaN and infinities included.
+    """
+    r = np.asarray(amplitudes, dtype=float)
+    phi = np.asarray(phases, dtype=float)
+    capped = np.minimum(np.abs(r), 1e150)
+    g = 2.0 * np.exp(-capped * capped)
+    mats = np.empty(np.broadcast(r, phi).shape + (2, 2), dtype=complex)
+    mats[..., 0, 0] = g - 1.0
+    mats[..., 0, 1] = g * r * np.exp(-1j * phi)
+    mats[..., 1, 0] = g * r * np.exp(1j * phi)
+    mats[..., 1, 1] = g * r * r - 1.0
     return mats
 
 
@@ -715,6 +737,130 @@ def table_crossing_scores(spec: OptimizationSpec):
         return _crossing_efficiency(vacuum, lossless - vacuum)
 
     return score
+
+
+def _exact_ints(values) -> tuple:
+    """Floats as Python ints over one power of two: (ints, bits), value = int / 2^bits, exactly."""
+    fractions = [Fraction(float(v)) for v in np.ravel(values)]
+    bits = max((f.denominator.bit_length() - 1 for f in fractions), default=0)
+    ints = [f.numerator << (bits - f.denominator.bit_length() + 1) for f in fractions]
+    return np.array(ints, dtype=object).reshape(np.shape(values)), bits
+
+
+def _exact_trace(rho, ops) -> int:
+    """Integer Tr[rho (O_1 x ... x O_N)] of integer real entries, the subspace trace term by term.
+
+    ``rho`` (N+1, N+1) and ``ops`` (N, 3) rows (o_00, o_01 = o_10, o_11)
+    hold Python ints.  The vacuum term, each mode's population and every
+    ordered pair of excitation coherences (j, k), each times the product
+    of o_00 over the other modes: any real symmetric state of the
+    subspace, no exchangeability assumed.
+    """
+    n = len(ops)
+    diag = [op[0] for op in ops]
+    prefix = [1]
+    for d in diag:
+        prefix.append(prefix[-1] * d)
+    suffix = [1]
+    for d in reversed(diag):
+        suffix.append(suffix[-1] * d)
+    suffix = suffix[::-1]  # suffix[k] = product over modes k..N-1
+    total = rho[0][0] * prefix[n]
+    for k in range(n):
+        total += rho[k + 1][k + 1] * ops[k][2] * prefix[k] * suffix[k + 1]
+        between = 1
+        for j in range(k + 1, n):
+            pair = rho[k + 1][j + 1] + rho[j + 1][k + 1]
+            total += pair * ops[k][1] * ops[j][1] * prefix[k] * between * suffix[j + 1]
+            between *= diag[j]
+    return total
+
+
+def _exact_walsh_hadamard(values) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of Python ints along the last axis, exactly.
+
+    The level-by-level loop of :func:`walsh_hadamard_levels` on an object
+    array, so every sum and difference is a Python int operation.
+    """
+    a = np.array(values, dtype=object)
+    size = a.shape[-1]
+    h = 1
+    while h < size:
+        b = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
+        a = np.stack((b[..., 0, :] + b[..., 1, :], b[..., 0, :] - b[..., 1, :]), axis=-2)
+        a = a.reshape(a.shape[:-3] + (size,))
+        h *= 2
+    return a
+
+
+def exact_pinned_terms(spec: OptimizationSpec, points: np.ndarray, efficiencies: tuple):
+    """Exact terms (E, P, M) of the Bell value of pinned points: Python ints and a denominator.
+
+    S = sum_r |terms[e, p, r]| / denominator, exactly, and at a rational
+    efficiency eta between those of two rows a and b, S(eta) = sum_r |a_r +
+    eta (b_r - a_r)| / denominator.  The float setting entries the
+    package uses (``_displacement_entries``) and the float frame-averaged
+    states are taken as exact rationals.  For N <= 10 the terms are the
+    exact Walsh-Hadamard transform over all 2^N entries of the exact
+    table, M = 2^N, each entry the subspace trace of its parties'
+    settings (:func:`_exact_trace`).  For N > 10 they are the M = 2N
+    classes C(N-1, u) T(r_1, u), each T the correlator of party 1 on M^0_1
+    +- M^1_1, u parties on M^0 - M^1 and the rest on M^0 + M^1, summed term
+    by term as ``fock_core._exchangeable_closed_form`` sums it
+    (:func:`_exact_class_value`).
+    """
+    n = spec.n_parties
+    etas = tuple(float(eta) for eta in efficiencies)
+    rhos, state_bits = _exact_ints(_lossy_rhos(n, etas, float(spec.width)).real)
+    entries, bits = _exact_ints(np.stack(_displacement_entries(_amplitude_pairs(spec, points))))
+    terms = []
+    for rho in rhos:
+        for p in range(len(points)):
+            first = [tuple(entries[:, p, 0, s]) for s in (0, 1)]
+            rest = [tuple(entries[:, p, -1, s]) for s in (0, 1)]
+            if n <= 10:
+                distinct = [
+                    [_exact_trace(rho, [first[s1]] + [rest[1]] * w + [rest[0]] * (n - 1 - w))
+                     for s1 in (0, 1)]
+                    for w in range(n)
+                ]
+                terms.append([distinct[bin(s >> 1).count("1")][s & 1] for s in range(2**n)])
+            else:
+                terms.append([
+                    math.comb(n - 1, u) * _exact_class_value(rho, first, rest, n, u, r1)
+                    for u in range(n)
+                    for r1 in (0, 1)
+                ])
+    terms = np.array(terms, dtype=object).reshape(len(rhos), len(points), -1)
+    if n <= 10:
+        terms = _exact_walsh_hadamard(terms)
+    return terms, 2 ** (n * bits + state_bits + n)
+
+
+def _exact_class_value(rho, first, rest, n: int, u: int, r1: int) -> int:
+    """Integer T(r_1, u) of a pinned point: the closed-form sum evaluated exactly."""
+    sign = 1 - 2 * r1
+    a = [x + sign * y for x, y in zip(*first)]
+    b = [x - y for x, y in zip(*rest)]
+    c = [x + y for x, y in zip(*rest)]
+    m = n - 1 - u
+
+    def power(k: int, l: int) -> int:
+        return b[0] ** k * c[0] ** l if k >= 0 and l >= 0 else 0
+
+    rho00, rho11 = rho[0][0], rho[1][1]
+    rho22 = rho[2][2] if n >= 2 else 0
+    rho12 = rho[1][2] if n >= 2 else 0
+    rho23 = rho[2][3] if n >= 3 else 0
+    populations = u * b[2] * power(u - 1, m) + m * c[2] * power(u, m - 1)
+    coherences = u * b[1] * power(u - 1, m) + m * c[1] * power(u, m - 1)
+    pairs = (
+        u * (u - 1) * b[1] ** 2 * power(u - 2, m)
+        + 2 * u * m * b[1] * c[1] * power(u - 1, m - 1)
+        + m * (m - 1) * c[1] ** 2 * power(u, m - 2)
+    )
+    outer = rho00 * power(u, m) + rho22 * populations + rho23 * pairs
+    return a[0] * outer + rho11 * a[2] * power(u, m) + 2 * rho12 * a[1] * coherences
 
 
 def per_call_crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:

@@ -24,8 +24,12 @@ from photonbell.experiments import _frame_state
 from photonbell.fock_core import (
     CORRELATOR_CHUNK_ELEMENTS,
     WEIGHT_LEAF_ROWS,
+    _check_observable_entries,
     _correlator_rows,
+    _displacement_entries,
     _exchangeable,
+    _exchangeable_closed_form,
+    _exchangeable_constants,
     _exchangeable_values,
     _state_terms,
     _walked_values,
@@ -39,6 +43,7 @@ from photonbell.fock_core import (
 from helpers import (
     coherent_vector,
     correlator_bruteforce,
+    former_displacement_matrices,
     indexed_leaf_tables,
     indexed_weight_leaves,
     projective_observable,
@@ -262,6 +267,72 @@ def test_observable_validation():
         broken[2, 1] = bad
         with pytest.raises(ValueError):
             check_observable_matrices(broken)
+
+
+def _raises(check, *args):
+    """The ValueError message ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+def test_factored_displacement_keeps_its_bits_and_its_check():
+    # displacement_matrices puts the phase factors back on the real
+    # entries of _displacement_entries: the former expression bit for bit,
+    # NaN and infinities included, and the entry check refuses exactly the
+    # settings check_observable_matrices refuses
+    amplitudes = np.array([0.0, -0.0, 3.0, -3.0, 1e-300, 1e200, np.inf, -np.inf, np.nan, 0.4])
+    for phase in (0.0, np.pi / 3.0):
+        # an infinite amplitude times e^{-r^2} = 0 is NaN, with numpy's warning
+        with np.errstate(invalid="ignore"):
+            got = displacement_matrices(amplitudes, phase)
+            expected = former_displacement_matrices(amplitudes, phase)
+            entries = np.stack(_displacement_entries(amplitudes))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(entries[0], got[:, 0, 0].real, equal_nan=True)
+        assert np.array_equal(entries[2], got[:, 1, 1].real, equal_nan=True)
+        if phase == 0.0:
+            assert np.array_equal(entries[1], got[:, 1, 0].real, equal_nan=True)
+        for i in range(len(amplitudes)):
+            refused = _raises(check_observable_matrices, got[i])
+            assert (refused is None) == (_raises(_check_observable_entries, *entries[:, i]) is None)
+            assert (refused is None) == np.isfinite(amplitudes[i])
+    # real symmetric matrices on both sides of the eigenvalue bound: the
+    # same refusals with the same messages
+    rng = np.random.default_rng(12)
+    entries = rng.uniform(-1.0, 1.0, size=(3, 400)) * rng.uniform(0.5, 1.5, size=400)
+    entries[:, :3] = [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]]
+    mats = np.array([[entries[0], entries[1]], [entries[1], entries[2]]]).transpose(2, 0, 1)
+    outcomes = [_raises(check_observable_matrices, mat) for mat in mats]
+    assert outcomes == [_raises(_check_observable_entries, *column) for column in entries.T]
+    assert 50 < sum(outcome is None for outcome in outcomes) < 350
+    assert _raises(_check_observable_entries, *entries) == _raises(check_observable_matrices, mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_closed_form_equals_the_kernel(n):
+    # party 1 on a, u of parties 2..N on b and the rest on c, against the
+    # kernel on the same real matrices, for frame-averaged lossy W stacks
+    # and random real observables, over every u
+    rng = np.random.default_rng(30 + n)
+    rhos = _lossy_rhos(n, (0.0, 0.6, 1.0), 0.7)
+    constants = _exchangeable_constants(rhos)
+    mats = random_observable_matrices(rng, (4, 4)).real
+    mats = 0.5 * (mats + mats.swapaxes(-1, -2))
+    entries = np.stack((mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]))
+    # rest[..., 0] = c, the fourth matrix, and rest[..., 1] = b, the third
+    values = _exchangeable_closed_form(constants, n, entries[:, :, :2], entries[:, :, 3:1:-1])
+    assert values.shape == (3, 4, n, 2)
+    for p in range(4):
+        for u in range(n):
+            rows = [[mats[p, j]] + [mats[p, 2]] * u + [mats[p, 3]] * (n - 1 - u) for j in (0, 1)]
+            expected = correlator_batch(rhos, np.array(rows))
+            assert np.max(np.abs(values[:, p, u] - expected)) <= 1e-15
+    # one row scored alone keeps its bits
+    alone = _exchangeable_closed_form(constants, n, entries[:, 1:2, :2], entries[:, 1:2, 3:1:-1])
+    assert np.array_equal(alone, values[:, 1:2])
 
 
 def test_projective_observable_form():

@@ -1,6 +1,7 @@
 """Bell-value maximization, loss thresholds, and certainty frontiers."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from helpers import (
     bisect_threshold,
     dressed_averaged_tables,
+    exact_pinned_terms,
     full_transform_bell_value,
     per_call_averaged_tables,
     per_call_bell_scores,
@@ -60,6 +62,9 @@ from photonbell.optimize import (
 from photonbell.wwzb import _walsh_hadamard
 
 TWO_PI = 2.0 * np.pi
+
+# Spacing of doubles in [1, 2), where Bell values lie.
+ULP = np.spacing(1.0)
 
 PINNED = dict(optimize_phases=False)
 JOINT = dict(optimize_phases=True)
@@ -130,10 +135,11 @@ def test_batched_scan_equals_one_point_objective(spec):
     # walkers score their points in shared batches, so the batched scores
     # must equal the one-point scores bit for bit; the joint cloud's first
     # point has equal centers and takes the exchangeable route.  A joint
-    # score, and any score of N <= 2, sums all 2^N magnitudes, so it
-    # equals the full-transform Bell value bit for bit; a pinned score of
-    # N >= 3 sums the weighted classes, the magnitudes wwzb_value's class
-    # route sums in another order, and agrees with both to rounding
+    # score sums all 2^N magnitudes, so it equals the full-transform Bell
+    # value bit for bit.  A pinned score sums its 2N weighted closed-form
+    # class values and agrees with the full transform and wwzb_value to
+    # rounding: at most 3.3e-16 (1.5 ulp) from the full transform at N = 2
+    # and 8.9e-16 at N = 9 on these clouds
     _, cloud = _search_box(spec)
     bell, crossing = _bell_scores(spec), _crossing_scores(spec)
     scores = bell(cloud)
@@ -150,10 +156,10 @@ def test_batched_scan_equals_one_point_objective(spec):
         )[0]
         correlators = CorrelatorTable(spec.n_parties, table)
         full = full_transform_bell_value(correlators).s_value
-        if spec.n_parties >= 3 and not spec.optimize_phases:
-            assert abs(scores[i] + full) <= 1e-13
-        else:
+        if spec.optimize_phases:
             assert scores[i] == -full
+        else:
+            assert abs(scores[i] + full) <= (2 if spec.n_parties <= 2 else 5) * ULP
         assert abs(scores[i] + wwzb_value(correlators).s_value) <= 1e-15
 
 
@@ -199,11 +205,11 @@ def test_evaluation_counts_unchanged():
     [
         (
             OptimizationSpec(2, 0.2, efficiency=0.95, optimize_phases=False, restarts=2),
-            (1.2280699377473796, -0.5697379004578493, 0.17011738349625302, 206),
+            (1.2280699377473798, -0.5697379004578493, 0.17011738349625302, 206),
         ),
         (
             OptimizationSpec(9, 0.15, efficiency=0.9, optimize_phases=False, restarts=2),
-            (1.3908787207795315, -0.26952835030475475, 0.13617381183710364, 231),
+            (1.3908787207795317, -0.26952835030475475, 0.13617381183710364, 231),
         ),
         (
             OptimizationSpec(3, 0.25, efficiency=0.93, optimize_phases=True, restarts=1),
@@ -221,7 +227,10 @@ def test_search_results_are_pinned(spec, expected):
     # a faster score must not move a single bit of any result.  The
     # per-party count includes the shared search that now runs first.
     # The N=9 best_s moved by one ulp (1.390878720779531 before) when
-    # pinned scores went from the full 2^N sum to the weighted class sum.
+    # pinned scores went from the full 2^N sum to the weighted class sum,
+    # and the pinned best_s by one ulp each (1.2280699377473796 and
+    # 1.3908787207795315 before) when the class values came from the
+    # closed form; r, r' and every count held.
     report = maximize_bell(spec)
     assert (report.best_s, report.r, report.r_prime, report.evaluations) == expected
 
@@ -260,10 +269,13 @@ def _oracle_points(spec, rng):
 def test_prepared_scores_equal_per_call_pipeline(n):
     # the table-route scores against the per-call pipeline they replaced,
     # bit for bit, and the prepared scores against them: bit for bit for
-    # joint searches and at N <= 2, within the class-sum tolerances for
-    # pinned searches of N >= 3.  Pinned, joint and (n <= 3) per-party
-    # searches at widths 0, 0.2 and 1.5, with amplitudes at the bounds and
-    # at 0, in one batch and point by point
+    # joint searches; for pinned ones, whose class values come from the
+    # closed form, within 2 ulps (Bell) and 3 ulps (crossing) at N <= 2,
+    # and within 1e-15 (Bell) and 1e-13 (crossing) for N = 3..9 (measured:
+    # 7.8e-16, and 1.1e-14 at N = 9 in eta*, where S is flat in eta and
+    # the table route's own rounding dominates).  Pinned, joint and
+    # (n <= 3) per-party searches at widths 0, 0.2 and 1.5, with amplitudes
+    # at the bounds and at 0, in one batch and point by point
     rng = np.random.default_rng(90 + n)
     kinds = [dict(optimize_phases=False), dict(optimize_phases=True)]
     if n <= 3:
@@ -278,12 +290,15 @@ def test_prepared_scores_equal_per_call_pipeline(n):
             oracle_crossing = table_crossing_scores(spec)(points)
             assert np.array_equal(oracle_bell, per_call_bell_scores(spec, points))
             assert np.array_equal(oracle_crossing, per_call_crossing_scores(spec, points))
-            if n <= 2 or spec.optimize_phases:
+            if spec.optimize_phases:
                 assert np.array_equal(scores, oracle_bell)
                 assert np.array_equal(crossings, oracle_crossing)
+            elif n <= 2:
+                assert np.max(np.abs(scores - oracle_bell)) <= 2 * ULP
+                assert np.max(np.abs(crossings - oracle_crossing)) <= 3 * ULP
             else:
-                assert np.max(np.abs(scores - oracle_bell)) <= 1e-13
-                assert np.max(np.abs(crossings - oracle_crossing)) <= 1e-12
+                assert np.max(np.abs(scores - oracle_bell)) <= 1e-15
+                assert np.max(np.abs(crossings - oracle_crossing)) <= 1e-13
             for i in range(0, len(points), 5):
                 assert bell(points[i : i + 1])[0] == scores[i]
 
@@ -300,22 +315,23 @@ def _pinned_oracle_points(spec, rng):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_pinned_scores_equal_the_table_route_oracle(n):
-    # the class-value scores of pinned searches against the 2^N-table
+    # the closed-form scores of pinned searches against the 2^N-table
     # scores they replaced, shared amplitudes and party 1's own pair at
-    # widths 0 and 0.4: bit for bit at N <= 2, where every class is one
-    # index.  For N = 3..16 the gaps stay within 1e-13 at the cloud and
-    # interior points (the first ten) and 1e-12 at the +-3 corners: there
-    # the transform cancels terms of size 6e3, and a class value carries
-    # its lowest index's rounding times its count where the table's
-    # copies average theirs (1.3e-13 measured at N = 16; exact arithmetic
-    # sits within 1.5e-15 of the table sum).  Crossings are checked in S
-    # against the table's directly summed Bell values: S at the class
-    # eta* against 1 + VIOLATION_ROUNDOFF, a plateau penalty against
-    # 2 + VIOLATION_ROUNDOFF - S(1).  The table route's own walk sums its
-    # 2^N breakpoints cumulatively and is no tighter (eta* gaps to it
-    # reached 1.3e-12 at N = 16, where S is flat in eta)
+    # widths 0 and 0.4.  The gaps stay within 2.5e-15 at the cloud and
+    # interior points (the first ten; 1.7e-15 measured) and 1.5e-14 at the
+    # +-3 corners (1.1e-14 measured at N = 16).  Both are the table
+    # route's rounding: its transform cancels terms of size 6e3 at the
+    # corners, while the closed form lies within 1.5e-15 of exact
+    # arithmetic there (test_pinned_scores_equal_exact_arithmetic).  N <= 2
+    # are within 2 ulps.  Crossings are checked in S against the table's
+    # directly summed Bell values: S at the closed-form eta* against
+    # 1 + VIOLATION_ROUNDOFF, a plateau penalty against
+    # 2 + VIOLATION_ROUNDOFF - S(1), with the same bounds; the table
+    # route's own walk sums its 2^N breakpoints cumulatively and is no
+    # tighter in eta*, where S is flat in eta
     rng = np.random.default_rng(400 + n)
     level = 1.0 + VIOLATION_ROUNDOFF
+    interior, corners = (2 * ULP, 2 * ULP) if n <= 2 else (2.5e-15, 1.5e-14)
     for shared in (True, False):
         for width in (0.0, 0.4):
             spec = OptimizationSpec(n, width, efficiency=0.9, shared_amplitudes=shared)
@@ -323,19 +339,47 @@ def test_pinned_scores_equal_the_table_route_oracle(n):
             bell, oracle_bell = _bell_scores(spec)(points), table_bell_scores(spec)(points)
             crossing = _crossing_scores(spec)(points)
             oracle_crossing = table_crossing_scores(spec)(points)
-            if n <= 2:
-                assert np.array_equal(bell, oracle_bell)
-                assert np.array_equal(crossing, oracle_crossing)
-                continue
             gaps = np.abs(bell - oracle_bell)
-            assert gaps[:10].max() <= 1e-13 and gaps.max() <= 1e-12
+            assert gaps[:10].max() <= interior and gaps.max() <= corners
             violating = crossing < 1.0
             assert np.array_equal(violating, oracle_crossing < 1.0)
             vacuum, lossless = _walsh_hadamard(table_values(spec, points, (0.0, 1.0))) / 2**n
             at_crossing = np.abs(vacuum + crossing[:, None] * (lossless - vacuum)).sum(axis=-1)
             penalty = 1.0 + level - np.abs(lossless).sum(axis=-1)
             gaps = np.where(violating, np.abs(at_crossing - level), np.abs(crossing - penalty))
-            assert gaps[:10].max() <= 1e-13 and gaps.max() <= 1e-12
+            assert gaps[:10].max() <= interior and gaps.max() <= corners
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_pinned_scores_equal_exact_arithmetic(n):
+    # the closed-form Bell and crossing scores against exact rational
+    # arithmetic on the same float setting entries and states: for
+    # N <= 10 the exact 2^N table and its exact transform, above that the
+    # exact sum of the closed form's terms.  Cloud, interior and +-3, 0 and
+    # -0.0 points, shared and party 1's own pair, widths 0 and 0.4.  The
+    # largest gap measured was 1.5e-15 (Bell) and 1.7e-15 (crossing, in
+    # S) at N = 24
+    rng = np.random.default_rng(700 + n)
+    level = Fraction(1.0 + VIOLATION_ROUNDOFF)
+    for shared in (True, False):
+        for width in (0.0, 0.4):
+            spec = OptimizationSpec(n, width, efficiency=0.9, shared_amplitudes=shared)
+            points = _pinned_oracle_points(spec, rng)
+            bell = -_bell_scores(spec)(points)
+            (exact,), denominator = exact_pinned_terms(spec, points, (spec.efficiency,))
+            for s, terms in zip(bell, exact):
+                assert abs(Fraction(s) - Fraction(sum(map(abs, terms)), denominator)) <= 4e-15
+            crossing = _crossing_scores(spec)(points)
+            (vacuum, lossless), denominator = exact_pinned_terms(spec, points, (0.0, 1.0))
+            for eta, a, b in zip(crossing, vacuum, lossless):
+                if eta < 1.0:
+                    # S at the crossing, a + eta (b - a) with eta = p / q
+                    p, q = Fraction(eta).as_integer_ratio()
+                    s = Fraction(sum(map(abs, q * a + p * (b - a))), q * denominator)
+                    assert abs(s - level) <= 4e-15
+                else:
+                    s = Fraction(sum(map(abs, b)), denominator)
+                    assert abs(Fraction(eta) - (1 + level - s)) <= 4e-15
 
 
 def test_pinned_searches_build_no_tables(monkeypatch):
@@ -358,34 +402,76 @@ def test_pinned_searches_build_no_tables(monkeypatch):
 
 
 def test_pinned_step_checks_two_matrices_per_point(monkeypatch):
-    # a pinned shared-amplitude step builds and checks only each point's
-    # settings pair, and a search forms its stack of states once
-    checked = []
-    stacks = []
-    check = optimize.check_observable_matrices
-    terms = optimize._state_terms
+    # every pinned score call checks the real entries of its points' 2K
+    # settings (K = 1 shared pair, or party 1's and the one parties 2..N
+    # share) in one shared entry check, before its one closed-form call,
+    # and a prepared score forms its states' distinct entries once
+    checked, scored, stacks = [], [], []
+    check = optimize._check_observable_entries
+    closed_form = optimize._exchangeable_closed_form
+    constants = optimize._exchangeable_constants
 
-    def counted_check(mats):
-        checked.append(np.shape(mats)[:-2])
-        return check(mats)
+    def counted_check(*entries):
+        checked.append(np.shape(entries))
+        return check(*entries)
 
-    def counted_terms(states):
-        stacks.append(states.shape)
-        return terms(states)
+    def counted_closed_form(*args):
+        scored.append(checked[-1])
+        return closed_form(*args)
 
-    monkeypatch.setattr(optimize, "check_observable_matrices", counted_check)
-    monkeypatch.setattr(optimize, "_state_terms", counted_terms)
+    def counted_constants(states):
+        stacks.append(np.shape(states))
+        return constants(states)
+
+    monkeypatch.setattr(optimize, "_check_observable_entries", counted_check)
+    monkeypatch.setattr(optimize, "_exchangeable_closed_form", counted_closed_form)
+    monkeypatch.setattr(optimize, "_exchangeable_constants", counted_constants)
     for n in (2, 9):
-        spec = OptimizationSpec(n, 0.2, optimize_phases=False, restarts=2)
-        checked.clear()
-        stacks.clear()
-        report = maximize_bell(spec)
-        assert stacks == [(1, n + 1, n + 1)]
-        assert checked and all(shape[1:] == (1, 2) for shape in checked)
-        assert sum(shape[0] for shape in checked) >= report.evaluations
+        for shared in (True, False):
+            spec = OptimizationSpec(n, 0.2, shared_amplitudes=shared, restarts=2, **PINNED)
+            pairs = 1 if shared else 2
+            checked.clear()
+            scored.clear()
+            stacks.clear()
+            report = maximize_bell(spec)
+            # a search with party 1's own pair runs the shared search first
+            assert stacks == [(1, n + 1, n + 1)] * (1 if shared else 2)
+            assert scored == checked
+            assert all(shape[0] == 3 and shape[2:] in ((1, 2), (pairs, 2)) for shape in checked)
+            assert sum(shape[1] for shape in checked) >= report.evaluations
         stacks.clear()
         threshold_efficiency(n, 0.2, tolerance=1e-3, restarts=1)
         assert stacks == [(2, n + 1, n + 1)]
+
+
+def test_prepared_pinned_scores_refuse_states_the_closed_form_cannot_take(monkeypatch):
+    # the closed form reads five entries of each state: a prepared pinned
+    # score refuses, before any point, a stack with an imaginary part, one
+    # that is not exchangeable in modes 2..N and one with vacuum-excitation
+    # coherence; a joint score takes any state through the kernel
+    n = 3
+    # full rank, so that every edit below keeps a valid state
+    base = 0.5 * lossy_w_state(n, 0.5).matrix + 0.5 * np.eye(n + 1) / (n + 1)
+    complex_coherence, unequal, vacuum_coherent = base.copy(), base.copy(), base.copy()
+    complex_coherence[1, 2:] += 0.01j
+    complex_coherence[2:, 1] -= 0.01j
+    unequal[2, 2] += 0.01
+    unequal[3, 3] -= 0.01
+    vacuum_coherent[0, 1:] = vacuum_coherent[1:, 0] = 0.01
+    for rho in (base, complex_coherence, unequal, vacuum_coherent):
+        SubspaceState(n, rho)
+        monkeypatch.setattr(
+            optimize, "_lossy_rhos", lambda n, etas, width, rho=rho: np.stack([rho] * len(etas))
+        )
+        for prepare in (_bell_scores, _crossing_scores):
+            for shared in (True, False):
+                spec = OptimizationSpec(n, 0.2, shared_amplitudes=shared)
+                if rho is base:
+                    prepare(spec)
+                else:
+                    with pytest.raises(ConsistencyError, match="exchangeable"):
+                        prepare(spec)
+            prepare(OptimizationSpec(n, 0.2, **JOINT))
 
 
 def test_per_party_oracle_is_the_former_search():
@@ -430,39 +516,42 @@ def test_party_one_pair_gains_over_the_shared_optimum():
 
 
 def test_pinned_party_one_step_makes_one_exchangeable_call_of_2n_rows(monkeypatch):
-    # a pinned search without shared amplitudes never walks the 2^N rows:
-    # each score call is one exchangeable call of 2N kernel rows per point
+    # a pinned search, shared or with party 1's own pair, builds no
+    # complex settings and makes no kernel call: each score call is one
+    # closed-form call over its points' settings and their sums and
+    # differences, 2N distinct correlators and 2N class values per point
     n = 9
-    spec = OptimizationSpec(n, 0.6, shared_amplitudes=False, restarts=2, **PINNED)
-    calls, rows = [], []
-    exchangeable_values = optimize._exchangeable_values
-    correlator_values = fock_core._correlator_values
+    calls = []
+    closed_form = optimize._exchangeable_closed_form
 
-    def exchangeable(terms, pairs):
-        calls.append(len(pairs))
-        rows.clear()
-        distinct = exchangeable_values(terms, pairs)
-        assert sum(rows) == 2 * n * len(pairs)
-        return distinct
+    def counted(constants, n_parties, first, rest):
+        values = closed_form(constants, n_parties, first, rest)
+        calls.append(rest.shape[1:-1])
+        assert values.shape == (len(constants),) + rest.shape[1:-1] + (n_parties, 2)
+        return values
 
-    def counted(terms, entries):
-        rows.append(entries.shape[-1])
-        return correlator_values(terms, entries)
+    def refused(*_args):
+        raise AssertionError("a pinned search built complex settings or called the kernel")
 
-    def walked(*_args):
-        raise AssertionError("a pinned point walked all 2^N rows")
-
-    monkeypatch.setattr(optimize, "_exchangeable_values", exchangeable)
-    monkeypatch.setattr(fock_core, "_correlator_values", counted)
-    monkeypatch.setattr(fock_core, "_walked_values", walked)
-    score = _bell_scores(spec)
-    _, cloud = _search_box(spec)
-    assert optimize._amplitude_pairs(spec, cloud).shape == (len(cloud), 2, 2)
-    score(cloud)
-    assert calls == [len(cloud)]
+    monkeypatch.setattr(optimize, "_exchangeable_closed_form", counted)
+    for module in (fock_core, optimize):
+        monkeypatch.setattr(module, "displacement_matrices", refused)
+    monkeypatch.setattr(fock_core, "_correlator_values", refused)
+    for shared in (True, False):
+        spec = OptimizationSpec(n, 0.6, shared_amplitudes=shared, restarts=2, **PINNED)
+        score = _bell_scores(spec)
+        _, cloud = _search_box(spec)
+        assert optimize._amplitude_pairs(spec, cloud).shape == (len(cloud), 1 if shared else 2, 2)
+        calls.clear()
+        score(cloud)
+        assert calls == [(2, len(cloud))]
+        calls.clear()
+        report = maximize_bell(spec)
+        assert all(rows == 2 for rows, _ in calls)
+        assert sum(points for _, points in calls) >= report.evaluations
     calls.clear()
-    report = maximize_bell(spec)
-    assert sum(calls) >= report.evaluations
+    threshold_efficiency(n, 0.2, tolerance=1e-3, restarts=1)
+    assert calls
 
 
 def test_single_party_keeps_two_coordinates():
@@ -614,8 +703,8 @@ def test_halton_cloud_equals_scipy():
 def test_scan_table_count_sizes_the_cloud_scan(monkeypatch):
     # the count a caller checks before a search sizes the tables the
     # search's first scoring call builds: 2^N entries each for a joint
-    # search, and 2N distinct values each for a pinned one, which builds
-    # no table
+    # search, and for a pinned one, which builds no table, 2N distinct
+    # correlators and 2N class values each
     import photonbell.optimize as optimize
 
     class Scanned(Exception):
@@ -631,7 +720,9 @@ def test_scan_table_count_sizes_the_cloud_scan(monkeypatch):
             return tables_at  # the shared search a per-party one runs first
 
         def scanned(points):
-            sizes.append(tables_at(points).size)
+            values, transformed = tables_at(points)
+            assert transformed.size == values.size
+            sizes.append(values.size)
             raise Scanned
 
         return scanned
@@ -906,19 +997,24 @@ def test_violating_vacuum_raises(monkeypatch):
 
 def test_bell_scores_reject_out_of_range_tables(monkeypatch):
     # the batched scores keep the [-1, 1] range check of CorrelatorTable,
-    # for every row of the batch: on a pinned point's 2N distinct values
-    # (E, P, N, 2), which hold every entry of its table, and on a joint
-    # point's table (E, P, 2^N)
+    # for every row of the batch: on a pinned point's 2N distinct
+    # correlators (E, P, N, 2), which hold every entry of its table, and
+    # on a joint point's table (E, P, 2^N).  A pinned point's class values
+    # T(r_1, u), sums of 2^N signed entries, are not range-checked
     for spec in (OptimizationSpec(3, 0.0), OptimizationSpec(3, 0.0, **JOINT)):
         points = np.zeros((3, sum(_search_dims(spec))))
         good = np.full((1, 3) + ((8,) if spec.optimize_phases else (3, 2)), 0.5)
-        monkeypatch.setattr("photonbell.optimize._point_tables", lambda *a: lambda points: good)
-        assert np.all(_bell_scores(spec)(points) == -0.5)
+        classes = good if spec.optimize_phases else np.full((1, 3, 3, 2), 2.0)
+        monkeypatch.setattr(
+            "photonbell.optimize._point_tables", lambda *a: lambda points: (good, classes)
+        )
+        expected = -0.5 if spec.optimize_phases else -2.0 * 2 * (1 + 2 + 1) / 2**3
+        assert np.all(_bell_scores(spec)(points) == expected)
         for bad in (1.0 + 1e-8, -1.0 - 1e-8, np.nan):
             values = good.copy()
             values.reshape(-1)[-1] = bad
             monkeypatch.setattr(
-                "photonbell.optimize._point_tables", lambda *a: lambda points: values
+                "photonbell.optimize._point_tables", lambda *a: lambda points: (values, classes)
             )
             with pytest.raises(ValueError, match=r"\[-1, 1\]"):
                 _bell_scores(spec)(points)
