@@ -55,6 +55,7 @@ from .experiments import (
 )
 from .fock_core import TWO_PI, ConsistencyError, w_state
 from .optimize import (
+    MAX_PARTIES,
     OptimizationSpec,
     _scan_table_count,
     averaged_correlator_table,
@@ -273,13 +274,21 @@ def _check_entries(tables: int, parties: int, sized_by: str) -> None:
         )
 
 
-def _check_search(spec: OptimizationSpec, flag: str, threshold=False) -> None:
-    """Reject a search whose start-cloud scan would exceed the table budget."""
+def _search_spec(flag: str, threshold: bool, n_parties: int, *args, **fields) -> OptimizationSpec:
+    """The spec of a search, refused when its start-cloud scan would exceed the table budget.
+
+    A pinned scan's size is the same for every N >= 2, and the budget
+    refuses every N past its exponent, far below MAX_PARTIES, so the scan
+    is sized at min(N, MAX_PARTIES) parties: a party count the spec would
+    refuse is refused here first, naming ``flag``.
+    """
+    sized = OptimizationSpec(min(n_parties, MAX_PARTIES), *args, **fields)
     _check_entries(
-        _scan_table_count(spec, threshold),
-        spec.n_parties,
-        f"{flag} {spec.n_parties} with --restarts {spec.restarts}",
+        _scan_table_count(sized, threshold),
+        n_parties,
+        f"{flag} {n_parties} with --restarts {sized.restarts}",
     )
+    return replace(sized, n_parties=n_parties)
 
 
 def _check_distinct(values, flag: str, what: str) -> None:
@@ -398,9 +407,7 @@ def cmd_fig2(args) -> int:
         raise ValueError(f"--delta-max / --delta-step exceeds {FIG2_MAX_WIDTHS} widths")
     if not (np.isfinite(args.eta_tolerance) and args.eta_tolerance > 0.0):
         raise ValueError("eta tolerance must be finite and > 0")
-    specs = [OptimizationSpec(n, 0.0, restarts=args.restarts) for n in parties]
-    for spec in specs:
-        _check_search(spec, "--n-list", threshold=True)
+    specs = [_search_spec("--n-list", True, n, 0.0, restarts=args.restarts) for n in parties]
     widths = np.arange(0.0, args.delta_max + 0.5 * args.delta_step, args.delta_step)
     rows = []
     for spec in specs:
@@ -420,11 +427,9 @@ def cmd_fig2(args) -> int:
 
 def _pinned_optimum(args):
     """Pinned-phase optimum for centered frames, the amplitudes of a histogram."""
-    spec = OptimizationSpec(
-        n_parties=args.parties, width=args.delta, efficiency=args.eta, restarts=args.restarts
+    return maximize_bell(
+        _search_spec("--parties", False, args.parties, args.delta, args.eta, restarts=args.restarts)
     )
-    _check_search(spec, "--parties")
-    return maximize_bell(spec)
 
 
 def cmd_fig3(args) -> int:
@@ -479,15 +484,16 @@ def cmd_smax(args) -> int:
     flag: its walkers can stall below the pinned optimum.
     """
     _check_frame(args)
-    spec = OptimizationSpec(
-        n_parties=args.parties,
+    spec = _search_spec(
+        "--parties",
+        False,
+        args.parties,
         width=args.delta,
         efficiency=args.eta,
         shared_amplitudes=not args.unreduced,
         restarts=args.restarts,
         tolerance=args.tolerance,
     )
-    _check_search(spec, "--parties")
     report = maximize_bell(spec)
     manifest = _manifest(args, derived={"best_s": _round12(report.best_s)})
     centers = ",".join(_cells(report.phase_centers, "csv"))
@@ -505,8 +511,7 @@ def cmd_smax(args) -> int:
 def cmd_eta(args) -> int:
     """Threshold transmission above which the Bell inequality is violated."""
     _check_frame(args)
-    spec = OptimizationSpec(args.parties, args.delta, restarts=args.restarts)
-    _check_search(spec, "--parties", threshold=True)
+    _search_spec("--parties", True, args.parties, args.delta, restarts=args.restarts)
     result = threshold_efficiency(
         args.parties,
         args.delta,

@@ -236,18 +236,25 @@ def paired_strategy(
     return MeasurementStrategy((first, *_signed_settings(r0, r1, phases[1:])), pair_count)
 
 
-def _offset_frequencies(n_parties: int) -> np.ndarray:
-    """Offset frequency m_ab (N+1, N+1, N-1) of every state entry (a, b).
+def _frame_units(n_parties: int, basis) -> np.ndarray:
+    """Frame vectors u_a (len(basis), N-1) of the basis states a of (vac, e_1, ..., e_N).
 
     Party 1 is the reference and party p >= 2 rotates its displacement
     phase with Delta_{p-1}, which conjugates the state by U(Delta) =
-    diag(1, 1, exp(i Delta_1), ..., exp(i Delta_{N-1})) in the basis
-    (vac, e_1, ..., e_N).  Entry (a, b) therefore carries exp(i m_ab .
-    Delta) with m_ab = u_b - u_a, where u is zero for the vacuum and
-    party 1 and the unit vector of slot p-1 for party p >= 2.
+    diag(1, 1, exp(i Delta_1), ..., exp(i Delta_{N-1})): u_a is zero for
+    the vacuum and party 1 and the unit vector of slot p-1 for party p >= 2.
     """
-    unit = np.zeros((n_parties + 1, n_parties - 1), dtype=int)
-    unit[2:] = np.eye(n_parties - 1, dtype=int)
+    return (np.asarray(basis)[:, None] == np.arange(2, n_parties + 1)).astype(int)
+
+
+def _offset_frequencies(n_parties: int) -> np.ndarray:
+    """Offset frequency m_ab (N+1, N+1, N-1) of every state entry (a, b).
+
+    Entry (a, b) carries exp(i m_ab . Delta) under the frame offsets
+    Delta, with m_ab = u_b - u_a for the frame vectors u of
+    :func:`_frame_units`.
+    """
+    unit = _frame_units(n_parties, np.arange(n_parties + 1))
     return unit[None, :, :] - unit[:, None, :]
 
 

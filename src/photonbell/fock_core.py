@@ -54,10 +54,12 @@ every other point walks all 2^N rows.  The tests keep a dense
 evaluation in the full 2^N mode-occupation space as its slow oracle,
 and the rows-first kernel as its bit-for-bit oracle.
 
-The optimizer's pinned search needs no kernel: for a real state,
-exchangeable in modes 2..N and free of vacuum coherence (the
+The optimizer's pinned search needs no kernel and no dense state: for a
+real state, exchangeable in modes 2..N and free of vacuum coherence (the
 frame-averaged lossy W state), :func:`_exchangeable_closed_form` gives
-the correlators of real symmetric settings in O(N) per row.
+the correlators of real symmetric settings in O(N) per row from the
+state's five distinct entries, which the optimizer forms in closed form
+(:func:`~photonbell.optimize._lossy_constants`).
 
 Validation happens where values enter: :class:`SubspaceState` checks the
 state and :func:`check_observable_matrices` checks a batch of
@@ -598,37 +600,6 @@ def _exchangeable_values(terms: _StateTerms, pairs: np.ndarray) -> np.ndarray:
     return distinct.reshape(len(terms.states), n, 2, points).transpose(0, 3, 1, 2)
 
 
-def _exchangeable_constants(states) -> np.ndarray:
-    """The five distinct entries (S, 5) of a stack of states (S, N+1, N+1).
-
-    Columns rho_00, rho_11, rho_22, rho_12 and rho_23: the vacuum, mode
-    1's population, the population of a mode 2..N, the coherence of mode
-    1 with one of them and that of two of them (0 where N has no such
-    entry).  They hold every entry of a state that is real, symmetric,
-    exchangeable in modes 2..N and free of vacuum-excitation coherence,
-    bit for bit, as every frame-averaged lossy W state is; any other
-    stack raises ConsistencyError.  Formed once per stack, for
-    :func:`_exchangeable_closed_form`.
-    """
-    states = np.asarray(states)
-    real = states.real
-    if not (
-        np.all(states.imag == 0.0)
-        and np.array_equal(real, real.swapaxes(1, 2))
-        and np.all(real[:, 0, 1:] == 0.0)
-        and _exchangeable(states)
-    ):
-        raise ConsistencyError(
-            "the closed form needs real symmetric states, exchangeable in modes 2..N, "
-            "with no vacuum-excitation coherence"
-        )
-    rows, cols = np.array([(0, 0), (1, 1), (2, 2), (1, 2), (2, 3)]).T
-    present = cols < states.shape[-1]
-    constants = np.zeros((len(states), 5))
-    constants[:, present] = real[:, rows[present], cols[present]]
-    return constants
-
-
 @lru_cache(maxsize=32)
 def _closed_form_counts(n_parties: int) -> np.ndarray:
     """Read-only counts (5, N) u, m, u(u-1), 2um and m(m-1) for u = 0..N-1, m = N-1-u."""
@@ -642,9 +613,13 @@ def _closed_form_counts(n_parties: int) -> np.ndarray:
 def _exchangeable_closed_form(constants: np.ndarray, n_parties: int, first, rest) -> np.ndarray:
     """Correlators (S, ..., N, A) of party 1 on each of A operators and parties 2..N on two.
 
-    ``constants`` (S, 5) are the distinct entries of S states
-    (:func:`_exchangeable_constants`).  ``first`` (3, ..., A) holds the
-    real entries (m00, m01 = m10, m11) of party 1's A operators a_j for
+    ``constants`` (S, 5) hold the distinct entries of S real states,
+    exchangeable in modes 2..N and free of vacuum coherence: rho_00,
+    rho_11, rho_22, rho_12 and rho_23, the vacuum, mode 1's population,
+    the population of a mode 2..N, the coherence of mode 1 with one of
+    them and that of two of them, 0 where N has no such entry
+    (:func:`~photonbell.optimize._lossy_constants`).  ``first`` (3, ...,
+    A) holds the real entries (m00, m01 = m10, m11) of party 1's A operators a_j for
     each row of the batch ``...``, and ``rest`` (3, ..., 2) those of the
     operators c = rest[..., 0] and b = rest[..., 1] of parties 2..N.
     Entry [i, ..., u, j] is Tr[rho_i (a_j x b^(x u) x c^(x m))], m =

@@ -34,8 +34,8 @@ is enforced by tests.
 
 A search prepares its score once (:func:`_bell_scores`,
 :func:`_crossing_scores`).  The point-independent work happens then, in
-:func:`_point_tables`: the lossy states are built, validated, dephased
-and stacked once per (N, efficiencies, width).  A joint search forms
+:func:`_point_tables`.  A joint search builds, validates, dephases and
+stacks the lossy states once per (N, efficiencies, width) and forms
 their kernel factors; each step builds every party's pair at phases (0,
 c_1, ..., c_{N-1}) with :func:`~photonbell.fock_core.displacement_matrices`,
 checks them with :func:`~photonbell.fock_core.check_observable_matrices`
@@ -59,15 +59,20 @@ is.  A walker uses only the values SciPy's one-point loop would have
 computed, and a row's score does not depend on its batch, so the results
 and evaluation counts are SciPy's.
 
-A pinned point is scored in closed form, with no table, no kernel row
-and no complex matrix (:func:`_point_tables`).  The frame-averaged lossy
-W state has five distinct entries, and one call of
-:func:`~photonbell.fock_core._exchangeable_closed_form` on a point's
-settings and their sums and differences gives its 2N distinct
+A pinned point is scored in closed form, with no table, no kernel row,
+no complex matrix and no dense state (:func:`_point_tables`).  The
+frame-averaged lossy W state has five distinct entries, formed in closed
+form from (N, efficiencies, width) (:func:`_lossy_constants`), and one
+call of :func:`~photonbell.fock_core._exchangeable_closed_form` on a
+point's settings and their sums and differences gives its 2N distinct
 correlators and its 2N transform classes T(r_1, u), O(N) per point.
 Then S = 2^-N sum_{r_1, u} C(N-1, u) |T(r_1, u)| with no 2^N-fold
-cancellation, within 4e-15 of exact rational arithmetic for N <= 24.  A
-joint point's tables go through one batched Walsh-Hadamard transform.
+cancellation, within 4e-15 of exact rational arithmetic (tested up to
+N = 200).  A pinned search's memory grows like N, so a 1000-party search
+and threshold run in about 50 MB; the library stops at MAX_PARTIES =
+1004, past which the closed form's terms overflow a float.  The CLI
+stops at 19 parties, through its table budget (:func:`_scan_table_count`).
+A joint point's tables go through one batched Walsh-Hadamard transform.
 
 The loss threshold needs no search over efficiencies.  Correlators are
 affine in the efficiency eta, so at fixed search coordinates x the
@@ -96,6 +101,7 @@ import numpy as np
 from .experiments import (
     _frame_averaged_tables,
     _frame_damping,
+    _frame_units,
     _offset_frequencies,
     best_pair_values_over_centers,
     pair_symbolic_tables,
@@ -108,7 +114,6 @@ from .fock_core import (
     _check_observable_entries,
     _displacement_entries,
     _exchangeable_closed_form,
-    _exchangeable_constants,
     _real,
     _state_terms,
     _table_values,
@@ -143,6 +148,14 @@ AMPLITUDE_BOUNDS = (-3.0, 3.0)
 # the start region, up to AMPLITUDE_BOUNDS.
 START_AMPLITUDE = 1.2
 
+# Largest party count of a search.  The pinned closed form's largest
+# values are its pair terms u(u-1) b01^2 b00^(u-2) c00^m, below N^2 2^N
+# since |b00|, |c00| <= 2 and |b01| <= 2 sqrt(2/e) < 2 for settings and
+# their sums and differences, and its class weights C(N-1, u) / 2^N need
+# 2^N as a float.  N^2 2^N stays below the float maximum, just under
+# 2^1024, for N <= 1004, so every term and weight is finite there.
+MAX_PARTIES = 1004
+
 # Transmissions at which a threshold search tabulates every point: the
 # correlators are affine in between.
 _THRESHOLD_EFFICIENCIES = (0.0, 1.0)
@@ -164,7 +177,9 @@ class OptimizationSpec:
     amplitude pair for all parties.  Setting it False searches party 1's
     pair beside the pair parties 2..N share, four amplitudes (two for a
     single party), the reduction the frame model allows.  It starts one
-    walker from the shared optimum, so it never ends below it.
+    walker from the shared optimum, so it never ends below it.  Party
+    counts run up to MAX_PARTIES (ValueError past it), where the pinned
+    closed form's terms still fit a float.
     """
 
     n_parties: int
@@ -187,6 +202,8 @@ class OptimizationSpec:
             raise ValueError("efficiency must lie in [0, 1]")
         if not (np.isfinite(tolerance) and tolerance > 0.0):
             raise ValueError("tolerance must be finite and > 0")
+        if self.n_parties > MAX_PARTIES:
+            raise ValueError(f"n_parties must be at most {MAX_PARTIES}, past which floats overflow")
 
 
 @dataclass(frozen=True)
@@ -233,7 +250,7 @@ class ThresholdResult:
 
 @lru_cache(maxsize=32)
 def _lossy_rhos(n_parties: int, efficiencies: tuple, width: float) -> np.ndarray:
-    """Read-only stack (E, N+1, N+1) of frame-averaged lossy W states.
+    """Read-only stack (E, N+1, N+1) of frame-averaged lossy W states, for a joint search.
 
     Zero-mean Gaussian frame noise of the given width damps entry (a, b)
     of each state by exp(-width^2 |m_ab|^2 / 2), m_ab its offset
@@ -245,6 +262,25 @@ def _lossy_rhos(n_parties: int, efficiencies: tuple, width: float) -> np.ndarray
     rhos *= damping
     rhos.setflags(write=False)
     return rhos
+
+
+def _lossy_constants(n_parties: int, efficiencies: tuple, width: float) -> np.ndarray:
+    """Read-only five distinct entries (E, 5) of the frame-averaged lossy W states.
+
+    Columns rho_00, rho_11, rho_22, rho_12 and rho_23, as
+    :func:`~photonbell.fock_core._exchangeable_closed_form` takes them:
+    1 - eta, eta/N twice, and eta/N damped by the frame damping of the
+    offset frequencies m_12 = e_1 and m_23 = e_2 - e_1, 0 where N has no
+    such entry.  These are every entry of the states :func:`_lossy_rhos`
+    stacks, bit for bit, with no dense state: O(N) work and memory.
+    """
+    damping = _frame_damping(np.diff(_frame_units(n_parties, (1, 2, 3)), axis=0), width)
+    share = np.divide(efficiencies, n_parties)
+    vacuum = np.subtract(1.0, efficiencies)
+    constants = np.column_stack((vacuum, share, share, share[:, None] * damping))
+    constants[:, np.array([0, 1, 2, 2, 3]) > n_parties] = 0.0
+    constants.setflags(write=False)
+    return constants
 
 
 def averaged_correlator_table(
@@ -313,14 +349,13 @@ def _point_parameters(spec: OptimizationSpec, points: np.ndarray):
 def _point_tables(spec: OptimizationSpec, efficiencies: tuple):
     """Value function of a search: points (P, dims) to their correlators and transform input.
 
-    The stacked frame-averaged lossy states are formed once, here, with
-    their kernel factors for a joint search or their five distinct
-    entries for a pinned one
-    (:func:`~photonbell.fock_core._exchangeable_constants`, which raises
-    ConsistencyError unless the stack is real, exchangeable and free of
-    vacuum coherence).  The function returns a pair: the correlators
-    that the Bell score range-checks, and what :func:`_transform_terms`
-    maps to the terms of S.
+    The frame-averaged lossy states are formed once, here: a joint search
+    stacks the dense states and forms their kernel factors
+    (:func:`_lossy_rhos`), and a pinned one takes their five distinct
+    entries in closed form (:func:`_lossy_constants`), holding no dense
+    state, so its memory grows like N.  The function returns a pair: the
+    correlators that the Bell score range-checks, and what
+    :func:`_transform_terms` maps to the terms of S.
 
     A pinned step builds and checks the real entries of its points'
     pairs (:func:`_amplitude_pairs`), then makes one closed-form call on
@@ -338,9 +373,8 @@ def _point_tables(spec: OptimizationSpec, efficiencies: tuple):
     """
     n = spec.n_parties
     etas = tuple(float(eta) for eta in efficiencies)
-    rhos = _lossy_rhos(n, etas, float(spec.width))
     if not spec.optimize_phases:
-        constants = _exchangeable_constants(rhos)
+        constants = _lossy_constants(n, etas, float(spec.width))
 
         def pinned(points):
             pairs = _amplitude_pairs(spec, points)
@@ -355,7 +389,7 @@ def _point_tables(spec: OptimizationSpec, efficiencies: tuple):
             return values[:, 0], values[:, 1]
 
         return pinned
-    terms = _state_terms(rhos)
+    terms = _state_terms(_lossy_rhos(n, etas, float(spec.width)))
 
     def joint(points):
         tables = _table_values(terms, _setting_options(*_point_parameters(spec, points)))
@@ -398,8 +432,8 @@ def _bell_scores(spec: OptimizationSpec):
     point's table bit for bit where that takes its full route (N <= 2,
     and tables that are not weight-symmetric).  A pinned score sums the
     2N weighted closed-form class values; it lies within 4e-15 of exact
-    rational arithmetic on the same setting entries for N <= 24, and
-    agrees with the full 2^N sum to rounding.
+    rational arithmetic on the same setting entries (tested up to N =
+    200), and agrees with the full 2^N sum to rounding.
     """
     values_at = _point_tables(spec, (spec.efficiency,))
     terms_of = _transform_terms(spec)
@@ -553,11 +587,10 @@ def _scan_table_count(spec: OptimizationSpec, threshold: bool = False) -> int:
     the :func:`threshold_efficiency` search over the same coordinates.  A
     joint scan builds these tables.  A pinned scan builds none: it scores
     4N closed-form values per point.  The count caps it all the same, so
-    that one table budget decides the party counts every search and
-    command accepts (a pinned smax stops at N = 19), inside the N <= 24
-    over which the closed form is tested against exact arithmetic.
-    Counting allocates nothing, so a caller can refuse an oversized
-    search before it starts.
+    that one table budget decides the party counts every command accepts
+    (a pinned smax stops at N = 19), while the library's pinned searches
+    run up to MAX_PARTIES.  Counting allocates nothing, so a caller can
+    refuse an oversized search before it starts.
     """
     efficiencies = len(_THRESHOLD_EFFICIENCIES) if threshold else 1
     return efficiencies * _scan_points(spec)

@@ -21,6 +21,7 @@ from photonbell.fock_core import (
     IMAG_RESIDUE_TOL,
     TWO_PI,
     _displacement_entries,
+    _exchangeable,
     _state_terms,
     _table_values,
     _weight_layout,
@@ -657,6 +658,36 @@ def per_party_strategy_rows(settings) -> tuple:
     return reduced
 
 
+def exchangeable_constants(states) -> np.ndarray:
+    """The five distinct entries (S, 5) of a stack of states (S, N+1, N+1), read from the matrices.
+
+    Columns rho_00, rho_11, rho_22, rho_12 and rho_23, 0 where N has no
+    such entry, the input of ``fock_core._exchangeable_closed_form``.
+    They hold every entry of a state that is real, symmetric,
+    exchangeable in modes 2..N and free of vacuum-excitation coherence,
+    bit for bit, which is checked first (ConsistencyError otherwise).
+    Oracle of ``optimize._lossy_constants`` on the dense stacks of
+    ``optimize._lossy_rhos``, which it must equal bit for bit.
+    """
+    states = np.asarray(states)
+    real = states.real
+    if not (
+        np.all(states.imag == 0.0)
+        and np.array_equal(real, real.swapaxes(1, 2))
+        and np.all(real[:, 0, 1:] == 0.0)
+        and _exchangeable(states)
+    ):
+        raise ConsistencyError(
+            "the closed form needs real symmetric states, exchangeable in modes 2..N, "
+            "with no vacuum-excitation coherence"
+        )
+    rows, cols = np.array([(0, 0), (1, 1), (2, 2), (1, 2), (2, 3)]).T
+    present = cols < states.shape[-1]
+    constants = np.zeros((len(states), 5))
+    constants[:, present] = real[:, rows[present], cols[present]]
+    return constants
+
+
 def per_call_averaged_tables(n_parties, amplitudes, centers, width, efficiencies):
     """Averaged tables (E, P, 2^N) of P points, every step redone per call.
 
@@ -811,7 +842,9 @@ def exact_pinned_terms(spec: OptimizationSpec, points: np.ndarray, efficiencies:
     """
     n = spec.n_parties
     etas = tuple(float(eta) for eta in efficiencies)
-    rhos, state_bits = _exact_ints(_lossy_rhos(n, etas, float(spec.width)).real)
+    rhos = _lossy_rhos(n, etas, float(spec.width)).real
+    # the closed form reads no entry past (2, 3)
+    rhos, state_bits = _exact_ints(rhos if n <= 10 else rhos[:, :4, :4])
     entries, bits = _exact_ints(np.stack(_displacement_entries(_amplitude_pairs(spec, points))))
     terms = []
     for rho in rhos:
@@ -826,41 +859,43 @@ def exact_pinned_terms(spec: OptimizationSpec, points: np.ndarray, efficiencies:
                 ]
                 terms.append([distinct[bin(s >> 1).count("1")][s & 1] for s in range(2**n)])
             else:
-                terms.append([
-                    math.comb(n - 1, u) * _exact_class_value(rho, first, rest, n, u, r1)
-                    for u in range(n)
-                    for r1 in (0, 1)
-                ])
+                terms.append(_exact_class_values(rho, first, rest, n))
     terms = np.array(terms, dtype=object).reshape(len(rhos), len(points), -1)
     if n <= 10:
         terms = _exact_walsh_hadamard(terms)
     return terms, 2 ** (n * bits + state_bits + n)
 
 
-def _exact_class_value(rho, first, rest, n: int, u: int, r1: int) -> int:
-    """Integer T(r_1, u) of a pinned point: the closed-form sum evaluated exactly."""
-    sign = 1 - 2 * r1
-    a = [x + sign * y for x, y in zip(*first)]
+def _exact_class_values(rho, first, rest, n: int) -> list:
+    """Integers C(N-1, u) T(r_1, u) of a pinned point in (u, r_1) order, summed exactly."""
     b = [x - y for x, y in zip(*rest)]
     c = [x + y for x, y in zip(*rest)]
-    m = n - 1 - u
+    b_powers, c_powers = [1], [1]
+    for _ in range(n):
+        b_powers.append(b_powers[-1] * b[0])
+        c_powers.append(c_powers[-1] * c[0])
 
     def power(k: int, l: int) -> int:
-        return b[0] ** k * c[0] ** l if k >= 0 and l >= 0 else 0
+        return b_powers[k] * c_powers[l] if k >= 0 and l >= 0 else 0
 
-    rho00, rho11 = rho[0][0], rho[1][1]
-    rho22 = rho[2][2] if n >= 2 else 0
-    rho12 = rho[1][2] if n >= 2 else 0
-    rho23 = rho[2][3] if n >= 3 else 0
-    populations = u * b[2] * power(u - 1, m) + m * c[2] * power(u, m - 1)
-    coherences = u * b[1] * power(u - 1, m) + m * c[1] * power(u, m - 1)
-    pairs = (
-        u * (u - 1) * b[1] ** 2 * power(u - 2, m)
-        + 2 * u * m * b[1] * c[1] * power(u - 1, m - 1)
-        + m * (m - 1) * c[1] ** 2 * power(u, m - 2)
-    )
-    outer = rho00 * power(u, m) + rho22 * populations + rho23 * pairs
-    return a[0] * outer + rho11 * a[2] * power(u, m) + 2 * rho12 * a[1] * coherences
+    rho00, rho11, rho22, rho12, rho23 = rho[0][0], rho[1][1], rho[2][2], rho[1][2], rho[2][3]
+    values = []
+    for u in range(n):
+        m = n - 1 - u
+        plain, hole_b, hole_c = power(u, m), u * power(u - 1, m), m * power(u, m - 1)
+        populations = b[2] * hole_b + c[2] * hole_c
+        coherences = b[1] * hole_b + c[1] * hole_c
+        pairs = (
+            u * (u - 1) * b[1] ** 2 * power(u - 2, m)
+            + 2 * u * m * b[1] * c[1] * power(u - 1, m - 1)
+            + m * (m - 1) * c[1] ** 2 * power(u, m - 2)
+        )
+        outer = rho00 * plain + rho22 * populations + rho23 * pairs
+        for sign in (1, -1):
+            a = [x + sign * y for x, y in zip(*first)]
+            value = a[0] * outer + rho11 * a[2] * plain + 2 * rho12 * a[1] * coherences
+            values.append(math.comb(n - 1, u) * value)
+    return values
 
 
 def per_call_crossing_scores(spec: OptimizationSpec, points: np.ndarray) -> np.ndarray:

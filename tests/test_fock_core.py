@@ -29,7 +29,6 @@ from photonbell.fock_core import (
     _displacement_entries,
     _exchangeable,
     _exchangeable_closed_form,
-    _exchangeable_constants,
     _exchangeable_values,
     _state_terms,
     _walked_values,
@@ -43,6 +42,7 @@ from photonbell.fock_core import (
 from helpers import (
     coherent_vector,
     correlator_bruteforce,
+    exchangeable_constants,
     former_displacement_matrices,
     indexed_leaf_tables,
     indexed_weight_leaves,
@@ -318,7 +318,7 @@ def test_closed_form_equals_the_kernel(n):
     # and random real observables, over every u
     rng = np.random.default_rng(30 + n)
     rhos = _lossy_rhos(n, (0.0, 0.6, 1.0), 0.7)
-    constants = _exchangeable_constants(rhos)
+    constants = exchangeable_constants(rhos)
     mats = random_observable_matrices(rng, (4, 4)).real
     mats = 0.5 * (mats + mats.swapaxes(-1, -2))
     entries = np.stack((mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]))

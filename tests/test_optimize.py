@@ -1,7 +1,12 @@
 """Bell-value maximization, loss thresholds, and certainty frontiers."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from helpers import (
     bisect_threshold,
     dressed_averaged_tables,
     exact_pinned_terms,
+    exchangeable_constants,
     full_transform_bell_value,
     per_call_averaged_tables,
     per_call_bell_scores,
@@ -37,18 +43,21 @@ from photonbell import (
     threshold_efficiency,
     wwzb_value,
 )
+import photonbell
 import photonbell.optimize as optimize
 from photonbell.experiments import _offset_frequencies
 import photonbell.fock_core as fock_core
 import photonbell.wwzb as wwzb
 from photonbell.fock_core import _state_terms, _table_values
 from photonbell.optimize import (
+    MAX_PARTIES,
     VIOLATION_ROUNDOFF,
     _bell_scores,
     _crossing_efficiency,
     _crossing_scores,
     _halton,
     _lockstep,
+    _lossy_constants,
     _lossy_rhos,
     _nelder_mead,
     _point_parameters,
@@ -92,6 +101,29 @@ def test_spec_validation():
     for tolerance in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             OptimizationSpec(2, 0.0, tolerance=tolerance)
+
+
+def test_spec_refuses_party_counts_past_the_float_range():
+    # MAX_PARTIES is the largest N with N^2 2^N below the float maximum,
+    # the bound on the closed form's terms; there the pinned scores stay
+    # finite on a grid of amplitudes out to the +-3 bounds, and one party
+    # more is refused before any search, with the limit in the message
+    assert MAX_PARTIES**2 * 2**MAX_PARTIES <= sys.float_info.max
+    assert (MAX_PARTIES + 1) ** 2 * 2 ** (MAX_PARTIES + 1) > sys.float_info.max
+    grid = np.linspace(-3.0, 3.0, 13)
+    points = np.stack(np.meshgrid(grid, grid), -1).reshape(-1, 2)
+    for shared in (True, False):
+        spec = OptimizationSpec(MAX_PARTIES, 0.3, shared_amplitudes=shared)
+        if not shared:
+            points = np.concatenate((points, points[::-1]), axis=1)
+        with np.errstate(over="raise", invalid="raise"):
+            assert np.all(np.isfinite(_bell_scores(spec)(points)))
+            assert np.all(np.isfinite(_crossing_scores(spec)(points)))
+    limit = rf"n_parties must be at most {MAX_PARTIES}\b"
+    with pytest.raises(ValueError, match=limit):
+        OptimizationSpec(MAX_PARTIES + 1, 0.3)
+    with pytest.raises(ValueError, match=limit):
+        threshold_efficiency(1024, 0.0)
 
 
 def test_two_party_noiseless_maximum():
@@ -350,21 +382,29 @@ def test_pinned_scores_equal_the_table_route_oracle(n):
             assert gaps[:10].max() <= interior and gaps.max() <= corners
 
 
-@pytest.mark.parametrize("n", range(1, 25))
+@pytest.mark.parametrize("n", [*range(1, 25), 64, 200])
 def test_pinned_scores_equal_exact_arithmetic(n):
     # the closed-form Bell and crossing scores against exact rational
     # arithmetic on the same float setting entries and states: for
     # N <= 10 the exact 2^N table and its exact transform, above that the
     # exact sum of the closed form's terms.  Cloud, interior and +-3, 0 and
-    # -0.0 points, shared and party 1's own pair, widths 0 and 0.4.  The
-    # largest gap measured was 1.5e-15 (Bell) and 1.7e-15 (crossing, in
-    # S) at N = 24
+    # -0.0 points, shared and party 1's own pair, widths 0 and 0.4.  Past
+    # N = 24 those points mostly score S near 0, so there the best cloud
+    # point, the interior point a one-walker search ends at and a +-3
+    # corner stand in for them.  The largest gap measured was 1.5e-15
+    # (Bell) and 1.7e-15 (crossing, in S) at N = 24, and 1.8e-15 at N = 200
     rng = np.random.default_rng(700 + n)
     level = Fraction(1.0 + VIOLATION_ROUNDOFF)
     for shared in (True, False):
         for width in (0.0, 0.4):
             spec = OptimizationSpec(n, width, efficiency=0.9, shared_amplitudes=shared)
-            points = _pinned_oracle_points(spec, rng)
+            if n <= 24:
+                points = _pinned_oracle_points(spec, rng)
+            else:
+                _, cloud = _search_box(spec)
+                walked, _ = _search(replace(spec, restarts=1), _bell_scores(spec))
+                corner = np.resize([3.0, -3.0], cloud.shape[1])
+                points = np.array([cloud[np.argmin(_bell_scores(spec)(cloud))], walked.x, corner])
             bell = -_bell_scores(spec)(points)
             (exact,), denominator = exact_pinned_terms(spec, points, (spec.efficiency,))
             for s, terms in zip(bell, exact):
@@ -401,6 +441,56 @@ def test_pinned_searches_build_no_tables(monkeypatch):
         assert result.violable == (n > 1)
 
 
+def test_lossy_constants_equal_the_dense_states_bit_for_bit():
+    # the closed-form entries of the pinned score against the same five
+    # entries read from the dense frame-averaged stack, including widths
+    # whose damping underflows to 0 or whose square overflows
+    for n in range(1, 65):
+        for etas in ((0.0,), (1.0,), (0.0, 1.0), (0.93,), (0.3, 0.77)):
+            for width in (0.0, 0.2, np.sqrt(2.0 * np.log(2.0)), 1.25, 40.0, 1e200):
+                constants = _lossy_constants(n, etas, width)
+                expected = exchangeable_constants(_lossy_rhos(n, etas, width))
+                assert constants.shape == expected.shape == (len(etas), 5)
+                assert np.array_equal(constants.view(np.int64), expected.view(np.int64))
+                assert not constants.flags.writeable
+
+
+def test_thousand_party_searches_run_in_small_memory():
+    # a fresh interpreter runs a pinned 1000-party search and threshold
+    # and reports its own peak RSS: the pinned path holds no dense state,
+    # and the two take about 50 MB in all, the interpreter included.
+    # Linux carries the spawning process's peak into ru_maxrss over exec,
+    # so there the probe reads its own high-water mark, VmHWM
+    probe = """
+import json, re, resource, sys
+from photonbell import OptimizationSpec, maximize_bell, threshold_efficiency
+report = maximize_bell(OptimizationSpec(1000, 0.3, restarts=1))
+threshold = threshold_efficiency(1000, 0.0, tolerance=1e-3, restarts=1)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+peak *= 1 if sys.platform == "darwin" else 1024  # bytes or KiB
+try:
+    with open("/proc/self/status") as status:
+        peak = 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+except OSError:
+    pass
+print(json.dumps([report.best_s, report.converged, threshold.efficiency, threshold.violable,
+                  peak]))
+"""
+    src = str(Path(photonbell.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    best_s, converged, efficiency, violable, peak = json.loads(done.stdout.splitlines()[-1])
+    assert np.isfinite(best_s) and best_s > 1.0 + VIOLATION_ROUNDOFF and converged
+    assert violable and 0.0 < efficiency < 1.0
+    assert peak <= 100 * 2**20
+
+
 def test_pinned_step_checks_two_matrices_per_point(monkeypatch):
     # every pinned score call checks the real entries of its points' 2K
     # settings (K = 1 shared pair, or party 1's and the one parties 2..N
@@ -409,7 +499,7 @@ def test_pinned_step_checks_two_matrices_per_point(monkeypatch):
     checked, scored, stacks = [], [], []
     check = optimize._check_observable_entries
     closed_form = optimize._exchangeable_closed_form
-    constants = optimize._exchangeable_constants
+    constants = optimize._lossy_constants
 
     def counted_check(*entries):
         checked.append(np.shape(entries))
@@ -419,13 +509,13 @@ def test_pinned_step_checks_two_matrices_per_point(monkeypatch):
         scored.append(checked[-1])
         return closed_form(*args)
 
-    def counted_constants(states):
-        stacks.append(np.shape(states))
-        return constants(states)
+    def counted_constants(*args):
+        stacks.append(constants(*args).shape)
+        return constants(*args)
 
     monkeypatch.setattr(optimize, "_check_observable_entries", counted_check)
     monkeypatch.setattr(optimize, "_exchangeable_closed_form", counted_closed_form)
-    monkeypatch.setattr(optimize, "_exchangeable_constants", counted_constants)
+    monkeypatch.setattr(optimize, "_lossy_constants", counted_constants)
     for n in (2, 9):
         for shared in (True, False):
             spec = OptimizationSpec(n, 0.2, shared_amplitudes=shared, restarts=2, **PINNED)
@@ -435,20 +525,20 @@ def test_pinned_step_checks_two_matrices_per_point(monkeypatch):
             stacks.clear()
             report = maximize_bell(spec)
             # a search with party 1's own pair runs the shared search first
-            assert stacks == [(1, n + 1, n + 1)] * (1 if shared else 2)
+            assert stacks == [(1, 5)] * (1 if shared else 2)
             assert scored == checked
             assert all(shape[0] == 3 and shape[2:] in ((1, 2), (pairs, 2)) for shape in checked)
             assert sum(shape[1] for shape in checked) >= report.evaluations
         stacks.clear()
         threshold_efficiency(n, 0.2, tolerance=1e-3, restarts=1)
-        assert stacks == [(2, n + 1, n + 1)]
+        assert stacks == [(2, 5)]
 
 
-def test_prepared_pinned_scores_refuse_states_the_closed_form_cannot_take(monkeypatch):
-    # the closed form reads five entries of each state: a prepared pinned
-    # score refuses, before any point, a stack with an imaginary part, one
-    # that is not exchangeable in modes 2..N and one with vacuum-excitation
-    # coherence; a joint score takes any state through the kernel
+def test_joint_scores_take_any_state_through_the_kernel(monkeypatch):
+    # a joint score reads every entry of its states through the kernel, so
+    # it prepares for a stack with an imaginary part, one that is not
+    # exchangeable in modes 2..N and one with vacuum-excitation coherence,
+    # and scores a point on each
     n = 3
     # full rank, so that every edit below keeps a valid state
     base = 0.5 * lossy_w_state(n, 0.5).matrix + 0.5 * np.eye(n + 1) / (n + 1)
@@ -463,15 +553,10 @@ def test_prepared_pinned_scores_refuse_states_the_closed_form_cannot_take(monkey
         monkeypatch.setattr(
             optimize, "_lossy_rhos", lambda n, etas, width, rho=rho: np.stack([rho] * len(etas))
         )
-        for prepare in (_bell_scores, _crossing_scores):
-            for shared in (True, False):
-                spec = OptimizationSpec(n, 0.2, shared_amplitudes=shared)
-                if rho is base:
-                    prepare(spec)
-                else:
-                    with pytest.raises(ConsistencyError, match="exchangeable"):
-                        prepare(spec)
-            prepare(OptimizationSpec(n, 0.2, **JOINT))
+        spec = OptimizationSpec(n, 0.2, **JOINT)
+        _crossing_scores(spec)
+        point = np.array([[0.3, -0.6, 0.5, 1.1]])
+        assert np.all(np.isfinite(_bell_scores(spec)(point)))
 
 
 def test_per_party_oracle_is_the_former_search():
@@ -982,11 +1067,11 @@ def test_threshold_score_makes_one_kernel_call_per_route(monkeypatch):
 
 def test_violating_vacuum_raises(monkeypatch):
     # a vacuum table that violates means the tables are broken: feed the
-    # lossless state in place of the vacuum
-    lossless = lossy_w_state(2, 1.0).matrix
+    # lossless state's entries in place of the vacuum's
+    lossless = optimize._lossy_constants(2, (1.0,), 0.0)
     monkeypatch.setattr(
-        "photonbell.optimize._lossy_rhos",
-        lambda n, etas, width: np.stack([lossless] * len(etas)),
+        "photonbell.optimize._lossy_constants",
+        lambda n, etas, width: np.repeat(lossless, len(etas), axis=0),
     )
     spec = OptimizationSpec(2, 0.0, optimize_phases=False)
     with pytest.raises(ConsistencyError, match=r"n_parties=2, width=0\.0, search"):
