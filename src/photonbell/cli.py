@@ -648,8 +648,27 @@ def _add_output_flags(sub, default_format="csv"):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, reading a signed number after a flag as its value.
+
+    argparse takes only ``-12``- and ``-1.5``-shaped tokens for negative
+    numbers, so ``--r1 -4e-1`` or ``--centers -1.1,0.7`` would leave the
+    flag without its value.  Here a token that parses as a number, or as
+    a comma-separated list of numbers, is a value.  Subcommand parsers
+    are built with the class of their parent, so every command reads
+    numbers this way.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            _parse_floats(arg_string, "")
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="photonbell",
         description="Bell-violation datasets for a single photon split over "
         "N modes, measured by displaced click/no-click detection.",

@@ -42,10 +42,12 @@ component of the state, and the 1 + N(N-1) components are stacked as
 states in one kernel call.  The tables are one read-only real array
 (pairs, 1 + N(N-1), 2^N): per table the constant row, then a cosine and
 a sine row for each of the N(N-1)/2 frequencies n of the half basis (one
-of each pair +-n), so its entries are real by construction.  Frame scans
-over many centers go through one batched route,
-:func:`best_pair_values_over_centers`: the pair tables' rows line up,
-and their damped Walsh-Hadamard transforms are
+of each pair +-n), so its entries are real by construction.  The half
+basis has one order (:func:`_half_basis`): the units e_k, then the
+differences e_j - e_k by j, then k.  Frame scans over many centers go
+through one batched route, :func:`best_pair_values_over_centers`: the
+pair tables' rows line up, in the order the scan fills its cosine and
+sine rows, and their damped Walsh-Hadamard transforms are
 each pair's transform as a real cosine/sine polynomial in the centers.
 Per block of centers, one tangent t = tan(c/2) per center gives its
 cosine (1 - t^2)/(1 + t^2) and sine 2t/(1 + t^2), and angle subtraction
@@ -270,17 +272,22 @@ def _frame_damping(freqs, width: float) -> np.ndarray:
         return np.exp(-0.5 * np.sum((width * freqs) ** 2, axis=-1))
 
 
+@lru_cache(maxsize=32)
 def _half_basis(n_parties: int) -> np.ndarray:
-    """Offset frequencies (H, N-1) of N parties, one n of each pair +-n.
+    """Read-only offset frequencies (H, N-1) of N parties, one n of each pair +-n.
 
     The basis of N parties is 0, +-e_k and +-(e_j - e_k); each row here
-    is the member of its pair whose first nonzero entry is positive, and
-    the rows are sorted, so H = N(N-1)/2.
+    is the member of its pair whose first nonzero entry is positive, so
+    H = N(N-1)/2.  The rows come in the one order of every symbolic table
+    and frame scan: the units e_0..e_{N-2}, then the differences e_j -
+    e_k for j = 0..N-3 in turn, each with k = j+1..N-2, the order in
+    which :func:`_fill_scan_rows` fills a block's rows.  Built once per N.
     """
+    first, second = np.triu_indices(n_parties - 1, 1)
     eye = np.eye(n_parties - 1, dtype=int)
-    diffs = [a - b for j, a in enumerate(eye) for b in eye[j + 1 :]]
-    rows = sorted(map(tuple, [*eye, *diffs]))
-    return np.array(rows, dtype=int).reshape(len(rows), n_parties - 1)
+    half = np.concatenate((eye, eye[first] - eye[second]))
+    half.setflags(write=False)
+    return half
 
 
 def _setting_pairs(strategy: MeasurementStrategy) -> np.ndarray:
@@ -311,7 +318,10 @@ def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy) ->
 
     Table j holds the constant row a_0, then the cosine rows A_n, then the
     sine rows B_n, over the half basis n of :func:`_half_basis` (H =
-    N(N-1)/2), so that its entry s at offsets Delta is
+    N(N-1)/2) in its order, units e_k first and then the differences
+    e_j - e_k by j, then k: the order in which a frame scan fills its
+    cosine and sine rows, so the scan reads the rows as they are.  Its
+    entry s at offsets Delta is
 
         a_0[s] + sum_n A_n[s] cos(n . Delta) + B_n[s] sin(n . Delta),
 
@@ -323,7 +333,7 @@ def pair_symbolic_tables(state: SubspaceState, strategy: MeasurementStrategy) ->
     offset frequency m (:func:`_offset_frequencies`).  So a table entry is
     the correlator of the non-rotating part of rho plus, for each
     half-basis frequency n, the correlator of rho_n + rho_n^H times
-    cos(n . Delta) and that of i (rho_n - rho_n^H) times sin(m . Delta).
+    cos(n . Delta) and that of i (rho_n - rho_n^H) times sin(n . Delta).
     Here rho_n holds the entries above the diagonal whose m is n or -n;
     only one of the two occurs above the diagonal, so the sine row carries
     the sign of m against n, which a signed upper-triangle mask per
@@ -453,39 +463,17 @@ def _frame_scan_row_count(n_parties: int, pair_count: int) -> int:
     return (1 + n_parties * (n_parties - 1)) * pair_count
 
 
-@lru_cache(maxsize=32)
-def _frame_scan_layout(n_parties: int):
-    """Read-only row order and frequencies of an N-party scan.
-
-    The scan's frequencies are the units e_0..e_{N-2} first, then the
-    differences e_j - e_k for j = 0..N-3 in turn, each with k = j+1..N-2.
-    Returns (rows, freqs): ``rows`` picks a symbolic table's constant,
-    cosine and sine rows in that order from the sorted half basis of
-    :func:`pair_symbolic_tables`, and ``freqs`` (H, N-1) holds the
-    frequencies in that order.  Built once per N.
-    """
-    half = _half_basis(n_parties)
-    first, second = np.triu_indices(n_parties - 1, 1)
-    eye = np.eye(n_parties - 1, dtype=int)
-    freqs = np.concatenate((eye, eye[first] - eye[second]))
-    where = {key: h for h, key in enumerate(map(tuple, half))}
-    order = np.array([where[key] for key in map(tuple, freqs)], dtype=np.intp)
-    rows = np.concatenate(([0], 1 + order, 1 + len(half) + order))
-    for array in (rows, freqs):
-        array.setflags(write=False)
-    return rows, freqs
-
-
 def _frame_scan_coefficients(tables, n: int, width: float):
-    """Damped transformed rows of all pair tables, in scan order.
+    """Damped transformed rows of all pair tables, in the tables' own row order.
 
     ``tables`` is a checked (P, 1 + N(N-1), 2^N) array of real numbers
     and ``n`` its N.  Returns a float copy of the tables with the row axis
-    first, its rows permuted once into the order of
-    :func:`_frame_scan_layout` (units e_0..e_{N-2}, then the differences
-    e_j - e_k by j, then k), the cosine and sine rows of each frequency n
-    damped by exp(-width^2 |n|^2 / 2), and Walsh-Hadamard transformed, so
-    that every pair's T(r) (column p * 2^N + r) is
+    first, the cosine and sine rows of each frequency n damped by
+    exp(-width^2 |n|^2 / 2), and Walsh-Hadamard transformed.  The rows
+    keep the order of :func:`_half_basis` (units e_0..e_{N-2}, then the
+    differences e_j - e_k by j, then k), in which
+    :func:`_fill_scan_rows` fills a block of centers, so that every
+    pair's T(r) (column p * 2^N + r) is
 
         T(r; c) = [1, cos c, cos(c_j - c_k), sin c, sin(c_j - c_k)] @ coeffs.
 
@@ -500,9 +488,8 @@ def _frame_scan_coefficients(tables, n: int, width: float):
     libm's 1.1e-16.  A host without that loop makes one libm ``tan`` call
     in place of a ``sin`` and a ``cos``; that case was not measured.
     """
-    rows, freqs = _frame_scan_layout(n)
-    coeffs = tables[:, rows].swapaxes(0, 1).astype(float, order="C")
-    coeffs[1:] *= np.tile(_frame_damping(freqs, width), 2)[:, None, None]
+    coeffs = tables.swapaxes(0, 1).astype(float, order="C")
+    coeffs[1:] *= np.tile(_frame_damping(_half_basis(n), width), 2)[:, None, None]
     return _walsh_hadamard(coeffs).reshape(len(coeffs), -1)
 
 
@@ -510,14 +497,15 @@ def _fill_scan_rows(cos, sin, centers) -> None:
     """Write the cosine and sine rows (H, count) of a block of frame centers.
 
     ``centers`` is (count, N-1) and the rows follow the frequency order of
-    :func:`_frame_scan_layout`.  Each unit row takes one tangent t =
-    tan(c/2) and one division: cos c = (1 - t^2)/(1 + t^2) and sin c =
-    2t/(1 + t^2).  Next to an odd multiple of pi, |t| grows to about
-    1e16 and the identities still give -1 and 2/t.  The e_j - e_k rows
-    follow by angle subtraction, the rows of each j against rows
-    j+1..N-2 at once from slices.  Every row entry depends on its own
-    center alone, not on the block's other centers, so a block of chunks
-    filled at once holds the bits of filling each chunk alone.
+    :func:`_half_basis`, which is the symbolic tables' own row order.
+    Each unit row takes one tangent t = tan(c/2) and one division: cos c
+    = (1 - t^2)/(1 + t^2) and sin c = 2t/(1 + t^2).  Next to an odd
+    multiple of pi, |t| grows to about 1e16 and the identities still
+    give -1 and 2/t.  The e_j - e_k rows follow by angle subtraction, the
+    rows of each j against rows j+1..N-2 at once from slices.  Every row
+    entry depends on its own center alone, not on the block's other
+    centers, so a block of chunks filled at once holds the bits of
+    filling each chunk alone.
     """
     units = centers.shape[1]
     # The units' sine rows hold t and their cosine rows t^2 until the

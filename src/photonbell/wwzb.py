@@ -18,20 +18,17 @@ transform depends only on r_1 and on the weight u of r_2..r_N, and
 :func:`wwzb_value` sums its 2N classes, S = 2^{-N} sum_{r_1, u}
 C(N-1, u) |T(r_1, u)|.  :class:`CorrelatorTable` checks the table entry
 by entry, bit for bit, when it is built, in one pass of 2^12-row leaves
-that stops at the first leaf that differs (3 ms at N = 22 against 116 ms
-for the transform, on one core of a 2-core 2.0 GHz Xeon); the same pass
-lets its range check read the 2N distinct values alone.
+that stops at the first leaf that differs (3 ms at N = 22 against
+about 230 ms for the transform, on one core of a 2-core 2.0 GHz Xeon);
+the same pass lets its range check read the 2N distinct values alone.
 :func:`wwzb_value` then runs the butterflies in count space, O(N^2)
 operations that give the transform's own bits at each class's lowest
 index, and does not read the table again.  Tables of N <= 2, and tables
 that fail the check, take the transform.
 
-The transform is cache-blocked: the butterflies over the low half of the
-index bits run on transposed blocks of ``WHT_BLOCK_ENTRIES`` entries, the
-rest in place in chunks of that many pairs, so its working set is two
-blocks beside the output.  It performs the same sums and differences in
-the same order as the plain level-by-level loop and so returns the same
-bits.
+The transform runs level by level in place over one copy of the table,
+each level in chunks of ``WHT_BLOCK_ENTRIES`` pairs, so its extra memory
+is one chunk beside the output.
 
 Table index convention: bit k-1 of a table index holds party k's setting,
 i.e. party 1 is the least significant bit.
@@ -74,13 +71,9 @@ VIOLATION_ROUNDOFF = 1e-9
 # Largest N for which the quadratic-cost oracle is allowed to run.
 NAIVE_PARTY_LIMIT = 10
 
-# Entries of one transposed block of the Walsh-Hadamard transform and
-# pairs of one in-place chunk: 512 KiB each, well inside a core's L2.
+# Pairs of one in-place chunk of a Walsh-Hadamard butterfly level: a
+# 512 KiB scratch row, well inside a core's L2.
 WHT_BLOCK_ENTRIES = 2**16
-
-# Arrays this small are all per-call overhead; they skip the transposed
-# phase.
-WHT_SMALL_ENTRIES = 2**9
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -225,42 +218,18 @@ def _butterfly(first: np.ndarray, second: np.ndarray, temp: np.ndarray) -> None:
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform (unnormalized) along the last axis.
 
-    Returns a new float array; ``values`` is left unmodified.  The 2^n
-    entries of a row are split into n index bits: a low half of
-    k = ceil(n/2) bits and a high half.  Butterflies over a low bit pair
-    entries only h < 2^k apart, so in place their contiguous runs are h
-    entries long and numpy pays per run.  They run instead one block of
-    about ``WHT_BLOCK_ENTRIES`` entries at a time: the block's rows of 2^k
-    entries (every row of the batch axes too) are copied transposed into
-    a contiguous scratch array, where a butterfly of span h moves runs
-    of h times the block's row count, and written back transposed.  The
-    high-bit levels then run in place, in chunks of
-    ``WHT_BLOCK_ENTRIES`` pairs; their runs are at least 2^k long.
-    Arrays of at most ``WHT_SMALL_ENTRIES`` entries skip the transposed
-    phase (k = 0).  Extra memory is the output and two blocks.
-
-    Every entry gets the same pairwise sums and differences in the same
-    level order as the textbook in-place loop (``tests/helpers``), so the
-    result equals it bit for bit on every input.
+    Returns a new float array; ``values`` is left unmodified.  The
+    butterfly levels of span 1, 2, 4, ... run in place over one
+    C-ordered copy, each in chunks of at most ``WHT_BLOCK_ENTRIES``
+    pairs (:func:`_butterflies`), so the extra memory beside the output
+    is one chunk.  Every entry gets the same pairwise sums and
+    differences in the same level order as the textbook in-place loop
+    (``tests/helpers``), so the result equals it bit for bit on every
+    input.
     """
-    x = np.asarray(values, dtype=float)
-    size = x.shape[-1]
-    if x.size <= WHT_SMALL_ENTRIES:
-        out = x.copy()
-        _butterflies(out.reshape(-1), 1, size, np.empty(x.size // 2))
-        return out
-    low = 1 << (size.bit_length() // 2)
-    out = np.empty(x.shape)
-    block, temp = np.empty((2, min(x.size, max(low, WHT_BLOCK_ENTRIES))))
-    src, dst = x.reshape(-1, low), out.reshape(-1, low)
-    step = max(1, WHT_BLOCK_ENTRIES // low)
-    for start in range(0, len(src), step):
-        part = src[start : start + step]
-        transposed = block[: part.size].reshape(low, len(part))
-        np.copyto(transposed, part.T)
-        _butterflies(transposed.reshape(-1), len(part), part.size, temp)
-        np.copyto(dst[start : start + step], transposed.T)
-    _butterflies(out.reshape(-1), low, size, temp)
+    out = np.array(values, dtype=float, order="C")
+    temp = np.empty(min(out.size // 2, WHT_BLOCK_ENTRIES))
+    _butterflies(out.reshape(-1), 1, out.shape[-1], temp)
     return out
 
 

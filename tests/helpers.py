@@ -249,8 +249,9 @@ def walsh_hadamard_levels(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis, level by level.
 
     The plain in-place loop over one copy: span h = 1, 2, 4, ... replaces
-    each pair (x, y) by (x + y, x - y).  Oracle for the cache-blocked
-    ``wwzb._walsh_hadamard``, which must return the same bits.
+    each pair (x, y) by (x + y, x - y), a whole level in one step.  Oracle
+    for ``wwzb._walsh_hadamard``, which runs each level in chunks of
+    pairs and must return the same bits.
     """
     a = np.array(values, dtype=float)
     size = a.shape[-1]
@@ -358,7 +359,7 @@ def half_basis_frame_scan(tables, centers, width: float) -> np.ndarray:
     """Best-pair Bell values through cos/sin of every half-basis phase.
 
     The real scan as it was before the angle-subtraction rows: the tables'
-    rows in the sorted half-basis order, damped and transformed, and per
+    rows in their half-basis order, damped and transformed, and per
     chunk of ``FRAME_SCAN_CHUNK_ELEMENTS`` products the phases ``half @
     centers.T``, their cosines and sines, and one real matrix product.
     ``tables`` (P, 1 + N(N-1), 2^N) and ``centers`` (count, N-1) are taken

@@ -427,8 +427,11 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
     # building each pair's table alone, in one kernel-table call with the
     # 1 + N(N-1) components of the state stacked, over the half basis: one
     # n of each pair +-n of the 1 + N(N-1) frequencies, first nonzero entry
-    # positive, sorted; its frame scan is as large as a caller counts
-    # beforehand; random states carry vacuum-excitation coherences
+    # positive, in the scan's order (units, then e_j - e_k by j, then k).
+    # Each row is one component's own kernel table, so the rows equal bit
+    # for bit those of the build over the sorted half basis, permuted.  Its
+    # frame scan is as large as a caller counts beforehand; random states
+    # carry vacuum-excitation coherences
     calls = []
 
     def counted(rho, pairs):
@@ -451,7 +454,20 @@ def test_pair_tables_equal_per_pair_tables(monkeypatch):
         assert not tables.flags.writeable
         half = [key for key in basis if any(key) and key[np.flatnonzero(key)[0]] > 0]
         assert len(half) == n * (n - 1) // 2 and len(basis) == 1 + 2 * len(half)
-        assert experiments._half_basis(n).tolist() == [list(key) for key in half]
+        eye = np.eye(n - 1, dtype=int).tolist()
+        diffs = [
+            np.subtract(eye[j], eye[k]).tolist() for j in range(n - 1) for k in range(j + 1, n - 1)
+        ]
+        scan_order = [*eye, *diffs]
+        assert experiments._half_basis(n).tolist() == scan_order
+        assert sorted(map(tuple, scan_order)) == half
+        with monkeypatch.context() as patch:
+            sorted_half = np.array(half, dtype=int).reshape(len(half), n - 1)
+            patch.setattr(experiments, "_half_basis", lambda _: sorted_half)
+            sorted_tables = pair_symbolic_tables(state, strat)
+        order = [half.index(tuple(key)) for key in scan_order]
+        rows = [0, *(1 + h for h in order), *(1 + len(half) + h for h in order)]
+        assert np.array_equal(tables.view(np.int64), sorted_tables[:, rows].view(np.int64))
         scan = experiments._frame_scan_coefficients(tables, n, 0.3)
         assert scan.size == experiments._frame_scan_row_count(n, pair_count) * 2**n
         for j, table in enumerate(tables):

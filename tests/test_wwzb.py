@@ -27,7 +27,6 @@ from photonbell.wwzb import (
     NAIVE_PARTY_LIMIT,
     VIOLATION_ROUNDOFF,
     WHT_BLOCK_ENTRIES,
-    WHT_SMALL_ENTRIES,
     _class_layout,
     _class_transform,
     _walsh_hadamard,
@@ -126,7 +125,8 @@ def test_blocked_transform_equals_level_loop():
     for n in range(1, 21):
         row = rng.normal(size=2**n) * np.exp2(rng.integers(-30, 30, 2**n))
         _assert_transform_is_oracle(row)
-    # Odd n past one block, batch axes, tiny and just-blocked sizes.
+    # Odd n past one chunk, batch axes, sizes at and just past 512
+    # entries, and a chunk boundary inside a level.
     shapes = [
         (2**19,),
         (3, 2**17),
@@ -134,8 +134,8 @@ def test_blocked_transform_equals_level_loop():
         (5, 3, 2**9),
         (2, 1, 2**4),
         (1, 2),
-        (WHT_SMALL_ENTRIES // 4, 4),
-        (WHT_SMALL_ENTRIES // 4 + 1, 4),
+        (128, 4),
+        (129, 4),
         (2 * WHT_BLOCK_ENTRIES + 1, 2),
         (7, 1),
         (0, 8),
