@@ -156,6 +156,10 @@ START_AMPLITUDE = 1.2
 # 2^1024, for N <= 1004, so every term and weight is finite there.
 MAX_PARTIES = 1004
 
+# Largest center grid of a certainty frontier, grid_density^(N-1) centers
+# (the CLI's table budget): past it the grid is refused before it is built.
+MAX_FRONTIER_CENTERS = 2**25
+
 # Transmissions at which a threshold search tabulates every point: the
 # correlators are affine in between.
 _THRESHOLD_EFFICIENCIES = (0.0, 1.0)
@@ -860,40 +864,76 @@ def certainty_frontier(
 ):
     """Largest noise width with a violation certain for every frame center.
 
-    For each pair count m, bisects the width at which the best-pair Bell
-    value stays above 1 + VIOLATION_ROUNDOFF on a uniform grid of frame
+    A width w is certain for m pairs when the best-pair Bell value of the
+    amplitudes :func:`maximize_bell` finds at w (re-optimized for centered
+    frames, as a laboratory that knows its noise level but not the frame
+    would) stays above 1 + VIOLATION_ROUNDOFF on a uniform grid of frame
     centers (``grid_density`` points per relative phase, at least 360).
-    Amplitudes are re-optimized for centered frames at every probed
-    width, matching a laboratory that knows its noise level but not the
-    frame; each distinct width is searched once per call, and its
-    amplitudes serve every pair count that probes it.  Returns a list of
-    (m, width) pairs; width is NaN when not even zero width is certain,
-    and capped at ``width_max``.  Restricted to n_parties <= 3 to keep
-    the center grid tractable.  Pair counts must
-    be integers >= 1, ``grid_density`` a whole number >= 360, and
-    ``width_tolerance`` and ``width_max`` finite and > 0 (ValueError
-    otherwise, before any search).
+    For each pair count m the result is a probed width that is certain,
+    with an uncertain probe at most ``width_tolerance`` above it; or
+    ``width_max`` if that is certain; or NaN when not even zero width is
+    certain.  No width above ``width_max`` is probed.  Returns a list of
+    (m, width) pairs.
+
+    Each probe's search also gives a margin.  Its m-pair symbolic tables
+    are built once and scanned, with no further search, at widths bisected
+    to ``width_tolerance / 8`` between the probe and ``width_max``; the
+    largest width they keep certain is the probe's reach W.  The next
+    probe goes to the reach of the largest certain probe lo.  Before any
+    probe is uncertain it goes to lo + width_tolerance when W - lo is at
+    most the tolerance and the last probe was not such a step, and
+    otherwise to max(W, 2 lo, min(0.2, width_max)), capped at
+    ``width_max``: the doubling keeps a margin that stays small (as at
+    transmission 1) from creeping up one tolerance per search.  Once an uncertain probe hi brackets the width
+    it goes to lo + width_tolerance when hi - lo is at most twice the
+    tolerance, and otherwise to W clipped to [lo + tolerance, hi -
+    tolerance], so each probe shrinks the bracket by at least the
+    tolerance (a safeguarded step, as in Brent's root finder).  At N = 2
+    the reach is an interval by structure: a frame's entries are a + q b
+    with q = exp(-w^2 / 2), so each pair's Bell value is convex and
+    piecewise linear in q, and at q = 0 the state is dephased and
+    separable, S <= 1; fixed tables that violate at q violate at every
+    larger q, that is at every smaller width.  At N = 3 the entries carry
+    q^2 too, and the reach bisection assumes what N = 2 proves.
+
+    Each distinct width is searched once per call, and its amplitudes
+    serve every pair count that probes it; each (width, m) is scanned for
+    its reach once.  Restricted to n_parties <= 3, and to grids of at
+    most MAX_FRONTIER_CENTERS centers, grid_density^(N-1), to keep the
+    center grid tractable.  Pair counts must be integers >= 1,
+    ``grid_density`` a whole number >= 360, and ``width_tolerance`` and
+    ``width_max`` finite and > 0 (ValueError otherwise, before any search
+    or allocation).
     """
     n_parties = _whole(n_parties, "n_parties", 1)
     pair_counts = [_whole(m, "pair count", 1) for m in pair_counts]
-    _whole(grid_density, "grid_density", 360)
+    grid_density = _whole(grid_density, "grid_density", 360)
     if n_parties > 3:
         raise ValueError("center grid only tractable for n_parties <= 3")
+    if grid_density ** (n_parties - 1) > MAX_FRONTIER_CENTERS:
+        raise ValueError(
+            f"grid_density {grid_density} gives {grid_density}^{n_parties - 1} centers,"
+            f" more than {MAX_FRONTIER_CENTERS}"
+        )
     if not (np.isfinite(width_tolerance) and width_tolerance > 0.0):
         raise ValueError("width_tolerance must be finite and > 0")
     if not (np.isfinite(width_max) and width_max > 0.0):
         raise ValueError("width_max must be finite and > 0")
 
     axis = np.arange(grid_density) * TWO_PI / grid_density
-    grids = np.meshgrid(*[axis] * (n_parties - 1), indexing="ij")
+    grids = np.meshgrid(*[axis] * (n_parties - 1), indexing="ij", copy=False)
     # A single party has no relative phase: one empty center.
     centers = np.stack(grids, -1).reshape(-1, n_parties - 1) if grids else np.zeros((1, 0))
     state = lossy_w_state(n_parties, efficiency)
 
-    # The amplitudes of each probed width, searched once for every pair count.
-    amplitudes = {}
+    # The amplitudes of each searched width, shared by every pair count,
+    # and the reach of each (width, pair count).
+    amplitudes, reaches = {}, {}
 
-    def certain(width: float, pair_count: int) -> bool:
+    def reach(width: float, pair_count: int) -> float:
+        """Largest width the amplitudes searched at ``width`` keep certain (-inf: not even ``width``)."""
+        if (width, pair_count) in reaches:
+            return reaches[width, pair_count]
         if width not in amplitudes:
             report = maximize_bell(
                 OptimizationSpec(
@@ -906,32 +946,48 @@ def certainty_frontier(
             amplitudes[width] = report.r, report.r_prime
         strategy = paired_strategy(n_parties, *amplitudes[width], pair_count)
         tables = pair_symbolic_tables(state, strategy)
-        values = best_pair_values_over_centers(tables, centers, width)
-        return bool(np.all(values > 1.0 + VIOLATION_ROUNDOFF))
+
+        def certain(w: float) -> bool:
+            values = best_pair_values_over_centers(tables, centers, w)
+            return bool(np.all(values > 1.0 + VIOLATION_ROUNDOFF))
+
+        far, beyond = -np.inf, width_max
+        if certain(width):
+            far = width_max if certain(width_max) else width
+            while beyond - far > width_tolerance / 8.0:
+                mid = 0.5 * (far + beyond)
+                if certain(mid):
+                    far = mid
+                else:
+                    beyond = mid
+        reaches[width, pair_count] = far
+        return far
 
     results = []
     for pair_count in pair_counts:
-        if not certain(0.0, pair_count):
+        if reach(0.0, pair_count) < 0.0:
             results.append((pair_count, float("nan")))
             continue
-        lo = 0.0
-        hi = min(0.2, width_max)
-        while certain(hi, pair_count):
-            lo = hi
-            hi *= 2.0
-            if hi >= width_max:
-                hi = width_max
-                if certain(hi, pair_count):
-                    lo = hi
-                break
-        if lo >= width_max:
-            results.append((pair_count, float(width_max)))
-            continue
-        while hi - lo > width_tolerance:
-            mid = 0.5 * (lo + hi)
-            if certain(mid, pair_count):
-                lo = mid
+        # The largest certain and the smallest uncertain probe; the loop
+        # stops at a bracket no wider than the tolerance, compared as the
+        # probe lo + width_tolerance itself rounds.  ``crept``: the probe
+        # is one tolerance step past lo with no bracket yet, never twice
+        # in a row.
+        lo, hi, crept = 0.0, None, False
+        while lo < width_max and (hi is None or hi > lo + width_tolerance):
+            far = reach(lo, pair_count)
+            crept = hi is None and far - lo <= width_tolerance and not crept
+            if crept:
+                probe = min(lo + width_tolerance, width_max)
+            elif hi is None:
+                probe = min(max(far, 2.0 * lo, min(0.2, width_max)), width_max)
+            elif hi - lo <= 2.0 * width_tolerance:
+                probe = lo + width_tolerance
             else:
-                hi = mid
+                probe = min(max(far, lo + width_tolerance), hi - width_tolerance)
+            if reach(probe, pair_count) >= probe:
+                lo = probe
+            else:
+                hi = probe
         results.append((pair_count, float(lo)))
     return results

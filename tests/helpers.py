@@ -16,6 +16,7 @@ from photonbell import (
     maximize_bell,
 )
 import photonbell.experiments as experiments
+import photonbell.optimize as optimize
 from photonbell.experiments import _half_basis, _setting_pairs
 from photonbell.fock_core import (
     IMAG_RESIDUE_TOL,
@@ -1015,6 +1016,74 @@ def bisect_threshold(
         else:
             lo = mid
     return ThresholdResult(efficiency=0.5 * (lo + hi), violable=True)
+
+
+def bisect_frontier(
+    n_parties: int,
+    efficiency: float,
+    pair_counts,
+    grid_density: int = 720,
+    width_tolerance: float = 0.01,
+    width_max: float = 2.0,
+    restarts: int = 6,
+) -> list:
+    """Certainty frontier by expanding and bisecting the width over full searches.
+
+    Slow oracle for ``certainty_frontier``, with its arguments (checked
+    there, not here) and its contract: every probe re-runs
+    ``maximize_bell`` at its width (once per width, shared by the pair
+    counts) and scans that optimum's pair tables on the grid of centers.
+    The width doubles from 0.2 while it stays certain, capped at
+    ``width_max``, and the bracket is then halved down to
+    ``width_tolerance``; the result is its certain end.  This assumes that
+    certainty falls off monotonically with the width.  ``maximize_bell`` is
+    looked up in ``photonbell.optimize`` at call time, so a test that
+    replaces it there counts these searches too.
+    """
+    axis = np.arange(grid_density) * TWO_PI / grid_density
+    grids = np.meshgrid(*[axis] * (n_parties - 1), indexing="ij")
+    centers = np.stack(grids, -1).reshape(-1, n_parties - 1) if grids else np.zeros((1, 0))
+    state = lossy_w_state(n_parties, efficiency)
+    amplitudes = {}
+
+    def certain(width: float, pair_count: int) -> bool:
+        if width not in amplitudes:
+            spec = OptimizationSpec(
+                n_parties=n_parties, width=width, efficiency=efficiency, restarts=restarts
+            )
+            report = optimize.maximize_bell(spec)
+            amplitudes[width] = report.r, report.r_prime
+        strategy = experiments.paired_strategy(n_parties, *amplitudes[width], pair_count)
+        tables = experiments.pair_symbolic_tables(state, strategy)
+        values = experiments.best_pair_values_over_centers(tables, centers, width)
+        return bool(np.all(values > 1.0 + VIOLATION_ROUNDOFF))
+
+    results = []
+    for pair_count in pair_counts:
+        if not certain(0.0, pair_count):
+            results.append((pair_count, float("nan")))
+            continue
+        lo = 0.0
+        hi = min(0.2, width_max)
+        while certain(hi, pair_count):
+            lo = hi
+            hi *= 2.0
+            if hi >= width_max:
+                hi = width_max
+                if certain(hi, pair_count):
+                    lo = hi
+                break
+        if lo >= width_max:
+            results.append((pair_count, float(width_max)))
+            continue
+        while hi - lo > width_tolerance:
+            mid = 0.5 * (lo + hi)
+            if certain(mid, pair_count):
+                lo = mid
+            else:
+                hi = mid
+        results.append((pair_count, float(lo)))
+    return results
 
 
 def scipy_simplex(objective, x0, lower, upper, tolerance: float, max_evals: int):

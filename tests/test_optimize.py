@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bisect_frontier,
     bisect_threshold,
     dressed_averaged_tables,
     exact_pinned_terms,
@@ -37,9 +38,12 @@ from photonbell import (
     OptimumReport,
     PhaseModel,
     SubspaceState,
+    best_pair_values_over_centers,
     certainty_frontier,
     lossy_w_state,
     maximize_bell,
+    pair_symbolic_tables,
+    paired_strategy,
     threshold_efficiency,
     wwzb_value,
 )
@@ -278,7 +282,9 @@ def test_threshold_and_frontier_results_are_pinned():
     frontier = certainty_frontier(
         2, 0.9, [8], grid_density=360, width_tolerance=0.05, restarts=1
     )
-    assert frontier == [(8, 0.6500000000000001)]
+    # 0.6500000000000001 when the width was doubled and bisected; the
+    # probes now go to each search's own reach (0.0, 0.66796875, 0.71796875)
+    assert frontier == [(8, 0.66796875)]
 
 
 def _oracle_points(spec, rng):
@@ -1166,6 +1172,112 @@ def test_certainty_frontier_stays_within_width_max(monkeypatch):
     widths.clear()
     ((_, width),) = certainty_frontier(2, 0.87, [6], width_max=0.15, **kwargs)
     assert 0.0 <= width <= 0.15 and max(widths) <= 0.15
+
+
+def _counted_searches(monkeypatch) -> list:
+    """Widths of the ``maximize_bell`` calls made from here on, appended as they run."""
+    widths, search = [], optimize.maximize_bell
+
+    def counted(spec):
+        widths.append(spec.width)
+        return search(spec)
+
+    monkeypatch.setattr(optimize, "maximize_bell", counted)
+    return widths
+
+
+FRONTIER_ORACLE_CASES = [
+    *[(2, 0.9, m, 2.0) for m in (3, 5, 8, 16)],
+    *[(2, 0.95, m, 2.0) for m in (4, 8)],
+    *[(2, 0.87, 6, width_max) for width_max in (0.1, 0.15, 2.0)],
+    *[(2, 1.0, m, 2.0) for m in (2, 3, 4)],
+    *[(3, efficiency, 8, 2.0) for efficiency in (0.0, 0.9)],
+]
+
+
+@pytest.mark.parametrize("n_parties, efficiency, pair_count, width_max", FRONTIER_ORACLE_CASES)
+def test_certainty_frontier_matches_bisection_oracle(
+    monkeypatch, n_parties, efficiency, pair_count, width_max
+):
+    # The placed probes and the doubling-and-bisecting oracle both return a
+    # certain probe with an uncertain one at most the tolerance above it,
+    # so they agree within the tolerance; the probes never search more.
+    kwargs = dict(grid_density=360, width_tolerance=0.05, width_max=width_max, restarts=1)
+    widths = _counted_searches(monkeypatch)
+    ((_, width),) = certainty_frontier(n_parties, efficiency, [pair_count], **kwargs)
+    searches = len(widths)
+    assert max(widths) <= width_max
+    widths.clear()
+    ((_, oracle),) = bisect_frontier(n_parties, efficiency, [pair_count], **kwargs)
+    assert np.isnan(width) == np.isnan(oracle)
+    if not np.isnan(oracle):
+        assert abs(width - oracle) <= kwargs["width_tolerance"]
+    assert searches <= len(widths)
+
+
+def test_certainty_frontier_searches_three_widths_on_the_benchmark_case(monkeypatch):
+    # the first search's reach places the second probe, and one step of
+    # the tolerance above it is uncertain
+    widths = _counted_searches(monkeypatch)
+    out = certainty_frontier(2, 0.9, [8], grid_density=360, width_tolerance=0.05, restarts=1)
+    assert len(widths) <= 3 and len(set(widths)) == len(widths)
+    ((_, width),) = out
+    assert width in widths
+
+
+@pytest.mark.parametrize("efficiency, pair_count", [(0.9, 8), (0.95, 4), (0.87, 6)])
+def test_certainty_frontier_width_is_certain_with_a_fresh_search(efficiency, pair_count):
+    ((_, width),) = certainty_frontier(
+        2, efficiency, [pair_count], grid_density=720, width_tolerance=0.02, restarts=2
+    )
+    assert 0.0 < width < 2.0
+    report = maximize_bell(OptimizationSpec(2, width, efficiency=efficiency, restarts=2))
+    strategy = paired_strategy(2, report.r, report.r_prime, pair_count)
+    tables = pair_symbolic_tables(lossy_w_state(2, efficiency), strategy)
+    centers = np.arange(720)[:, None] * TWO_PI / 720
+    values = best_pair_values_over_centers(tables, centers, width)
+    assert np.all(values > 1.0 + VIOLATION_ROUNDOFF)
+
+
+def test_two_party_certainty_at_fixed_amplitudes_is_monotone_in_the_width():
+    # Entries are a + q b with q = exp(-w^2 / 2): each pair's Bell value is
+    # convex and piecewise linear in q, and at most 1 at q = 0.  So the
+    # widths that fixed tables keep certain on a grid are an interval from 0.
+    # The amplitudes are drawn near the searched ones, (0.57, -0.17) up to
+    # sign, where most draws are certain at width 0 and not at width 2.
+    rng = np.random.default_rng(38)
+    widths = np.linspace(0.0, 2.0, 200)
+    centers = np.arange(360)[:, None] * TWO_PI / 360
+    transitions = 0
+    for _ in range(12):
+        r, r_prime = rng.choice([-1.0, 1.0]) * rng.uniform([0.35, -0.35], [0.8, 0.0])
+        efficiency, pair_count = rng.uniform(0.85, 1.0), int(rng.choice([3, 5, 8, 16]))
+        strategy = paired_strategy(2, r, r_prime, pair_count)
+        tables = pair_symbolic_tables(lossy_w_state(2, efficiency), strategy)
+        certain = np.array([
+            np.all(best_pair_values_over_centers(tables, centers, w) > 1.0 + VIOLATION_ROUNDOFF)
+            for w in widths
+        ])
+        assert np.all(np.diff(certain.astype(int)) <= 0), (r, r_prime, efficiency, pair_count)
+        transitions += bool(certain[0] and not certain[-1])
+    assert transitions >= 6
+
+
+def test_certainty_frontier_refuses_a_grid_past_its_budget(monkeypatch):
+    class Searched(Exception):
+        pass
+
+    def no_search(_spec):
+        raise Searched
+
+    monkeypatch.setattr(optimize, "maximize_bell", no_search)
+    monkeypatch.setattr(optimize, "MAX_FRONTIER_CENTERS", 360**2 - 1)
+    # 360^2 centers at N = 3 are refused before the grid or a search, and
+    # N = 2 at the same density, 360 centers, reaches the first search
+    with pytest.raises(ValueError, match="grid_density"):
+        certainty_frontier(3, 0.9, [8], grid_density=360)
+    with pytest.raises(Searched):
+        certainty_frontier(2, 0.9, [8], grid_density=360)
 
 
 def test_certainty_frontier_vacuum_is_never_certain():
